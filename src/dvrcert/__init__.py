@@ -21,10 +21,7 @@ from .scalars import (
     FractionScalar,
     ResidueScalar,
     invert_mod_group_order,
-    is_unit,
     parse_scalar,
-    reduce_scalar,
-    valuation,
 )
 from .linalg import (
     RING_K,

@@ -10,7 +10,7 @@ generators back to the ring.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     CertificateConditionError,
@@ -39,8 +39,8 @@ from .polys import (
     MultiPoly,
     action_matrix,
     act,
-    hilbert_product_truncation,
     invariant_basis,
+    molien_identity_failures,
     molien_series,
     monomials,
     reynolds,
@@ -427,16 +427,20 @@ def h1_dimension(group: MatrixGroup, degree: int, ring: str) -> int:
     dimension is the sum of the per-degree contributions.  Whenever the
     group order is invertible in the field this is zero; the interesting
     (nonzero) values appear exactly when the order is divisible by the
-    characteristic.
+    characteristic.  Each contribution is computed once per group and kept
+    in `group.memo`, so a table over d = 0, 1, ... is a prefix sum.
     """
-    return sum(_h1_exact_degree(group, e, ring) for e in range(degree + 1))
+    memo = group.memo
+    for e in range(degree + 1):
+        if ("h1", e, ring) not in memo:
+            memo["h1", e, ring] = _h1_exact_degree(group, e, ring)
+    return sum(memo["h1", e, ring] for e in range(degree + 1))
 
 
 # -- lifts ------------------------------------------------------------------------
 
 
-def lift_fundamentals(group: MatrixGroup, residue_inv: FundamentalInvariants,
-                      degree_bound: int):
+def lift_fundamentals(group: MatrixGroup, residue_inv: FundamentalInvariants):
     """Reynolds lifts of residue-field generators to O-invariants.
 
     Each generator is lifted coefficientwise, averaged over the group, and
@@ -473,6 +477,26 @@ def lift_fundamentals(group: MatrixGroup, residue_inv: FundamentalInvariants,
 
 # -- the certificate -----------------------------------------------------------------
 
+# The check sequence, in the order it runs.  Every stage but the lifts is
+# also a partial check of its own.
+STAGES = ("reflections", "eta", "basis", "molien", "invariants", "graded", "h1", "lifts")
+PARTIAL_CHECKS = tuple(s for s in STAGES if s != "lifts")
+# Stages that average over G, so need |G| invertible in O.  The reflections
+# and H^1 are not gated: a nonzero H^1 when p divides |G| is the diagnostic.
+GATED = frozenset(("eta", "basis", "molien", "invariants", "graded", "lifts"))
+# The earlier stage whose result a stage needs.
+NEEDS = {"basis": "reflections", "invariants": "reflections", "lifts": "invariants"}
+
+# Report keys of each partial check but the invariants, in report order.
+_REPORT_KEYS = {
+    "reflections": ("reflections", "reflection_generated"),
+    "eta": ("eta_injective", "reduced_reflection_generated"),
+    "basis": ("bases",),
+    "molien": ("molien", "molien_mod_p"),
+    "graded": ("graded_table", "graded_ok"),
+    "h1": ("h1", "h1_ok"),
+}
+
 
 @dataclass(frozen=True)
 class RegularityCertificate:
@@ -484,27 +508,32 @@ class RegularityCertificate:
     group_order: int
     degree_bound: int
     hypothesis_ok: bool
-    reflection_report: ReflectionReport | None
-    eta_injective: bool | None
-    reduced_reflection_generated: bool | None
-    bases: tuple  # (element index, DiagonalizingBasis | None, note)
-    bases_ok: bool | None
-    fundamental_K: FundamentalInvariants | None
-    fundamental_k: FundamentalInvariants | None
-    degrees_match: bool | None
-    graded_table: tuple
-    graded_ok: bool | None
-    molien: MolienSeries | None
-    molien_vs_dimensions_ok: bool | None
-    molien_vs_hilbert_ok: bool | None
-    h1_table: tuple
-    h1_ok: bool | None
-    lifts: tuple
-    lift_verified: bool | None
     verdict: str
-    notes: tuple = field(default=())
+    notes: tuple = ()
+    # the results of the stages that ran; the rest keep their defaults
+    reflection_report: ReflectionReport | None = None
+    eta_injective: bool | None = None
+    reduced_reflection_generated: bool | None = None
+    bases: tuple = ()  # (element index, DiagonalizingBasis | None, note)
+    bases_ok: bool | None = None
+    fundamental_K: FundamentalInvariants | None = None
+    fundamental_k: FundamentalInvariants | None = None
+    fundamental_errors: tuple = ()  # (ring, why no fundamental invariants were found)
+    degrees_match: bool | None = None
+    graded_table: tuple = ()
+    graded_ok: bool | None = None
+    molien: MolienSeries | None = None
+    molien_vs_dimensions_ok: bool | None = None
+    molien_vs_hilbert_ok: bool | None = None
+    h1_table: tuple = ()
+    h1_ok: bool | None = None
+    lifts: tuple = ()
+    lift_verified: bool | None = None
+    checks: tuple | None = None  # partial checks reported; None: the full certificate
 
     def to_dict(self) -> dict:
+        """Report fields: all of them for the full certificate, else those of
+        the partial checks, followed by the verdict (and the gate's error)."""
         reflections = []
         if self.reflection_report is not None:
             reflections = [
@@ -519,7 +548,7 @@ class RegularityCertificate:
             if note:
                 entry["note"] = note
             bases.append(entry)
-        return {
+        doc = {
             "verdict": self.verdict,
             "dvr": {"kind": self.kind, "p": self.p},
             "n": self.n,
@@ -560,172 +589,182 @@ class RegularityCertificate:
             "lift_verified": self.lift_verified,
             "notes": list(self.notes),
         }
+        if self.checks is None:
+            return doc
+        out = {}
+        errors = dict(self.fundamental_errors)
+        for check in self.checks:
+            if check != "invariants":
+                out.update((key, doc[key]) for key in _REPORT_KEYS[check])
+                continue
+            for ring in (RING_K, RING_RESIDUE):
+                out[f"fundamental_degrees_{ring}"] = doc[f"fundamental_degrees_{ring}"]
+                if ring in errors:
+                    out[f"fundamental_error_{ring}"] = errors[ring]
+                else:
+                    out[f"fundamental_generators_{ring}"] = doc[f"fundamental_generators_{ring}"]
+        out["verdict"] = self.verdict
+        if not self.hypothesis_ok:
+            out["error"] = self.notes[-1]
+        return out
 
 
-def certify(group: MatrixGroup, degree_bound: int | None = None) -> RegularityCertificate:
-    """Run the full pipeline and aggregate the verdict.
+def certify(
+    group: MatrixGroup, degree_bound: int | None = None, checks=None
+) -> RegularityCertificate:
+    """Run the check sequence and aggregate the verdict.
 
-    Sub-check failures are recorded in the certificate, never thrown; the
-    verdict is "certified" only when every executed check passed,
-    "refuted-hypothesis" when the group order is not invertible, and
-    "inconclusive" otherwise (including non-reflection groups, about which
-    the theory predicts nothing).
+    With `checks` None every stage runs: the verdict is "certified" only
+    when every executed check passed, "refuted-hypothesis" when the group
+    order is not invertible, and "inconclusive" otherwise (including
+    non-reflection groups, about which the theory predicts nothing).  Given
+    some PARTIAL_CHECKS, only those run, with the stages they need, and the
+    verdict is "complete" unless the hypothesis is refuted.  Sub-check
+    failures are recorded in the certificate, never thrown.
     """
+    full = checks is None
+    wanted = set(STAGES if full else checks)
+    for stage in reversed(STAGES):
+        if stage in wanted and stage in NEEDS:
+            wanted.add(NEEDS[stage])
     if degree_bound is None:
         degree_bound = group.order
     notes: list[str] = []
-    base: dict = dict(
+    header = dict(
         kind=group.descriptor.kind,
         p=group.descriptor.p,
         n=group.n,
         group_order=group.order,
         degree_bound=degree_bound,
-        reflection_report=None,
-        eta_injective=None,
-        reduced_reflection_generated=None,
-        bases=(),
-        bases_ok=None,
-        fundamental_K=None,
-        fundamental_k=None,
-        degrees_match=None,
-        graded_table=(),
-        graded_ok=None,
-        molien=None,
-        molien_vs_dimensions_ok=None,
-        molien_vs_hilbert_ok=None,
-        h1_table=(),
-        h1_ok=None,
-        lifts=(),
-        lift_verified=None,
     )
+    base: dict = {}  # results so far, by certificate field
 
-    try:
-        invert_mod_group_order(group.order, group.descriptor)
-    except HypothesisViolationError as exc:
-        notes.append(str(exc))
+    def finish(verdict: str) -> RegularityCertificate:
         return RegularityCertificate(
-            hypothesis_ok=False, verdict="refuted-hypothesis", notes=tuple(notes), **base
+            hypothesis_ok=True, verdict=verdict, notes=tuple(notes),
+            checks=None if full else tuple(c for c in PARTIAL_CHECKS if c in checks),
+            **header, **base,
         )
 
-    report = classify_reflections(group)
-    base["reflection_report"] = report
-    if report.vacuous:
-        notes.append("trivial group: reflection-generated by the empty set")
+    if "reflections" in wanted:
+        report = classify_reflections(group)
+        base["reflection_report"] = report
+        if report.vacuous:
+            notes.append("trivial group: reflection-generated by the empty set")
 
-    _, injective = reduction_map(group)
-    base["eta_injective"] = injective
-    if not injective:
-        notes.append("reduction map failed to be injective")
+    # The hypothesis gate.  Every gated stage follows the reflections, so
+    # this is just before the first of them.
+    if wanted & GATED:
+        try:
+            invert_mod_group_order(group.order, group.descriptor)
+        except HypothesisViolationError as exc:
+            # the full certificate records only the failed hypothesis; a
+            # partial run also reports the reflections, which ran before
+            return RegularityCertificate(
+                hypothesis_ok=False, verdict="refuted-hypothesis", notes=(str(exc),),
+                checks=None if full else ("reflections",) if "reflections" in checks else (),
+                **header, **({} if full else base),
+            )
 
-    base["reduced_reflection_generated"] = verify_reduced_reflection_generation(group)
+    if "eta" in wanted:
+        _, injective = reduction_map(group)
+        base["eta_injective"] = injective
+        if not injective:
+            notes.append("reduction map failed to be injective")
+        base["reduced_reflection_generated"] = verify_reduced_reflection_generation(group)
 
-    if not report.generated_by_reflections:
+    if full and not report.generated_by_reflections:
         notes.append(
             "group is not generated by pseudo-reflections over the fraction "
             "field; no conclusion about the invariant ring is available"
         )
-        return RegularityCertificate(
-            hypothesis_ok=True, verdict="inconclusive", notes=tuple(notes), **base
-        )
+        return finish("inconclusive")
 
-    bases = []
-    bases_ok = True
-    for idx, lam, order in report.reflections:
-        try:
-            basis = diagonalizing_basis(group.elements[idx], group)
-            bases.append((idx, basis, ""))
-        except DvrcertError as exc:
-            bases.append((idx, None, str(exc)))
-            bases_ok = False
-            notes.append(f"diagonalizing basis failed for element {idx}: {exc}")
-    base["bases"] = tuple(bases)
-    base["bases_ok"] = bases_ok
+    if "basis" in wanted:
+        bases = []
+        for idx, lam, order in report.reflections:
+            try:
+                bases.append((idx, diagonalizing_basis(group.elements[idx], group), ""))
+            except DvrcertError as exc:
+                bases.append((idx, None, str(exc)))
+                notes.append(f"diagonalizing basis failed for element {idx}: {exc}")
+        base["bases"] = tuple(bases)
+        base["bases_ok"] = all(basis is not None for _, basis, _ in bases)
 
-    fundamental = {}
-    for ring in (RING_K, RING_RESIDUE):
-        try:
-            fundamental[ring] = fundamental_invariants(
-                group, ring, degree_bound, reflection_count=report.count
-            )
-        except (DegreeBoundExhaustedError, CertificateConditionError) as exc:
-            fundamental[ring] = None
-            notes.append(f"fundamental invariants over {ring}: {exc}")
-    base["fundamental_K"] = fundamental[RING_K]
-    base["fundamental_k"] = fundamental[RING_RESIDUE]
-    if fundamental[RING_K] is not None and fundamental[RING_RESIDUE] is not None:
-        base["degrees_match"] = (
-            fundamental[RING_K].degrees == fundamental[RING_RESIDUE].degrees
-        )
-        if not base["degrees_match"]:
+    if "molien" in wanted:
+        base["molien"] = molien_series(group, degree_bound)
+
+    if "invariants" in wanted:
+        errors = {}
+        for ring in (RING_K, RING_RESIDUE):  # fields fundamental_K, fundamental_k
+            try:
+                base[f"fundamental_{ring}"] = fundamental_invariants(
+                    group, ring, degree_bound, reflection_count=report.count
+                )
+            except DvrcertError as exc:
+                base[f"fundamental_{ring}"] = None
+                errors[ring] = str(exc)
+                notes.append(f"fundamental invariants over {ring}: {exc}")
+        base["fundamental_errors"] = tuple(errors.items())
+        fund_K, fund_k = base["fundamental_K"], base["fundamental_k"]
+        both = fund_K is not None and fund_k is not None
+        base["degrees_match"] = both and fund_K.degrees == fund_k.degrees
+        if both and not base["degrees_match"]:
             notes.append(
-                f"fundamental degrees differ: {fundamental[RING_K].degrees} over K, "
-                f"{fundamental[RING_RESIDUE].degrees} over the residue field"
+                f"fundamental degrees differ: {fund_K.degrees} over K, "
+                f"{fund_k.degrees} over the residue field"
             )
-    else:
-        base["degrees_match"] = False
 
-    table = graded_isomorphism_check(group, degree_bound)
-    base["graded_table"] = table
-    base["graded_ok"] = all(eq for _, _, _, eq in table)
-    if not base["graded_ok"]:
-        notes.append("graded dimensions over K and the residue field differ")
+    if "graded" in wanted:
+        table = graded_isomorphism_check(group, degree_bound)
+        base["graded_table"] = table
+        base["graded_ok"] = all(eq for _, _, _, eq in table)
+        if not base["graded_ok"]:
+            notes.append("graded dimensions over K and the residue field differ")
 
-    molien = molien_series(group, degree_bound)
-    base["molien"] = molien
-    dims = {d: dim for d, dim, _, _ in table}
-    if molien.mod_p:
-        p = group.descriptor.p
-        dims_ok = all(molien.coefficients[d] == dims[d] % p for d in dims)
-    else:
-        dims_ok = all(molien.coefficients[d] == dims[d] for d in dims)
-    base["molien_vs_dimensions_ok"] = dims_ok
-    if not dims_ok:
-        notes.append("Molien coefficients disagree with computed invariant dimensions")
-
-    if fundamental[RING_K] is not None:
-        hilbert = hilbert_product_truncation(fundamental[RING_K].degrees, degree_bound)
-        if molien.mod_p:
-            p = group.descriptor.p
-            hilbert_ok = all(
-                molien.coefficients[d] == hilbert[d] % p for d in range(degree_bound + 1)
-            )
-        else:
-            hilbert_ok = tuple(molien.coefficients) == tuple(hilbert)
-        base["molien_vs_hilbert_ok"] = hilbert_ok
-        if not hilbert_ok:
+    if full:
+        molien, fund_K = base["molien"], base["fundamental_K"]
+        off_dims, off_hilbert = molien_identity_failures(
+            molien.coefficients, molien.mod_p, group.descriptor.p,
+            {d: dim for d, dim, _, _ in base["graded_table"]},
+            None if fund_K is None else fund_K.degrees,
+        )
+        base["molien_vs_dimensions_ok"] = not off_dims
+        if off_dims:
+            notes.append("Molien coefficients disagree with computed invariant dimensions")
+        base["molien_vs_hilbert_ok"] = off_hilbert == []
+        if off_hilbert:
             notes.append(
                 "Molien truncation disagrees with the product of geometric "
                 "series over the fundamental degrees"
             )
-    else:
-        base["molien_vs_hilbert_ok"] = False
 
-    h1_rows = []
-    for d in range(min(degree_bound, H1_DEGREE_CAP) + 1):
-        h1_rows.append(
+    if "h1" in wanted:
+        h1_rows = tuple(
             (d, h1_dimension(group, d, RING_K), h1_dimension(group, d, RING_RESIDUE))
+            for d in range(min(degree_bound, H1_DEGREE_CAP) + 1)
         )
-    base["h1_table"] = tuple(h1_rows)
-    base["h1_ok"] = all(a == 0 and b == 0 for _, a, b in h1_rows)
-    if not base["h1_ok"]:
-        notes.append("nonzero first cohomology on a low-degree piece")
+        base["h1_table"] = h1_rows
+        base["h1_ok"] = all(a == 0 and b == 0 for _, a, b in h1_rows)
+        if not base["h1_ok"]:
+            notes.append("nonzero first cohomology on a low-degree piece")
 
-    if fundamental[RING_RESIDUE] is not None:
-        lifts, lift_ok, lift_notes = lift_fundamentals(
-            group, fundamental[RING_RESIDUE], degree_bound
-        )
-        base["lifts"] = lifts
-        base["lift_verified"] = lift_ok
-        notes.extend(lift_notes)
-    else:
+    if "lifts" in wanted:
         base["lift_verified"] = False
+        if base["fundamental_k"] is not None:
+            lifts, lift_ok, lift_notes = lift_fundamentals(group, base["fundamental_k"])
+            base["lifts"] = lifts
+            base["lift_verified"] = lift_ok
+            notes.extend(lift_notes)
 
-    checks = [
+    if not full:
+        return finish("complete")
+    passed = [
         base["eta_injective"],
         base["reduced_reflection_generated"],
         base["bases_ok"],
-        fundamental[RING_K] is not None,
-        fundamental[RING_RESIDUE] is not None,
+        base["fundamental_K"] is not None,
+        base["fundamental_k"] is not None,
         base["degrees_match"],
         base["graded_ok"],
         base["molien_vs_dimensions_ok"],
@@ -733,7 +772,4 @@ def certify(group: MatrixGroup, degree_bound: int | None = None) -> RegularityCe
         base["h1_ok"],
         base["lift_verified"],
     ]
-    verdict = "certified" if all(checks) else "inconclusive"
-    return RegularityCertificate(
-        hypothesis_ok=True, verdict=verdict, notes=tuple(notes), **base
-    )
+    return finish("certified" if all(passed) else "inconclusive")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -16,40 +17,28 @@ from dataclasses import dataclass
 from . import __version__
 from .errors import (
     ClosureCapExceededError,
-    DvrcertError,
-    HypothesisViolationError,
     JobSpecError,
     NotInRingError,
     NotInvertibleError,
 )
-from .certify import (
-    H1_DEGREE_CAP,
-    certify,
-    fundamental_invariants,
-    graded_isomorphism_check,
-    h1_dimension,
-)
-from .groups import (
-    DEFAULT_CLOSURE_CAP,
-    classify_reflections,
-    generate_group,
-    reduction_map,
-    trivial_group,
-    verify_reduced_reflection_generation,
-)
-from .linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix
-from .polys import hilbert_product_truncation, molien_series
-from .refbasis import diagonalizing_basis
+from .certify import PARTIAL_CHECKS, certify
+from .groups import DEFAULT_CLOSURE_CAP, generate_group, trivial_group
+from .linalg import RING_O, ExactMatrix
+from .polys import molien_identity_failures
 from .scalars import DvrDescriptor, parse_scalar
 
-VALID_CHECKS = (
-    "reflections", "eta", "basis", "molien", "invariants", "graded", "h1", "certify",
-)
+VALID_CHECKS = PARTIAL_CHECKS + ("certify",)
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_REFUTED = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_CODES = {
+    "certified": EXIT_OK,
+    "complete": EXIT_OK,
+    "refuted-hypothesis": EXIT_REFUTED,
+    "inconclusive": EXIT_INCONCLUSIVE,
+}
 
 
 @dataclass(frozen=True)
@@ -149,7 +138,7 @@ def parse_jobspec(document) -> JobSpec:
 
 
 def run(spec: JobSpec) -> tuple[dict, int]:
-    """Execute the requested checks in dependency order; returns (report, exit code)."""
+    """Build the group and run the requested checks; returns (report, exit code)."""
     started = time.perf_counter()
     report: dict = {
         "tool": "dvrcert",
@@ -170,82 +159,10 @@ def run(spec: JobSpec) -> tuple[dict, int]:
     degree_bound = spec.degree_bound if spec.degree_bound is not None else group.order
     report["group_order"] = group.order
     report["degree_bound"] = degree_bound
-    exit_code = EXIT_OK
-
-    if "certify" in spec.checks:
-        cert = certify(group, degree_bound)
-        report.update(cert.to_dict())
-        if cert.verdict == "refuted-hypothesis":
-            exit_code = EXIT_REFUTED
-        elif cert.verdict == "inconclusive":
-            exit_code = EXIT_INCONCLUSIVE
-    else:
-        try:
-            exit_code = _run_partial_checks(spec, group, degree_bound, report)
-        except HypothesisViolationError as exc:
-            report["verdict"] = "refuted-hypothesis"
-            report["error"] = str(exc)
-            exit_code = EXIT_REFUTED
-
+    cert = certify(group, degree_bound, None if "certify" in spec.checks else spec.checks)
+    report.update(cert.to_dict())
     report["timing_ms"] = int((time.perf_counter() - started) * 1000)
-    return report, exit_code
-
-
-def _run_partial_checks(spec: JobSpec, group, degree_bound: int, report: dict) -> int:
-    """Individual checks outside the full certificate; shares its vocabulary."""
-    checks = spec.checks
-    need_reflections = {"reflections", "basis", "invariants"} & set(checks)
-    refl = classify_reflections(group) if need_reflections else None
-
-    if "reflections" in checks:
-        report["reflections"] = [
-            {"index": i, "lambda": str(lam), "order": m}
-            for i, lam, m in refl.reflections
-        ]
-        report["reflection_generated"] = refl.generated_by_reflections
-    if "eta" in checks:
-        _, injective = reduction_map(group)
-        report["eta_injective"] = injective
-        report["reduced_reflection_generated"] = verify_reduced_reflection_generation(group)
-    if "basis" in checks:
-        bases = []
-        for idx, lam, order in refl.reflections:
-            try:
-                basis = diagonalizing_basis(group.elements[idx], group)
-                entry = {"index": idx, "verified": True}
-                entry.update(basis.serialize())
-            except DvrcertError as exc:
-                entry = {"index": idx, "verified": False, "note": str(exc)}
-            bases.append(entry)
-        report["bases"] = bases
-    if "molien" in checks:
-        series = molien_series(group, degree_bound)
-        report["molien"] = series.serialize()
-        report["molien_mod_p"] = series.mod_p
-    if "invariants" in checks:
-        for ring, name in ((RING_K, "K"), (RING_RESIDUE, "k")):
-            try:
-                inv = fundamental_invariants(
-                    group, ring, degree_bound, reflection_count=refl.count
-                )
-                report[f"fundamental_degrees_{name}"] = list(inv.degrees)
-                report[f"fundamental_generators_{name}"] = [str(f) for f in inv.generators]
-            except DvrcertError as exc:
-                report[f"fundamental_degrees_{name}"] = None
-                report[f"fundamental_error_{name}"] = str(exc)
-    if "graded" in checks:
-        table = graded_isomorphism_check(group, degree_bound)
-        report["graded_table"] = [[d, a, b] for d, a, b, _ in table]
-        report["graded_ok"] = all(eq for _, _, _, eq in table)
-    if "h1" in checks:
-        rows = [
-            [d, h1_dimension(group, d, RING_K), h1_dimension(group, d, RING_RESIDUE)]
-            for d in range(min(degree_bound, H1_DEGREE_CAP) + 1)
-        ]
-        report["h1"] = rows
-        report["h1_ok"] = all(a == 0 and b == 0 for _, a, b in rows)
-    report["verdict"] = "complete"
-    return EXIT_OK
+    return report, EXIT_CODES[cert.verdict]
 
 
 # -- bundled example documents ----------------------------------------------------
@@ -290,18 +207,53 @@ EXAMPLES = {
 # -- report re-verification ---------------------------------------------------------
 
 
-def verify_report(report: dict) -> tuple[bool, list[str]]:
+def _positive_ints(value) -> bool:
+    return isinstance(value, list) and all(type(x) is int and x > 0 for x in value)
+
+
+def _malformed(report: dict) -> str | None:
+    """Why a certified report's checked fields lack their documented shape, or None."""
+    for key in ("fundamental_degrees_K", "fundamental_degrees_k"):
+        if report.get(key) is not None and not _positive_ints(report[key]):
+            return f"{key} is not a list of positive integers"
+    if not isinstance(report.get("reflections", []), list):
+        return "reflections is not a list"
+    for key in ("graded_table", "h1"):
+        rows = report.get(key, [])
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) and len(row) == 3 and all(type(x) is int for x in row)
+            for row in rows
+        ):
+            return f"{key} is not a list of [degree, dimension, dimension] rows"
+    molien = report.get("molien", [])
+    if not isinstance(molien, list) or not all(
+        isinstance(c, str) and re.fullmatch(r"-?[0-9]+", c) for c in molien
+    ):
+        return "molien is not a list of integer strings"
+    dvr = report.get("dvr")
+    if not (isinstance(dvr, dict) and type(dvr.get("p")) is int and dvr["p"] > 1):
+        return "dvr.p is not an integer above 1"
+    return None
+
+
+def verify_report(report) -> tuple[bool, list[str]]:
     """Recheck the numeric identities inside an emitted report.
 
     Works entirely from the report document: no invariants are recomputed.
+    A document without the shape of a report is rejected with a finding.
     Returns (consistent, list of findings).
     """
+    if not isinstance(report, dict):
+        return False, ["report is not a JSON object"]
     findings: list[str] = []
     verdict = report.get("verdict")
     if verdict not in ("certified", "refuted-hypothesis", "inconclusive", "complete"):
         return False, [f"unknown verdict {verdict!r}"]
     if verdict != "certified":
         return True, [f"verdict {verdict}: no certificate identities to recheck"]
+    problem = _malformed(report)
+    if problem:
+        return False, [f"malformed report: {problem}"]
 
     order = report.get("group_order")
     degrees_k_field = report.get("fundamental_degrees_K")
@@ -322,8 +274,7 @@ def verify_report(report: dict) -> tuple[bool, list[str]]:
         findings.append(f"degree excess {excess} != reflection count {len(reflections)}")
 
     graded = report.get("graded_table", [])
-    for row in graded:
-        d, dim_frac, dim_res = row
+    for d, dim_frac, dim_res in graded:
         if dim_frac != dim_res:
             findings.append(f"graded table row {d}: {dim_frac} != {dim_res}")
 
@@ -331,21 +282,15 @@ def verify_report(report: dict) -> tuple[bool, list[str]]:
     if molien:
         if molien[0] != 1:
             findings.append("Molien constant term is not 1")
-        bound = len(molien) - 1
-        hilbert = hilbert_product_truncation(degrees_k_field, bound)
-        if report.get("molien_mod_p"):
-            p = report["dvr"]["p"]
-            mismatch = [d for d in range(bound + 1) if molien[d] != hilbert[d] % p]
-        else:
-            mismatch = [d for d in range(bound + 1) if molien[d] != hilbert[d]]
-        if mismatch:
-            findings.append(f"Molien/Hilbert mismatch at degrees {mismatch}")
-        dims = {row[0]: row[1] for row in graded}
-        for d, c in enumerate(molien):
-            if d in dims:
-                expected = dims[d] % report["dvr"]["p"] if report.get("molien_mod_p") else dims[d]
-                if c != expected:
-                    findings.append(f"Molien coefficient at degree {d} != graded dimension")
+        off_dims, off_hilbert = molien_identity_failures(
+            molien, bool(report.get("molien_mod_p")), report["dvr"]["p"],
+            {d: dim for d, dim, _ in graded}, degrees_k_field,
+        )
+        if off_hilbert:
+            findings.append(f"Molien/Hilbert mismatch at degrees {off_hilbert}")
+        findings.extend(
+            f"Molien coefficient at degree {d} != graded dimension" for d in off_dims
+        )
 
     for row in report.get("h1", []):
         if any(v != 0 for v in row[1:]):

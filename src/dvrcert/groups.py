@@ -30,10 +30,14 @@ class MatrixGroup:
     Elements are listed in breadth-first order starting from the identity,
     applying the generators in a canonical sorted order, so the element
     numbering is deterministic for a given generating set.
+
+    `memo` holds per-degree results that several checks share (invariant
+    bases, H^1 contributions), keyed by (quantity, degree, ring); it lives
+    and dies with the group.
     """
 
     __slots__ = ("descriptor", "n", "generators", "closure_generators", "elements",
-                 "order", "_index", "_bfs_parent")
+                 "order", "_index", "_bfs_parent", "memo")
 
     def __init__(self, descriptor, n, generators, closure_generators, elements, bfs_parent):
         object.__setattr__(self, "descriptor", descriptor)
@@ -44,6 +48,7 @@ class MatrixGroup:
         object.__setattr__(self, "order", len(elements))
         object.__setattr__(self, "_index", {m: i for i, m in enumerate(elements)})
         object.__setattr__(self, "_bfs_parent", tuple(bfs_parent))
+        object.__setattr__(self, "memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("groups are immutable once enumerated")

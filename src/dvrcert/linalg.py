@@ -414,9 +414,3 @@ def reduce_matrix(m: ExactMatrix) -> ExactMatrix:
         m.descriptor,
         [[a.reduce() for a in row] for row in m.entries],
     )
-
-
-def parse_matrix(
-    ring: str, descriptor: DvrDescriptor, rows, *, parse_entry
-) -> ExactMatrix:
-    return ExactMatrix(ring, descriptor, [[parse_entry(s) for s in row] for row in rows])

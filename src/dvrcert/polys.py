@@ -111,14 +111,6 @@ class MultiPoly:
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1
 
-    def homogeneous_component(self, d: int) -> MultiPoly:
-        return MultiPoly(
-            self.ring,
-            self.descriptor,
-            self.n,
-            {e: c for e, c in self.terms.items() if sum(e) == d},
-        )
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: monomial_sort_key(item[0]))
 
@@ -344,11 +336,19 @@ def invariant_basis(group: MatrixGroup, d: int, ring: str) -> GradedBasis:
 
     Solves (action(g) - I) v = 0 simultaneously for the generators only;
     invariance under the generators implies invariance under the group.
+    Computed once per (degree, ring) and group, then kept in `group.memo`.
     """
     if ring not in (RING_K, RING_RESIDUE):
         raise ValueError("invariant bases are computed over a field (K or k)")
     if d < 0:
         raise ValueError("degree must be nonnegative")
+    key = ("invariant_basis", d, ring)
+    if key not in group.memo:
+        group.memo[key] = _invariant_basis(group, d, ring)
+    return group.memo[key]
+
+
+def _invariant_basis(group: MatrixGroup, d: int, ring: str) -> GradedBasis:
     basis = monomials(group.n, d)
     size = len(basis)
     if ring == RING_K:
@@ -511,3 +511,25 @@ def hilbert_product_truncation(degrees, bound: int) -> tuple[int, ...]:
         for i in range(d, bound + 1):
             out[i] += out[i - d]
     return tuple(out)
+
+
+def molien_identity_failures(coefficients, mod_p: bool, p: int, dimensions: dict, degrees):
+    """Degrees at which the two Molien identities fail.
+
+    The Molien coefficients must equal the invariant dimensions listed in
+    `dimensions` (degree -> dimension), and, through the whole truncation,
+    the coefficients of prod_i 1/(1 - z^{d_i}) over the fundamental
+    `degrees`.  A series computed in characteristic p (`mod_p`) is compared
+    with both modulo p.  Returns the two lists of failing degrees; the
+    second is None when there are no fundamental degrees to compare with.
+    """
+    def failures(expected) -> list[int]:
+        return [
+            d for d, c in enumerate(coefficients)
+            if d in expected and c != (expected[d] % p if mod_p else expected[d])
+        ]
+
+    if degrees is None:
+        return failures(dimensions), None
+    hilbert = hilbert_product_truncation(degrees, len(coefficients) - 1)
+    return failures(dimensions), failures(dict(enumerate(hilbert)))

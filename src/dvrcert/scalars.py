@@ -110,10 +110,6 @@ class FractionScalar:
             return DvrScalar(descriptor, value)
         return s
 
-    @classmethod
-    def from_int(cls, descriptor: DvrDescriptor, a: int) -> FractionScalar:
-        return descriptor.from_int(a)
-
     # -- coercion -----------------------------------------------------------
 
     def _coerce(self, other) -> FractionScalar | None:
@@ -352,21 +348,6 @@ class ResidueScalar:
         return f"ResidueScalar(p={self.descriptor.p}, {self.value})"
 
 
-# -- the same operations as thin module-level functions ----------------------
-
-
-def valuation(x: FractionScalar) -> int:
-    return x.valuation()
-
-
-def reduce_scalar(x: FractionScalar) -> ResidueScalar:
-    return x.reduce()
-
-
-def is_unit(x: FractionScalar) -> bool:
-    return x.is_unit()
-
-
 def invert_mod_group_order(r: int, descriptor: DvrDescriptor) -> DvrScalar:
     """Return 1/r as a ring element; the gate for all averaging.
 
@@ -411,7 +392,3 @@ def parse_scalar(descriptor: DvrDescriptor, text: str, *, integral: bool = True)
             raise NotInRingError(f"entry {text!r} is not in the DVR (valuation is negative)")
         return scalar
     return FractionScalar.wrap(descriptor, value)
-
-
-def format_scalar(x) -> str:
-    return str(x)

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from dvrcert.errors import CertificateConditionError, DegreeBoundExhaustedError
@@ -145,12 +147,38 @@ def test_h1_matches_bruteforce_on_invertible_groups(s2_z3, b2_z3, c4_f5t):
                 assert h1_dimension(group, d, ring) == h1_bruteforce(group, d, ring)
 
 
+def test_per_degree_quantities_are_computed_once_per_group(z3, monkeypatch):
+    # the package attribute `dvrcert.certify` is the function, not the module
+    certify_module = sys.modules["dvrcert.certify"]
+    polys_module = sys.modules["dvrcert.polys"]
+    computed = []
+    for module, name in ((polys_module, "_invariant_basis"),
+                         (certify_module, "_h1_exact_degree")):
+        original = getattr(module, name)
+
+        def counted(group, degree, ring, _name=name, _original=original):
+            computed.append((_name, degree, ring))
+            return _original(group, degree, ring)
+
+        monkeypatch.setattr(module, name, counted)
+    b2 = generate_group([
+        ExactMatrix.from_ints(RING_O, z3, [[0, 1], [1, 0]]),
+        ExactMatrix.from_ints(RING_O, z3, [[1, 0], [0, -1]]),
+    ])
+    assert certify(b2, 8).verdict == "certified"
+    assert len(computed) == len(set(computed))
+    # bases: degrees 0..8 over K and k; H^1: degrees 0..5 over K and k
+    assert len(computed) == 2 * 9 + 2 * 6
+    assert certify(b2, 8, ["invariants", "graded", "h1"]).verdict == "complete"
+    assert len(computed) == 2 * 9 + 2 * 6
+
+
 # -- lifts ------------------------------------------------------------------------------
 
 
 def test_lift_fundamentals_s2(s2_z3):
     residue_inv = fundamental_invariants(s2_z3, RING_RESIDUE, 2)
-    lifts, ok, notes = lift_fundamentals(s2_z3, residue_inv, 2)
+    lifts, ok, notes = lift_fundamentals(s2_z3, residue_inv)
     assert ok and not notes
     assert len(lifts) == 2
     for lifted, original in zip(lifts, residue_inv.generators):
@@ -162,7 +190,7 @@ def test_lift_fundamentals_s2(s2_z3):
 
 def test_lift_fundamentals_c4(c4_f5t):
     residue_inv = fundamental_invariants(c4_f5t, RING_RESIDUE, 4)
-    lifts, ok, _ = lift_fundamentals(c4_f5t, residue_inv, 4)
+    lifts, ok, _ = lift_fundamentals(c4_f5t, residue_inv)
     assert ok
     assert lifts[0].reduce() == residue_inv.generators[0]
 

@@ -123,16 +123,23 @@ def test_partial_checks():
     assert "lift_verified" not in report
 
 
+S2_Z2 = {
+    "dvr": {"kind": "int-localized", "p": 2},
+    "n": 2,
+    "generators": [[["0", "1"], ["1", "0"]]],
+}
+
+
 def test_partial_checks_respect_hypothesis_gate():
-    doc = {
-        "dvr": {"kind": "int-localized", "p": 2},
-        "n": 2,
-        "generators": [[["0", "1"], ["1", "0"]]],
-        "checks": ["molien"],
-    }
-    report, code = run(parse_jobspec(doc))
-    assert code == EXIT_REFUTED
-    assert report["verdict"] == "refuted-hypothesis"
+    for check in ("eta", "basis", "molien", "invariants", "graded"):
+        report, code = run(parse_jobspec(dict(S2_Z2, checks=[check])))
+        assert code == EXIT_REFUTED, check
+        assert report["verdict"] == "refuted-hypothesis", check
+        assert "averaging over the group is impossible" in report["error"], check
+    # ungated: a nonzero H^1 is the diagnostic for the failing hypothesis
+    for check in ("reflections", "h1"):
+        report, code = run(parse_jobspec(dict(S2_Z2, checks=[check])))
+        assert code == EXIT_OK and report["verdict"] == "complete", check
 
 
 def test_verify_report_accepts_valid_certificates():
@@ -152,11 +159,17 @@ def test_verify_report_catches_tampering():
         lambda r: r["molien"].__setitem__(3, "9"),
         lambda r: r["h1"].__setitem__(0, [0, 1, 0]),
         lambda r: r.update(lift_verified=False),
+        # malformed documents: each used to raise instead of being rejected
+        lambda r: r.update(fundamental_degrees_K=[-1, 2, 3]),
+        lambda r: r["molien"].__setitem__(1, "x"),
+        lambda r: r["graded_table"].__setitem__(1, [1, 1]),
+        lambda r: r.update(fundamental_degrees_k=6),
     ):
         tampered = copy.deepcopy(report)
         mutate(tampered)
         ok, findings = verify_report(tampered)
         assert not ok and findings
+    assert verify_report([report]) == (False, ["report is not a JSON object"])
 
 
 def test_main_analyze_and_example(tmp_path, capsys):
@@ -173,6 +186,11 @@ def test_main_analyze_and_example(tmp_path, capsys):
     assert emitted == EXAMPLES["s3"]
 
     assert main(["verify-report", "--input", str(out)]) == EXIT_OK
+    report["molien"][0] = "x"
+    for malformed in ([], report):
+        out.write_text(json.dumps(malformed))
+        assert main(["verify-report", "--input", str(out)]) == EXIT_INPUT_ERROR
+    assert "report INCONSISTENT" in capsys.readouterr().out
 
 
 def test_main_rejects_bad_documents(tmp_path, capsys):
