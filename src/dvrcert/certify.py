@@ -30,6 +30,7 @@ from .linalg import (
     RING_K,
     RING_O,
     RING_RESIDUE,
+    RowEchelon,
     reduce_matrix,
     ring_one,
     ring_zero,
@@ -43,65 +44,13 @@ from .polys import (
     molien_identity_failures,
     molien_series,
     monomials,
+    poly_matrix_det,
     reynolds,
 )
 from .refbasis import diagonalizing_basis
 from .scalars import invert_mod_group_order
 
 H1_DEGREE_CAP = 5
-
-
-# -- small exact-elimination helpers ------------------------------------------
-
-
-class _RowSpan:
-    """Incremental row space over a field, with pivot-normalized rows."""
-
-    def __init__(self):
-        self.pivot_rows: dict[int, list] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_rows)
-
-    def _reduced(self, row: list) -> list:
-        row = list(row)
-        for col in sorted(self.pivot_rows):
-            if col >= len(row):
-                break
-            if row[col]:
-                f = row[col]
-                pivot = self.pivot_rows[col]
-                row = [a - f * b for a, b in zip(row, pivot)]
-        return row
-
-    def add(self, row) -> bool:
-        """Reduce the row against the span; absorb and return True when independent."""
-        row = self._reduced(row)
-        lead = next((i for i, a in enumerate(row) if a), None)
-        if lead is None:
-            return False
-        inv = row[lead]
-        row = [a / inv for a in row]
-        for col, pivot in self.pivot_rows.items():
-            if pivot[lead]:
-                f = pivot[lead]
-                self.pivot_rows[col] = [a - f * b for a, b in zip(pivot, row)]
-        self.pivot_rows[lead] = row
-        return True
-
-    def contains(self, row) -> bool:
-        return all(not a for a in self._reduced(row))
-
-    def reduce(self, row) -> list:
-        return self._reduced(row)
-
-
-def _rank_of_rows(rows) -> int:
-    span = _RowSpan()
-    for row in rows:
-        span.add(row)
-    return span.rank
 
 
 # -- fundamental invariants -----------------------------------------------------
@@ -171,9 +120,9 @@ class _SubalgebraTracker:
             cache[k] = self._power(i, k - 1) * self.generators[i]
         return cache[k]
 
-    def product_span(self, degree: int) -> _RowSpan:
+    def product_span(self, degree: int) -> RowEchelon:
         basis = monomials(self.group.n, degree)
-        span = _RowSpan()
+        span = RowEchelon()
         for exps in _weighted_exponents(tuple(self.degrees), degree):
             prod = MultiPoly.constant(
                 self.ring, self.group.descriptor, self.group.n,
@@ -225,14 +174,10 @@ def fundamental_invariants(
                     f"{n} generators; the invariant ring is not free on them"
                 )
                 break
-            inv_lead = reduced[lead]
-            normalized = [a / inv_lead for a in reduced]
-            poly = MultiPoly(
-                ring, group.descriptor, group.n,
-                {e: c for e, c in zip(basis, normalized)},
+            span.add(reduced)  # stored with a leading one at `lead`
+            tracker.add_generator(
+                MultiPoly(ring, group.descriptor, group.n, zip(basis, span.pivot_rows[lead])), d
             )
-            tracker.add_generator(poly, d)
-            span.add(normalized)
         if span.rank != inv.dimension and len(tracker.generators) == n:
             mismatches.append(
                 f"degree {d}: invariant dimension {inv.dimension} but only "
@@ -291,36 +236,13 @@ def _check_fundamental_conditions(
     return problems
 
 
-def _poly_matrix_det(rows: list[list[MultiPoly]]) -> MultiPoly:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    first = rows[0]
-    total = None
-    for j, entry in enumerate(first):
-        if entry.is_zero():
-            continue
-        minor = [
-            [row[c] for c in range(n) if c != j]
-            for row in rows[1:]
-        ]
-        term = entry * _poly_matrix_det(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:
-        sample = rows[0][0]
-        return MultiPoly.zero(sample.ring, sample.descriptor, sample.n)
-    return total
-
-
 def jacobian_independence(inv: FundamentalInvariants) -> bool:
     """True iff the determinant of the formal Jacobian matrix is nonzero."""
     jac = [
         [f.partial_derivative(j) for j in range(f.n)]
         for f in inv.generators
     ]
-    return not _poly_matrix_det(jac).is_zero()
+    return not poly_matrix_det(jac).is_zero()
 
 
 # -- graded comparison ------------------------------------------------------------
@@ -391,7 +313,7 @@ def _h1_exact_degree(group: MatrixGroup, degree: int, ring: str) -> int:
         parent, gi = group.bfs_parent(idx)
         expression[idx] = block_plus(expression[parent], parent, gi)
 
-    span = _RowSpan()
+    span = RowEchelon()
     for idx in range(group.order):
         for gi, g in enumerate(group.closure_generators):
             target = group.index_of(group.elements[idx] * g)
@@ -416,7 +338,7 @@ def _h1_exact_degree(group: MatrixGroup, degree: int, ring: str) -> int:
                     x = x - ring_one(ring, group.descriptor)
                 col.append(x)
         columns.append(col)
-    dim_b1 = _rank_of_rows(columns)
+    dim_b1 = RowEchelon(columns).rank
     return dim_z1 - dim_b1
 
 

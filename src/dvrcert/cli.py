@@ -89,7 +89,7 @@ def parse_jobspec(document) -> JobSpec:
         raise JobSpecError(f"dvr: {exc}") from None
 
     n = document.get("n")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # bool is an int subclass
         raise JobSpecError("n: required positive integer")
 
     gen_doc = document.get("generators")
@@ -120,11 +120,11 @@ def parse_jobspec(document) -> JobSpec:
         generators.append(ExactMatrix(RING_O, descriptor, parsed_rows))
 
     degree_bound = document.get("degree_bound")
-    if degree_bound is not None and (not isinstance(degree_bound, int) or degree_bound < 0):
+    if degree_bound is not None and (type(degree_bound) is not int or degree_bound < 0):
         raise JobSpecError("degree_bound: must be a nonnegative integer")
 
     closure_cap = document.get("closure_cap", DEFAULT_CLOSURE_CAP)
-    if not isinstance(closure_cap, int) or closure_cap < 1:
+    if type(closure_cap) is not int or closure_cap < 1:
         raise JobSpecError("closure_cap: must be a positive integer")
 
     checks = document.get("checks", ["certify"])

@@ -6,7 +6,6 @@ a hyperplane pointwise and scales a complementary line by its determinant.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import ClosureCapExceededError, NotInvertibleError
@@ -108,15 +107,23 @@ def generate_group(
         raise ValueError("at least one generator or an explicit dimension is required")
 
     closure_gens = sorted(set(generators), key=ExactMatrix.sort_key)
-    ident = ExactMatrix.identity(RING_O, descriptor, n)
-    elements = [ident]
+    elements, parents = _closure(ExactMatrix.identity(RING_O, descriptor, n), closure_gens, cap)
+    return MatrixGroup(descriptor, n, generators, closure_gens, elements, parents)
+
+
+def _closure(identity, generators, cap: int):
+    """Breadth-first closure of the identity under right multiplication by the generators.
+
+    Returns the elements in discovery order and, for each, its (parent
+    index, generator index), None for the identity; raises once more than
+    `cap` elements appear.
+    """
+    elements = [identity]
     parents: list = [None]
-    index = {ident: 0}
-    queue = deque([0])
-    while queue:
-        cur = queue.popleft()
-        for gi, g in enumerate(closure_gens):
-            nxt = elements[cur] * g
+    index = {identity: 0}
+    for cur, element in enumerate(elements):  # the list grows while it is walked
+        for gi, g in enumerate(generators):
+            nxt = element * g
             if nxt not in index:
                 if len(elements) >= cap:
                     raise ClosureCapExceededError(
@@ -125,8 +132,7 @@ def generate_group(
                 index[nxt] = len(elements)
                 elements.append(nxt)
                 parents.append((cur, gi))
-                queue.append(index[nxt])
-    return MatrixGroup(descriptor, n, generators, closure_gens, elements, parents)
+    return elements, parents
 
 
 def trivial_group(descriptor: DvrDescriptor, n: int) -> MatrixGroup:
@@ -167,22 +173,6 @@ class ReflectionReport:
         return len(self.reflections)
 
 
-def _closure_indices(group: MatrixGroup, seed_indices) -> set[int]:
-    """Subgroup generated inside an enumerated group, as a set of element indices."""
-    ident = group.index_of(group.identity())
-    reached = {ident}
-    queue = deque([ident])
-    seeds = list(seed_indices)
-    while queue:
-        cur = queue.popleft()
-        for s in seeds:
-            nxt = group.index_of(group.elements[cur] * group.elements[s])
-            if nxt not in reached:
-                reached.add(nxt)
-                queue.append(nxt)
-    return reached
-
-
 def classify_reflections(group: MatrixGroup) -> ReflectionReport:
     """Rank-test every element over K and check the reflection set generates."""
     found = []
@@ -192,7 +182,10 @@ def classify_reflections(group: MatrixGroup) -> ReflectionReport:
             found.append((i, data[0], data[1]))
     if group.order == 1:
         return ReflectionReport((), True, True)
-    generated = len(_closure_indices(group, (i for i, _, _ in found))) == group.order
+    subgroup, _ = _closure(
+        group.identity(), [group.elements[i] for i, _, _ in found], group.order
+    )
+    generated = len(subgroup) == group.order
     return ReflectionReport(tuple(found), generated, False)
 
 
@@ -228,13 +221,6 @@ def verify_reduced_reflection_generation(group: MatrixGroup) -> bool:
             continue
         if rank_over_field(m - ident) == 1:
             reflections.append(m)
-    reached = {ident}
-    queue = deque([ident])
-    while queue:
-        cur = queue.popleft()
-        for r in reflections:
-            nxt = cur * r
-            if nxt not in reached:
-                reached.add(nxt)
-                queue.append(nxt)
-    return reached == set(unique_images)
+    # the image is a group, so the closure fills it exactly when it is as large
+    reached, _ = _closure(ident, reflections, len(unique_images))
+    return len(reached) == len(unique_images)

@@ -1,9 +1,10 @@
 """Dense exact linear algebra over the DVR, its fraction field, and its residue field.
 
 Matrices carry a ring tag: "O" (the DVR), "K" (its fraction field), or "k"
-(the residue field).  Arithmetic is exact throughout; determinants over O/K
-use fraction-free (Bareiss) elimination, rank/kernel work over the two fields
-with ordinary Gaussian elimination.
+(the residue field).  Arithmetic is exact throughout.  One elimination
+engine, the incremental reduced row echelon form `RowEchelon`, gives rank,
+kernels and inverses over the two fields; determinants over all three rings
+use fraction-free (Bareiss) elimination.
 """
 from __future__ import annotations
 
@@ -234,118 +235,100 @@ class KernelBasis:
 # -- elimination ---------------------------------------------------------------
 
 
-def _rref(rows: list[list]) -> tuple[list[list], list[int]]:
-    """In-place reduced row echelon form over a field; returns (rows, pivot columns)."""
-    if not rows:
-        return rows, []
-    n_cols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        if not pv.is_one():
-            rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+class RowEchelon:
+    """Incremental reduced row echelon form of a row space over a field.
+
+    `pivot_rows` maps each pivot column to its row, whose entry there is one
+    and whose entries in the other pivot columns are zero.  A row space has
+    exactly one reduced echelon form, so the result does not depend on the
+    order in which rows are added.  Row operations skip zero entries.
+    """
+
+    def __init__(self, rows=()):
+        self.pivot_rows: dict[int, list] = {}
+        for row in rows:
+            self.add(row)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivot_rows)
+
+    def reduce(self, row) -> list:
+        """The row minus its components along the pivot rows."""
+        row = list(row)
+        for col, pivot in self.pivot_rows.items():
+            f = row[col]
+            if f:
+                row = [a - f * b if b else a for a, b in zip(row, pivot)]
+        return row
+
+    def add(self, row) -> bool:
+        """Reduce the row against the span; absorb and return True when independent."""
+        row = self.reduce(row)
+        lead = next((i for i, a in enumerate(row) if a), None)
+        if lead is None:
+            return False
+        inv = row[lead]
+        if not inv.is_one():
+            row = [a / inv if a else a for a in row]
+        for col, pivot in self.pivot_rows.items():
+            f = pivot[lead]
+            if f:
+                self.pivot_rows[col] = [a - f * b if b else a for a, b in zip(pivot, row)]
+        self.pivot_rows[lead] = row
+        return True
+
+    def contains(self, row) -> bool:
+        return not any(self.reduce(row))
 
 
-def _field_rows(m: ExactMatrix) -> list[list]:
+def _field_echelon(m: ExactMatrix) -> RowEchelon:
     if m.ring == RING_O:
         raise ValueError("rank/kernel are field operations; retag the matrix with to_field()")
-    return [list(row) for row in m.entries]
+    return RowEchelon(m.entries)
 
 
 def rank_over_field(m: ExactMatrix) -> int:
-    """Rank over K or k by Gaussian elimination."""
-    _, pivots = _rref(_field_rows(m))
-    return len(pivots)
+    """Rank over K or k."""
+    return _field_echelon(m).rank
 
 
 def kernel_over_field(m: ExactMatrix) -> KernelBasis:
     """Exact nullspace basis over K or k, one vector per free column."""
-    rows = _field_rows(m)
+    pivot_rows = _field_echelon(m).pivot_rows
     n_cols = m.cols
-    rows, pivots = _rref(rows)
-    pivot_set = set(pivots)
     zero = ring_zero(m.ring, m.descriptor)
     one = ring_one(m.ring, m.descriptor)
     vectors = []
     for free in range(n_cols):
-        if free in pivot_set:
+        if free in pivot_rows:
             continue
         v = [zero] * n_cols
         v[free] = one
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][free]
+        for c, row in pivot_rows.items():
+            v[c] = -row[free]
         vectors.append(tuple(v))
     return KernelBasis(tuple(vectors), n_cols)
 
 
 def det(m: ExactMatrix):
-    """Exact determinant; Bareiss over O/K, pivot product over the residue field."""
+    """Exact determinant by fraction-free (Bareiss) elimination, over any of the rings.
+
+    Every division is exact, so the entries of an O-matrix never leave O
+    (they are minors of the original matrix).
+    """
     if not m.is_square:
         raise ValueError("determinant of a non-square matrix")
-    if m.ring == RING_RESIDUE:
-        return _det_gauss(m)
-    return _det_bareiss(m)
-
-
-def _det_gauss(m: ExactMatrix):
-    rows = [list(row) for row in m.entries]
     n = m.rows
-    acc = ring_one(m.ring, m.descriptor)
-    sign = 1
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return ring_zero(m.ring, m.descriptor)
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            sign = -sign
-        pv = rows[c][c]
-        acc = acc * pv
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] / pv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return acc if sign == 1 else -acc
-
-
-def _det_bareiss(m: ExactMatrix):
-    # Fraction-free elimination: every division is exact, so entries of an
-    # O-matrix never leave O (they are minors of the original matrix).
-    n = m.rows
+    zero = ring_zero(m.ring, m.descriptor)
     rows = [list(row) for row in m.entries]
     sign = 1
-    prev = m.descriptor.one()
+    prev = ring_one(m.ring, m.descriptor)
     for k in range(n - 1):
         if not rows[k][k]:
-            swap = None
-            for i in range(k + 1, n):
-                if rows[i][k]:
-                    swap = i
-                    break
+            swap = next((i for i in range(k + 1, n) if rows[i][k]), None)
             if swap is None:
-                return m.descriptor.zero()
+                return zero
             rows[k], rows[swap] = rows[swap], rows[k]
             sign = -sign
         pk = rows[k][k]
@@ -353,7 +336,7 @@ def _det_bareiss(m: ExactMatrix):
             rik = rows[i][k]
             for j in range(k + 1, n):
                 rows[i][j] = (rows[i][j] * pk - rik * rows[k][j]) / prev
-            rows[i][k] = m.descriptor.zero()
+            rows[i][k] = zero
         prev = pk
     d = rows[n - 1][n - 1]
     return d if sign == 1 else -d
@@ -380,14 +363,13 @@ def _inverse_field(m: ExactMatrix) -> ExactMatrix:
     n = m.rows
     zero = ring_zero(m.ring, m.descriptor)
     one = ring_one(m.ring, m.descriptor)
-    aug = [
+    pivot_rows = RowEchelon(
         list(row) + [one if i == j else zero for j in range(n)]
         for i, row in enumerate(m.entries)
-    ]
-    aug, pivots = _rref(aug)
-    if pivots != list(range(n)):
+    ).pivot_rows
+    if any(c >= n for c in pivot_rows):
         raise NotInvertibleError("matrix is singular")
-    return ExactMatrix(m.ring, m.descriptor, [row[n:] for row in aug])
+    return ExactMatrix(m.ring, m.descriptor, [pivot_rows[c][n:] for c in range(n)])
 
 
 def matrix_order(m: ExactMatrix, cap: int = DEFAULT_ORDER_CAP) -> int:

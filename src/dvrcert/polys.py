@@ -242,6 +242,21 @@ class MultiPoly:
         return f"MultiPoly[{self.ring}]({self})"
 
 
+def poly_matrix_det(rows) -> MultiPoly:
+    """Determinant of a square matrix of polynomials, by cofactor expansion
+    along the first row."""
+    first = rows[0]
+    if len(rows) == 1:
+        return first[0]
+    total = MultiPoly.zero(first[0].ring, first[0].descriptor, first[0].n)
+    for j, entry in enumerate(first):
+        if entry.is_zero():
+            continue
+        term = entry * poly_matrix_det([row[:j] + row[j + 1:] for row in rows[1:]])
+        total = total - term if j % 2 else total + term
+    return total
+
+
 # -- the group action -------------------------------------------------------------
 
 
@@ -388,51 +403,23 @@ def _invariant_basis(group: MatrixGroup, d: int, ring: str) -> GradedBasis:
 # -- Molien series -----------------------------------------------------------------
 
 
-def _poly_mul_trunc(a: list, b: list, bound: int, zero) -> list:
-    out = [zero] * min(len(a) + len(b) - 1, bound + 1)
-    for i, x in enumerate(a):
-        if i > bound or x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            if i + j > bound:
-                break
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
 def _char_series_denominator(g: ExactMatrix) -> list:
-    """Coefficients of det(I - z*g) as a polynomial in z over the field."""
+    """Coefficients of det(I - z*g), from z^0 to z^n, over the field."""
     n = g.rows
     zero = ring_zero(g.ring, g.descriptor)
     one = ring_one(g.ring, g.descriptor)
-    # entries of I - z*g are linear polynomials in z, kept as coefficient pairs
+    # entries of I - z*g, as polynomials in the one variable z
     entries = [
         [
-            [(one if i == j else zero), -g.entry(i, j)]
+            MultiPoly(
+                g.ring, g.descriptor, 1, {(0,): one if i == j else zero, (1,): -g.entry(i, j)}
+            )
             for j in range(n)
         ]
         for i in range(n)
     ]
-
-    def cofactor_det(rows, cols):
-        if len(cols) == 1:
-            return entries[rows[0]][cols[0]]
-        total = [zero]
-        r = rows[0]
-        for pos, c in enumerate(cols):
-            if all(x.is_zero() for x in entries[r][c]):
-                continue
-            minor = cofactor_det(rows[1:], cols[:pos] + cols[pos + 1 :])
-            term = _poly_mul_trunc(entries[r][c], minor, n, zero)
-            if pos % 2:
-                term = [-x for x in term]
-            if len(total) < len(term):
-                total, term = term, total
-            total = [a + b for a, b in zip(total, term)] + total[len(term) :]
-        return total
-    coeffs = cofactor_det(tuple(range(n)), tuple(range(n)))
-    coeffs = coeffs + [zero] * (n + 1 - len(coeffs))
-    return coeffs
+    denominator = poly_matrix_det(entries)
+    return [denominator.coefficient((k,)) for k in range(n + 1)]
 
 
 def _series_inverse(denom: list, bound: int, zero, one) -> list:

@@ -59,6 +59,15 @@ def neg_identity_z23():
 
 
 @pytest.fixture(scope="session")
+def reflection_and_sign_z5(z5):
+    """<diag(-1, 1, 1), -I>: order 4, generated by a reflection and a non-reflection."""
+    return generate_group([
+        ExactMatrix.from_ints(RING_O, z5, [[-1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        ExactMatrix.from_ints(RING_O, z5, [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]),
+    ])
+
+
+@pytest.fixture(scope="session")
 def s2_z2():
     d2 = DvrDescriptor("int-localized", 2)
     return generate_group([ExactMatrix.from_ints(RING_O, d2, [[0, 1], [1, 0]])])

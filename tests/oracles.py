@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from dvrcert.certify import _RowSpan
 from dvrcert.linalg import (
     RING_K,
     RING_RESIDUE,
     ExactMatrix,
+    RowEchelon,
     reduce_matrix,
     ring_one,
     ring_zero,
@@ -79,7 +79,7 @@ def invariant_dimension_bruteforce(group, degree: int, ring: str) -> int:
     basis = monomials(group.n, degree)
     index = {e: i for i, e in enumerate(basis)}
     zero = ring_zero(ring, group.descriptor)
-    span = _RowSpan()
+    span = RowEchelon()
     for e in basis:
         mono = MultiPoly.monomial(
             ring, group.descriptor, e, ring_one(ring, group.descriptor)
@@ -112,7 +112,7 @@ def _h1_exact_degree_bruteforce(group, degree: int, ring: str) -> int:
     order = group.order
     width = order * size
     zero = ring_zero(ring, group.descriptor)
-    span = _RowSpan()
+    span = RowEchelon()
     for a in range(order):
         for b in range(order):
             c = group.index_of(group.elements[a] * group.elements[b])
@@ -128,7 +128,7 @@ def _h1_exact_degree_bruteforce(group, degree: int, ring: str) -> int:
                 span.add(row)
     dim_z1 = width - span.rank
 
-    cob = _RowSpan()
+    cob = RowEchelon()
     for v in range(size):
         col = []
         for a in range(order):

@@ -71,6 +71,11 @@ def test_parse_rejects_numeric_entries():
     doc["generators"][0][0][0] = 0
     with pytest.raises(JobSpecError, match="strings"):
         parse_jobspec(doc)
+    # JSON booleans are Python ints, but not integers of the job document
+    one_by_one = {"dvr": MINIMAL_S2["dvr"], "n": 1, "generators": [[["1"]]]}
+    for key in ("n", "degree_bound", "closure_cap"):
+        with pytest.raises(JobSpecError, match=f"^{key}:"):
+            parse_jobspec(dict(one_by_one, **{key: True}))
 
 
 def test_jobspec_round_trip():

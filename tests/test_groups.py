@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from dvrcert.cli import EXIT_INCONCLUSIVE, parse_jobspec, run
 from dvrcert.errors import (
     ClosureCapExceededError,
     HypothesisViolationError,
@@ -116,6 +117,23 @@ def test_reduced_reflection_generation(s3_z5, b2_z3, neg_identity_z23):
     assert verify_reduced_reflection_generation(s3_z5)
     assert verify_reduced_reflection_generation(b2_z3)
     assert not verify_reduced_reflection_generation(neg_identity_z23)
+
+
+def test_proper_reflection_subgroup_does_not_generate(reflection_and_sign_z5):
+    # the closure over the one reflection stops at a subgroup of order 2
+    group = reflection_and_sign_z5
+    assert group.order == 4
+    report = classify_reflections(group)
+    assert report.count == 1
+    assert not report.generated_by_reflections
+    assert not verify_reduced_reflection_generation(group)
+    doc = {
+        "dvr": {"kind": "int-localized", "p": 5},
+        "n": 3,
+        "generators": [g.serialize() for g in group.generators],
+    }
+    report, code = run(parse_jobspec(doc))
+    assert (report["verdict"], code) == ("inconclusive", EXIT_INCONCLUSIVE)
 
 
 def test_closure_idempotence(s3_z5, b2_z3):

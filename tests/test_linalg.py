@@ -57,13 +57,14 @@ def test_det_examples(z3):
 def test_det_agrees_with_cofactor_expansion(kind, p, size):
     descriptor = DvrDescriptor(kind, p)
     rng = random.Random(1000 * size + p)
-    for _ in range(40):
-        m = ExactMatrix.from_ints(
-            RING_O,
-            descriptor,
-            [[rng.randint(-4, 4) for _ in range(size)] for _ in range(size)],
-        )
-        assert det(m) == det_cofactor(m)
+    for ring in (RING_O, RING_K, RING_RESIDUE):  # a loop keeps the test ids
+        for _ in range(40):
+            m = ExactMatrix.from_ints(
+                ring,
+                descriptor,
+                [[rng.randint(-4, 4) for _ in range(size)] for _ in range(size)],
+            )
+            assert det(m) == det_cofactor(m)
 
 
 def test_det_bareiss_handles_fractional_entries(z3):
@@ -118,18 +119,22 @@ def test_rank_and_kernel_examples(z3):
     assert basis.vectors[0] == (z3.one(), z3.one())
 
 
-def test_rank_kernel_dimension_identity(z3):
+def test_rank_kernel_dimension_identity(z3, f5t):
     rng = random.Random(42)
-    for _ in range(40):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
-        m = ExactMatrix.from_ints(
-            RING_K, z3, [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
-        )
-        kb = kernel_over_field(m)
-        assert rank_over_field(m) + kb.dimension == cols
-        for v in kb.vectors:
-            assert all(x.is_zero() for x in m.apply(v))
+    for ring, descriptor in ((RING_K, z3), (RING_K, f5t), (RING_RESIDUE, z3)):
+        for _ in range(40):
+            rows = rng.randint(1, 4)
+            cols = rng.randint(1, 4)
+            entries = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+            m = ExactMatrix.from_ints(ring, descriptor, entries)
+            kb = kernel_over_field(m)
+            assert rank_over_field(m) + kb.dimension == cols
+            for v in kb.vectors:
+                assert all(x.is_zero() for x in m.apply(v))
+            # the reduced echelon form, so the kernel basis, ignores row order
+            rng.shuffle(entries)
+            shuffled = ExactMatrix.from_ints(ring, descriptor, entries)
+            assert kernel_over_field(shuffled).vectors == kb.vectors
 
 
 @pytest.mark.parametrize("ring", [RING_K, RING_RESIDUE])

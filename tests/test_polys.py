@@ -17,7 +17,11 @@ from dvrcert.polys import (
 )
 from dvrcert.scalars import FractionScalar
 
-from oracles import invariant_dimension_bruteforce, molien_coefficients_bruteforce
+from oracles import (
+    det_cofactor,
+    invariant_dimension_bruteforce,
+    molien_coefficients_bruteforce,
+)
 
 
 def _x(descriptor, n, i, ring=RING_K):
@@ -122,6 +126,25 @@ def test_molien_ratfunc_is_mod_p(c4_f5t):
     assert [c % 5 for c in brute] == list(series.coefficients)
 
 
+@pytest.mark.parametrize("kind", ["int-localized", "ratfunc-localized"])
+def test_char_series_denominator_trace_and_det(kind):
+    from dvrcert.polys import _char_series_denominator
+    from dvrcert.scalars import DvrDescriptor
+
+    descriptor = DvrDescriptor(kind, 5)
+    rng = random.Random(7)
+    for _ in range(20):
+        g = ExactMatrix.from_ints(
+            RING_K, descriptor, [[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]
+        )
+        coeffs = _char_series_denominator(g)
+        trace = g.entry(0, 0) + g.entry(1, 1) + g.entry(2, 2)
+        assert len(coeffs) == 4
+        assert coeffs[0] == descriptor.one()
+        assert coeffs[1] == -trace
+        assert coeffs[3] == -det_cofactor(g)  # (-1)^3 det(g)
+
+
 def test_hilbert_product_truncation():
     assert hilbert_product_truncation([2, 4], 8) == (1, 0, 1, 0, 2, 0, 2, 0, 3)
     assert hilbert_product_truncation([1, 2, 3], 6) == (1, 1, 2, 3, 4, 5, 7)
@@ -139,8 +162,7 @@ def test_reynolds_is_idempotent_projection(s3_z5):
 
 
 def test_reynolds_span_equals_invariant_basis_span(s2_z3, b2_z3):
-    from dvrcert.certify import _RowSpan
-    from dvrcert.linalg import ring_zero
+    from dvrcert.linalg import RowEchelon, ring_zero
 
     for group, degree in ((s2_z3, 3), (b2_z3, 4)):
         basis = monomials(group.n, degree)
@@ -153,7 +175,7 @@ def test_reynolds_span_equals_invariant_basis_span(s2_z3, b2_z3):
                 row[index[e]] = c
             return row
 
-        averaged = _RowSpan()
+        averaged = RowEchelon()
         for e in basis:
             mono = MultiPoly.monomial(RING_K, group.descriptor, e, group.descriptor.one())
             averaged.add(coefficient_row(reynolds(group, mono)))
