@@ -31,7 +31,6 @@ from .linalg import (
     RING_O,
     RING_RESIDUE,
     RowEchelon,
-    reduce_matrix,
     ring_one,
     ring_zero,
 )
@@ -219,11 +218,7 @@ def _check_fundamental_conditions(
         problems.append(
             f"degree excess {excess} differs from the reflection count {reflection_count}"
         )
-    gens = (
-        [reduce_matrix(g) for g in group.closure_generators]
-        if inv.ring == RING_RESIDUE
-        else [g.to_field() for g in group.closure_generators]
-    )
+    gens = group.generators_over(inv.ring)
     for i, f in enumerate(inv.generators):
         if not f.is_homogeneous() or f.is_zero():
             problems.append(f"generator {i} is not homogeneous and nonzero")
@@ -262,14 +257,6 @@ def graded_isomorphism_check(group: MatrixGroup, degree_bound: int):
 # -- first cohomology ---------------------------------------------------------------
 
 
-def _element_action_matrices(group: MatrixGroup, degree: int, ring: str):
-    if ring == RING_RESIDUE:
-        mats = [reduce_matrix(m) for m in group.elements]
-    else:
-        mats = [m.to_field() for m in group.elements]
-    return [action_matrix(m, group.n, degree) for m in mats]
-
-
 def _h1_exact_degree(group: MatrixGroup, degree: int, ring: str) -> int:
     """dim Z1 - dim B1 for cocycles valued in the degree-d homogeneous piece.
 
@@ -281,7 +268,7 @@ def _h1_exact_degree(group: MatrixGroup, degree: int, ring: str) -> int:
     s = len(group.closure_generators)
     if s == 0:
         return 0
-    rho = _element_action_matrices(group, degree, ring)
+    rho = [action_matrix(m, group.n, degree) for m in group.over(ring)]
     size = len(monomials(group.n, degree))
     width = s * size
     zero = ring_zero(ring, group.descriptor)
@@ -326,19 +313,13 @@ def _h1_exact_degree(group: MatrixGroup, degree: int, ring: str) -> int:
                 span.add(row)
     dim_z1 = width - span.rank
 
-    # rank of v -> (rho(g_i) v - v)_i equals the coboundary dimension
-    columns = []
-    for v in range(size):
-        col = []
-        for gi, g in enumerate(group.closure_generators):
-            mat = rho[group.index_of(g)]
-            for r in range(size):
-                x = mat.entries[r][v]
-                if r == v:
-                    x = x - ring_one(ring, group.descriptor)
-                col.append(x)
-        columns.append(col)
-    dim_b1 = RowEchelon(columns).rank
+    # the rank of v -> (rho(g_i) v - v)_i, the rows of all rho(g_i) - I
+    # stacked, equals the coboundary dimension
+    dim_b1 = RowEchelon(
+        row
+        for g in group.closure_generators
+        for row in rho[group.index_of(g)].minus_identity().entries
+    ).rank
     return dim_z1 - dim_b1
 
 

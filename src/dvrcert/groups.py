@@ -12,6 +12,7 @@ from .errors import ClosureCapExceededError, NotInvertibleError
 from .linalg import (
     DEFAULT_ORDER_CAP,
     RING_O,
+    RING_RESIDUE,
     ExactMatrix,
     det,
     matrix_order,
@@ -30,9 +31,10 @@ class MatrixGroup:
     applying the generators in a canonical sorted order, so the element
     numbering is deterministic for a given generating set.
 
-    `memo` holds per-degree results that several checks share (invariant
-    bases, H^1 contributions), keyed by (quantity, degree, ring); it lives
-    and dies with the group.
+    `memo` holds what several checks share, and lives and dies with the
+    group: the elements over K and over k (see `over`), keyed by
+    ("elements", ring), and per-degree results (invariant bases, H^1
+    contributions), keyed by (quantity, degree, ring).
     """
 
     __slots__ = ("descriptor", "n", "generators", "closure_generators", "elements",
@@ -60,6 +62,26 @@ class MatrixGroup:
 
     def identity(self) -> ExactMatrix:
         return self.elements[0]
+
+    def over(self, ring: str) -> tuple:
+        """The elements as matrices over O, K or k, in the order of `elements`.
+
+        The one place where group elements move to the fraction field (a
+        retag) or the residue field (entrywise reduction); each ring's
+        copy is built once and kept in `memo`.
+        """
+        if ring == RING_O:
+            return self.elements
+        key = ("elements", ring)
+        if key not in self.memo:
+            convert = reduce_matrix if ring == RING_RESIDUE else ExactMatrix.to_field
+            self.memo[key] = tuple(convert(m) for m in self.elements)
+        return self.memo[key]
+
+    def generators_over(self, ring: str) -> list:
+        """The closure generators over O, K or k, taken from `over(ring)`."""
+        elements = self.over(ring)
+        return [elements[self._index[g]] for g in self.closure_generators]
 
     def bfs_parent(self, i: int):
         """(parent index, closure-generator index) for element i; None for the identity."""
@@ -199,7 +221,7 @@ def reduction_map(group: MatrixGroup):
     hypothesis injectivity always holds, but it is measured, not assumed.
     """
     invert_mod_group_order(group.order, group.descriptor)
-    images = tuple(reduce_matrix(m) for m in group.elements)
+    images = group.over(RING_RESIDUE)
     injective = len(set(images)) == len(images)
     return images, injective
 
@@ -214,7 +236,7 @@ def verify_reduced_reflection_generation(group: MatrixGroup) -> bool:
     unique_images = list(dict.fromkeys(images))
     if len(unique_images) == 1:
         return True  # trivial image: vacuously generated
-    ident = reduce_matrix(group.identity())
+    ident = images[0]  # the identity is element 0
     reflections = []
     for m in unique_images:
         if m == ident:

@@ -180,9 +180,16 @@ class ExactMatrix:
         return tuple(out)
 
     def minus_identity(self) -> ExactMatrix:
+        """The matrix minus the identity: one subtracted on the diagonal only."""
         if not self.is_square:
             raise ValueError("square matrix required")
-        return self - ExactMatrix.identity(self.ring, self.descriptor, self.rows)
+        one = ring_one(self.ring, self.descriptor)
+        return ExactMatrix(
+            self.ring,
+            self.descriptor,
+            [[a - one if i == j else a for j, a in enumerate(row)]
+             for i, row in enumerate(self.entries)],
+        )
 
     def to_field(self) -> ExactMatrix:
         """Retag an O-matrix as a matrix over the fraction field K."""

@@ -9,11 +9,12 @@ echelon computation downstream.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InternalCheckError
+from .errors import InternalCheckError, NotInRingError
 from .linalg import (
     RING_K,
     RING_O,
@@ -21,12 +22,17 @@ from .linalg import (
     ExactMatrix,
     KernelBasis,
     kernel_over_field,
-    reduce_matrix,
     ring_one,
     ring_zero,
 )
 from .groups import MatrixGroup
-from .scalars import DvrDescriptor, FractionScalar, ResidueScalar, invert_mod_group_order
+from .scalars import (
+    KIND_INT,
+    DvrDescriptor,
+    FractionScalar,
+    ResidueScalar,
+    invert_mod_group_order,
+)
 
 
 @lru_cache(maxsize=None)
@@ -69,7 +75,7 @@ class MultiPoly:
                 if not isinstance(coeff, FractionScalar):
                     raise TypeError("polynomial over O/K expects field scalars")
                 if ring == RING_O and not coeff.is_integral():
-                    raise ValueError(f"coefficient {coeff} is not in the DVR")
+                    raise NotInRingError(f"coefficient {coeff} is not in the DVR")
             clean[tuple(exp)] = coeff
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "descriptor", descriptor)
@@ -304,16 +310,10 @@ def act(g: ExactMatrix, f: MultiPoly) -> MultiPoly:
 def reynolds(group: MatrixGroup, f: MultiPoly) -> MultiPoly:
     """Average of the orbit of f: the projection onto the invariant ring."""
     inv_order = invert_mod_group_order(group.order, group.descriptor)
-    if f.ring == RING_RESIDUE:
-        inv_coeff: object = inv_order.reduce()
-        mats = [reduce_matrix(m) for m in group.elements]
-    else:
-        inv_coeff = inv_order
-        mats = [m.to_field() if f.ring == RING_K else m for m in group.elements]
     acc = MultiPoly.zero(f.ring, f.descriptor, f.n)
-    for m in mats:
+    for m in group.over(f.ring):
         acc = acc + act(m, f)
-    return acc.scale(inv_coeff)
+    return acc.scale(inv_order.reduce() if f.ring == RING_RESIDUE else inv_order)
 
 
 def action_matrix(g: ExactMatrix, n: int, d: int) -> ExactMatrix:
@@ -366,12 +366,8 @@ def invariant_basis(group: MatrixGroup, d: int, ring: str) -> GradedBasis:
 def _invariant_basis(group: MatrixGroup, d: int, ring: str) -> GradedBasis:
     basis = monomials(group.n, d)
     size = len(basis)
-    if ring == RING_K:
-        gens = [g.to_field() for g in group.closure_generators]
-    else:
-        gens = [reduce_matrix(g) for g in group.closure_generators]
     rows = []
-    for g in gens:
+    for g in group.generators_over(ring):
         delta = action_matrix(g, group.n, d).minus_identity()
         rows.extend(list(r) for r in delta.entries)
     if rows:
@@ -403,7 +399,7 @@ def _invariant_basis(group: MatrixGroup, d: int, ring: str) -> GradedBasis:
 # -- Molien series -----------------------------------------------------------------
 
 
-def _char_series_denominator(g: ExactMatrix) -> list:
+def _char_series_denominator(g: ExactMatrix) -> tuple:
     """Coefficients of det(I - z*g), from z^0 to z^n, over the field."""
     n = g.rows
     zero = ring_zero(g.ring, g.descriptor)
@@ -419,10 +415,10 @@ def _char_series_denominator(g: ExactMatrix) -> list:
         for i in range(n)
     ]
     denominator = poly_matrix_det(entries)
-    return [denominator.coefficient((k,)) for k in range(n + 1)]
+    return tuple(denominator.coefficient((k,)) for k in range(n + 1))
 
 
-def _series_inverse(denom: list, bound: int, zero, one) -> list:
+def _series_inverse(denom: tuple, bound: int, zero, one) -> list:
     if denom[0].is_zero():
         raise InternalCheckError("power series with zero constant term has no inverse")
     lead = denom[0]
@@ -456,18 +452,20 @@ class MolienSeries:
 
 
 def molien_series(group: MatrixGroup, bound: int) -> MolienSeries:
-    """(1/|G|) * sum over g of 1/det(I - z g), truncated to the given degree."""
+    """(1/|G|) * sum over g of 1/det(I - z g), truncated to the given degree.
+
+    Elements with the same characteristic polynomial share the denominator,
+    so each distinct one is inverted once and weighted by its multiplicity.
+    """
     inv_order = invert_mod_group_order(group.order, group.descriptor)
     zero = group.descriptor.zero()
     one = group.descriptor.one()
+    multiplicity = Counter(_char_series_denominator(m) for m in group.over(RING_K))
     total = [zero] * (bound + 1)
-    for m in group.elements:
-        denom = _char_series_denominator(m.to_field())
+    for denom, count in multiplicity.items():
         inv = _series_inverse(denom, bound, zero, one)
-        total = [a + b for a, b in zip(total, inv)]
+        total = [a + b * count for a, b in zip(total, inv)]
     total = [inv_order * a for a in total]
-    from .scalars import KIND_INT
-
     if group.descriptor.kind == KIND_INT:
         coeffs = []
         for c in total:

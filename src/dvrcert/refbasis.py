@@ -23,7 +23,7 @@ from .linalg import (
     kernel_over_field,
 )
 from .groups import MatrixGroup, reflection_data
-from .scalars import DvrScalar, FractionScalar, invert_mod_group_order
+from .scalars import FractionScalar, invert_mod_group_order
 
 
 def primitive_vector(v) -> tuple:
@@ -102,7 +102,7 @@ class DiagonalizingBasis:
     """Verified eigenbasis of O^n for a pseudo-reflection."""
 
     basis: tuple  # n vectors over O; the last is the lambda-eigenvector
-    eigenvalue: DvrScalar
+    eigenvalue: FractionScalar
     order: int
 
     @property
@@ -174,7 +174,7 @@ def diagonalizing_basis(sigma: ExactMatrix, group: MatrixGroup) -> Diagonalizing
     return DiagonalizingBasis(tuple(basis), lam, order)
 
 
-def _diagonalize(sigma: ExactMatrix, lam: DvrScalar) -> list:
+def _diagonalize(sigma: ExactMatrix, lam: FractionScalar) -> list:
     n = sigma.rows
     desc = sigma.descriptor
     if n == 1:

@@ -7,11 +7,12 @@ Two concrete discrete valuation rings are supported:
 * ``ratfunc-localized``: F_p[t] localized at (t), sitting inside F_p(t).
   The uniformizer is t and the residue field is again F_p.
 
-``FractionScalar`` is an element of the fraction field K; ``DvrScalar`` is
-the subclass whose construction additionally checks membership in the ring
-(denominator of valuation zero).  Arithmetic auto-downcasts: any operation
-whose exact result lies in the ring hands back a ``DvrScalar``.  All values
-are immutable, canonical, and compared by representation.
+``FractionScalar`` is an element of the fraction field K, and
+``ResidueScalar`` one of the residue field k.  Whether a K-element lies in
+the DVR O is a property of its value (``is_integral``), not of its type: the
+containers that must hold O-elements (matrices and polynomials tagged "O")
+check it on construction, as do reduction to k and the jobspec parser.  All
+values are immutable, canonical, and compared by representation.
 """
 from __future__ import annotations
 
@@ -56,21 +57,21 @@ class DvrDescriptor:
         if not isinstance(self.p, int) or not _is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p!r}")
 
-    def zero(self) -> DvrScalar:
+    def zero(self) -> FractionScalar:
         return self.from_int(0)
 
-    def one(self) -> DvrScalar:
+    def one(self) -> FractionScalar:
         return self.from_int(1)
 
-    def from_int(self, a: int) -> DvrScalar:
+    def from_int(self, a: int) -> FractionScalar:
         if self.kind == KIND_INT:
-            return DvrScalar(self, Fraction(a))
-        return DvrScalar(self, RatFunc.from_int(self.p, a))
+            return FractionScalar(self, Fraction(a))
+        return FractionScalar(self, RatFunc.from_int(self.p, a))
 
-    def uniformizer(self) -> DvrScalar:
+    def uniformizer(self) -> FractionScalar:
         if self.kind == KIND_INT:
-            return DvrScalar(self, Fraction(self.p))
-        return DvrScalar(self, RatFunc.t(self.p))
+            return FractionScalar(self, Fraction(self.p))
+        return FractionScalar(self, RatFunc.t(self.p))
 
     def residue(self, a: int) -> ResidueScalar:
         return ResidueScalar(self, a % self.p)
@@ -85,7 +86,7 @@ def _int_valuation(n: int, p: int) -> int:
 
 
 class FractionScalar:
-    """Element of the fraction field K of the DVR."""
+    """Element of the fraction field K of the DVR; `is_integral` tells whether it lies in O."""
 
     __slots__ = ("descriptor", "value")
 
@@ -101,14 +102,6 @@ class FractionScalar:
 
     def __setattr__(self, name, value):
         raise AttributeError("scalars are immutable")
-
-    @staticmethod
-    def wrap(descriptor: DvrDescriptor, value) -> FractionScalar:
-        """Build the most specific scalar: a DvrScalar whenever the value is integral."""
-        s = FractionScalar(descriptor, value)
-        if s.is_integral():
-            return DvrScalar(descriptor, value)
-        return s
 
     # -- coercion -----------------------------------------------------------
 
@@ -171,30 +164,30 @@ class FractionScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FractionScalar.wrap(self.descriptor, self.value + o.value)
+        return FractionScalar(self.descriptor, self.value + o.value)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FractionScalar.wrap(self.descriptor, -self.value)
+        return FractionScalar(self.descriptor, -self.value)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FractionScalar.wrap(self.descriptor, self.value - o.value)
+        return FractionScalar(self.descriptor, self.value - o.value)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FractionScalar.wrap(self.descriptor, o.value - self.value)
+        return FractionScalar(self.descriptor, o.value - self.value)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FractionScalar.wrap(self.descriptor, self.value * o.value)
+        return FractionScalar(self.descriptor, self.value * o.value)
 
     __rmul__ = __mul__
 
@@ -204,7 +197,7 @@ class FractionScalar:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("scalar division by zero")
-        return FractionScalar.wrap(self.descriptor, self.value / o.value)
+        return FractionScalar(self.descriptor, self.value / o.value)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -241,19 +234,6 @@ class FractionScalar:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.descriptor.kind}, p={self.descriptor.p}, {self})"
-
-
-class DvrScalar(FractionScalar):
-    """Element of the DVR itself; construction rejects denominators of positive valuation."""
-
-    __slots__ = ()
-
-    def __init__(self, descriptor: DvrDescriptor, value):
-        super().__init__(descriptor, value)
-        if not self.is_integral():
-            raise NotInRingError(
-                f"{self} has a denominator of positive valuation; not in the DVR"
-            )
 
 
 class ResidueScalar:
@@ -348,7 +328,7 @@ class ResidueScalar:
         return f"ResidueScalar(p={self.descriptor.p}, {self.value})"
 
 
-def invert_mod_group_order(r: int, descriptor: DvrDescriptor) -> DvrScalar:
+def invert_mod_group_order(r: int, descriptor: DvrDescriptor) -> FractionScalar:
     """Return 1/r as a ring element; the gate for all averaging.
 
     Fails when the residue characteristic divides r, in which case no
@@ -362,9 +342,9 @@ def invert_mod_group_order(r: int, descriptor: DvrDescriptor) -> DvrScalar:
             "it is not invertible in the ring, so averaging over the group is impossible"
         )
     if descriptor.kind == KIND_INT:
-        return DvrScalar(descriptor, Fraction(1, r))
+        return FractionScalar(descriptor, Fraction(1, r))
     inv = pow(r % descriptor.p, -1, descriptor.p)
-    return DvrScalar(descriptor, RatFunc.from_int(descriptor.p, inv))
+    return FractionScalar(descriptor, RatFunc.from_int(descriptor.p, inv))
 
 
 # -- serialization ------------------------------------------------------------
@@ -386,9 +366,7 @@ def parse_scalar(descriptor: DvrDescriptor, text: str, *, integral: bool = True)
         raise ValueError(f"scalar {text!r} has zero denominator") from None
     except ValueError as exc:
         raise ValueError(f"malformed scalar {text!r}: {exc}") from None
-    if integral:
-        scalar = FractionScalar.wrap(descriptor, value)
-        if not isinstance(scalar, DvrScalar):
-            raise NotInRingError(f"entry {text!r} is not in the DVR (valuation is negative)")
-        return scalar
-    return FractionScalar.wrap(descriptor, value)
+    scalar = FractionScalar(descriptor, value)
+    if integral and not scalar.is_integral():
+        raise NotInRingError(f"entry {text!r} is not in the DVR (valuation is negative)")
+    return scalar

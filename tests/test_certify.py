@@ -152,6 +152,14 @@ def test_per_degree_quantities_are_computed_once_per_group(z3, monkeypatch):
     certify_module = sys.modules["dvrcert.certify"]
     polys_module = sys.modules["dvrcert.polys"]
     computed = []
+    reduced = []
+    for module in (sys.modules["dvrcert.groups"], polys_module, certify_module):
+        if hasattr(module, "reduce_matrix"):
+            def counted_reduce(m, _original=module.reduce_matrix):
+                reduced.append(m)
+                return _original(m)
+
+            monkeypatch.setattr(module, "reduce_matrix", counted_reduce)
     for module, name in ((polys_module, "_invariant_basis"),
                          (certify_module, "_h1_exact_degree")):
         original = getattr(module, name)
@@ -169,8 +177,11 @@ def test_per_degree_quantities_are_computed_once_per_group(z3, monkeypatch):
     assert len(computed) == len(set(computed))
     # bases: degrees 0..8 over K and k; H^1: degrees 0..5 over K and k
     assert len(computed) == 2 * 9 + 2 * 6
+    # every element is reduced to the residue field once, by all stages together
+    assert sorted(map(b2.index_of, reduced)) == list(range(b2.order))
     assert certify(b2, 8, ["invariants", "graded", "h1"]).verdict == "complete"
     assert len(computed) == 2 * 9 + 2 * 6
+    assert len(reduced) == b2.order
 
 
 # -- lifts ------------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dvrcert.errors import NotInvertibleError, OrderCapExceededError
+from dvrcert.errors import NotInRingError, NotInvertibleError, OrderCapExceededError
 from dvrcert.linalg import (
     RING_K,
     RING_O,
@@ -16,6 +16,7 @@ from dvrcert.linalg import (
     rank_over_field,
     reduce_matrix,
 )
+from dvrcert.polys import MultiPoly
 from dvrcert.scalars import DvrDescriptor, FractionScalar
 
 from oracles import det_cofactor, rank_by_minors
@@ -44,6 +45,13 @@ def test_shape_and_ring_mismatches(z3, z5):
         b * b
     with pytest.raises(ValueError):
         a * ExactMatrix.from_ints(RING_O, z5, [[1, 0], [0, 1]])
+    # an O-tagged container rejects an entry of K outside O
+    third = FractionScalar(z3, Fraction(1, 3))
+    with pytest.raises(NotInRingError):
+        ExactMatrix(RING_O, z3, [[third, z3.zero()], [z3.zero(), z3.one()]])
+    with pytest.raises(NotInRingError):
+        MultiPoly(RING_O, z3, 2, {(1, 0): third})
+    assert ExactMatrix(RING_K, z3, [[third]]).entry(0, 0) == third
 
 
 def test_det_examples(z3):

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,21 @@ def test_molien_pinned_examples(s2_z3, s3_z5, z3):
     assert molien_series(s2_z3, 4).coefficients == (1, 1, 2, 2, 3)
     assert molien_series(trivial_group(z3, 2), 2).coefficients == (1, 2, 3)
     assert molien_series(s3_z5, 6).coefficients == (1, 1, 2, 3, 4, 5, 7)
+
+
+def test_molien_inverts_each_distinct_denominator_once(s3_z5, monkeypatch):
+    # S_3 has three classes of characteristic polynomial: 1, 3 and 2 elements
+    polys_module = sys.modules["dvrcert.polys"]
+    original = polys_module._series_inverse
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(polys_module, "_series_inverse", counted)
+    assert molien_series(s3_z5, 6).coefficients == (1, 1, 2, 3, 4, 5, 7)
+    assert len(calls) == 3
 
 
 def test_molien_matches_bruteforce_dimensions(s2_z3, s3_z5, b2_z3):

@@ -11,7 +11,7 @@ from dvrcert.refbasis import (
     quotient_action,
     unimodular_completion,
 )
-from dvrcert.scalars import DvrScalar, FractionScalar
+from dvrcert.scalars import FractionScalar
 
 from conftest import random_unimodular
 
@@ -59,7 +59,7 @@ def test_diagonalizing_basis_pinned_example(z3):
     assert basis.eigenvalue == z3.from_int(-1)
     assert basis.order == 2
     assert basis.basis[0] == (z3.one(), z3.zero())
-    assert basis.basis[1] == (DvrScalar(z3, Fraction(-1, 2)), z3.one())
+    assert basis.basis[1] == (FractionScalar(z3, Fraction(-1, 2)), z3.one())
 
 
 def test_diagonalizing_basis_swap(z3, s2_z3):
