@@ -277,9 +277,6 @@ def _h1_exact_degree(group: MatrixGroup, degree: int, ring: str) -> int:
     # the generator values, filled in breadth-first order
     expression: list = [None] * group.order
     expression[0] = [[zero] * width for _ in range(size)]
-    gen_index = {
-        g: gi for gi, g in enumerate(group.closure_generators)
-    }
 
     def block_plus(expr_rows, elem_idx: int, gi: int):
         # rows of expr + rho(elem) placed in generator block gi
@@ -295,8 +292,7 @@ def _h1_exact_degree(group: MatrixGroup, degree: int, ring: str) -> int:
                     row[base + c] = row[base + c] + v
         return out
 
-    order_of_discovery = range(1, group.order)
-    for idx in order_of_discovery:
+    for idx in range(1, group.order):
         parent, gi = group.bfs_parent(idx)
         expression[idx] = block_plus(expression[parent], parent, gi)
 
@@ -313,13 +309,9 @@ def _h1_exact_degree(group: MatrixGroup, degree: int, ring: str) -> int:
                 span.add(row)
     dim_z1 = width - span.rank
 
-    # the rank of v -> (rho(g_i) v - v)_i, the rows of all rho(g_i) - I
-    # stacked, equals the coboundary dimension
-    dim_b1 = RowEchelon(
-        row
-        for g in group.closure_generators
-        for row in rho[group.index_of(g)].minus_identity().entries
-    ).rank
+    # B^1 is the image of v -> (rho(g_i) v - v)_i, whose kernel is the
+    # (memoised) invariant space, so dim B^1 = N - dim of the invariants
+    dim_b1 = size - invariant_basis(group, degree, ring).dimension
     return dim_z1 - dim_b1
 
 

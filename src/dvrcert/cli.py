@@ -413,10 +413,11 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         sys.stderr.write(f"input is not valid JSON: {exc}\n")
         return EXIT_INPUT_ERROR
-    if args.degree_bound is not None:
-        doc["degree_bound"] = args.degree_bound
-    if args.checks:
-        doc["checks"] = [c.strip() for c in args.checks.split(",") if c.strip()]
+    if isinstance(doc, dict):  # anything else is rejected by parse_jobspec
+        if args.degree_bound is not None:
+            doc["degree_bound"] = args.degree_bound
+        if args.checks:
+            doc["checks"] = [c.strip() for c in args.checks.split(",") if c.strip()]
     try:
         spec = parse_jobspec(doc)
     except JobSpecError as exc:

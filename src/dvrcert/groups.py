@@ -1,8 +1,10 @@
 """Finite matrix groups over the DVR: closure, reflections, reduction.
 
 A pseudo-reflection here is an invertible matrix of finite order whose
-difference from the identity has rank one over the fraction field: it fixes
-a hyperplane pointwise and scales a complementary line by its determinant.
+difference from the identity has rank one over K (or k, for a reduced image):
+it fixes a hyperplane pointwise and scales a complementary line by its
+determinant.  Reflections generate G (or its image over k) exactly when their
+closure reaches G's own generators; `_generated_by` alone decides this.
 """
 from __future__ import annotations
 
@@ -129,32 +131,48 @@ def generate_group(
         raise ValueError("at least one generator or an explicit dimension is required")
 
     closure_gens = sorted(set(generators), key=ExactMatrix.sort_key)
-    elements, parents = _closure(ExactMatrix.identity(RING_O, descriptor, n), closure_gens, cap)
+    ident = ExactMatrix.identity(RING_O, descriptor, n)
+    elements, parents = zip(*_closure(ident, closure_gens, cap))
     return MatrixGroup(descriptor, n, generators, closure_gens, elements, parents)
 
 
 def _closure(identity, generators, cap: int):
     """Breadth-first closure of the identity under right multiplication by the generators.
 
-    Returns the elements in discovery order and, for each, its (parent
-    index, generator index), None for the identity; raises once more than
+    Lazily yields each element as it is first reached, with its (parent
+    index, generator index), starting with (identity, None), so a caller
+    stops the multiplying by stopping the iteration; raises once more than
     `cap` elements appear.
     """
     elements = [identity]
-    parents: list = [None]
-    index = {identity: 0}
+    seen = {identity}
+    yield identity, None
     for cur, element in enumerate(elements):  # the list grows while it is walked
         for gi, g in enumerate(generators):
             nxt = element * g
-            if nxt not in index:
+            if nxt not in seen:
                 if len(elements) >= cap:
                     raise ClosureCapExceededError(
                         f"closure exceeded {cap} elements; group too large or infinite"
                     )
-                index[nxt] = len(elements)
+                seen.add(nxt)
                 elements.append(nxt)
-                parents.append((cur, gi))
-    return elements, parents
+                yield nxt, (cur, gi)
+
+
+def _generated_by(group: MatrixGroup, ring: str, reflections) -> bool:
+    """Do the reflections generate the group's image over `ring` (O or k)?
+
+    The image is generated by `group.generators_over(ring)`, so this holds
+    exactly when the reflections' closure reaches all of them; it stops at
+    the last one.  A subgroup has at most |G| elements, which caps it.
+    """
+    missing = set(group.generators_over(ring))
+    for element, _ in _closure(group.over(ring)[0], reflections, group.order):
+        missing.discard(element)
+        if not missing:
+            return True
+    return False
 
 
 def trivial_group(descriptor: DvrDescriptor, n: int) -> MatrixGroup:
@@ -204,10 +222,7 @@ def classify_reflections(group: MatrixGroup) -> ReflectionReport:
             found.append((i, data[0], data[1]))
     if group.order == 1:
         return ReflectionReport((), True, True)
-    subgroup, _ = _closure(
-        group.identity(), [group.elements[i] for i, _, _ in found], group.order
-    )
-    generated = len(subgroup) == group.order
+    generated = _generated_by(group, RING_O, [group.elements[i] for i, _, _ in found])
     return ReflectionReport(tuple(found), generated, False)
 
 
@@ -229,20 +244,9 @@ def reduction_map(group: MatrixGroup):
 def verify_reduced_reflection_generation(group: MatrixGroup) -> bool:
     """Is the image of the group in GL_n over the residue field reflection-generated?
 
-    Classifies pseudo-reflections among the reduced images (rank test over
-    the residue field) and checks that they generate the image group.
+    Picks out the pseudo-reflections among the reduced images with the same
+    test as over K and asks `_generated_by` whether they generate the image.
     """
     images, _ = reduction_map(group)
-    unique_images = list(dict.fromkeys(images))
-    if len(unique_images) == 1:
-        return True  # trivial image: vacuously generated
-    ident = images[0]  # the identity is element 0
-    reflections = []
-    for m in unique_images:
-        if m == ident:
-            continue
-        if rank_over_field(m - ident) == 1:
-            reflections.append(m)
-    # the image is a group, so the closure fills it exactly when it is as large
-    reached, _ = _closure(ident, reflections, len(unique_images))
-    return len(reached) == len(unique_images)
+    reflections = [m for m in images if is_pseudo_reflection(m, cap=group.order)]
+    return _generated_by(group, RING_RESIDUE, reflections)

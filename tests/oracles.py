@@ -3,8 +3,9 @@
 Each oracle deliberately takes a different route from the implementation it
 checks: cofactor expansion against fraction-free elimination, minor
 enumeration against Gaussian rank, full-group averaging against
-generator-kernel invariant bases, and the full cocycle system on every
-group element against the generator-variable system.
+generator-kernel invariant bases, the full cocycle system on every
+group element against the generator-variable system, and saturation under
+all pairwise products against a closure that stops at the generators.
 """
 from __future__ import annotations
 
@@ -59,6 +60,23 @@ def rank_by_minors(m: ExactMatrix) -> int:
                 continue
             break
     return best
+
+
+def reflection_generated_bruteforce(matrices) -> bool:
+    """Do the reflections among the matrices (a finite group) generate them all?
+
+    Finds reflections by minors and saturates {I} and the reflections under
+    all pairwise products until nothing new appears.
+    """
+    distinct = set(matrices)
+    first = matrices[0]
+    ident = ExactMatrix.identity(first.ring, first.descriptor, first.rows)
+    reached = {ident} | {m for m in distinct if rank_by_minors(m - ident) == 1}
+    while True:
+        products = {a * b for a in reached for b in reached}
+        if products <= reached:
+            return reached == distinct
+        reached |= products
 
 
 def _field_matrices(group, ring):

@@ -206,6 +206,12 @@ def test_main_rejects_bad_documents(tmp_path, capsys):
                                "generators": [[["1"]]]}))
     assert main(["analyze", "--input", str(bad)]) == EXIT_INPUT_ERROR
     capsys.readouterr()
+    bad.write_text("[1, 2]")
+    for flags in (["--degree-bound", "3"], ["--checks", "h1"]):
+        assert main(["analyze", "--input", str(bad), *flags]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == (
+            "invalid job document: top-level document must be a JSON object\n"
+        )
 
 
 def test_main_text_format(tmp_path, capsys):

@@ -17,10 +17,11 @@ from dvrcert.groups import (
     trivial_group,
     verify_reduced_reflection_generation,
 )
-from dvrcert.linalg import RING_O, ExactMatrix, inverse, matrix_order
+from dvrcert.linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix, inverse, matrix_order
 from dvrcert.scalars import DvrDescriptor
 
 from conftest import random_unimodular
+from oracles import reflection_generated_bruteforce
 
 
 def test_generate_group_examples(s2_z3, s3_z5, b2_z3):
@@ -156,9 +157,20 @@ def test_injectivity_survives_conjugation(s3_z5, b2_z3, c4_f5t, seed):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_reflection_classification_is_conjugation_invariant(s3_z5, b2_z3, seed):
+def test_reflection_classification_is_conjugation_invariant(
+    z3, z5, s3_z5, b2_z3, reflection_and_sign_z5, seed
+):
+    # two presentations not made of reflections, both still reflection-generated
+    s3_rotation = generate_group([
+        ExactMatrix.from_ints(RING_O, z5, [[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
+        ExactMatrix.from_ints(RING_O, z5, [[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+    ])
+    b2_rotation = generate_group([
+        ExactMatrix.from_ints(RING_O, z3, [[0, -1], [1, 0]]),
+        ExactMatrix.from_ints(RING_O, z3, [[0, 1], [1, 0]]),
+    ])
     rng = random.Random(100 + seed)
-    for group in (s3_z5, b2_z3):
+    for group in (s3_z5, b2_z3, s3_rotation, b2_rotation, reflection_and_sign_z5):
         t = random_unimodular(group.descriptor, group.n, rng)
         t_inv = inverse(t)
         conjugated = generate_group([t * g * t_inv for g in group.generators],
@@ -170,6 +182,38 @@ def test_reflection_classification_is_conjugation_invariant(s3_z5, b2_z3, seed):
             str(lam) for _, lam, _ in original.reflections
         )
         assert moved.generated_by_reflections == original.generated_by_reflections
+        for g, report in ((group, original), (conjugated, moved)):
+            assert report.generated_by_reflections == (
+                reflection_generated_bruteforce(g.over(RING_K))
+            )
+            assert verify_reduced_reflection_generation(g) == (
+                reflection_generated_bruteforce(g.over(RING_RESIDUE))
+            )
+    assert classify_reflections(s3_rotation).generated_by_reflections
+    assert classify_reflections(b2_rotation).generated_by_reflections
+    assert not classify_reflections(reflection_and_sign_z5).generated_by_reflections
+
+
+def test_reflection_generation_stops_at_the_generators(z5, monkeypatch):
+    # W(B_3) given by reflections: the closure reaches them after a few products
+    wb3 = generate_group([
+        ExactMatrix.from_ints(RING_O, z5, [[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+        ExactMatrix.from_ints(RING_O, z5, [[1, 0, 0], [0, 0, 1], [0, 1, 0]]),
+        ExactMatrix.from_ints(RING_O, z5, [[1, 0, 0], [0, 1, 0], [0, 0, -1]]),
+    ])
+    assert wb3.order == 48
+    products = []
+    multiply = ExactMatrix.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return multiply(a, b)
+
+    monkeypatch.setattr(ExactMatrix, "__mul__", counted)
+    report = classify_reflections(wb3)
+    assert report.count == 9 and report.generated_by_reflections
+    assert verify_reduced_reflection_generation(wb3)
+    assert len(products) < wb3.order
 
 
 def test_element_orders_bounded_by_group_order(c4_f5t):
