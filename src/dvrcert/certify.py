@@ -37,8 +37,8 @@ from .linalg import (
 from .polys import (
     MolienSeries,
     MultiPoly,
-    action_matrix,
     act,
+    element_action_matrix,
     invariant_basis,
     molien_identity_failures,
     molien_series,
@@ -264,55 +264,62 @@ def _h1_exact_degree(group: MatrixGroup, degree: int, ring: str) -> int:
     remaining conditions are the multiplication relations of the enumerated
     group, and the breadth-first element tree tells the tree edges (which
     define) apart from the rest (which constrain).
+
+    B^1 lies in Z^1, so the rank of the relations never exceeds
+    width - dim B^1.  Once it reaches that, Z^1 = B^1 is proved exactly and
+    the piece is 0: no later relation is read.  Only a nonzero piece (p
+    divides |G|) reads every relation.  rho_d and the expression of an
+    element are built when a relation first needs them, so a stop at
+    element i builds them for the elements up to i alone.
     """
     s = len(group.closure_generators)
     if s == 0:
         return 0
-    rho = [action_matrix(m, group.n, degree) for m in group.over(ring)]
     size = len(monomials(group.n, degree))
     width = s * size
+    # B^1 is the image of v -> (rho(g_i) v - v)_i, whose kernel is the
+    # (memoised) invariant space, so dim B^1 = N - dim of the invariants
+    dim_b1 = size - invariant_basis(group, degree, ring).dimension
     zero = ring_zero(ring, group.descriptor)
-
-    # expression[i]: the N x (s*N) matrix expressing c(element_i) in terms of
-    # the generator values, filled in breadth-first order
-    expression: list = [None] * group.order
-    expression[0] = [[zero] * width for _ in range(size)]
+    rho: dict = {}  # element index -> rho_d
 
     def block_plus(expr_rows, elem_idx: int, gi: int):
         # rows of expr + rho(elem) placed in generator block gi
+        if elem_idx not in rho:
+            rho[elem_idx] = element_action_matrix(group, ring, elem_idx, degree)
         out = [list(r) for r in expr_rows]
         base = gi * size
-        mat = rho[elem_idx]
-        for r in range(size):
-            row = out[r]
-            ent = mat.entries[r]
-            for c in range(size):
-                v = ent[c]
+        for row, ent in zip(out, rho[elem_idx].entries):
+            for c, v in enumerate(ent):
                 if v:
                     row[base + c] = row[base + c] + v
         return out
 
-    for idx in range(1, group.order):
-        parent, gi = group.bfs_parent(idx)
-        expression[idx] = block_plus(expression[parent], parent, gi)
+    # expression[i]: the N x (s*N) matrix expressing c(element_i) in terms of
+    # the generator values, built from its breadth-first parent's
+    expression = {0: [[zero] * width for _ in range(size)]}
+
+    def express(i: int):
+        # a parent comes no later than the element the loop is at, so is built
+        if i not in expression:
+            parent, gi = group.bfs_parent(i)
+            expression[i] = block_plus(expression[parent], parent, gi)
+        return expression[i]
 
     span = RowEchelon()
     for idx in range(group.order):
+        current = express(idx)
         for gi, g in enumerate(group.closure_generators):
+            if span.rank == width - dim_b1:
+                return 0  # Z^1 = B^1
             target = group.index_of(group.elements[idx] * g)
             if group.bfs_parent(target) == (idx, gi):
                 continue  # tree edge: defines rather than constrains
-            lhs = block_plus(expression[idx], idx, gi)
-            rhs = expression[target]
+            lhs = block_plus(current, idx, gi)
+            rhs = express(target)
             for r in range(size):
-                row = [a - b for a, b in zip(lhs[r], rhs[r])]
-                span.add(row)
-    dim_z1 = width - span.rank
-
-    # B^1 is the image of v -> (rho(g_i) v - v)_i, whose kernel is the
-    # (memoised) invariant space, so dim B^1 = N - dim of the invariants
-    dim_b1 = size - invariant_basis(group, degree, ring).dimension
-    return dim_z1 - dim_b1
+                span.add([a - b for a, b in zip(lhs[r], rhs[r])])
+    return width - span.rank - dim_b1
 
 
 def h1_dimension(group: MatrixGroup, degree: int, ring: str) -> int:
@@ -642,7 +649,14 @@ def certify(
         base["h1_table"] = h1_rows
         base["h1_ok"] = all(a == 0 and b == 0 for _, a, b in h1_rows)
         if not base["h1_ok"]:
-            notes.append("nonzero first cohomology on a low-degree piece")
+            # each row sums the pieces up to its degree; a failing piece is a step
+            failing = [
+                f"degree {d} over {ring}"
+                for (d, *now), (_, *before) in zip(h1_rows, ((-1, 0, 0),) + h1_rows)
+                for ring, a, b in zip((RING_K, RING_RESIDUE), now, before)
+                if a != b
+            ]
+            notes.append("nonzero first cohomology in " + ", ".join(failing))
 
     if "lifts" in wanted:
         base["lift_verified"] = False

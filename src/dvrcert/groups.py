@@ -35,8 +35,11 @@ class MatrixGroup:
 
     `memo` holds what several checks share, and lives and dies with the
     group: the elements over K and over k (see `over`), keyed by
-    ("elements", ring), and per-degree results (invariant bases, H^1
-    contributions), keyed by (quantity, degree, ring).
+    ("elements", ring); per-degree results (invariant bases, H^1
+    contributions), keyed by (quantity, degree, ring); and, keyed by
+    ("images", ring, element index), an element's images of the monomials
+    of the highest degree its action matrices reached (see
+    `polys.element_action_matrix`).
     """
 
     __slots__ = ("descriptor", "n", "generators", "closure_generators", "elements",

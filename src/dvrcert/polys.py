@@ -3,7 +3,9 @@
 Polynomials live over one of the tagged rings (O, K, or the residue field k).
 The group acts by linear substitution with the row-vector convention
 X_j -> sum_i g[i][j] X_i, which makes g -> act(g, .) a left action without
-inverting any matrices.  Monomials are ordered graded-lexicographically
+inverting any matrices.  One recursion, X^e = X^(e - u_j) * X_j, builds
+every monomial image, for `act` and for the degree-by-degree action
+matrices alike.  Monomials are ordered graded-lexicographically
 throughout, which fixes canonical coefficient coordinates for every
 echelon computation downstream.
 """
@@ -266,45 +268,58 @@ def poly_matrix_det(rows) -> MultiPoly:
 # -- the group action -------------------------------------------------------------
 
 
+def _linear_forms(g: ExactMatrix) -> list:
+    """The images X_j -> sum_i g[i][j] X_i of the variables, as the
+    (i, g[i][j]) pairs with a nonzero entry, one list per j."""
+    return [
+        [(i, row[j]) for i, row in enumerate(g.entries) if row[j]]
+        for j in range(g.cols)
+    ]
+
+
+def _monomial_image(images: dict, forms: list, e: tuple) -> dict:
+    """Terms of the image of X^e, by X^e = X^(e - u_j) * X_j with j the
+    first index where e_j > 0.
+
+    `images` maps exponent vectors to the terms of their images; it must
+    hold X^0 or every monomial of one degree at most that of e, and it
+    keeps each image built on the way down from e.
+    """
+    chain = []
+    while e not in images:
+        j = next(i for i, a in enumerate(e) if a)
+        chain.append((e, j))
+        e = e[:j] + (e[j] - 1,) + e[j + 1:]
+    terms = images[e]
+    for e, j in reversed(chain):
+        step: dict = {}
+        for x, c in terms.items():
+            for i, a in forms[j]:
+                y = x[:i] + (x[i] + 1,) + x[i + 1:]
+                v = c * a
+                acc = step.get(y)
+                step[y] = v if acc is None else acc + v
+        terms = {y: v for y, v in step.items() if v}
+        images[e] = terms
+    return terms
+
+
 def act(g: ExactMatrix, f: MultiPoly) -> MultiPoly:
     """Linear substitution X_j -> sum_i g[i][j] X_i, extended multiplicatively."""
     if g.rows != f.n or g.cols != f.n:
         raise ValueError(f"matrix size {g.rows} does not match {f.n} variables")
-    if g.ring != f.ring:
-        if g.ring == RING_O and f.ring == RING_K:
-            g = g.to_field()
-        else:
-            raise ValueError(f"ring mismatch: matrix over {g.ring}, polynomial over {f.ring}")
-    images = [
-        MultiPoly(
-            f.ring,
-            f.descriptor,
-            f.n,
-            {
-                tuple(1 if i == row else 0 for i in range(f.n)): g.entry(row, j)
-                for row in range(f.n)
-            },
-        )
-        for j in range(f.n)
-    ]
-    power_cache: dict[tuple[int, int], MultiPoly] = {}
-
-    def image_power(j: int, k: int) -> MultiPoly:
-        key = (j, k)
-        cached = power_cache.get(key)
-        if cached is None:
-            cached = images[j] ** k
-            power_cache[key] = cached
-        return cached
-
-    out = MultiPoly.zero(f.ring, f.descriptor, f.n)
+    if g.ring != f.ring and not (g.ring == RING_O and f.ring == RING_K):
+        raise ValueError(f"ring mismatch: matrix over {g.ring}, polynomial over {f.ring}")
+    forms = _linear_forms(g)
+    unit = (0,) * f.n
+    images = {unit: {unit: ring_one(f.ring, f.descriptor)}}
+    terms: dict = {}
     for e, c in f.terms.items():
-        piece = MultiPoly.constant(f.ring, f.descriptor, f.n, c)
-        for j, k in enumerate(e):
-            if k:
-                piece = piece * image_power(j, k)
-        out = out + piece
-    return out
+        for y, a in _monomial_image(images, forms, e).items():
+            v = c * a
+            acc = terms.get(y)
+            terms[y] = v if acc is None else acc + v
+    return MultiPoly(f.ring, f.descriptor, f.n, terms)
 
 
 def reynolds(group: MatrixGroup, f: MultiPoly) -> MultiPoly:
@@ -316,22 +331,38 @@ def reynolds(group: MatrixGroup, f: MultiPoly) -> MultiPoly:
     return acc.scale(inv_order.reduce() if f.ring == RING_RESIDUE else inv_order)
 
 
-def action_matrix(g: ExactMatrix, n: int, d: int) -> ExactMatrix:
-    """Matrix of act(g, .) on the degree-d monomial basis (graded-lex coordinates)."""
+def action_matrix(g: ExactMatrix, n: int, d: int, *, images: dict | None = None) -> ExactMatrix:
+    """Matrix of act(g, .) on the degree-d monomial basis (graded-lex coordinates).
+
+    Column e holds the coefficients of the image of X^e.  `images` is a
+    store of g's monomial images, all of one degree (or empty), such as
+    `element_action_matrix` keeps: at degree d or below it is stepped up
+    to degree d in place; above d the images are built afresh from degree
+    0 and the store is left as it is.
+    """
     basis = monomials(n, d)
+    if images is None or (images and sum(next(iter(images))) > d):
+        images = {}
+    if not images:
+        images[(0,) * n] = {(0,) * n: ring_one(g.ring, g.descriptor)}
+    forms = _linear_forms(g)
+    columns = [_monomial_image(images, forms, e) for e in basis]
+    images.clear()
+    images.update(zip(basis, columns))
     index = {e: i for i, e in enumerate(basis)}
     zero = ring_zero(g.ring, g.descriptor)
-    cols = []
-    for e in basis:
-        image = act(
-            g,
-            MultiPoly.monomial(g.ring, g.descriptor, e, ring_one(g.ring, g.descriptor)),
-        )
-        col = [zero] * len(basis)
-        for e2, c in image.terms.items():
-            col[index[e2]] = c
-        cols.append(col)
-    return ExactMatrix(g.ring, g.descriptor, [list(row) for row in zip(*cols)])
+    rows = [[zero] * len(basis) for _ in basis]
+    for col, image in enumerate(columns):
+        for e, c in image.items():
+            rows[index[e]][col] = c
+    return ExactMatrix(g.ring, g.descriptor, rows)
+
+
+def element_action_matrix(group: MatrixGroup, ring: str, idx: int, d: int) -> ExactMatrix:
+    """rho_d of element idx over K or k, from the monomial images that
+    `group.memo` keeps for it under ("images", ring, idx)."""
+    images = group.memo.setdefault(("images", ring, idx), {})
+    return action_matrix(group.over(ring)[idx], group.n, d, images=images)
 
 
 @dataclass(frozen=True)
@@ -367,8 +398,8 @@ def _invariant_basis(group: MatrixGroup, d: int, ring: str) -> GradedBasis:
     basis = monomials(group.n, d)
     size = len(basis)
     rows = []
-    for g in group.generators_over(ring):
-        delta = action_matrix(g, group.n, d).minus_identity()
+    for idx in map(group.index_of, group.closure_generators):
+        delta = element_action_matrix(group, ring, idx, d).minus_identity()
         rows.extend(list(r) for r in delta.entries)
     if rows:
         kernel = kernel_over_field(

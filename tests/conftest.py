@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from dvrcert.linalg import RING_O, ExactMatrix
+from dvrcert.linalg import RING_O, ExactMatrix, inverse
 from dvrcert.groups import generate_group
 from dvrcert.scalars import DvrDescriptor
 
@@ -50,6 +50,19 @@ def b2_z3(z3):
 @pytest.fixture(scope="session")
 def c4_f5t(f5t):
     return generate_group([ExactMatrix.from_ints(RING_O, f5t, [[2]])])
+
+
+@pytest.fixture(scope="session")
+def b2_f5t_twisted(f5t):
+    """B_2 = <swap, diag(1, -1)> over F_5(t), conjugated by [[1, t], [t, 1 + t^2]]."""
+    t, one = f5t.uniformizer(), f5t.one()
+    basis = ExactMatrix(RING_O, f5t, [[one, t], [t, one + t * t]])
+    basis_inv = inverse(basis)
+    return generate_group(
+        [basis * ExactMatrix.from_ints(RING_O, f5t, g) * basis_inv
+         for g in ([[0, 1], [1, 0]], [[1, 0], [0, -1]])],
+        descriptor=f5t,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,8 @@
 
 Each oracle deliberately takes a different route from the implementation it
 checks: cofactor expansion against fraction-free elimination, minor
-enumeration against Gaussian rank, full-group averaging against
+enumeration against Gaussian rank, powers of the variables' images against
+the degree-by-degree monomial recursion, full-group averaging against
 generator-kernel invariant bases, the full cocycle system on every
 group element against the generator-variable system, and saturation under
 all pairwise products against a closure that stops at the generators.
@@ -13,6 +14,7 @@ from itertools import combinations, permutations
 
 from dvrcert.linalg import (
     RING_K,
+    RING_O,
     RING_RESIDUE,
     ExactMatrix,
     RowEchelon,
@@ -20,7 +22,7 @@ from dvrcert.linalg import (
     ring_one,
     ring_zero,
 )
-from dvrcert.polys import MultiPoly, act, action_matrix, monomials
+from dvrcert.polys import MultiPoly, monomials
 from dvrcert.scalars import invert_mod_group_order
 
 
@@ -79,6 +81,43 @@ def reflection_generated_bruteforce(matrices) -> bool:
         reached |= products
 
 
+def act_bruteforce(g: ExactMatrix, f: MultiPoly) -> MultiPoly:
+    """X_j -> sum_i g[i][j] X_i: each term of f becomes its coefficient times
+    a product of powers of the variables' images."""
+    if g.ring == RING_O and f.ring == RING_K:
+        g = g.to_field()
+    assert g.ring == f.ring and g.rows == g.cols == f.n
+    images = [
+        MultiPoly(
+            f.ring,
+            f.descriptor,
+            f.n,
+            {tuple(int(i == row) for i in range(f.n)): g.entry(row, j) for row in range(f.n)},
+        )
+        for j in range(f.n)
+    ]
+    out = MultiPoly.zero(f.ring, f.descriptor, f.n)
+    for e, c in f.terms.items():
+        piece = MultiPoly.constant(f.ring, f.descriptor, f.n, c)
+        for j, k in enumerate(e):
+            if k:
+                piece = piece * images[j] ** k
+        out = out + piece
+    return out
+
+
+def action_matrix_bruteforce(g: ExactMatrix, n: int, d: int) -> ExactMatrix:
+    """Column e: the coefficients of act_bruteforce(g, X^e), graded-lex."""
+    basis = monomials(n, d)
+    one = ring_one(g.ring, g.descriptor)
+    rows = [[ring_zero(g.ring, g.descriptor)] * len(basis) for _ in basis]
+    for col, e in enumerate(basis):
+        image = act_bruteforce(g, MultiPoly.monomial(g.ring, g.descriptor, e, one))
+        for row, e2 in enumerate(basis):
+            rows[row][col] = image.coefficient(e2)
+    return ExactMatrix(g.ring, g.descriptor, rows)
+
+
 def _field_matrices(group, ring):
     if ring == RING_RESIDUE:
         return [reduce_matrix(m) for m in group.elements]
@@ -104,7 +143,7 @@ def invariant_dimension_bruteforce(group, degree: int, ring: str) -> int:
         )
         acc = MultiPoly.zero(ring, group.descriptor, group.n)
         for m in mats:
-            acc = acc + act(m, mono)
+            acc = acc + act_bruteforce(m, mono)
         avg = acc.scale(coeff)
         row = [zero] * len(basis)
         for e2, c in avg.terms.items():
@@ -125,7 +164,7 @@ def _h1_exact_degree_bruteforce(group, degree: int, ring: str) -> int:
     main path only uses generator blocks and breadth-first relations.
     """
     mats = _field_matrices(group, ring)
-    rho = [action_matrix(m, group.n, degree) for m in mats]
+    rho = [action_matrix_bruteforce(m, group.n, degree) for m in mats]
     size = len(monomials(group.n, degree))
     order = group.order
     width = order * size

@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 
 import pytest
 
@@ -14,7 +15,7 @@ from dvrcert.certify import (
 )
 from dvrcert.groups import generate_group, trivial_group
 from dvrcert.linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix, inverse
-from dvrcert.polys import MultiPoly, act
+from dvrcert.polys import MultiPoly, act, action_matrix
 from dvrcert.scalars import DvrDescriptor, ResidueScalar
 
 from oracles import h1_bruteforce, invariant_dimension_bruteforce
@@ -134,17 +135,67 @@ def test_h1_vanishes_when_order_is_invertible(s2_z3, z3):
 
 def test_h1_modular_control_matches_bruteforce(s2_z2):
     # the hypothesis fails here (p = 2 divides the order), and the
-    # obstruction shows up already in low degree
-    value = h1_dimension(s2_z2, 1, RING_RESIDUE)
-    assert value == h1_bruteforce(s2_z2, 1, RING_RESIDUE)
-    assert value == 1
+    # obstruction shows up already in low degree; a nonzero piece reads
+    # every relation, so this checks the loop that runs to the end
+    assert h1_dimension(s2_z2, 1, RING_RESIDUE) == 1
+    for ring in (RING_K, RING_RESIDUE):
+        for d in range(4):
+            assert h1_dimension(s2_z2, d, ring) == h1_bruteforce(s2_z2, d, ring)
 
 
-def test_h1_matches_bruteforce_on_invertible_groups(s2_z3, b2_z3, c4_f5t):
-    for group in (s2_z3, b2_z3, c4_f5t):
+def test_h1_matches_bruteforce_on_invertible_groups(s2_z3, b2_z3, c4_f5t, s3_z5, b2_f5t_twisted):
+    for group in (s2_z3, b2_z3, c4_f5t, s3_z5, b2_f5t_twisted):
         for ring in (RING_K, RING_RESIDUE):
-            for d in range(3):
+            for d in range(4):
                 assert h1_dimension(group, d, ring) == h1_bruteforce(group, d, ring)
+
+
+def test_h1_survives_a_deep_breadth_first_tree():
+    # C_1200 = <11> in GL_1 over F_1201(t): the tree is a path of 1199 edges
+    f1201t = DvrDescriptor("ratfunc-localized", 1201)
+    cyclic = generate_group([ExactMatrix.from_ints(RING_O, f1201t, [[11]])])
+    assert cyclic.order == 1200
+    for ring in (RING_K, RING_RESIDUE):
+        assert h1_dimension(cyclic, 2, ring) == 0
+
+
+def test_h1_stops_once_the_cocycles_are_coboundaries(z5, monkeypatch):
+    built = Counter()
+
+    def counted(g, n, d, **kwargs):
+        built[d, g.ring] += 1
+        return action_matrix(g, n, d, **kwargs)
+
+    for name in ("dvrcert.polys", "dvrcert.certify"):
+        if hasattr(sys.modules[name], "action_matrix"):
+            monkeypatch.setattr(sys.modules[name], "action_matrix", counted)
+    s4 = generate_group([
+        ExactMatrix.from_ints(RING_O, z5, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+        ExactMatrix.from_ints(RING_O, z5, [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]),
+        ExactMatrix.from_ints(RING_O, z5, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+    ])
+    assert s4.order == 24
+    for ring in (RING_K, RING_RESIDUE):
+        assert h1_dimension(s4, 3, ring) == 0
+    # the invariant bases' generator matrices included
+    assert sorted(built) == [(d, ring) for d in range(4) for ring in (RING_K, RING_RESIDUE)]
+    assert max(built.values()) < s4.order, built
+
+
+def test_h1_note_names_the_failing_degrees(s3_z5, monkeypatch):
+    certify_module = sys.modules["dvrcert.certify"]
+    fresh = generate_group(s3_z5.generators)
+    nonzero = {(2, RING_RESIDUE): 1, (3, RING_K): 2, (3, RING_RESIDUE): 1}
+    monkeypatch.setattr(
+        certify_module, "_h1_exact_degree",
+        lambda group, degree, ring: nonzero.get((degree, ring), 0),
+    )
+    cert = certify(fresh, 4, ["h1"])
+    assert cert.h1_table == ((0, 0, 0), (1, 0, 0), (2, 0, 1), (3, 2, 2), (4, 2, 2))
+    assert cert.h1_ok is False
+    assert cert.notes == (
+        "nonzero first cohomology in degree 2 over k, degree 3 over K, degree 3 over k",
+    )
 
 
 def test_per_degree_quantities_are_computed_once_per_group(z3, monkeypatch):

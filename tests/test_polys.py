@@ -10,15 +10,19 @@ from dvrcert.linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix
 from dvrcert.polys import (
     MultiPoly,
     act,
+    action_matrix,
+    element_action_matrix,
     hilbert_product_truncation,
     invariant_basis,
     molien_series,
     monomials,
     reynolds,
 )
-from dvrcert.scalars import FractionScalar
+from dvrcert.scalars import FractionScalar, ResidueScalar
 
 from oracles import (
+    act_bruteforce,
+    action_matrix_bruteforce,
     det_cofactor,
     invariant_dimension_bruteforce,
     molien_coefficients_bruteforce,
@@ -54,6 +58,47 @@ def test_act_is_degree_preserving_ring_map(z5):
         f2 = _random_poly(z5, 3, rng)
         assert act(g, f1 * f2) == act(g, f1) * act(g, f2)
         assert act(g, f1 + f2) == act(g, f1) + act(g, f2)
+
+
+def _mixed_poly(descriptor, n, ring, rng):
+    """A polynomial with one term in each degree 0 to 3: integral over O,
+    with a 1/pi over K, nonzero residues over k."""
+    terms = {}
+    for d in range(4):
+        exp = [0] * n
+        for _ in range(d):
+            exp[rng.randrange(n)] += 1
+        k = rng.randint(1, descriptor.p - 1)
+        if ring == RING_RESIDUE:
+            terms[tuple(exp)] = ResidueScalar(descriptor, k)
+        elif ring == RING_O:
+            terms[tuple(exp)] = descriptor.from_int(k) * (descriptor.one() + descriptor.uniformizer())
+        else:
+            terms[tuple(exp)] = descriptor.from_int(k) / descriptor.uniformizer()
+    return MultiPoly(ring, descriptor, n, terms)
+
+
+def test_act_and_action_matrix_match_the_power_oracle(s3_z5, b2_f5t_twisted):
+    rng = random.Random(23)
+    for group in (s3_z5, b2_f5t_twisted):
+        n = group.n
+        for ring in (RING_O, RING_K, RING_RESIDUE):
+            zero = MultiPoly.zero(ring, group.descriptor, n)
+            for g in group.over(ring):
+                f = _mixed_poly(group.descriptor, n, ring, rng)
+                assert not f.is_homogeneous()
+                assert act(g, f) == act_bruteforce(g, f)
+                assert act(g, zero) == zero
+                for d in range(4):
+                    assert action_matrix(g, n, d) == action_matrix_bruteforce(g, n, d)
+            # the memoised images step up, and a lower degree is rebuilt
+            idx = group.order - 1
+            g = group.over(ring)[idx]
+            for d in (2, 3, 1, 4, 0, 4):
+                assert element_action_matrix(group, ring, idx, d) == (
+                    action_matrix_bruteforce(g, n, d)
+                )
+            assert {sum(e) for e in group.memo["images", ring, idx]} == {4}
 
 
 def _random_poly(descriptor, n, rng, max_degree=3, ring=RING_K):
@@ -202,8 +247,6 @@ def test_reynolds_span_equals_invariant_basis_span(s2_z3, b2_z3):
 
 
 def test_action_matrix_respects_composition(s3_z5):
-    from dvrcert.polys import action_matrix
-
     a = s3_z5.elements[1].to_field()
     b = s3_z5.elements[2].to_field()
     assert action_matrix(a * b, 3, 2) == action_matrix(a, 3, 2) * action_matrix(b, 3, 2)
