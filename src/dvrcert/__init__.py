@@ -17,7 +17,6 @@ from .errors import (
 )
 from .scalars import (
     DvrDescriptor,
-    FractionScalar,
     ResidueScalar,
     invert_mod_group_order,
     parse_scalar,

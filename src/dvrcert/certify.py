@@ -10,6 +10,7 @@ generators back to the ring.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -174,9 +175,8 @@ def fundamental_invariants(
                 )
                 break
             span.add(reduced)  # stored with a leading one at `lead`
-            tracker.add_generator(
-                MultiPoly(ring, group.descriptor, group.n, zip(basis, span.pivot_rows[lead])), d
-            )
+            tracker.add_generator(MultiPoly._of(
+                ring, group.descriptor, group.n, dict(zip(basis, span.pivot_rows[lead]))), d)
         if span.rank != inv.dimension and len(tracker.generators) == n:
             mismatches.append(
                 f"degree {d}: invariant dimension {inv.dimension} but only "
@@ -204,17 +204,12 @@ def _check_fundamental_conditions(
     problems = []
     if inv.n != group.n:
         problems.append(f"{inv.n} generators for {group.n} variables")
-    prod = 1
-    for d in inv.degrees:
-        prod *= d
-    if prod != group.order:
-        problems.append(
-            f"degree product {prod} differs from the group order {group.order}"
-        )
     if reflection_count is None:
         reflection_count = classify_reflections(group).count
-    excess = sum(d - 1 for d in inv.degrees)
-    if excess != reflection_count:
+    prod, excess = degree_identity_failures(inv.degrees, group.order, reflection_count)
+    if prod is not None:
+        problems.append(f"degree product {prod} differs from the group order {group.order}")
+    if excess is not None:
         problems.append(
             f"degree excess {excess} differs from the reflection count {reflection_count}"
         )
@@ -229,6 +224,18 @@ def _check_fundamental_conditions(
     if not jacobian_independence(inv):
         problems.append("Jacobian determinant vanishes: generators are dependent")
     return problems
+
+
+def degree_identity_failures(degrees, order: int, reflection_count: int) -> tuple:
+    """The two identities that the fundamental degrees d_i of a reflection
+    group satisfy: prod d_i = |G| and sum (d_i - 1) = the number of
+    reflections.  Returns (degree product, degree excess), each replaced by
+    None when its identity holds.
+    """
+    prod = math.prod(degrees)
+    excess = sum(d - 1 for d in degrees)
+    return (None if prod == order else prod,
+            None if excess == reflection_count else excess)
 
 
 def jacobian_independence(inv: FundamentalInvariants) -> bool:
@@ -356,7 +363,7 @@ def lift_fundamentals(group: MatrixGroup, residue_inv: FundamentalInvariants):
     notes = []
     ok = True
     for i, f_bar in enumerate(residue_inv.generators):
-        naive = MultiPoly(
+        naive = MultiPoly._of(
             RING_O,
             group.descriptor,
             group.n,

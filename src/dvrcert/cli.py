@@ -21,7 +21,7 @@ from .errors import (
     NotInRingError,
     NotInvertibleError,
 )
-from .certify import PARTIAL_CHECKS, certify
+from .certify import PARTIAL_CHECKS, certify, degree_identity_failures
 from .groups import DEFAULT_CLOSURE_CAP, generate_group, trivial_group
 from .linalg import RING_O, ExactMatrix
 from .polys import molien_identity_failures
@@ -264,13 +264,10 @@ def verify_report(report) -> tuple[bool, list[str]]:
         return False, findings
     if sorted(degrees_k_field) != sorted(degrees_res):
         findings.append("fundamental degrees over K and k differ")
-    prod = 1
-    for d in degrees_k_field:
-        prod *= d
-    if prod != order:
+    prod, excess = degree_identity_failures(degrees_k_field, order, len(reflections))
+    if prod is not None:
         findings.append(f"degree product {prod} != group order {order}")
-    excess = sum(d - 1 for d in degrees_k_field)
-    if excess != len(reflections):
+    if excess is not None:
         findings.append(f"degree excess {excess} != reflection count {len(reflections)}")
 
     graded = report.get("graded_table", [])
@@ -350,12 +347,18 @@ def render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(text: str, output: str | None) -> bool:
+    """Write the text to the output path, or stdout; False (reported) if it cannot."""
+    try:
+        if output:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        sys.stderr.write(f"cannot write output: {exc}\n")
+        return False
+    return True
 
 
 def render_json(report: dict) -> str:
@@ -386,12 +389,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "example":
-        _emit(json.dumps(EXAMPLES[args.name], indent=2) + "\n", args.output)
-        return EXIT_OK
+        ok = _emit(json.dumps(EXAMPLES[args.name], indent=2) + "\n", args.output)
+        return EXIT_OK if ok else EXIT_INPUT_ERROR
 
     try:
-        raw = sys.stdin.read() if args.input == "-" else open(args.input, encoding="utf-8").read()
-    except OSError as exc:
+        if args.input == "-":
+            raw = sys.stdin.read()
+        else:
+            with open(args.input, encoding="utf-8") as fh:
+                raw = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"cannot read input: {exc}\n")
         return EXIT_INPUT_ERROR
 
@@ -426,8 +433,7 @@ def main(argv=None) -> int:
 
     report, code = run(spec)
     text = render_text(report) if args.format == "text" else render_json(report)
-    _emit(text, args.output)
-    return code
+    return code if _emit(text, args.output) else EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

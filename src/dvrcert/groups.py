@@ -126,7 +126,7 @@ def generate_group(
         if not g.is_square or g.rows != n:
             raise ValueError(f"generator {i} is not square of size {n}")
         d = det(g)
-        if d.is_zero() or not d.is_unit():
+        if not descriptor.is_unit(d):
             raise NotInvertibleError(
                 f"generator {i} is not in GL_n(O): determinant {d} is not a unit"
             )

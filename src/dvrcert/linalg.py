@@ -1,17 +1,21 @@
 """Dense exact linear algebra over the DVR, its fraction field, and its residue field.
 
-Matrices carry a ring tag: "O" (the DVR), "K" (its fraction field), or "k"
-(the residue field).  Arithmetic is exact throughout.  One elimination
-engine, the incremental reduced row echelon form `RowEchelon`, gives rank,
-kernels and inverses over the two fields; determinants over all three rings
-use fraction-free (Bareiss) elimination.
+A matrix holds plain values (see `scalars`) and records their ring once,
+for all entries: the ring tag "O" (the DVR), "K" (its fraction field) or
+"k" (the residue field), and the `DvrDescriptor`.  `_compat` compares the
+two once per operation.  The public constructor checks that the entries
+of an O-matrix lie in O; the results of arithmetic are built unchecked,
+since O, K and k are each closed under it.  Arithmetic is exact
+throughout.  One elimination engine, the incremental reduced row echelon
+form `RowEchelon`, gives rank, kernels and inverses over the two fields;
+determinants over all three rings use fraction-free (Bareiss) elimination.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import NotInRingError, NotInvertibleError, OrderCapExceededError
-from .scalars import DvrDescriptor, FractionScalar, ResidueScalar
+from .scalars import DvrDescriptor
 
 RING_O = "O"
 RING_K = "K"
@@ -21,30 +25,24 @@ VALID_RINGS = (RING_O, RING_K, RING_RESIDUE)
 DEFAULT_ORDER_CAP = 20000
 
 
+def ring_from_int(ring: str, descriptor: DvrDescriptor):
+    """The map from the integers to O, K or k."""
+    return descriptor.residue if ring == RING_RESIDUE else descriptor.from_int
+
+
 def ring_zero(ring: str, descriptor: DvrDescriptor):
-    if ring == RING_RESIDUE:
-        return ResidueScalar(descriptor, 0)
-    return descriptor.zero()
+    return ring_from_int(ring, descriptor)(0)
 
 
 def ring_one(ring: str, descriptor: DvrDescriptor):
-    if ring == RING_RESIDUE:
-        return ResidueScalar(descriptor, 1)
-    return descriptor.one()
+    return ring_from_int(ring, descriptor)(1)
 
 
-def _check_entry(ring: str, descriptor: DvrDescriptor, entry):
-    if ring == RING_RESIDUE:
-        if not isinstance(entry, ResidueScalar):
-            raise TypeError(f"residue-field matrix entry must be ResidueScalar, got {entry!r}")
-    else:
-        if not isinstance(entry, FractionScalar):
-            raise TypeError(f"matrix entry must be a field scalar, got {entry!r}")
-        if ring == RING_O and not entry.is_integral():
-            raise NotInRingError(f"entry {entry} is not in the DVR")
-    if entry.descriptor != descriptor:
-        raise ValueError("matrix entry from a different DVR")
-    return entry
+def set_fields(obj, **fields):
+    """Set the fields of an object whose `__setattr__` refuses, as it is built."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 class ExactMatrix:
@@ -58,16 +56,20 @@ class ExactMatrix:
         rows = tuple(tuple(row) for row in entries)
         if not rows or not rows[0]:
             raise ValueError("matrix must have at least one row and one column")
-        width = len(rows[0])
-        for row in rows:
-            if len(row) != width:
-                raise ValueError("ragged matrix rows")
-            for entry in row:
-                _check_entry(ring, descriptor, entry)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "descriptor", descriptor)
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "_hash", None)
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise ValueError("ragged matrix rows")
+        if ring == RING_O:
+            for row in rows:
+                for a in row:
+                    if not descriptor.is_integral(a):
+                        raise NotInRingError(f"entry {a} is not in the DVR")
+        set_fields(self, ring=ring, descriptor=descriptor, entries=rows, _hash=None)
+
+    @staticmethod
+    def _of(ring: str, descriptor: DvrDescriptor, rows) -> ExactMatrix:
+        """The matrix of rows of values already known to lie in the ring, unchecked."""
+        return set_fields(object.__new__(ExactMatrix), ring=ring, descriptor=descriptor,
+                          entries=tuple(map(tuple, rows)), _hash=None)
 
     def __setattr__(self, name, value):
         raise AttributeError("matrices are immutable")
@@ -76,16 +78,13 @@ class ExactMatrix:
 
     @staticmethod
     def from_ints(ring: str, descriptor: DvrDescriptor, rows) -> ExactMatrix:
-        if ring == RING_RESIDUE:
-            conv = lambda a: ResidueScalar(descriptor, a)  # noqa: E731
-        else:
-            conv = descriptor.from_int
-        return ExactMatrix(ring, descriptor, [[conv(a) for a in row] for row in rows])
+        conv = ring_from_int(ring, descriptor)
+        return ExactMatrix._of(ring, descriptor, [[conv(a) for a in row] for row in rows])
 
     @staticmethod
     def identity(ring: str, descriptor: DvrDescriptor, n: int) -> ExactMatrix:
         one, zero = ring_one(ring, descriptor), ring_zero(ring, descriptor)
-        return ExactMatrix(
+        return ExactMatrix._of(
             ring, descriptor, [[one if i == j else zero for j in range(n)] for i in range(n)]
         )
 
@@ -111,33 +110,28 @@ class ExactMatrix:
     def _compat(self, other: ExactMatrix):
         if not isinstance(other, ExactMatrix):
             raise TypeError("expected an ExactMatrix")
-        if self.ring != other.ring or self.descriptor != other.descriptor:
+        # a tuple compares its items by identity first, so the shared
+        # descriptor of one group is not compared field by field
+        if (self.ring, self.descriptor) != (other.ring, other.descriptor):
             raise ValueError(f"ring mismatch: {self.ring} vs {other.ring}")
+
+    def _like(self, rows) -> ExactMatrix:
+        return ExactMatrix._of(self.ring, self.descriptor, rows)
 
     def __add__(self, other: ExactMatrix) -> ExactMatrix:
         self._compat(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix addition")
-        return ExactMatrix(
-            self.ring,
-            self.descriptor,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
+        return self._like(
+            [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)
         )
 
     def __sub__(self, other: ExactMatrix) -> ExactMatrix:
         self._compat(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix subtraction")
-        return ExactMatrix(
-            self.ring,
-            self.descriptor,
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
+        return self._like(
+            [a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)
         )
 
     def __mul__(self, other: ExactMatrix) -> ExactMatrix:
@@ -145,67 +139,54 @@ class ExactMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
         cols = list(zip(*other.entries))
-        out = []
-        for row in self.entries:
-            out_row = []
-            for col in cols:
-                acc = row[0] * col[0]
-                for a, b in zip(row[1:], col[1:]):
-                    acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return ExactMatrix(self.ring, self.descriptor, out)
+        return self._like([self._dot(row, col) for col in cols] for row in self.entries)
+
+    @staticmethod
+    def _dot(row, vector):
+        acc = row[0] * vector[0]
+        for a, v in zip(row[1:], vector[1:]):
+            acc = acc + a * v
+        return acc
 
     def scale(self, scalar) -> ExactMatrix:
-        return ExactMatrix(
-            self.ring, self.descriptor, [[scalar * a for a in row] for row in self.entries]
-        )
+        """The matrix times a scalar of its own ring."""
+        return self._like([scalar * a for a in row] for row in self.entries)
 
     def __neg__(self) -> ExactMatrix:
-        return ExactMatrix(self.ring, self.descriptor, [[-a for a in row] for row in self.entries])
+        return self._like([-a for a in row] for row in self.entries)
 
     def transpose(self) -> ExactMatrix:
-        return ExactMatrix(self.ring, self.descriptor, list(zip(*self.entries)))
+        return self._like(zip(*self.entries))
 
     def apply(self, vector):
         """Matrix-vector product (column-vector convention)."""
         if len(vector) != self.cols:
             raise ValueError("vector length mismatch")
-        out = []
-        for row in self.entries:
-            acc = row[0] * vector[0]
-            for a, v in zip(row[1:], vector[1:]):
-                acc = acc + a * v
-            out.append(acc)
-        return tuple(out)
+        return tuple(self._dot(row, vector) for row in self.entries)
 
     def minus_identity(self) -> ExactMatrix:
         """The matrix minus the identity: one subtracted on the diagonal only."""
         if not self.is_square:
             raise ValueError("square matrix required")
         one = ring_one(self.ring, self.descriptor)
-        return ExactMatrix(
-            self.ring,
-            self.descriptor,
-            [[a - one if i == j else a for j, a in enumerate(row)]
-             for i, row in enumerate(self.entries)],
+        return self._like(
+            [a - one if i == j else a for j, a in enumerate(row)]
+            for i, row in enumerate(self.entries)
         )
 
     def to_field(self) -> ExactMatrix:
         """Retag an O-matrix as a matrix over the fraction field K."""
         if self.ring != RING_O:
             return self
-        return ExactMatrix(RING_K, self.descriptor, self.entries)
+        return ExactMatrix._of(RING_K, self.descriptor, self.entries)
 
     # -- identity ----------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.descriptor == other.descriptor
-            and self.entries == other.entries
+        return (self.ring, self.descriptor, self.entries) == (
+            other.ring, other.descriptor, other.entries
         )
 
     def __hash__(self) -> int:
@@ -253,6 +234,7 @@ class RowEchelon:
 
     def __init__(self, rows=()):
         self.pivot_rows: dict[int, list] = {}
+        self._one = None  # the field's one, from the first pivot
         for row in rows:
             self.add(row)
 
@@ -276,7 +258,9 @@ class RowEchelon:
         if lead is None:
             return False
         inv = row[lead]
-        if not inv.is_one():
+        if self._one is None:
+            self._one = inv / inv
+        if inv != self._one:
             row = [a / inv if a else a for a in row]
         for col, pivot in self.pivot_rows.items():
             f = pivot[lead]
@@ -355,14 +339,14 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
         raise ValueError("inverse of a non-square matrix")
     if m.ring == RING_O:
         d = det(m)
-        if d.is_zero():
+        if not d:
             raise NotInvertibleError("matrix is singular")
-        if not d.is_unit():
+        if not m.descriptor.is_unit(d):
             raise NotInvertibleError(
                 f"determinant {d} has positive valuation; not invertible over the DVR"
             )
-        inv_k = _inverse_field(m.to_field())
-        return ExactMatrix(RING_O, m.descriptor, inv_k.entries)
+        # the adjugate over a unit determinant: the entries lie in O
+        return ExactMatrix._of(RING_O, m.descriptor, _inverse_field(m.to_field()).entries)
     return _inverse_field(m)
 
 
@@ -376,7 +360,7 @@ def _inverse_field(m: ExactMatrix) -> ExactMatrix:
     ).pivot_rows
     if any(c >= n for c in pivot_rows):
         raise NotInvertibleError("matrix is singular")
-    return ExactMatrix(m.ring, m.descriptor, [pivot_rows[c][n:] for c in range(n)])
+    return m._like(pivot_rows[c][n:] for c in range(n))
 
 
 def matrix_order(m: ExactMatrix, cap: int = DEFAULT_ORDER_CAP) -> int:
@@ -398,8 +382,7 @@ def reduce_matrix(m: ExactMatrix) -> ExactMatrix:
     """Entrywise reduction of an O-matrix to the residue field."""
     if m.ring != RING_O:
         raise ValueError("only O-matrices can be reduced")
-    return ExactMatrix(
-        RING_RESIDUE,
-        m.descriptor,
-        [[a.reduce() for a in row] for row in m.entries],
+    reduce = m.descriptor.reduce
+    return ExactMatrix._of(
+        RING_RESIDUE, m.descriptor, ([reduce(a) for a in row] for row in m.entries)
     )

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InternalCheckError, NotInRingError
@@ -24,17 +23,13 @@ from .linalg import (
     ExactMatrix,
     KernelBasis,
     kernel_over_field,
+    ring_from_int,
     ring_one,
     ring_zero,
+    set_fields,
 )
 from .groups import MatrixGroup
-from .scalars import (
-    KIND_INT,
-    DvrDescriptor,
-    FractionScalar,
-    ResidueScalar,
-    invert_mod_group_order,
-)
+from .scalars import KIND_INT, DvrDescriptor, invert_mod_group_order
 
 
 @lru_cache(maxsize=None)
@@ -57,32 +52,35 @@ def monomial_sort_key(exp: tuple[int, ...]) -> tuple:
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial with exact coefficients."""
+    """Sparse multivariate polynomial with exact coefficients.
+
+    Like `ExactMatrix`, it records the ring of its coefficients once; the
+    public constructor checks exponents and, over O, the coefficients, and
+    the results of arithmetic are built unchecked.  Zero terms are dropped.
+    """
 
     __slots__ = ("ring", "descriptor", "n", "terms")
 
     def __init__(self, ring: str, descriptor: DvrDescriptor, n: int, terms):
-        clean = {}
-        for exp, coeff in dict(terms).items():
+        terms = {tuple(e): c for e, c in dict(terms).items()}
+        for exp, coeff in terms.items():
             if len(exp) != n:
                 raise ValueError(f"exponent vector {exp} has wrong length; expected {n}")
             if any(e < 0 for e in exp):
                 raise ValueError(f"negative exponent in {exp}")
-            if coeff.is_zero():
-                continue
-            if ring == RING_RESIDUE:
-                if not isinstance(coeff, ResidueScalar):
-                    raise TypeError("residue-field polynomial expects ResidueScalar coefficients")
-            else:
-                if not isinstance(coeff, FractionScalar):
-                    raise TypeError("polynomial over O/K expects field scalars")
-                if ring == RING_O and not coeff.is_integral():
-                    raise NotInRingError(f"coefficient {coeff} is not in the DVR")
-            clean[tuple(exp)] = coeff
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "descriptor", descriptor)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
+            if ring == RING_O and not descriptor.is_integral(coeff):
+                raise NotInRingError(f"coefficient {coeff} is not in the DVR")
+        set_fields(self, ring=ring, descriptor=descriptor, n=n,
+                   terms={e: c for e, c in terms.items() if c})
+
+    @staticmethod
+    def _of(ring: str, descriptor: DvrDescriptor, n: int, terms: dict) -> MultiPoly:
+        """The polynomial of terms whose coefficients lie in the ring, unchecked."""
+        return set_fields(object.__new__(MultiPoly), ring=ring, descriptor=descriptor, n=n,
+                          terms={e: c for e, c in terms.items() if c})
+
+    def _like(self, terms: dict) -> MultiPoly:
+        return MultiPoly._of(self.ring, self.descriptor, self.n, terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("polynomials are immutable")
@@ -128,7 +126,8 @@ class MultiPoly:
     # -- arithmetic -----------------------------------------------------------
 
     def _compat(self, other: MultiPoly):
-        if self.ring != other.ring or self.descriptor != other.descriptor or self.n != other.n:
+        # compared by identity first, as in ExactMatrix._compat
+        if (self.ring, self.descriptor, self.n) != (other.ring, other.descriptor, other.n):
             raise ValueError("polynomials from different rings cannot be combined")
 
     def __add__(self, other: MultiPoly) -> MultiPoly:
@@ -137,12 +136,10 @@ class MultiPoly:
         for e, c in other.terms.items():
             acc = terms.get(e)
             terms[e] = c if acc is None else acc + c
-        return MultiPoly(self.ring, self.descriptor, self.n, terms)
+        return self._like(terms)
 
     def __neg__(self) -> MultiPoly:
-        return MultiPoly(
-            self.ring, self.descriptor, self.n, {e: -c for e, c in self.terms.items()}
-        )
+        return self._like({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: MultiPoly) -> MultiPoly:
         return self + (-other)
@@ -156,12 +153,11 @@ class MultiPoly:
                 c = c1 * c2
                 acc = terms.get(e)
                 terms[e] = c if acc is None else acc + c
-        return MultiPoly(self.ring, self.descriptor, self.n, terms)
+        return self._like(terms)
 
     def scale(self, coeff) -> MultiPoly:
-        return MultiPoly(
-            self.ring, self.descriptor, self.n, {e: coeff * c for e, c in self.terms.items()}
-        )
+        """The polynomial times a scalar of its own ring."""
+        return self._like({e: coeff * c for e, c in self.terms.items()})
 
     def __pow__(self, k: int) -> MultiPoly:
         if k < 0:
@@ -176,46 +172,37 @@ class MultiPoly:
         return out
 
     def partial_derivative(self, i: int) -> MultiPoly:
+        from_int = ring_from_int(self.ring, self.descriptor)
         terms = {}
         for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            new_e = tuple(a - 1 if j == i else a for j, a in enumerate(e))
-            new_c = c * e[i]
-            if new_c.is_zero():
-                continue
-            acc = terms.get(new_e)
-            terms[new_e] = new_c if acc is None else acc + new_c
-        return MultiPoly(self.ring, self.descriptor, self.n, terms)
+            if e[i]:
+                terms[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * from_int(e[i])
+        return self._like(terms)
 
     # -- ring moves ------------------------------------------------------------
 
     def to_field(self) -> MultiPoly:
         if self.ring != RING_O:
             return self
-        return MultiPoly(RING_K, self.descriptor, self.n, self.terms)
+        return MultiPoly._of(RING_K, self.descriptor, self.n, self.terms)
 
     def reduce(self) -> MultiPoly:
         """Coefficientwise reduction of an O-polynomial to the residue field."""
         if self.ring != RING_O:
             raise ValueError("only O-polynomials reduce to the residue field")
-        return MultiPoly(
-            RING_RESIDUE,
-            self.descriptor,
-            self.n,
-            {e: c.reduce() for e, c in self.terms.items()},
+        reduce = self.descriptor.reduce
+        return MultiPoly._of(
+            RING_RESIDUE, self.descriptor, self.n, {e: reduce(c) for e, c in self.terms.items()}
         )
 
     def primitive_scaled(self) -> MultiPoly:
         """Scale a nonzero K-polynomial by a uniformizer power into O, primitively."""
         if self.is_zero():
             raise ValueError("cannot primitivize the zero polynomial")
-        shift = min(c.valuation() for c in self.terms.values())
-        if shift == 0:
-            return MultiPoly(RING_O, self.descriptor, self.n, self.terms)
-        pi = self.descriptor.uniformizer()
-        factor = pi ** (-shift)
-        return MultiPoly(
+        shift = min(map(self.descriptor.valuation, self.terms.values()))
+        # every coefficient then has valuation at least 0: it lies in O
+        factor = self.descriptor.uniformizer() ** (-shift)
+        return MultiPoly._of(
             RING_O, self.descriptor, self.n, {e: c * factor for e, c in self.terms.items()}
         )
 
@@ -224,11 +211,8 @@ class MultiPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.descriptor == other.descriptor
-            and self.n == other.n
-            and self.terms == other.terms
+        return (self.ring, self.descriptor, self.n, self.terms) == (
+            other.ring, other.descriptor, other.n, other.terms
         )
 
     def __hash__(self) -> int:
@@ -319,7 +303,7 @@ def act(g: ExactMatrix, f: MultiPoly) -> MultiPoly:
             v = c * a
             acc = terms.get(y)
             terms[y] = v if acc is None else acc + v
-    return MultiPoly(f.ring, f.descriptor, f.n, terms)
+    return f._like(terms)
 
 
 def reynolds(group: MatrixGroup, f: MultiPoly) -> MultiPoly:
@@ -328,7 +312,7 @@ def reynolds(group: MatrixGroup, f: MultiPoly) -> MultiPoly:
     acc = MultiPoly.zero(f.ring, f.descriptor, f.n)
     for m in group.over(f.ring):
         acc = acc + act(m, f)
-    return acc.scale(inv_order.reduce() if f.ring == RING_RESIDUE else inv_order)
+    return acc.scale(group.descriptor.reduce(inv_order) if f.ring == RING_RESIDUE else inv_order)
 
 
 def action_matrix(g: ExactMatrix, n: int, d: int, *, images: dict | None = None) -> ExactMatrix:
@@ -355,7 +339,7 @@ def action_matrix(g: ExactMatrix, n: int, d: int, *, images: dict | None = None)
     for col, image in enumerate(columns):
         for e, c in image.items():
             rows[index[e]][col] = c
-    return ExactMatrix(g.ring, g.descriptor, rows)
+    return g._like(rows)
 
 
 def element_action_matrix(group: MatrixGroup, ring: str, idx: int, d: int) -> ExactMatrix:
@@ -402,9 +386,7 @@ def _invariant_basis(group: MatrixGroup, d: int, ring: str) -> GradedBasis:
         delta = element_action_matrix(group, ring, idx, d).minus_identity()
         rows.extend(list(r) for r in delta.entries)
     if rows:
-        kernel = kernel_over_field(
-            ExactMatrix(ring, group.descriptor, rows)
-        )
+        kernel = kernel_over_field(ExactMatrix._of(ring, group.descriptor, rows))
     else:
         # trivial group: everything is invariant
         one = ring_one(ring, group.descriptor)
@@ -416,12 +398,7 @@ def _invariant_basis(group: MatrixGroup, d: int, ring: str) -> GradedBasis:
             size,
         )
     polys = tuple(
-        MultiPoly(
-            ring,
-            group.descriptor,
-            group.n,
-            {e: c for e, c in zip(basis, vec)},
-        )
+        MultiPoly._of(ring, group.descriptor, group.n, dict(zip(basis, vec)))
         for vec in kernel.vectors
     )
     return GradedBasis(d, polys)
@@ -438,19 +415,17 @@ def _char_series_denominator(g: ExactMatrix) -> tuple:
     # entries of I - z*g, as polynomials in the one variable z
     entries = [
         [
-            MultiPoly(
-                g.ring, g.descriptor, 1, {(0,): one if i == j else zero, (1,): -g.entry(i, j)}
-            )
-            for j in range(n)
+            MultiPoly._of(g.ring, g.descriptor, 1, {(0,): one if i == j else zero, (1,): -a})
+            for j, a in enumerate(row)
         ]
-        for i in range(n)
+        for i, row in enumerate(g.entries)
     ]
     denominator = poly_matrix_det(entries)
     return tuple(denominator.coefficient((k,)) for k in range(n + 1))
 
 
 def _series_inverse(denom: tuple, bound: int, zero, one) -> list:
-    if denom[0].is_zero():
+    if not denom[0]:
         raise InternalCheckError("power series with zero constant term has no inverse")
     lead = denom[0]
     inv = [zero] * (bound + 1)
@@ -458,7 +433,7 @@ def _series_inverse(denom: tuple, bound: int, zero, one) -> list:
     for m in range(1, bound + 1):
         acc = zero
         for i in range(1, min(m, len(denom) - 1) + 1):
-            if not denom[i].is_zero():
+            if denom[i]:
                 acc = acc + denom[i] * inv[m - i]
         inv[m] = -acc / lead
     return inv
@@ -488,34 +463,27 @@ def molien_series(group: MatrixGroup, bound: int) -> MolienSeries:
     Elements with the same characteristic polynomial share the denominator,
     so each distinct one is inverted once and weighted by its multiplicity.
     """
-    inv_order = invert_mod_group_order(group.order, group.descriptor)
-    zero = group.descriptor.zero()
-    one = group.descriptor.one()
+    descriptor = group.descriptor
+    inv_order = invert_mod_group_order(group.order, descriptor)
+    zero = descriptor.zero()
+    one = descriptor.one()
     multiplicity = Counter(_char_series_denominator(m) for m in group.over(RING_K))
     total = [zero] * (bound + 1)
     for denom, count in multiplicity.items():
         inv = _series_inverse(denom, bound, zero, one)
+        count = descriptor.from_int(count)
         total = [a + b * count for a, b in zip(total, inv)]
     total = [inv_order * a for a in total]
-    if group.descriptor.kind == KIND_INT:
-        coeffs = []
+    if descriptor.kind == KIND_INT:
         for c in total:
-            val: Fraction = c.value
-            if val.denominator != 1 or val < 0:
-                raise InternalCheckError(f"non-integral Molien coefficient {val}")
-            coeffs.append(int(val))
-        return MolienSeries(bound, tuple(coeffs), False)
-    coeffs = []
+            if c.denominator != 1 or c < 0:
+                raise InternalCheckError(f"non-integral Molien coefficient {c}")
+        return MolienSeries(bound, tuple(map(int, total)), False)
+    # characteristic p: each coefficient must land in the prime field
     for c in total:
-        # characteristic p: each coefficient must land in the prime field
-        if c.is_zero():
-            coeffs.append(0)
-            continue
-        rat = c.value
-        if rat.num.degree > 0 or rat.den.degree > 0:
+        if c.num.degree > 0 or c.den.degree > 0:
             raise InternalCheckError(f"non-constant Molien coefficient {c}")
-        coeffs.append(c.reduce().value)
-    return MolienSeries(bound, tuple(coeffs), True)
+    return MolienSeries(bound, tuple(descriptor.reduce(c).value for c in total), True)
 
 
 def hilbert_product_truncation(degrees, bound: int) -> tuple[int, ...]:

@@ -234,6 +234,9 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    def __bool__(self) -> bool:
+        return not self.num.is_zero()
+
     def __add__(self, other: RatFunc) -> RatFunc:
         return RatFunc.make(self.num * other.den + other.num * self.den, self.den * other.den)
 

@@ -23,23 +23,23 @@ from .linalg import (
     kernel_over_field,
 )
 from .groups import MatrixGroup, reflection_data
-from .scalars import FractionScalar, invert_mod_group_order
+from .scalars import DvrDescriptor, invert_mod_group_order
 
 
-def primitive_vector(v) -> tuple:
+def primitive_vector(v, desc: DvrDescriptor) -> tuple:
     """Scale a nonzero K-vector by a power of the uniformizer into O^n \\ pi*O^n."""
-    nonzero = [x for x in v if not x.is_zero()]
+    nonzero = [x for x in v if x]
     if not nonzero:
         raise ValueError("cannot primitivize the zero vector")
-    shift = min(x.valuation() for x in nonzero)
-    if shift == 0 and all(x.is_integral() for x in v):
+    # the least valuation becomes 0, so every coordinate lies in O
+    shift = min(map(desc.valuation, nonzero))
+    if shift == 0:
         return tuple(v)
-    pi = v[0].descriptor.uniformizer()
-    factor = pi ** (-shift)
+    factor = desc.uniformizer() ** (-shift)
     return tuple(x * factor for x in v)
 
 
-def unimodular_completion(w) -> ExactMatrix:
+def unimodular_completion(w, desc: DvrDescriptor) -> ExactMatrix:
     """Complete a primitive O-vector to an O-basis; first column is w.
 
     Uses the lowest coordinate of valuation zero as the pivot and fills the
@@ -47,12 +47,7 @@ def unimodular_completion(w) -> ExactMatrix:
     determinant of +/- (unit pivot).
     """
     n = len(w)
-    desc = w[0].descriptor
-    pivot = None
-    for i, x in enumerate(w):
-        if not x.is_zero() and x.valuation() == 0:
-            pivot = i
-            break
+    pivot = next((i for i, x in enumerate(w) if desc.is_unit(x)), None)
     if pivot is None:
         raise ValueError("vector is not primitive: no coordinate of valuation zero")
     zero, one = desc.zero(), desc.one()
@@ -63,7 +58,7 @@ def unimodular_completion(w) -> ExactMatrix:
         cols.append([one if i == j else zero for i in range(n)])
     t = ExactMatrix(RING_O, desc, [list(row) for row in zip(*cols)])
     d = det(t)
-    if d.is_zero() or not d.is_unit():
+    if not desc.is_unit(d):
         raise InternalCheckError(f"completion of a primitive vector has determinant {d}")
     return t
 
@@ -77,10 +72,10 @@ def _conjugated_blocks(sigma: ExactMatrix, w1) -> tuple[ExactMatrix, tuple, Exac
     """
     if sigma.apply(w1) != tuple(w1):
         raise ValueError("w1 is not fixed by sigma")
-    t = unimodular_completion(w1)
+    t = unimodular_completion(w1, sigma.descriptor)
     conj = inverse(t) * sigma * t
     n = sigma.rows
-    if any(not conj.entry(i, 0).is_zero() for i in range(1, n)):
+    if any(conj.entry(i, 0) for i in range(1, n)):
         raise InternalCheckError("first column of the conjugated matrix is not e_1")
     block = ExactMatrix(
         RING_O,
@@ -102,16 +97,16 @@ class DiagonalizingBasis:
     """Verified eigenbasis of O^n for a pseudo-reflection."""
 
     basis: tuple  # n vectors over O; the last is the lambda-eigenvector
-    eigenvalue: FractionScalar
+    eigenvalue: object  # a value of O
     order: int
+    descriptor: DvrDescriptor
 
     @property
     def n(self) -> int:
         return len(self.basis)
 
     def change_of_basis(self) -> ExactMatrix:
-        desc = self.eigenvalue.descriptor
-        return ExactMatrix(RING_O, desc, [list(row) for row in zip(*self.basis)])
+        return ExactMatrix(RING_O, self.descriptor, [list(row) for row in zip(*self.basis)])
 
     def serialize(self) -> dict:
         return {
@@ -121,9 +116,9 @@ class DiagonalizingBasis:
         }
 
 
-def _scalar_order(lam: FractionScalar, cap: int) -> int:
+def _scalar_order(lam, cap: int) -> int:
     acc = lam
-    one = lam.descriptor.one()
+    one = lam / lam  # lam is a unit
     for k in range(1, cap + 1):
         if acc == one:
             return k
@@ -144,7 +139,7 @@ def _verify(sigma: ExactMatrix, basis, lam, order) -> None:
     desc = sigma.descriptor
     t = ExactMatrix(RING_O, desc, [list(row) for row in zip(*basis)])
     d = det(t)
-    if d.is_zero() or not d.is_unit():
+    if not desc.is_unit(d):
         raise InternalCheckError(
             f"change-of-basis determinant {d} is not a unit: not an O-basis"
         )
@@ -171,10 +166,10 @@ def diagonalizing_basis(sigma: ExactMatrix, group: MatrixGroup) -> Diagonalizing
     lam, order = data
     basis = _diagonalize(sigma, lam)
     _verify(sigma, basis, lam, order)
-    return DiagonalizingBasis(tuple(basis), lam, order)
+    return DiagonalizingBasis(tuple(basis), lam, order, sigma.descriptor)
 
 
-def _diagonalize(sigma: ExactMatrix, lam: FractionScalar) -> list:
+def _diagonalize(sigma: ExactMatrix, lam) -> list:
     n = sigma.rows
     desc = sigma.descriptor
     if n == 1:
@@ -182,7 +177,7 @@ def _diagonalize(sigma: ExactMatrix, lam: FractionScalar) -> list:
 
     one = desc.one()
     lam_minus_1 = lam - one
-    if lam_minus_1.is_zero() or not lam_minus_1.is_unit():
+    if not desc.is_unit(lam_minus_1):
         raise InternalCheckError(
             f"lambda - 1 = {lam_minus_1} is not a unit; the invertibility "
             "hypothesis must have been violated upstream"
@@ -193,7 +188,7 @@ def _diagonalize(sigma: ExactMatrix, lam: FractionScalar) -> list:
         raise InternalCheckError(
             f"fixed space has dimension {fixed.dimension}, expected {n - 1}"
         )
-    w1 = primitive_vector(fixed.vectors[0])
+    w1 = primitive_vector(fixed.vectors[0], desc)
 
     block, top, t = _conjugated_blocks(sigma, w1)
     sub = _diagonalize(block, lam)
@@ -210,7 +205,7 @@ def _diagonalize(sigma: ExactMatrix, lam: FractionScalar) -> list:
         basis.append(w)
     # the fixed pullbacks must have no w1-component at all
     for i, a in enumerate(corrections[:-1]):
-        if not a.is_zero():
+        if a:
             raise InternalCheckError(
                 f"fixed pullback {i + 1} acquired a nonzero w1-coefficient {a}"
             )

@@ -7,15 +7,19 @@ Two concrete discrete valuation rings are supported:
 * ``ratfunc-localized``: F_p[t] localized at (t), sitting inside F_p(t).
   The uniformizer is t and the residue field is again F_p.
 
-``FractionScalar`` is an element of the fraction field K, and
-``ResidueScalar`` one of the residue field k.  Whether a K-element lies in
-the DVR O is a property of its value (``is_integral``), not of its type: the
-containers that must hold O-elements (matrices and polynomials tagged "O")
-check it on construction, as do reduction to k and the jobspec parser.  All
-values are immutable, canonical, and compared by representation.
+An element of the fraction field K is a plain value: a ``fractions.Fraction``
+for the int kind, a ``RatFunc`` for the ratfunc kind.  An element of the
+residue field k is a ``ResidueScalar``.  No value records which DVR it
+belongs to: the matrix or polynomial holding it does, and the questions
+that depend on the DVR (valuation, membership in O, reduction to k) are
+methods of its ``DvrDescriptor``.  Whether a K-element lies in O is a
+property of its value, not of its type: it is checked where values enter
+(the jobspec parser, the public O-tagged constructors, reduction to k).
+All values are immutable, canonical, and compared by representation.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,7 +50,12 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class DvrDescriptor:
-    """Which DVR we are working in: the kind plus the residue characteristic p."""
+    """Which DVR we are working in: the kind plus the residue characteristic p.
+
+    It also answers the questions about a value of K that depend on the DVR:
+    its valuation, whether it lies in O or is a unit there, and its
+    reduction to k.
+    """
 
     kind: str
     p: int
@@ -57,24 +66,49 @@ class DvrDescriptor:
         if not isinstance(self.p, int) or not _is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p!r}")
 
-    def zero(self) -> FractionScalar:
+    def zero(self):
         return self.from_int(0)
 
-    def one(self) -> FractionScalar:
+    def one(self):
         return self.from_int(1)
 
-    def from_int(self, a: int) -> FractionScalar:
+    def from_int(self, a: int):
         if self.kind == KIND_INT:
-            return FractionScalar(self, Fraction(a))
-        return FractionScalar(self, RatFunc.from_int(self.p, a))
+            return Fraction(a)
+        return RatFunc.from_int(self.p, a)
 
-    def uniformizer(self) -> FractionScalar:
+    def uniformizer(self):
         if self.kind == KIND_INT:
-            return FractionScalar(self, Fraction(self.p))
-        return FractionScalar(self, RatFunc.t(self.p))
+            return Fraction(self.p)
+        return RatFunc.t(self.p)
 
     def residue(self, a: int) -> ResidueScalar:
-        return ResidueScalar(self, a % self.p)
+        return ResidueScalar(self.p, a)
+
+    def valuation(self, x) -> int:
+        """The uniformizer-adic valuation; undefined (raises) on zero."""
+        if not x:
+            raise ValuationUndefinedError("valuation of zero is undefined")
+        if self.kind == KIND_INT:
+            return _int_valuation(x.numerator, self.p) - _int_valuation(x.denominator, self.p)
+        return x.t_valuation()
+
+    def is_integral(self, x) -> bool:
+        """True when the element lies in the DVR, not merely in K."""
+        if self.kind == KIND_INT:
+            return x.denominator % self.p != 0
+        return x.is_integral()
+
+    def is_unit(self, x) -> bool:
+        return bool(x) and self.valuation(x) == 0
+
+    def reduce(self, x) -> ResidueScalar:
+        """Reduction modulo the maximal ideal; requires membership in the DVR."""
+        if not self.is_integral(x):
+            raise NotInRingError(f"{x} is not in the DVR; cannot reduce")
+        if self.kind == KIND_INT:
+            return ResidueScalar(self.p, x.numerator * pow(x.denominator, -1, self.p))
+        return ResidueScalar(self.p, x.residue_at_zero())
 
 
 def _int_valuation(n: int, p: int) -> int:
@@ -85,250 +119,64 @@ def _int_valuation(n: int, p: int) -> int:
     return v
 
 
-class FractionScalar:
-    """Element of the fraction field K of the DVR; `is_integral` tells whether it lies in O."""
-
-    __slots__ = ("descriptor", "value")
-
-    def __init__(self, descriptor: DvrDescriptor, value):
-        expected = Fraction if descriptor.kind == KIND_INT else RatFunc
-        if not isinstance(value, expected):
-            raise TypeError(
-                f"{descriptor.kind} scalar expects a {expected.__name__} value, "
-                f"got {type(value).__name__}"
-            )
-        object.__setattr__(self, "descriptor", descriptor)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("scalars are immutable")
-
-    # -- coercion -----------------------------------------------------------
-
-    def _coerce(self, other) -> FractionScalar | None:
-        if isinstance(other, FractionScalar):
-            if other.descriptor != self.descriptor:
-                raise ValueError("scalars from different DVRs cannot be combined")
-            return other
-        if isinstance(other, int):
-            return self.descriptor.from_int(other)
-        return None
-
-    # -- predicates ---------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        if self.descriptor.kind == KIND_INT:
-            return self.value == 0
-        return self.value.is_zero()
-
-    def is_one(self) -> bool:
-        return self == self.descriptor.one()
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def valuation(self) -> int:
-        """The uniformizer-adic valuation; undefined (raises) on zero."""
-        if self.is_zero():
-            raise ValuationUndefinedError("valuation of zero is undefined")
-        if self.descriptor.kind == KIND_INT:
-            p = self.descriptor.p
-            return _int_valuation(self.value.numerator, p) - _int_valuation(
-                self.value.denominator, p
-            )
-        return self.value.t_valuation()
-
-    def is_integral(self) -> bool:
-        """True when the element lies in the DVR, not merely in K."""
-        if self.descriptor.kind == KIND_INT:
-            return self.value.denominator % self.descriptor.p != 0
-        return self.value.is_integral()
-
-    def is_unit(self) -> bool:
-        return not self.is_zero() and self.valuation() == 0
-
-    def reduce(self) -> ResidueScalar:
-        """Reduction modulo the maximal ideal; requires membership in the DVR."""
-        if not self.is_integral():
-            raise NotInRingError(f"{self} is not in the DVR; cannot reduce")
-        p = self.descriptor.p
-        if self.descriptor.kind == KIND_INT:
-            num = self.value.numerator % p
-            den_inv = pow(self.value.denominator % p, -1, p)
-            return ResidueScalar(self.descriptor, (num * den_inv) % p)
-        return ResidueScalar(self.descriptor, self.value.residue_at_zero())
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FractionScalar(self.descriptor, self.value + o.value)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FractionScalar(self.descriptor, -self.value)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FractionScalar(self.descriptor, self.value - o.value)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FractionScalar(self.descriptor, o.value - self.value)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FractionScalar(self.descriptor, self.value * o.value)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("scalar division by zero")
-        return FractionScalar(self.descriptor, self.value / o.value)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.descriptor.one() / self ** (-k)
-        out = self.descriptor.one()
-        base: FractionScalar = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    # -- identity -----------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = self.descriptor.from_int(other)
-        if not isinstance(other, FractionScalar):
-            return NotImplemented
-        return self.descriptor == other.descriptor and self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash((self.descriptor, self.value))
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.descriptor.kind}, p={self.descriptor.p}, {self})"
-
-
 class ResidueScalar:
-    """Element of the residue field F_p of the DVR."""
+    """Element of the residue field F_p: an int in [0, p) with its p.
 
-    __slots__ = ("descriptor", "value")
+    Python has no integers mod p, so this is the one value class; its
+    operations refuse a residue modulo another prime.
+    """
 
-    def __init__(self, descriptor: DvrDescriptor, value: int):
-        object.__setattr__(self, "descriptor", descriptor)
-        object.__setattr__(self, "value", value % descriptor.p)
+    __slots__ = ("p", "value")
+
+    def __init__(self, p: int, value: int):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "value", value % p)
 
     def __setattr__(self, name, value):
         raise AttributeError("scalars are immutable")
 
-    def _coerce(self, other) -> ResidueScalar | None:
-        if isinstance(other, ResidueScalar):
-            if other.descriptor != self.descriptor:
-                raise ValueError("residue scalars from different DVRs cannot be combined")
-            return other
-        if isinstance(other, int):
-            return ResidueScalar(self.descriptor, other)
-        return None
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def is_one(self) -> bool:
-        return self.value == 1
+    def _common_p(self, other: ResidueScalar) -> int:
+        if other.p != self.p:
+            raise ValueError("residues modulo different primes cannot be combined")
+        return self.p
 
     def __bool__(self) -> bool:
         return self.value != 0
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ResidueScalar(self.descriptor, self.value + o.value)
+    def __add__(self, other: ResidueScalar) -> ResidueScalar:
+        return ResidueScalar(self._common_p(other), self.value + other.value)
 
-    __radd__ = __add__
+    def __neg__(self) -> ResidueScalar:
+        return ResidueScalar(self.p, -self.value)
 
-    def __neg__(self):
-        return ResidueScalar(self.descriptor, -self.value)
+    def __sub__(self, other: ResidueScalar) -> ResidueScalar:
+        return ResidueScalar(self._common_p(other), self.value - other.value)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ResidueScalar(self.descriptor, self.value - o.value)
+    def __mul__(self, other: ResidueScalar) -> ResidueScalar:
+        return ResidueScalar(self._common_p(other), self.value * other.value)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ResidueScalar(self.descriptor, self.value * o.value)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.value == 0:
+    def __truediv__(self, other: ResidueScalar) -> ResidueScalar:
+        if not other.value:
             raise ZeroDivisionError("residue-field division by zero")
-        return ResidueScalar(self.descriptor, self.value * pow(o.value, -1, self.descriptor.p))
-
-    def __pow__(self, k: int):
-        if k < 0:
-            base = pow(self.value, -1, self.descriptor.p)
-            return ResidueScalar(self.descriptor, pow(base, -k, self.descriptor.p))
-        return ResidueScalar(self.descriptor, pow(self.value, k, self.descriptor.p))
+        p = self._common_p(other)
+        return ResidueScalar(p, self.value * pow(other.value, -1, p))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self.value == other % self.descriptor.p
         if not isinstance(other, ResidueScalar):
             return NotImplemented
-        return self.descriptor == other.descriptor and self.value == other.value
+        return self.value == other.value and self.p == other.p
 
     def __hash__(self) -> int:
-        return hash((self.descriptor, "residue", self.value))
+        return hash(self.value)
 
     def __str__(self) -> str:
         return str(self.value)
 
     def __repr__(self) -> str:
-        return f"ResidueScalar(p={self.descriptor.p}, {self.value})"
+        return f"ResidueScalar(p={self.p}, {self.value})"
 
 
-def invert_mod_group_order(r: int, descriptor: DvrDescriptor) -> FractionScalar:
+def invert_mod_group_order(r: int, descriptor: DvrDescriptor):
     """Return 1/r as a ring element; the gate for all averaging.
 
     Fails when the residue characteristic divides r, in which case no
@@ -342,31 +190,37 @@ def invert_mod_group_order(r: int, descriptor: DvrDescriptor) -> FractionScalar:
             "it is not invertible in the ring, so averaging over the group is impossible"
         )
     if descriptor.kind == KIND_INT:
-        return FractionScalar(descriptor, Fraction(1, r))
-    inv = pow(r % descriptor.p, -1, descriptor.p)
-    return FractionScalar(descriptor, RatFunc.from_int(descriptor.p, inv))
+        return Fraction(1, r)
+    return RatFunc.from_int(descriptor.p, pow(r, -1, descriptor.p))
 
 
 # -- serialization ------------------------------------------------------------
 
 _MINUS_VARIANTS = str.maketrans({"−": "-", "–": "-"})
+_INT_SCALAR = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
-def parse_scalar(descriptor: DvrDescriptor, text: str, *, integral: bool = True) -> FractionScalar:
-    """Parse a scalar string; with integral=True, reject elements outside the DVR."""
+def parse_scalar(descriptor: DvrDescriptor, text: str, *, integral: bool = True):
+    """Parse a scalar string; with integral=True, reject elements outside the DVR.
+
+    An int-kind scalar is an integer or a fraction of integers, in ASCII
+    digits: no exponent, decimal point, underscore or inner space.
+    """
     s = str(text).translate(_MINUS_VARIANTS).strip()
     if not s:
         raise ValueError("empty scalar string")
     try:
-        if descriptor.kind == KIND_INT:
-            value = Fraction(s)
-        else:
+        if descriptor.kind == KIND_RATFUNC:
             value = parse_ratfunc(descriptor.p, s)
+        elif _INT_SCALAR.fullmatch(s):
+            num, _, den = s.partition("/")
+            value = Fraction(int(num), int(den or 1))
+        else:
+            raise ValueError("expected an integer or a fraction of integers")
     except ZeroDivisionError:
         raise ValueError(f"scalar {text!r} has zero denominator") from None
     except ValueError as exc:
         raise ValueError(f"malformed scalar {text!r}: {exc}") from None
-    scalar = FractionScalar(descriptor, value)
-    if integral and not scalar.is_integral():
+    if integral and not descriptor.is_integral(value):
         raise NotInRingError(f"entry {text!r} is not in the DVR (valuation is negative)")
-    return scalar
+    return value

@@ -55,7 +55,7 @@ def rank_by_minors(m: ExactMatrix) -> int:
                     [[m.entry(r, c) for c in cols] for r in rows],
                 )
                 d = det_cofactor(sub)
-                if not d.is_zero():
+                if d:
                     best = size
                     break
             else:
@@ -131,7 +131,7 @@ def invariant_dimension_bruteforce(group, degree: int, ring: str) -> int:
     results; no generator kernels involved.
     """
     inv_order = invert_mod_group_order(group.order, group.descriptor)
-    coeff = inv_order.reduce() if ring == RING_RESIDUE else inv_order
+    coeff = group.descriptor.reduce(inv_order) if ring == RING_RESIDUE else inv_order
     mats = _field_matrices(group, ring)
     basis = monomials(group.n, degree)
     index = {e: i for i, e in enumerate(basis)}

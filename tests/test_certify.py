@@ -16,7 +16,7 @@ from dvrcert.certify import (
 from dvrcert.groups import generate_group, trivial_group
 from dvrcert.linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix, inverse
 from dvrcert.polys import MultiPoly, act, action_matrix
-from dvrcert.scalars import DvrDescriptor, ResidueScalar
+from dvrcert.scalars import DvrDescriptor
 
 from oracles import h1_bruteforce, invariant_dimension_bruteforce
 
@@ -81,7 +81,7 @@ def test_degree_multiset_survives_variable_relabeling(s3_z5):
 
 def _poly_from_ints(descriptor, n, ring, mapping):
     if ring == RING_RESIDUE:
-        terms = {e: ResidueScalar(descriptor, c) for e, c in mapping.items()}
+        terms = {e: descriptor.residue(c) for e, c in mapping.items()}
     else:
         terms = {e: descriptor.from_int(c) for e, c in mapping.items()}
     return MultiPoly(ring, descriptor, n, terms)

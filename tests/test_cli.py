@@ -1,5 +1,6 @@
 import copy
 import json
+import time
 
 import pytest
 
@@ -76,6 +77,16 @@ def test_parse_rejects_numeric_entries():
     for key in ("n", "degree_bound", "closure_cap"):
         with pytest.raises(JobSpecError, match=f"^{key}:"):
             parse_jobspec(dict(one_by_one, **{key: True}))
+
+
+def test_parse_rejects_exponent_entries_at_once():
+    # "1e999999999" would be 10^999999999 if exponents were accepted
+    doc = copy.deepcopy(MINIMAL_S2)
+    doc["generators"][0][0][0] = "1e999999999"
+    started = time.perf_counter()
+    with pytest.raises(JobSpecError, match=r"generators\[0\]\[0\]\[0\]: malformed"):
+        parse_jobspec(doc)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_jobspec_round_trip():
@@ -212,6 +223,17 @@ def test_main_rejects_bad_documents(tmp_path, capsys):
         assert capsys.readouterr().err == (
             "invalid job document: top-level document must be a JSON object\n"
         )
+    # unreadable input and unwritable output: one line, no traceback
+    bad.write_bytes(b"\xff\xfe{")
+    assert main(["analyze", "--input", str(bad)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err.startswith("cannot read input: ")
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(EXAMPLES["s2"]))
+    missing = str(tmp_path / "missing" / "x.json")
+    for argv in (["analyze", "--input", str(job)], ["example", "s2"]):
+        assert main([*argv, "--output", missing]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output: ") and err.count("\n") == 1
 
 
 def test_main_text_format(tmp_path, capsys):

@@ -216,6 +216,25 @@ def test_reflection_generation_stops_at_the_generators(z5, monkeypatch):
     assert len(products) < wb3.order
 
 
+def test_closure_checks_no_product_for_membership_in_o(z5, monkeypatch):
+    # O is closed under products: the closure builds them unchecked
+    generators = [
+        ExactMatrix.from_ints(RING_O, z5, [[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+        ExactMatrix.from_ints(RING_O, z5, [[1, 0, 0], [0, 0, 1], [0, 1, 0]]),
+        ExactMatrix.from_ints(RING_O, z5, [[1, 0, 0], [0, 1, 0], [0, 0, -1]]),
+    ]
+    checked = []
+    is_integral = DvrDescriptor.is_integral
+
+    def counted(descriptor, x):
+        checked.append(x)
+        return is_integral(descriptor, x)
+
+    monkeypatch.setattr(DvrDescriptor, "is_integral", counted)
+    assert generate_group(generators).order == 48
+    assert checked == []
+
+
 def test_element_orders_bounded_by_group_order(c4_f5t):
     orders = [c4_f5t.element_order(i) for i in range(c4_f5t.order)]
     assert sorted(orders) == [1, 2, 4, 4]

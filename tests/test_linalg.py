@@ -17,7 +17,7 @@ from dvrcert.linalg import (
     reduce_matrix,
 )
 from dvrcert.polys import MultiPoly
-from dvrcert.scalars import DvrDescriptor, FractionScalar
+from dvrcert.scalars import DvrDescriptor
 
 from oracles import det_cofactor, rank_by_minors
 
@@ -46,7 +46,7 @@ def test_shape_and_ring_mismatches(z3, z5):
     with pytest.raises(ValueError):
         a * ExactMatrix.from_ints(RING_O, z5, [[1, 0], [0, 1]])
     # an O-tagged container rejects an entry of K outside O
-    third = FractionScalar(z3, Fraction(1, 3))
+    third = Fraction(1, 3)
     with pytest.raises(NotInRingError):
         ExactMatrix(RING_O, z3, [[third, z3.zero()], [z3.zero(), z3.one()]])
     with pytest.raises(NotInRingError):
@@ -80,8 +80,8 @@ def test_det_bareiss_handles_fractional_entries(z3):
         RING_K,
         z3,
         [
-            [FractionScalar(z3, Fraction(1, 3)), FractionScalar(z3, Fraction(2, 5))],
-            [FractionScalar(z3, Fraction(7, 2)), FractionScalar(z3, Fraction(1, 9))],
+            [Fraction(1, 3), Fraction(2, 5)],
+            [Fraction(7, 2), Fraction(1, 9)],
         ],
     )
     assert det(m) == det_cofactor(m)
@@ -94,7 +94,7 @@ def test_inverse_examples(z3):
     with pytest.raises(NotInvertibleError):
         inverse(diag31)
     inv_k = inverse(ExactMatrix.from_ints(RING_K, z3, [[3, 0], [0, 1]]))
-    assert inv_k.entry(0, 0) == FractionScalar(z3, Fraction(1, 3))
+    assert inv_k.entry(0, 0) == Fraction(1, 3)
     with pytest.raises(NotInvertibleError):
         inverse(ExactMatrix.from_ints(RING_K, z3, [[1, 2], [2, 4]]))
 
@@ -110,7 +110,7 @@ def test_inverse_roundtrip_random(kind, p):
             RING_O, descriptor, [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
         )
         d = det(m)
-        if d.is_zero() or not d.is_unit():
+        if not descriptor.is_unit(d):
             continue
         produced += 1
         assert inverse(m) * m == ident
@@ -138,7 +138,7 @@ def test_rank_kernel_dimension_identity(z3, f5t):
             kb = kernel_over_field(m)
             assert rank_over_field(m) + kb.dimension == cols
             for v in kb.vectors:
-                assert all(x.is_zero() for x in m.apply(v))
+                assert not any(m.apply(v))
             # the reduced echelon form, so the kernel basis, ignores row order
             rng.shuffle(entries)
             shuffled = ExactMatrix.from_ints(ring, descriptor, entries)

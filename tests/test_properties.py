@@ -16,7 +16,7 @@ from dvrcert.linalg import (
     reduce_matrix,
 )
 from dvrcert.polys import MultiPoly, act, invariant_basis, molien_series, reynolds
-from dvrcert.scalars import DvrDescriptor, FractionScalar
+from dvrcert.scalars import DvrDescriptor
 
 from conftest import random_unimodular
 
@@ -65,14 +65,12 @@ def _random_poly(group, rng, ring=RING_K, max_degree=3):
         for _ in range(rng.randint(0, max_degree)):
             exp[rng.randrange(group.n)] += 1
         if ring == RING_RESIDUE:
-            from dvrcert.scalars import ResidueScalar
-
-            coeff = ResidueScalar(descriptor, rng.randrange(descriptor.p))
+            coeff = descriptor.residue(rng.randrange(descriptor.p))
         elif descriptor.kind == "int-localized":
-            coeff = FractionScalar(descriptor, Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+            coeff = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
         else:
             coeff = descriptor.from_int(rng.randint(-6, 6))
-        if not coeff.is_zero():
+        if coeff:
             terms[tuple(exp)] = coeff
     return MultiPoly(ring, descriptor, group.n, terms)
 

@@ -11,27 +11,26 @@ from dvrcert.refbasis import (
     quotient_action,
     unimodular_completion,
 )
-from dvrcert.scalars import FractionScalar
 
 from conftest import random_unimodular
 
 
 def test_primitive_vector_examples(z3):
     v = (z3.from_int(3), z3.from_int(6))
-    assert primitive_vector(v) == (z3.one(), z3.from_int(2))
-    w = (FractionScalar(z3, Fraction(1, 3)), z3.one())
-    assert primitive_vector(w) == (z3.one(), z3.from_int(3))
+    assert primitive_vector(v, z3) == (z3.one(), z3.from_int(2))
+    w = (Fraction(1, 3), z3.one())
+    assert primitive_vector(w, z3) == (z3.one(), z3.from_int(3))
     u = (z3.one(), z3.from_int(2))
-    assert primitive_vector(u) == u
+    assert primitive_vector(u, z3) == u
     with pytest.raises(ValueError):
-        primitive_vector((z3.zero(), z3.zero()))
+        primitive_vector((z3.zero(), z3.zero()), z3)
 
 
 def test_unimodular_completion_first_column_and_det(z3):
     w = (z3.from_int(3), z3.from_int(2), z3.from_int(6))
-    t = unimodular_completion(w)
+    t = unimodular_completion(w, z3)
     assert tuple(t.entry(i, 0) for i in range(3)) == w
-    assert det(t).is_unit()
+    assert z3.is_unit(det(t))
 
 
 @pytest.mark.parametrize("kind,p", [("int-localized", 3), ("ratfunc-localized", 5)])
@@ -46,9 +45,9 @@ def test_unimodular_completion_random(kind, p):
         if all(c % p == 0 for c in coords):
             coords[rng.randrange(n)] = 1
         w = tuple(descriptor.from_int(c) for c in coords)
-        w = primitive_vector(w)
-        t = unimodular_completion(w)
-        assert det(t).is_unit()
+        w = primitive_vector(w, descriptor)
+        t = unimodular_completion(w, descriptor)
+        assert descriptor.is_unit(det(t))
 
 
 def test_diagonalizing_basis_pinned_example(z3):
@@ -59,7 +58,7 @@ def test_diagonalizing_basis_pinned_example(z3):
     assert basis.eigenvalue == z3.from_int(-1)
     assert basis.order == 2
     assert basis.basis[0] == (z3.one(), z3.zero())
-    assert basis.basis[1] == (FractionScalar(z3, Fraction(-1, 2)), z3.one())
+    assert basis.basis[1] == (Fraction(-1, 2), z3.one())
 
 
 def test_diagonalizing_basis_swap(z3, s2_z3):
@@ -72,7 +71,7 @@ def test_diagonalizing_basis_swap(z3, s2_z3):
     # the symmetric/antisymmetric lines, up to unit scaling
     assert w1[0] == w1[1]
     assert w2[0] == -w2[1]
-    assert det(basis.change_of_basis()).is_unit()
+    assert basis.descriptor.is_unit(det(basis.change_of_basis()))
 
 
 def test_diagonalizing_basis_dimension_one(c4_f5t, f5t):
@@ -118,7 +117,7 @@ def _check_basis(sigma, basis):
             assert image == w
         else:
             assert image == tuple(basis.eigenvalue * x for x in w)
-    assert det(basis.change_of_basis()).is_unit()
+    assert basis.descriptor.is_unit(det(basis.change_of_basis()))
     assert basis.eigenvalue == det(sigma)
 
 
