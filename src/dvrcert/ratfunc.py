@@ -4,16 +4,51 @@ These are the scalars backing the F_p[t]-localized-at-(t) ring: fractions
 num/den of polynomials in t with den(0) != 0 for ring elements, arbitrary
 nonzero den for fraction-field elements.  Everything is kept in a canonical
 form (gcd-reduced, monic denominator) so equality is representation equality.
+
+The arithmetic keeps that form without reducing every result from scratch
+(Henrici's reduced-fraction arithmetic; Knuth, TAOCP vol. 2, §4.5.1).  The
+operands are already reduced, so a gcd runs only where it can be
+nontrivial, and never with a constant, whose gcd with anything is 1:
+
+* both denominators 1: the sum, difference or product of the numerators
+  over 1 is canonical;
+* ``+``/``-``: g = gcd(d1, d2).  When g = 1, (n1*d2 + n2*d1)/(d1*d2) is
+  reduced, because an irreducible factor of d1 divides neither n1 nor d2.
+  Otherwise t = n1*(d2/g) + n2*(d1/g) can share factors only with g, so
+  one more gcd(t, g) finishes it;
+* ``*``: only the cross gcds gcd(n1, d2) and gcd(n2, d1) can be
+  nontrivial, and cancelling them leaves a reduced product;
+* ``/``: the inverse of a reduced n/d is d/n made monic, which needs no
+  gcd, and the rest is ``*``;
+* a zero operand or result is returned as 0/1 at once.
+
+Denominators stay monic throughout: products and exact quotients of monic
+polynomials are monic, and fp_gcd returns monic gcds.  ``RatFunc.make``
+is the one general normaliser, with a full gcd, for the values that enter
+from outside through the parser.
+
+``FpPoly`` arithmetic reduces mod p and trims trailing zeros once per
+operation.  Over the field F_p a product of nonzero polynomials has a
+nonzero leading coefficient, so only sums and remainders need trimming.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 
+# The largest exponent of t the parser accepts.  A dense coefficient list
+# is as long as the degree, so "t^999999999" would otherwise allocate 10^9
+# slots from an 11-byte string.
+MAX_T_DEGREE = 4096
+
 
 def _normalize_coeffs(p: int, coeffs) -> tuple[int, ...]:
-    out = [c % p for c in coeffs]
-    while out and out[-1] == 0:
+    return _trimmed([c % p for c in coeffs])
+
+
+def _trimmed(out: list) -> tuple[int, ...]:
+    """The coefficients of `out`, already reduced mod p, without trailing zeros."""
+    while out and not out[-1]:
         out.pop()
     return tuple(out)
 
@@ -72,10 +107,11 @@ class FpPoly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.p
-        return FpPoly.make(self.p, out)
+        p = self.p
+        low = [(x + y) % p for x, y in zip(a, b)]
+        if len(a) > len(b):
+            return FpPoly(p, tuple(low) + a[len(b):])
+        return FpPoly(p, _trimmed(low))
 
     def __neg__(self) -> FpPoly:
         return FpPoly(self.p, tuple((-c) % self.p for c in self.coeffs))
@@ -84,44 +120,36 @@ class FpPoly:
         return self + (-other)
 
     def __mul__(self, other: FpPoly) -> FpPoly:
-        if self.is_zero() or other.is_zero():
-            return FpPoly.zero(self.p)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = (out[i + j] + a * b) % self.p
-        return FpPoly.make(self.p, out)
+        a, b = self.coeffs, other.coeffs
+        if len(a) == 1:
+            return other.scale(a[0])
+        if len(b) == 1:
+            return self.scale(b[0])
+        if not a or not b:
+            return FpPoly(self.p, ())
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        p = self.p
+        # the leading coefficient is a product of two units of F_p
+        return FpPoly(p, tuple(c % p for c in out))
 
     def scale(self, c: int) -> FpPoly:
-        return FpPoly(self.p, _normalize_coeffs(self.p, (c * a for a in self.coeffs)))
-
-    def shift(self, k: int) -> FpPoly:
-        """Multiply by t^k."""
-        if self.is_zero():
+        p = self.p
+        c %= p
+        if c == 1:
             return self
-        return FpPoly(self.p, (0,) * k + self.coeffs)
+        if not c:
+            return FpPoly(p, ())
+        return FpPoly(p, tuple(c * a % p for a in self.coeffs))
 
     def __divmod__(self, other: FpPoly) -> tuple[FpPoly, FpPoly]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        p = self.p
-        inv_lead = pow(other.leading(), -1, p)
-        rem = list(self.coeffs)
-        quo = [0] * max(len(rem) - len(other.coeffs) + 1, 0)
-        d = other.degree
-        while len(rem) - 1 >= d and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            shift = len(rem) - 1 - d
-            factor = (rem[-1] * inv_lead) % p
-            quo[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] = (rem[shift + i] - factor * c) % p
-        return FpPoly.make(p, quo), FpPoly.make(p, rem)
+        quo, rem = _long_division(self.coeffs, other.coeffs, self.p)
+        return FpPoly(self.p, quo), FpPoly(self.p, rem)
 
     def __mod__(self, other: FpPoly) -> FpPoly:
         return divmod(self, other)[1]
@@ -138,11 +166,43 @@ class FpPoly:
         return format_fp_poly(self)
 
 
+def _long_division(a: tuple, b: tuple, p: int) -> tuple[tuple, tuple]:
+    """Quotient and remainder of the coefficient tuples a by b != 0 over F_p."""
+    d = len(b) - 1
+    if len(a) <= d:
+        return (), a
+    inv_lead = pow(b[-1], -1, p)
+    rem = list(a)
+    quo = [0] * (len(a) - d)
+    # entries of rem are reduced mod p only where they are read
+    for shift in range(len(quo) - 1, -1, -1):
+        factor = rem[shift + d] * inv_lead % p
+        if factor:
+            quo[shift] = factor
+            for i in range(d):  # term d cancels by the choice of factor
+                rem[shift + i] -= factor * b[i]
+    # quo's top entry is lead(a)/lead(b), a unit
+    return tuple(quo), _normalize_coeffs(p, rem[:d])
+
+
 def fp_gcd(a: FpPoly, b: FpPoly) -> FpPoly:
     """Monic gcd via the Euclidean algorithm."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+    p = a.p
+    x, y = a.coeffs, b.coeffs
+    while y:
+        x, y = y, _long_division(x, y, p)[1]
+    return FpPoly(p, x).monic()
+
+
+def _gcd_unless_one(a: FpPoly, b: FpPoly) -> FpPoly | None:
+    """gcd(a, b) of two nonzero polynomials, or None when it is 1.
+
+    A constant is a unit, so its gcd with anything is 1 without a Euclid.
+    """
+    if len(a.coeffs) == 1 or len(b.coeffs) == 1:
+        return None
+    g = fp_gcd(a, b)
+    return None if len(g.coeffs) == 1 else g
 
 
 def format_fp_poly(poly: FpPoly) -> str:
@@ -157,9 +217,16 @@ def format_fp_poly(poly: FpPoly) -> str:
 
 
 _TERM_RE = re.compile(
-    r"^(?:(?P<coeff>-?\d+)(?:\*(?P<var1>t)(?:\^(?P<exp1>\d+))?)?"
-    r"|(?P<sign>-?)(?P<var2>t)(?:\^(?P<exp2>\d+))?)$"
+    r"^(?:(?P<coeff>-?[0-9]+)(?:\*(?P<var1>t)(?:\^(?P<exp1>[0-9]+))?)?"
+    r"|(?P<sign>-?)(?P<var2>t)(?:\^(?P<exp2>[0-9]+))?)$"
 )
+
+
+def _exponent(digits: str | None, term: str) -> int:
+    k = int(digits) if digits else 1
+    if k > MAX_T_DEGREE:
+        raise ValueError(f"exponent of t above {MAX_T_DEGREE} in term {term!r}")
+    return k
 
 
 def parse_fp_poly(p: int, text: str) -> FpPoly:
@@ -179,12 +246,10 @@ def parse_fp_poly(p: int, text: str) -> FpPoly:
             raise ValueError(f"malformed polynomial term {term!r} in {text!r}")
         if m.group("coeff") is not None:
             c = int(m.group("coeff"))
-            k = 0
-            if m.group("var1"):
-                k = int(m.group("exp1")) if m.group("exp1") else 1
+            k = _exponent(m.group("exp1"), term) if m.group("var1") else 0
         else:
             c = -1 if m.group("sign") == "-" else 1
-            k = int(m.group("exp2")) if m.group("exp2") else 1
+            k = _exponent(m.group("exp2"), term)
         coeffs[k] = coeffs.get(k, 0) + c
     size = max(coeffs) + 1
     out = [0] * size
@@ -206,6 +271,7 @@ class RatFunc:
 
     @staticmethod
     def make(num: FpPoly, den: FpPoly) -> RatFunc:
+        """The canonical form of num/den, for any num and nonzero den."""
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
@@ -217,15 +283,15 @@ class RatFunc:
 
     @staticmethod
     def from_int(p: int, a: int) -> RatFunc:
-        return RatFunc.make(FpPoly.constant(p, a), FpPoly.one(p))
+        return RatFunc(FpPoly.constant(p, a), FpPoly.one(p))
 
     @staticmethod
     def zero(p: int) -> RatFunc:
-        return RatFunc.from_int(p, 0)
+        return RatFunc(FpPoly.zero(p), FpPoly.one(p))
 
     @staticmethod
     def one(p: int) -> RatFunc:
-        return RatFunc.from_int(p, 1)
+        return RatFunc(FpPoly.one(p), FpPoly.one(p))
 
     @staticmethod
     def t(p: int) -> RatFunc:
@@ -238,7 +304,24 @@ class RatFunc:
         return not self.num.is_zero()
 
     def __add__(self, other: RatFunc) -> RatFunc:
-        return RatFunc.make(self.num * other.den + other.num * self.den, self.den * other.den)
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if len(d1.coeffs) == 1 and len(d2.coeffs) == 1:  # monic: both are 1
+            return RatFunc(n1 + n2, d1)
+        if not n1.coeffs:
+            return other
+        if not n2.coeffs:
+            return self
+        g = _gcd_unless_one(d1, d2)
+        if g is None:
+            return RatFunc(n1 * d2 + n2 * d1, d1 * d2)
+        d1, d2_g = d1 // g, d2 // g
+        t = n1 * d2_g + n2 * d1
+        if not t.coeffs:
+            return RatFunc(t, FpPoly.one(t.p))
+        h = _gcd_unless_one(t, g)
+        if h is None:
+            return RatFunc(t, d1 * d2)
+        return RatFunc(t // h, d1 * (d2 // h))
 
     def __neg__(self) -> RatFunc:
         return RatFunc(-self.num, self.den)
@@ -247,16 +330,35 @@ class RatFunc:
         return self + (-other)
 
     def __mul__(self, other: RatFunc) -> RatFunc:
-        return RatFunc.make(self.num * other.num, self.den * other.den)
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if not n1.coeffs:
+            return self
+        if not n2.coeffs:
+            return other
+        if len(d1.coeffs) == 1 and len(d2.coeffs) == 1:
+            return RatFunc(n1 * n2, d1)
+        g = _gcd_unless_one(n1, d2)
+        if g is not None:
+            n1, d2 = n1 // g, d2 // g
+        g = _gcd_unless_one(n2, d1)
+        if g is not None:
+            n2, d1 = n2 // g, d1 // g
+        return RatFunc(n1 * n2, d1 * d2)
+
+    def inverse(self) -> RatFunc:
+        """den/num made monic: already reduced, so no gcd runs."""
+        num, den = self.num, self.den
+        if not num.coeffs:
+            raise ZeroDivisionError("division by zero rational function")
+        inv_lead = pow(num.coeffs[-1], -1, num.p)
+        return RatFunc(den.scale(inv_lead), num.scale(inv_lead))
 
     def __truediv__(self, other: RatFunc) -> RatFunc:
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc.make(self.num * other.den, self.den * other.num)
+        return self * other.inverse()
 
     def __pow__(self, k: int) -> RatFunc:
         if k < 0:
-            return RatFunc.one(self.p) / self ** (-k)
+            return self.inverse() ** (-k)
         out = RatFunc.one(self.p)
         base = self
         while k:
@@ -282,7 +384,7 @@ class RatFunc:
         return (self.num.constant_term() * pow(self.den.constant_term(), -1, self.p)) % self.p
 
     def __str__(self) -> str:
-        if self.den == FpPoly.one(self.p):
+        if len(self.den.coeffs) == 1:
             return format_fp_poly(self.num)
         return f"({format_fp_poly(self.num)})/({format_fp_poly(self.den)})"
 

@@ -5,8 +5,10 @@ checks: cofactor expansion against fraction-free elimination, minor
 enumeration against Gaussian rank, powers of the variables' images against
 the degree-by-degree monomial recursion, full-group averaging against
 generator-kernel invariant bases, the full cocycle system on every
-group element against the generator-variable system, and saturation under
-all pairwise products against a closure that stops at the generators.
+group element against the generator-variable system, saturation under
+all pairwise products against a closure that stops at the generators, and
+the textbook fraction formulas reduced by a full Euclid against the
+reduced-fraction arithmetic of `RatFunc`.
 """
 from __future__ import annotations
 
@@ -200,3 +202,74 @@ def _h1_exact_degree_bruteforce(group, degree: int, ring: str) -> int:
 
 def h1_bruteforce(group, degree: int, ring: str) -> int:
     return sum(_h1_exact_degree_bruteforce(group, e, ring) for e in range(degree + 1))
+
+
+# -- rational functions over F_p, on plain coefficient lists ---------------------
+
+
+def _trim(c: list) -> list:
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def coeff_add(p: int, a, b) -> list:
+    out = [0] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, y in enumerate(b):
+        out[i] += y
+    return _trim([c % p for c in out])
+
+
+def coeff_mul(p: int, a, b) -> list:
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim([c % p for c in out])
+
+
+def _coeff_divmod(p: int, a, b) -> tuple[list, list]:
+    """Schoolbook division; the leading inverse by Fermat's little theorem."""
+    inv = pow(b[-1], p - 2, p)
+    quo, rem = [0] * max(len(a) - len(b) + 1, 0), list(a)
+    while len(_trim(rem)) >= len(b):
+        shift = len(rem) - len(b)
+        factor = rem[-1] * inv % p
+        quo[shift] = factor
+        rem = coeff_add(p, rem, [0] * shift + [-factor * y for y in b])
+    return _trim(quo), rem
+
+
+def coeff_gcd(p: int, a, b) -> list:
+    """Monic gcd of two coefficient lists, not both zero."""
+    a, b = _trim(list(a)), _trim(list(b))
+    while b:
+        a, b = b, _coeff_divmod(p, a, b)[1]
+    inv = pow(a[-1], p - 2, p)
+    return [c * inv % p for c in a]
+
+
+def ratfunc_op_bruteforce(op: str, a, b) -> tuple[tuple, tuple]:
+    """a op b, for op one of + - * /, as a (num, den) pair of coefficient tuples.
+
+    The textbook formula over d1*d2 (or d1*n2 for /), then a full Euclid of
+    its own on the result and a monic denominator: the canonical form.
+    """
+    p = a.p
+    n1, d1, n2, d2 = a.num.coeffs, a.den.coeffs, b.num.coeffs, b.den.coeffs
+    if op in "+-":
+        sign = 1 if op == "+" else -1
+        num = coeff_add(p, coeff_mul(p, n1, d2), [sign * c for c in coeff_mul(p, n2, d1)])
+        den = coeff_mul(p, d1, d2)
+    elif op == "*":
+        num, den = coeff_mul(p, n1, n2), coeff_mul(p, d1, d2)
+    else:
+        num, den = coeff_mul(p, n1, d2), coeff_mul(p, d1, n2)
+    if not num:
+        return (), (1,)
+    g = coeff_gcd(p, num, den)
+    num, den = _coeff_divmod(p, num, g)[0], _coeff_divmod(p, den, g)[0]
+    inv = pow(den[-1], p - 2, p)
+    return tuple(c * inv % p for c in num), tuple(c * inv % p for c in den)

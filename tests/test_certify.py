@@ -198,6 +198,22 @@ def test_h1_note_names_the_failing_degrees(s3_z5, monkeypatch):
     )
 
 
+def test_constant_entries_run_no_gcd(f5t, monkeypatch):
+    # every entry of C_4 = <2> over F_5(t) is a constant of F_5, so each sum,
+    # product and quotient has denominator 1 and its gcd is known to be 1
+    c4 = generate_group([ExactMatrix.from_ints(RING_O, f5t, [[2]])])
+    ratfunc_module = sys.modules["dvrcert.ratfunc"]
+    calls = []
+
+    def counted(a, b, _original=ratfunc_module.fp_gcd):
+        calls.append((a, b))
+        return _original(a, b)
+
+    monkeypatch.setattr(ratfunc_module, "fp_gcd", counted)
+    assert certify(c4, 4).verdict == "certified"
+    assert calls == []
+
+
 def test_per_degree_quantities_are_computed_once_per_group(z3, monkeypatch):
     # the package attribute `dvrcert.certify` is the function, not the module
     certify_module = sys.modules["dvrcert.certify"]

@@ -216,6 +216,12 @@ def test_main_rejects_bad_documents(tmp_path, capsys):
     bad.write_text(json.dumps({"dvr": {"kind": "int-localized", "p": 4}, "n": 1,
                                "generators": [[["1"]]]}))
     assert main(["analyze", "--input", str(bad)]) == EXIT_INPUT_ERROR
+    # an 11-byte exponent is refused before a coefficient list is allocated
+    bad.write_text(json.dumps({"dvr": {"kind": "ratfunc-localized", "p": 5}, "n": 1,
+                               "generators": [[["t^999999999"]]]}))
+    started = time.perf_counter()
+    assert main(["analyze", "--input", str(bad)]) == EXIT_INPUT_ERROR
+    assert time.perf_counter() - started < 2.0
     capsys.readouterr()
     bad.write_text("[1, 2]")
     for flags in (["--degree-bound", "3"], ["--checks", "h1"]):

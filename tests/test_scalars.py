@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -10,13 +11,15 @@ from dvrcert.errors import (
 )
 from dvrcert.linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix
 from dvrcert.polys import MultiPoly
-from dvrcert.ratfunc import FpPoly, RatFunc, parse_fp_poly
+from dvrcert.ratfunc import MAX_T_DEGREE, FpPoly, RatFunc, parse_fp_poly
 from dvrcert.scalars import (
     DvrDescriptor,
     ResidueScalar,
     invert_mod_group_order,
     parse_scalar,
 )
+
+from oracles import coeff_gcd, coeff_mul, ratfunc_op_bruteforce
 
 
 def test_descriptor_rejects_composite_p():
@@ -168,9 +171,12 @@ def test_parser_rejects_garbage(z3, f5t):
     for bad in ["", "1/0", "x+1", "1//2", "1e3", "1.5", "1_0", "1e999999999", "1/ 2"]:
         with pytest.raises(ValueError):
             parse_scalar(z3, bad)
-    for bad in ["", "t^", "(1+t", "1/t/t"]:
+    # exponents are ASCII digits up to MAX_T_DEGREE, rejected before allocating
+    for bad in ["", "t^", "(1+t", "1/t/t", "t^999999999", "\u0663", "t^\u0662",
+                f"1+t^{MAX_T_DEGREE + 1}"]:
         with pytest.raises(ValueError):
             parse_scalar(f5t, bad)
+    assert parse_fp_poly(5, f"t^{MAX_T_DEGREE}").degree == MAX_T_DEGREE
 
 
 def test_fp_poly_parse_accepts_sparse_forms():
@@ -178,6 +184,80 @@ def test_fp_poly_parse_accepts_sparse_forms():
     assert p.coeffs == (1, 0, 0, 2)
     assert parse_fp_poly(5, "-1") == FpPoly.make(5, [4])
     assert parse_fp_poly(5, "t^2") == FpPoly.make(5, [0, 0, 1])
+
+
+_RATFUNC_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _random_poly(p, rng, max_degree, monic=False):
+    top = 1 if monic else rng.randrange(1, p)
+    return FpPoly.make(p, [rng.randrange(p) for _ in range(rng.randint(0, max_degree))] + [top])
+
+
+@pytest.mark.parametrize("p", [2, 5, 7])
+def test_ratfunc_arithmetic_matches_the_textbook_oracle(p):
+    """Each of + - * / agrees with the oracle in value and is canonical.
+
+    The operands are drawn from classes that reach every branch of the
+    arithmetic: zero, constants, polynomials (denominator 1), fractions over
+    powers of t and over powers of t + 1 (coprime denominators), fractions
+    whose numerator or denominator holds f = t^2 + t + 1 (shared factors,
+    also across numerator and denominator), pairs a, a (whose difference is
+    0 over a shared denominator) and pairs a, s - a whose sum cancels the
+    factor the two denominators share.
+    """
+    rng = random.Random(20261018 + p)
+    t, t1 = FpPoly.t(p), FpPoly.make(p, [1, 1])
+    f = FpPoly.make(p, [1, 1, 1])
+
+    def power(base, k):
+        out = FpPoly.one(p)
+        for _ in range(k):
+            out = out * base
+        return out
+
+    classes = {
+        "zero": lambda: RatFunc.zero(p),
+        "constant": lambda: RatFunc.from_int(p, rng.randrange(1, p)),
+        "polynomial": lambda: RatFunc.make(_random_poly(p, rng, 3), FpPoly.one(p)),
+        "over_t": lambda: RatFunc.make(_random_poly(p, rng, 2), power(t, rng.randint(1, 2))),
+        "over_t_plus_1": lambda: RatFunc.make(_random_poly(p, rng, 2), power(t1, rng.randint(1, 2))),
+        "shares_f": lambda: RatFunc.make(
+            _random_poly(p, rng, 1) * power(f, rng.randint(0, 1)),
+            f * _random_poly(p, rng, 1, monic=True),
+        ) if rng.randrange(2) else RatFunc.make(
+            f * _random_poly(p, rng, 1), _random_poly(p, rng, 2, monic=True)
+        ),
+    }
+
+    def check(op, a, b):
+        result = _RATFUNC_OPS[op](a, b)
+        num, den = ratfunc_op_bruteforce(op, a, b)
+        assert coeff_mul(p, result.num.coeffs, den) == coeff_mul(p, num, result.den.coeffs)
+        assert result.den.coeffs[-1] == 1
+        assert coeff_gcd(p, result.num.coeffs, result.den.coeffs) == [1]
+        for poly in (result.num, result.den):
+            assert poly == FpPoly.make(p, poly.coeffs)
+
+    pairs = [
+        (make_a(), make_b())
+        for make_a in classes.values()
+        for make_b in classes.values()
+        for _ in range(4)
+    ]
+    pairs += [(a, a) for a in (make() for make in classes.values() for _ in range(2))]
+    for _ in range(12):
+        a = classes["shares_f"]()
+        s = classes["polynomial" if rng.randrange(2) else "over_t"]()
+        pairs.append((a, RatFunc.make(*(FpPoly(p, c) for c in ratfunc_op_bruteforce("-", s, a)))))
+    for a, b in pairs:
+        for op in "+-*":
+            check(op, a, b)
+        if b:
+            check("/", a, b)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a / b
 
 
 def test_scalars_from_different_dvrs_do_not_mix(z3, z5):
