@@ -49,8 +49,6 @@ from .refbasis import (
     DiagonalizingBasis,
     diagonalizing_basis,
     primitive_vector,
-    quotient_action,
-    unimodular_completion,
 )
 from .polys import (
     GradedBasis,

@@ -1,27 +1,28 @@
 """Diagonalizing bases for pseudo-reflections over the DVR.
 
-Given a pseudo-reflection sigma acting on O^n, this module produces an
-O-module basis w_1, ..., w_n with sigma(w_i) = w_i for i < n and
-sigma(w_n) = lambda * w_n.  The point, and the entire difficulty, is that
-the basis change is unimodular: its determinant is a unit of O, so this is
-a basis of the lattice O^n, not merely an eigenbasis over the fraction
-field.  The construction peels off one primitive fixed vector at a time,
-recurses on the induced action on the quotient lattice, and repairs the
-final eigenvector with a correction term divided by (lambda - 1), which is
-a unit whenever the group order is invertible in O.
+For a pseudo-reflection sigma of O^n with eigenvalue lambda, this module
+gives an O-basis w_1, ..., w_n with sigma(w_i) = w_i for i < n and
+sigma(w_n) = lambda * w_n: a basis of the lattice O^n, with a unit
+determinant, not merely an eigenbasis over K.  sigma - 1 has rank one; let
+alpha be its first nonzero row and J = {1, ..., n}.  While |J| > 1, with c
+the first j in J where alpha_j != 0 and f the first other index of J, the
+next fixed vector is w = primitive(e_f - (alpha_f / alpha_c) e_c), and the
+first index where w is a unit leaves J.  With r the index left, w_n = P e_r
+for P = (sigma - 1) / (lambda - 1), an idempotent over O because lambda - 1
+is a unit when the group order is invertible in O.
+
+The determinant is a unit: alpha annihilates the fixed vectors while
+alpha . P e_r = alpha_r != 0, and P e_r - e_r is fixed.  So it is the
+determinant of w_1, ..., w_{n-1}, e_r: +/- the minor of the fixed vectors
+on the removed indices, which is triangular with unit pivots, since each
+w vanishes on the indices removed before it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import InternalCheckError
-from .linalg import (
-    RING_O,
-    ExactMatrix,
-    det,
-    inverse,
-    kernel_over_field,
-)
+from .linalg import RING_O, ExactMatrix, det
 from .groups import MatrixGroup, reflection_data
 from .scalars import DvrDescriptor, invert_mod_group_order
 
@@ -37,59 +38,6 @@ def primitive_vector(v, desc: DvrDescriptor) -> tuple:
         return tuple(v)
     factor = desc.uniformizer() ** (-shift)
     return tuple(x * factor for x in v)
-
-
-def unimodular_completion(w, desc: DvrDescriptor) -> ExactMatrix:
-    """Complete a primitive O-vector to an O-basis; first column is w.
-
-    Uses the lowest coordinate of valuation zero as the pivot and fills the
-    remaining columns with the standard vectors away from it, giving a
-    determinant of +/- (unit pivot).
-    """
-    n = len(w)
-    pivot = next((i for i, x in enumerate(w) if desc.is_unit(x)), None)
-    if pivot is None:
-        raise ValueError("vector is not primitive: no coordinate of valuation zero")
-    zero, one = desc.zero(), desc.one()
-    cols = [list(w)]
-    for j in range(n):
-        if j == pivot:
-            continue
-        cols.append([one if i == j else zero for i in range(n)])
-    t = ExactMatrix(RING_O, desc, [list(row) for row in zip(*cols)])
-    d = det(t)
-    if not desc.is_unit(d):
-        raise InternalCheckError(f"completion of a primitive vector has determinant {d}")
-    return t
-
-
-def _conjugated_blocks(sigma: ExactMatrix, w1) -> tuple[ExactMatrix, tuple, ExactMatrix]:
-    """Change basis so w1 is the first vector; return (quotient block, top row, T).
-
-    In the new coordinates sigma has first column e_1, the top row (past the
-    corner) carries the coefficients on w1, and the lower-right block is the
-    induced action on O^n / O*w1.
-    """
-    if sigma.apply(w1) != tuple(w1):
-        raise ValueError("w1 is not fixed by sigma")
-    t = unimodular_completion(w1, sigma.descriptor)
-    conj = inverse(t) * sigma * t
-    n = sigma.rows
-    if any(conj.entry(i, 0) for i in range(1, n)):
-        raise InternalCheckError("first column of the conjugated matrix is not e_1")
-    block = ExactMatrix(
-        RING_O,
-        sigma.descriptor,
-        [[conj.entry(i, j) for j in range(1, n)] for i in range(1, n)],
-    )
-    top = tuple(conj.entry(0, j) for j in range(1, n))
-    return block, top, t
-
-
-def quotient_action(sigma: ExactMatrix, w1) -> ExactMatrix:
-    """Induced matrix of sigma on the quotient lattice O^n / O*w1."""
-    block, _, _ = _conjugated_blocks(sigma, w1)
-    return block
 
 
 @dataclass(frozen=True)
@@ -170,46 +118,25 @@ def diagonalizing_basis(sigma: ExactMatrix, group: MatrixGroup) -> Diagonalizing
 
 
 def _diagonalize(sigma: ExactMatrix, lam) -> list:
-    n = sigma.rows
     desc = sigma.descriptor
-    if n == 1:
-        return [(desc.one(),)]
-
-    one = desc.one()
-    lam_minus_1 = lam - one
+    lam_minus_1 = lam - desc.one()
     if not desc.is_unit(lam_minus_1):
         raise InternalCheckError(
             f"lambda - 1 = {lam_minus_1} is not a unit; the invertibility "
             "hypothesis must have been violated upstream"
         )
-
-    fixed = kernel_over_field(sigma.minus_identity().to_field())
-    if fixed.dimension != n - 1:
-        raise InternalCheckError(
-            f"fixed space has dimension {fixed.dimension}, expected {n - 1}"
-        )
-    w1 = primitive_vector(fixed.vectors[0], desc)
-
-    block, top, t = _conjugated_blocks(sigma, w1)
-    sub = _diagonalize(block, lam)
-    basis = [w1]
-    corrections = []
-    for u in sub:
-        # pull back through T: prepend a zero first coordinate
-        coords = (desc.zero(),) + tuple(u)
-        w = t.apply(coords)
-        a = top[0] * u[0]
-        for x, y in zip(top[1:], u[1:]):
-            a = a + x * y
-        corrections.append(a)
+    delta = sigma.minus_identity().entries
+    alpha = next(row for row in delta if any(row))
+    n = len(alpha)
+    basis, live = [], list(range(n))
+    while len(live) > 1:
+        c = next(j for j in live if alpha[j])
+        f = next(j for j in live if j != c)
+        w = [desc.zero()] * n
+        w[c], w[f] = -(alpha[f] / alpha[c]), desc.one()
+        w = primitive_vector(w, desc)
         basis.append(w)
-    # the fixed pullbacks must have no w1-component at all
-    for i, a in enumerate(corrections[:-1]):
-        if a:
-            raise InternalCheckError(
-                f"fixed pullback {i + 1} acquired a nonzero w1-coefficient {a}"
-            )
-    a_last = corrections[-1]
-    coeff = a_last / lam_minus_1
-    basis[-1] = tuple(coeff * x + y for x, y in zip(w1, basis[-1]))
+        live.remove(next(j for j in live if desc.is_unit(w[j])))
+    (r,) = live
+    basis.append(tuple(row[r] / lam_minus_1 for row in delta))  # P e_r
     return basis

@@ -34,17 +34,29 @@ KIND_INT = "int-localized"
 KIND_RATFUNC = "ratfunc-localized"
 VALID_KINDS = (KIND_INT, KIND_RATFUNC)
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
 
 def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the primes up to 37 as witnesses: exact for n < 2^64."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        d += 2
     return True
 
 
@@ -63,6 +75,8 @@ class DvrDescriptor:
     def __post_init__(self):
         if self.kind not in VALID_KINDS:
             raise ValueError(f"unknown DVR kind {self.kind!r}; expected one of {VALID_KINDS}")
+        if isinstance(self.p, int) and self.p >= 2 ** 64:
+            raise ValueError(f"p must be a prime below 2^64, got {self.p}")
         if not isinstance(self.p, int) or not _is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p!r}")
 

@@ -6,9 +6,10 @@ enumeration against Gaussian rank, powers of the variables' images against
 the degree-by-degree monomial recursion, full-group averaging against
 generator-kernel invariant bases, the full cocycle system on every
 group element against the generator-variable system, saturation under
-all pairwise products against a closure that stops at the generators, and
+all pairwise products against a closure that stops at the generators,
 the textbook fraction formulas reduced by a full Euclid against the
-reduced-fraction arithmetic of `RatFunc`.
+reduced-fraction arithmetic of `RatFunc`, and a recursion on quotient
+lattices against the closed-form diagonalizing basis.
 """
 from __future__ import annotations
 
@@ -20,11 +21,14 @@ from dvrcert.linalg import (
     RING_RESIDUE,
     ExactMatrix,
     RowEchelon,
+    inverse,
+    kernel_over_field,
     reduce_matrix,
     ring_one,
     ring_zero,
 )
 from dvrcert.polys import MultiPoly, monomials
+from dvrcert.refbasis import primitive_vector
 from dvrcert.scalars import invert_mod_group_order
 
 
@@ -273,3 +277,47 @@ def ratfunc_op_bruteforce(op: str, a, b) -> tuple[tuple, tuple]:
     num, den = _coeff_divmod(p, num, g)[0], _coeff_divmod(p, den, g)[0]
     inv = pow(den[-1], p - 2, p)
     return tuple(c * inv % p for c in num), tuple(c * inv % p for c in den)
+
+
+def _unimodular_completion(w, desc) -> ExactMatrix:
+    """An O-basis with first column the primitive vector w.
+
+    The other columns are the standard vectors away from the first unit
+    coordinate of w, so the determinant is +/- that coordinate.
+    """
+    n = len(w)
+    pivot = next(i for i, x in enumerate(w) if desc.is_unit(x))
+    cols = [list(w)] + [
+        [desc.one() if i == j else desc.zero() for i in range(n)]
+        for j in range(n) if j != pivot
+    ]
+    return ExactMatrix(RING_O, desc, [list(row) for row in zip(*cols)])
+
+
+def diagonalizing_basis_recursive(sigma: ExactMatrix, lam) -> list:
+    """Fixed vectors and a lambda-eigenvector of O^n, by recursion on O^n / O*w1.
+
+    w1 is the first echelon kernel vector of sigma - 1, made primitive; T
+    completes it to an O-basis, and the lower-right block of T^-1 sigma T is
+    the induced action on the quotient lattice.  Its basis pulls back
+    through T, and the last pullback is repaired by the multiple of w1 that
+    makes it a lambda-eigenvector.
+    """
+    desc = sigma.descriptor
+    n = sigma.rows
+    if n == 1:
+        return [(desc.one(),)]
+    fixed = kernel_over_field(sigma.minus_identity().to_field())
+    w1 = primitive_vector(fixed.vectors[0], desc)
+    t = _unimodular_completion(w1, desc)
+    conj = inverse(t) * sigma * t
+    block = ExactMatrix(
+        RING_O, desc, [[conj.entry(i, j) for j in range(1, n)] for i in range(1, n)]
+    )
+    sub = diagonalizing_basis_recursive(block, lam)
+    basis = [w1] + [t.apply((desc.zero(),) + tuple(u)) for u in sub]
+    # the coefficient on w1 of sigma applied to the last pullback
+    a = sum((conj.entry(0, j) * x for j, x in enumerate(sub[-1], start=1)), desc.zero())
+    coeff = a / (lam - desc.one())
+    basis[-1] = tuple(coeff * x + y for x, y in zip(w1, basis[-1]))
+    return basis

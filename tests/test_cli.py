@@ -216,6 +216,13 @@ def test_main_rejects_bad_documents(tmp_path, capsys):
     bad.write_text(json.dumps({"dvr": {"kind": "int-localized", "p": 4}, "n": 1,
                                "generators": [[["1"]]]}))
     assert main(["analyze", "--input", str(bad)]) == EXIT_INPUT_ERROR
+    # a 27-digit Mersenne prime is refused by its size, not by trial division
+    bad.write_text(json.dumps({"dvr": {"kind": "int-localized", "p": 2**89 - 1}, "n": 1,
+                               "generators": [[["1"]]]}))
+    started = time.perf_counter()
+    assert main(["analyze", "--input", str(bad)]) == EXIT_INPUT_ERROR
+    assert time.perf_counter() - started < 2.0
+    assert "below 2^64" in capsys.readouterr().err
     # an 11-byte exponent is refused before a coefficient list is allocated
     bad.write_text(json.dumps({"dvr": {"kind": "ratfunc-localized", "p": 5}, "n": 1,
                                "generators": [[["t^999999999"]]]}))

@@ -5,14 +5,11 @@ import pytest
 
 from dvrcert.groups import generate_group
 from dvrcert.linalg import RING_O, ExactMatrix, det, inverse
-from dvrcert.refbasis import (
-    diagonalizing_basis,
-    primitive_vector,
-    quotient_action,
-    unimodular_completion,
-)
+from dvrcert.refbasis import diagonalizing_basis, primitive_vector
+from dvrcert.scalars import DvrDescriptor
 
-from conftest import random_unimodular
+from conftest import random_unimodular, random_unit_int
+from oracles import diagonalizing_basis_recursive
 
 
 def test_primitive_vector_examples(z3):
@@ -24,30 +21,6 @@ def test_primitive_vector_examples(z3):
     assert primitive_vector(u, z3) == u
     with pytest.raises(ValueError):
         primitive_vector((z3.zero(), z3.zero()), z3)
-
-
-def test_unimodular_completion_first_column_and_det(z3):
-    w = (z3.from_int(3), z3.from_int(2), z3.from_int(6))
-    t = unimodular_completion(w, z3)
-    assert tuple(t.entry(i, 0) for i in range(3)) == w
-    assert z3.is_unit(det(t))
-
-
-@pytest.mark.parametrize("kind,p", [("int-localized", 3), ("ratfunc-localized", 5)])
-def test_unimodular_completion_random(kind, p):
-    from dvrcert.scalars import DvrDescriptor
-
-    descriptor = DvrDescriptor(kind, p)
-    rng = random.Random(p * 31)
-    for _ in range(50):
-        n = rng.randint(1, 4)
-        coords = [rng.randint(-6, 6) for _ in range(n)]
-        if all(c % p == 0 for c in coords):
-            coords[rng.randrange(n)] = 1
-        w = tuple(descriptor.from_int(c) for c in coords)
-        w = primitive_vector(w, descriptor)
-        t = unimodular_completion(w, descriptor)
-        assert descriptor.is_unit(det(t))
 
 
 def test_diagonalizing_basis_pinned_example(z3):
@@ -87,28 +60,6 @@ def test_diagonalizing_basis_rejects_non_reflections(z3, s2_z3):
         diagonalizing_basis(ExactMatrix.identity(RING_O, z3, 2), s2_z3)
 
 
-def test_quotient_action_examples(z5, z3):
-    # permutation (1 2) on three coordinates, quotient by the fixed last axis
-    swap3 = ExactMatrix.from_ints(RING_O, z5, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    e3 = (z5.zero(), z5.zero(), z5.one())
-    induced = quotient_action(swap3, e3)
-    assert induced == ExactMatrix.from_ints(RING_O, z5, [[0, 1], [1, 0]])
-
-    swap2 = ExactMatrix.from_ints(RING_O, z3, [[0, 1], [1, 0]])
-    w1 = (z3.one(), z3.one())
-    assert quotient_action(swap2, w1) == ExactMatrix.from_ints(RING_O, z3, [[-1]])
-
-    block = ExactMatrix.from_ints(RING_O, z3, [[1, 5, 7], [0, 0, 1], [0, 1, 0]])
-    e1 = (z3.one(), z3.zero(), z3.zero())
-    assert quotient_action(block, e1) == ExactMatrix.from_ints(RING_O, z3, [[0, 1], [1, 0]])
-
-
-def test_quotient_action_requires_fixed_vector(z3):
-    swap2 = ExactMatrix.from_ints(RING_O, z3, [[0, 1], [1, 0]])
-    with pytest.raises(ValueError):
-        quotient_action(swap2, (z3.one(), z3.from_int(-1)))
-
-
 def _check_basis(sigma, basis):
     n = sigma.rows
     for i, w in enumerate(basis.basis):
@@ -141,3 +92,74 @@ def test_diagonalizing_basis_under_conjugation(s3_z5):
         moved = t * sigma * inverse(t)
         basis = diagonalizing_basis(moved, s3_z5)
         _check_basis(moved, basis)
+
+
+def _random_primitive(desc, n, rng):
+    """A primitive vector of O^n whose entries are often in pi*O."""
+    pi = desc.uniformizer()
+    while True:
+        v = []
+        for _ in range(n):
+            x = desc.from_int(rng.randint(-3, 3)) + desc.from_int(rng.randint(-2, 2)) * pi
+            v.append(x * pi ** rng.choice((0, 0, 1)) / desc.from_int(random_unit_int(rng, desc.p)))
+        if any(v):
+            return primitive_vector(v, desc)
+
+
+def _random_reflection(desc, lam, n, rng):
+    """sigma = I + c*u*alpha^T with alpha^T u a unit and c = (lambda - 1) / (alpha^T u)."""
+    while True:
+        u, alpha = _random_primitive(desc, n, rng), _random_primitive(desc, n, rng)
+        dot = sum((x * y for x, y in zip(alpha, u)), desc.zero())
+        if desc.is_unit(dot):
+            break
+    c = (lam - desc.one()) / dot
+    rows = [
+        [(desc.one() if i == j else desc.zero()) + c * u[i] * alpha[j] for j in range(n)]
+        for i in range(n)
+    ]
+    return ExactMatrix(RING_O, desc, rows)
+
+
+def _branches(sigma, basis, desc, seen):
+    """Replay the closed form's index choices on the basis it returned."""
+    alpha = next(row for row in sigma.minus_identity().entries if any(row))
+    live = list(range(sigma.rows))
+    for w in basis[:-1]:
+        c = next(j for j in live if alpha[j])
+        f = next(j for j in live if j != c)
+        removed = next(j for j in live if desc.is_unit(w[j]))
+        if not desc.is_integral(alpha[f] / alpha[c]):
+            seen.add("shifted")
+        seen.add("removed c" if removed == c else "removed f")
+        live.remove(removed)
+
+
+def test_diagonalizing_basis_matches_the_quotient_recursion():
+    rng = random.Random(9)
+    # lambda of order 2, 4 and 6: -1 over Q, 2 in F_5 and 3 in F_7
+    cases = [
+        (DvrDescriptor("int-localized", 3), (-1,)),
+        (DvrDescriptor("int-localized", 5), (-1,)),
+        (DvrDescriptor("ratfunc-localized", 5), (-1, 2)),
+        (DvrDescriptor("ratfunc-localized", 7), (-1, 3)),
+    ]
+    seen, orders = set(), set()
+    for i in range(320):
+        desc, lams = cases[i % 4]
+        n = 1 + (i // 8) % 5
+        lam = desc.from_int(rng.choice(lams))
+        sigma = _random_reflection(desc, lam, n, rng)
+        if (i // 4) % 2:
+            t = random_unimodular(desc, n, rng)
+            sigma = t * sigma * inverse(t)
+        # the cyclic group of lambda's order supplies the order and the gate
+        basis = diagonalizing_basis(sigma, generate_group([ExactMatrix(RING_O, desc, [[lam]])]))
+        expected = tuple(diagonalizing_basis_recursive(sigma, lam))
+        assert basis.eigenvalue == lam
+        assert basis.basis == expected
+        assert basis.serialize()["vectors"] == [[str(x) for x in v] for v in expected]
+        orders.add(basis.order)
+        _branches(sigma, basis.basis, desc, seen)
+    assert orders == {2, 4, 6}
+    assert seen == {"shifted", "removed c", "removed f"}

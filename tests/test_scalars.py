@@ -1,6 +1,7 @@
 import operator
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -15,6 +16,7 @@ from dvrcert.ratfunc import MAX_T_DEGREE, FpPoly, RatFunc, parse_fp_poly
 from dvrcert.scalars import (
     DvrDescriptor,
     ResidueScalar,
+    _is_prime,
     invert_mod_group_order,
     parse_scalar,
 )
@@ -29,6 +31,15 @@ def test_descriptor_rejects_composite_p():
         DvrDescriptor("ratfunc-localized", 1)
     with pytest.raises(ValueError, match="kind"):
         DvrDescriptor("power-series", 3)
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime base up to 23
+    for n in (151 * 751 * 28351, 149491 * 747451 * 34233211):
+        with pytest.raises(ValueError, match="prime"):
+            DvrDescriptor("int-localized", n)
+    assert DvrDescriptor("int-localized", 2**61 - 1).p == 2**61 - 1
+    with pytest.raises(ValueError, match=r"below 2\^64"):
+        DvrDescriptor("ratfunc-localized", 2**89 - 1)
+    trial = [n for n in range(2, 10**4) if all(n % d for d in range(2, isqrt(n) + 1))]
+    assert [n for n in range(10**4) if _is_prime(n)] == trial
 
 
 def test_valuation_examples(z3, f5t):
