@@ -1,4 +1,4 @@
-"""Dense exact linear algebra over the DVR, its fraction field, and its residue field.
+"""Exact linear algebra over the DVR, its fraction field, and its residue field.
 
 A matrix holds plain values (see `scalars`) and records their ring once,
 for all entries: the ring tag "O" (the DVR), "K" (its fraction field) or
@@ -6,9 +6,13 @@ for all entries: the ring tag "O" (the DVR), "K" (its fraction field) or
 two once per operation.  The public constructor checks that the entries
 of an O-matrix lie in O; the results of arithmetic are built unchecked,
 since O, K and k are each closed under it.  Arithmetic is exact
-throughout.  One elimination engine, the incremental reduced row echelon
-form `RowEchelon`, gives rank, kernels and inverses over the two fields;
-determinants over all three rings use fraction-free (Bareiss) elimination.
+throughout.  Matrices are stored dense, but products and `apply` walk
+only the nonzero entries: each column of the right factor is listed once
+as its nonzero (index, value) pairs, and a term is formed only where both
+factors are nonzero.  One elimination engine, the incremental reduced row
+echelon form `RowEchelon`, gives rank, kernels and inverses over the two
+fields; determinants over all three rings use fraction-free (Bareiss)
+elimination.
 """
 from __future__ import annotations
 
@@ -43,6 +47,22 @@ def set_fields(obj, **fields):
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
     return obj
+
+
+def _nonzero_pairs(vector) -> list:
+    """The (index, value) pairs of a vector's nonzero entries."""
+    return [(i, v) for i, v in enumerate(vector) if v]
+
+
+def _sparse_dot(row, pairs, zero):
+    """The sum of row[i] * v over the pairs (i, v) where row[i] is nonzero too;
+    the ring's zero when there is no such term."""
+    acc = None
+    for i, v in pairs:
+        a = row[i]
+        if a:
+            acc = a * v if acc is None else acc + a * v
+    return zero if acc is None else acc
 
 
 class ExactMatrix:
@@ -138,15 +158,9 @@ class ExactMatrix:
         self._compat(other)
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        cols = list(zip(*other.entries))
-        return self._like([self._dot(row, col) for col in cols] for row in self.entries)
-
-    @staticmethod
-    def _dot(row, vector):
-        acc = row[0] * vector[0]
-        for a, v in zip(row[1:], vector[1:]):
-            acc = acc + a * v
-        return acc
+        zero = ring_zero(self.ring, self.descriptor)
+        cols = [_nonzero_pairs(col) for col in zip(*other.entries)]
+        return self._like([_sparse_dot(row, col, zero) for col in cols] for row in self.entries)
 
     def scale(self, scalar) -> ExactMatrix:
         """The matrix times a scalar of its own ring."""
@@ -162,7 +176,9 @@ class ExactMatrix:
         """Matrix-vector product (column-vector convention)."""
         if len(vector) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(self._dot(row, vector) for row in self.entries)
+        zero = ring_zero(self.ring, self.descriptor)
+        pairs = _nonzero_pairs(vector)
+        return tuple(_sparse_dot(row, pairs, zero) for row in self.entries)
 
     def minus_identity(self) -> ExactMatrix:
         """The matrix minus the identity: one subtracted on the diagonal only."""

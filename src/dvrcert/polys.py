@@ -425,6 +425,7 @@ def _char_series_denominator(g: ExactMatrix) -> tuple:
 
 
 def _series_inverse(denom: tuple, bound: int, zero, one) -> list:
+    """Coefficients of 1/denom to the bound, over the field of its values."""
     if not denom[0]:
         raise InternalCheckError("power series with zero constant term has no inverse")
     lead = denom[0]
@@ -436,6 +437,23 @@ def _series_inverse(denom: tuple, bound: int, zero, one) -> list:
             if denom[i]:
                 acc = acc + denom[i] * inv[m - i]
         inv[m] = -acc / lead
+    return inv
+
+
+def _integer_series_inverse(denom: tuple, bound: int) -> list[int]:
+    """Coefficients of 1/det(I - z g) to the bound, as ints, for g over Q.
+
+    g has finite order, so its eigenvalues are roots of unity: the
+    coefficients c_i of det(I - z g) are rational algebraic integers, that
+    is integers, and c_0 = det(I) = 1.  The inverse then has the integer
+    coefficients b_0 = 1, b_m = -sum_{i=1}^{min(m, n)} c_i b_{m-i}.
+    """
+    if denom[0] != 1 or any(c.denominator != 1 for c in denom):
+        raise InternalCheckError(f"det(I - z g) has coefficients {denom}, not integers from 1")
+    terms = [(i, c.numerator) for i, c in enumerate(denom) if i and c]
+    inv = [1] + [0] * bound
+    for m in range(1, bound + 1):
+        inv[m] = -sum(c * inv[m - i] for i, c in terms if i <= m)
     return inv
 
 
@@ -462,23 +480,39 @@ def molien_series(group: MatrixGroup, bound: int) -> MolienSeries:
 
     Elements with the same characteristic polynomial share the denominator,
     so each distinct one is inverted once and weighted by its multiplicity.
+    Over Q (the int kind) the sum is taken in Python ints: each
+    det(I - z g) = sum_i c_i z^i has integer c_i and c_0 = 1, so the
+    coefficients of its inverse are the integers b_m = -sum_i c_i b_{m-i}
+    (`_integer_series_inverse`).  The degree-m coefficient of the series is
+    then s_m / |G| with s_m = sum over the classes of count * b_m, and it is
+    accepted only when |G| divides s_m and s_m >= 0: the same exact test as
+    "a nonnegative integer in Q".  Over F_p(t) (the ratfunc kind) the
+    inverses are taken in the field by `_series_inverse`.
     """
     descriptor = group.descriptor
+    # also the gate: p must not divide |G|
     inv_order = invert_mod_group_order(group.order, descriptor)
+    multiplicity = Counter(_char_series_denominator(m) for m in group.over(RING_K))
+    if descriptor.kind == KIND_INT:
+        sums = [0] * (bound + 1)
+        for denom, count in multiplicity.items():
+            inv = _integer_series_inverse(denom, bound)
+            sums = [a + b * count for a, b in zip(sums, inv)]
+        coefficients = []
+        for s in sums:
+            c, r = divmod(s, group.order)
+            if r or c < 0:
+                raise InternalCheckError(f"non-integral Molien coefficient {s}/{group.order}")
+            coefficients.append(c)
+        return MolienSeries(bound, tuple(coefficients), False)
     zero = descriptor.zero()
     one = descriptor.one()
-    multiplicity = Counter(_char_series_denominator(m) for m in group.over(RING_K))
     total = [zero] * (bound + 1)
     for denom, count in multiplicity.items():
         inv = _series_inverse(denom, bound, zero, one)
         count = descriptor.from_int(count)
         total = [a + b * count for a, b in zip(total, inv)]
     total = [inv_order * a for a in total]
-    if descriptor.kind == KIND_INT:
-        for c in total:
-            if c.denominator != 1 or c < 0:
-                raise InternalCheckError(f"non-integral Molien coefficient {c}")
-        return MolienSeries(bound, tuple(map(int, total)), False)
     # characteristic p: each coefficient must land in the prime field
     for c in total:
         if c.num.degree > 0 or c.den.degree > 0:

@@ -1,18 +1,23 @@
 """Independent brute-force oracles for cross-checking the fast paths.
 
 Each oracle deliberately takes a different route from the implementation it
-checks: cofactor expansion against fraction-free elimination, minor
+checks: the textbook triple loop over every term, zeros included, against
+the matrix product and `apply` that form terms only where both factors are
+nonzero, cofactor expansion against fraction-free elimination, minor
 enumeration against Gaussian rank, powers of the variables' images against
 the degree-by-degree monomial recursion, full-group averaging against
 generator-kernel invariant bases, the full cocycle system on every
 group element against the generator-variable system, saturation under
 all pairwise products against a closure that stops at the generators,
 the textbook fraction formulas reduced by a full Euclid against the
-reduced-fraction arithmetic of `RatFunc`, and a recursion on quotient
-lattices against the closed-form diagonalizing basis.
+reduced-fraction arithmetic of `RatFunc`, a recursion on quotient
+lattices against the closed-form diagonalizing basis, and the field
+recurrence `_series_inverse` on each element's `Fraction` denominator
+against the integer Molien sum over the distinct ones.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, permutations
 
 from dvrcert.linalg import (
@@ -27,9 +32,24 @@ from dvrcert.linalg import (
     ring_one,
     ring_zero,
 )
-from dvrcert.polys import MultiPoly, monomials
+from dvrcert.polys import MultiPoly, _char_series_denominator, _series_inverse, monomials
 from dvrcert.refbasis import primitive_vector
 from dvrcert.scalars import invert_mod_group_order
+
+
+def matmul_dense(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """The product by the textbook triple loop: every term, zeros included."""
+    assert a.cols == b.rows
+    rows = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = ring_zero(a.ring, a.descriptor)
+            for k in range(a.cols):
+                acc = acc + a.entry(i, k) * b.entry(k, j)
+            row.append(acc)
+        rows.append(row)
+    return ExactMatrix(a.ring, a.descriptor, rows)
 
 
 def det_cofactor(m: ExactMatrix):
@@ -161,6 +181,17 @@ def invariant_dimension_bruteforce(group, degree: int, ring: str) -> int:
 def molien_coefficients_bruteforce(group, bound: int) -> list[int]:
     """Invariant dimensions per degree over K, by the averaging oracle."""
     return [invariant_dimension_bruteforce(group, d, RING_K) for d in range(bound + 1)]
+
+
+def molien_series_field(group, bound: int) -> list:
+    """(1/|G|) * sum over g of 1/det(I - z g) over Q, as Fractions: the field
+    recurrence on each element's own denominator, one element at a time."""
+    zero, one = Fraction(0), Fraction(1)
+    total = [zero] * (bound + 1)
+    for m in group.over(RING_K):
+        inv = _series_inverse(_char_series_denominator(m), bound, zero, one)
+        total = [a + b for a, b in zip(total, inv)]
+    return [a / group.order for a in total]
 
 
 def _h1_exact_degree_bruteforce(group, degree: int, ring: str) -> int:

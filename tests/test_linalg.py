@@ -15,11 +15,12 @@ from dvrcert.linalg import (
     matrix_order,
     rank_over_field,
     reduce_matrix,
+    ring_zero,
 )
 from dvrcert.polys import MultiPoly
-from dvrcert.scalars import DvrDescriptor
+from dvrcert.scalars import KIND_INT, KIND_RATFUNC, DvrDescriptor
 
-from oracles import det_cofactor, rank_by_minors
+from oracles import det_cofactor, matmul_dense, rank_by_minors
 
 
 def _swap(descriptor):
@@ -34,6 +35,98 @@ def test_matmul_examples(z3):
     assert swap * swap == ident
     rot = ExactMatrix.from_ints(RING_O, z3, [[0, -1], [1, 0]])
     assert rot * rot == ExactMatrix.from_ints(RING_O, z3, [[-1, 0], [0, -1]])
+
+
+def _random_entry(descriptor, ring, rng):
+    """Zero about half the time; otherwise a value of the ring, which over K
+    may have negative valuation and over O may have a unit denominator."""
+    if rng.random() < 0.5:
+        return ring_zero(ring, descriptor)
+    if ring == RING_RESIDUE:
+        return descriptor.residue(rng.randint(1, descriptor.p - 1))
+    u, from_int = descriptor.uniformizer(), descriptor.from_int
+    x = from_int(rng.choice((-3, -1, 1, 2, 4))) + from_int(rng.randint(-2, 2)) * u
+    if rng.random() < 0.5:
+        x = x / (from_int(1) + u)  # a unit of O
+    if ring == RING_K and rng.random() < 0.5:
+        x = x / u
+    return x
+
+
+def _random_sparse_matrix(descriptor, ring, rows, cols, rng):
+    """About half the entries zero, with one all-zero row and one all-zero column."""
+    zero_row, zero_col = rng.randrange(rows), rng.randrange(cols)
+    return ExactMatrix(ring, descriptor, [
+        [ring_zero(ring, descriptor) if i == zero_row or j == zero_col
+         else _random_entry(descriptor, ring, rng) for j in range(cols)]
+        for i in range(rows)
+    ])
+
+
+@pytest.mark.parametrize("kind", [KIND_INT, KIND_RATFUNC])
+@pytest.mark.parametrize("ring", [RING_O, RING_K, RING_RESIDUE])
+def test_product_and_apply_match_dense_oracle(kind, ring):
+    descriptor = DvrDescriptor(kind, 5)
+    rng = random.Random(f"{kind}-{ring}")
+    for _ in range(30):
+        r, m, c = (rng.randint(1, 5) for _ in range(3))
+        a = _random_sparse_matrix(descriptor, ring, r, m, rng)
+        b = _random_sparse_matrix(descriptor, ring, m, c, rng)
+        expected = matmul_dense(a, b)
+        assert a * b == expected
+        assert hash(a * b) == hash(expected)
+        for j in range(c):
+            column = tuple(b.entry(i, j) for i in range(m))
+            assert a.apply(column) == tuple(expected.entry(i, j) for i in range(r))
+
+
+@pytest.mark.parametrize("kind", [KIND_INT, KIND_RATFUNC])
+@pytest.mark.parametrize("ring", [RING_O, RING_K, RING_RESIDUE])
+def test_product_entry_whose_terms_cancel_is_the_ring_zero(kind, ring):
+    descriptor = DvrDescriptor(kind, 5)
+    rng = random.Random(7)
+    zero = ring_zero(ring, descriptor)
+    x, y = zero, zero
+    while not (x and y):
+        x, y = _random_entry(descriptor, ring, rng), _random_entry(descriptor, ring, rng)
+    # x*y + y*(-x): two nonzero terms that cancel
+    product = ExactMatrix(ring, descriptor, [[x, y]]) * ExactMatrix(ring, descriptor, [[y], [-x]])
+    assert product.entry(0, 0) == zero
+    assert hash(product.entry(0, 0)) == hash(zero)
+    assert product == matmul_dense(ExactMatrix(ring, descriptor, [[x, y]]),
+                                   ExactMatrix(ring, descriptor, [[y], [-x]]))
+    applied = ExactMatrix(ring, descriptor, [[x, y], [zero, zero]]).apply((y, -x))
+    assert applied == (zero, zero)
+    assert hash(applied) == hash((zero, zero))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_signed_permutation_product_multiplies_once_per_nonzero_entry(z5, n, monkeypatch):
+    # each factor has one nonzero entry per row and column, so only n of the
+    # n^3 terms of the textbook product have both factors nonzero
+    rng = random.Random(n)
+
+    def signed_permutation():
+        perm = list(range(n))
+        rng.shuffle(perm)
+        return ExactMatrix.from_ints(RING_O, z5, [
+            [rng.choice((-1, 1)) if perm[i] == j else 0 for j in range(n)] for i in range(n)
+        ])
+
+    a, b = signed_permutation(), signed_permutation()
+    expected = matmul_dense(a, b)
+    multiply = Fraction.__mul__
+    calls = []
+
+    def counted(x, y):
+        calls.append(1)
+        return multiply(x, y)
+
+    monkeypatch.setattr(Fraction, "__mul__", counted)
+    product = a * b
+    monkeypatch.undo()
+    assert product == expected
+    assert len(calls) == n
 
 
 def test_shape_and_ring_mismatches(z3, z5):

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from dvrcert.errors import HypothesisViolationError
-from dvrcert.groups import trivial_group
-from dvrcert.linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix
+from dvrcert.errors import HypothesisViolationError, InternalCheckError
+from dvrcert.groups import generate_group, trivial_group
+from dvrcert.linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix, inverse
 from dvrcert.polys import (
     MultiPoly,
     act,
@@ -19,12 +19,14 @@ from dvrcert.polys import (
     reynolds,
 )
 
+from conftest import random_unimodular
 from oracles import (
     act_bruteforce,
     action_matrix_bruteforce,
     det_cofactor,
     invariant_dimension_bruteforce,
     molien_coefficients_bruteforce,
+    molien_series_field,
 )
 
 
@@ -157,14 +159,14 @@ def test_molien_pinned_examples(s2_z3, s3_z5, z3):
 def test_molien_inverts_each_distinct_denominator_once(s3_z5, monkeypatch):
     # S_3 has three classes of characteristic polynomial: 1, 3 and 2 elements
     polys_module = sys.modules["dvrcert.polys"]
-    original = polys_module._series_inverse
+    original = polys_module._integer_series_inverse
     calls = []
 
     def counted(*args):
         calls.append(args[0])
         return original(*args)
 
-    monkeypatch.setattr(polys_module, "_series_inverse", counted)
+    monkeypatch.setattr(polys_module, "_integer_series_inverse", counted)
     assert molien_series(s3_z5, 6).coefficients == (1, 1, 2, 3, 4, 5, 7)
     assert len(calls) == 3
 
@@ -174,6 +176,57 @@ def test_molien_matches_bruteforce_dimensions(s2_z3, s3_z5, b2_z3):
         series = molien_series(group, 5)
         assert not series.mod_p
         assert list(series.coefficients) == molien_coefficients_bruteforce(group, 5)
+
+
+def _assert_integer_path_matches_field_path(group, bound):
+    from dvrcert.polys import _char_series_denominator, _integer_series_inverse, _series_inverse
+
+    for denom in {_char_series_denominator(m) for m in group.over(RING_K)}:
+        assert _integer_series_inverse(denom, bound) == _series_inverse(
+            denom, bound, Fraction(0), Fraction(1)
+        )
+    assert list(molien_series(group, bound).coefficients) == molien_series_field(group, bound)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_integer_molien_of_conjugated_groups_matches_field_recurrence(s3_z5, b2_z3, seed):
+    rng = random.Random(300 + seed)
+    for group in (s3_z5, b2_z3):
+        t = random_unimodular(group.descriptor, group.n, rng)
+        t_inv = inverse(t)
+        conjugated = generate_group([t * g * t_inv for g in group.generators],
+                                    descriptor=group.descriptor)
+        # the entries leave Z, but det(I - z g) only depends on g's
+        # eigenvalues, roots of unity: its coefficients stay integers
+        assert any(a.denominator != 1 for m in conjugated.elements for row in m.entries
+                   for a in row)
+        _assert_integer_path_matches_field_path(conjugated, 12)
+        assert molien_series(conjugated, 12) == molien_series(group, 12)
+        assert list(molien_series(conjugated, 4).coefficients) == (
+            molien_coefficients_bruteforce(conjugated, 4)
+        )
+
+
+def test_integer_molien_of_wb3_matches_field_recurrence(z5):
+    wb3 = generate_group([
+        ExactMatrix.from_ints(RING_O, z5, [[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+        ExactMatrix.from_ints(RING_O, z5, [[1, 0, 0], [0, 0, 1], [0, 1, 0]]),
+        ExactMatrix.from_ints(RING_O, z5, [[1, 0, 0], [0, 1, 0], [0, 0, -1]]),
+    ])
+    assert wb3.order == 48
+    _assert_integer_path_matches_field_path(wb3, 48)
+    # the fundamental degrees of W(B_3) are 2, 4 and 6
+    assert molien_series(wb3, 48).coefficients == hilbert_product_truncation((2, 4, 6), 48)
+
+
+def test_integer_series_inverse_refuses_a_non_integer_denominator():
+    from dvrcert.polys import _integer_series_inverse
+
+    with pytest.raises(InternalCheckError):
+        _integer_series_inverse((Fraction(1), Fraction(-1, 2)), 4)
+    with pytest.raises(InternalCheckError):
+        _integer_series_inverse((Fraction(2), Fraction(-1)), 4)
+    assert _integer_series_inverse((Fraction(1), Fraction(-1)), 4) == [1, 1, 1, 1, 1]
 
 
 def test_molien_ratfunc_is_mod_p(c4_f5t):
