@@ -32,8 +32,8 @@ from .linalg import (
     RING_O,
     RING_RESIDUE,
     RowEchelon,
+    add_multiple,
     ring_one,
-    ring_zero,
 )
 from .polys import (
     MolienSeries,
@@ -43,6 +43,7 @@ from .polys import (
     invariant_basis,
     molien_identity_failures,
     molien_series,
+    monomial_index,
     monomials,
     poly_matrix_det,
     reynolds,
@@ -74,15 +75,6 @@ class FundamentalInvariants:
             "degrees": list(self.degrees),
             "generators": [str(f) for f in self.generators],
         }
-
-
-def _poly_coefficients(f: MultiPoly, basis) -> list:
-    zero = ring_zero(f.ring, f.descriptor)
-    coeffs = [zero] * len(basis)
-    index = {e: i for i, e in enumerate(basis)}
-    for e, c in f.terms.items():
-        coeffs[index[e]] = c
-    return coeffs
 
 
 def _weighted_exponents(degrees, total):
@@ -121,7 +113,7 @@ class _SubalgebraTracker:
         return cache[k]
 
     def product_span(self, degree: int) -> RowEchelon:
-        basis = monomials(self.group.n, degree)
+        index = monomial_index(self.group.n, degree)
         span = RowEchelon()
         for exps in _weighted_exponents(tuple(self.degrees), degree):
             prod = MultiPoly.constant(
@@ -130,7 +122,7 @@ class _SubalgebraTracker:
             for i, k in enumerate(exps):
                 if k:
                     prod = prod * self._power(i, k)
-            span.add(_poly_coefficients(prod, basis))
+            span.add({index[e]: c for e, c in prod.terms.items()})
         return span
 
 
@@ -155,7 +147,7 @@ def fundamental_invariants(
     mismatches: list[str] = []
     for d in range(1, degree_bound + 1):
         inv = invariant_basis(group, d, ring)
-        basis = monomials(group.n, d)
+        basis, index = monomials(group.n, d), monomial_index(group.n, d)
         span = tracker.product_span(d)
         if span.rank > inv.dimension:
             raise InternalCheckError(
@@ -164,9 +156,8 @@ def fundamental_invariants(
         for candidate in inv.polys:
             if span.rank == inv.dimension:
                 break
-            reduced = span.reduce(_poly_coefficients(candidate, basis))
-            lead = next((i for i, a in enumerate(reduced) if a), None)
-            if lead is None:
+            reduced = span.reduce({index[e]: c for e, c in candidate.terms.items()})
+            if not reduced:
                 continue
             if len(tracker.generators) == n:
                 mismatches.append(
@@ -174,9 +165,10 @@ def fundamental_invariants(
                     f"{n} generators; the invariant ring is not free on them"
                 )
                 break
-            span.add(reduced)  # stored with a leading one at `lead`
+            span.add(reduced)  # stored with a leading one at its least column
             tracker.add_generator(MultiPoly._of(
-                ring, group.descriptor, group.n, dict(zip(basis, span.pivot_rows[lead]))), d)
+                ring, group.descriptor, group.n,
+                {basis[c]: a for c, a in span.pivot_rows[min(reduced)].items()}), d)
         if span.rank != inv.dimension and len(tracker.generators) == n:
             mismatches.append(
                 f"degree {d}: invariant dimension {inv.dimension} but only "
@@ -278,6 +270,11 @@ def _h1_exact_degree(group: MatrixGroup, degree: int, ring: str) -> int:
     divides |G|) reads every relation.  rho_d and the expression of an
     element are built when a relation first needs them, so a stop at
     element i builds them for the elements up to i alone.
+
+    Every matrix here is a list of sparse rows {column: nonzero value}:
+    rho_d as `element_action_matrix` gives it, the expression of an
+    element over the width = s * N generator columns, and each relation
+    row, which goes into the `RowEchelon` as it is.
     """
     s = len(group.closure_generators)
     if s == 0:
@@ -287,24 +284,22 @@ def _h1_exact_degree(group: MatrixGroup, degree: int, ring: str) -> int:
     # B^1 is the image of v -> (rho(g_i) v - v)_i, whose kernel is the
     # (memoised) invariant space, so dim B^1 = N - dim of the invariants
     dim_b1 = size - invariant_basis(group, degree, ring).dimension
-    zero = ring_zero(ring, group.descriptor)
-    rho: dict = {}  # element index -> rho_d
+    one = ring_one(ring, group.descriptor)
+    rho: dict = {}  # element index -> rho_d, as sparse rows
 
     def block_plus(expr_rows, elem_idx: int, gi: int):
         # rows of expr + rho(elem) placed in generator block gi
         if elem_idx not in rho:
             rho[elem_idx] = element_action_matrix(group, ring, elem_idx, degree)
-        out = [list(r) for r in expr_rows]
         base = gi * size
-        for row, ent in zip(out, rho[elem_idx].entries):
-            for c, v in enumerate(ent):
-                if v:
-                    row[base + c] = row[base + c] + v
+        out = [dict(r) for r in expr_rows]
+        for row, ent in zip(out, rho[elem_idx]):
+            add_multiple(row, one, {base + c: v for c, v in ent.items()})
         return out
 
     # expression[i]: the N x (s*N) matrix expressing c(element_i) in terms of
     # the generator values, built from its breadth-first parent's
-    expression = {0: [[zero] * width for _ in range(size)]}
+    expression = {0: [{} for _ in range(size)]}
 
     def express(i: int):
         # a parent comes no later than the element the loop is at, so is built
@@ -322,10 +317,9 @@ def _h1_exact_degree(group: MatrixGroup, degree: int, ring: str) -> int:
             target = group.index_of(group.elements[idx] * g)
             if group.bfs_parent(target) == (idx, gi):
                 continue  # tree edge: defines rather than constrains
-            lhs = block_plus(current, idx, gi)
-            rhs = express(target)
-            for r in range(size):
-                span.add([a - b for a, b in zip(lhs[r], rhs[r])])
+            for row, other in zip(block_plus(current, idx, gi), express(target)):
+                add_multiple(row, -one, other)
+                span.add(row)
     return width - span.rank - dim_b1
 
 

@@ -92,9 +92,6 @@ class MatrixGroup:
         """(parent index, closure-generator index) for element i; None for the identity."""
         return self._bfs_parent[i]
 
-    def element_order(self, i: int) -> int:
-        return matrix_order(self.elements[i], cap=self.order)
-
     def __repr__(self) -> str:
         return (
             f"MatrixGroup(n={self.n}, order={self.order}, "

@@ -6,13 +6,16 @@ for all entries: the ring tag "O" (the DVR), "K" (its fraction field) or
 two once per operation.  The public constructor checks that the entries
 of an O-matrix lie in O; the results of arithmetic are built unchecked,
 since O, K and k are each closed under it.  Arithmetic is exact
-throughout.  Matrices are stored dense, but products and `apply` walk
-only the nonzero entries: each column of the right factor is listed once
-as its nonzero (index, value) pairs, and a term is formed only where both
-factors are nonzero.  One elimination engine, the incremental reduced row
-echelon form `RowEchelon`, gives rank, kernels and inverses over the two
-fields; determinants over all three rings use fraction-free (Bareiss)
-elimination.
+throughout.  An `ExactMatrix` (a group element, n x n) is stored dense,
+but products and `apply` walk only the nonzero entries: each column of
+the right factor is listed once as its nonzero (index, value) pairs, and
+a term is formed only where both factors are nonzero.  Every linear
+system is solved by one engine on sparse rows, dicts {column: nonzero
+value}: the incremental reduced row echelon form `RowEchelon`, whose one
+row operation is `add_multiple`.  It gives rank, kernels and inverses
+over the two fields, and takes the rows of the degree-d action matrices,
+the product spans and the H^1 relations directly; determinants over all
+three rings use fraction-free (Bareiss) elimination.
 """
 from __future__ import annotations
 
@@ -169,9 +172,6 @@ class ExactMatrix:
     def __neg__(self) -> ExactMatrix:
         return self._like([-a for a in row] for row in self.entries)
 
-    def transpose(self) -> ExactMatrix:
-        return self._like(zip(*self.entries))
-
     def apply(self, vector):
         """Matrix-vector product (column-vector convention)."""
         if len(vector) != self.cols:
@@ -239,18 +239,33 @@ class KernelBasis:
 # -- elimination ---------------------------------------------------------------
 
 
+def add_multiple(row: dict, f, other: dict) -> None:
+    """row += f * other for sparse rows over a field, in place; f is nonzero,
+    and the entries that cancel are dropped."""
+    for c, b in other.items():
+        a = row.get(c)
+        if a is None:
+            row[c] = f * b
+        else:
+            a = a + f * b
+            if a:
+                row[c] = a
+            else:
+                del row[c]
+
+
 class RowEchelon:
     """Incremental reduced row echelon form of a row space over a field.
 
-    `pivot_rows` maps each pivot column to its row, whose entry there is one
-    and whose entries in the other pivot columns are zero.  A row space has
-    exactly one reduced echelon form, so the result does not depend on the
-    order in which rows are added.  Row operations skip zero entries.
+    A row is a dict {column: nonzero value}.  `pivot_rows` maps each pivot
+    column to its row, whose entry there is one and which has no entry in
+    the other pivot columns.  A row space has exactly one reduced echelon
+    form, so the result does not depend on the order in which rows are
+    added.
     """
 
     def __init__(self, rows=()):
-        self.pivot_rows: dict[int, list] = {}
-        self._one = None  # the field's one, from the first pivot
+        self.pivot_rows: dict[int, dict] = {}
         for row in rows:
             self.add(row)
 
@@ -258,41 +273,48 @@ class RowEchelon:
     def rank(self) -> int:
         return len(self.pivot_rows)
 
-    def reduce(self, row) -> list:
-        """The row minus its components along the pivot rows."""
-        row = list(row)
-        for col, pivot in self.pivot_rows.items():
-            f = row[col]
-            if f:
-                row = [a - f * b if b else a for a, b in zip(row, pivot)]
+    def reduce(self, row: dict) -> dict:
+        """A copy of the row minus its components along the pivot rows."""
+        row = dict(row)
+        pivots = self.pivot_rows
+        # a pivot row has no entry in the other pivot columns, so subtracting
+        # it changes none of the row's other pivot-column entries
+        for col in [c for c in row if c in pivots]:
+            add_multiple(row, -row[col], pivots[col])
         return row
 
-    def add(self, row) -> bool:
+    def add(self, row: dict) -> bool:
         """Reduce the row against the span; absorb and return True when independent."""
         row = self.reduce(row)
-        lead = next((i for i, a in enumerate(row) if a), None)
-        if lead is None:
+        if not row:
             return False
+        lead = min(row)
         inv = row[lead]
-        if self._one is None:
-            self._one = inv / inv
-        if inv != self._one:
-            row = [a / inv if a else a for a in row]
-        for col, pivot in self.pivot_rows.items():
-            f = pivot[lead]
-            if f:
-                self.pivot_rows[col] = [a - f * b if b else a for a, b in zip(pivot, row)]
+        if inv != inv / inv:
+            row = {c: a / inv for c, a in row.items()}
+        for pivot in self.pivot_rows.values():
+            f = pivot.get(lead)
+            if f is not None:
+                add_multiple(pivot, -f, row)
         self.pivot_rows[lead] = row
         return True
 
-    def contains(self, row) -> bool:
-        return not any(self.reduce(row))
+    def kernel(self, width: int, one) -> list[dict]:
+        """Basis of the vectors of length `width` that every row annihilates,
+        one per free column f: one at f, minus the pivot rows' entries at f in
+        the pivot columns."""
+        vectors = {f: {f: one} for f in range(width) if f not in self.pivot_rows}
+        for c, row in self.pivot_rows.items():
+            for f, a in row.items():
+                if f != c:
+                    vectors[f][c] = -a
+        return list(vectors.values())
 
 
 def _field_echelon(m: ExactMatrix) -> RowEchelon:
     if m.ring == RING_O:
         raise ValueError("rank/kernel are field operations; retag the matrix with to_field()")
-    return RowEchelon(m.entries)
+    return RowEchelon(dict(_nonzero_pairs(row)) for row in m.entries)
 
 
 def rank_over_field(m: ExactMatrix) -> int:
@@ -302,20 +324,11 @@ def rank_over_field(m: ExactMatrix) -> int:
 
 def kernel_over_field(m: ExactMatrix) -> KernelBasis:
     """Exact nullspace basis over K or k, one vector per free column."""
-    pivot_rows = _field_echelon(m).pivot_rows
-    n_cols = m.cols
     zero = ring_zero(m.ring, m.descriptor)
-    one = ring_one(m.ring, m.descriptor)
-    vectors = []
-    for free in range(n_cols):
-        if free in pivot_rows:
-            continue
-        v = [zero] * n_cols
-        v[free] = one
-        for c, row in pivot_rows.items():
-            v[c] = -row[free]
-        vectors.append(tuple(v))
-    return KernelBasis(tuple(vectors), n_cols)
+    vectors = _field_echelon(m).kernel(m.cols, ring_one(m.ring, m.descriptor))
+    return KernelBasis(
+        tuple(tuple(v.get(c, zero) for c in range(m.cols)) for v in vectors), m.cols
+    )
 
 
 def det(m: ExactMatrix):
@@ -371,12 +384,11 @@ def _inverse_field(m: ExactMatrix) -> ExactMatrix:
     zero = ring_zero(m.ring, m.descriptor)
     one = ring_one(m.ring, m.descriptor)
     pivot_rows = RowEchelon(
-        list(row) + [one if i == j else zero for j in range(n)]
-        for i, row in enumerate(m.entries)
+        {**dict(_nonzero_pairs(row)), n + i: one} for i, row in enumerate(m.entries)
     ).pivot_rows
     if any(c >= n for c in pivot_rows):
         raise NotInvertibleError("matrix is singular")
-    return m._like(pivot_rows[c][n:] for c in range(n))
+    return m._like([pivot_rows[c].get(n + j, zero) for j in range(n)] for c in range(n))
 
 
 def matrix_order(m: ExactMatrix, cap: int = DEFAULT_ORDER_CAP) -> int:

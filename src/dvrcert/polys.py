@@ -21,8 +21,8 @@ from .linalg import (
     RING_O,
     RING_RESIDUE,
     ExactMatrix,
-    KernelBasis,
-    kernel_over_field,
+    RowEchelon,
+    add_multiple,
     ring_from_int,
     ring_one,
     ring_zero,
@@ -44,6 +44,13 @@ def monomials(n: int, d: int) -> tuple[tuple[int, ...], ...]:
         for rest in monomials(n - 1, d - first):
             out.append((first,) + rest)
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def monomial_index(n: int, d: int) -> dict:
+    """The position of each exponent vector in `monomials(n, d)`; one dict
+    shared by every caller, so read-only."""
+    return {e: i for i, e in enumerate(monomials(n, d))}
 
 
 def monomial_sort_key(exp: tuple[int, ...]) -> tuple:
@@ -108,10 +115,6 @@ class MultiPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def total_degree(self) -> int:
-        """Largest term degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
 
     def is_homogeneous(self) -> bool:
         degrees = {sum(e) for e in self.terms}
@@ -193,17 +196,6 @@ class MultiPoly:
         reduce = self.descriptor.reduce
         return MultiPoly._of(
             RING_RESIDUE, self.descriptor, self.n, {e: reduce(c) for e, c in self.terms.items()}
-        )
-
-    def primitive_scaled(self) -> MultiPoly:
-        """Scale a nonzero K-polynomial by a uniformizer power into O, primitively."""
-        if self.is_zero():
-            raise ValueError("cannot primitivize the zero polynomial")
-        shift = min(map(self.descriptor.valuation, self.terms.values()))
-        # every coefficient then has valuation at least 0: it lies in O
-        factor = self.descriptor.uniformizer() ** (-shift)
-        return MultiPoly._of(
-            RING_O, self.descriptor, self.n, {e: c * factor for e, c in self.terms.items()}
         )
 
     # -- identity ----------------------------------------------------------------
@@ -315,8 +307,9 @@ def reynolds(group: MatrixGroup, f: MultiPoly) -> MultiPoly:
     return acc.scale(group.descriptor.reduce(inv_order) if f.ring == RING_RESIDUE else inv_order)
 
 
-def action_matrix(g: ExactMatrix, n: int, d: int, *, images: dict | None = None) -> ExactMatrix:
-    """Matrix of act(g, .) on the degree-d monomial basis (graded-lex coordinates).
+def action_matrix(g: ExactMatrix, n: int, d: int, *, images: dict | None = None) -> list[dict]:
+    """Matrix of act(g, .) on the degree-d monomial basis (graded-lex
+    coordinates), as its rows {column: nonzero entry}.
 
     Column e holds the coefficients of the image of X^e.  `images` is a
     store of g's monomial images, all of one degree (or empty), such as
@@ -333,16 +326,15 @@ def action_matrix(g: ExactMatrix, n: int, d: int, *, images: dict | None = None)
     columns = [_monomial_image(images, forms, e) for e in basis]
     images.clear()
     images.update(zip(basis, columns))
-    index = {e: i for i, e in enumerate(basis)}
-    zero = ring_zero(g.ring, g.descriptor)
-    rows = [[zero] * len(basis) for _ in basis]
+    index = monomial_index(n, d)
+    rows: list[dict] = [{} for _ in basis]
     for col, image in enumerate(columns):
         for e, c in image.items():
             rows[index[e]][col] = c
-    return g._like(rows)
+    return rows
 
 
-def element_action_matrix(group: MatrixGroup, ring: str, idx: int, d: int) -> ExactMatrix:
+def element_action_matrix(group: MatrixGroup, ring: str, idx: int, d: int) -> list[dict]:
     """rho_d of element idx over K or k, from the monomial images that
     `group.memo` keeps for it under ("images", ring, idx)."""
     images = group.memo.setdefault(("images", ring, idx), {})
@@ -379,27 +371,18 @@ def invariant_basis(group: MatrixGroup, d: int, ring: str) -> GradedBasis:
 
 
 def _invariant_basis(group: MatrixGroup, d: int, ring: str) -> GradedBasis:
-    basis = monomials(group.n, d)
-    size = len(basis)
-    rows = []
+    # the rows of rho_d(g) - I for each generator g; the trivial group has
+    # none, and its kernel is then every monomial
+    one = ring_one(ring, group.descriptor)
+    span = RowEchelon()
     for idx in map(group.index_of, group.closure_generators):
-        delta = element_action_matrix(group, ring, idx, d).minus_identity()
-        rows.extend(list(r) for r in delta.entries)
-    if rows:
-        kernel = kernel_over_field(ExactMatrix._of(ring, group.descriptor, rows))
-    else:
-        # trivial group: everything is invariant
-        one = ring_one(ring, group.descriptor)
-        zero = ring_zero(ring, group.descriptor)
-        kernel = KernelBasis(
-            tuple(
-                tuple(one if i == j else zero for j in range(size)) for i in range(size)
-            ),
-            size,
-        )
+        for r, row in enumerate(element_action_matrix(group, ring, idx, d)):
+            add_multiple(row, -one, {r: one})
+            span.add(row)
+    basis = monomials(group.n, d)
     polys = tuple(
-        MultiPoly._of(ring, group.descriptor, group.n, dict(zip(basis, vec)))
-        for vec in kernel.vectors
+        MultiPoly._of(ring, group.descriptor, group.n, {basis[c]: a for c, a in v.items()})
+        for v in span.kernel(len(basis), one)
     )
     return GradedBasis(d, polys)
 

@@ -53,9 +53,6 @@ class DiagonalizingBasis:
     def n(self) -> int:
         return len(self.basis)
 
-    def change_of_basis(self) -> ExactMatrix:
-        return ExactMatrix(RING_O, self.descriptor, [list(row) for row in zip(*self.basis)])
-
     def serialize(self) -> dict:
         return {
             "vectors": [[str(x) for x in v] for v in self.basis],

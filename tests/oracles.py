@@ -1,10 +1,12 @@
 """Independent brute-force oracles for cross-checking the fast paths.
 
 Each oracle deliberately takes a different route from the implementation it
-checks: the textbook triple loop over every term, zeros included, against
-the matrix product and `apply` that form terms only where both factors are
-nonzero, cofactor expansion against fraction-free elimination, minor
-enumeration against Gaussian rank, powers of the variables' images against
+checks: a dense echelon that rewrites whole rows, zeros included, against
+the sparse `RowEchelon` on dict rows (it is also the oracles' own
+elimination), the textbook triple loop over every term, zeros included,
+against the matrix product and `apply` that form terms only where both
+factors are nonzero, cofactor expansion against fraction-free elimination,
+minor enumeration against Gaussian rank, powers of the variables' images against
 the degree-by-degree monomial recursion, full-group averaging against
 generator-kernel invariant bases, the full cocycle system on every
 group element against the generator-variable system, saturation under
@@ -25,9 +27,9 @@ from dvrcert.linalg import (
     RING_O,
     RING_RESIDUE,
     ExactMatrix,
-    RowEchelon,
     inverse,
     kernel_over_field,
+    matrix_order,
     reduce_matrix,
     ring_one,
     ring_zero,
@@ -35,6 +37,103 @@ from dvrcert.linalg import (
 from dvrcert.polys import MultiPoly, _char_series_denominator, _series_inverse, monomials
 from dvrcert.refbasis import primitive_vector
 from dvrcert.scalars import invert_mod_group_order
+
+
+class DenseRowEchelon:
+    """Incremental reduced row echelon form on dense rows (lists) over a field.
+
+    Each new row is reduced against every pivot row in turn and the pivot
+    rows are rewritten in full, zeros included.
+    """
+
+    def __init__(self, rows=()):
+        self.pivot_rows: dict[int, list] = {}
+        for row in rows:
+            self.add(row)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivot_rows)
+
+    def reduce(self, row) -> list:
+        row = list(row)
+        for col, pivot in self.pivot_rows.items():
+            f = row[col]
+            if f:
+                row = [a - f * b for a, b in zip(row, pivot)]
+        return row
+
+    def add(self, row) -> bool:
+        row = self.reduce(row)
+        lead = next((i for i, a in enumerate(row) if a), None)
+        if lead is None:
+            return False
+        inv = row[lead]
+        row = [a / inv for a in row]
+        for col, pivot in self.pivot_rows.items():
+            f = pivot[lead]
+            if f:
+                self.pivot_rows[col] = [a - f * b for a, b in zip(pivot, row)]
+        self.pivot_rows[lead] = row
+        return True
+
+    def contains(self, row) -> bool:
+        return not any(self.reduce(row))
+
+    def kernel(self, width: int, zero, one) -> list[tuple]:
+        """One vector per free column f: one at f, minus the pivot rows' f-th
+        entries in the pivot columns, zero elsewhere."""
+        vectors = []
+        for free in range(width):
+            if free in self.pivot_rows:
+                continue
+            v = [zero] * width
+            v[free] = one
+            for c, row in self.pivot_rows.items():
+                v[c] = -row[free]
+            vectors.append(tuple(v))
+        return vectors
+
+
+def inverse_dense(m: ExactMatrix) -> ExactMatrix:
+    """Inverse over a field, by the dense echelon of [m | I]; None if singular."""
+    n = m.rows
+    zero, one = ring_zero(m.ring, m.descriptor), ring_one(m.ring, m.descriptor)
+    pivot_rows = DenseRowEchelon(
+        list(row) + [one if i == j else zero for j in range(n)]
+        for i, row in enumerate(m.entries)
+    ).pivot_rows
+    if any(c >= n for c in pivot_rows):
+        return None
+    return ExactMatrix(m.ring, m.descriptor, [pivot_rows[c][n:] for c in range(n)])
+
+
+def square_matrix(rows, g: ExactMatrix) -> ExactMatrix:
+    """Square sparse rows {column: nonzero value}, such as rho_d, as a dense
+    matrix over the ring of g; a stored zero fails."""
+    assert all(a for row in rows for a in row.values()), "a sparse row stores a zero"
+    zero = ring_zero(g.ring, g.descriptor)
+    return ExactMatrix(
+        g.ring, g.descriptor, [[row.get(c, zero) for c in range(len(rows))] for row in rows]
+    )
+
+
+def sparse_rows(rows) -> list[dict]:
+    """Dense rows as dicts of their nonzero entries."""
+    return [{c: a for c, a in enumerate(row) if a} for row in rows]
+
+
+def transpose(m: ExactMatrix) -> ExactMatrix:
+    return ExactMatrix(m.ring, m.descriptor, [list(col) for col in zip(*m.entries)])
+
+
+def element_order(group, i: int) -> int:
+    return matrix_order(group.elements[i], cap=group.order)
+
+
+def change_of_basis(basis) -> ExactMatrix:
+    """The O-matrix whose columns are the vectors of a DiagonalizingBasis."""
+    return ExactMatrix(RING_O, basis.descriptor, [list(row) for row in zip(*basis.basis)])
 
 
 def matmul_dense(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -162,7 +261,7 @@ def invariant_dimension_bruteforce(group, degree: int, ring: str) -> int:
     basis = monomials(group.n, degree)
     index = {e: i for i, e in enumerate(basis)}
     zero = ring_zero(ring, group.descriptor)
-    span = RowEchelon()
+    span = DenseRowEchelon()
     for e in basis:
         mono = MultiPoly.monomial(
             ring, group.descriptor, e, ring_one(ring, group.descriptor)
@@ -206,7 +305,7 @@ def _h1_exact_degree_bruteforce(group, degree: int, ring: str) -> int:
     order = group.order
     width = order * size
     zero = ring_zero(ring, group.descriptor)
-    span = RowEchelon()
+    span = DenseRowEchelon()
     for a in range(order):
         for b in range(order):
             c = group.index_of(group.elements[a] * group.elements[b])
@@ -222,7 +321,7 @@ def _h1_exact_degree_bruteforce(group, degree: int, ring: str) -> int:
                 span.add(row)
     dim_z1 = width - span.rank
 
-    cob = RowEchelon()
+    cob = DenseRowEchelon()
     for v in range(size):
         col = []
         for a in range(order):

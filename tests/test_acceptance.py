@@ -17,7 +17,7 @@ from dvrcert.polys import hilbert_product_truncation
 from dvrcert.refbasis import diagonalizing_basis, _scalar_order
 
 from conftest import random_unimodular
-from oracles import h1_bruteforce, invariant_dimension_bruteforce
+from oracles import change_of_basis, h1_bruteforce, invariant_dimension_bruteforce
 
 
 def _report(num: int, description: str, ok: bool):
@@ -109,7 +109,7 @@ def test_criterion_4_diagonalizing_basis_fuzz(s3_z5, b2_z3, c4_f5t):
                         else tuple(basis.eigenvalue * x for x in w)
                     )
                     assert image == expected
-                assert group.descriptor.is_unit(det(basis.change_of_basis()))
+                assert group.descriptor.is_unit(det(change_of_basis(basis)))
                 assert basis.eigenvalue == det(moved) == lam
                 assert basis.order == order
                 assert _scalar_order(basis.eigenvalue, order) == order

@@ -1,8 +1,10 @@
 import sys
 from collections import Counter
+from itertools import product
 
 import pytest
 
+from dvrcert.cli import EXIT_OK, parse_jobspec, run
 from dvrcert.errors import CertificateConditionError, DegreeBoundExhaustedError
 from dvrcert.certify import (
     FundamentalInvariants,
@@ -19,6 +21,60 @@ from dvrcert.polys import MultiPoly, act, action_matrix
 from dvrcert.scalars import DvrDescriptor
 
 from oracles import h1_bruteforce, invariant_dimension_bruteforce
+
+
+# -- four-variable reflection groups, full certificate ------------------------------
+
+
+def _matrix(n: int, entry) -> list:
+    """The n x n jobspec matrix whose (r, j) entry is entry(r, j)."""
+    return [[str(entry(r, j)) for j in range(n)] for r in range(n)]
+
+
+def _swap(n: int, i: int) -> list:
+    """The transposition (i, i+1) of the coordinates of O^n."""
+    image = {i: i + 1, i + 1: i}
+    return _matrix(n, lambda r, j: int(j == image.get(r, r)))
+
+
+def _weighted_count(degrees, m: int) -> int:
+    """Monomials of weighted degree m in variables of the given degrees: the
+    coefficient of z^m in prod_i 1/(1 - z^{d_i})."""
+    return sum(
+        1 for e in product(range(m + 1), repeat=len(degrees))
+        if sum(a * d for a, d in zip(e, degrees)) == m
+    )
+
+
+# W(B_4) = S_4 and the sign change of the last coordinate; S_4 alone.  Both
+# are reflection groups of order prime to 5, so over Z_(5) the invariants are
+# polynomial in degrees whose product is |G| and whose excess over 1 sums
+# to the number of reflections; H^1 vanishes since |G| is invertible.
+S4_SWAPS = [_swap(4, i) for i in range(3)]
+LAST_SIGN = _matrix(4, lambda r, j: (-1 if r == 3 else 1) * (r == j))  # diag(1, 1, 1, -1)
+FOUR_VARIABLE_GROUPS = {  # generators, fundamental degrees, reflection count
+    "wb4": (S4_SWAPS + [LAST_SIGN], (2, 4, 6, 8), 16),
+    "s4": (S4_SWAPS, (1, 2, 3, 4), 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOUR_VARIABLE_GROUPS))
+def test_four_variable_reflection_groups_are_certified_over_z5(name):
+    generators, degrees, reflections = FOUR_VARIABLE_GROUPS[name]
+    report, code = run(parse_jobspec({
+        "dvr": {"kind": "int-localized", "p": 5},
+        "n": 4,
+        "generators": generators,
+        "degree_bound": 8,
+        "checks": ["certify"],
+    }))
+    hilbert = [_weighted_count(degrees, m) for m in range(9)]
+    assert (report["verdict"], code) == ("certified", EXIT_OK)
+    assert len(report["reflections"]) == reflections
+    assert report["fundamental_degrees_K"] == report["fundamental_degrees_k"] == list(degrees)
+    assert report["graded_table"] == [[d, c, c] for d, c in enumerate(hilbert)]
+    assert report["molien"] == [str(c) for c in hilbert]
+    assert report["h1"] == [[d, 0, 0] for d in range(6)]
 
 
 # -- fundamental invariants -------------------------------------------------------

@@ -9,18 +9,28 @@ from dvrcert.linalg import (
     RING_O,
     RING_RESIDUE,
     ExactMatrix,
+    RowEchelon,
     det,
     inverse,
     kernel_over_field,
     matrix_order,
     rank_over_field,
     reduce_matrix,
+    ring_one,
     ring_zero,
 )
 from dvrcert.polys import MultiPoly
 from dvrcert.scalars import KIND_INT, KIND_RATFUNC, DvrDescriptor
 
-from oracles import det_cofactor, matmul_dense, rank_by_minors
+from oracles import (
+    DenseRowEchelon,
+    det_cofactor,
+    inverse_dense,
+    matmul_dense,
+    rank_by_minors,
+    sparse_rows,
+    transpose,
+)
 
 
 def _swap(descriptor):
@@ -37,10 +47,10 @@ def test_matmul_examples(z3):
     assert rot * rot == ExactMatrix.from_ints(RING_O, z3, [[-1, 0], [0, -1]])
 
 
-def _random_entry(descriptor, ring, rng):
-    """Zero about half the time; otherwise a value of the ring, which over K
-    may have negative valuation and over O may have a unit denominator."""
-    if rng.random() < 0.5:
+def _random_entry(descriptor, ring, rng, zeros=0.5):
+    """Zero with probability `zeros`; otherwise a value of the ring, which
+    over K may have negative valuation and over O a unit denominator."""
+    if rng.random() < zeros:
         return ring_zero(ring, descriptor)
     if ring == RING_RESIDUE:
         return descriptor.residue(rng.randint(1, descriptor.p - 1))
@@ -53,12 +63,13 @@ def _random_entry(descriptor, ring, rng):
     return x
 
 
-def _random_sparse_matrix(descriptor, ring, rows, cols, rng):
-    """About half the entries zero, with one all-zero row and one all-zero column."""
+def _random_sparse_matrix(descriptor, ring, rows, cols, rng, zeros=0.5):
+    """A share `zeros` of the entries zero, with one all-zero row and one
+    all-zero column."""
     zero_row, zero_col = rng.randrange(rows), rng.randrange(cols)
     return ExactMatrix(ring, descriptor, [
         [ring_zero(ring, descriptor) if i == zero_row or j == zero_col
-         else _random_entry(descriptor, ring, rng) for j in range(cols)]
+         else _random_entry(descriptor, ring, rng, zeros) for j in range(cols)]
         for i in range(rows)
     ])
 
@@ -127,6 +138,46 @@ def test_signed_permutation_product_multiplies_once_per_nonzero_entry(z5, n, mon
     monkeypatch.undo()
     assert product == expected
     assert len(calls) == n
+
+
+@pytest.mark.parametrize("kind", [KIND_INT, KIND_RATFUNC])
+@pytest.mark.parametrize("ring", [RING_O, RING_K, RING_RESIDUE])
+def test_sparse_echelon_matches_the_dense_oracle(kind, ring):
+    # over O the matrices are retagged to K, where elimination happens
+    descriptor = DvrDescriptor(kind, 5)
+    field = RING_K if ring == RING_O else ring
+    zero, one = ring_zero(field, descriptor), ring_one(field, descriptor)
+    rng = random.Random(f"echelon-{kind}-{ring}")
+    for trial in range(40):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        # sparse and dense matrices alike have one zero row and one zero column
+        m = _random_sparse_matrix(descriptor, ring, r, c, rng, 0.5 if trial % 2 else 0.0)
+        entries = [list(row) for row in m.to_field().entries]
+        if r > 2:  # a dependent row: the sum of two others
+            entries[rng.randrange(r)] = [a + b for a, b in zip(entries[0], entries[1])]
+        m = ExactMatrix(field, descriptor, entries)
+        dense = DenseRowEchelon(entries)
+        sparse = RowEchelon(sparse_rows(entries))
+        assert sparse.rank == rank_over_field(m) == dense.rank
+        assert sparse.pivot_rows == {
+            col: row for col, row in zip(dense.pivot_rows, sparse_rows(dense.pivot_rows.values()))
+        }
+        assert kernel_over_field(m).vectors == tuple(dense.kernel(c, zero, one))
+        # the reduced echelon form ignores the order in which rows come
+        shuffled = sparse_rows(entries)
+        rng.shuffle(shuffled)
+        assert RowEchelon(shuffled).pivot_rows == sparse.pivot_rows
+        # inverses, of square matrices without a zero line
+        n, zeros = rng.randint(1, 4), 0.5 if trial % 2 else 0.1
+        sq = ExactMatrix(field, descriptor, [
+            [_random_entry(descriptor, ring, rng, zeros) for _ in range(n)] for _ in range(n)
+        ])
+        expected = inverse_dense(sq)
+        if expected is None:
+            with pytest.raises(NotInvertibleError):
+                inverse(sq)
+        else:
+            assert inverse(sq) == expected
 
 
 def test_shape_and_ring_mismatches(z3, z5):
@@ -292,5 +343,5 @@ def test_scale_add_neg_transpose(z3):
     m = ExactMatrix.from_ints(RING_O, z3, [[1, 2], [3, 4]])
     assert m.scale(z3.from_int(2)) == ExactMatrix.from_ints(RING_O, z3, [[2, 4], [6, 8]])
     assert m + (-m) == ExactMatrix.from_ints(RING_O, z3, [[0, 0], [0, 0]])
-    assert m.transpose() == ExactMatrix.from_ints(RING_O, z3, [[1, 3], [2, 4]])
+    assert transpose(m) == ExactMatrix.from_ints(RING_O, z3, [[1, 3], [2, 4]])
     assert m.serialize() == [["1", "2"], ["3", "4"]]

@@ -21,12 +21,14 @@ from dvrcert.polys import (
 
 from conftest import random_unimodular
 from oracles import (
+    DenseRowEchelon,
     act_bruteforce,
     action_matrix_bruteforce,
     det_cofactor,
     invariant_dimension_bruteforce,
     molien_coefficients_bruteforce,
     molien_series_field,
+    square_matrix,
 )
 
 
@@ -91,12 +93,14 @@ def test_act_and_action_matrix_match_the_power_oracle(s3_z5, b2_f5t_twisted):
                 assert act(g, f) == act_bruteforce(g, f)
                 assert act(g, zero) == zero
                 for d in range(4):
-                    assert action_matrix(g, n, d) == action_matrix_bruteforce(g, n, d)
+                    assert square_matrix(action_matrix(g, n, d), g) == (
+                        action_matrix_bruteforce(g, n, d)
+                    )
             # the memoised images step up, and a lower degree is rebuilt
             idx = group.order - 1
             g = group.over(ring)[idx]
             for d in (2, 3, 1, 4, 0, 4):
-                assert element_action_matrix(group, ring, idx, d) == (
+                assert square_matrix(element_action_matrix(group, ring, idx, d), g) == (
                     action_matrix_bruteforce(g, n, d)
                 )
             assert {sum(e) for e in group.memo["images", ring, idx]} == {4}
@@ -137,7 +141,7 @@ def test_invariant_basis_examples(s2_z3, z3):
     assert invariant_basis(s2_z3, 0, RING_K).dimension == 1
     for poly in invariant_basis(s2_z3, 2, RING_K).polys:
         assert poly.is_homogeneous()
-        assert poly.total_degree() == 2
+        assert {sum(e) for e in poly.terms} == {2}
 
 
 def test_invariant_basis_matches_bruteforce(s2_z3, s3_z5, b2_z3, c4_f5t):
@@ -273,7 +277,7 @@ def test_reynolds_is_idempotent_projection(s3_z5):
 
 
 def test_reynolds_span_equals_invariant_basis_span(s2_z3, b2_z3):
-    from dvrcert.linalg import RowEchelon, ring_zero
+    from dvrcert.linalg import ring_zero
 
     for group, degree in ((s2_z3, 3), (b2_z3, 4)):
         basis = monomials(group.n, degree)
@@ -286,7 +290,7 @@ def test_reynolds_span_equals_invariant_basis_span(s2_z3, b2_z3):
                 row[index[e]] = c
             return row
 
-        averaged = RowEchelon()
+        averaged = DenseRowEchelon()
         for e in basis:
             mono = MultiPoly.monomial(RING_K, group.descriptor, e, group.descriptor.one())
             averaged.add(coefficient_row(reynolds(group, mono)))
@@ -299,22 +303,11 @@ def test_reynolds_span_equals_invariant_basis_span(s2_z3, b2_z3):
 def test_action_matrix_respects_composition(s3_z5):
     a = s3_z5.elements[1].to_field()
     b = s3_z5.elements[2].to_field()
-    assert action_matrix(a * b, 3, 2) == action_matrix(a, 3, 2) * action_matrix(b, 3, 2)
+    rho = [square_matrix(action_matrix(g, 3, 2), g) for g in (a * b, a, b)]
+    assert rho[0] == rho[1] * rho[2]
 
 
 def test_poly_serialization_is_graded_lex(z3):
     x1, x2 = _x(z3, 2, 0), _x(z3, 2, 1)
     f = x2 * x2 + x1 * x2 + x1 + MultiPoly.constant(RING_K, z3, 2, z3.from_int(7))
     assert str(f) == "7 + 1 * X1^1 + 1 * X1^1*X2^1 + 1 * X2^2"
-
-
-def test_primitive_scaled_moves_k_polys_into_the_ring(z3):
-    x1 = _x(z3, 2, 0)
-    third = Fraction(1, 3)
-    f = x1.scale(third) + _x(z3, 2, 1).scale(Fraction(2, 3))
-    scaled = f.primitive_scaled()
-    assert scaled.ring == RING_O
-    assert min(map(z3.valuation, scaled.terms.values())) == 0
-    already = (x1 + _x(z3, 2, 1)).primitive_scaled()
-    assert already.ring == RING_O
-    assert already.terms == (x1 + _x(z3, 2, 1)).terms
