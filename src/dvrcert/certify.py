@@ -275,6 +275,17 @@ def _h1_exact_degree(group: MatrixGroup, degree: int, ring: str) -> int:
     rho_d as `element_action_matrix` gives it, the expression of an
     element over the width = s * N generator columns, and each relation
     row, which goes into the `RowEchelon` as it is.
+
+    The piece over K is at most the piece over k.  The relations over k are
+    those over O reduced mod pi: the same breadth-first tree, the same
+    element indices, and rho_d of each reduced element (`MatrixGroup.over`
+    reduces entrywise).  A rank can only drop under reduction, so
+    dim Z^1_K <= dim Z^1_k; for the same reason the stacked rho_d(g_i) - I
+    has rank over K at least its rank over k, so dim inv_K <= dim inv_k
+    and dim B^1_K >= dim B^1_k.  Hence dim H^1_K <= dim H^1_k, which
+    `h1_dimension` uses to skip K wherever the k piece is 0.  When |G| is a
+    unit both pieces are 0 anyway (|G| kills H^1), so this value is an
+    exact cross-check of that theorem.
     """
     s = len(group.closure_generators)
     if s == 0:
@@ -330,13 +341,29 @@ def h1_dimension(group: MatrixGroup, degree: int, ring: str) -> int:
     dimension is the sum of the per-degree contributions.  Whenever the
     group order is invertible in the field this is zero; the interesting
     (nonzero) values appear exactly when the order is divisible by the
-    characteristic.  Each contribution is computed once per group and kept
-    in `group.memo`, so a table over d = 0, 1, ... is a prefix sum.
+    characteristic.  Past the hypothesis gate |G| is a unit of O, so it is
+    a unit of K and of k, and since |G| kills H^1 every piece is 0: there
+    the table is an exact cross-check of a theorem, not a proof obligation.
+
+    Each contribution is computed once per group and kept in `group.memo`,
+    so a table over d = 0, 1, ... is a prefix sum.  The k piece of a degree
+    comes first, because it bounds the K piece (see `_h1_exact_degree`):
+    a zero k piece makes the K piece 0 with no elimination over K, so K is
+    solved only where the k piece is nonzero, and there a K piece above it
+    raises `InternalCheckError`.
     """
     memo = group.memo
     for e in range(degree + 1):
-        if ("h1", e, ring) not in memo:
-            memo["h1", e, ring] = _h1_exact_degree(group, e, ring)
+        if ("h1", e, RING_RESIDUE) not in memo:
+            memo["h1", e, RING_RESIDUE] = _h1_exact_degree(group, e, RING_RESIDUE)
+        if ring == RING_K and ("h1", e, RING_K) not in memo:
+            bound = memo["h1", e, RING_RESIDUE]
+            piece = _h1_exact_degree(group, e, RING_K) if bound else 0
+            if piece > bound:
+                raise InternalCheckError(
+                    f"H^1 piece of degree {e} is {piece} over K but {bound} over k"
+                )
+            memo["h1", e, RING_K] = piece
     return sum(memo["h1", e, ring] for e in range(degree + 1))
 
 

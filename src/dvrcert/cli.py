@@ -332,7 +332,7 @@ def render_text(report: dict) -> str:
         ("graded_ok", "graded dimensions match"),
         ("molien_vs_dimensions_ok", "Molien matches dimensions"),
         ("molien_vs_hilbert_ok", "Molien matches degree product"),
-        ("h1_ok", "low-degree cohomology vanishes"),
+        ("h1_ok", "low-degree H^1 vanishes (exact cross-check; K piece <= k piece)"),
         ("lift_verified", "lifts verified"),
     ):
         if key in report and report[key] is not None:

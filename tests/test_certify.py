@@ -5,7 +5,11 @@ from itertools import product
 import pytest
 
 from dvrcert.cli import EXIT_OK, parse_jobspec, run
-from dvrcert.errors import CertificateConditionError, DegreeBoundExhaustedError
+from dvrcert.errors import (
+    CertificateConditionError,
+    DegreeBoundExhaustedError,
+    InternalCheckError,
+)
 from dvrcert.certify import (
     FundamentalInvariants,
     certify,
@@ -20,7 +24,7 @@ from dvrcert.linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix, inverse
 from dvrcert.polys import MultiPoly, act, action_matrix
 from dvrcert.scalars import DvrDescriptor
 
-from oracles import h1_bruteforce, invariant_dimension_bruteforce
+from oracles import _h1_exact_degree_bruteforce, h1_bruteforce, invariant_dimension_bruteforce
 
 
 # -- four-variable reflection groups, full certificate ------------------------------
@@ -233,21 +237,75 @@ def test_h1_stops_once_the_cocycles_are_coboundaries(z5, monkeypatch):
     assert s4.order == 24
     for ring in (RING_K, RING_RESIDUE):
         assert h1_dimension(s4, 3, ring) == 0
-    # the invariant bases' generator matrices included
-    assert sorted(built) == [(d, ring) for d in range(4) for ring in (RING_K, RING_RESIDUE)]
+    # the invariant bases' generator matrices included; the k pieces are 0,
+    # so nothing is built over K
+    assert sorted(built) == [(d, RING_RESIDUE) for d in range(4)]
+    assert not any(ring == RING_K for _, ring in built)
     assert max(built.values()) < s4.order, built
+
+
+def _transvection_f3t():
+    """<[[1, 1], [0, 1]]> over F_3(t): |G| = 3 = p, and K = F_3(t) has
+    characteristic 3 too, so H^1 over K need not vanish: its pieces for
+    d = 0..3 are 1, 1, 0, 1."""
+    f3t = DvrDescriptor("ratfunc-localized", 3)
+    return generate_group([ExactMatrix.from_ints(RING_O, f3t, [[1, 1], [0, 1]])])
+
+
+def test_h1_over_K_is_read_off_the_residue_piece(
+    s2_z3, b2_z3, c4_f5t, s3_z5, b2_f5t_twisted, s2_z2, monkeypatch
+):
+    transvection = _transvection_f3t()
+    assert transvection.order == 3
+    # (a) the bound dim H^1_K <= dim H^1_k, piece by piece, by the oracle
+    for group in (s2_z3, b2_z3, c4_f5t, s3_z5, b2_f5t_twisted, s2_z2, transvection):
+        for d in range(4):
+            assert (_h1_exact_degree_bruteforce(group, d, RING_K)
+                    <= _h1_exact_degree_bruteforce(group, d, RING_RESIDUE))
+    assert [_h1_exact_degree_bruteforce(transvection, d, RING_K) for d in range(3)] == [1, 1, 0]
+
+    certify_module = sys.modules["dvrcert.certify"]
+    solved = []
+
+    def counted(group, degree, ring, _original=certify_module._h1_exact_degree):
+        solved.append(ring)
+        return _original(group, degree, ring)
+
+    monkeypatch.setattr(certify_module, "_h1_exact_degree", counted)
+    # (b) a certified job solves nothing over K
+    for group, bound in ((generate_group(b2_z3.generators), 8),
+                         (generate_group(b2_f5t_twisted.generators), 4)):
+        assert certify(group, bound).verdict == "certified"
+    assert solved and RING_K not in solved
+    # (c) a nonzero k piece still solves over K, and exactly
+    for group in (generate_group(s2_z2.generators), _transvection_f3t()):
+        solved.clear()
+        for d in range(4):
+            assert h1_dimension(group, d, RING_K) == h1_bruteforce(group, d, RING_K)
+        assert RING_K in solved
+
+
+def test_h1_over_K_above_the_residue_piece_is_an_internal_error(s3_z5, monkeypatch):
+    certify_module = sys.modules["dvrcert.certify"]
+    pieces = {RING_K: 2, RING_RESIDUE: 1}
+    monkeypatch.setattr(
+        certify_module, "_h1_exact_degree", lambda group, degree, ring: pieces[ring]
+    )
+    with pytest.raises(InternalCheckError, match="degree 0 is 2 over K but 1 over k"):
+        h1_dimension(generate_group(s3_z5.generators), 0, RING_K)
 
 
 def test_h1_note_names_the_failing_degrees(s3_z5, monkeypatch):
     certify_module = sys.modules["dvrcert.certify"]
     fresh = generate_group(s3_z5.generators)
-    nonzero = {(2, RING_RESIDUE): 1, (3, RING_K): 2, (3, RING_RESIDUE): 1}
+    # each K piece at most its k piece, as `h1_dimension` checks
+    nonzero = {(2, RING_RESIDUE): 1, (3, RING_K): 2, (3, RING_RESIDUE): 2}
     monkeypatch.setattr(
         certify_module, "_h1_exact_degree",
         lambda group, degree, ring: nonzero.get((degree, ring), 0),
     )
     cert = certify(fresh, 4, ["h1"])
-    assert cert.h1_table == ((0, 0, 0), (1, 0, 0), (2, 0, 1), (3, 2, 2), (4, 2, 2))
+    assert cert.h1_table == ((0, 0, 0), (1, 0, 0), (2, 0, 1), (3, 2, 3), (4, 2, 3))
     assert cert.h1_ok is False
     assert cert.notes == (
         "nonzero first cohomology in degree 2 over k, degree 3 over K, degree 3 over k",
@@ -298,12 +356,13 @@ def test_per_degree_quantities_are_computed_once_per_group(z3, monkeypatch):
     ])
     assert certify(b2, 8).verdict == "certified"
     assert len(computed) == len(set(computed))
-    # bases: degrees 0..8 over K and k; H^1: degrees 0..5 over K and k
-    assert len(computed) == 2 * 9 + 2 * 6
+    # bases: degrees 0..8 over K and k; H^1: degrees 0..5 over k only, since
+    # a zero k piece bounds the K piece to 0 and |G| = 8 is a unit mod 3
+    assert len(computed) == 2 * 9 + 6
     # every element is reduced to the residue field once, by all stages together
     assert sorted(map(b2.index_of, reduced)) == list(range(b2.order))
     assert certify(b2, 8, ["invariants", "graded", "h1"]).verdict == "complete"
-    assert len(computed) == 2 * 9 + 2 * 6
+    assert len(computed) == 2 * 9 + 6
     assert len(reduced) == b2.order
 
 
