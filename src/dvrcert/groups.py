@@ -3,12 +3,19 @@
 A pseudo-reflection here is an invertible matrix of finite order whose
 difference from the identity has rank one over K (or k, for a reduced image):
 it fixes a hyperplane pointwise and scales a complementary line by its
-determinant.  Reflections generate G (or its image over k) exactly when their
-closure reaches G's own generators; `_generated_by` alone decides this.
+determinant.  The rank is tested by cross-multiplication (`has_rank_one`),
+with no division.  Reflections generate G (or its image over k) exactly when
+their closure reaches G's own generators; `_generated_by` alone decides this.
+
+For the int kind the closure that enumerates G runs on `IntMatrix` forms
+A / D, so its products, hashes and membership tests are integer work; the
+ratfunc kind closes the `ExactMatrix` values.  Both run the one `_closure`,
+so the elements and their breadth-first parents do not depend on the form.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import ClosureCapExceededError, NotInvertibleError
 from .linalg import (
@@ -16,12 +23,13 @@ from .linalg import (
     RING_O,
     RING_RESIDUE,
     ExactMatrix,
+    IntMatrix,
     det,
+    has_rank_one,
     matrix_order,
-    rank_over_field,
     reduce_matrix,
 )
-from .scalars import DvrDescriptor, invert_mod_group_order
+from .scalars import KIND_INT, DvrDescriptor, invert_mod_group_order
 
 DEFAULT_CLOSURE_CAP = 20000
 
@@ -83,6 +91,15 @@ class MatrixGroup:
             self.memo[key] = tuple(convert(m) for m in self.elements)
         return self.memo[key]
 
+    def integer_forms(self) -> tuple:
+        """The int kind's elements as `IntMatrix` forms, in the order of
+        `elements`: the closure's own, or built once; kept in `memo` under
+        ("elements", "int")."""
+        key = ("elements", "int")
+        if key not in self.memo:
+            self.memo[key] = tuple(map(IntMatrix.from_matrix, self.elements))
+        return self.memo[key]
+
     def generators_over(self, ring: str) -> list:
         """The closure generators over O, K or k, taken from `over(ring)`."""
         elements = self.over(ring)
@@ -107,7 +124,11 @@ def generate_group(
     """Breadth-first closure of the generators under multiplication.
 
     Every generator must be invertible over O (unit determinant); the
-    closure aborts once more than `cap` elements appear.
+    closure aborts once more than `cap` elements appear.  For the int kind
+    it runs on the `IntMatrix` forms of the generators, so that products,
+    hashing and membership are integer work, and the elements are turned
+    back into `ExactMatrix` once at the end; the forms stay in `memo` for
+    `integer_forms`.  The ratfunc kind closes the `ExactMatrix` values.
     """
     generators = list(generators)
     if descriptor is None:
@@ -132,8 +153,35 @@ def generate_group(
 
     closure_gens = sorted(set(generators), key=ExactMatrix.sort_key)
     ident = ExactMatrix.identity(RING_O, descriptor, n)
-    elements, parents = zip(*_closure(ident, closure_gens, cap))
-    return MatrixGroup(descriptor, n, generators, closure_gens, elements, parents)
+    if descriptor.kind != KIND_INT:
+        elements, parents = zip(*_closure(ident, closure_gens, cap))
+        return MatrixGroup(descriptor, n, generators, closure_gens, elements, parents)
+    forms, parents = zip(*_closure(
+        IntMatrix.from_matrix(ident), list(map(IntMatrix.from_matrix, closure_gens)), cap
+    ))
+    group = MatrixGroup(descriptor, n, generators, closure_gens,
+                        _exact_elements(forms, descriptor), parents)
+    group.memo["elements", "int"] = forms
+    return group
+
+
+def _exact_elements(forms, descriptor: DvrDescriptor) -> list:
+    """The `IntMatrix` forms as O-matrices, with one shared `Fraction` per
+    distinct value."""
+    by_pair: dict = {}  # (numerator, denominator) -> Fraction
+    by_value: dict = {}  # Fraction -> the one object kept for that value
+
+    def value(a: int, den: int) -> Fraction:
+        v = by_pair.get((a, den))
+        if v is None:
+            v = Fraction(a, den)
+            v = by_pair[a, den] = by_value.setdefault(v, v)
+        return v
+
+    return [
+        ExactMatrix._of(RING_O, descriptor, [[value(a, f.den) for a in row] for row in f.rows])
+        for f in forms
+    ]
 
 
 def _closure(identity, generators, cap: int):
@@ -186,10 +234,12 @@ def trivial_group(descriptor: DvrDescriptor, n: int) -> MatrixGroup:
 def reflection_data(m: ExactMatrix, cap: int = DEFAULT_ORDER_CAP):
     """(eigenvalue, order) when m is a pseudo-reflection, else None.
 
-    The nontrivial eigenvalue equals det(m), since the other eigenvalues are
-    all 1; no root-finding is needed.
+    rank(m - I) = 1 over K or k is decided by `has_rank_one`, by
+    cross-multiplication with no division.  The nontrivial eigenvalue
+    equals det(m), since the other eigenvalues are all 1; no root-finding
+    is needed.
     """
-    if rank_over_field(m.minus_identity().to_field()) != 1:
+    if not has_rank_one(m.minus_identity().to_field()):
         return None
     lam = det(m)
     order = matrix_order(m, cap=cap)

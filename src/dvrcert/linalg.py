@@ -16,10 +16,20 @@ row operation is `add_multiple`.  It gives rank, kernels and inverses
 over the two fields, and takes the rows of the degree-d action matrices,
 the product spans and the H^1 relations directly; determinants over all
 three rings use fraction-free (Bareiss) elimination.
+
+The passes over every group element use no division and no field
+elimination: `has_rank_one` decides rank(g - I) = 1 by cross-multiplying
+each row with the first nonzero one, and `char_poly` gives det(I - z g)
+by Berkowitz's recursion, with +, - and * only, so it runs on ints as on
+the field values.  An `IntMatrix` is a matrix over Q as integers, A / D
+in lowest terms, on which the int kind's group closure multiplies,
+hashes and compares.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from math import gcd, lcm
 
 from .errors import NotInRingError, NotInvertibleError, OrderCapExceededError
 from .scalars import DvrDescriptor
@@ -66,6 +76,11 @@ def _sparse_dot(row, pairs, zero):
         if a:
             acc = a * v if acc is None else acc + a * v
     return zero if acc is None else acc
+
+
+def _columns(rows) -> list:
+    """Each column of a matrix, given by its rows, as its nonzero (index, value) pairs."""
+    return [_nonzero_pairs(col) for col in zip(*rows)]
 
 
 class ExactMatrix:
@@ -162,7 +177,7 @@ class ExactMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
         zero = ring_zero(self.ring, self.descriptor)
-        cols = [_nonzero_pairs(col) for col in zip(*other.entries)]
+        cols = _columns(other.entries)
         return self._like([_sparse_dot(row, col, zero) for col in cols] for row in self.entries)
 
     def scale(self, scalar) -> ExactMatrix:
@@ -222,6 +237,60 @@ class ExactMatrix:
     def __repr__(self) -> str:
         body = "; ".join(", ".join(str(a) for a in row) for row in self.entries)
         return f"ExactMatrix[{self.ring}]({body})"
+
+
+class IntMatrix:
+    """A square matrix over Q in integers: A / D for a common denominator
+    D > 0 and integer numerators A with gcd(D, entries of A) = 1.
+
+    Each matrix over Q has exactly one such form, so equality and hashing
+    compare ints.  A product (A / D)(B / E) = AB / DE is integer work, made
+    canonical by dividing out gcd(DE, entries of AB); when D = E = 1 there
+    is nothing to divide.  The int kind's group closure runs on these.
+    """
+
+    __slots__ = ("den", "rows", "_hash", "_cols")
+
+    def __init__(self, den: int, rows):
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(rows))
+            if g != 1:
+                den //= g
+                rows = [[a // g for a in row] for row in rows]
+        rows = tuple(map(tuple, rows))
+        set_fields(self, den=den, rows=rows, _hash=hash((den, rows)), _cols=None)
+
+    @staticmethod
+    def from_matrix(m: ExactMatrix) -> IntMatrix:
+        """The form of a matrix of `Fraction` values (the int kind over O or K)."""
+        den = lcm(*(a.denominator for row in m.entries for a in row))
+        return IntMatrix(
+            den, [[a.numerator * (den // a.denominator) for a in row] for row in m.entries]
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("matrices are immutable")
+
+    def __mul__(self, other: IntMatrix) -> IntMatrix:
+        cols = other._cols  # a closure multiplies by the same generators throughout
+        if cols is None:
+            cols = _columns(other.rows)
+            object.__setattr__(other, "_cols", cols)
+        return IntMatrix(
+            self.den * other.den,
+            [[_sparse_dot(row, col, 0) for col in cols] for row in self.rows],
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
+        return self.den == other.den and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"IntMatrix({self.rows} / {self.den})"
 
 
 @dataclass(frozen=True)
@@ -322,6 +391,31 @@ def rank_over_field(m: ExactMatrix) -> int:
     return _field_echelon(m).rank
 
 
+def has_rank_one(m: ExactMatrix) -> bool:
+    """Is the rank over K or k exactly one?  Decided by cross-multiplication,
+    with no division and no echelon.
+
+    With r the first nonzero row and j a column where r_j != 0, the rank is
+    one exactly when every later row a is (a_j / r_j) * r, that is when
+    a_c * r_j = r_c * a_j for every column c; the test stops at the first
+    row that fails.
+    """
+    if m.ring == RING_O:
+        raise ValueError("rank is a field question; retag the matrix with to_field()")
+    rows = iter(m.entries)
+    first = next((row for row in rows if any(row)), None)
+    if first is None:
+        return False
+    j = next(c for c, x in enumerate(first) if x)
+    rj = first[j]
+    for row in rows:
+        aj = row[j]
+        for x, y in zip(row, first):
+            if (x or y) and x * rj != y * aj:
+                return False
+    return True
+
+
 def kernel_over_field(m: ExactMatrix) -> KernelBasis:
     """Exact nullspace basis over K or k, one vector per free column."""
     zero = ring_zero(m.ring, m.descriptor)
@@ -360,6 +454,41 @@ def det(m: ExactMatrix):
         prev = pk
     d = rows[n - 1][n - 1]
     return d if sign == 1 else -d
+
+
+def char_poly(rows, zero, one) -> tuple:
+    """Coefficients c_0, ..., c_n of det(I - z A) for the square matrix A
+    with these rows, by Berkowitz's division-free algorithm (Inform.
+    Process. Lett. 18, 1984).
+
+    They are the coefficients of the characteristic polynomial det(x I - A)
+    from x^n down: c_k is (-1)^k times the sum of the principal k-minors.
+    The routine uses only +, - and *, so it runs on ints, `Fraction`,
+    `RatFunc` and `ResidueScalar` values alike; `zero` and `one` are those
+    of the values' ring.  It grows the leading principal block A_k one row
+    and column at a time: with R = row k and C = column k of A, both cut to
+    the block, and a = A[k][k], the coefficients for A_{k+1} are those of
+    the product of the polynomials with coefficients c_0, ..., c_k (for
+    A_k) and 1, -a, -R C, -R A_k C, ..., -R A_k^(k-1) C, up to degree k + 1.
+    """
+    coeffs = [one]
+    for k, row in enumerate(rows):
+        block = rows[:k]  # whole rows: a dot with v reads only their first k entries
+        toeplitz = [one, -row[k]]
+        v = [r[k] for r in block]  # A_k^i C, from i = 0
+        for i in range(k):
+            pairs = _nonzero_pairs(v)
+            toeplitz.append(-_sparse_dot(row, pairs, zero))
+            if i < k - 1:
+                v = [_sparse_dot(b, pairs, zero) for b in block]
+        product = [zero] * (k + 2)
+        for j, c in enumerate(coeffs):
+            if c:
+                for i, t in enumerate(toeplitz[:k + 2 - j]):
+                    if t:
+                        product[i + j] = product[i + j] + t * c
+        coeffs = product
+    return tuple(coeffs)
 
 
 def inverse(m: ExactMatrix) -> ExactMatrix:

@@ -7,12 +7,15 @@ inverting any matrices.  One recursion, X^e = X^(e - u_j) * X_j, builds
 every monomial image, for `act` and for the degree-by-degree action
 matrices alike.  Monomials are ordered graded-lexicographically
 throughout, which fixes canonical coefficient coordinates for every
-echelon computation downstream.
+echelon computation downstream.  The Molien series reads each
+element's det(I - z g) off Berkowitz's characteristic polynomial
+(`linalg.char_poly`), in integers for the int kind.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InternalCheckError, NotInRingError
@@ -21,8 +24,10 @@ from .linalg import (
     RING_O,
     RING_RESIDUE,
     ExactMatrix,
+    IntMatrix,
     RowEchelon,
     add_multiple,
+    char_poly,
     ring_from_int,
     ring_one,
     ring_zero,
@@ -392,19 +397,25 @@ def _invariant_basis(group: MatrixGroup, d: int, ring: str) -> GradedBasis:
 
 def _char_series_denominator(g: ExactMatrix) -> tuple:
     """Coefficients of det(I - z*g), from z^0 to z^n, over the field."""
-    n = g.rows
-    zero = ring_zero(g.ring, g.descriptor)
-    one = ring_one(g.ring, g.descriptor)
-    # entries of I - z*g, as polynomials in the one variable z
-    entries = [
-        [
-            MultiPoly._of(g.ring, g.descriptor, 1, {(0,): one if i == j else zero, (1,): -a})
-            for j, a in enumerate(row)
-        ]
-        for i, row in enumerate(g.entries)
-    ]
-    denominator = poly_matrix_det(entries)
-    return tuple(denominator.coefficient((k,)) for k in range(n + 1))
+    return char_poly(g.entries, ring_zero(g.ring, g.descriptor), ring_one(g.ring, g.descriptor))
+
+
+def _integer_char_series_denominator(form: IntMatrix) -> tuple:
+    """Coefficients of det(I - z*g) for g = A / D over Q, from its form.
+
+    c_k = c_k(A) / D^k, since the principal k-minors of A / D are those of
+    A over D^k.  Each c_k is returned as an int when D^k divides c_k(A),
+    else as a `Fraction`, which `_integer_series_inverse` refuses.
+    """
+    coeffs = char_poly(form.rows, 0, 1)
+    if form.den == 1:
+        return coeffs
+    out = []
+    for k, c in enumerate(coeffs):
+        scale = form.den ** k
+        q, r = divmod(c, scale)
+        out.append(Fraction(c, scale) if r else q)
+    return tuple(out)
 
 
 def _series_inverse(denom: tuple, bound: int, zero, one) -> list:
@@ -461,9 +472,12 @@ class MolienSeries:
 def molien_series(group: MatrixGroup, bound: int) -> MolienSeries:
     """(1/|G|) * sum over g of 1/det(I - z g), truncated to the given degree.
 
-    Elements with the same characteristic polynomial share the denominator,
-    so each distinct one is inverted once and weighted by its multiplicity.
-    Over Q (the int kind) the sum is taken in Python ints: each
+    Each det(I - z g) comes from `linalg.char_poly` (Berkowitz, division
+    free).  Elements with the same characteristic polynomial share the
+    denominator, so each distinct one is inverted once and weighted by its
+    multiplicity.  Over Q (the int kind) the denominators are read off the
+    elements' integer forms A / D (`_integer_char_series_denominator`) and
+    the sum is taken in Python ints: each
     det(I - z g) = sum_i c_i z^i has integer c_i and c_0 = 1, so the
     coefficients of its inverse are the integers b_m = -sum_i c_i b_{m-i}
     (`_integer_series_inverse`).  The degree-m coefficient of the series is
@@ -475,8 +489,8 @@ def molien_series(group: MatrixGroup, bound: int) -> MolienSeries:
     descriptor = group.descriptor
     # also the gate: p must not divide |G|
     inv_order = invert_mod_group_order(group.order, descriptor)
-    multiplicity = Counter(_char_series_denominator(m) for m in group.over(RING_K))
     if descriptor.kind == KIND_INT:
+        multiplicity = Counter(map(_integer_char_series_denominator, group.integer_forms()))
         sums = [0] * (bound + 1)
         for denom, count in multiplicity.items():
             inv = _integer_series_inverse(denom, bound)
@@ -488,6 +502,7 @@ def molien_series(group: MatrixGroup, bound: int) -> MolienSeries:
                 raise InternalCheckError(f"non-integral Molien coefficient {s}/{group.order}")
             coefficients.append(c)
         return MolienSeries(bound, tuple(coefficients), False)
+    multiplicity = Counter(map(_char_series_denominator, group.over(RING_K)))
     zero = descriptor.zero()
     one = descriptor.one()
     total = [zero] * (bound + 1)

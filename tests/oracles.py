@@ -13,9 +13,11 @@ group element against the generator-variable system, saturation under
 all pairwise products against a closure that stops at the generators,
 the textbook fraction formulas reduced by a full Euclid against the
 reduced-fraction arithmetic of `RatFunc`, a recursion on quotient
-lattices against the closed-form diagonalizing basis, and the field
-recurrence `_series_inverse` on each element's `Fraction` denominator
-against the integer Molien sum over the distinct ones.
+lattices against the closed-form diagonalizing basis, cofactor expansion
+of det(I - z g) over polynomial entries against Berkowitz's division-free
+recursion, and the field recurrence `_series_inverse` on each element's
+`Fraction` denominator against the integer Molien sum over the distinct
+ones.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from dvrcert.linalg import (
     ring_one,
     ring_zero,
 )
-from dvrcert.polys import MultiPoly, _char_series_denominator, _series_inverse, monomials
+from dvrcert.polys import MultiPoly, _series_inverse, monomials, poly_matrix_det
 from dvrcert.refbasis import primitive_vector
 from dvrcert.scalars import invert_mod_group_order
 
@@ -282,13 +284,30 @@ def molien_coefficients_bruteforce(group, bound: int) -> list[int]:
     return [invariant_dimension_bruteforce(group, d, RING_K) for d in range(bound + 1)]
 
 
+def char_series_denominator_cofactor(g: ExactMatrix) -> tuple:
+    """Coefficients of det(I - z g), from z^0 to z^n, by cofactor expansion
+    of I - z g as a matrix of polynomials in z."""
+    zero = ring_zero(g.ring, g.descriptor)
+    one = ring_one(g.ring, g.descriptor)
+    entries = [
+        [
+            MultiPoly._of(g.ring, g.descriptor, 1, {(0,): one if i == j else zero, (1,): -a})
+            for j, a in enumerate(row)
+        ]
+        for i, row in enumerate(g.entries)
+    ]
+    denominator = poly_matrix_det(entries)
+    return tuple(denominator.coefficient((k,)) for k in range(g.rows + 1))
+
+
 def molien_series_field(group, bound: int) -> list:
     """(1/|G|) * sum over g of 1/det(I - z g) over Q, as Fractions: the field
-    recurrence on each element's own denominator, one element at a time."""
+    recurrence on each element's own cofactor denominator, one element at a
+    time."""
     zero, one = Fraction(0), Fraction(1)
     total = [zero] * (bound + 1)
     for m in group.over(RING_K):
-        inv = _series_inverse(_char_series_denominator(m), bound, zero, one)
+        inv = _series_inverse(char_series_denominator_cofactor(m), bound, zero, one)
         total = [a + b for a, b in zip(total, inv)]
     return [a / group.order for a in total]
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +10,7 @@ from dvrcert.errors import (
     NotInvertibleError,
 )
 from dvrcert.groups import (
+    _closure,
     classify_reflections,
     generate_group,
     is_pseudo_reflection,
@@ -239,3 +241,38 @@ def test_element_orders_bounded_by_group_order(c4_f5t):
     orders = [element_order(c4_f5t, i) for i in range(c4_f5t.order)]
     assert sorted(orders) == [1, 2, 4, 4]
     assert matrix_order(c4_f5t.elements[1], cap=4) == 4
+
+
+def _conjugated_by_a_denominator(group, rng):
+    """The group conjugated by diag(2, 1, ..., 1) times a random basis change
+    of O^n: a unit determinant, but entries with denominators prime to p."""
+    n, descriptor = group.n, group.descriptor
+    halve = ExactMatrix.from_ints(RING_O, descriptor,
+                                  [[2 if i == j == 0 else int(i == j) for j in range(n)]
+                                   for i in range(n)])
+    t = halve * random_unimodular(descriptor, n, rng)
+    t_inv = inverse(t)
+    return generate_group([t * g * t_inv for g in group.generators], descriptor=descriptor)
+
+
+def test_integer_closure_matches_the_exact_closure(s2_z3, s3_z5, b2_z3, neg_identity_z23,
+                                                   reflection_and_sign_z5):
+    rng = random.Random(1313)
+    groups = [s2_z3, s3_z5, b2_z3, neg_identity_z23, reflection_and_sign_z5]
+    groups += [_conjugated_by_a_denominator(g, rng) for g in groups for _ in range(2)]
+    assert any(a.denominator != 1 for m in groups[-1].elements for row in m.entries for a in row)
+    for group in groups:
+        ident = ExactMatrix.identity(RING_O, group.descriptor, group.n)
+        exact = list(_closure(ident, list(group.closure_generators), group.order + 1))
+        assert list(group.elements) == [m for m, _ in exact]
+        assert [group.bfs_parent(i) for i in range(group.order)] == [p for _, p in exact]
+        # the forms the closure kept are those of the elements
+        for form, m in zip(group.integer_forms(), group.elements):
+            assert tuple(tuple(Fraction(a, form.den) for a in row) for row in form.rows) == m.entries
+
+
+def test_integer_closure_of_an_infinite_group_reaches_the_cap(z5):
+    for rows in ([[1, Fraction(1, 2)], [0, 1]], [[Fraction(1, 2), 0], [0, 2]]):
+        g = ExactMatrix(RING_O, z5, rows)
+        with pytest.raises(ClosureCapExceededError):
+            generate_group([g], cap=200)

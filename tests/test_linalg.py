@@ -10,7 +10,9 @@ from dvrcert.linalg import (
     RING_RESIDUE,
     ExactMatrix,
     RowEchelon,
+    char_poly,
     det,
+    has_rank_one,
     inverse,
     kernel_over_field,
     matrix_order,
@@ -24,6 +26,7 @@ from dvrcert.scalars import KIND_INT, KIND_RATFUNC, DvrDescriptor
 
 from oracles import (
     DenseRowEchelon,
+    char_series_denominator_cofactor,
     det_cofactor,
     inverse_dense,
     matmul_dense,
@@ -345,3 +348,71 @@ def test_scale_add_neg_transpose(z3):
     assert m + (-m) == ExactMatrix.from_ints(RING_O, z3, [[0, 0], [0, 0]])
     assert transpose(m) == ExactMatrix.from_ints(RING_O, z3, [[1, 3], [2, 4]])
     assert m.serialize() == [["1", "2"], ["3", "4"]]
+
+
+def _random_square(rng, n: int) -> list[list[int]]:
+    """A seeded n x n integer matrix, zeros likely, with a zero row and a
+    zero column at random; almost never of finite order."""
+    rows = [[rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(n)] for _ in range(n)]
+    if rng.random() < 0.5:
+        rows[rng.randrange(n)] = [0] * n
+    if rng.random() < 0.5:
+        col = rng.randrange(n)
+        for row in rows:
+            row[col] = 0
+    return rows
+
+
+@pytest.mark.parametrize("domain", ["int", "K-int", "K-ratfunc", "k"])
+def test_char_poly_matches_the_cofactor_oracle(domain):
+    ring = RING_RESIDUE if domain == "k" else RING_K
+    kind = KIND_RATFUNC if domain == "K-ratfunc" else KIND_INT
+    descriptor = DvrDescriptor(kind, 5)
+    zero, one = ring_zero(ring, descriptor), ring_one(ring, descriptor)
+    rng = random.Random(f"char-poly-{domain}")
+    for n in range(1, 6):
+        cases = [_random_square(rng, n) for _ in range(6 if n < 5 else 2)]
+        cases.append([[int(i == j or j == i + 1) for j in range(n)] for i in range(n)])  # a shear
+        for rows in cases:
+            m = ExactMatrix.from_ints(ring, descriptor, rows)
+            if kind == KIND_RATFUNC:  # entries a + b t, off the constants of F_5
+                t = descriptor.uniformizer()
+                m = ExactMatrix(ring, descriptor, [[a + t * a * a for a in row] for row in m.entries])
+            expected = char_series_denominator_cofactor(m)
+            if domain == "int":
+                assert char_poly(rows, 0, 1) == expected
+            else:
+                assert char_poly(m.entries, zero, one) == expected
+
+
+def _rank_one_cases(ring, descriptor, rng) -> list:
+    """Seeded matrices of rank 0, 1, 2 and n (as products of n x r and r x n
+    factors), plus a rank-2 matrix whose rows are proportional in their first
+    nonzero column."""
+    n = 4
+    cases = [ExactMatrix.from_ints(ring, descriptor, [[0, 3, 0, 1], [0, 6, 1, 2], [0] * n, [0] * n])]
+    for r in (0, 1, 2, n):
+        for _ in range(8):
+            if r == 0:
+                rows = [[0] * n for _ in range(n)]
+            else:
+                left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)]
+                right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+                rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+                        for row in left]
+            cases.append(ExactMatrix.from_ints(ring, descriptor, rows))
+    return cases
+
+
+@pytest.mark.parametrize("ring,kind", [(RING_K, KIND_INT), (RING_K, KIND_RATFUNC),
+                                       (RING_RESIDUE, KIND_INT)])
+def test_has_rank_one_matches_rank_over_field(ring, kind):
+    descriptor = DvrDescriptor(kind, 5)
+    ranks = []
+    for m in _rank_one_cases(ring, descriptor, random.Random(131)):
+        rank = rank_over_field(m)
+        ranks.append(rank)
+        assert has_rank_one(m) == (rank == 1)
+    assert {0, 1, 2, 4} <= set(ranks)
+    with pytest.raises(ValueError):
+        has_rank_one(ExactMatrix.from_ints(RING_O, descriptor, [[1, 0], [0, 0]]))

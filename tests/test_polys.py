@@ -233,6 +233,21 @@ def test_integer_series_inverse_refuses_a_non_integer_denominator():
     assert _integer_series_inverse((Fraction(1), Fraction(-1)), 4) == [1, 1, 1, 1, 1]
 
 
+def test_integer_denominator_is_read_off_the_integer_form():
+    from dvrcert.linalg import IntMatrix
+    from dvrcert.polys import _integer_char_series_denominator, _integer_series_inverse
+
+    # [[0, 1/2], [2, 0]] = [[0, 1], [4, 0]] / 2: det(I - z g) = 1 - z^2, as ints
+    swap = IntMatrix(2, [[0, 1], [4, 0]])
+    assert _integer_char_series_denominator(swap) == (1, 0, -1)
+    assert all(type(c) is int for c in _integer_char_series_denominator(swap))
+    # [[1/2]] has det(I - z g) = 1 - z/2: not integral, so refused
+    half = IntMatrix(2, [[1]])
+    assert _integer_char_series_denominator(half) == (1, Fraction(-1, 2))
+    with pytest.raises(InternalCheckError):
+        _integer_series_inverse(_integer_char_series_denominator(half), 4)
+
+
 def test_molien_ratfunc_is_mod_p(c4_f5t):
     series = molien_series(c4_f5t, 4)
     assert series.mod_p
