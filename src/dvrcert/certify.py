@@ -33,6 +33,7 @@ from .linalg import (
     RING_RESIDUE,
     RowEchelon,
     add_multiple,
+    det_of_rows,
     ring_one,
 )
 from .polys import (
@@ -45,7 +46,6 @@ from .polys import (
     molien_series,
     monomial_index,
     monomials,
-    poly_matrix_det,
     reynolds,
 )
 from .refbasis import diagonalizing_basis
@@ -231,12 +231,16 @@ def degree_identity_failures(degrees, order: int, reflection_count: int) -> tupl
 
 
 def jacobian_independence(inv: FundamentalInvariants) -> bool:
-    """True iff the determinant of the formal Jacobian matrix is nonzero."""
+    """True iff the determinant of the formal Jacobian matrix is nonzero;
+    `linalg.det_of_rows` takes it on the partial derivatives."""
     jac = [
         [f.partial_derivative(j) for j in range(f.n)]
         for f in inv.generators
     ]
-    return not poly_matrix_det(jac).is_zero()
+    f = inv.generators[0]
+    zero = MultiPoly.zero(f.ring, f.descriptor, f.n)
+    one = MultiPoly.constant(f.ring, f.descriptor, f.n, ring_one(f.ring, f.descriptor))
+    return not det_of_rows(jac, zero, one).is_zero()
 
 
 # -- graded comparison ------------------------------------------------------------

@@ -28,6 +28,7 @@ from .linalg import (
     has_rank_one,
     matrix_order,
     reduce_matrix,
+    ring_one,
 )
 from .scalars import KIND_INT, DvrDescriptor, invert_mod_group_order
 
@@ -149,7 +150,10 @@ def generate_group(
                 f"generator {i} is not in GL_n(O): determinant {d} is not a unit"
             )
     if n is None:
-        raise ValueError("at least one generator or an explicit dimension is required")
+        raise ValueError(
+            "at least one generator is required; "
+            "use trivial_group(descriptor, n) for the trivial group"
+        )
 
     closure_gens = sorted(set(generators), key=ExactMatrix.sort_key)
     ident = ExactMatrix.identity(RING_O, descriptor, n)
@@ -235,13 +239,16 @@ def reflection_data(m: ExactMatrix, cap: int = DEFAULT_ORDER_CAP):
     """(eigenvalue, order) when m is a pseudo-reflection, else None.
 
     rank(m - I) = 1 over K or k is decided by `has_rank_one`, by
-    cross-multiplication with no division.  The nontrivial eigenvalue
-    equals det(m), since the other eigenvalues are all 1; no root-finding
+    cross-multiplication with no division.  The nontrivial eigenvalue is
+    det(m), since the other eigenvalues are all 1; with m - I = u v^T it
+    is 1 + v^T u = 1 + trace(m - I), so no determinant and no root-finding
     is needed.
     """
-    if not has_rank_one(m.minus_identity().to_field()):
+    shifted = m.minus_identity()
+    if not has_rank_one(shifted.to_field()):
         return None
-    lam = det(m)
+    lam = sum((row[i] for i, row in enumerate(shifted.entries)),
+              ring_one(m.ring, m.descriptor))
     order = matrix_order(m, cap=cap)
     return lam, order
 
@@ -295,8 +302,10 @@ def verify_reduced_reflection_generation(group: MatrixGroup) -> bool:
     """Is the image of the group in GL_n over the residue field reflection-generated?
 
     Picks out the pseudo-reflections among the reduced images with the same
-    test as over K and asks `_generated_by` whether they generate the image.
+    rank test as over K, `has_rank_one` on g - I; the images of a finite
+    group have finite order, so neither their order nor their determinant
+    is needed.  Then asks `_generated_by` whether they generate the image.
     """
     images, _ = reduction_map(group)
-    reflections = [m for m in images if is_pseudo_reflection(m, cap=group.order)]
+    reflections = [m for m in images if has_rank_one(m.minus_identity())]
     return _generated_by(group, RING_RESIDUE, reflections)

@@ -14,16 +14,19 @@ system is solved by one engine on sparse rows, dicts {column: nonzero
 value}: the incremental reduced row echelon form `RowEchelon`, whose one
 row operation is `add_multiple`.  It gives rank, kernels and inverses
 over the two fields, and takes the rows of the degree-d action matrices,
-the product spans and the H^1 relations directly; determinants over all
-three rings use fraction-free (Bareiss) elimination.
+the product spans and the H^1 relations directly.
+
+Every determinant is read off one routine, `char_poly`: Berkowitz's
+recursion for det(I - z A), with +, - and * only, so it runs on ints,
+on the values of O, K and k and on polynomials alike.  `det_of_rows` is
+its last coefficient up to sign, for matrices (`det`) and for the
+Jacobian of polynomials; the Molien series takes det(I - z g) whole.
 
 The passes over every group element use no division and no field
-elimination: `has_rank_one` decides rank(g - I) = 1 by cross-multiplying
-each row with the first nonzero one, and `char_poly` gives det(I - z g)
-by Berkowitz's recursion, with +, - and * only, so it runs on ints as on
-the field values.  An `IntMatrix` is a matrix over Q as integers, A / D
-in lowest terms, on which the int kind's group closure multiplies,
-hashes and compares.
+elimination either: `has_rank_one` decides rank(g - I) = 1 by
+cross-multiplying each row with the first nonzero one.  An `IntMatrix`
+is a matrix over Q as integers, A / D in lowest terms, on which the int
+kind's group closure multiplies, hashes and compares.
 """
 from __future__ import annotations
 
@@ -426,34 +429,19 @@ def kernel_over_field(m: ExactMatrix) -> KernelBasis:
 
 
 def det(m: ExactMatrix):
-    """Exact determinant by fraction-free (Bareiss) elimination, over any of the rings.
-
-    Every division is exact, so the entries of an O-matrix never leave O
-    (they are minors of the original matrix).
-    """
+    """Exact determinant over any of the rings, by `det_of_rows`: with no
+    division, so the entries of an O-matrix never leave O."""
     if not m.is_square:
         raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    zero = ring_zero(m.ring, m.descriptor)
-    rows = [list(row) for row in m.entries]
-    sign = 1
-    prev = ring_one(m.ring, m.descriptor)
-    for k in range(n - 1):
-        if not rows[k][k]:
-            swap = next((i for i in range(k + 1, n) if rows[i][k]), None)
-            if swap is None:
-                return zero
-            rows[k], rows[swap] = rows[swap], rows[k]
-            sign = -sign
-        pk = rows[k][k]
-        for i in range(k + 1, n):
-            rik = rows[i][k]
-            for j in range(k + 1, n):
-                rows[i][j] = (rows[i][j] * pk - rik * rows[k][j]) / prev
-            rows[i][k] = zero
-        prev = pk
-    d = rows[n - 1][n - 1]
-    return d if sign == 1 else -d
+    return det_of_rows(m.entries, ring_zero(m.ring, m.descriptor), ring_one(m.ring, m.descriptor))
+
+
+def det_of_rows(rows, zero, one):
+    """Determinant of the square matrix with these rows: (-1)^n times the
+    last coefficient of `char_poly`, so it runs on whatever values
+    `char_poly` does, polynomials included."""
+    c = char_poly(rows, zero, one)[-1]
+    return -c if len(rows) % 2 else c
 
 
 def char_poly(rows, zero, one) -> tuple:
@@ -464,12 +452,13 @@ def char_poly(rows, zero, one) -> tuple:
     They are the coefficients of the characteristic polynomial det(x I - A)
     from x^n down: c_k is (-1)^k times the sum of the principal k-minors.
     The routine uses only +, - and *, so it runs on ints, `Fraction`,
-    `RatFunc` and `ResidueScalar` values alike; `zero` and `one` are those
-    of the values' ring.  It grows the leading principal block A_k one row
-    and column at a time: with R = row k and C = column k of A, both cut to
-    the block, and a = A[k][k], the coefficients for A_{k+1} are those of
-    the product of the polynomials with coefficients c_0, ..., c_k (for
-    A_k) and 1, -a, -R C, -R A_k C, ..., -R A_k^(k-1) C, up to degree k + 1.
+    `RatFunc`, `ResidueScalar` and `MultiPoly` values alike; `zero` and
+    `one` are those of the values' ring.  It grows the leading principal
+    block A_k one row and column at a time: with R = row k and C = column
+    k of A, both cut to the block, and a = A[k][k], the coefficients for
+    A_{k+1} are those of the product of the polynomials with coefficients
+    c_0, ..., c_k (for A_k) and 1, -a, -R C, -R A_k C, ..., -R A_k^(k-1) C,
+    up to degree k + 1.
     """
     coeffs = [one]
     for k, row in enumerate(rows):
@@ -481,10 +470,12 @@ def char_poly(rows, zero, one) -> tuple:
             toeplitz.append(-_sparse_dot(row, pairs, zero))
             if i < k - 1:
                 v = [_sparse_dot(b, pairs, zero) for b in block]
-        product = [zero] * (k + 2)
-        for j, c in enumerate(coeffs):
+        # c_0 and the first Toeplitz entry are one: their terms need no product
+        product = list(toeplitz)
+        for j, c in enumerate(coeffs[1:], 1):
             if c:
-                for i, t in enumerate(toeplitz[:k + 2 - j]):
+                product[j] = product[j] + c
+                for i, t in enumerate(toeplitz[1:k + 2 - j], 1):
                     if t:
                         product[i + j] = product[i + j] + t * c
         coeffs = product

@@ -9,13 +9,13 @@ matrices alike.  Monomials are ordered graded-lexicographically
 throughout, which fixes canonical coefficient coordinates for every
 echelon computation downstream.  The Molien series reads each
 element's det(I - z g) off Berkowitz's characteristic polynomial
-(`linalg.char_poly`), in integers for the int kind.
+(`linalg.char_poly`), in integers for the int kind, and inverts it by
+one division-free recurrence, since its constant term is det(I) = 1.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InternalCheckError, NotInRingError
@@ -120,6 +120,10 @@ class MultiPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        # false for zero, as for the scalars, so `linalg.char_poly` skips zeros
+        return bool(self.terms)
 
     def is_homogeneous(self) -> bool:
         degrees = {sum(e) for e in self.terms}
@@ -229,21 +233,6 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly[{self.ring}]({self})"
-
-
-def poly_matrix_det(rows) -> MultiPoly:
-    """Determinant of a square matrix of polynomials, by cofactor expansion
-    along the first row."""
-    first = rows[0]
-    if len(rows) == 1:
-        return first[0]
-    total = MultiPoly.zero(first[0].ring, first[0].descriptor, first[0].n)
-    for j, entry in enumerate(first):
-        if entry.is_zero():
-            continue
-        term = entry * poly_matrix_det([row[:j] + row[j + 1:] for row in rows[1:]])
-        total = total - term if j % 2 else total + term
-    return total
 
 
 # -- the group action -------------------------------------------------------------
@@ -401,53 +390,45 @@ def _char_series_denominator(g: ExactMatrix) -> tuple:
 
 
 def _integer_char_series_denominator(form: IntMatrix) -> tuple:
-    """Coefficients of det(I - z*g) for g = A / D over Q, from its form.
+    """Coefficients of det(I - z*g) for g = A / D over Q, from its form, as ints.
 
     c_k = c_k(A) / D^k, since the principal k-minors of A / D are those of
-    A over D^k.  Each c_k is returned as an int when D^k divides c_k(A),
-    else as a `Fraction`, which `_integer_series_inverse` refuses.
+    A over D^k.  g has finite order, so its eigenvalues are roots of unity
+    and each c_k is a rational algebraic integer, that is an integer; a
+    c_k(A) that D^k does not divide is refused.
     """
     coeffs = char_poly(form.rows, 0, 1)
     if form.den == 1:
         return coeffs
     out = []
     for k, c in enumerate(coeffs):
-        scale = form.den ** k
-        q, r = divmod(c, scale)
-        out.append(Fraction(c, scale) if r else q)
+        q, r = divmod(c, form.den ** k)
+        if r:
+            raise InternalCheckError(
+                f"det(I - z g) has the non-integer coefficient {c}/{form.den ** k} at z^{k}"
+            )
+        out.append(q)
     return tuple(out)
 
 
 def _series_inverse(denom: tuple, bound: int, zero, one) -> list:
-    """Coefficients of 1/denom to the bound, over the field of its values."""
-    if not denom[0]:
-        raise InternalCheckError("power series with zero constant term has no inverse")
-    lead = denom[0]
-    inv = [zero] * (bound + 1)
-    inv[0] = one / lead
+    """Coefficients of 1/denom to the bound, for a denominator det(I - z g).
+
+    Its constant term is det(I) = 1, so the inverse is b_0 = 1,
+    b_m = -sum_{i=1}^{min(m, n)} c_i b_{m-i}, with no division: in ints
+    for the int kind, in `RatFunc` values for the ratfunc kind.
+    """
+    if denom[0] != one:
+        raise InternalCheckError(f"det(I - z g) has constant term {denom[0]}, not one")
+    terms = [(i, c) for i, c in enumerate(denom) if i and c]
+    inv = [one] + [zero] * bound
     for m in range(1, bound + 1):
         acc = zero
-        for i in range(1, min(m, len(denom) - 1) + 1):
-            if denom[i]:
-                acc = acc + denom[i] * inv[m - i]
-        inv[m] = -acc / lead
-    return inv
-
-
-def _integer_series_inverse(denom: tuple, bound: int) -> list[int]:
-    """Coefficients of 1/det(I - z g) to the bound, as ints, for g over Q.
-
-    g has finite order, so its eigenvalues are roots of unity: the
-    coefficients c_i of det(I - z g) are rational algebraic integers, that
-    is integers, and c_0 = det(I) = 1.  The inverse then has the integer
-    coefficients b_0 = 1, b_m = -sum_{i=1}^{min(m, n)} c_i b_{m-i}.
-    """
-    if denom[0] != 1 or any(c.denominator != 1 for c in denom):
-        raise InternalCheckError(f"det(I - z g) has coefficients {denom}, not integers from 1")
-    terms = [(i, c.numerator) for i, c in enumerate(denom) if i and c]
-    inv = [1] + [0] * bound
-    for m in range(1, bound + 1):
-        inv[m] = -sum(c * inv[m - i] for i, c in terms if i <= m)
+        for i, c in terms:
+            if i > m:
+                break
+            acc = acc + c * inv[m - i]
+        inv[m] = -acc
     return inv
 
 
@@ -473,28 +454,31 @@ def molien_series(group: MatrixGroup, bound: int) -> MolienSeries:
     """(1/|G|) * sum over g of 1/det(I - z g), truncated to the given degree.
 
     Each det(I - z g) comes from `linalg.char_poly` (Berkowitz, division
-    free).  Elements with the same characteristic polynomial share the
-    denominator, so each distinct one is inverted once and weighted by its
-    multiplicity.  Over Q (the int kind) the denominators are read off the
-    elements' integer forms A / D (`_integer_char_series_denominator`) and
-    the sum is taken in Python ints: each
-    det(I - z g) = sum_i c_i z^i has integer c_i and c_0 = 1, so the
-    coefficients of its inverse are the integers b_m = -sum_i c_i b_{m-i}
-    (`_integer_series_inverse`).  The degree-m coefficient of the series is
-    then s_m / |G| with s_m = sum over the classes of count * b_m, and it is
-    accepted only when |G| divides s_m and s_m >= 0: the same exact test as
-    "a nonnegative integer in Q".  Over F_p(t) (the ratfunc kind) the
-    inverses are taken in the field by `_series_inverse`.
+    free): over Q (the int kind) in Python ints, read off the elements'
+    integer forms A / D (`_integer_char_series_denominator`), and over
+    F_p(t) (the ratfunc kind) in `RatFunc` values.  Elements with the same
+    characteristic polynomial share the denominator, so each distinct one
+    is inverted once, by the division-free `_series_inverse`, and weighted
+    by its multiplicity.  For the int kind the degree-m coefficient is then
+    s_m / |G|, with s_m the weighted sum, and it is accepted only when |G|
+    divides s_m and s_m >= 0: the same exact test as "a nonnegative integer
+    in Q".  For the ratfunc kind the sum is taken times 1/|G| in the field,
+    and each coefficient must be a constant of F_p.
     """
     descriptor = group.descriptor
     # also the gate: p must not divide |G|
     inv_order = invert_mod_group_order(group.order, descriptor)
     if descriptor.kind == KIND_INT:
-        multiplicity = Counter(map(_integer_char_series_denominator, group.integer_forms()))
-        sums = [0] * (bound + 1)
-        for denom, count in multiplicity.items():
-            inv = _integer_series_inverse(denom, bound)
-            sums = [a + b * count for a, b in zip(sums, inv)]
+        denominators = map(_integer_char_series_denominator, group.integer_forms())
+        zero, one, weight = 0, 1, int
+    else:
+        denominators = map(_char_series_denominator, group.over(RING_K))
+        zero, one, weight = descriptor.zero(), descriptor.one(), descriptor.from_int
+    sums = [zero] * (bound + 1)
+    for denom, count in Counter(denominators).items():
+        count = weight(count)
+        sums = [a + b * count for a, b in zip(sums, _series_inverse(denom, bound, zero, one))]
+    if descriptor.kind == KIND_INT:
         coefficients = []
         for s in sums:
             c, r = divmod(s, group.order)
@@ -502,15 +486,7 @@ def molien_series(group: MatrixGroup, bound: int) -> MolienSeries:
                 raise InternalCheckError(f"non-integral Molien coefficient {s}/{group.order}")
             coefficients.append(c)
         return MolienSeries(bound, tuple(coefficients), False)
-    multiplicity = Counter(map(_char_series_denominator, group.over(RING_K)))
-    zero = descriptor.zero()
-    one = descriptor.one()
-    total = [zero] * (bound + 1)
-    for denom, count in multiplicity.items():
-        inv = _series_inverse(denom, bound, zero, one)
-        count = descriptor.from_int(count)
-        total = [a + b * count for a, b in zip(total, inv)]
-    total = [inv_order * a for a in total]
+    total = [inv_order * a for a in sums]
     # characteristic p: each coefficient must land in the prime field
     for c in total:
         if c.num.degree > 0 or c.den.degree > 0:

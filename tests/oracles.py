@@ -5,7 +5,8 @@ checks: a dense echelon that rewrites whole rows, zeros included, against
 the sparse `RowEchelon` on dict rows (it is also the oracles' own
 elimination), the textbook triple loop over every term, zeros included,
 against the matrix product and `apply` that form terms only where both
-factors are nonzero, cofactor expansion against fraction-free elimination,
+factors are nonzero, the permutation sum and cofactor expansion against
+the determinants read off Berkowitz's division-free `char_poly`,
 minor enumeration against Gaussian rank, powers of the variables' images against
 the degree-by-degree monomial recursion, full-group averaging against
 generator-kernel invariant bases, the full cocycle system on every
@@ -15,9 +16,9 @@ the textbook fraction formulas reduced by a full Euclid against the
 reduced-fraction arithmetic of `RatFunc`, a recursion on quotient
 lattices against the closed-form diagonalizing basis, cofactor expansion
 of det(I - z g) over polynomial entries against Berkowitz's division-free
-recursion, and the field recurrence `_series_inverse` on each element's
-`Fraction` denominator against the integer Molien sum over the distinct
-ones.
+recursion, and a field recurrence that divides by the constant term, on
+each element's `Fraction` denominator, against the division-free integer
+Molien sum over the distinct ones.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from dvrcert.linalg import (
     ring_one,
     ring_zero,
 )
-from dvrcert.polys import MultiPoly, _series_inverse, monomials, poly_matrix_det
+from dvrcert.polys import MultiPoly, monomials
 from dvrcert.refbasis import primitive_vector
 from dvrcert.scalars import invert_mod_group_order
 
@@ -284,6 +285,21 @@ def molien_coefficients_bruteforce(group, bound: int) -> list[int]:
     return [invariant_dimension_bruteforce(group, d, RING_K) for d in range(bound + 1)]
 
 
+def poly_matrix_det(rows) -> MultiPoly:
+    """Determinant of a square matrix of polynomials, by cofactor expansion
+    along the first row."""
+    first = rows[0]
+    if len(rows) == 1:
+        return first[0]
+    total = MultiPoly.zero(first[0].ring, first[0].descriptor, first[0].n)
+    for j, entry in enumerate(first):
+        if entry.is_zero():
+            continue
+        term = entry * poly_matrix_det([row[:j] + row[j + 1:] for row in rows[1:]])
+        total = total - term if j % 2 else total + term
+    return total
+
+
 def char_series_denominator_cofactor(g: ExactMatrix) -> tuple:
     """Coefficients of det(I - z g), from z^0 to z^n, by cofactor expansion
     of I - z g as a matrix of polynomials in z."""
@@ -300,6 +316,21 @@ def char_series_denominator_cofactor(g: ExactMatrix) -> tuple:
     return tuple(denominator.coefficient((k,)) for k in range(g.rows + 1))
 
 
+def series_inverse_field(denom: tuple, bound: int, zero, one) -> list:
+    """Coefficients of 1/denom to the bound, over the field of its values:
+    b_0 = 1 / c_0 and b_m = -(sum_{i >= 1} c_i b_{m-i}) / c_0."""
+    lead = denom[0]
+    inv = [zero] * (bound + 1)
+    inv[0] = one / lead
+    for m in range(1, bound + 1):
+        acc = zero
+        for i in range(1, min(m, len(denom) - 1) + 1):
+            if denom[i]:
+                acc = acc + denom[i] * inv[m - i]
+        inv[m] = -acc / lead
+    return inv
+
+
 def molien_series_field(group, bound: int) -> list:
     """(1/|G|) * sum over g of 1/det(I - z g) over Q, as Fractions: the field
     recurrence on each element's own cofactor denominator, one element at a
@@ -307,7 +338,7 @@ def molien_series_field(group, bound: int) -> list:
     zero, one = Fraction(0), Fraction(1)
     total = [zero] * (bound + 1)
     for m in group.over(RING_K):
-        inv = _series_inverse(char_series_denominator_cofactor(m), bound, zero, one)
+        inv = series_inverse_field(char_series_denominator_cofactor(m), bound, zero, one)
         total = [a + b for a, b in zip(total, inv)]
     return [a / group.order for a in total]
 

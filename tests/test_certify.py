@@ -1,3 +1,4 @@
+import random
 import sys
 from collections import Counter
 from itertools import product
@@ -20,11 +21,16 @@ from dvrcert.certify import (
     lift_fundamentals,
 )
 from dvrcert.groups import generate_group, trivial_group
-from dvrcert.linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix, inverse
+from dvrcert.linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix, det_of_rows, inverse
 from dvrcert.polys import MultiPoly, act, action_matrix
 from dvrcert.scalars import DvrDescriptor
 
-from oracles import _h1_exact_degree_bruteforce, h1_bruteforce, invariant_dimension_bruteforce
+from oracles import (
+    _h1_exact_degree_bruteforce,
+    h1_bruteforce,
+    invariant_dimension_bruteforce,
+    poly_matrix_det,
+)
 
 
 # -- four-variable reflection groups, full certificate ------------------------------
@@ -165,6 +171,43 @@ def test_jacobian_vanishes_for_pth_powers():
     f3 = DvrDescriptor("int-localized", 3)
     cube = _poly_from_ints(f3, 1, RING_RESIDUE, {(3,): 1})
     assert not jacobian_independence(FundamentalInvariants(RING_RESIDUE, (cube,), (3,)))
+
+
+def _random_poly_entry(descriptor, n, ring, rng):
+    """A seeded polynomial of degree at most 2 with up to three terms, often zero."""
+    terms = {}
+    for _ in range(rng.choice((0, 1, 1, 2, 3))):
+        exp = tuple(rng.randint(0, 1) for _ in range(n))
+        terms[exp] = terms.get(exp, 0) + rng.choice((1, -1, 2, 3))
+    return _poly_from_ints(descriptor, n, ring, terms)
+
+
+@pytest.mark.parametrize("kind", ["int-localized", "ratfunc-localized"])
+@pytest.mark.parametrize("ring", [RING_K, RING_RESIDUE])
+def test_jacobian_determinant_matches_the_cofactor_oracle(kind, ring):
+    descriptor = DvrDescriptor(kind, 5)
+    rng = random.Random(f"jacobian-{kind}-{ring}")
+    for n in range(1, 5):
+        zero = MultiPoly.zero(ring, descriptor, n)
+        one = _poly_from_ints(descriptor, n, ring, {(0,) * n: 1})
+        singular = 0
+        for case in range(8):
+            rows = [[_random_poly_entry(descriptor, n, ring, rng) for _ in range(n)]
+                    for _ in range(n)]
+            if case % 4 == 3:  # the last row a polynomial combination of the first
+                f = _random_poly_entry(descriptor, n, ring, rng)
+                rows[-1] = [a * f for a in rows[0]] if n > 1 else [zero]
+            expected = poly_matrix_det(rows)
+            assert det_of_rows(rows, zero, one) == expected
+            singular += expected.is_zero()
+        assert 2 <= singular <= 6
+    # a Jacobian proper: the generators x + y and x*y, then x and x^2 + y
+    x = _poly_from_ints(descriptor, 2, ring, {(1, 0): 1})
+    y = _poly_from_ints(descriptor, 2, ring, {(0, 1): 1})
+    for gens, independent in (((x + y, x * y), True), ((x, x * x), False)):
+        jacobian = [[f.partial_derivative(j) for j in range(2)] for f in gens]
+        assert poly_matrix_det(jacobian).is_zero() is not independent
+        assert jacobian_independence(FundamentalInvariants(ring, gens, (1, 2))) is independent
 
 
 # -- graded comparison ---------------------------------------------------------------

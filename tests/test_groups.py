@@ -19,7 +19,7 @@ from dvrcert.groups import (
     trivial_group,
     verify_reduced_reflection_generation,
 )
-from dvrcert.linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix, inverse, matrix_order
+from dvrcert.linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix, det, inverse, matrix_order
 from dvrcert.scalars import DvrDescriptor
 
 from conftest import random_unimodular
@@ -35,6 +35,12 @@ def test_generate_group_examples(s2_z3, s3_z5, b2_z3):
 def test_generate_group_rejects_non_unimodular(z3):
     with pytest.raises(NotInvertibleError, match="generator 0"):
         generate_group([ExactMatrix.from_ints(RING_O, z3, [[3, 0], [0, 1]])])
+
+
+def test_generate_group_without_generators_points_at_the_trivial_group(z3):
+    with pytest.raises(ValueError, match=r"trivial_group\(descriptor, n\)"):
+        generate_group([], descriptor=z3)
+    assert trivial_group(z3, 2).order == 1
 
 
 def test_generate_group_cap(z3):
@@ -72,6 +78,32 @@ def test_is_pseudo_reflection_examples(z3):
     assert order == 2
     assert not is_pseudo_reflection(ExactMatrix.identity(RING_O, z3, 2))
     assert not is_pseudo_reflection(ExactMatrix.from_ints(RING_O, z3, [[-1, 0], [0, -1]]))
+
+
+def test_reflection_eigenvalue_is_the_determinant(s3_z5, f5t):
+    # S_3 over Z_(5) and G(4,1,2) over F_5(t), both conjugated off the
+    # integers: reflections of order 2 and 4, over O and over k
+    rng = random.Random(17)
+    t = random_unimodular(s3_z5.descriptor, 3, rng)
+    s3_moved = generate_group([t * g * inverse(t) for g in s3_z5.generators])
+    x, one = f5t.uniformizer(), f5t.one()
+    twist = ExactMatrix(RING_O, f5t, [[one, x], [x, one + x * x]])
+    g412_moved = generate_group([
+        twist * ExactMatrix.from_ints(RING_O, f5t, g) * inverse(twist)
+        for g in ([[0, 1], [1, 0]], [[1, 0], [0, 2]])
+    ])
+    orders = set()
+    for group in (s3_moved, g412_moved):
+        report = classify_reflections(group)
+        assert report.count > 0
+        for idx, lam, order in report.reflections:
+            assert lam == det(group.elements[idx])
+            orders.add(order)
+        for m in group.over(RING_RESIDUE):
+            data = reflection_data(m)
+            if data is not None:
+                assert data[0] == det(m)
+    assert orders == {2, 4}
 
 
 def test_classify_reflections_s3(s3_z5):

@@ -208,7 +208,7 @@ def test_det_examples(z3):
 
 
 @pytest.mark.parametrize("kind,p", [("int-localized", 3), ("ratfunc-localized", 5)])
-@pytest.mark.parametrize("size", [2, 3])
+@pytest.mark.parametrize("size", [2, 3, 4, 5])
 def test_det_agrees_with_cofactor_expansion(kind, p, size):
     descriptor = DvrDescriptor(kind, p)
     rng = random.Random(1000 * size + p)
@@ -222,7 +222,36 @@ def test_det_agrees_with_cofactor_expansion(kind, p, size):
             assert det(m) == det_cofactor(m)
 
 
-def test_det_bareiss_handles_fractional_entries(z3):
+@pytest.mark.parametrize("kind,p", [("int-localized", 3), ("ratfunc-localized", 5)])
+def test_det_without_a_pivot_in_the_first_column(kind, p):
+    # a zero (0, 0) entry or a zero leading column: where elimination must
+    # swap rows or stop, the division-free determinant needs neither
+    descriptor = DvrDescriptor(kind, p)
+    rng = random.Random(f"no-pivot-{kind}")
+    cases = [
+        [[0, 1], [1, 0]],
+        [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+        [[0, 2, 1], [0, 1, 1], [0, 3, -1]],
+        [[0, 1, 2, 0], [1, 0, 0, 1], [0, 0, 1, -1], [2, 1, 0, 0]],
+    ]
+    for n in (2, 3, 4):
+        for _ in range(10):
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            rows[0][0] = 0
+            if rng.random() < 0.5:
+                for row in rows:
+                    row[0] = 0
+            cases.append(rows)
+    for ring in (RING_O, RING_K, RING_RESIDUE):
+        for rows in cases:
+            m = ExactMatrix.from_ints(ring, descriptor, rows)
+            assert det(m) == det_cofactor(m)
+    # the permutation matrices above are units of O; a zero column is not
+    assert det(ExactMatrix.from_ints(RING_O, descriptor, cases[1])) == descriptor.one()
+    assert not det(ExactMatrix.from_ints(RING_RESIDUE, descriptor, cases[2]))
+
+
+def test_det_handles_fractional_entries(z3):
     m = ExactMatrix(
         RING_K,
         z3,

@@ -28,6 +28,7 @@ from oracles import (
     invariant_dimension_bruteforce,
     molien_coefficients_bruteforce,
     molien_series_field,
+    series_inverse_field,
     square_matrix,
 )
 
@@ -163,14 +164,14 @@ def test_molien_pinned_examples(s2_z3, s3_z5, z3):
 def test_molien_inverts_each_distinct_denominator_once(s3_z5, monkeypatch):
     # S_3 has three classes of characteristic polynomial: 1, 3 and 2 elements
     polys_module = sys.modules["dvrcert.polys"]
-    original = polys_module._integer_series_inverse
+    original = polys_module._series_inverse
     calls = []
 
     def counted(*args):
         calls.append(args[0])
         return original(*args)
 
-    monkeypatch.setattr(polys_module, "_integer_series_inverse", counted)
+    monkeypatch.setattr(polys_module, "_series_inverse", counted)
     assert molien_series(s3_z5, 6).coefficients == (1, 1, 2, 3, 4, 5, 7)
     assert len(calls) == 3
 
@@ -183,12 +184,21 @@ def test_molien_matches_bruteforce_dimensions(s2_z3, s3_z5, b2_z3):
 
 
 def _assert_integer_path_matches_field_path(group, bound):
-    from dvrcert.polys import _char_series_denominator, _integer_series_inverse, _series_inverse
+    from dvrcert.polys import (
+        _char_series_denominator,
+        _integer_char_series_denominator,
+        _series_inverse,
+    )
 
-    for denom in {_char_series_denominator(m) for m in group.over(RING_K)}:
-        assert _integer_series_inverse(denom, bound) == _series_inverse(
-            denom, bound, Fraction(0), Fraction(1)
-        )
+    pairs = {
+        (_integer_char_series_denominator(form), _char_series_denominator(m))
+        for form, m in zip(group.integer_forms(), group.over(RING_K))
+    }
+    for integer_denom, field_denom in pairs:
+        assert integer_denom == field_denom
+        inverse = _series_inverse(integer_denom, bound, 0, 1)
+        assert all(type(b) is int for b in inverse)
+        assert inverse == series_inverse_field(field_denom, bound, Fraction(0), Fraction(1))
     assert list(molien_series(group, bound).coefficients) == molien_series_field(group, bound)
 
 
@@ -223,29 +233,43 @@ def test_integer_molien_of_wb3_matches_field_recurrence(z5):
     assert molien_series(wb3, 48).coefficients == hilbert_product_truncation((2, 4, 6), 48)
 
 
-def test_integer_series_inverse_refuses_a_non_integer_denominator():
-    from dvrcert.polys import _integer_series_inverse
+def test_ratfunc_series_inverse_matches_field_recurrence(b2_f5t_twisted):
+    from dvrcert.polys import _char_series_denominator, _series_inverse
+
+    descriptor = b2_f5t_twisted.descriptor
+    zero, one = descriptor.zero(), descriptor.one()
+    denominators = {_char_series_denominator(m) for m in b2_f5t_twisted.over(RING_K)}
+    # the identity, the four reflections, -I and the two rotations of order 4
+    assert len(denominators) == 4
+    for denom in denominators:
+        assert _series_inverse(denom, 12, zero, one) == series_inverse_field(
+            denom, 12, zero, one
+        )
+
+
+def test_series_inverse_refuses_a_constant_term_other_than_one(f5t):
+    from dvrcert.polys import _series_inverse
 
     with pytest.raises(InternalCheckError):
-        _integer_series_inverse((Fraction(1), Fraction(-1, 2)), 4)
+        _series_inverse((2, -1), 4, 0, 1)
+    assert _series_inverse((1, -1), 4, 0, 1) == [1, 1, 1, 1, 1]
+    zero, one = f5t.zero(), f5t.one()
     with pytest.raises(InternalCheckError):
-        _integer_series_inverse((Fraction(2), Fraction(-1)), 4)
-    assert _integer_series_inverse((Fraction(1), Fraction(-1)), 4) == [1, 1, 1, 1, 1]
+        _series_inverse((f5t.from_int(2), -one), 4, zero, one)
+    assert _series_inverse((one, -one), 4, zero, one) == [one] * 5
 
 
 def test_integer_denominator_is_read_off_the_integer_form():
     from dvrcert.linalg import IntMatrix
-    from dvrcert.polys import _integer_char_series_denominator, _integer_series_inverse
+    from dvrcert.polys import _integer_char_series_denominator
 
     # [[0, 1/2], [2, 0]] = [[0, 1], [4, 0]] / 2: det(I - z g) = 1 - z^2, as ints
     swap = IntMatrix(2, [[0, 1], [4, 0]])
     assert _integer_char_series_denominator(swap) == (1, 0, -1)
     assert all(type(c) is int for c in _integer_char_series_denominator(swap))
     # [[1/2]] has det(I - z g) = 1 - z/2: not integral, so refused
-    half = IntMatrix(2, [[1]])
-    assert _integer_char_series_denominator(half) == (1, Fraction(-1, 2))
-    with pytest.raises(InternalCheckError):
-        _integer_series_inverse(_integer_char_series_denominator(half), 4)
+    with pytest.raises(InternalCheckError, match="non-integer"):
+        _integer_char_series_denominator(IntMatrix(2, [[1]]))
 
 
 def test_molien_ratfunc_is_mod_p(c4_f5t):
