@@ -33,7 +33,6 @@ from .linalg import (
     RING_RESIDUE,
     RowEchelon,
     add_multiple,
-    det_of_rows,
     ring_one,
 )
 from .polys import (
@@ -46,6 +45,7 @@ from .polys import (
     molien_series,
     monomial_index,
     monomials,
+    polynomial_det_is_nonzero,
     reynolds,
 )
 from .refbasis import diagonalizing_basis
@@ -231,16 +231,11 @@ def degree_identity_failures(degrees, order: int, reflection_count: int) -> tupl
 
 
 def jacobian_independence(inv: FundamentalInvariants) -> bool:
-    """True iff the determinant of the formal Jacobian matrix is nonzero;
-    `linalg.det_of_rows` takes it on the partial derivatives."""
-    jac = [
+    """True iff the determinant of the formal Jacobian matrix is nonzero."""
+    return polynomial_det_is_nonzero([
         [f.partial_derivative(j) for j in range(f.n)]
         for f in inv.generators
-    ]
-    f = inv.generators[0]
-    zero = MultiPoly.zero(f.ring, f.descriptor, f.n)
-    one = MultiPoly.constant(f.ring, f.descriptor, f.n, ring_one(f.ring, f.descriptor))
-    return not det_of_rows(jac, zero, one).is_zero()
+    ])
 
 
 # -- graded comparison ------------------------------------------------------------

@@ -7,15 +7,26 @@ determinant.  The rank is tested by cross-multiplication (`has_rank_one`),
 with no division.  Reflections generate G (or its image over k) exactly when
 their closure reaches G's own generators; `_generated_by` alone decides this.
 
-For the int kind the closure that enumerates G runs on `IntMatrix` forms
-A / D, so its products, hashes and membership tests are integer work; the
-ratfunc kind closes the `ExactMatrix` values.  Both run the one `_closure`,
-so the elements and their breadth-first parents do not depend on the form.
+For the int kind every pass over all of G runs on the closure's own
+`IntMatrix` forms A / D, in Python ints:
+- the closure that enumerates G: its products, hashes and membership tests;
+- the rank-one test over K, on the rows of A - D I = D (g - I), with
+  eigenvalue 1 + tr(A - D I) / D;
+- the reduction to k, (A mod p) (D^-1 mod p) by `reduce_form`, and the
+  injectivity of the reduction, compared on those residue rows.
+The ratfunc kind closes the `ExactMatrix` values, tests rank over K on
+their entries and reduces them with `reduce_matrix`.  Over k both kinds
+test rank on the residue rows as ints mod p.  Both kinds run the one
+`_closure`, so the elements and their breadth-first parents do not depend
+on the form, and the one rank test `has_rank_one`.  The element index
+that `index_of` reads is built on first use: none of these passes needs
+it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import ClosureCapExceededError, NotInvertibleError
 from .linalg import (
@@ -27,8 +38,11 @@ from .linalg import (
     det,
     has_rank_one,
     matrix_order,
+    reduce_form,
     reduce_matrix,
     ring_one,
+    set_fields,
+    shifted_rows,
 )
 from .scalars import KIND_INT, DvrDescriptor, invert_mod_group_order
 
@@ -43,36 +57,47 @@ class MatrixGroup:
     numbering is deterministic for a given generating set.
 
     `memo` holds what several checks share, and lives and dies with the
-    group: the elements over K and over k (see `over`), keyed by
-    ("elements", ring); per-degree results (invariant bases, H^1
+    group: the elements over K and over k (see `over`) and the int kind's
+    integer forms, keyed by ("elements", ring or "int"); the residue rows
+    (see `residue_rows`), keyed by ("residues", "k"); per-degree results (invariant bases, H^1
     contributions), keyed by (quantity, degree, ring); and, keyed by
     ("images", ring, element index), an element's images of the monomials
     of the highest degree its action matrices reached (see
     `polys.element_action_matrix`).
+
+    `generator_indices` lists the element index of each closure generator.
+    The closure reaches generator g first as identity * g, so g is the
+    identity or the element whose parent is (0, index of g); no element
+    needs hashing to find it.
     """
 
     __slots__ = ("descriptor", "n", "generators", "closure_generators", "elements",
-                 "order", "_index", "_bfs_parent", "memo")
+                 "order", "generator_indices", "_index", "_bfs_parent", "memo")
 
     def __init__(self, descriptor, n, generators, closure_generators, elements, bfs_parent):
-        object.__setattr__(self, "descriptor", descriptor)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "generators", tuple(generators))
-        object.__setattr__(self, "closure_generators", tuple(closure_generators))
-        object.__setattr__(self, "elements", tuple(elements))
-        object.__setattr__(self, "order", len(elements))
-        object.__setattr__(self, "_index", {m: i for i, m in enumerate(elements)})
-        object.__setattr__(self, "_bfs_parent", tuple(bfs_parent))
-        object.__setattr__(self, "memo", {})
+        children = {gi: i for i, (parent, gi) in enumerate(bfs_parent[1:], 1) if parent == 0}
+        set_fields(self, descriptor=descriptor, n=n, generators=tuple(generators),
+                   closure_generators=tuple(closure_generators), elements=tuple(elements),
+                   order=len(elements),
+                   generator_indices=tuple(children.get(gi, 0)
+                                           for gi in range(len(closure_generators))),
+                   _index=None, _bfs_parent=tuple(bfs_parent), memo={})
 
     def __setattr__(self, name, value):
         raise AttributeError("groups are immutable once enumerated")
 
+    def _element_index(self) -> dict:
+        """{element: index}, built on first use: hashing every element costs
+        a `Fraction` hash per entry for the int kind."""
+        if self._index is None:
+            object.__setattr__(self, "_index", {m: i for i, m in enumerate(self.elements)})
+        return self._index
+
     def index_of(self, element: ExactMatrix) -> int:
-        return self._index[element]
+        return self._element_index()[element]
 
     def __contains__(self, element) -> bool:
-        return element in self._index
+        return element in self._element_index()
 
     def identity(self) -> ExactMatrix:
         return self.elements[0]
@@ -81,15 +106,37 @@ class MatrixGroup:
         """The elements as matrices over O, K or k, in the order of `elements`.
 
         The one place where group elements move to the fraction field (a
-        retag) or the residue field (entrywise reduction); each ring's
-        copy is built once and kept in `memo`.
+        retag) or the residue field; each ring's copy is built once and
+        kept in `memo`.  Over k the int kind's elements are built from
+        `residue_rows`, with one shared `ResidueScalar` per residue; the
+        ratfunc kind's are reduced entrywise by `reduce_matrix`.
         """
         if ring == RING_O:
             return self.elements
         key = ("elements", ring)
         if key not in self.memo:
-            convert = reduce_matrix if ring == RING_RESIDUE else ExactMatrix.to_field
-            self.memo[key] = tuple(convert(m) for m in self.elements)
+            if ring != RING_RESIDUE:
+                self.memo[key] = tuple(m.to_field() for m in self.elements)
+            elif self.descriptor.kind == KIND_INT:
+                self.memo[key] = _residue_matrices(self.residue_rows(), self.descriptor)
+            else:
+                self.memo[key] = tuple(map(reduce_matrix, self.elements))
+        return self.memo[key]
+
+    def residue_rows(self) -> tuple:
+        """The elements reduced to k as rows of ints in [0, p), in the order
+        of `elements`; kept in `memo` under ("residues", "k").  The int
+        kind's come from its integer forms by `reduce_form`, the ratfunc
+        kind's are the values of `over("k")`."""
+        key = ("residues", RING_RESIDUE)
+        if key not in self.memo:
+            if self.descriptor.kind == KIND_INT:
+                p = self.descriptor.p
+                rows = tuple(reduce_form(f, p) for f in self.integer_forms())
+            else:
+                rows = tuple(tuple(tuple(a.value for a in row) for row in m.entries)
+                             for m in self.over(RING_RESIDUE))
+            self.memo[key] = rows
         return self.memo[key]
 
     def integer_forms(self) -> tuple:
@@ -104,7 +151,7 @@ class MatrixGroup:
     def generators_over(self, ring: str) -> list:
         """The closure generators over O, K or k, taken from `over(ring)`."""
         elements = self.over(ring)
-        return [elements[self._index[g]] for g in self.closure_generators]
+        return [elements[i] for i in self.generator_indices]
 
     def bfs_parent(self, i: int):
         """(parent index, closure-generator index) for element i; None for the identity."""
@@ -188,6 +235,17 @@ def _exact_elements(forms, descriptor: DvrDescriptor) -> list:
     ]
 
 
+def _residue_matrices(residue_rows, descriptor: DvrDescriptor) -> tuple:
+    """k-matrices of the residue rows, with one shared `ResidueScalar` per
+    residue that occurs."""
+    scalars = {a: descriptor.residue(a)
+               for a in set(chain.from_iterable(chain.from_iterable(residue_rows)))}
+    return tuple(
+        ExactMatrix._of(RING_RESIDUE, descriptor, [[scalars[a] for a in row] for row in rows])
+        for rows in residue_rows
+    )
+
+
 def _closure(identity, generators, cap: int):
     """Breadth-first closure of the identity under right multiplication by the generators.
 
@@ -235,22 +293,34 @@ def trivial_group(descriptor: DvrDescriptor, n: int) -> MatrixGroup:
 # -- pseudo-reflections ---------------------------------------------------------
 
 
-def reflection_data(m: ExactMatrix, cap: int = DEFAULT_ORDER_CAP):
-    """(eigenvalue, order) when m is a pseudo-reflection, else None.
+def reflection_eigenvalue(m):
+    """The nontrivial eigenvalue of m when m is a pseudo-reflection, else None.
 
-    rank(m - I) = 1 over K or k is decided by `has_rank_one`, by
-    cross-multiplication with no division.  The nontrivial eigenvalue is
-    det(m), since the other eigenvalues are all 1; with m - I = u v^T it
-    is 1 + v^T u = 1 + trace(m - I), so no determinant and no root-finding
-    is needed.
+    m is an `ExactMatrix` over O, K or k, or an int-kind element given by
+    its `IntMatrix` form A / D.  rank(m - I) = 1 over K or k is decided by
+    `has_rank_one`, on the entries of m - I, or on the integer rows of
+    A - D I = D (m - I), which has the same rank.  The eigenvalue is
+    det(m), since the other eigenvalues are all 1; with m - I = u v^T it is
+    1 + v^T u = 1 + trace(m - I), that is 1 + tr(A - D I) / D, so no
+    determinant and no root-finding is needed.
     """
-    shifted = m.minus_identity()
-    if not has_rank_one(shifted.to_field()):
+    if isinstance(m, IntMatrix):
+        den, rows = m.den, m.rows
+    else:
+        den, rows = ring_one(m.ring, m.descriptor), m.entries
+    shifted = shifted_rows(rows, den)
+    if not has_rank_one(shifted):
         return None
-    lam = sum((row[i] for i, row in enumerate(shifted.entries)),
-              ring_one(m.ring, m.descriptor))
-    order = matrix_order(m, cap=cap)
-    return lam, order
+    lam = sum((row[i] for i, row in enumerate(shifted)), den)
+    return Fraction(lam, den) if isinstance(m, IntMatrix) else lam
+
+
+def reflection_data(m: ExactMatrix, cap: int = DEFAULT_ORDER_CAP):
+    """(eigenvalue, order) when m is a pseudo-reflection, else None."""
+    lam = reflection_eigenvalue(m)
+    if lam is None:
+        return None
+    return lam, matrix_order(m, cap=cap)
 
 
 def is_pseudo_reflection(m: ExactMatrix, cap: int = DEFAULT_ORDER_CAP) -> bool:
@@ -271,12 +341,17 @@ class ReflectionReport:
 
 
 def classify_reflections(group: MatrixGroup) -> ReflectionReport:
-    """Rank-test every element over K and check the reflection set generates."""
+    """Rank-test every element over K and check the reflection set generates.
+
+    The int kind tests its elements' integer forms; only the reflections
+    found have their order taken, from the `ExactMatrix`.
+    """
+    forms = group.integer_forms() if group.descriptor.kind == KIND_INT else group.elements
     found = []
-    for i, m in enumerate(group.elements):
-        data = reflection_data(m, cap=group.order)
-        if data is not None:
-            found.append((i, data[0], data[1]))
+    for i, form in enumerate(forms):
+        lam = reflection_eigenvalue(form)
+        if lam is not None:
+            found.append((i, lam, matrix_order(group.elements[i], cap=group.order)))
     if group.order == 1:
         return ReflectionReport((), True, True)
     generated = _generated_by(group, RING_O, [group.elements[i] for i, _, _ in found])
@@ -287,25 +362,37 @@ def classify_reflections(group: MatrixGroup) -> ReflectionReport:
 
 
 def reduction_map(group: MatrixGroup):
-    """Entrywise reduction of every element; returns (images, injective flag).
+    """Reduction of every element to k; returns (images, injective flag).
 
     Requires the group order to be invertible in the ring.  Under that
-    hypothesis injectivity always holds, but it is measured, not assumed.
+    hypothesis injectivity always holds, but it is measured, not assumed:
+    the residue rows, as ints, must be pairwise distinct.
     """
     invert_mod_group_order(group.order, group.descriptor)
-    images = group.over(RING_RESIDUE)
-    injective = len(set(images)) == len(images)
-    return images, injective
+    residues = group.residue_rows()
+    return group.over(RING_RESIDUE), len(set(residues)) == len(residues)
+
+
+def reduced_reflection_indices(group: MatrixGroup) -> list:
+    """The indices of the elements whose images over k are pseudo-reflections.
+
+    The rank test is `has_rank_one` on the residue rows minus the identity,
+    ints in (-p, p), with each cross product compared mod p; the images of
+    a finite group have finite order, so neither their order nor their
+    determinant is needed.
+    """
+    p = group.descriptor.p
+    return [i for i, rows in enumerate(group.residue_rows())
+            if has_rank_one(shifted_rows(rows, 1), p)]
 
 
 def verify_reduced_reflection_generation(group: MatrixGroup) -> bool:
     """Is the image of the group in GL_n over the residue field reflection-generated?
 
-    Picks out the pseudo-reflections among the reduced images with the same
-    rank test as over K, `has_rank_one` on g - I; the images of a finite
-    group have finite order, so neither their order nor their determinant
-    is needed.  Then asks `_generated_by` whether they generate the image.
+    Picks out the pseudo-reflections among the reduced images with
+    `reduced_reflection_indices`, then asks `_generated_by` whether they
+    generate the image.
     """
     images, _ = reduction_map(group)
-    reflections = [m for m in images if has_rank_one(m.minus_identity())]
+    reflections = [images[i] for i in reduced_reflection_indices(group)]
     return _generated_by(group, RING_RESIDUE, reflections)

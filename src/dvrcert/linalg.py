@@ -24,9 +24,11 @@ Jacobian of polynomials; the Molien series takes det(I - z g) whole.
 
 The passes over every group element use no division and no field
 elimination either: `has_rank_one` decides rank(g - I) = 1 by
-cross-multiplying each row with the first nonzero one.  An `IntMatrix`
-is a matrix over Q as integers, A / D in lowest terms, on which the int
-kind's group closure multiplies, hashes and compares.
+cross-multiplying each row with the first nonzero one, on field values,
+on ints over Q or on ints mod p.  An `IntMatrix` is a matrix over Q as
+integers, A / D in lowest terms, on which the int kind's group closure
+multiplies, hashes and compares; `reduce_form` takes it to F_p as
+(A mod p) (D^-1 mod p), rows of ints.
 """
 from __future__ import annotations
 
@@ -202,11 +204,7 @@ class ExactMatrix:
         """The matrix minus the identity: one subtracted on the diagonal only."""
         if not self.is_square:
             raise ValueError("square matrix required")
-        one = ring_one(self.ring, self.descriptor)
-        return self._like(
-            [a - one if i == j else a for j, a in enumerate(row)]
-            for i, row in enumerate(self.entries)
-        )
+        return self._like(shifted_rows(self.entries, ring_one(self.ring, self.descriptor)))
 
     def to_field(self) -> ExactMatrix:
         """Retag an O-matrix as a matrix over the fraction field K."""
@@ -394,18 +392,28 @@ def rank_over_field(m: ExactMatrix) -> int:
     return _field_echelon(m).rank
 
 
-def has_rank_one(m: ExactMatrix) -> bool:
-    """Is the rank over K or k exactly one?  Decided by cross-multiplication,
-    with no division and no echelon.
+def shifted_rows(rows, d) -> list:
+    """The rows of M - d I, for the square matrix M with these rows and d a
+    value of their ring: d subtracted on the diagonal only."""
+    out = [list(row) for row in rows]
+    for i, row in enumerate(out):
+        row[i] = row[i] - d
+    return out
 
+
+def has_rank_one(rows, p: int | None = None) -> bool:
+    """Is the matrix with these rows of rank exactly one?  Decided by
+    cross-multiplication, with no division and no echelon.
+
+    The rows hold values of a field, K or k, or ints read over Q.  With p
+    given they hold ints in (-p, p) read mod p, so that an entry is zero
+    exactly when it is 0 mod p, and each cross product is compared mod p.
     With r the first nonzero row and j a column where r_j != 0, the rank is
     one exactly when every later row a is (a_j / r_j) * r, that is when
     a_c * r_j = r_c * a_j for every column c; the test stops at the first
     row that fails.
     """
-    if m.ring == RING_O:
-        raise ValueError("rank is a field question; retag the matrix with to_field()")
-    rows = iter(m.entries)
+    rows = iter(rows)
     first = next((row for row in rows if any(row)), None)
     if first is None:
         return False
@@ -414,7 +422,7 @@ def has_rank_one(m: ExactMatrix) -> bool:
     for row in rows:
         aj = row[j]
         for x, y in zip(row, first):
-            if (x or y) and x * rj != y * aj:
+            if (x or y) and (x * rj != y * aj if p is None else (x * rj - y * aj) % p):
                 return False
     return True
 
@@ -524,6 +532,16 @@ def matrix_order(m: ExactMatrix, cap: int = DEFAULT_ORDER_CAP) -> int:
     raise OrderCapExceededError(
         f"order exceeds cap {cap} (the element may have infinite order)"
     )
+
+
+def reduce_form(form: IntMatrix, p: int) -> tuple:
+    """The reduction to F_p of a matrix over Z_(p) given by its form A / D,
+    as rows of ints in [0, p): (A mod p) (D^-1 mod p).  The int kind's one
+    reduction to the residue field."""
+    if form.den % p == 0:
+        raise NotInRingError(f"denominator {form.den} is divisible by {p}; cannot reduce")
+    d = pow(form.den, -1, p)
+    return tuple(tuple(a * d % p for a in row) for row in form.rows)
 
 
 def reduce_matrix(m: ExactMatrix) -> ExactMatrix:

@@ -11,11 +11,15 @@ echelon computation downstream.  The Molien series reads each
 element's det(I - z g) off Berkowitz's characteristic polynomial
 (`linalg.char_poly`), in integers for the int kind, and inverts it by
 one division-free recurrence, since its constant term is det(I) = 1.
+Whether a matrix of polynomials (a Jacobian) has a nonzero determinant is
+first asked at a few fixed points, where the determinant is a scalar.
 """
 from __future__ import annotations
 
+import random
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InternalCheckError, NotInRingError
@@ -28,12 +32,14 @@ from .linalg import (
     RowEchelon,
     add_multiple,
     char_poly,
+    det_of_rows,
     ring_from_int,
     ring_one,
     ring_zero,
     set_fields,
 )
 from .groups import MatrixGroup
+from .ratfunc import FpPoly, RatFunc
 from .scalars import KIND_INT, DvrDescriptor, invert_mod_group_order
 
 
@@ -235,6 +241,91 @@ class MultiPoly:
         return f"MultiPoly[{self.ring}]({self})"
 
 
+# -- determinants of polynomial matrices -------------------------------------------
+
+
+_EVALUATION_POINTS = 3
+
+
+def polynomial_det_is_nonzero(rows) -> bool:
+    """Is the determinant of the square matrix of `MultiPoly` entries with
+    these rows nonzero?
+
+    From 3 x 3 on, the fixed points of `nonzero_at_a_point` are tried
+    first; only when all of them give zero is `linalg.det_of_rows` taken on
+    the polynomials.  Below that Berkowitz forms no more products of
+    entries than the cofactor expansion does, fewer than evaluating them.
+    """
+    if len(rows) > 2 and nonzero_at_a_point(rows):
+        return True
+    f = rows[0][0]
+    zero = MultiPoly.zero(f.ring, f.descriptor, f.n)
+    one = MultiPoly.constant(f.ring, f.descriptor, f.n, ring_one(f.ring, f.descriptor))
+    return not det_of_rows(rows, zero, one).is_zero()
+
+
+def nonzero_at_a_point(rows) -> bool:
+    """Is the determinant of the matrix of `MultiPoly` entries with these
+    rows nonzero at one of `_EVALUATION_POINTS` fixed points?
+
+    Evaluation at a point is a ring map, so True proves the determinant
+    nonzero; each point's scalar determinant is `linalg.det_of_rows` of the
+    entries' values.  False proves nothing.
+    """
+    f = rows[0][0]
+    top = max((max(e) for row in rows for a in row for e in a.terms), default=0)
+    lift, points, zero, one = _evaluation_points(f.ring, f.descriptor, f.n)
+    for point in points:
+        powers = [[one] for _ in point]
+        for x, xs in zip(point, powers):
+            for _ in range(top):
+                xs.append(xs[-1] * x)
+        if det_of_rows([[_evaluate(a, powers, lift, zero) for a in row] for row in rows],
+                       zero, one):
+            return True
+    return False
+
+
+def _evaluation_points(ring: str, descriptor: DvrDescriptor, n: int):
+    """(coefficient lift, points, zero, one) for evaluating polynomials over
+    O, K or k at fixed points.
+
+    Over Q (the int kind over O or K) the points lie in Z^n.  Otherwise
+    they lie in F_p[t]^n inside F_p(t), with the coefficients lifted there:
+    k^n is not enough, since a nonzero polynomial can vanish on all of it
+    (x^p - x, or x y (x^2 - y^2), the Jacobian of B_2 over F_3).  The
+    coordinates are drawn from a fixed seed, so every run tries the same
+    points.
+    """
+    rng = random.Random(n)
+    p = descriptor.p
+    if ring != RING_RESIDUE and descriptor.kind == KIND_INT:
+        points = [[Fraction(rng.randint(-1000, 1000)) for _ in range(n)]
+                  for _ in range(_EVALUATION_POINTS)]
+        return (lambda c: c), points, Fraction(0), Fraction(1)
+    one = FpPoly.one(p)
+    points = [[RatFunc(FpPoly.make(p, [rng.randrange(p) for _ in range(4)]), one)
+               for _ in range(n)] for _ in range(_EVALUATION_POINTS)]
+    lift = (lambda c: RatFunc.from_int(p, c.value)) if ring == RING_RESIDUE else (lambda c: c)
+    return lift, points, RatFunc.zero(p), RatFunc.one(p)
+
+
+def _evaluate(f: MultiPoly, powers, lift, zero):
+    """f at the point whose coordinates' powers are powers[j][e] = x_j^e.
+
+    Each monomial's value, a product of polynomials in F_p[t] (or of ints),
+    is formed before its coefficient, which may have a denominator, joins.
+    """
+    acc = zero
+    for e, c in f.terms.items():
+        value = None
+        for xs, k in zip(powers, e):
+            if k:
+                value = xs[k] if value is None else value * xs[k]
+        acc = acc + (lift(c) if value is None else lift(c) * value)
+    return acc
+
+
 # -- the group action -------------------------------------------------------------
 
 
@@ -369,7 +460,7 @@ def _invariant_basis(group: MatrixGroup, d: int, ring: str) -> GradedBasis:
     # none, and its kernel is then every monomial
     one = ring_one(ring, group.descriptor)
     span = RowEchelon()
-    for idx in map(group.index_of, group.closure_generators):
+    for idx in group.generator_indices:
         for r, row in enumerate(element_action_matrix(group, ring, idx, d)):
             add_multiple(row, -one, {r: one})
             span.add(row)

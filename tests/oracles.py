@@ -7,7 +7,9 @@ elimination), the textbook triple loop over every term, zeros included,
 against the matrix product and `apply` that form terms only where both
 factors are nonzero, the permutation sum and cofactor expansion against
 the determinants read off Berkowitz's division-free `char_poly`,
-minor enumeration against Gaussian rank, powers of the variables' images against
+minor enumeration against Gaussian rank and against the cross-multiplied
+rank-one test on integer forms and residues, entrywise reduction against
+the reduction of integer forms, powers of the variables' images against
 the degree-by-degree monomial recursion, full-group averaging against
 generator-kernel invariant bases, the full cocycle system on every
 group element against the generator-variable system, saturation under
@@ -190,6 +192,19 @@ def rank_by_minors(m: ExactMatrix) -> int:
                 continue
             break
     return best
+
+
+def reduce_entrywise(m: ExactMatrix) -> ExactMatrix:
+    """The reduction of an O-matrix to k: `descriptor.reduce` on each entry."""
+    return ExactMatrix(RING_RESIDUE, m.descriptor,
+                       [[m.descriptor.reduce(a) for a in row] for row in m.entries])
+
+
+def reflection_eigenvalue_bruteforce(m: ExactMatrix):
+    """det(m) by the permutation sum when m - I, the difference with the
+    identity matrix, has rank one by minors; else None."""
+    shifted = m - ExactMatrix.identity(m.ring, m.descriptor, m.rows)
+    return det_cofactor(m) if rank_by_minors(shifted) == 1 else None
 
 
 def reflection_generated_bruteforce(matrices) -> bool:

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from collections import Counter
@@ -22,7 +23,14 @@ from dvrcert.certify import (
 )
 from dvrcert.groups import generate_group, trivial_group
 from dvrcert.linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix, det_of_rows, inverse
-from dvrcert.polys import MultiPoly, act, action_matrix
+from dvrcert.polys import (
+    MultiPoly,
+    _evaluation_points,
+    act,
+    action_matrix,
+    nonzero_at_a_point,
+    polynomial_det_is_nonzero,
+)
 from dvrcert.scalars import DvrDescriptor
 
 from oracles import (
@@ -182,11 +190,28 @@ def _random_poly_entry(descriptor, n, ring, rng):
     return _poly_from_ints(descriptor, n, ring, terms)
 
 
+def _count_polynomial_dets(monkeypatch) -> list:
+    """Record each `det_of_rows` call of `polys` on polynomial entries,
+    the fallback after every evaluation point gave zero."""
+    polys_module = sys.modules["dvrcert.polys"]
+    calls = []
+
+    def counted(rows, zero, one, _original=polys_module.det_of_rows):
+        if isinstance(zero, MultiPoly):
+            calls.append(len(rows))
+        return _original(rows, zero, one)
+
+    monkeypatch.setattr(polys_module, "det_of_rows", counted)
+    return calls
+
+
 @pytest.mark.parametrize("kind", ["int-localized", "ratfunc-localized"])
 @pytest.mark.parametrize("ring", [RING_K, RING_RESIDUE])
-def test_jacobian_determinant_matches_the_cofactor_oracle(kind, ring):
+def test_jacobian_determinant_matches_the_cofactor_oracle(kind, ring, monkeypatch):
     descriptor = DvrDescriptor(kind, 5)
     rng = random.Random(f"jacobian-{kind}-{ring}")
+    fallbacks = _count_polynomial_dets(monkeypatch)
+    singular_from_3 = 0
     for n in range(1, 5):
         zero = MultiPoly.zero(ring, descriptor, n)
         one = _poly_from_ints(descriptor, n, ring, {(0,) * n: 1})
@@ -200,7 +225,14 @@ def test_jacobian_determinant_matches_the_cofactor_oracle(kind, ring):
             expected = poly_matrix_det(rows)
             assert det_of_rows(rows, zero, one) == expected
             singular += expected.is_zero()
+            # every nonsingular one shows it at one of the points
+            assert nonzero_at_a_point(rows) is not expected.is_zero()
+            assert polynomial_det_is_nonzero(rows) is not expected.is_zero()
         assert 2 <= singular <= 6
+        singular_from_3 += singular if n > 2 else 0
+    # 1 x 1 and 2 x 2 go to the polynomial determinant at once, the larger
+    # ones only when singular; the test's own `det_of_rows` calls are not counted
+    assert len(fallbacks) == 2 * 8 + singular_from_3
     # a Jacobian proper: the generators x + y and x*y, then x and x^2 + y
     x = _poly_from_ints(descriptor, 2, ring, {(1, 0): 1})
     y = _poly_from_ints(descriptor, 2, ring, {(0, 1): 1})
@@ -208,6 +240,50 @@ def test_jacobian_determinant_matches_the_cofactor_oracle(kind, ring):
         jacobian = [[f.partial_derivative(j) for j in range(2)] for f in gens]
         assert poly_matrix_det(jacobian).is_zero() is not independent
         assert jacobian_independence(FundamentalInvariants(ring, gens, (1, 2))) is independent
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 3)])
+def test_jacobian_over_k_where_it_vanishes_on_k_points(p, n, monkeypatch):
+    # B_n over F_p: det J is x_1 ... x_n prod (x_i^2 - x_j^2) up to a unit,
+    # zero at every point of k^n, but not at the points of F_p[t]^n
+    descriptor = DvrDescriptor("int-localized", p)
+    swaps = [[[int(c == (r + 1 if r == i else r - 1 if r == i + 1 else r)) for c in range(n)]
+              for r in range(n)] for i in range(n - 1)]
+    sign = [[(-1 if r == c == n - 1 else int(r == c)) for c in range(n)] for r in range(n)]
+    group = generate_group([ExactMatrix.from_ints(RING_O, descriptor, m)
+                            for m in swaps + [sign]])
+    assert group.order == 2 ** n * math.factorial(n)
+    inv = fundamental_invariants(group, RING_RESIDUE, 2 * n)
+    jacobian = [[f.partial_derivative(j) for j in range(n)] for f in inv.generators]
+    det = poly_matrix_det(jacobian)
+    assert not det.is_zero()
+    for point in product(range(p), repeat=n):
+        assert sum(c.value * math.prod(v ** e for v, e in zip(point, exp))
+                   for exp, c in det.terms.items()) % p == 0
+    assert nonzero_at_a_point(jacobian)
+    fallbacks = _count_polynomial_dets(monkeypatch)
+    assert jacobian_independence(inv)
+    assert fallbacks == ([] if n > 2 else [n])
+
+
+@pytest.mark.parametrize("kind", ["int-localized", "ratfunc-localized"])
+def test_polynomial_det_zero_at_every_point_reaches_the_fallback(kind, monkeypatch):
+    # prod over the tried points of (x_1 - c): nonzero, but zero at each of them
+    descriptor = DvrDescriptor(kind, 5)
+    fallbacks = _count_polynomial_dets(monkeypatch)
+    for n in (3, 4):
+        _, points, _, _ = _evaluation_points(RING_K, descriptor, n)
+        one = MultiPoly.constant(RING_K, descriptor, n, descriptor.one())
+        x = MultiPoly.variable(RING_K, descriptor, n, 0)
+        vanishing = one
+        for point in points:
+            vanishing = vanishing * (x - MultiPoly.constant(RING_K, descriptor, n, point[0]))
+        rows = [[vanishing if r == c == 0 else one if r == c else one - one
+                 for c in range(n)] for r in range(n)]
+        assert not nonzero_at_a_point(rows)
+        assert polynomial_det_is_nonzero(rows)
+        assert fallbacks == [n]
+        fallbacks.clear()
 
 
 # -- graded comparison ---------------------------------------------------------------
@@ -376,14 +452,14 @@ def test_per_degree_quantities_are_computed_once_per_group(z3, monkeypatch):
     certify_module = sys.modules["dvrcert.certify"]
     polys_module = sys.modules["dvrcert.polys"]
     computed = []
-    reduced = []
+    reduced = []  # the int kind reduces each element's integer form with `reduce_form`
     for module in (sys.modules["dvrcert.groups"], polys_module, certify_module):
-        if hasattr(module, "reduce_matrix"):
-            def counted_reduce(m, _original=module.reduce_matrix):
-                reduced.append(m)
-                return _original(m)
+        if hasattr(module, "reduce_form"):
+            def counted_reduce(form, p, _original=module.reduce_form):
+                reduced.append(form)
+                return _original(form, p)
 
-            monkeypatch.setattr(module, "reduce_matrix", counted_reduce)
+            monkeypatch.setattr(module, "reduce_form", counted_reduce)
     for module, name in ((polys_module, "_invariant_basis"),
                          (certify_module, "_h1_exact_degree")):
         original = getattr(module, name)
@@ -403,7 +479,8 @@ def test_per_degree_quantities_are_computed_once_per_group(z3, monkeypatch):
     # a zero k piece bounds the K piece to 0 and |G| = 8 is a unit mod 3
     assert len(computed) == 2 * 9 + 6
     # every element is reduced to the residue field once, by all stages together
-    assert sorted(map(b2.index_of, reduced)) == list(range(b2.order))
+    form_index = {form: i for i, form in enumerate(b2.integer_forms())}
+    assert sorted(map(form_index.get, reduced)) == list(range(b2.order))
     assert certify(b2, 8, ["invariants", "graded", "h1"]).verdict == "complete"
     assert len(computed) == 2 * 9 + 6
     assert len(reduced) == b2.order

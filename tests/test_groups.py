@@ -14,6 +14,7 @@ from dvrcert.groups import (
     classify_reflections,
     generate_group,
     is_pseudo_reflection,
+    reduced_reflection_indices,
     reduction_map,
     reflection_data,
     trivial_group,
@@ -23,7 +24,12 @@ from dvrcert.linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix, det, inver
 from dvrcert.scalars import DvrDescriptor
 
 from conftest import random_unimodular
-from oracles import element_order, reflection_generated_bruteforce
+from oracles import (
+    element_order,
+    reduce_entrywise,
+    reflection_eigenvalue_bruteforce,
+    reflection_generated_bruteforce,
+)
 
 
 def test_generate_group_examples(s2_z3, s3_z5, b2_z3):
@@ -308,3 +314,46 @@ def test_integer_closure_of_an_infinite_group_reaches_the_cap(z5):
         g = ExactMatrix(RING_O, z5, rows)
         with pytest.raises(ClosureCapExceededError):
             generate_group([g], cap=200)
+
+
+def test_integer_form_passes_match_the_brute_force_oracles(s2_z3, s3_z5, b2_z3,
+                                                          neg_identity_z23,
+                                                          reflection_and_sign_z5):
+    # the rotation of order 3 over Z_(3) is a transvection mod 3, a
+    # reflection over k but not over K; 3 divides its group's order, so it
+    # is kept out of `reduction_map`
+    z3 = s2_z3.descriptor
+    c3_z3 = generate_group([ExactMatrix.from_ints(RING_O, z3, [[0, -1], [1, -1]])])
+    rng = random.Random(1515)
+    groups = [s2_z3, s3_z5, b2_z3, neg_identity_z23, reflection_and_sign_z5, c3_z3]
+    groups += [_conjugated_by_a_denominator(g, rng) for g in groups for _ in range(2)]
+    # D != 1 mod p, so the factor D^-1 of the reduction matters
+    assert any(f.den % g.descriptor.p != 1 for g in groups[6:] for f in g.integer_forms())
+    only_over_k = 0
+    for group in groups:
+        reduced = [reduce_entrywise(m) for m in group.elements]
+        assert group.over(RING_RESIDUE) == tuple(reduced)
+        assert group.residue_rows() == tuple(
+            tuple(tuple(a.value for a in row) for row in m.entries) for m in reduced
+        )
+        if group.order % group.descriptor.p:
+            _, injective = reduction_map(group)
+            assert injective == (len(set(reduced)) == group.order)
+        over_k = set(reduced_reflection_indices(group))
+        over_K = {i: lam for i, lam, _ in classify_reflections(group).reflections}
+        for i, (m, m_k) in enumerate(zip(group.elements, reduced)):
+            assert over_K.get(i) == reflection_eigenvalue_bruteforce(m)
+            assert (i in over_k) == (reflection_eigenvalue_bruteforce(m_k) is not None)
+            only_over_k += i in over_k and i not in over_K
+    assert only_over_k >= 3  # the rotations of C_3 and of its conjugates
+
+
+def test_generator_indices_point_at_the_closure_generators(z3, s3_z5, c4_f5t):
+    # the identity among the generators is reached first as the identity itself
+    swap = ExactMatrix.from_ints(RING_O, z3, [[0, 1], [1, 0]])
+    with_identity = generate_group([ExactMatrix.identity(RING_O, z3, 2), swap])
+    for group in (with_identity, s3_z5, c4_f5t, trivial_group(z3, 2)):
+        assert [group.elements[i] for i in group.generator_indices] \
+            == list(group.closure_generators)
+        assert list(group.generator_indices) == list(map(group.index_of, group.closure_generators))
+    assert 0 in with_identity.generator_indices

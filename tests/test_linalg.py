@@ -9,6 +9,7 @@ from dvrcert.linalg import (
     RING_O,
     RING_RESIDUE,
     ExactMatrix,
+    IntMatrix,
     RowEchelon,
     char_poly,
     det,
@@ -17,6 +18,7 @@ from dvrcert.linalg import (
     kernel_over_field,
     matrix_order,
     rank_over_field,
+    reduce_form,
     reduce_matrix,
     ring_one,
     ring_zero,
@@ -350,6 +352,10 @@ def test_reduce_matrix_examples(z3):
     assert reduce_matrix(
         ExactMatrix.from_ints(RING_O, z3, [[1, 3], [0, 1]])
     ) == ExactMatrix.identity(RING_RESIDUE, z3, 2)
+    # the integer form A / D: (A mod 3) (D^-1 mod 3), here D = 2
+    assert reduce_form(IntMatrix(2, [[1, 6], [-4, 2]]), 3) == ((2, 0), (1, 1))
+    with pytest.raises(NotInRingError):
+        reduce_form(IntMatrix(3, [[1, 0], [0, 3]]), 3)
 
 
 @pytest.mark.parametrize("kind,p", [("int-localized", 3), ("ratfunc-localized", 5)])
@@ -441,7 +447,14 @@ def test_has_rank_one_matches_rank_over_field(ring, kind):
     for m in _rank_one_cases(ring, descriptor, random.Random(131)):
         rank = rank_over_field(m)
         ranks.append(rank)
-        assert has_rank_one(m) == (rank == 1)
+        assert has_rank_one(m.entries) == (rank == 1)
+        if ring == RING_RESIDUE:
+            # the same rows as ints mod p, in [0, p) and moved into (-p, 0]
+            values = [[a.value for a in row] for row in m.entries]
+            assert has_rank_one(values, 5) == (rank == 1)
+            assert has_rank_one([[a - 5 * (a > 2) for a in row] for row in values], 5) \
+                == (rank == 1)
+        elif kind == KIND_INT:
+            form = IntMatrix.from_matrix(m)  # rows of D m, ints over Q
+            assert has_rank_one(form.rows) == (rank == 1)
     assert {0, 1, 2, 4} <= set(ranks)
-    with pytest.raises(ValueError):
-        has_rank_one(ExactMatrix.from_ints(RING_O, descriptor, [[1, 0], [0, 0]]))
