@@ -12,7 +12,6 @@ from .errors import (
     JobSpecError,
     NotInRingError,
     NotInvertibleError,
-    OrderCapExceededError,
     ValuationUndefinedError,
 )
 from .scalars import (
@@ -30,7 +29,6 @@ from .linalg import (
     det,
     inverse,
     kernel_over_field,
-    matrix_order,
     rank_over_field,
     reduce_matrix,
 )

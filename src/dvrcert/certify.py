@@ -260,8 +260,10 @@ def _h1_exact_degree(group: MatrixGroup, degree: int, ring: str) -> int:
 
     A cocycle is determined by its values on the closure generators; the
     remaining conditions are the multiplication relations of the enumerated
-    group, and the breadth-first element tree tells the tree edges (which
-    define) apart from the rest (which constrain).
+    group, c(element_i * g) = c(element_i) + element_i . c(g), one for each
+    entry of the closure's table `group.products`, read off it with no
+    matrix product.  The breadth-first element tree tells the tree edges
+    (which define) apart from the rest (which constrain).
 
     B^1 lies in Z^1, so the rank of the relations never exceeds
     width - dim B^1.  Once it reaches that, Z^1 = B^1 is proved exactly and
@@ -321,10 +323,9 @@ def _h1_exact_degree(group: MatrixGroup, degree: int, ring: str) -> int:
     span = RowEchelon()
     for idx in range(group.order):
         current = express(idx)
-        for gi, g in enumerate(group.closure_generators):
+        for gi, target in enumerate(group.products[idx]):
             if span.rank == width - dim_b1:
                 return 0  # Z^1 = B^1
-            target = group.index_of(group.elements[idx] * g)
             if group.bfs_parent(target) == (idx, gi):
                 continue  # tree edge: defines rather than constrains
             for row, other in zip(block_plus(current, idx, gi), express(target)):

@@ -25,10 +25,6 @@ class NotInvertibleError(DvrcertError, ValueError):
     """Matrix is singular, or invertible over the fraction field but not over the DVR."""
 
 
-class OrderCapExceededError(DvrcertError):
-    """Repeated powers never reached the identity within the cap."""
-
-
 class ClosureCapExceededError(DvrcertError):
     """Group closure exceeded the element cap; the group may be infinite."""
 

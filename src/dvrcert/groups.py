@@ -18,9 +18,13 @@ The ratfunc kind closes the `ExactMatrix` values, tests rank over K on
 their entries and reduces them with `reduce_matrix`.  Over k both kinds
 test rank on the residue rows as ints mod p.  Both kinds run the one
 `_closure`, so the elements and their breadth-first parents do not depend
-on the form, and the one rank test `has_rank_one`.  The element index
-that `index_of` reads is built on first use: none of these passes needs
-it.
+on the form, and the one rank test `has_rank_one`.
+
+The closure records the index of every product element * generator it
+forms, and H^1 reads its relations off that table, so after the closure
+only `_generated_by`'s own closures multiply group elements.  A
+reflection's order is that of its eigenvalue (`eigenvalue_order`), found
+without matrix powers.
 """
 from __future__ import annotations
 
@@ -30,14 +34,12 @@ from itertools import chain
 
 from .errors import ClosureCapExceededError, NotInvertibleError
 from .linalg import (
-    DEFAULT_ORDER_CAP,
     RING_O,
     RING_RESIDUE,
     ExactMatrix,
     IntMatrix,
     det,
     has_rank_one,
-    matrix_order,
     reduce_form,
     reduce_matrix,
     ring_one,
@@ -65,39 +67,27 @@ class MatrixGroup:
     of the highest degree its action matrices reached (see
     `polys.element_action_matrix`).
 
-    `generator_indices` lists the element index of each closure generator.
-    The closure reaches generator g first as identity * g, so g is the
-    identity or the element whose parent is (0, index of g); no element
-    needs hashing to find it.
+    `products[i][gi]` is the index of elements[i] * closure_generators[gi],
+    recorded by the closure as it formed that product.
     """
 
     __slots__ = ("descriptor", "n", "generators", "closure_generators", "elements",
-                 "order", "generator_indices", "_index", "_bfs_parent", "memo")
+                 "order", "products", "_bfs_parent", "memo")
 
-    def __init__(self, descriptor, n, generators, closure_generators, elements, bfs_parent):
-        children = {gi: i for i, (parent, gi) in enumerate(bfs_parent[1:], 1) if parent == 0}
+    def __init__(self, descriptor, n, generators, closure_generators, elements, bfs_parent,
+                 products):
         set_fields(self, descriptor=descriptor, n=n, generators=tuple(generators),
                    closure_generators=tuple(closure_generators), elements=tuple(elements),
-                   order=len(elements),
-                   generator_indices=tuple(children.get(gi, 0)
-                                           for gi in range(len(closure_generators))),
-                   _index=None, _bfs_parent=tuple(bfs_parent), memo={})
+                   order=len(elements), products=tuple(products),
+                   _bfs_parent=tuple(bfs_parent), memo={})
 
     def __setattr__(self, name, value):
         raise AttributeError("groups are immutable once enumerated")
 
-    def _element_index(self) -> dict:
-        """{element: index}, built on first use: hashing every element costs
-        a `Fraction` hash per entry for the int kind."""
-        if self._index is None:
-            object.__setattr__(self, "_index", {m: i for i, m in enumerate(self.elements)})
-        return self._index
-
-    def index_of(self, element: ExactMatrix) -> int:
-        return self._element_index()[element]
-
-    def __contains__(self, element) -> bool:
-        return element in self._element_index()
+    @property
+    def generator_indices(self) -> tuple:
+        """The element index of each closure generator: identity * g = g."""
+        return self.products[0]
 
     def identity(self) -> ExactMatrix:
         return self.elements[0]
@@ -177,6 +167,7 @@ def generate_group(
     hashing and membership are integer work, and the elements are turned
     back into `ExactMatrix` once at the end; the forms stay in `memo` for
     `integer_forms`.  The ratfunc kind closes the `ExactMatrix` values.
+    Either way the closure's table of products becomes `products`.
     """
     generators = list(generators)
     if descriptor is None:
@@ -204,14 +195,16 @@ def generate_group(
 
     closure_gens = sorted(set(generators), key=ExactMatrix.sort_key)
     ident = ExactMatrix.identity(RING_O, descriptor, n)
+    products: list = []
     if descriptor.kind != KIND_INT:
-        elements, parents = zip(*_closure(ident, closure_gens, cap))
-        return MatrixGroup(descriptor, n, generators, closure_gens, elements, parents)
+        elements, parents = zip(*_closure(ident, closure_gens, cap, products))
+        return MatrixGroup(descriptor, n, generators, closure_gens, elements, parents, products)
     forms, parents = zip(*_closure(
-        IntMatrix.from_matrix(ident), list(map(IntMatrix.from_matrix, closure_gens)), cap
+        IntMatrix.from_matrix(ident), list(map(IntMatrix.from_matrix, closure_gens)), cap,
+        products,
     ))
     group = MatrixGroup(descriptor, n, generators, closure_gens,
-                        _exact_elements(forms, descriptor), parents)
+                        _exact_elements(forms, descriptor), parents, products)
     group.memo["elements", "int"] = forms
     return group
 
@@ -246,28 +239,33 @@ def _residue_matrices(residue_rows, descriptor: DvrDescriptor) -> tuple:
     )
 
 
-def _closure(identity, generators, cap: int):
+def _closure(identity, generators, cap: int, products: list | None = None):
     """Breadth-first closure of the identity under right multiplication by the generators.
 
     Lazily yields each element as it is first reached, with its (parent
     index, generator index), starting with (identity, None), so a caller
     stops the multiplying by stopping the iteration; raises once more than
-    `cap` elements appear.
+    `cap` elements appear.  Given a list `products`, it appends to it, for
+    each element in turn, the indices of element * g over the generators g.
     """
     elements = [identity]
-    seen = {identity}
+    index = {identity: 0}
     yield identity, None
     for cur, element in enumerate(elements):  # the list grows while it is walked
+        row = []
         for gi, g in enumerate(generators):
             nxt = element * g
-            if nxt not in seen:
-                if len(elements) >= cap:
+            j = index.setdefault(nxt, len(elements))
+            if j == len(elements):
+                if j >= cap:
                     raise ClosureCapExceededError(
                         f"closure exceeded {cap} elements; group too large or infinite"
                     )
-                seen.add(nxt)
                 elements.append(nxt)
                 yield nxt, (cur, gi)
+            row.append(j)
+        if products is not None:
+            products.append(tuple(row))
 
 
 def _generated_by(group: MatrixGroup, ring: str, reflections) -> bool:
@@ -287,7 +285,7 @@ def _generated_by(group: MatrixGroup, ring: str, reflections) -> bool:
 
 def trivial_group(descriptor: DvrDescriptor, n: int) -> MatrixGroup:
     ident = ExactMatrix.identity(RING_O, descriptor, n)
-    return MatrixGroup(descriptor, n, (), (), (ident,), (None,))
+    return MatrixGroup(descriptor, n, (), (), (ident,), (None,), ((),))
 
 
 # -- pseudo-reflections ---------------------------------------------------------
@@ -315,16 +313,41 @@ def reflection_eigenvalue(m):
     return Fraction(lam, den) if isinstance(m, IntMatrix) else lam
 
 
-def reflection_data(m: ExactMatrix, cap: int = DEFAULT_ORDER_CAP):
+def eigenvalue_order(lam, ring: str, descriptor: DvrDescriptor) -> int | None:
+    """The order of a matrix over `ring` with g - I of rank one and
+    eigenvalue lam (see `reflection_eigenvalue`); None when it is infinite.
+
+    For lam != 1, g - I = u v^T with v^T u = lam - 1 != 0, so g is
+    diag(1, ..., 1, lam) in a basis over K or k and its order is that of
+    lam.  A root of unity of Q is +-1, and one of F_p(t) or F_p lies in
+    F_p^*, so the powers of lam reach 1 within max(2, p - 1) of them or
+    never.  For lam = 1, g = I + N with N^2 = (tr N) N = 0, so g^k = I + kN:
+    the order is p in characteristic p, and over Q there is none.  `lam` is
+    compared with the ring's own one: a `ResidueScalar` never equals a
+    `Fraction`.
+    """
+    over_q = descriptor.kind == KIND_INT and ring != RING_RESIDUE
+    one = ring_one(ring, descriptor)
+    if lam == one:
+        return None if over_q else descriptor.p
+    bound = 2 if over_q else max(2, descriptor.p - 1)
+    power, k = lam, 1
+    while power != one:
+        if k == bound:
+            return None
+        power, k = power * lam, k + 1
+    return k
+
+
+def reflection_data(m: ExactMatrix):
     """(eigenvalue, order) when m is a pseudo-reflection, else None."""
     lam = reflection_eigenvalue(m)
-    if lam is None:
-        return None
-    return lam, matrix_order(m, cap=cap)
+    order = None if lam is None else eigenvalue_order(lam, m.ring, m.descriptor)
+    return None if order is None else (lam, order)
 
 
-def is_pseudo_reflection(m: ExactMatrix, cap: int = DEFAULT_ORDER_CAP) -> bool:
-    return reflection_data(m, cap=cap) is not None
+def is_pseudo_reflection(m: ExactMatrix) -> bool:
+    return reflection_data(m) is not None
 
 
 @dataclass(frozen=True)
@@ -343,15 +366,15 @@ class ReflectionReport:
 def classify_reflections(group: MatrixGroup) -> ReflectionReport:
     """Rank-test every element over K and check the reflection set generates.
 
-    The int kind tests its elements' integer forms; only the reflections
-    found have their order taken, from the `ExactMatrix`.
+    The int kind tests its elements' integer forms; the order of each
+    reflection found is that of its eigenvalue.
     """
     forms = group.integer_forms() if group.descriptor.kind == KIND_INT else group.elements
     found = []
     for i, form in enumerate(forms):
         lam = reflection_eigenvalue(form)
         if lam is not None:
-            found.append((i, lam, matrix_order(group.elements[i], cap=group.order)))
+            found.append((i, lam, eigenvalue_order(lam, RING_O, group.descriptor)))
     if group.order == 1:
         return ReflectionReport((), True, True)
     generated = _generated_by(group, RING_O, [group.elements[i] for i, _, _ in found])

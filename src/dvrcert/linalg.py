@@ -36,15 +36,13 @@ from dataclasses import dataclass
 from itertools import chain
 from math import gcd, lcm
 
-from .errors import NotInRingError, NotInvertibleError, OrderCapExceededError
+from .errors import NotInRingError, NotInvertibleError
 from .scalars import DvrDescriptor
 
 RING_O = "O"
 RING_K = "K"
 RING_RESIDUE = "k"
 VALID_RINGS = (RING_O, RING_K, RING_RESIDUE)
-
-DEFAULT_ORDER_CAP = 20000
 
 
 def ring_from_int(ring: str, descriptor: DvrDescriptor):
@@ -517,21 +515,6 @@ def _inverse_field(m: ExactMatrix) -> ExactMatrix:
     if any(c >= n for c in pivot_rows):
         raise NotInvertibleError("matrix is singular")
     return m._like([pivot_rows[c].get(n + j, zero) for j in range(n)] for c in range(n))
-
-
-def matrix_order(m: ExactMatrix, cap: int = DEFAULT_ORDER_CAP) -> int:
-    """Least power m**k == I, or an error if k would exceed the cap."""
-    if not m.is_square:
-        raise ValueError("order of a non-square matrix")
-    ident = ExactMatrix.identity(m.ring, m.descriptor, m.rows)
-    acc = m
-    for k in range(1, cap + 1):
-        if acc == ident:
-            return k
-        acc = acc * m
-    raise OrderCapExceededError(
-        f"order exceeds cap {cap} (the element may have infinite order)"
-    )
 
 
 def reduce_form(form: IntMatrix, p: int) -> tuple:

@@ -61,17 +61,13 @@ class DiagonalizingBasis:
         }
 
 
-def _scalar_order(lam, cap: int) -> int:
-    acc = lam
-    one = lam / lam  # lam is a unit
-    for k in range(1, cap + 1):
-        if acc == one:
-            return k
-        acc = acc * lam
-    raise InternalCheckError(f"eigenvalue {lam} has order exceeding {cap}")
+def _verify(sigma: ExactMatrix, basis, lam) -> None:
+    """Check the eigen-relations and that the basis is one of O^n.
 
-
-def _verify(sigma: ExactMatrix, basis, lam, order) -> None:
+    The order needs no check: once these hold, sigma = T diag(1, ..., 1,
+    lambda) T^-1 for the change of basis T, so the order of sigma is that
+    of lambda, which is how `reflection_data` took it.
+    """
     n = sigma.rows
     for i, w in enumerate(basis):
         image = sigma.apply(w)
@@ -88,29 +84,22 @@ def _verify(sigma: ExactMatrix, basis, lam, order) -> None:
         raise InternalCheckError(
             f"change-of-basis determinant {d} is not a unit: not an O-basis"
         )
-    if lam ** order != desc.one():
-        raise InternalCheckError(f"eigenvalue {lam} is not an {order}-th root of unity")
-    lam_order = _scalar_order(lam, order)
-    if lam_order != order:
-        raise InternalCheckError(
-            f"eigenvalue order {lam_order} differs from the matrix order {order}"
-        )
 
 
 def diagonalizing_basis(sigma: ExactMatrix, group: MatrixGroup) -> DiagonalizingBasis:
     """Eigenbasis of O^n for the pseudo-reflection sigma.
 
     The group context supplies the invertibility hypothesis (which makes
-    lambda - 1 a unit) and an order cap; sigma itself need not be one of
-    the enumerated elements (conjugates are fine).
+    lambda - 1 a unit); sigma itself need not be one of the enumerated
+    elements (conjugates are fine).
     """
     invert_mod_group_order(group.order, group.descriptor)
-    data = reflection_data(sigma, cap=max(group.order, 2))
+    data = reflection_data(sigma)
     if data is None:
         raise ValueError("matrix is not a pseudo-reflection")
     lam, order = data
     basis = _diagonalize(sigma, lam)
-    _verify(sigma, basis, lam, order)
+    _verify(sigma, basis, lam)
     return DiagonalizingBasis(tuple(basis), lam, order, sigma.descriptor)
 
 

@@ -34,7 +34,6 @@ from dvrcert.linalg import (
     ExactMatrix,
     inverse,
     kernel_over_field,
-    matrix_order,
     reduce_matrix,
     ring_one,
     ring_zero,
@@ -130,6 +129,17 @@ def sparse_rows(rows) -> list[dict]:
 
 def transpose(m: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(m.ring, m.descriptor, [list(col) for col in zip(*m.entries)])
+
+
+def matrix_order(m: ExactMatrix, cap: int) -> int | None:
+    """Least k <= cap with m**k == I, by repeated matrix products; None past the cap."""
+    ident = ExactMatrix.identity(m.ring, m.descriptor, m.rows)
+    acc = m
+    for k in range(1, cap + 1):
+        if acc == ident:
+            return k
+        acc = acc * m
+    return None
 
 
 def element_order(group, i: int) -> int:
@@ -370,10 +380,11 @@ def _h1_exact_degree_bruteforce(group, degree: int, ring: str) -> int:
     order = group.order
     width = order * size
     zero = ring_zero(ring, group.descriptor)
+    index = {m: i for i, m in enumerate(group.elements)}
     span = DenseRowEchelon()
     for a in range(order):
         for b in range(order):
-            c = group.index_of(group.elements[a] * group.elements[b])
+            c = index[group.elements[a] * group.elements[b]]
             # c(ab) - c(a) - a.c(b) = 0
             for r in range(size):
                 row = [zero] * width

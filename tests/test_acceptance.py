@@ -12,12 +12,17 @@ from dvrcert.groups import (
     reduction_map,
     verify_reduced_reflection_generation,
 )
-from dvrcert.linalg import RING_K, RING_RESIDUE, det, inverse
+from dvrcert.linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix, det, inverse
 from dvrcert.polys import hilbert_product_truncation
-from dvrcert.refbasis import diagonalizing_basis, _scalar_order
+from dvrcert.refbasis import diagonalizing_basis
 
 from conftest import random_unimodular
-from oracles import change_of_basis, h1_bruteforce, invariant_dimension_bruteforce
+from oracles import change_of_basis, h1_bruteforce, invariant_dimension_bruteforce, matrix_order
+
+
+def _scalar_order(lam, descriptor, cap: int):
+    """The order of a scalar of O, by the matrix-power oracle on [[lam]]."""
+    return matrix_order(ExactMatrix(RING_O, descriptor, [[lam]]), cap=cap)
 
 
 def _report(num: int, description: str, ok: bool):
@@ -83,7 +88,7 @@ def test_criterion_3_c4_ratfunc_certificate(c4_f5t, f5t):
         and brute_dims == [1, 0, 0, 0, 1]
         and eigen_orders == [2, 4, 4]
         and len(lam_of_order_4) == 2
-        and all(_scalar_order(lam, 4) == 4 for lam in lam_of_order_4)
+        and all(_scalar_order(lam, f5t, 4) == 4 for lam in lam_of_order_4)
         and elapsed < 5.0
     )
     _report(3, f"C4 over F5[t]_(t): certified, degrees [4], root of unity of order 4, {elapsed:.2f}s", ok)
@@ -112,7 +117,7 @@ def test_criterion_4_diagonalizing_basis_fuzz(s3_z5, b2_z3, c4_f5t):
                 assert group.descriptor.is_unit(det(change_of_basis(basis)))
                 assert basis.eigenvalue == det(moved) == lam
                 assert basis.order == order
-                assert _scalar_order(basis.eigenvalue, order) == order
+                assert _scalar_order(basis.eigenvalue, group.descriptor, order) == order
                 runs += 1
     elapsed = time.perf_counter() - started
     ok = runs == 100 * (3 + 4 + 3) and elapsed < 30.0

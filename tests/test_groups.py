@@ -1,8 +1,11 @@
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from dvrcert.certify import h1_dimension
 from dvrcert.cli import EXIT_INCONCLUSIVE, parse_jobspec, run
 from dvrcert.errors import (
     ClosureCapExceededError,
@@ -12,6 +15,7 @@ from dvrcert.errors import (
 from dvrcert.groups import (
     _closure,
     classify_reflections,
+    eigenvalue_order,
     generate_group,
     is_pseudo_reflection,
     reduced_reflection_indices,
@@ -20,12 +24,15 @@ from dvrcert.groups import (
     trivial_group,
     verify_reduced_reflection_generation,
 )
-from dvrcert.linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix, det, inverse, matrix_order
+from dvrcert.refbasis import diagonalizing_basis
+from dvrcert.linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix, det, inverse
 from dvrcert.scalars import DvrDescriptor
 
 from conftest import random_unimodular
 from oracles import (
     element_order,
+    h1_bruteforce,
+    matrix_order,
     reduce_entrywise,
     reflection_eigenvalue_bruteforce,
     reflection_generated_bruteforce,
@@ -59,7 +66,7 @@ def test_group_contains_inverses_and_identity(s3_z5):
     ident = s3_z5.identity()
     assert ident == ExactMatrix.identity(RING_O, s3_z5.descriptor, 3)
     for m in s3_z5.elements:
-        assert inverse(m) in s3_z5
+        assert inverse(m) in s3_z5.elements
 
 
 def test_closure_is_deterministic(z5):
@@ -105,10 +112,13 @@ def test_reflection_eigenvalue_is_the_determinant(s3_z5, f5t):
         for idx, lam, order in report.reflections:
             assert lam == det(group.elements[idx])
             orders.add(order)
+        found_over_k = 0
         for m in group.over(RING_RESIDUE):
             data = reflection_data(m)
             if data is not None:
                 assert data[0] == det(m)
+                found_over_k += 1
+        assert found_over_k == len(reduced_reflection_indices(group)) > 0
     assert orders == {2, 4}
 
 
@@ -355,5 +365,109 @@ def test_generator_indices_point_at_the_closure_generators(z3, s3_z5, c4_f5t):
     for group in (with_identity, s3_z5, c4_f5t, trivial_group(z3, 2)):
         assert [group.elements[i] for i in group.generator_indices] \
             == list(group.closure_generators)
-        assert list(group.generator_indices) == list(map(group.index_of, group.closure_generators))
+        assert list(group.generator_indices) \
+            == [group.elements.index(g) for g in group.closure_generators]
     assert 0 in with_identity.generator_indices
+
+
+def _batch_groups(seed: int) -> list:
+    """The groups of the first batch of the benchmark's seeded
+    `small-batch-conjugated` workload, built from its job documents."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
+    import workloads
+
+    specs = [parse_jobspec(doc) for _, doc in workloads.small_batch(seed, 0)]
+    return [generate_group(spec.generators, descriptor=spec.dvr) for spec in specs]
+
+
+def test_reflection_orders_match_the_matrix_power_oracle(
+    s2_z3, s3_z5, b2_z3, c4_f5t, b2_f5t_twisted, neg_identity_z23, reflection_and_sign_z5,
+    s2_z2, f5t,
+):
+    groups = [s2_z3, s3_z5, b2_z3, c4_f5t, b2_f5t_twisted, neg_identity_z23,
+              reflection_and_sign_z5, s2_z2] + _batch_groups(41)
+    over_o = over_k = bases = 0
+    for group in groups:
+        invertible = group.order % group.descriptor.p != 0
+        for idx, _, order in classify_reflections(group).reflections:
+            assert order == element_order(group, idx)
+            over_o += 1
+            if invertible:
+                assert diagonalizing_basis(group.elements[idx], group).order == order
+                bases += 1
+        for m in group.over(RING_RESIDUE):
+            data = reflection_data(m)
+            if data is not None:
+                assert data[1] == matrix_order(m, cap=group.order)
+                over_k += 1
+    assert min(over_o, over_k, bases) >= 80  # 85, 85 and 80 on seed 41
+
+    # transvections over F_5(t): eigenvalue 1, order p
+    shear_f5t = generate_group([ExactMatrix.from_ints(RING_O, f5t, [[1, 1], [0, 1]])])
+    report = classify_reflections(shear_f5t)
+    assert report.count == 4 and report.generated_by_reflections
+    assert all((lam, order) == (f5t.one(), 5) for _, lam, order in report.reflections)
+    for i in range(1, 5):
+        assert element_order(shear_f5t, i) == 5
+        assert reflection_data(shear_f5t.over(RING_RESIDUE)[i]) == (f5t.residue(1), 5)
+    # the one of k compares with a residue, not with the integer 1
+    assert eigenvalue_order(f5t.residue(1), RING_RESIDUE, f5t) == 5
+    assert eigenvalue_order(f5t.residue(2), RING_RESIDUE, f5t) == 4
+
+
+def test_no_finite_order_is_refused_without_matrix_powers(z5, monkeypatch):
+    # over Z_(5) a shear has eigenvalue 1 and diag(2, 1) eigenvalue 2:
+    # neither is a root of unity of Q, so neither has a finite order
+    products = []
+    multiply = ExactMatrix.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return multiply(a, b)
+
+    monkeypatch.setattr(ExactMatrix, "__mul__", counted)
+    for rows in ([[1, 1], [0, 1]], [[2, 0], [0, 1]]):
+        m = ExactMatrix.from_ints(RING_O, z5, rows)
+        assert reflection_data(m) is None and not is_pseudo_reflection(m)
+        assert is_pseudo_reflection(m.to_field()) is False
+    assert products == []
+    assert eigenvalue_order(z5.from_int(-1), RING_K, z5) == 2
+    assert eigenvalue_order(z5.residue(2), RING_RESIDUE, z5) == 4
+    assert eigenvalue_order(z5.residue(1), RING_RESIDUE, z5) == 5
+
+
+def test_the_closure_records_its_products(s2_z3, s3_z5, b2_z3, c4_f5t, b2_f5t_twisted,
+                                           reflection_and_sign_z5, z3, f5t, monkeypatch):
+    rng = random.Random(1717)
+    x = f5t.uniformizer()
+    stretch = ExactMatrix(RING_O, f5t, [[f5t.one() + x, f5t.zero()], [f5t.zero(), f5t.one()]])
+    b2_over_1_plus_t = generate_group(
+        [stretch * g * inverse(stretch) for g in b2_f5t_twisted.generators], descriptor=f5t)
+    groups = [s2_z3, s3_z5, b2_z3, c4_f5t, b2_f5t_twisted, reflection_and_sign_z5,
+              _conjugated_by_a_denominator(s3_z5, rng), b2_over_1_plus_t]
+    # conjugates whose entries have denominators prime to p, for both kinds
+    assert any(a.denominator != 1 for m in groups[-2].elements for row in m.entries for a in row)
+    assert any(a.den.degree > 0 for m in groups[-1].elements for row in m.entries for a in row)
+    for group in groups:
+        index = {m: i for i, m in enumerate(group.elements)}
+        assert group.products == tuple(
+            tuple(index[m * g] for g in group.closure_generators) for m in group.elements
+        )
+        assert group.generator_indices == group.products[0]
+    assert trivial_group(z3, 2).products == ((),)
+
+    # H^1 with p | |G| reads every relation, all of them off the table
+    d2 = DvrDescriptor("int-localized", 2)
+    wb2_z2 = generate_group([ExactMatrix.from_ints(RING_O, d2, g)
+                             for g in ([[0, 1], [1, 0]], [[1, 0], [0, -1]])])
+    expected = [h1_bruteforce(wb2_z2, 3, ring) for ring in (RING_RESIDUE, RING_K)]
+    products = []
+    multiply = ExactMatrix.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return multiply(a, b)
+
+    monkeypatch.setattr(ExactMatrix, "__mul__", counted)
+    assert [h1_dimension(wb2_z2, 3, ring) for ring in (RING_RESIDUE, RING_K)] == expected
+    assert products == [] and expected[0] > 0
