@@ -30,7 +30,6 @@ from .linalg import (
     inverse,
     kernel_over_field,
     rank_over_field,
-    reduce_matrix,
 )
 from .groups import (
     MatrixGroup,

@@ -614,7 +614,7 @@ def certify(
         bases = []
         for idx, lam, order in report.reflections:
             try:
-                bases.append((idx, diagonalizing_basis(group.elements[idx], group), ""))
+                bases.append((idx, diagonalizing_basis(group.over(RING_O)[idx], group), ""))
             except DvrcertError as exc:
                 bases.append((idx, None, str(exc)))
                 notes.append(f"diagonalizing basis failed for element {idx}: {exc}")

@@ -7,18 +7,19 @@ determinant.  The rank is tested by cross-multiplication (`has_rank_one`),
 with no division.  Reflections generate G (or its image over k) exactly when
 their closure reaches G's own generators; `_generated_by` alone decides this.
 
-For the int kind every pass over all of G runs on the closure's own
-`IntMatrix` forms A / D, in Python ints:
+A group's elements are the values its closure multiplied: for the int kind
+the `IntMatrix` forms A / D, in Python ints, and for the ratfunc kind the
+O-matrices.  Every pass over all of G reads them directly:
 - the closure that enumerates G: its products, hashes and membership tests;
-- the rank-one test over K, on the rows of A - D I = D (g - I), with
-  eigenvalue 1 + tr(A - D I) / D;
-- the reduction to k, (A mod p) (D^-1 mod p) by `reduce_form`, and the
-  injectivity of the reduction, compared on those residue rows.
-The ratfunc kind closes the `ExactMatrix` values, tests rank over K on
-their entries and reduces them with `reduce_matrix`.  Over k both kinds
-test rank on the residue rows as ints mod p.  Both kinds run the one
-`_closure`, so the elements and their breadth-first parents do not depend
-on the form, and the one rank test `has_rank_one`.
+- the rank-one test over K, on the entries of g - I, or for the int kind on
+  the rows of A - D I = D (g - I), with eigenvalue 1 + tr(A - D I) / D;
+- the reduction to k as rows of ints, (A mod p) (D^-1 mod p) by
+  `reduce_form` or `descriptor.reduce` per entry, and the injectivity of
+  the reduction, compared on those residue rows;
+- the reflection-generation test over O.
+`MatrixGroup.over` is the one place where an element becomes a matrix over
+another ring: O (the int kind's forms as `ExactMatrix`), K (a retag of O)
+or k (from the residue rows, for both kinds).  Each is built on first use.
 
 The closure records the index of every product element * generator it
 forms, and H^1 reads its relations off that table, so after the closure
@@ -41,7 +42,6 @@ from .linalg import (
     det,
     has_rank_one,
     reduce_form,
-    reduce_matrix,
     ring_one,
     set_fields,
     shifted_rows,
@@ -56,16 +56,18 @@ class MatrixGroup:
 
     Elements are listed in breadth-first order starting from the identity,
     applying the generators in a canonical sorted order, so the element
-    numbering is deterministic for a given generating set.
+    numbering is deterministic for a given generating set.  `elements` are
+    the values the closure multiplied: `IntMatrix` forms for the int kind,
+    O-matrices for the ratfunc kind; `over(ring)` gives them as matrices.
 
     `memo` holds what several checks share, and lives and dies with the
-    group: the elements over K and over k (see `over`) and the int kind's
-    integer forms, keyed by ("elements", ring or "int"); the residue rows
-    (see `residue_rows`), keyed by ("residues", "k"); per-degree results (invariant bases, H^1
-    contributions), keyed by (quantity, degree, ring); and, keyed by
-    ("images", ring, element index), an element's images of the monomials
-    of the highest degree its action matrices reached (see
-    `polys.element_action_matrix`).
+    group: the elements as matrices over O (the int kind only), K and k
+    (see `over`), keyed by ("elements", ring); the residue rows (see
+    `residue_rows`), keyed by ("residues", "k"); per-degree results
+    (invariant bases, H^1 contributions), keyed by (quantity, degree,
+    ring); and, keyed by ("images", ring, element index), an element's
+    images of the monomials of the highest degree its action matrices
+    reached (see `polys.element_action_matrix`).
 
     `products[i][gi]` is the index of elements[i] * closure_generators[gi],
     recorded by the closure as it formed that product.
@@ -89,53 +91,44 @@ class MatrixGroup:
         """The element index of each closure generator: identity * g = g."""
         return self.products[0]
 
-    def identity(self) -> ExactMatrix:
-        return self.elements[0]
-
     def over(self, ring: str) -> tuple:
         """The elements as matrices over O, K or k, in the order of `elements`.
 
-        The one place where group elements move to the fraction field (a
-        retag) or the residue field; each ring's copy is built once and
-        kept in `memo`.  Over k the int kind's elements are built from
-        `residue_rows`, with one shared `ResidueScalar` per residue; the
-        ratfunc kind's are reduced entrywise by `reduce_matrix`.
+        The one place where group elements become matrices over another
+        ring; each ring's copy is built on first use and kept in `memo`.
+        Over O the int kind's forms become `ExactMatrix` values by
+        `_exact_elements` (the ratfunc kind's elements are O-matrices
+        already), over K they are a retag of O, and over k both kinds'
+        are built from `residue_rows`, with one shared `ResidueScalar` per
+        residue.
         """
-        if ring == RING_O:
+        if ring == RING_O and self.descriptor.kind != KIND_INT:
             return self.elements
         key = ("elements", ring)
         if key not in self.memo:
-            if ring != RING_RESIDUE:
-                self.memo[key] = tuple(m.to_field() for m in self.elements)
-            elif self.descriptor.kind == KIND_INT:
+            if ring == RING_O:
+                self.memo[key] = _exact_elements(self.elements, self.descriptor)
+            elif ring == RING_RESIDUE:
                 self.memo[key] = _residue_matrices(self.residue_rows(), self.descriptor)
             else:
-                self.memo[key] = tuple(map(reduce_matrix, self.elements))
+                self.memo[key] = tuple(m.to_field() for m in self.over(RING_O))
         return self.memo[key]
 
     def residue_rows(self) -> tuple:
         """The elements reduced to k as rows of ints in [0, p), in the order
         of `elements`; kept in `memo` under ("residues", "k").  The int
-        kind's come from its integer forms by `reduce_form`, the ratfunc
-        kind's are the values of `over("k")`."""
+        kind's forms are reduced by `reduce_form`, the ratfunc kind's
+        entries by `descriptor.reduce`."""
         key = ("residues", RING_RESIDUE)
         if key not in self.memo:
             if self.descriptor.kind == KIND_INT:
                 p = self.descriptor.p
-                rows = tuple(reduce_form(f, p) for f in self.integer_forms())
+                rows = tuple(reduce_form(f, p) for f in self.elements)
             else:
-                rows = tuple(tuple(tuple(a.value for a in row) for row in m.entries)
-                             for m in self.over(RING_RESIDUE))
+                reduce = self.descriptor.reduce
+                rows = tuple(tuple(tuple(reduce(a).value for a in row) for row in m.entries)
+                             for m in self.elements)
             self.memo[key] = rows
-        return self.memo[key]
-
-    def integer_forms(self) -> tuple:
-        """The int kind's elements as `IntMatrix` forms, in the order of
-        `elements`: the closure's own, or built once; kept in `memo` under
-        ("elements", "int")."""
-        key = ("elements", "int")
-        if key not in self.memo:
-            self.memo[key] = tuple(map(IntMatrix.from_matrix, self.elements))
         return self.memo[key]
 
     def generators_over(self, ring: str) -> list:
@@ -164,9 +157,8 @@ def generate_group(
     Every generator must be invertible over O (unit determinant); the
     closure aborts once more than `cap` elements appear.  For the int kind
     it runs on the `IntMatrix` forms of the generators, so that products,
-    hashing and membership are integer work, and the elements are turned
-    back into `ExactMatrix` once at the end; the forms stay in `memo` for
-    `integer_forms`.  The ratfunc kind closes the `ExactMatrix` values.
+    hashing and membership are integer work, and those forms are the
+    group's elements; the ratfunc kind closes the `ExactMatrix` values.
     Either way the closure's table of products becomes `products`.
     """
     generators = list(generators)
@@ -194,24 +186,22 @@ def generate_group(
         )
 
     closure_gens = sorted(set(generators), key=ExactMatrix.sort_key)
-    ident = ExactMatrix.identity(RING_O, descriptor, n)
+    ident, *gens = _closure_values(
+        descriptor, [ExactMatrix.identity(RING_O, descriptor, n), *closure_gens])
     products: list = []
-    if descriptor.kind != KIND_INT:
-        elements, parents = zip(*_closure(ident, closure_gens, cap, products))
-        return MatrixGroup(descriptor, n, generators, closure_gens, elements, parents, products)
-    forms, parents = zip(*_closure(
-        IntMatrix.from_matrix(ident), list(map(IntMatrix.from_matrix, closure_gens)), cap,
-        products,
-    ))
-    group = MatrixGroup(descriptor, n, generators, closure_gens,
-                        _exact_elements(forms, descriptor), parents, products)
-    group.memo["elements", "int"] = forms
-    return group
+    elements, parents = zip(*_closure(ident, gens, cap, products))
+    return MatrixGroup(descriptor, n, generators, closure_gens, elements, parents, products)
 
 
-def _exact_elements(forms, descriptor: DvrDescriptor) -> list:
+def _closure_values(descriptor: DvrDescriptor, matrices) -> list:
+    """The O-matrices as the values a closure multiplies: their `IntMatrix`
+    forms for the int kind, the matrices themselves for the ratfunc kind."""
+    return list(map(IntMatrix.from_matrix, matrices) if descriptor.kind == KIND_INT else matrices)
+
+
+def _exact_elements(forms, descriptor: DvrDescriptor) -> tuple:
     """The `IntMatrix` forms as O-matrices, with one shared `Fraction` per
-    distinct value."""
+    distinct value; `MatrixGroup.over` is its only caller."""
     by_pair: dict = {}  # (numerator, denominator) -> Fraction
     by_value: dict = {}  # Fraction -> the one object kept for that value
 
@@ -222,10 +212,10 @@ def _exact_elements(forms, descriptor: DvrDescriptor) -> list:
             v = by_pair[a, den] = by_value.setdefault(v, v)
         return v
 
-    return [
+    return tuple(
         ExactMatrix._of(RING_O, descriptor, [[value(a, f.den) for a in row] for row in f.rows])
         for f in forms
-    ]
+    )
 
 
 def _residue_matrices(residue_rows, descriptor: DvrDescriptor) -> tuple:
@@ -268,15 +258,19 @@ def _closure(identity, generators, cap: int, products: list | None = None):
             products.append(tuple(row))
 
 
-def _generated_by(group: MatrixGroup, ring: str, reflections) -> bool:
-    """Do the reflections generate the group's image over `ring` (O or k)?
+def _generated_by(group: MatrixGroup, ring: str, indices) -> bool:
+    """Do the elements with these indices generate the group's image over
+    `ring` (O or k)?
 
-    The image is generated by `group.generators_over(ring)`, so this holds
-    exactly when the reflections' closure reaches all of them; it stops at
-    the last one.  A subgroup has at most |G| elements, which caps it.
+    The image is generated by the closure generators, so this holds exactly
+    when the closure of those elements reaches all of them; it stops at the
+    last one.  Over O it closes `group.elements`, the int kind's integer
+    forms, and over k `group.over("k")`.  A subgroup has at most |G|
+    elements, which caps it.
     """
-    missing = set(group.generators_over(ring))
-    for element, _ in _closure(group.over(ring)[0], reflections, group.order):
+    elements = group.elements if ring == RING_O else group.over(ring)
+    missing = {elements[i] for i in group.generator_indices}
+    for element, _ in _closure(elements[0], [elements[i] for i in indices], group.order):
         missing.discard(element)
         if not missing:
             return True
@@ -284,8 +278,8 @@ def _generated_by(group: MatrixGroup, ring: str, reflections) -> bool:
 
 
 def trivial_group(descriptor: DvrDescriptor, n: int) -> MatrixGroup:
-    ident = ExactMatrix.identity(RING_O, descriptor, n)
-    return MatrixGroup(descriptor, n, (), (), (ident,), (None,), ((),))
+    ident = _closure_values(descriptor, [ExactMatrix.identity(RING_O, descriptor, n)])
+    return MatrixGroup(descriptor, n, (), (), ident, (None,), ((),))
 
 
 # -- pseudo-reflections ---------------------------------------------------------
@@ -321,15 +315,19 @@ def eigenvalue_order(lam, ring: str, descriptor: DvrDescriptor) -> int | None:
     diag(1, ..., 1, lam) in a basis over K or k and its order is that of
     lam.  A root of unity of Q is +-1, and one of F_p(t) or F_p lies in
     F_p^*, so the powers of lam reach 1 within max(2, p - 1) of them or
-    never.  For lam = 1, g = I + N with N^2 = (tr N) N = 0, so g^k = I + kN:
-    the order is p in characteristic p, and over Q there is none.  `lam` is
-    compared with the ring's own one: a `ResidueScalar` never equals a
-    `Fraction`.
+    never; a lam of F_p(t) that is not a constant is never one, and gets
+    None at once.  For lam = 1, g = I + N with N^2 = (tr N) N = 0, so
+    g^k = I + kN: the order is p in characteristic p, and over Q there is
+    none.  `lam` is compared with the ring's own one: a `ResidueScalar`
+    never equals a `Fraction`.
     """
-    over_q = descriptor.kind == KIND_INT and ring != RING_RESIDUE
+    over_k = ring == RING_RESIDUE
+    over_q = descriptor.kind == KIND_INT and not over_k
     one = ring_one(ring, descriptor)
     if lam == one:
         return None if over_q else descriptor.p
+    if not (over_q or over_k) and (lam.num.degree > 0 or lam.den.degree > 0):
+        return None
     bound = 2 if over_q else max(2, descriptor.p - 1)
     power, k = lam, 1
     while power != one:
@@ -366,18 +364,17 @@ class ReflectionReport:
 def classify_reflections(group: MatrixGroup) -> ReflectionReport:
     """Rank-test every element over K and check the reflection set generates.
 
-    The int kind tests its elements' integer forms; the order of each
-    reflection found is that of its eigenvalue.
+    Both kinds test `group.elements` as they are (the int kind's integer
+    forms); the order of each reflection found is that of its eigenvalue.
     """
-    forms = group.integer_forms() if group.descriptor.kind == KIND_INT else group.elements
     found = []
-    for i, form in enumerate(forms):
-        lam = reflection_eigenvalue(form)
+    for i, m in enumerate(group.elements):
+        lam = reflection_eigenvalue(m)
         if lam is not None:
             found.append((i, lam, eigenvalue_order(lam, RING_O, group.descriptor)))
     if group.order == 1:
         return ReflectionReport((), True, True)
-    generated = _generated_by(group, RING_O, [group.elements[i] for i, _, _ in found])
+    generated = _generated_by(group, RING_O, [i for i, _, _ in found])
     return ReflectionReport(tuple(found), generated, False)
 
 
@@ -416,6 +413,5 @@ def verify_reduced_reflection_generation(group: MatrixGroup) -> bool:
     `reduced_reflection_indices`, then asks `_generated_by` whether they
     generate the image.
     """
-    images, _ = reduction_map(group)
-    reflections = [images[i] for i in reduced_reflection_indices(group)]
-    return _generated_by(group, RING_RESIDUE, reflections)
+    reduction_map(group)  # the gate: p must not divide |G|
+    return _generated_by(group, RING_RESIDUE, reduced_reflection_indices(group))

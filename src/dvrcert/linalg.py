@@ -525,13 +525,3 @@ def reduce_form(form: IntMatrix, p: int) -> tuple:
         raise NotInRingError(f"denominator {form.den} is divisible by {p}; cannot reduce")
     d = pow(form.den, -1, p)
     return tuple(tuple(a * d % p for a in row) for row in form.rows)
-
-
-def reduce_matrix(m: ExactMatrix) -> ExactMatrix:
-    """Entrywise reduction of an O-matrix to the residue field."""
-    if m.ring != RING_O:
-        raise ValueError("only O-matrices can be reduced")
-    reduce = m.descriptor.reduce
-    return ExactMatrix._of(
-        RING_RESIDUE, m.descriptor, ([reduce(a) for a in row] for row in m.entries)
-    )

@@ -560,7 +560,7 @@ def molien_series(group: MatrixGroup, bound: int) -> MolienSeries:
     # also the gate: p must not divide |G|
     inv_order = invert_mod_group_order(group.order, descriptor)
     if descriptor.kind == KIND_INT:
-        denominators = map(_integer_char_series_denominator, group.integer_forms())
+        denominators = map(_integer_char_series_denominator, group.elements)
         zero, one, weight = 0, 1, int
     else:
         denominators = map(_char_series_denominator, group.over(RING_K))

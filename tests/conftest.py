@@ -109,3 +109,15 @@ def random_unimodular(descriptor: DvrDescriptor, n: int, rng: random.Random) -> 
     m = ExactMatrix.from_ints(RING_O, descriptor, lower)
     m = m * ExactMatrix.from_ints(RING_O, descriptor, upper)
     return m * ExactMatrix.from_ints(RING_O, descriptor, pmat)
+
+
+def over_1_plus_t(group):
+    """A ratfunc group conjugated by diag(1 + t, 1, ..., 1): its entries get
+    1 + t, a unit of O, in their denominators."""
+    descriptor, n = group.descriptor, group.n
+    stretch = [[descriptor.from_int(int(i == j)) for j in range(n)] for i in range(n)]
+    stretch[0][0] = descriptor.one() + descriptor.uniformizer()
+    stretch = ExactMatrix(RING_O, descriptor, stretch)
+    return generate_group(
+        [stretch * g * inverse(stretch) for g in group.generators], descriptor=descriptor
+    )

@@ -34,7 +34,6 @@ from dvrcert.linalg import (
     ExactMatrix,
     inverse,
     kernel_over_field,
-    reduce_matrix,
     ring_one,
     ring_zero,
 )
@@ -143,7 +142,7 @@ def matrix_order(m: ExactMatrix, cap: int) -> int | None:
 
 
 def element_order(group, i: int) -> int:
-    return matrix_order(group.elements[i], cap=group.order)
+    return matrix_order(group.over(RING_O)[i], cap=group.order)
 
 
 def change_of_basis(basis) -> ExactMatrix:
@@ -273,8 +272,8 @@ def action_matrix_bruteforce(g: ExactMatrix, n: int, d: int) -> ExactMatrix:
 
 def _field_matrices(group, ring):
     if ring == RING_RESIDUE:
-        return [reduce_matrix(m) for m in group.elements]
-    return [m.to_field() for m in group.elements]
+        return [reduce_entrywise(m) for m in group.over(RING_O)]
+    return [m.to_field() for m in group.over(RING_O)]
 
 
 def invariant_dimension_bruteforce(group, degree: int, ring: str) -> int:
@@ -380,11 +379,12 @@ def _h1_exact_degree_bruteforce(group, degree: int, ring: str) -> int:
     order = group.order
     width = order * size
     zero = ring_zero(ring, group.descriptor)
-    index = {m: i for i, m in enumerate(group.elements)}
+    elements = group.over(RING_O)
+    index = {m: i for i, m in enumerate(elements)}
     span = DenseRowEchelon()
     for a in range(order):
         for b in range(order):
-            c = index[group.elements[a] * group.elements[b]]
+            c = index[elements[a] * elements[b]]
             # c(ab) - c(a) - a.c(b) = 0
             for r in range(size):
                 row = [zero] * width

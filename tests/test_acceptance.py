@@ -101,7 +101,7 @@ def test_criterion_4_diagonalizing_basis_fuzz(s3_z5, b2_z3, c4_f5t):
     for group in (s3_z5, b2_z3, c4_f5t):
         report = classify_reflections(group)
         for idx, lam, order in report.reflections:
-            sigma = group.elements[idx]
+            sigma = group.over(RING_O)[idx]
             for _ in range(100):
                 t = random_unimodular(group.descriptor, group.n, rng)
                 moved = t * sigma * inverse(t)
@@ -165,7 +165,7 @@ def test_criterion_7_property_suites():
         props.test_reynolds_idempotence_and_projection,
         props.test_action_law_and_ring_morphism,
         props.test_molien_coefficients_match_invariant_dimensions,
-        props.test_reduce_matrix_is_monoid_homomorphism,
+        props.test_residue_rows_follow_the_product_table,
         props.test_closure_idempotence,
     ]
     for suite in suites:

@@ -1,11 +1,12 @@
 import random
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from dvrcert.certify import h1_dimension
+from dvrcert.certify import certify, h1_dimension
 from dvrcert.cli import EXIT_INCONCLUSIVE, parse_jobspec, run
 from dvrcert.errors import (
     ClosureCapExceededError,
@@ -25,10 +26,10 @@ from dvrcert.groups import (
     verify_reduced_reflection_generation,
 )
 from dvrcert.refbasis import diagonalizing_basis
-from dvrcert.linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix, det, inverse
+from dvrcert.linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix, IntMatrix, det, inverse
 from dvrcert.scalars import DvrDescriptor
 
-from conftest import random_unimodular
+from conftest import over_1_plus_t, random_unimodular
 from oracles import (
     element_order,
     h1_bruteforce,
@@ -63,10 +64,10 @@ def test_generate_group_cap(z3):
 
 
 def test_group_contains_inverses_and_identity(s3_z5):
-    ident = s3_z5.identity()
-    assert ident == ExactMatrix.identity(RING_O, s3_z5.descriptor, 3)
-    for m in s3_z5.elements:
-        assert inverse(m) in s3_z5.elements
+    elements = s3_z5.over(RING_O)
+    assert elements[0] == ExactMatrix.identity(RING_O, s3_z5.descriptor, 3)
+    for m in elements:
+        assert inverse(m) in elements
 
 
 def test_closure_is_deterministic(z5):
@@ -110,7 +111,7 @@ def test_reflection_eigenvalue_is_the_determinant(s3_z5, f5t):
         report = classify_reflections(group)
         assert report.count > 0
         for idx, lam, order in report.reflections:
-            assert lam == det(group.elements[idx])
+            assert lam == det(group.over(RING_O)[idx])
             orders.add(order)
         found_over_k = 0
         for m in group.over(RING_RESIDUE):
@@ -189,7 +190,7 @@ def test_proper_reflection_subgroup_does_not_generate(reflection_and_sign_z5):
 
 def test_closure_idempotence(s3_z5, b2_z3):
     for group in (s3_z5, b2_z3):
-        regenerated = generate_group(list(group.elements), descriptor=group.descriptor)
+        regenerated = generate_group(list(group.over(RING_O)), descriptor=group.descriptor)
         assert set(regenerated.elements) == set(group.elements)
 
 
@@ -253,17 +254,47 @@ def test_reflection_generation_stops_at_the_generators(z5, monkeypatch):
     ])
     assert wb3.order == 48
     products = []
-    multiply = ExactMatrix.__mul__
 
-    def counted(a, b):
-        products.append(1)
-        return multiply(a, b)
+    def counted(multiply):
+        def product(a, b):
+            products.append(1)
+            return multiply(a, b)
+        return product
 
-    monkeypatch.setattr(ExactMatrix, "__mul__", counted)
+    # over O the int kind closes its integer forms, over k `ExactMatrix` values
+    for cls in (ExactMatrix, IntMatrix):
+        monkeypatch.setattr(cls, "__mul__", counted(cls.__mul__))
     report = classify_reflections(wb3)
     assert report.count == 9 and report.generated_by_reflections
     assert verify_reduced_reflection_generation(wb3)
     assert len(products) < wb3.order
+
+
+def test_a_checks_only_int_job_builds_no_o_matrices(z5, monkeypatch):
+    # the int kind's elements are its integer forms: only `over("O")` turns
+    # them into O-matrices, and reflections, eta and Molien never ask for it
+    groups_module = sys.modules["dvrcert.groups"]
+    built = []
+    exact_elements = groups_module._exact_elements
+
+    def counted(forms, descriptor):
+        built.append(len(forms))
+        return exact_elements(forms, descriptor)
+
+    monkeypatch.setattr(groups_module, "_exact_elements", counted)
+    generators = [
+        ExactMatrix.from_ints(RING_O, z5, [[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+        ExactMatrix.from_ints(RING_O, z5, [[1, 0, 0], [0, 0, 1], [0, 1, 0]]),
+        ExactMatrix.from_ints(RING_O, z5, [[1, 0, 0], [0, 1, 0], [0, 0, -1]]),
+    ]
+    wb3 = generate_group(generators)
+    assert wb3.order == 48
+    assert certify(wb3, 6, ("reflections", "eta", "molien")).verdict == "complete"
+    assert built == []
+    # the bases read reflections as O-matrices, all built at most once
+    wb3 = generate_group(generators)
+    assert certify(wb3, 6, ("reflections", "eta", "basis", "molien")).verdict == "complete"
+    assert len(built) <= 1
 
 
 def test_closure_checks_no_product_for_membership_in_o(z5, monkeypatch):
@@ -308,14 +339,15 @@ def test_integer_closure_matches_the_exact_closure(s2_z3, s3_z5, b2_z3, neg_iden
     rng = random.Random(1313)
     groups = [s2_z3, s3_z5, b2_z3, neg_identity_z23, reflection_and_sign_z5]
     groups += [_conjugated_by_a_denominator(g, rng) for g in groups for _ in range(2)]
-    assert any(a.denominator != 1 for m in groups[-1].elements for row in m.entries for a in row)
+    assert any(a.denominator != 1 for m in groups[-1].over(RING_O) for row in m.entries
+               for a in row)
     for group in groups:
         ident = ExactMatrix.identity(RING_O, group.descriptor, group.n)
         exact = list(_closure(ident, list(group.closure_generators), group.order + 1))
-        assert list(group.elements) == [m for m, _ in exact]
+        assert list(group.over(RING_O)) == [m for m, _ in exact]
         assert [group.bfs_parent(i) for i in range(group.order)] == [p for _, p in exact]
-        # the forms the closure kept are those of the elements
-        for form, m in zip(group.integer_forms(), group.elements):
+        # the elements are the closure's forms, and over O their matrices
+        for form, m in zip(group.elements, group.over(RING_O)):
             assert tuple(tuple(Fraction(a, form.den) for a in row) for row in form.rows) == m.entries
 
 
@@ -328,7 +360,8 @@ def test_integer_closure_of_an_infinite_group_reaches_the_cap(z5):
 
 def test_integer_form_passes_match_the_brute_force_oracles(s2_z3, s3_z5, b2_z3,
                                                           neg_identity_z23,
-                                                          reflection_and_sign_z5):
+                                                          reflection_and_sign_z5,
+                                                          c4_f5t, b2_f5t_twisted):
     # the rotation of order 3 over Z_(3) is a transvection mod 3, a
     # reflection over k but not over K; 3 divides its group's order, so it
     # is kept out of `reduction_map`
@@ -338,10 +371,12 @@ def test_integer_form_passes_match_the_brute_force_oracles(s2_z3, s3_z5, b2_z3,
     groups = [s2_z3, s3_z5, b2_z3, neg_identity_z23, reflection_and_sign_z5, c3_z3]
     groups += [_conjugated_by_a_denominator(g, rng) for g in groups for _ in range(2)]
     # D != 1 mod p, so the factor D^-1 of the reduction matters
-    assert any(f.den % g.descriptor.p != 1 for g in groups[6:] for f in g.integer_forms())
+    assert any(f.den % g.descriptor.p != 1 for g in groups[6:] for f in g.elements)
+    # the ratfunc kind reduces its O-matrices' entries, t-denominators included
+    groups += [c4_f5t, b2_f5t_twisted, over_1_plus_t(b2_f5t_twisted)]
     only_over_k = 0
     for group in groups:
-        reduced = [reduce_entrywise(m) for m in group.elements]
+        reduced = [reduce_entrywise(m) for m in group.over(RING_O)]
         assert group.over(RING_RESIDUE) == tuple(reduced)
         assert group.residue_rows() == tuple(
             tuple(tuple(a.value for a in row) for row in m.entries) for m in reduced
@@ -351,7 +386,7 @@ def test_integer_form_passes_match_the_brute_force_oracles(s2_z3, s3_z5, b2_z3,
             assert injective == (len(set(reduced)) == group.order)
         over_k = set(reduced_reflection_indices(group))
         over_K = {i: lam for i, lam, _ in classify_reflections(group).reflections}
-        for i, (m, m_k) in enumerate(zip(group.elements, reduced)):
+        for i, (m, m_k) in enumerate(zip(group.over(RING_O), reduced)):
             assert over_K.get(i) == reflection_eigenvalue_bruteforce(m)
             assert (i in over_k) == (reflection_eigenvalue_bruteforce(m_k) is not None)
             only_over_k += i in over_k and i not in over_K
@@ -363,10 +398,10 @@ def test_generator_indices_point_at_the_closure_generators(z3, s3_z5, c4_f5t):
     swap = ExactMatrix.from_ints(RING_O, z3, [[0, 1], [1, 0]])
     with_identity = generate_group([ExactMatrix.identity(RING_O, z3, 2), swap])
     for group in (with_identity, s3_z5, c4_f5t, trivial_group(z3, 2)):
-        assert [group.elements[i] for i in group.generator_indices] \
+        assert [group.over(RING_O)[i] for i in group.generator_indices] \
             == list(group.closure_generators)
         assert list(group.generator_indices) \
-            == [group.elements.index(g) for g in group.closure_generators]
+            == [group.over(RING_O).index(g) for g in group.closure_generators]
     assert 0 in with_identity.generator_indices
 
 
@@ -393,7 +428,7 @@ def test_reflection_orders_match_the_matrix_power_oracle(
             assert order == element_order(group, idx)
             over_o += 1
             if invertible:
-                assert diagonalizing_basis(group.elements[idx], group).order == order
+                assert diagonalizing_basis(group.over(RING_O)[idx], group).order == order
                 bases += 1
         for m in group.over(RING_RESIDUE):
             data = reflection_data(m)
@@ -436,22 +471,34 @@ def test_no_finite_order_is_refused_without_matrix_powers(z5, monkeypatch):
     assert eigenvalue_order(z5.residue(1), RING_RESIDUE, z5) == 5
 
 
+def test_a_non_constant_eigenvalue_has_no_finite_order():
+    # diag(1 + t, 1) over F_p(t): 1 + t is no root of unity, so its powers
+    # are not taken, even for a prime far past any walk through F_p^*
+    descriptor = DvrDescriptor("ratfunc-localized", 2**61 - 1)
+    one, zero, t = descriptor.one(), descriptor.zero(), descriptor.uniformizer()
+    m = ExactMatrix(RING_O, descriptor, [[one + t, zero], [zero, one]])
+    started = time.perf_counter()
+    assert reflection_data(m) is None and not is_pseudo_reflection(m)
+    assert reflection_data(m.to_field()) is None
+    # a numerator of degree 0 over a denominator of positive degree
+    assert eigenvalue_order(one / (one + t), RING_K, descriptor) is None
+    assert time.perf_counter() - started < 1
+
+
 def test_the_closure_records_its_products(s2_z3, s3_z5, b2_z3, c4_f5t, b2_f5t_twisted,
-                                           reflection_and_sign_z5, z3, f5t, monkeypatch):
+                                           reflection_and_sign_z5, z3, monkeypatch):
     rng = random.Random(1717)
-    x = f5t.uniformizer()
-    stretch = ExactMatrix(RING_O, f5t, [[f5t.one() + x, f5t.zero()], [f5t.zero(), f5t.one()]])
-    b2_over_1_plus_t = generate_group(
-        [stretch * g * inverse(stretch) for g in b2_f5t_twisted.generators], descriptor=f5t)
     groups = [s2_z3, s3_z5, b2_z3, c4_f5t, b2_f5t_twisted, reflection_and_sign_z5,
-              _conjugated_by_a_denominator(s3_z5, rng), b2_over_1_plus_t]
+              _conjugated_by_a_denominator(s3_z5, rng), over_1_plus_t(b2_f5t_twisted)]
     # conjugates whose entries have denominators prime to p, for both kinds
-    assert any(a.denominator != 1 for m in groups[-2].elements for row in m.entries for a in row)
+    assert any(a.denominator != 1 for m in groups[-2].over(RING_O) for row in m.entries
+               for a in row)
     assert any(a.den.degree > 0 for m in groups[-1].elements for row in m.entries for a in row)
     for group in groups:
-        index = {m: i for i, m in enumerate(group.elements)}
+        elements = group.over(RING_O)
+        index = {m: i for i, m in enumerate(elements)}
         assert group.products == tuple(
-            tuple(index[m * g] for g in group.closure_generators) for m in group.elements
+            tuple(index[m * g] for g in group.closure_generators) for m in elements
         )
         assert group.generator_indices == group.products[0]
     assert trivial_group(z3, 2).products == ((),)

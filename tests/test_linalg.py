@@ -18,7 +18,6 @@ from dvrcert.linalg import (
     kernel_over_field,
     rank_over_field,
     reduce_form,
-    reduce_matrix,
     ring_one,
     ring_zero,
 )
@@ -33,6 +32,7 @@ from oracles import (
     matmul_dense,
     matrix_order,
     rank_by_minors,
+    reduce_entrywise,
     sparse_rows,
     transpose,
 )
@@ -345,32 +345,19 @@ def test_matrix_order_examples(z3):
     assert matrix_order(shear, cap=100) is None
 
 
-def test_reduce_matrix_examples(z3):
-    assert reduce_matrix(_swap(z3)) == ExactMatrix.from_ints(RING_RESIDUE, z3, [[0, 1], [1, 0]])
-    assert reduce_matrix(
+def test_reduce_entrywise_and_reduce_form_examples(z3):
+    # the oracle's entrywise reduction
+    assert reduce_entrywise(_swap(z3)) == ExactMatrix.from_ints(RING_RESIDUE, z3, [[0, 1], [1, 0]])
+    assert reduce_entrywise(
         ExactMatrix.from_ints(RING_O, z3, [[1, 0], [0, -1]])
     ) == ExactMatrix.from_ints(RING_RESIDUE, z3, [[1, 0], [0, 2]])
-    assert reduce_matrix(
+    assert reduce_entrywise(
         ExactMatrix.from_ints(RING_O, z3, [[1, 3], [0, 1]])
     ) == ExactMatrix.identity(RING_RESIDUE, z3, 2)
     # the integer form A / D: (A mod 3) (D^-1 mod 3), here D = 2
     assert reduce_form(IntMatrix(2, [[1, 6], [-4, 2]]), 3) == ((2, 0), (1, 1))
     with pytest.raises(NotInRingError):
         reduce_form(IntMatrix(3, [[1, 0], [0, 3]]), 3)
-
-
-@pytest.mark.parametrize("kind,p", [("int-localized", 3), ("ratfunc-localized", 5)])
-def test_reduce_matrix_is_multiplicative(kind, p):
-    descriptor = DvrDescriptor(kind, p)
-    rng = random.Random(300 + p)
-    for _ in range(40):
-        a = ExactMatrix.from_ints(
-            RING_O, descriptor, [[rng.randint(-4, 4) for _ in range(2)] for _ in range(2)]
-        )
-        b = ExactMatrix.from_ints(
-            RING_O, descriptor, [[rng.randint(-4, 4) for _ in range(2)] for _ in range(2)]
-        )
-        assert reduce_matrix(a * b) == reduce_matrix(a) * reduce_matrix(b)
 
 
 def test_rank_refuses_ring_tagged_matrices(z3):

@@ -192,7 +192,7 @@ def _assert_integer_path_matches_field_path(group, bound):
 
     pairs = {
         (_integer_char_series_denominator(form), _char_series_denominator(m))
-        for form, m in zip(group.integer_forms(), group.over(RING_K))
+        for form, m in zip(group.elements, group.over(RING_K))
     }
     for integer_denom, field_denom in pairs:
         assert integer_denom == field_denom
@@ -212,7 +212,7 @@ def test_integer_molien_of_conjugated_groups_matches_field_recurrence(s3_z5, b2_
                                     descriptor=group.descriptor)
         # the entries leave Z, but det(I - z g) only depends on g's
         # eigenvalues, roots of unity: its coefficients stay integers
-        assert any(a.denominator != 1 for m in conjugated.elements for row in m.entries
+        assert any(a.denominator != 1 for m in conjugated.over(RING_O) for row in m.entries
                    for a in row)
         _assert_integer_path_matches_field_path(conjugated, 12)
         assert molien_series(conjugated, 12) == molien_series(group, 12)
@@ -311,8 +311,8 @@ def test_reynolds_is_idempotent_projection(s3_z5):
         f = _random_poly(s3_z5.descriptor, 3, rng)
         rf = reynolds(s3_z5, f)
         assert reynolds(s3_z5, rf) == rf
-        for g in s3_z5.elements:
-            assert act(g.to_field(), rf) == rf
+        for g in s3_z5.over(RING_K):
+            assert act(g, rf) == rf
 
 
 def test_reynolds_span_equals_invariant_basis_span(s2_z3, b2_z3):
@@ -340,8 +340,8 @@ def test_reynolds_span_equals_invariant_basis_span(s2_z3, b2_z3):
 
 
 def test_action_matrix_respects_composition(s3_z5):
-    a = s3_z5.elements[1].to_field()
-    b = s3_z5.elements[2].to_field()
+    a = s3_z5.over(RING_K)[1]
+    b = s3_z5.over(RING_K)[2]
     rho = [square_matrix(action_matrix(g, 3, 2), g) for g in (a * b, a, b)]
     assert rho[0] == rho[1] * rho[2]
 

@@ -13,12 +13,11 @@ from dvrcert.linalg import (
     RING_RESIDUE,
     ExactMatrix,
     inverse,
-    reduce_matrix,
 )
 from dvrcert.polys import MultiPoly, act, invariant_basis, molien_series, reynolds
 from dvrcert.scalars import DvrDescriptor
 
-from conftest import random_unimodular
+from conftest import over_1_plus_t, random_unimodular
 
 Z3 = DvrDescriptor("int-localized", 3)
 Z5 = DvrDescriptor("int-localized", 5)
@@ -86,8 +85,8 @@ def test_reynolds_idempotence_and_projection():
         rf = reynolds(group, f)
         if reynolds(group, rf) != rf:
             failures.append((group, f, "idempotence"))
-        for g in group.elements:
-            if act(g.to_field(), rf) != rf:
+        for g in group.over(RING_K):
+            if act(g, rf) != rf:
                 failures.append((group, f, "projection"))
                 break
         cases += 1
@@ -99,8 +98,8 @@ def test_action_law_and_ring_morphism():
     cases = 0
     while cases < 200:
         group = GROUPS[cases % len(GROUPS)]
-        g = group.elements[rng.randrange(group.order)].to_field()
-        h = group.elements[rng.randrange(group.order)].to_field()
+        g = group.over(RING_K)[rng.randrange(group.order)]
+        h = group.over(RING_K)[rng.randrange(group.order)]
         f = _random_poly(group, rng)
         f2 = _random_poly(group, rng)
         assert act(g * h, f) == act(g, act(h, f))
@@ -130,21 +129,26 @@ def test_molien_coefficients_match_invariant_dimensions():
     assert cases >= 200
 
 
-def test_reduce_matrix_is_monoid_homomorphism():
+def test_residue_rows_follow_the_product_table():
+    # reduction to k is multiplicative: for every element i and closure
+    # generator gi, rows(i) * rows(gi) = rows(products[i][gi]) mod p, on
+    # both kinds and on conjugates with denominators prime to p
     rng = random.Random(404)
     cases = 0
-    descriptors = [Z3, Z5, F5T, F7T]
-    while cases < 200:
-        descriptor = descriptors[cases % len(descriptors)]
-        n = rng.randint(1, 3)
-        a = ExactMatrix.from_ints(
-            RING_O, descriptor, [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        )
-        b = ExactMatrix.from_ints(
-            RING_O, descriptor, [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        )
-        assert reduce_matrix(a * b) == reduce_matrix(a) * reduce_matrix(b)
-        cases += 1
+    stretched = over_1_plus_t(GROUPS[4])
+    conjugates = [_conjugated(group, rng) for group in GROUPS for _ in range(3)]
+    assert any(a.den.degree > 0 for m in stretched.elements for row in m.entries for a in row)
+    assert any(f.den != 1 for group in conjugates[:9] for f in group.elements)
+    for group in GROUPS + conjugates + [stretched]:
+        p = group.descriptor.p
+        rows = group.residue_rows()
+        for i, targets in enumerate(group.products):
+            for gi, j in enumerate(targets):
+                g = rows[group.generator_indices[gi]]
+                product = tuple(tuple(sum(a * b for a, b in zip(row, col)) % p
+                                      for col in zip(*g)) for row in rows[i])
+                assert product == rows[j]
+                cases += 1
     assert cases >= 200
 
 
@@ -154,7 +158,7 @@ def test_closure_idempotence():
     while cases < 200:
         base = GROUPS[cases % len(GROUPS)]
         group = _conjugated(base, rng) if cases % 3 else base
-        regenerated = generate_group(list(group.elements), descriptor=group.descriptor)
+        regenerated = generate_group(list(group.over(RING_O)), descriptor=group.descriptor)
         assert set(regenerated.elements) == set(group.elements)
         assert regenerated.order == group.order
         cases += 1
