@@ -360,6 +360,36 @@ def test_reduce_entrywise_and_reduce_form_examples(z3):
         reduce_form(IntMatrix(3, [[1, 0], [0, 3]]), 3)
 
 
+def _residue_rows(m: ExactMatrix) -> tuple:
+    # the package's two reductions of an O-matrix to k: `reduce_form` on the
+    # int kind's form A / D, `descriptor.reduce` on each ratfunc entry
+    descriptor = m.descriptor
+    if descriptor.kind == KIND_INT:
+        return reduce_form(IntMatrix.from_matrix(m), descriptor.p)
+    return tuple(tuple(descriptor.reduce(a).value for a in row) for row in m.entries)
+
+
+def _times_mod(a: tuple, b: tuple, p: int) -> tuple:
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % p for col in zip(*b))
+                 for row in a)
+
+
+@pytest.mark.parametrize("kind,p", [("int-localized", 3), ("ratfunc-localized", 5)])
+def test_reduce_matrix_is_multiplicative(kind, p):
+    descriptor = DvrDescriptor(kind, p)
+    rng = random.Random(300 + p)
+    for _ in range(40):
+        a = ExactMatrix.from_ints(
+            RING_O, descriptor, [[rng.randint(-4, 4) for _ in range(2)] for _ in range(2)]
+        )
+        b = ExactMatrix.from_ints(
+            RING_O, descriptor, [[rng.randint(-4, 4) for _ in range(2)] for _ in range(2)]
+        )
+        reduced = _residue_rows(a * b)
+        assert reduced == _times_mod(_residue_rows(a), _residue_rows(b), p)
+        assert ExactMatrix.from_ints(RING_RESIDUE, descriptor, reduced) == reduce_entrywise(a * b)
+
+
 def test_rank_refuses_ring_tagged_matrices(z3):
     with pytest.raises(ValueError):
         rank_over_field(_swap(z3))

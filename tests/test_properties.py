@@ -12,10 +12,12 @@ from dvrcert.linalg import (
     RING_O,
     RING_RESIDUE,
     ExactMatrix,
+    IntMatrix,
     inverse,
+    reduce_form,
 )
 from dvrcert.polys import MultiPoly, act, invariant_basis, molien_series, reynolds
-from dvrcert.scalars import DvrDescriptor
+from dvrcert.scalars import KIND_INT, DvrDescriptor
 
 from conftest import over_1_plus_t, random_unimodular
 
@@ -127,6 +129,37 @@ def test_molien_coefficients_match_invariant_dimensions():
                 assert series.coefficients[d] == dim
             cases += 1
     assert cases >= 200
+
+
+def test_reduce_matrix_is_monoid_homomorphism():
+    # the package's reductions to k (`reduce_form` on the int kind's forms,
+    # `descriptor.reduce` on ratfunc entries) take products to products
+    rng = random.Random(404)
+    cases = 0
+    descriptors = [Z3, Z5, F5T, F7T]
+    while cases < 200:
+        descriptor = descriptors[cases % len(descriptors)]
+        n = rng.randint(1, 3)
+        a = ExactMatrix.from_ints(
+            RING_O, descriptor, [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        )
+        b = ExactMatrix.from_ints(
+            RING_O, descriptor, [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        )
+        p = descriptor.p
+        ra, rb = _residue_rows(a), _residue_rows(b)
+        product = tuple(tuple(sum(x * y for x, y in zip(row, col)) % p for col in zip(*rb))
+                        for row in ra)
+        assert _residue_rows(a * b) == product
+        cases += 1
+    assert cases >= 200
+
+
+def _residue_rows(m):
+    descriptor = m.descriptor
+    if descriptor.kind == KIND_INT:
+        return reduce_form(IntMatrix.from_matrix(m), descriptor.p)
+    return tuple(tuple(descriptor.reduce(a).value for a in row) for row in m.entries)
 
 
 def test_residue_rows_follow_the_product_table():
