@@ -69,13 +69,6 @@ class FundamentalInvariants:
     def n(self) -> int:
         return len(self.generators)
 
-    def serialize(self) -> dict:
-        return {
-            "field": self.ring,
-            "degrees": list(self.degrees),
-            "generators": [str(f) for f in self.generators],
-        }
-
 
 def _weighted_exponents(degrees, total):
     """All exponent tuples e with sum(e_i * degrees_i) == total."""

@@ -4,8 +4,10 @@ A pseudo-reflection here is an invertible matrix of finite order whose
 difference from the identity has rank one over K (or k, for a reduced image):
 it fixes a hyperplane pointwise and scales a complementary line by its
 determinant.  The rank is tested by cross-multiplication (`has_rank_one`),
-with no division.  Reflections generate G (or its image over k) exactly when
-their closure reaches G's own generators; `_generated_by` alone decides this.
+with no division.  Elements generate G exactly when their closure reaches
+G's own generators; `_generated_by` alone decides this, over O, for the
+reflections over K and over k alike: past the gate the reduction eta is
+injective, so elements generate G exactly when their images generate eta(G).
 
 A group's elements are the values its closure multiplied: for the int kind
 the `IntMatrix` forms A / D, in Python ints, and for the ratfunc kind the
@@ -14,12 +16,15 @@ O-matrices.  Every pass over all of G reads them directly:
 - the rank-one test over K, on the entries of g - I, or for the int kind on
   the rows of A - D I = D (g - I), with eigenvalue 1 + tr(A - D I) / D;
 - the reduction to k as rows of ints, (A mod p) (D^-1 mod p) by
-  `reduce_form` or `descriptor.reduce` per entry, and the injectivity of
-  the reduction, compared on those residue rows;
-- the reflection-generation test over O.
+  `reduce_form` or `descriptor.reduce` per entry: eta's images, whose
+  injectivity is compared on them, the rank-one test over k, on them
+  minus I mod p, and the ratfunc kind's det(I - z g) in the Molien series;
+- the reflection-generation test over K and over k, one closure over O.
 `MatrixGroup.over` is the one place where an element becomes a matrix over
 another ring: O (the int kind's forms as `ExactMatrix`), K (a retag of O)
-or k (from the residue rows, for both kinds).  Each is built on first use.
+or k (from the residue rows, for both kinds).  Each is built on first use,
+only to act on polynomials: the invariant bases, H^1, the invariance
+checks and Reynolds.
 
 The closure records the index of every product element * generator it
 forms, and H^1 reads its relations off that table, so after the closure
@@ -258,17 +263,16 @@ def _closure(identity, generators, cap: int, products: list | None = None):
             products.append(tuple(row))
 
 
-def _generated_by(group: MatrixGroup, ring: str, indices) -> bool:
-    """Do the elements with these indices generate the group's image over
-    `ring` (O or k)?
+def _generated_by(group: MatrixGroup, indices) -> bool:
+    """Do the elements with these indices generate the group?
 
-    The image is generated by the closure generators, so this holds exactly
+    The group is generated by the closure generators, so this holds exactly
     when the closure of those elements reaches all of them; it stops at the
-    last one.  Over O it closes `group.elements`, the int kind's integer
-    forms, and over k `group.over("k")`.  A subgroup has at most |G|
-    elements, which caps it.
+    last one.  It closes `group.elements`, the values the group closure
+    multiplied (the int kind's integer forms, the ratfunc kind's
+    O-matrices).  A subgroup has at most |G| elements, which caps it.
     """
-    elements = group.elements if ring == RING_O else group.over(ring)
+    elements = group.elements
     missing = {elements[i] for i in group.generator_indices}
     for element, _ in _closure(elements[0], [elements[i] for i in indices], group.order):
         missing.discard(element)
@@ -374,7 +378,7 @@ def classify_reflections(group: MatrixGroup) -> ReflectionReport:
             found.append((i, lam, eigenvalue_order(lam, RING_O, group.descriptor)))
     if group.order == 1:
         return ReflectionReport((), True, True)
-    generated = _generated_by(group, RING_O, [i for i, _, _ in found])
+    generated = _generated_by(group, [i for i, _, _ in found])
     return ReflectionReport(tuple(found), generated, False)
 
 
@@ -382,15 +386,17 @@ def classify_reflections(group: MatrixGroup) -> ReflectionReport:
 
 
 def reduction_map(group: MatrixGroup):
-    """Reduction of every element to k; returns (images, injective flag).
+    """Reduction eta of every element to k; returns (images, injective flag).
 
-    Requires the group order to be invertible in the ring.  Under that
-    hypothesis injectivity always holds, but it is measured, not assumed:
-    the residue rows, as ints, must be pairwise distinct.
+    The images are the residue rows (`MatrixGroup.residue_rows`), rows of
+    ints in [0, p), not k-matrices.  Requires the group order to be
+    invertible in the ring.  Under that hypothesis injectivity always
+    holds, but it is measured, not assumed: the residue rows must be
+    pairwise distinct.
     """
     invert_mod_group_order(group.order, group.descriptor)
     residues = group.residue_rows()
-    return group.over(RING_RESIDUE), len(set(residues)) == len(residues)
+    return residues, len(set(residues)) == len(residues)
 
 
 def reduced_reflection_indices(group: MatrixGroup) -> list:
@@ -409,9 +415,15 @@ def reduced_reflection_indices(group: MatrixGroup) -> list:
 def verify_reduced_reflection_generation(group: MatrixGroup) -> bool:
     """Is the image of the group in GL_n over the residue field reflection-generated?
 
-    Picks out the pseudo-reflections among the reduced images with
-    `reduced_reflection_indices`, then asks `_generated_by` whether they
-    generate the image.
+    Picks out the elements whose images are pseudo-reflections with
+    `reduced_reflection_indices`, then asks `_generated_by` whether those
+    elements generate G, closing the group's own values over O.  eta is a
+    homomorphism, so if they generate G their images generate eta(G): True
+    is always sound.  When eta is injective the converse holds as well, a
+    subgroup's image being eta(G) only if the subgroup is G.  Past the
+    gate eta is injective, the report's `eta_injective` records it, and
+    `certify` requires it for "certified"; a group with a non-injective
+    eta is refused at the gate before this runs.
     """
     reduction_map(group)  # the gate: p must not divide |G|
-    return _generated_by(group, RING_RESIDUE, reduced_reflection_indices(group))
+    return _generated_by(group, reduced_reflection_indices(group))

@@ -9,7 +9,8 @@ matrices alike.  Monomials are ordered graded-lexicographically
 throughout, which fixes canonical coefficient coordinates for every
 echelon computation downstream.  The Molien series reads each
 element's det(I - z g) off Berkowitz's characteristic polynomial
-(`linalg.char_poly`), in integers for the int kind, and inverts it by
+(`linalg.char_poly`) in integers, on the integer forms for the int kind
+and on the residue rows mod p for the ratfunc kind, and inverts it by
 one division-free recurrence, since its constant term is det(I) = 1.
 Whether a matrix of polynomials (a Jacobian) has a nonzero determinant is
 first asked at a few fixed points, where the determinant is a scalar.
@@ -475,11 +476,6 @@ def _invariant_basis(group: MatrixGroup, d: int, ring: str) -> GradedBasis:
 # -- Molien series -----------------------------------------------------------------
 
 
-def _char_series_denominator(g: ExactMatrix) -> tuple:
-    """Coefficients of det(I - z*g), from z^0 to z^n, over the field."""
-    return char_poly(g.entries, ring_zero(g.ring, g.descriptor), ring_one(g.ring, g.descriptor))
-
-
 def _integer_char_series_denominator(form: IntMatrix) -> tuple:
     """Coefficients of det(I - z*g) for g = A / D over Q, from its form, as ints.
 
@@ -506,8 +502,9 @@ def _series_inverse(denom: tuple, bound: int, zero, one) -> list:
     """Coefficients of 1/denom to the bound, for a denominator det(I - z g).
 
     Its constant term is det(I) = 1, so the inverse is b_0 = 1,
-    b_m = -sum_{i=1}^{min(m, n)} c_i b_{m-i}, with no division: in ints
-    for the int kind, in `RatFunc` values for the ratfunc kind.
+    b_m = -sum_{i=1}^{min(m, n)} c_i b_{m-i}, with no division.
+    `molien_series` runs it in ints for both kinds; over F_p the result
+    is read mod p, reduction being a ring map.
     """
     if denom[0] != one:
         raise InternalCheckError(f"det(I - z g) has constant term {denom[0]}, not one")
@@ -545,44 +542,40 @@ def molien_series(group: MatrixGroup, bound: int) -> MolienSeries:
     """(1/|G|) * sum over g of 1/det(I - z g), truncated to the given degree.
 
     Each det(I - z g) comes from `linalg.char_poly` (Berkowitz, division
-    free): over Q (the int kind) in Python ints, read off the elements'
-    integer forms A / D (`_integer_char_series_denominator`), and over
-    F_p(t) (the ratfunc kind) in `RatFunc` values.  Elements with the same
-    characteristic polynomial share the denominator, so each distinct one
-    is inverted once, by the division-free `_series_inverse`, and weighted
-    by its multiplicity.  For the int kind the degree-m coefficient is then
-    s_m / |G|, with s_m the weighted sum, and it is accepted only when |G|
-    divides s_m and s_m >= 0: the same exact test as "a nonnegative integer
-    in Q".  For the ratfunc kind the sum is taken times 1/|G| in the field,
-    and each coefficient must be a constant of F_p.
+    free) in Python ints.  Over Q (the int kind) it is read off the
+    elements' integer forms A / D (`_integer_char_series_denominator`).
+    Over F_p(t) (the ratfunc kind) it is that of the residue rows, mod p:
+    g has finite order, so each coefficient is algebraic over F_p, and the
+    only such elements of F_p(t) are the constants of F_p, which the
+    reduction O -> k fixes.  Elements with the same denominator share it,
+    so each distinct one is inverted once, by the division-free
+    `_series_inverse`, and weighted by its multiplicity.  For the int kind
+    the degree-m coefficient is then s_m / |G|, with s_m the weighted sum,
+    and it is accepted only when |G| divides s_m and s_m >= 0: the same
+    exact test as "a nonnegative integer in Q".  For the ratfunc kind it
+    is s_m times 1/|G| mod p.
     """
     descriptor = group.descriptor
-    # also the gate: p must not divide |G|
-    inv_order = invert_mod_group_order(group.order, descriptor)
+    p = descriptor.p
+    invert_mod_group_order(group.order, descriptor)  # the gate: p must not divide |G|
     if descriptor.kind == KIND_INT:
         denominators = map(_integer_char_series_denominator, group.elements)
-        zero, one, weight = 0, 1, int
     else:
-        denominators = map(_char_series_denominator, group.over(RING_K))
-        zero, one, weight = descriptor.zero(), descriptor.one(), descriptor.from_int
-    sums = [zero] * (bound + 1)
+        denominators = (tuple(c % p for c in char_poly(rows, 0, 1))
+                        for rows in group.residue_rows())
+    sums = [0] * (bound + 1)
     for denom, count in Counter(denominators).items():
-        count = weight(count)
-        sums = [a + b * count for a, b in zip(sums, _series_inverse(denom, bound, zero, one))]
-    if descriptor.kind == KIND_INT:
-        coefficients = []
-        for s in sums:
-            c, r = divmod(s, group.order)
-            if r or c < 0:
-                raise InternalCheckError(f"non-integral Molien coefficient {s}/{group.order}")
-            coefficients.append(c)
-        return MolienSeries(bound, tuple(coefficients), False)
-    total = [inv_order * a for a in sums]
-    # characteristic p: each coefficient must land in the prime field
-    for c in total:
-        if c.num.degree > 0 or c.den.degree > 0:
-            raise InternalCheckError(f"non-constant Molien coefficient {c}")
-    return MolienSeries(bound, tuple(descriptor.reduce(c).value for c in total), True)
+        sums = [a + b * count for a, b in zip(sums, _series_inverse(denom, bound, 0, 1))]
+    if descriptor.kind != KIND_INT:
+        inv_order = pow(group.order, -1, p)
+        return MolienSeries(bound, tuple(s * inv_order % p for s in sums), True)
+    coefficients = []
+    for s in sums:
+        c, r = divmod(s, group.order)
+        if r or c < 0:
+            raise InternalCheckError(f"non-integral Molien coefficient {s}/{group.order}")
+        coefficients.append(c)
+    return MolienSeries(bound, tuple(coefficients), False)
 
 
 def hilbert_product_truncation(degrees, bound: int) -> tuple[int, ...]:

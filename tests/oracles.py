@@ -18,12 +18,14 @@ the textbook fraction formulas reduced by a full Euclid against the
 reduced-fraction arithmetic of `RatFunc`, a recursion on quotient
 lattices against the closed-form diagonalizing basis, cofactor expansion
 of det(I - z g) over polynomial entries against Berkowitz's division-free
-recursion, and a field recurrence that divides by the constant term, on
+recursion, a field recurrence that divides by the constant term, on
 each element's `Fraction` denominator, against the division-free integer
-Molien sum over the distinct ones.
+Molien sum over the distinct ones, and Berkowitz on the `RatFunc` entries
+of each element over F_p(t) against its residue rows mod p.
 """
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -32,12 +34,13 @@ from dvrcert.linalg import (
     RING_O,
     RING_RESIDUE,
     ExactMatrix,
+    char_poly,
     inverse,
     kernel_over_field,
     ring_one,
     ring_zero,
 )
-from dvrcert.polys import MultiPoly, monomials
+from dvrcert.polys import MolienSeries, MultiPoly, monomials
 from dvrcert.refbasis import primitive_vector
 from dvrcert.scalars import invert_mod_group_order
 
@@ -365,6 +368,28 @@ def molien_series_field(group, bound: int) -> list:
         inv = series_inverse_field(char_series_denominator_cofactor(m), bound, zero, one)
         total = [a + b for a, b in zip(total, inv)]
     return [a / group.order for a in total]
+
+
+def _char_series_denominator(g: ExactMatrix) -> tuple:
+    """Coefficients of det(I - z*g), from z^0 to z^n, over the field of g's
+    entries, by Berkowitz's `char_poly` on those entries."""
+    return char_poly(g.entries, ring_zero(g.ring, g.descriptor), ring_one(g.ring, g.descriptor))
+
+
+def molien_series_ratfunc(group, bound: int) -> MolienSeries:
+    """The Molien series of a ratfunc group over F_p(t), in `RatFunc` values:
+    each distinct det(I - z g) of the elements over K, inverted by the field
+    recurrence, weighted by its count and summed times 1/|G| in F_p(t).
+    Each coefficient must be a constant of F_p, and is reported reduced."""
+    descriptor = group.descriptor
+    zero, one = descriptor.zero(), descriptor.one()
+    sums = [zero] * (bound + 1)
+    for denom, count in Counter(map(_char_series_denominator, group.over(RING_K))).items():
+        inv = series_inverse_field(denom, bound, zero, one)
+        sums = [a + b * descriptor.from_int(count) for a, b in zip(sums, inv)]
+    total = [invert_mod_group_order(group.order, descriptor) * a for a in sums]
+    assert all(c.num.degree <= 0 and c.den.degree == 0 for c in total), total
+    return MolienSeries(bound, tuple(descriptor.reduce(c).value for c in total), True)
 
 
 def _h1_exact_degree_bruteforce(group, degree: int, ring: str) -> int:

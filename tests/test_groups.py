@@ -26,14 +26,26 @@ from dvrcert.groups import (
     verify_reduced_reflection_generation,
 )
 from dvrcert.refbasis import diagonalizing_basis
-from dvrcert.linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix, IntMatrix, det, inverse
+from dvrcert.linalg import (
+    RING_K,
+    RING_O,
+    RING_RESIDUE,
+    ExactMatrix,
+    IntMatrix,
+    char_poly,
+    det,
+    inverse,
+)
+from dvrcert.polys import molien_series
 from dvrcert.scalars import DvrDescriptor
 
 from conftest import over_1_plus_t, random_unimodular
 from oracles import (
+    _char_series_denominator,
     element_order,
     h1_bruteforce,
     matrix_order,
+    molien_series_ratfunc,
     reduce_entrywise,
     reflection_eigenvalue_bruteforce,
     reflection_generated_bruteforce,
@@ -221,6 +233,7 @@ def test_reflection_classification_is_conjugation_invariant(
         ExactMatrix.from_ints(RING_O, z3, [[0, 1], [1, 0]]),
     ])
     rng = random.Random(100 + seed)
+    compared = []
     for group in (s3_z5, b2_z3, s3_rotation, b2_rotation, reflection_and_sign_z5):
         t = random_unimodular(group.descriptor, group.n, rng)
         t_inv = inverse(t)
@@ -233,13 +246,17 @@ def test_reflection_classification_is_conjugation_invariant(
             str(lam) for _, lam, _ in original.reflections
         )
         assert moved.generated_by_reflections == original.generated_by_reflections
-        for g, report in ((group, original), (conjugated, moved)):
-            assert report.generated_by_reflections == (
-                reflection_generated_bruteforce(g.over(RING_K))
-            )
-            assert verify_reduced_reflection_generation(g) == (
-                reflection_generated_bruteforce(g.over(RING_RESIDUE))
-            )
+        compared += [(group, original), (conjugated, moved)]
+    # the seeded batch's int and ratfunc groups, conjugates included, past the gate
+    compared += [(g, classify_reflections(g)) for g in _batch_groups(seed + 1)
+                 if g.order % g.descriptor.p]
+    for g, report in compared:
+        assert report.generated_by_reflections == (
+            reflection_generated_bruteforce(g.over(RING_K))
+        )
+        assert verify_reduced_reflection_generation(g) == (
+            reflection_generated_bruteforce(g.over(RING_RESIDUE))
+        )
     assert classify_reflections(s3_rotation).generated_by_reflections
     assert classify_reflections(b2_rotation).generated_by_reflections
     assert not classify_reflections(reflection_and_sign_z5).generated_by_reflections
@@ -405,14 +422,62 @@ def test_generator_indices_point_at_the_closure_generators(z3, s3_z5, c4_f5t):
     assert 0 in with_identity.generator_indices
 
 
-def _batch_groups(seed: int) -> list:
-    """The groups of the first batch of the benchmark's seeded
-    `small-batch-conjugated` workload, built from its job documents."""
+def _workloads():
+    """The benchmark's job-document module."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
     import workloads
 
-    specs = [parse_jobspec(doc) for _, doc in workloads.small_batch(seed, 0)]
-    return [generate_group(spec.generators, descriptor=spec.dvr) for spec in specs]
+    return workloads
+
+
+def _group_of(doc: dict):
+    spec = parse_jobspec(doc)
+    return generate_group(spec.generators, descriptor=spec.dvr)
+
+
+def _batch_groups(seed: int) -> list:
+    """The groups of the first batch of the benchmark's seeded
+    `small-batch-conjugated` workload, built from its job documents."""
+    return [_group_of(doc) for _, doc in _workloads().small_batch(seed, 0)]
+
+
+def test_ratfunc_char_polys_are_the_residue_rows_own(c4_f5t, b2_f5t_twisted):
+    # g has finite order, so det(I - z g) over F_p(t) has constant
+    # coefficients, which reduction fixes: `molien_series` reads them off
+    # the residue rows, and must agree with the series in `RatFunc` values
+    batch = [g for g in _batch_groups(1) if g.descriptor.kind != "int-localized"]
+    assert any(a.num.degree > 0 or a.den.degree > 0
+               for g in batch for m in g.elements for row in m.entries for a in row)
+    checked = 0
+    for group in [c4_f5t, b2_f5t_twisted, over_1_plus_t(b2_f5t_twisted)] + batch:
+        descriptor, p = group.descriptor, group.descriptor.p
+        for m, rows in zip(group.over(RING_K), group.residue_rows()):
+            denom = _char_series_denominator(m)
+            assert all(c.num.degree <= 0 and c.den.degree == 0 for c in denom)
+            assert [descriptor.reduce(c).value for c in denom] \
+                == [c % p for c in char_poly(rows, 0, 1)]
+            checked += 1
+        assert molien_series(group, 12) == molien_series_ratfunc(group, 12)
+    assert checked >= 70  # 78 on seed 1
+
+
+def test_a_checks_only_job_builds_no_ring_views(z5):
+    # reflections, eta and Molien read the closure's own values and the
+    # residue rows: no element becomes a matrix over K or k
+    workloads = _workloads()
+    generators = [
+        ExactMatrix.from_ints(RING_O, z5, [[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+        ExactMatrix.from_ints(RING_O, z5, [[1, 0, 0], [0, 0, 1], [0, 1, 0]]),
+        ExactMatrix.from_ints(RING_O, z5, [[1, 0, 0], [0, 1, 0], [0, 0, -1]]),
+    ]
+    b2 = workloads.conjugate_generators(workloads.RATFUNC, 5, workloads.hyperoctahedral(2),
+                                        random.Random(1))
+    for group in (generate_group(generators),
+                  _group_of(workloads._doc(workloads.RATFUNC, 5, b2))):
+        report = certify(group, 6, ("reflections", "eta", "molien"))
+        assert report.verdict == "complete" and report.eta_injective
+        assert ("elements", RING_K) not in group.memo
+        assert ("elements", RING_RESIDUE) not in group.memo
 
 
 def test_reflection_orders_match_the_matrix_power_oracle(

@@ -22,6 +22,7 @@ from dvrcert.polys import (
 from conftest import random_unimodular
 from oracles import (
     DenseRowEchelon,
+    _char_series_denominator,
     act_bruteforce,
     action_matrix_bruteforce,
     det_cofactor,
@@ -184,11 +185,7 @@ def test_molien_matches_bruteforce_dimensions(s2_z3, s3_z5, b2_z3):
 
 
 def _assert_integer_path_matches_field_path(group, bound):
-    from dvrcert.polys import (
-        _char_series_denominator,
-        _integer_char_series_denominator,
-        _series_inverse,
-    )
+    from dvrcert.polys import _integer_char_series_denominator, _series_inverse
 
     pairs = {
         (_integer_char_series_denominator(form), _char_series_denominator(m))
@@ -234,7 +231,7 @@ def test_integer_molien_of_wb3_matches_field_recurrence(z5):
 
 
 def test_ratfunc_series_inverse_matches_field_recurrence(b2_f5t_twisted):
-    from dvrcert.polys import _char_series_denominator, _series_inverse
+    from dvrcert.polys import _series_inverse
 
     descriptor = b2_f5t_twisted.descriptor
     zero, one = descriptor.zero(), descriptor.one()
@@ -282,7 +279,6 @@ def test_molien_ratfunc_is_mod_p(c4_f5t):
 
 @pytest.mark.parametrize("kind", ["int-localized", "ratfunc-localized"])
 def test_char_series_denominator_trace_and_det(kind):
-    from dvrcert.polys import _char_series_denominator
     from dvrcert.scalars import DvrDescriptor
 
     descriptor = DvrDescriptor(kind, 5)
