@@ -198,7 +198,7 @@ def _check_fundamental_conditions(
         problems.append(
             f"degree excess {excess} differs from the reflection count {reflection_count}"
         )
-    gens = group.generators_over(inv.ring)
+    gens = [group.matrix(i, inv.ring) for i in group.generator_indices]
     for i, f in enumerate(inv.generators):
         if not f.is_homogeneous() or f.is_zero():
             problems.append(f"generator {i} is not homogeneous and nonzero")
@@ -272,8 +272,9 @@ def _h1_exact_degree(group: MatrixGroup, degree: int, ring: str) -> int:
 
     The piece over K is at most the piece over k.  The relations over k are
     those over O reduced mod pi: the same breadth-first tree, the same
-    element indices, and rho_d of each reduced element (`MatrixGroup.over`
-    reduces entrywise).  A rank can only drop under reduction, so
+    element indices, and rho_d of each reduced element (`MatrixGroup.matrix`
+    builds it from the residue rows, for the elements read before the stop
+    alone).  A rank can only drop under reduction, so
     dim Z^1_K <= dim Z^1_k; for the same reason the stacked rho_d(g_i) - I
     has rank over K at least its rank over k, so dim inv_K <= dim inv_k
     and dim B^1_K >= dim B^1_k.  Hence dim H^1_K <= dim H^1_k, which
@@ -607,7 +608,7 @@ def certify(
         bases = []
         for idx, lam, order in report.reflections:
             try:
-                bases.append((idx, diagonalizing_basis(group.over(RING_O)[idx], group), ""))
+                bases.append((idx, diagonalizing_basis(group.matrix(idx, RING_O), group), ""))
             except DvrcertError as exc:
                 bases.append((idx, None, str(exc)))
                 notes.append(f"diagonalizing basis failed for element {idx}: {exc}")

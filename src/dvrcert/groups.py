@@ -20,11 +20,13 @@ O-matrices.  Every pass over all of G reads them directly:
   injectivity is compared on them, the rank-one test over k, on them
   minus I mod p, and the ratfunc kind's det(I - z g) in the Molien series;
 - the reflection-generation test over K and over k, one closure over O.
-`MatrixGroup.over` is the one place where an element becomes a matrix over
-another ring: O (the int kind's forms as `ExactMatrix`), K (a retag of O)
-or k (from the residue rows, for both kinds).  Each is built on first use,
-only to act on polynomials: the invariant bases, H^1, the invariance
-checks and Reynolds.
+`MatrixGroup.matrix(i, ring)` is the one place where an element becomes an
+`ExactMatrix`: over O, which serves K as well (the int kind's form A / D
+as entries; the ratfunc kind's element is one already), or over k, from
+the residue rows, for both kinds.  Each is built the first time a stage
+reads it: the invariant bases and the invariance checks read the
+generators, H^1 the elements it reaches before it stops, the
+diagonalizing bases the reflections, and Reynolds every element.
 
 The closure records the index of every product element * generator it
 forms, and H^1 reads its relations off that table, so after the closure
@@ -36,7 +38,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from .errors import ClosureCapExceededError, NotInvertibleError
 from .linalg import (
@@ -63,11 +64,12 @@ class MatrixGroup:
     applying the generators in a canonical sorted order, so the element
     numbering is deterministic for a given generating set.  `elements` are
     the values the closure multiplied: `IntMatrix` forms for the int kind,
-    O-matrices for the ratfunc kind; `over(ring)` gives them as matrices.
+    O-matrices for the ratfunc kind; `matrix(i, ring)` gives one as a matrix.
 
     `memo` holds what several checks share, and lives and dies with the
-    group: the elements as matrices over O (the int kind only), K and k
-    (see `over`), keyed by ("elements", ring); the residue rows (see
+    group: the elements built as matrices over O (the int kind only) and
+    over k (see `matrix`), keyed by ("elements", ring), each a dict
+    {element index: matrix}; the residue rows (see
     `residue_rows`), keyed by ("residues", "k"); per-degree results
     (invariant bases, H^1 contributions), keyed by (quantity, degree,
     ring); and, keyed by ("images", ring, element index), an element's
@@ -96,28 +98,27 @@ class MatrixGroup:
         """The element index of each closure generator: identity * g = g."""
         return self.products[0]
 
-    def over(self, ring: str) -> tuple:
-        """The elements as matrices over O, K or k, in the order of `elements`.
-
-        The one place where group elements become matrices over another
-        ring; each ring's copy is built on first use and kept in `memo`.
-        Over O the int kind's forms become `ExactMatrix` values by
-        `_exact_elements` (the ratfunc kind's elements are O-matrices
-        already), over K they are a retag of O, and over k both kinds'
-        are built from `residue_rows`, with one shared `ResidueScalar` per
-        residue.
-        """
-        if ring == RING_O and self.descriptor.kind != KIND_INT:
-            return self.elements
-        key = ("elements", ring)
-        if key not in self.memo:
+    def matrix(self, i: int, ring: str) -> ExactMatrix:
+        """Element i as an `ExactMatrix` over O, K or k, built the first time
+        a stage reads it.  Over O or K it is the O-matrix, which serves K:
+        `act` takes it on a K-polynomial and `action_matrix` reads only its
+        values.  Over k it is built from `residue_rows`.  What is built is
+        kept in `memo` (see the class)."""
+        if ring != RING_RESIDUE:
+            if self.descriptor.kind != KIND_INT:
+                return self.elements[i]
+            ring = RING_O
+        built = self.memo.setdefault(("elements", ring), {})
+        m = built.get(i)
+        if m is None:
             if ring == RING_O:
-                self.memo[key] = _exact_elements(self.elements, self.descriptor)
-            elif ring == RING_RESIDUE:
-                self.memo[key] = _residue_matrices(self.residue_rows(), self.descriptor)
+                f = self.elements[i]
+                rows = [[Fraction(a, f.den) for a in row] for row in f.rows]
             else:
-                self.memo[key] = tuple(m.to_field() for m in self.over(RING_O))
-        return self.memo[key]
+                residue = self.descriptor.residue
+                rows = [[residue(a) for a in row] for row in self.residue_rows()[i]]
+            m = built[i] = ExactMatrix._of(ring, self.descriptor, rows)
+        return m
 
     def residue_rows(self) -> tuple:
         """The elements reduced to k as rows of ints in [0, p), in the order
@@ -135,11 +136,6 @@ class MatrixGroup:
                              for m in self.elements)
             self.memo[key] = rows
         return self.memo[key]
-
-    def generators_over(self, ring: str) -> list:
-        """The closure generators over O, K or k, taken from `over(ring)`."""
-        elements = self.over(ring)
-        return [elements[i] for i in self.generator_indices]
 
     def bfs_parent(self, i: int):
         """(parent index, closure-generator index) for element i; None for the identity."""
@@ -202,36 +198,6 @@ def _closure_values(descriptor: DvrDescriptor, matrices) -> list:
     """The O-matrices as the values a closure multiplies: their `IntMatrix`
     forms for the int kind, the matrices themselves for the ratfunc kind."""
     return list(map(IntMatrix.from_matrix, matrices) if descriptor.kind == KIND_INT else matrices)
-
-
-def _exact_elements(forms, descriptor: DvrDescriptor) -> tuple:
-    """The `IntMatrix` forms as O-matrices, with one shared `Fraction` per
-    distinct value; `MatrixGroup.over` is its only caller."""
-    by_pair: dict = {}  # (numerator, denominator) -> Fraction
-    by_value: dict = {}  # Fraction -> the one object kept for that value
-
-    def value(a: int, den: int) -> Fraction:
-        v = by_pair.get((a, den))
-        if v is None:
-            v = Fraction(a, den)
-            v = by_pair[a, den] = by_value.setdefault(v, v)
-        return v
-
-    return tuple(
-        ExactMatrix._of(RING_O, descriptor, [[value(a, f.den) for a in row] for row in f.rows])
-        for f in forms
-    )
-
-
-def _residue_matrices(residue_rows, descriptor: DvrDescriptor) -> tuple:
-    """k-matrices of the residue rows, with one shared `ResidueScalar` per
-    residue that occurs."""
-    scalars = {a: descriptor.residue(a)
-               for a in set(chain.from_iterable(chain.from_iterable(residue_rows)))}
-    return tuple(
-        ExactMatrix._of(RING_RESIDUE, descriptor, [[scalars[a] for a in row] for row in rows])
-        for rows in residue_rows
-    )
 
 
 def _closure(identity, generators, cap: int, products: list | None = None):

@@ -200,11 +200,6 @@ class MultiPoly:
 
     # -- ring moves ------------------------------------------------------------
 
-    def to_field(self) -> MultiPoly:
-        if self.ring != RING_O:
-            return self
-        return MultiPoly._of(RING_K, self.descriptor, self.n, self.terms)
-
     def reduce(self) -> MultiPoly:
         """Coefficientwise reduction of an O-polynomial to the residue field."""
         if self.ring != RING_O:
@@ -385,11 +380,12 @@ def act(g: ExactMatrix, f: MultiPoly) -> MultiPoly:
 
 
 def reynolds(group: MatrixGroup, f: MultiPoly) -> MultiPoly:
-    """Average of the orbit of f: the projection onto the invariant ring."""
+    """Average of the orbit of f: the projection onto the invariant ring.
+    It reads every element, as `group.matrix(i, f.ring)`."""
     inv_order = invert_mod_group_order(group.order, group.descriptor)
     acc = MultiPoly.zero(f.ring, f.descriptor, f.n)
-    for m in group.over(f.ring):
-        acc = acc + act(m, f)
+    for i in range(group.order):
+        acc = acc + act(group.matrix(i, f.ring), f)
     return acc.scale(group.descriptor.reduce(inv_order) if f.ring == RING_RESIDUE else inv_order)
 
 
@@ -422,9 +418,10 @@ def action_matrix(g: ExactMatrix, n: int, d: int, *, images: dict | None = None)
 
 def element_action_matrix(group: MatrixGroup, ring: str, idx: int, d: int) -> list[dict]:
     """rho_d of element idx over K or k, from the monomial images that
-    `group.memo` keeps for it under ("images", ring, idx)."""
+    `group.memo` keeps for it under ("images", ring, idx).  The element is
+    `group.matrix(idx, ring)`: over K the O-matrix, whose values are K's."""
     images = group.memo.setdefault(("images", ring, idx), {})
-    return action_matrix(group.over(ring)[idx], group.n, d, images=images)
+    return action_matrix(group.matrix(idx, ring), group.n, d, images=images)
 
 
 @dataclass(frozen=True)

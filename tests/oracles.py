@@ -144,8 +144,14 @@ def matrix_order(m: ExactMatrix, cap: int) -> int | None:
     return None
 
 
+def element_matrices(group, ring: str) -> list:
+    """Every element of the group as `group.matrix(i, ring)`, in index
+    order: over O or K the O-matrices, over k the k-matrices."""
+    return [group.matrix(i, ring) for i in range(group.order)]
+
+
 def element_order(group, i: int) -> int:
-    return matrix_order(group.over(RING_O)[i], cap=group.order)
+    return matrix_order(group.matrix(i, RING_O), cap=group.order)
 
 
 def change_of_basis(basis) -> ExactMatrix:
@@ -204,6 +210,13 @@ def rank_by_minors(m: ExactMatrix) -> int:
                 continue
             break
     return best
+
+
+def matrix_of_form(form, descriptor) -> ExactMatrix:
+    """The O-matrix of an `IntMatrix` form A / D, each entry a `Fraction`
+    divided by D and checked to lie in O by the public constructor."""
+    return ExactMatrix(RING_O, descriptor,
+                       [[Fraction(a) / form.den for a in row] for row in form.rows])
 
 
 def reduce_entrywise(m: ExactMatrix) -> ExactMatrix:
@@ -274,9 +287,12 @@ def action_matrix_bruteforce(g: ExactMatrix, n: int, d: int) -> ExactMatrix:
 
 
 def _field_matrices(group, ring):
+    """The elements over K or k, converted by the oracles' own route: the
+    O-matrices retagged by `to_field`, as `kernel_over_field` takes them,
+    or reduced entrywise."""
     if ring == RING_RESIDUE:
-        return [reduce_entrywise(m) for m in group.over(RING_O)]
-    return [m.to_field() for m in group.over(RING_O)]
+        return [reduce_entrywise(m) for m in element_matrices(group, RING_O)]
+    return [m.to_field() for m in element_matrices(group, RING_O)]
 
 
 def invariant_dimension_bruteforce(group, degree: int, ring: str) -> int:
@@ -364,7 +380,7 @@ def molien_series_field(group, bound: int) -> list:
     time."""
     zero, one = Fraction(0), Fraction(1)
     total = [zero] * (bound + 1)
-    for m in group.over(RING_K):
+    for m in element_matrices(group, RING_K):
         inv = series_inverse_field(char_series_denominator_cofactor(m), bound, zero, one)
         total = [a + b for a, b in zip(total, inv)]
     return [a / group.order for a in total]
@@ -384,7 +400,8 @@ def molien_series_ratfunc(group, bound: int) -> MolienSeries:
     descriptor = group.descriptor
     zero, one = descriptor.zero(), descriptor.one()
     sums = [zero] * (bound + 1)
-    for denom, count in Counter(map(_char_series_denominator, group.over(RING_K))).items():
+    denominators = Counter(map(_char_series_denominator, element_matrices(group, RING_K)))
+    for denom, count in denominators.items():
         inv = series_inverse_field(denom, bound, zero, one)
         sums = [a + b * descriptor.from_int(count) for a, b in zip(sums, inv)]
     total = [invert_mod_group_order(group.order, descriptor) * a for a in sums]
@@ -404,7 +421,7 @@ def _h1_exact_degree_bruteforce(group, degree: int, ring: str) -> int:
     order = group.order
     width = order * size
     zero = ring_zero(ring, group.descriptor)
-    elements = group.over(RING_O)
+    elements = element_matrices(group, RING_O)
     index = {m: i for i, m in enumerate(elements)}
     span = DenseRowEchelon()
     for a in range(order):

@@ -101,7 +101,7 @@ def test_criterion_4_diagonalizing_basis_fuzz(s3_z5, b2_z3, c4_f5t):
     for group in (s3_z5, b2_z3, c4_f5t):
         report = classify_reflections(group)
         for idx, lam, order in report.reflections:
-            sigma = group.over(RING_O)[idx]
+            sigma = group.matrix(idx, RING_O)
             for _ in range(100):
                 t = random_unimodular(group.descriptor, group.n, rng)
                 moved = t * sigma * inverse(t)

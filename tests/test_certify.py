@@ -35,6 +35,7 @@ from dvrcert.scalars import DvrDescriptor
 
 from oracles import (
     _h1_exact_degree_bruteforce,
+    element_matrices,
     h1_bruteforce,
     invariant_dimension_bruteforce,
     poly_matrix_det,
@@ -134,7 +135,7 @@ def test_fundamental_generators_are_invariant(s3_z5):
     inv = fundamental_invariants(s3_z5, RING_K, 6)
     assert inv.degrees == (1, 2, 3)
     for f in inv.generators:
-        for g in s3_z5.over(RING_K):
+        for g in element_matrices(s3_z5, RING_K):
             assert act(g, f) == f
 
 
@@ -497,7 +498,7 @@ def test_lift_fundamentals_s2(s2_z3):
     for lifted, original in zip(lifts, residue_inv.generators):
         assert lifted.ring == RING_O
         assert lifted.reduce() == original
-        for g in s2_z3.over(RING_O):
+        for g in element_matrices(s2_z3, RING_O):
             assert act(g, lifted) == lifted
 
 

@@ -42,8 +42,10 @@ from dvrcert.scalars import DvrDescriptor
 from conftest import over_1_plus_t, random_unimodular
 from oracles import (
     _char_series_denominator,
+    element_matrices,
     element_order,
     h1_bruteforce,
+    matrix_of_form,
     matrix_order,
     molien_series_ratfunc,
     reduce_entrywise,
@@ -76,7 +78,7 @@ def test_generate_group_cap(z3):
 
 
 def test_group_contains_inverses_and_identity(s3_z5):
-    elements = s3_z5.over(RING_O)
+    elements = element_matrices(s3_z5, RING_O)
     assert elements[0] == ExactMatrix.identity(RING_O, s3_z5.descriptor, 3)
     for m in elements:
         assert inverse(m) in elements
@@ -123,10 +125,10 @@ def test_reflection_eigenvalue_is_the_determinant(s3_z5, f5t):
         report = classify_reflections(group)
         assert report.count > 0
         for idx, lam, order in report.reflections:
-            assert lam == det(group.over(RING_O)[idx])
+            assert lam == det(group.matrix(idx, RING_O))
             orders.add(order)
         found_over_k = 0
-        for m in group.over(RING_RESIDUE):
+        for m in element_matrices(group, RING_RESIDUE):
             data = reflection_data(m)
             if data is not None:
                 assert data[0] == det(m)
@@ -202,7 +204,8 @@ def test_proper_reflection_subgroup_does_not_generate(reflection_and_sign_z5):
 
 def test_closure_idempotence(s3_z5, b2_z3):
     for group in (s3_z5, b2_z3):
-        regenerated = generate_group(list(group.over(RING_O)), descriptor=group.descriptor)
+        regenerated = generate_group(element_matrices(group, RING_O),
+                                     descriptor=group.descriptor)
         assert set(regenerated.elements) == set(group.elements)
 
 
@@ -252,10 +255,10 @@ def test_reflection_classification_is_conjugation_invariant(
                  if g.order % g.descriptor.p]
     for g, report in compared:
         assert report.generated_by_reflections == (
-            reflection_generated_bruteforce(g.over(RING_K))
+            reflection_generated_bruteforce(element_matrices(g, RING_K))
         )
         assert verify_reduced_reflection_generation(g) == (
-            reflection_generated_bruteforce(g.over(RING_RESIDUE))
+            reflection_generated_bruteforce(element_matrices(g, RING_RESIDUE))
         )
     assert classify_reflections(s3_rotation).generated_by_reflections
     assert classify_reflections(b2_rotation).generated_by_reflections
@@ -287,31 +290,45 @@ def test_reflection_generation_stops_at_the_generators(z5, monkeypatch):
     assert len(products) < wb3.order
 
 
-def test_a_checks_only_int_job_builds_no_o_matrices(z5, monkeypatch):
-    # the int kind's elements are its integer forms: only `over("O")` turns
-    # them into O-matrices, and reflections, eta and Molien never ask for it
-    groups_module = sys.modules["dvrcert.groups"]
-    built = []
-    exact_elements = groups_module._exact_elements
-
-    def counted(forms, descriptor):
-        built.append(len(forms))
-        return exact_elements(forms, descriptor)
-
-    monkeypatch.setattr(groups_module, "_exact_elements", counted)
-    generators = [
+def _wb3(z5):
+    """W(B_3) over Z_(5), generated by two transpositions and a sign change."""
+    return generate_group([
         ExactMatrix.from_ints(RING_O, z5, [[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
         ExactMatrix.from_ints(RING_O, z5, [[1, 0, 0], [0, 0, 1], [0, 1, 0]]),
         ExactMatrix.from_ints(RING_O, z5, [[1, 0, 0], [0, 1, 0], [0, 0, -1]]),
-    ]
-    wb3 = generate_group(generators)
+    ])
+
+
+def test_a_checks_only_int_job_builds_no_o_matrices(z5):
+    # the int kind's elements are its integer forms: only `matrix(i, "O")`
+    # turns one into an O-matrix, and reflections, eta and Molien never ask
+    wb3 = _wb3(z5)
     assert wb3.order == 48
     assert certify(wb3, 6, ("reflections", "eta", "molien")).verdict == "complete"
-    assert built == []
-    # the bases read reflections as O-matrices, all built at most once
-    wb3 = generate_group(generators)
-    assert certify(wb3, 6, ("reflections", "eta", "basis", "molien")).verdict == "complete"
-    assert len(built) <= 1
+    assert ("elements", RING_O) not in wb3.memo
+    # the bases read the reflections as O-matrices, and nothing else
+    wb3 = _wb3(z5)
+    report = certify(wb3, 6, ("reflections", "eta", "basis", "molien"))
+    assert report.verdict == "complete" and report.bases_ok
+    reflections = [i for i, _, _ in report.reflection_report.reflections]
+    assert sorted(wb3.memo["elements", RING_O]) == reflections
+
+
+def test_the_bases_build_only_the_reflections_as_o_matrices(z5):
+    wb3 = _wb3(z5)
+    report = certify(wb3, None, ("reflections", "basis"))
+    reflections = [i for i, _, _ in report.reflection_report.reflections]
+    assert len(reflections) == 9 and report.bases_ok
+    assert set(wb3.memo["elements", RING_O]) == set(reflections)
+
+
+def test_a_full_certificate_builds_no_k_matrix_it_does_not_read(z5):
+    # the O-matrices serve K, and over k the invariant bases read the
+    # generators and H^1 the elements it reaches before it stops
+    wb3 = _wb3(z5)
+    assert certify(wb3, 6).verdict == "certified"
+    assert ("elements", RING_K) not in wb3.memo
+    assert 0 < len(wb3.memo["elements", RING_RESIDUE]) < wb3.order
 
 
 def test_closure_checks_no_product_for_membership_in_o(z5, monkeypatch):
@@ -356,15 +373,15 @@ def test_integer_closure_matches_the_exact_closure(s2_z3, s3_z5, b2_z3, neg_iden
     rng = random.Random(1313)
     groups = [s2_z3, s3_z5, b2_z3, neg_identity_z23, reflection_and_sign_z5]
     groups += [_conjugated_by_a_denominator(g, rng) for g in groups for _ in range(2)]
-    assert any(a.denominator != 1 for m in groups[-1].over(RING_O) for row in m.entries
-               for a in row)
+    assert any(a.denominator != 1 for m in element_matrices(groups[-1], RING_O)
+               for row in m.entries for a in row)
     for group in groups:
         ident = ExactMatrix.identity(RING_O, group.descriptor, group.n)
         exact = list(_closure(ident, list(group.closure_generators), group.order + 1))
-        assert list(group.over(RING_O)) == [m for m, _ in exact]
+        assert element_matrices(group, RING_O) == [m for m, _ in exact]
         assert [group.bfs_parent(i) for i in range(group.order)] == [p for _, p in exact]
         # the elements are the closure's forms, and over O their matrices
-        for form, m in zip(group.elements, group.over(RING_O)):
+        for form, m in zip(group.elements, element_matrices(group, RING_O)):
             assert tuple(tuple(Fraction(a, form.den) for a in row) for row in form.rows) == m.entries
 
 
@@ -393,8 +410,16 @@ def test_integer_form_passes_match_the_brute_force_oracles(s2_z3, s3_z5, b2_z3,
     groups += [c4_f5t, b2_f5t_twisted, over_1_plus_t(b2_f5t_twisted)]
     only_over_k = 0
     for group in groups:
-        reduced = [reduce_entrywise(m) for m in group.over(RING_O)]
-        assert group.over(RING_RESIDUE) == tuple(reduced)
+        # each element over O (serving K too) and over k, against the
+        # oracles' conversions of the closure's values
+        int_kind = group.descriptor.kind == "int-localized"
+        reduced = []
+        for i, value in enumerate(group.elements):
+            m = group.matrix(i, RING_O)
+            assert m == (matrix_of_form(value, group.descriptor) if int_kind else value)
+            assert group.matrix(i, RING_K) is m and m.ring == RING_O
+            reduced.append(reduce_entrywise(m))
+            assert group.matrix(i, RING_RESIDUE) == reduced[-1]
         assert group.residue_rows() == tuple(
             tuple(tuple(a.value for a in row) for row in m.entries) for m in reduced
         )
@@ -403,7 +428,7 @@ def test_integer_form_passes_match_the_brute_force_oracles(s2_z3, s3_z5, b2_z3,
             assert injective == (len(set(reduced)) == group.order)
         over_k = set(reduced_reflection_indices(group))
         over_K = {i: lam for i, lam, _ in classify_reflections(group).reflections}
-        for i, (m, m_k) in enumerate(zip(group.over(RING_O), reduced)):
+        for i, (m, m_k) in enumerate(zip(element_matrices(group, RING_O), reduced)):
             assert over_K.get(i) == reflection_eigenvalue_bruteforce(m)
             assert (i in over_k) == (reflection_eigenvalue_bruteforce(m_k) is not None)
             only_over_k += i in over_k and i not in over_K
@@ -415,10 +440,10 @@ def test_generator_indices_point_at_the_closure_generators(z3, s3_z5, c4_f5t):
     swap = ExactMatrix.from_ints(RING_O, z3, [[0, 1], [1, 0]])
     with_identity = generate_group([ExactMatrix.identity(RING_O, z3, 2), swap])
     for group in (with_identity, s3_z5, c4_f5t, trivial_group(z3, 2)):
-        assert [group.over(RING_O)[i] for i in group.generator_indices] \
+        assert [group.matrix(i, RING_O) for i in group.generator_indices] \
             == list(group.closure_generators)
         assert list(group.generator_indices) \
-            == [group.over(RING_O).index(g) for g in group.closure_generators]
+            == [element_matrices(group, RING_O).index(g) for g in group.closure_generators]
     assert 0 in with_identity.generator_indices
 
 
@@ -451,7 +476,7 @@ def test_ratfunc_char_polys_are_the_residue_rows_own(c4_f5t, b2_f5t_twisted):
     checked = 0
     for group in [c4_f5t, b2_f5t_twisted, over_1_plus_t(b2_f5t_twisted)] + batch:
         descriptor, p = group.descriptor, group.descriptor.p
-        for m, rows in zip(group.over(RING_K), group.residue_rows()):
+        for m, rows in zip(element_matrices(group, RING_K), group.residue_rows()):
             denom = _char_series_denominator(m)
             assert all(c.num.degree <= 0 and c.den.degree == 0 for c in denom)
             assert [descriptor.reduce(c).value for c in denom] \
@@ -493,9 +518,9 @@ def test_reflection_orders_match_the_matrix_power_oracle(
             assert order == element_order(group, idx)
             over_o += 1
             if invertible:
-                assert diagonalizing_basis(group.over(RING_O)[idx], group).order == order
+                assert diagonalizing_basis(group.matrix(idx, RING_O), group).order == order
                 bases += 1
-        for m in group.over(RING_RESIDUE):
+        for m in element_matrices(group, RING_RESIDUE):
             data = reflection_data(m)
             if data is not None:
                 assert data[1] == matrix_order(m, cap=group.order)
@@ -509,7 +534,7 @@ def test_reflection_orders_match_the_matrix_power_oracle(
     assert all((lam, order) == (f5t.one(), 5) for _, lam, order in report.reflections)
     for i in range(1, 5):
         assert element_order(shear_f5t, i) == 5
-        assert reflection_data(shear_f5t.over(RING_RESIDUE)[i]) == (f5t.residue(1), 5)
+        assert reflection_data(shear_f5t.matrix(i, RING_RESIDUE)) == (f5t.residue(1), 5)
     # the one of k compares with a residue, not with the integer 1
     assert eigenvalue_order(f5t.residue(1), RING_RESIDUE, f5t) == 5
     assert eigenvalue_order(f5t.residue(2), RING_RESIDUE, f5t) == 4
@@ -556,11 +581,11 @@ def test_the_closure_records_its_products(s2_z3, s3_z5, b2_z3, c4_f5t, b2_f5t_tw
     groups = [s2_z3, s3_z5, b2_z3, c4_f5t, b2_f5t_twisted, reflection_and_sign_z5,
               _conjugated_by_a_denominator(s3_z5, rng), over_1_plus_t(b2_f5t_twisted)]
     # conjugates whose entries have denominators prime to p, for both kinds
-    assert any(a.denominator != 1 for m in groups[-2].over(RING_O) for row in m.entries
-               for a in row)
+    assert any(a.denominator != 1 for m in element_matrices(groups[-2], RING_O)
+               for row in m.entries for a in row)
     assert any(a.den.degree > 0 for m in groups[-1].elements for row in m.entries for a in row)
     for group in groups:
-        elements = group.over(RING_O)
+        elements = element_matrices(group, RING_O)
         index = {m: i for i, m in enumerate(elements)}
         assert group.products == tuple(
             tuple(index[m * g] for g in group.closure_generators) for m in elements

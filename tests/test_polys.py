@@ -26,6 +26,7 @@ from oracles import (
     act_bruteforce,
     action_matrix_bruteforce,
     det_cofactor,
+    element_matrices,
     invariant_dimension_bruteforce,
     molien_coefficients_bruteforce,
     molien_series_field,
@@ -89,7 +90,7 @@ def test_act_and_action_matrix_match_the_power_oracle(s3_z5, b2_f5t_twisted):
         n = group.n
         for ring in (RING_O, RING_K, RING_RESIDUE):
             zero = MultiPoly.zero(ring, group.descriptor, n)
-            for g in group.over(ring):
+            for g in element_matrices(group, ring):
                 f = _mixed_poly(group.descriptor, n, ring, rng)
                 assert not f.is_homogeneous()
                 assert act(g, f) == act_bruteforce(g, f)
@@ -100,7 +101,7 @@ def test_act_and_action_matrix_match_the_power_oracle(s3_z5, b2_f5t_twisted):
                     )
             # the memoised images step up, and a lower degree is rebuilt
             idx = group.order - 1
-            g = group.over(ring)[idx]
+            g = group.matrix(idx, ring)
             for d in (2, 3, 1, 4, 0, 4):
                 assert square_matrix(element_action_matrix(group, ring, idx, d), g) == (
                     action_matrix_bruteforce(g, n, d)
@@ -189,7 +190,7 @@ def _assert_integer_path_matches_field_path(group, bound):
 
     pairs = {
         (_integer_char_series_denominator(form), _char_series_denominator(m))
-        for form, m in zip(group.elements, group.over(RING_K))
+        for form, m in zip(group.elements, element_matrices(group, RING_K))
     }
     for integer_denom, field_denom in pairs:
         assert integer_denom == field_denom
@@ -209,8 +210,8 @@ def test_integer_molien_of_conjugated_groups_matches_field_recurrence(s3_z5, b2_
                                     descriptor=group.descriptor)
         # the entries leave Z, but det(I - z g) only depends on g's
         # eigenvalues, roots of unity: its coefficients stay integers
-        assert any(a.denominator != 1 for m in conjugated.over(RING_O) for row in m.entries
-                   for a in row)
+        assert any(a.denominator != 1 for m in element_matrices(conjugated, RING_O)
+                   for row in m.entries for a in row)
         _assert_integer_path_matches_field_path(conjugated, 12)
         assert molien_series(conjugated, 12) == molien_series(group, 12)
         assert list(molien_series(conjugated, 4).coefficients) == (
@@ -235,7 +236,8 @@ def test_ratfunc_series_inverse_matches_field_recurrence(b2_f5t_twisted):
 
     descriptor = b2_f5t_twisted.descriptor
     zero, one = descriptor.zero(), descriptor.one()
-    denominators = {_char_series_denominator(m) for m in b2_f5t_twisted.over(RING_K)}
+    denominators = {_char_series_denominator(m)
+                    for m in element_matrices(b2_f5t_twisted, RING_K)}
     # the identity, the four reflections, -I and the two rotations of order 4
     assert len(denominators) == 4
     for denom in denominators:
@@ -307,7 +309,7 @@ def test_reynolds_is_idempotent_projection(s3_z5):
         f = _random_poly(s3_z5.descriptor, 3, rng)
         rf = reynolds(s3_z5, f)
         assert reynolds(s3_z5, rf) == rf
-        for g in s3_z5.over(RING_K):
+        for g in element_matrices(s3_z5, RING_K):
             assert act(g, rf) == rf
 
 
@@ -336,8 +338,8 @@ def test_reynolds_span_equals_invariant_basis_span(s2_z3, b2_z3):
 
 
 def test_action_matrix_respects_composition(s3_z5):
-    a = s3_z5.over(RING_K)[1]
-    b = s3_z5.over(RING_K)[2]
+    a = s3_z5.matrix(1, RING_K)
+    b = s3_z5.matrix(2, RING_K)
     rho = [square_matrix(action_matrix(g, 3, 2), g) for g in (a * b, a, b)]
     assert rho[0] == rho[1] * rho[2]
 

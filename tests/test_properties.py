@@ -20,6 +20,7 @@ from dvrcert.polys import MultiPoly, act, invariant_basis, molien_series, reynol
 from dvrcert.scalars import KIND_INT, DvrDescriptor
 
 from conftest import over_1_plus_t, random_unimodular
+from oracles import element_matrices
 
 Z3 = DvrDescriptor("int-localized", 3)
 Z5 = DvrDescriptor("int-localized", 5)
@@ -87,7 +88,7 @@ def test_reynolds_idempotence_and_projection():
         rf = reynolds(group, f)
         if reynolds(group, rf) != rf:
             failures.append((group, f, "idempotence"))
-        for g in group.over(RING_K):
+        for g in element_matrices(group, RING_K):
             if act(g, rf) != rf:
                 failures.append((group, f, "projection"))
                 break
@@ -100,8 +101,8 @@ def test_action_law_and_ring_morphism():
     cases = 0
     while cases < 200:
         group = GROUPS[cases % len(GROUPS)]
-        g = group.over(RING_K)[rng.randrange(group.order)]
-        h = group.over(RING_K)[rng.randrange(group.order)]
+        g = group.matrix(rng.randrange(group.order), RING_K)
+        h = group.matrix(rng.randrange(group.order), RING_K)
         f = _random_poly(group, rng)
         f2 = _random_poly(group, rng)
         assert act(g * h, f) == act(g, act(h, f))
@@ -191,7 +192,8 @@ def test_closure_idempotence():
     while cases < 200:
         base = GROUPS[cases % len(GROUPS)]
         group = _conjugated(base, rng) if cases % 3 else base
-        regenerated = generate_group(list(group.over(RING_O)), descriptor=group.descriptor)
+        regenerated = generate_group(element_matrices(group, RING_O),
+                                     descriptor=group.descriptor)
         assert set(regenerated.elements) == set(group.elements)
         assert regenerated.order == group.order
         cases += 1

@@ -78,7 +78,7 @@ def test_diagonalizing_basis_on_all_group_reflections(s3_z5, b2_z3, c4_f5t):
     for group in (s3_z5, b2_z3, c4_f5t):
         report = classify_reflections(group)
         for idx, lam, order in report.reflections:
-            sigma = group.over(RING_O)[idx]
+            sigma = group.matrix(idx, RING_O)
             basis = diagonalizing_basis(sigma, group)
             assert basis.eigenvalue == lam
             assert basis.order == order
@@ -87,7 +87,7 @@ def test_diagonalizing_basis_on_all_group_reflections(s3_z5, b2_z3, c4_f5t):
 
 def test_diagonalizing_basis_under_conjugation(s3_z5):
     rng = random.Random(2024)
-    sigma = s3_z5.over(RING_O)[1]
+    sigma = s3_z5.matrix(1, RING_O)
     for _ in range(10):
         t = random_unimodular(s3_z5.descriptor, 3, rng)
         moved = t * sigma * inverse(t)
