@@ -39,7 +39,6 @@ from .groups import (
     is_pseudo_reflection,
     reduction_map,
     reflection_data,
-    trivial_group,
     verify_reduced_reflection_generation,
 )
 from .refbasis import (

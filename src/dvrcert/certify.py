@@ -120,10 +120,7 @@ class _SubalgebraTracker:
 
 
 def fundamental_invariants(
-    group: MatrixGroup,
-    ring: str,
-    degree_bound: int,
-    reflection_count: int | None = None,
+    group: MatrixGroup, ring: str, degree_bound: int
 ) -> FundamentalInvariants:
     """Greedy degree-ascending search for n fundamental invariants.
 
@@ -131,8 +128,9 @@ def fundamental_invariants(
     products of the generators found so far; new generators are adjoined
     from the echelonized complement, lowest pivot first.  The returned
     system is verified: n homogeneous invariant generators, degree product
-    equal to the group order, degree excess equal to the reflection count,
-    nonzero Jacobian, and generation of every invariant up to the bound.
+    equal to the group order, degree excess equal to the group's one count
+    of reflections (`classify_reflections`), nonzero Jacobian, and
+    generation of every invariant up to the bound.
     """
     invert_mod_group_order(group.order, group.descriptor)
     n = group.n
@@ -175,22 +173,17 @@ def fundamental_invariants(
     result = FundamentalInvariants(
         ring, tuple(tracker.generators), tuple(tracker.degrees)
     )
-    mismatches.extend(
-        _check_fundamental_conditions(group, result, reflection_count)
-    )
+    mismatches.extend(_check_fundamental_conditions(group, result))
     if mismatches:
         raise CertificateConditionError("; ".join(mismatches))
     return result
 
 
-def _check_fundamental_conditions(
-    group: MatrixGroup, inv: FundamentalInvariants, reflection_count: int | None
-) -> list[str]:
+def _check_fundamental_conditions(group: MatrixGroup, inv: FundamentalInvariants) -> list[str]:
     problems = []
     if inv.n != group.n:
         problems.append(f"{inv.n} generators for {group.n} variables")
-    if reflection_count is None:
-        reflection_count = classify_reflections(group).count
+    reflection_count = classify_reflections(group).count
     prod, excess = degree_identity_failures(inv.degrees, group.order, reflection_count)
     if prod is not None:
         problems.append(f"degree product {prod} differs from the group order {group.order}")
@@ -255,8 +248,9 @@ def _h1_exact_degree(group: MatrixGroup, degree: int, ring: str) -> int:
     remaining conditions are the multiplication relations of the enumerated
     group, c(element_i * g) = c(element_i) + element_i . c(g), one for each
     entry of the closure's table `group.products`, read off it with no
-    matrix product.  The breadth-first element tree tells the tree edges
-    (which define) apart from the rest (which constrain).
+    matrix product.  Read row-major, the table is also the element tree:
+    the entry where the walk first meets an element defines it, and every
+    other entry constrains.
 
     B^1 lies in Z^1, so the rank of the relations never exceeds
     width - dim B^1.  Once it reaches that, Z^1 = B^1 is proved exactly and
@@ -271,7 +265,7 @@ def _h1_exact_degree(group: MatrixGroup, degree: int, ring: str) -> int:
     row, which goes into the `RowEchelon` as it is.
 
     The piece over K is at most the piece over k.  The relations over k are
-    those over O reduced mod pi: the same breadth-first tree, the same
+    those over O reduced mod pi: the same table, the same
     element indices, and rho_d of each reduced element (`MatrixGroup.matrix`
     builds it from the residue rows, for the elements read before the stop
     alone).  A rank can only drop under reduction, so
@@ -282,7 +276,7 @@ def _h1_exact_degree(group: MatrixGroup, degree: int, ring: str) -> int:
     unit both pieces are 0 anyway (|G| kills H^1), so this value is an
     exact cross-check of that theorem.
     """
-    s = len(group.closure_generators)
+    s = len(group.generator_indices)
     if s == 0:
         return 0
     size = len(monomials(group.n, degree))
@@ -304,13 +298,15 @@ def _h1_exact_degree(group: MatrixGroup, degree: int, ring: str) -> int:
         return out
 
     # expression[i]: the N x (s*N) matrix expressing c(element_i) in terms of
-    # the generator values, built from its breadth-first parent's
+    # the generator values, built from first[i] = (parent, gi), the product
+    # where the walk first met element i
     expression = {0: [{} for _ in range(size)]}
+    first: dict = {0: None}
 
     def express(i: int):
         # a parent comes no later than the element the loop is at, so is built
         if i not in expression:
-            parent, gi = group.bfs_parent(i)
+            parent, gi = first[i]
             expression[i] = block_plus(expression[parent], parent, gi)
         return expression[i]
 
@@ -320,7 +316,8 @@ def _h1_exact_degree(group: MatrixGroup, degree: int, ring: str) -> int:
         for gi, target in enumerate(group.products[idx]):
             if span.rank == width - dim_b1:
                 return 0  # Z^1 = B^1
-            if group.bfs_parent(target) == (idx, gi):
+            if target not in first:
+                first[target] = (idx, gi)
                 continue  # tree edge: defines rather than constrains
             for row, other in zip(block_plus(current, idx, gi), express(target)):
                 add_multiple(row, -one, other)
@@ -344,8 +341,10 @@ def h1_dimension(group: MatrixGroup, degree: int, ring: str) -> int:
     comes first, because it bounds the K piece (see `_h1_exact_degree`):
     a zero k piece makes the K piece 0 with no elimination over K, so K is
     solved only where the k piece is nonzero, and there a K piece above it
-    raises `InternalCheckError`.
+    raises `InternalCheckError`.  Any ring but K or k is refused first.
     """
+    if ring not in (RING_K, RING_RESIDUE):
+        raise ValueError("H^1 is computed over a field (K or k)")
     memo = group.memo
     for e in range(degree + 1):
         if ("h1", e, RING_RESIDUE) not in memo:
@@ -622,9 +621,7 @@ def certify(
         errors = {}
         for ring in (RING_K, RING_RESIDUE):  # fields fundamental_K, fundamental_k
             try:
-                base[f"fundamental_{ring}"] = fundamental_invariants(
-                    group, ring, degree_bound, reflection_count=report.count
-                )
+                base[f"fundamental_{ring}"] = fundamental_invariants(group, ring, degree_bound)
             except DvrcertError as exc:
                 base[f"fundamental_{ring}"] = None
                 errors[ring] = str(exc)

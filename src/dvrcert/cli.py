@@ -22,7 +22,7 @@ from .errors import (
     NotInvertibleError,
 )
 from .certify import PARTIAL_CHECKS, certify, degree_identity_failures
-from .groups import DEFAULT_CLOSURE_CAP, generate_group, trivial_group
+from .groups import DEFAULT_CLOSURE_CAP, generate_group
 from .linalg import RING_O, ExactMatrix
 from .polys import molien_identity_failures
 from .scalars import DvrDescriptor, parse_scalar
@@ -146,12 +146,7 @@ def run(spec: JobSpec) -> tuple[dict, int]:
         "jobspec": spec.serialize(),
     }
     try:
-        if spec.generators:
-            group = generate_group(
-                spec.generators, descriptor=spec.dvr, cap=spec.closure_cap
-            )
-        else:
-            group = trivial_group(spec.dvr, spec.n)
+        group = generate_group(spec.generators, spec.dvr, spec.closure_cap, spec.n)
     except (NotInvertibleError, ClosureCapExceededError, ValueError) as exc:
         report["error"] = str(exc)
         return report, EXIT_INPUT_ERROR

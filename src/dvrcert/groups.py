@@ -28,11 +28,12 @@ reads it: the invariant bases and the invariance checks read the
 generators, H^1 the elements it reaches before it stops, the
 diagonalizing bases the reflections, and Reynolds every element.
 
-The closure records the index of every product element * generator it
-forms, and H^1 reads its relations off that table, so after the closure
-only `_generated_by`'s own closures multiply group elements.  A
-reflection's order is that of its eigenvalue (`eigenvalue_order`), found
-without matrix powers.
+A group is its closure: `generate_group` builds every group, the trivial
+one included, and records the index of every product element * generator
+it forms.  H^1 reads both its tree and its relations off that table, so
+after the closure only `_generated_by`'s own closures multiply group
+elements.  The reflections are classified once per group.  A reflection's
+order is that of its eigenvalue (`eigenvalue_order`), without matrix powers.
 """
 from __future__ import annotations
 
@@ -41,6 +42,7 @@ from fractions import Fraction
 
 from .errors import ClosureCapExceededError, NotInvertibleError
 from .linalg import (
+    RING_K,
     RING_O,
     RING_RESIDUE,
     ExactMatrix,
@@ -58,37 +60,36 @@ DEFAULT_CLOSURE_CAP = 20000
 
 
 class MatrixGroup:
-    """Fully enumerated finite subgroup of GL_n(O) with generator provenance.
+    """A fully enumerated finite subgroup of GL_n(O), recorded as its closure
+    and nothing else; every other fact is read off that record.
 
     Elements are listed in breadth-first order starting from the identity,
-    applying the generators in a canonical sorted order, so the element
-    numbering is deterministic for a given generating set.  `elements` are
-    the values the closure multiplied: `IntMatrix` forms for the int kind,
-    O-matrices for the ratfunc kind; `matrix(i, ring)` gives one as a matrix.
+    applying the distinct generators in `ExactMatrix.sort_key` order, so the
+    element numbering is deterministic for a given generating set.
+    `elements` are the values the closure multiplied: `IntMatrix` forms for
+    the int kind, O-matrices for the ratfunc kind; `matrix(i, ring)` gives
+    one as a matrix.  `products[i][gi]` is the index of elements[i] times
+    generator gi; its first row names the generators (`generator_indices`),
+    and read row-major it first meets each element j >= 1 in a row i < j,
+    at the product that reached j: the breadth-first tree.
 
     `memo` holds what several checks share, and lives and dies with the
     group: the elements built as matrices over O (the int kind only) and
     over k (see `matrix`), keyed by ("elements", ring), each a dict
-    {element index: matrix}; the residue rows (see
-    `residue_rows`), keyed by ("residues", "k"); per-degree results
-    (invariant bases, H^1 contributions), keyed by (quantity, degree,
-    ring); and, keyed by ("images", ring, element index), an element's
-    images of the monomials of the highest degree its action matrices
-    reached (see `polys.element_action_matrix`).
-
-    `products[i][gi]` is the index of elements[i] * closure_generators[gi],
-    recorded by the closure as it formed that product.
+    {element index: matrix}; the residue rows (see `residue_rows`), keyed
+    by ("residues", "k"); the `ReflectionReport` (see
+    `classify_reflections`), keyed by ("reflections", "K"); per-degree
+    results (invariant bases, H^1 contributions), keyed by (quantity,
+    degree, ring); and, keyed by ("images", ring, element index), an
+    element's images of the monomials of the highest degree its action
+    matrices reached (see `polys.element_action_matrix`).
     """
 
-    __slots__ = ("descriptor", "n", "generators", "closure_generators", "elements",
-                 "order", "products", "_bfs_parent", "memo")
+    __slots__ = ("descriptor", "n", "elements", "order", "products", "memo")
 
-    def __init__(self, descriptor, n, generators, closure_generators, elements, bfs_parent,
-                 products):
-        set_fields(self, descriptor=descriptor, n=n, generators=tuple(generators),
-                   closure_generators=tuple(closure_generators), elements=tuple(elements),
-                   order=len(elements), products=tuple(products),
-                   _bfs_parent=tuple(bfs_parent), memo={})
+    def __init__(self, descriptor, n, elements, products):
+        set_fields(self, descriptor=descriptor, n=n, elements=tuple(elements),
+                   order=len(elements), products=tuple(products), memo={})
 
     def __setattr__(self, name, value):
         raise AttributeError("groups are immutable once enumerated")
@@ -137,10 +138,6 @@ class MatrixGroup:
             self.memo[key] = rows
         return self.memo[key]
 
-    def bfs_parent(self, i: int):
-        """(parent index, closure-generator index) for element i; None for the identity."""
-        return self._bfs_parent[i]
-
     def __repr__(self) -> str:
         return (
             f"MatrixGroup(n={self.n}, order={self.order}, "
@@ -152,22 +149,26 @@ def generate_group(
     generators,
     descriptor: DvrDescriptor | None = None,
     cap: int = DEFAULT_CLOSURE_CAP,
+    n: int | None = None,
 ) -> MatrixGroup:
     """Breadth-first closure of the generators under multiplication.
 
-    Every generator must be invertible over O (unit determinant); the
-    closure aborts once more than `cap` elements appear.  For the int kind
-    it runs on the `IntMatrix` forms of the generators, so that products,
-    hashing and membership are integer work, and those forms are the
-    group's elements; the ratfunc kind closes the `ExactMatrix` values.
-    Either way the closure's table of products becomes `products`.
+    Every generator must be an n x n matrix invertible over O (unit
+    determinant); the closure aborts once more than `cap` elements appear.
+    `descriptor` and `n` default to the first generator's; with no
+    generators both are required, and the closure is {I}, with `products`
+    ((),).  For the int kind it runs on the `IntMatrix` forms of the
+    generators, so that products, hashing and membership are integer work,
+    and those forms are the group's elements; the ratfunc kind closes the
+    `ExactMatrix` values.  Either way its table of products is `products`.
     """
     generators = list(generators)
+    if not generators and (descriptor is None or n is None):
+        raise ValueError("a group with no generators needs its descriptor and n")
     if descriptor is None:
-        if not generators:
-            raise ValueError("descriptor required when no generators are given")
         descriptor = generators[0].descriptor
-    n = generators[0].rows if generators else None
+    if n is None:
+        n = generators[0].rows
     for i, g in enumerate(generators):
         if g.ring != RING_O:
             raise ValueError(f"generator {i} is not a matrix over the DVR")
@@ -180,18 +181,13 @@ def generate_group(
             raise NotInvertibleError(
                 f"generator {i} is not in GL_n(O): determinant {d} is not a unit"
             )
-    if n is None:
-        raise ValueError(
-            "at least one generator is required; "
-            "use trivial_group(descriptor, n) for the trivial group"
-        )
 
     closure_gens = sorted(set(generators), key=ExactMatrix.sort_key)
     ident, *gens = _closure_values(
         descriptor, [ExactMatrix.identity(RING_O, descriptor, n), *closure_gens])
     products: list = []
-    elements, parents = zip(*_closure(ident, gens, cap, products))
-    return MatrixGroup(descriptor, n, generators, closure_gens, elements, parents, products)
+    elements = list(_closure(ident, gens, cap, products))
+    return MatrixGroup(descriptor, n, elements, products)
 
 
 def _closure_values(descriptor: DvrDescriptor, matrices) -> list:
@@ -203,18 +199,18 @@ def _closure_values(descriptor: DvrDescriptor, matrices) -> list:
 def _closure(identity, generators, cap: int, products: list | None = None):
     """Breadth-first closure of the identity under right multiplication by the generators.
 
-    Lazily yields each element as it is first reached, with its (parent
-    index, generator index), starting with (identity, None), so a caller
-    stops the multiplying by stopping the iteration; raises once more than
-    `cap` elements appear.  Given a list `products`, it appends to it, for
-    each element in turn, the indices of element * g over the generators g.
+    Lazily yields each element as it is first reached, the identity first,
+    so a caller stops the multiplying by stopping the iteration; raises once
+    more than `cap` elements appear.  Given a list `products`, it appends to
+    it, for each element in turn, the indices of element * g over the
+    generators g.
     """
     elements = [identity]
     index = {identity: 0}
-    yield identity, None
-    for cur, element in enumerate(elements):  # the list grows while it is walked
+    yield identity
+    for element in elements:  # the list grows while it is walked
         row = []
-        for gi, g in enumerate(generators):
+        for g in generators:
             nxt = element * g
             j = index.setdefault(nxt, len(elements))
             if j == len(elements):
@@ -223,7 +219,7 @@ def _closure(identity, generators, cap: int, products: list | None = None):
                         f"closure exceeded {cap} elements; group too large or infinite"
                     )
                 elements.append(nxt)
-                yield nxt, (cur, gi)
+                yield nxt
             row.append(j)
         if products is not None:
             products.append(tuple(row))
@@ -240,16 +236,11 @@ def _generated_by(group: MatrixGroup, indices) -> bool:
     """
     elements = group.elements
     missing = {elements[i] for i in group.generator_indices}
-    for element, _ in _closure(elements[0], [elements[i] for i in indices], group.order):
+    for element in _closure(elements[0], [elements[i] for i in indices], group.order):
         missing.discard(element)
         if not missing:
             return True
     return False
-
-
-def trivial_group(descriptor: DvrDescriptor, n: int) -> MatrixGroup:
-    ident = _closure_values(descriptor, [ExactMatrix.identity(RING_O, descriptor, n)])
-    return MatrixGroup(descriptor, n, (), (), ident, (None,), ((),))
 
 
 # -- pseudo-reflections ---------------------------------------------------------
@@ -336,16 +327,21 @@ def classify_reflections(group: MatrixGroup) -> ReflectionReport:
 
     Both kinds test `group.elements` as they are (the int kind's integer
     forms); the order of each reflection found is that of its eigenvalue.
+    The report is kept in `group.memo` under ("reflections", "K"), so every
+    stage that reads the reflections reads one classification.
     """
+    key = ("reflections", RING_K)
+    if key in group.memo:
+        return group.memo[key]
     found = []
     for i, m in enumerate(group.elements):
         lam = reflection_eigenvalue(m)
         if lam is not None:
             found.append((i, lam, eigenvalue_order(lam, RING_O, group.descriptor)))
-    if group.order == 1:
-        return ReflectionReport((), True, True)
-    generated = _generated_by(group, [i for i, _, _ in found])
-    return ReflectionReport(tuple(found), generated, False)
+    vacuous = group.order == 1
+    generated = vacuous or _generated_by(group, [i for i, _, _ in found])
+    group.memo[key] = ReflectionReport(tuple(found), generated, vacuous)
+    return group.memo[key]
 
 
 # -- reduction to the residue field ----------------------------------------------
@@ -389,7 +385,8 @@ def verify_reduced_reflection_generation(group: MatrixGroup) -> bool:
     subgroup's image being eta(G) only if the subgroup is G.  Past the
     gate eta is injective, the report's `eta_injective` records it, and
     `certify` requires it for "certified"; a group with a non-injective
-    eta is refused at the gate before this runs.
+    eta is refused at the gate before this runs.  The gate is the one
+    `reduction_map` applies, so the eta stage measures injectivity once.
     """
-    reduction_map(group)  # the gate: p must not divide |G|
+    invert_mod_group_order(group.order, group.descriptor)  # the gate: p must not divide |G|
     return _generated_by(group, reduced_reflection_indices(group))

@@ -10,6 +10,8 @@ from dvrcert.linalg import RING_O, ExactMatrix, inverse
 from dvrcert.groups import generate_group
 from dvrcert.scalars import DvrDescriptor
 
+from oracles import generators_of
+
 
 @pytest.fixture(scope="session")
 def z3():
@@ -119,5 +121,5 @@ def over_1_plus_t(group):
     stretch[0][0] = descriptor.one() + descriptor.uniformizer()
     stretch = ExactMatrix(RING_O, descriptor, stretch)
     return generate_group(
-        [stretch * g * inverse(stretch) for g in group.generators], descriptor=descriptor
+        [stretch * g * inverse(stretch) for g in generators_of(group)], descriptor=descriptor
     )

@@ -150,6 +150,12 @@ def element_matrices(group, ring: str) -> list:
     return [group.matrix(i, ring) for i in range(group.order)]
 
 
+def generators_of(group) -> list:
+    """The group's closure generators as O-matrices, in the closure's order:
+    the elements its table's first row names."""
+    return [group.matrix(i, RING_O) for i in group.generator_indices]
+
+
 def element_order(group, i: int) -> int:
     return matrix_order(group.matrix(i, RING_O), cap=group.order)
 

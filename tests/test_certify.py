@@ -21,13 +21,14 @@ from dvrcert.certify import (
     jacobian_independence,
     lift_fundamentals,
 )
-from dvrcert.groups import generate_group, trivial_group
+from dvrcert.groups import classify_reflections, generate_group
 from dvrcert.linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix, det_of_rows, inverse
 from dvrcert.polys import (
     MultiPoly,
     _evaluation_points,
     act,
     action_matrix,
+    invariant_basis,
     nonzero_at_a_point,
     polynomial_det_is_nonzero,
 )
@@ -36,6 +37,7 @@ from dvrcert.scalars import DvrDescriptor
 from oracles import (
     _h1_exact_degree_bruteforce,
     element_matrices,
+    generators_of,
     h1_bruteforce,
     invariant_dimension_bruteforce,
     poly_matrix_det,
@@ -144,7 +146,7 @@ def test_degree_multiset_survives_variable_relabeling(s3_z5):
     # permutes the monomial order used for pivoting
     perm = ExactMatrix.from_ints(RING_O, s3_z5.descriptor, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
     moved = generate_group(
-        [perm * g * inverse(perm) for g in s3_z5.generators],
+        [perm * g * inverse(perm) for g in generators_of(s3_z5)],
         descriptor=s3_z5.descriptor,
     )
     inv = fundamental_invariants(moved, RING_K, 6)
@@ -310,7 +312,7 @@ def test_graded_dimensions_match_bruteforce(b2_z3):
 def test_h1_vanishes_when_order_is_invertible(s2_z3, z3):
     assert h1_dimension(s2_z3, 1, RING_RESIDUE) == 0
     assert h1_dimension(s2_z3, 1, RING_K) == 0
-    assert h1_dimension(trivial_group(z3, 2), 3, RING_K) == 0
+    assert h1_dimension(generate_group([], z3, n=2), 3, RING_K) == 0
 
 
 def test_h1_modular_control_matches_bruteforce(s2_z2):
@@ -393,12 +395,12 @@ def test_h1_over_K_is_read_off_the_residue_piece(
 
     monkeypatch.setattr(certify_module, "_h1_exact_degree", counted)
     # (b) a certified job solves nothing over K
-    for group, bound in ((generate_group(b2_z3.generators), 8),
-                         (generate_group(b2_f5t_twisted.generators), 4)):
+    for group, bound in ((generate_group(generators_of(b2_z3)), 8),
+                         (generate_group(generators_of(b2_f5t_twisted)), 4)):
         assert certify(group, bound).verdict == "certified"
     assert solved and RING_K not in solved
     # (c) a nonzero k piece still solves over K, and exactly
-    for group in (generate_group(s2_z2.generators), _transvection_f3t()):
+    for group in (generate_group(generators_of(s2_z2)), _transvection_f3t()):
         solved.clear()
         for d in range(4):
             assert h1_dimension(group, d, RING_K) == h1_bruteforce(group, d, RING_K)
@@ -412,12 +414,12 @@ def test_h1_over_K_above_the_residue_piece_is_an_internal_error(s3_z5, monkeypat
         certify_module, "_h1_exact_degree", lambda group, degree, ring: pieces[ring]
     )
     with pytest.raises(InternalCheckError, match="degree 0 is 2 over K but 1 over k"):
-        h1_dimension(generate_group(s3_z5.generators), 0, RING_K)
+        h1_dimension(generate_group(generators_of(s3_z5)), 0, RING_K)
 
 
 def test_h1_note_names_the_failing_degrees(s3_z5, monkeypatch):
     certify_module = sys.modules["dvrcert.certify"]
-    fresh = generate_group(s3_z5.generators)
+    fresh = generate_group(generators_of(s3_z5))
     # each K piece at most its k piece, as `h1_dimension` checks
     nonzero = {(2, RING_RESIDUE): 1, (3, RING_K): 2, (3, RING_RESIDUE): 2}
     monkeypatch.setattr(
@@ -485,6 +487,49 @@ def test_per_degree_quantities_are_computed_once_per_group(z3, monkeypatch):
     assert certify(b2, 8, ["invariants", "graded", "h1"]).verdict == "complete"
     assert len(computed) == 2 * 9 + 6
     assert len(reduced) == b2.order
+
+
+def test_reflections_are_classified_once_per_group(s3_z5, monkeypatch):
+    groups_module = sys.modules["dvrcert.groups"]
+    classified = []
+
+    def counted(m, _original=groups_module.reflection_eigenvalue):
+        classified.append(m)
+        return _original(m)
+
+    monkeypatch.setattr(groups_module, "reflection_eigenvalue", counted)
+    group = generate_group(generators_of(s3_z5))
+    report = classify_reflections(group)
+    assert len(classified) == group.order
+    # the fundamental-invariant check reads the report the group keeps
+    assert fundamental_invariants(group, RING_K, 6).degrees == (1, 2, 3)
+    assert len(classified) == group.order
+    assert classify_reflections(group) is report
+
+
+def test_certify_reduces_the_group_once(s3_z5, monkeypatch):
+    groups_module = sys.modules["dvrcert.groups"]
+    reduced = []
+
+    def counted(group, _original=groups_module.reduction_map):
+        reduced.append(group)
+        return _original(group)
+
+    for module in (groups_module, sys.modules["dvrcert.certify"]):
+        monkeypatch.setattr(module, "reduction_map", counted)
+    group = generate_group(generators_of(s3_z5))
+    assert certify(group, 6).verdict == "certified"
+    assert reduced == [group]
+
+
+def test_h1_refuses_a_ring_that_is_not_a_field(s3_z5):
+    group = generate_group(generators_of(s3_z5))
+    for ring in (RING_O, "X"):
+        with pytest.raises(ValueError, match=r"over a field \(K or k\)"):
+            h1_dimension(group, 2, ring)
+        with pytest.raises(ValueError, match=r"over a field \(K or k\)"):
+            invariant_basis(group, 2, ring)
+    assert not any(key[0] == "h1" for key in group.memo)
 
 
 # -- lifts ------------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from dvrcert.groups import (
     reduced_reflection_indices,
     reduction_map,
     reflection_data,
-    trivial_group,
     verify_reduced_reflection_generation,
 )
 from dvrcert.refbasis import diagonalizing_basis
@@ -44,6 +43,7 @@ from oracles import (
     _char_series_denominator,
     element_matrices,
     element_order,
+    generators_of,
     h1_bruteforce,
     matrix_of_form,
     matrix_order,
@@ -66,9 +66,26 @@ def test_generate_group_rejects_non_unimodular(z3):
 
 
 def test_generate_group_without_generators_points_at_the_trivial_group(z3):
-    with pytest.raises(ValueError, match=r"trivial_group\(descriptor, n\)"):
-        generate_group([], descriptor=z3)
-    assert trivial_group(z3, 2).order == 1
+    # with no generators both the descriptor and n are needed
+    for kwargs in ({"descriptor": z3}, {"n": 2}, {}):
+        with pytest.raises(ValueError, match="needs its descriptor and n"):
+            generate_group([], **kwargs)
+    assert generate_group([], z3, n=2).order == 1
+    # given generators, n must be their size, like any other size mismatch
+    swap = ExactMatrix.from_ints(RING_O, z3, [[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="generator 0 is not square of size 3"):
+        generate_group([swap], n=3)
+    assert generate_group([swap], n=2).order == 2
+
+
+def test_generate_group_builds_the_trivial_group(z3, f5t):
+    for descriptor in (z3, f5t):
+        group = generate_group([], descriptor, n=2)
+        assert (group.order, group.products, group.generator_indices) == (1, ((),), ())
+        assert group.matrix(0, RING_O) == ExactMatrix.identity(RING_O, descriptor, 2)
+        cert = certify(group)
+        assert cert.verdict == "certified"
+        assert cert.fundamental_K.degrees == cert.fundamental_k.degrees == (1, 1)
 
 
 def test_generate_group_cap(z3):
@@ -113,7 +130,7 @@ def test_reflection_eigenvalue_is_the_determinant(s3_z5, f5t):
     # integers: reflections of order 2 and 4, over O and over k
     rng = random.Random(17)
     t = random_unimodular(s3_z5.descriptor, 3, rng)
-    s3_moved = generate_group([t * g * inverse(t) for g in s3_z5.generators])
+    s3_moved = generate_group([t * g * inverse(t) for g in generators_of(s3_z5)])
     x, one = f5t.uniformizer(), f5t.one()
     twist = ExactMatrix(RING_O, f5t, [[one, x], [x, one + x * x]])
     g412_moved = generate_group([
@@ -159,7 +176,7 @@ def test_classify_reflections_negative(neg_identity_z23):
 
 
 def test_trivial_group_is_vacuously_reflection_generated(z3):
-    report = classify_reflections(trivial_group(z3, 2))
+    report = classify_reflections(generate_group([], z3, n=2))
     assert report.count == 0
     assert report.generated_by_reflections
     assert report.vacuous
@@ -196,7 +213,7 @@ def test_proper_reflection_subgroup_does_not_generate(reflection_and_sign_z5):
     doc = {
         "dvr": {"kind": "int-localized", "p": 5},
         "n": 3,
-        "generators": [g.serialize() for g in group.generators],
+        "generators": [g.serialize() for g in generators_of(group)],
     }
     report, code = run(parse_jobspec(doc))
     assert (report["verdict"], code) == ("inconclusive", EXIT_INCONCLUSIVE)
@@ -215,7 +232,7 @@ def test_injectivity_survives_conjugation(s3_z5, b2_z3, c4_f5t, seed):
     for group in (s3_z5, b2_z3, c4_f5t):
         t = random_unimodular(group.descriptor, group.n, rng)
         t_inv = inverse(t)
-        conjugated = generate_group([t * g * t_inv for g in group.generators],
+        conjugated = generate_group([t * g * t_inv for g in generators_of(group)],
                                     descriptor=group.descriptor)
         assert conjugated.order == group.order
         _, injective = reduction_map(conjugated)
@@ -240,7 +257,7 @@ def test_reflection_classification_is_conjugation_invariant(
     for group in (s3_z5, b2_z3, s3_rotation, b2_rotation, reflection_and_sign_z5):
         t = random_unimodular(group.descriptor, group.n, rng)
         t_inv = inverse(t)
-        conjugated = generate_group([t * g * t_inv for g in group.generators],
+        conjugated = generate_group([t * g * t_inv for g in generators_of(group)],
                                     descriptor=group.descriptor)
         original = classify_reflections(group)
         moved = classify_reflections(conjugated)
@@ -365,7 +382,7 @@ def _conjugated_by_a_denominator(group, rng):
                                    for i in range(n)])
     t = halve * random_unimodular(descriptor, n, rng)
     t_inv = inverse(t)
-    return generate_group([t * g * t_inv for g in group.generators], descriptor=descriptor)
+    return generate_group([t * g * t_inv for g in generators_of(group)], descriptor=descriptor)
 
 
 def test_integer_closure_matches_the_exact_closure(s2_z3, s3_z5, b2_z3, neg_identity_z23,
@@ -377,9 +394,8 @@ def test_integer_closure_matches_the_exact_closure(s2_z3, s3_z5, b2_z3, neg_iden
                for row in m.entries for a in row)
     for group in groups:
         ident = ExactMatrix.identity(RING_O, group.descriptor, group.n)
-        exact = list(_closure(ident, list(group.closure_generators), group.order + 1))
-        assert element_matrices(group, RING_O) == [m for m, _ in exact]
-        assert [group.bfs_parent(i) for i in range(group.order)] == [p for _, p in exact]
+        exact = list(_closure(ident, generators_of(group), group.order + 1))
+        assert element_matrices(group, RING_O) == exact
         # the elements are the closure's forms, and over O their matrices
         for form, m in zip(group.elements, element_matrices(group, RING_O)):
             assert tuple(tuple(Fraction(a, form.den) for a in row) for row in form.rows) == m.entries
@@ -435,16 +451,25 @@ def test_integer_form_passes_match_the_brute_force_oracles(s2_z3, s3_z5, b2_z3,
     assert only_over_k >= 3  # the rotations of C_3 and of its conjugates
 
 
-def test_generator_indices_point_at_the_closure_generators(z3, s3_z5, c4_f5t):
-    # the identity among the generators is reached first as the identity itself
+def test_generator_indices_point_at_the_closure_generators(z3, z5, f5t):
+    # the identity among the generators is reached first as the identity itself;
+    # the closure generators are the distinct generators in sort_key order
     swap = ExactMatrix.from_ints(RING_O, z3, [[0, 1], [1, 0]])
-    with_identity = generate_group([ExactMatrix.identity(RING_O, z3, 2), swap])
-    for group in (with_identity, s3_z5, c4_f5t, trivial_group(z3, 2)):
+    cases = [
+        [ExactMatrix.identity(RING_O, z3, 2), swap, swap],
+        [ExactMatrix.from_ints(RING_O, z5, g) for g in
+         ([[1, 0, 0], [0, 0, 1], [0, 1, 0]], [[0, 1, 0], [1, 0, 0], [0, 0, 1]])],
+        [ExactMatrix.from_ints(RING_O, f5t, [[2]])],
+    ]
+    groups = [(generate_group(gens), gens) for gens in cases]
+    groups.append((generate_group([], z3, n=2), []))
+    for group, gens in groups:
+        closure_generators = sorted(set(gens), key=ExactMatrix.sort_key)
         assert [group.matrix(i, RING_O) for i in group.generator_indices] \
-            == list(group.closure_generators)
+            == generators_of(group) == closure_generators
         assert list(group.generator_indices) \
-            == [element_matrices(group, RING_O).index(g) for g in group.closure_generators]
-    assert 0 in with_identity.generator_indices
+            == [element_matrices(group, RING_O).index(g) for g in closure_generators]
+    assert 0 in groups[0][0].generator_indices
 
 
 def _workloads():
@@ -575,6 +600,28 @@ def test_a_non_constant_eigenvalue_has_no_finite_order():
     assert time.perf_counter() - started < 1
 
 
+def test_the_table_read_row_major_is_the_breadth_first_tree(
+        s2_z3, s3_z5, b2_z3, neg_identity_z23, reflection_and_sign_z5, c4_f5t, b2_f5t_twisted):
+    # H^1 takes the product where the walk first meets an element as its
+    # tree edge, and builds that element's expression from its row's
+    rng = random.Random(1919)
+    groups = [s2_z3, s3_z5, b2_z3, neg_identity_z23, reflection_and_sign_z5,
+              c4_f5t, b2_f5t_twisted]
+    groups += [_conjugated_by_a_denominator(g, rng) for g in groups[:5]]
+    groups += [over_1_plus_t(c4_f5t), over_1_plus_t(b2_f5t_twisted)]
+    kinds = {g.descriptor.kind for g in groups}
+    assert kinds == {"int-localized", "ratfunc-localized"}
+    for group in groups:
+        first = {}
+        for i, row in enumerate(group.products):
+            for j in row:
+                first.setdefault(j, i)
+        first.pop(0, None)
+        # every element but the identity, each first met in an earlier row
+        assert list(first) == list(range(1, group.order))
+        assert all(i < j for j, i in first.items())
+
+
 def test_the_closure_records_its_products(s2_z3, s3_z5, b2_z3, c4_f5t, b2_f5t_twisted,
                                            reflection_and_sign_z5, z3, monkeypatch):
     rng = random.Random(1717)
@@ -588,10 +635,10 @@ def test_the_closure_records_its_products(s2_z3, s3_z5, b2_z3, c4_f5t, b2_f5t_tw
         elements = element_matrices(group, RING_O)
         index = {m: i for i, m in enumerate(elements)}
         assert group.products == tuple(
-            tuple(index[m * g] for g in group.closure_generators) for m in elements
+            tuple(index[m * g] for g in generators_of(group)) for m in elements
         )
         assert group.generator_indices == group.products[0]
-    assert trivial_group(z3, 2).products == ((),)
+    assert generate_group([], z3, n=2).products == ((),)
 
     # H^1 with p | |G| reads every relation, all of them off the table
     d2 = DvrDescriptor("int-localized", 2)

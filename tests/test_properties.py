@@ -6,7 +6,7 @@ DVR kinds, several base groups, and random unimodular conjugations.
 import random
 from fractions import Fraction
 
-from dvrcert.groups import generate_group, trivial_group
+from dvrcert.groups import generate_group
 from dvrcert.linalg import (
     RING_K,
     RING_O,
@@ -20,7 +20,7 @@ from dvrcert.polys import MultiPoly, act, invariant_basis, molien_series, reynol
 from dvrcert.scalars import KIND_INT, DvrDescriptor
 
 from conftest import over_1_plus_t, random_unimodular
-from oracles import element_matrices
+from oracles import element_matrices, generators_of
 
 Z3 = DvrDescriptor("int-localized", 3)
 Z5 = DvrDescriptor("int-localized", 5)
@@ -42,7 +42,7 @@ def _base_groups():
         ]),
         generate_group([ExactMatrix.from_ints(RING_O, F5T, [[2]])]),
         generate_group([swap2_f7, sign_f7]),
-        trivial_group(Z3, 2),
+        generate_group([], Z3, n=2),
     ]
 
 
@@ -50,12 +50,12 @@ GROUPS = _base_groups()
 
 
 def _conjugated(group, rng):
-    if not group.generators:
+    if not group.generator_indices:
         return group
     t = random_unimodular(group.descriptor, group.n, rng)
     t_inv = inverse(t)
     return generate_group(
-        [t * g * t_inv for g in group.generators], descriptor=group.descriptor
+        [t * g * t_inv for g in generators_of(group)], descriptor=group.descriptor
     )
 
 
