@@ -33,6 +33,7 @@ from .linalg import (
     RING_RESIDUE,
     RowEchelon,
     add_multiple,
+    elimination_field,
     ring_one,
 )
 from .polys import (
@@ -106,8 +107,10 @@ class _SubalgebraTracker:
         return cache[k]
 
     def product_span(self, degree: int) -> RowEchelon:
+        """The echelon of the degree-d products' coordinates: over k a
+        `RowEchelon` over F_p in ints mod p."""
         index = monomial_index(self.group.n, degree)
-        span = RowEchelon()
+        span = RowEchelon(p=elimination_field(self.ring, self.group.descriptor)[0])
         for exps in _weighted_exponents(tuple(self.degrees), degree):
             prod = MultiPoly.constant(
                 self.ring, self.group.descriptor, self.group.n,
@@ -115,7 +118,7 @@ class _SubalgebraTracker:
             for i, k in enumerate(exps):
                 if k:
                     prod = prod * self._power(i, k)
-            span.add({index[e]: c for e, c in prod.terms.items()})
+            span.add(prod.coordinates(index))
         return span
 
 
@@ -147,7 +150,7 @@ def fundamental_invariants(
         for candidate in inv.polys:
             if span.rank == inv.dimension:
                 break
-            reduced = span.reduce({index[e]: c for e, c in candidate.terms.items()})
+            reduced = span.reduce(candidate.coordinates(index))
             if not reduced:
                 continue
             if len(tracker.generators) == n:
@@ -157,9 +160,8 @@ def fundamental_invariants(
                 )
                 break
             span.add(reduced)  # stored with a leading one at its least column
-            tracker.add_generator(MultiPoly._of(
-                ring, group.descriptor, group.n,
-                {basis[c]: a for c, a in span.pivot_rows[min(reduced)].items()}), d)
+            tracker.add_generator(MultiPoly.from_coordinates(
+                ring, group.descriptor, basis, span.pivot_rows[min(reduced)]), d)
         if span.rank != inv.dimension and len(tracker.generators) == n:
             mismatches.append(
                 f"degree {d}: invariant dimension {inv.dimension} but only "
@@ -262,13 +264,15 @@ def _h1_exact_degree(group: MatrixGroup, degree: int, ring: str) -> int:
     Every matrix here is a list of sparse rows {column: nonzero value}:
     rho_d as `element_action_matrix` gives it, the expression of an
     element over the width = s * N generator columns, and each relation
-    row, which goes into the `RowEchelon` as it is.
+    row, which goes into the `RowEchelon` as it is.  Over k they hold
+    ints in [0, p), and the elimination is one over F_p.
 
     The piece over K is at most the piece over k.  The relations over k are
     those over O reduced mod pi: the same table, the same
-    element indices, and rho_d of each reduced element (`MatrixGroup.matrix`
-    builds it from the residue rows, for the elements read before the stop
-    alone).  A rank can only drop under reduction, so
+    element indices, and rho_d of each reduced element
+    (`element_action_matrix` builds it on the residue rows, for the
+    elements read before the stop alone).  A rank can only drop under
+    reduction, so
     dim Z^1_K <= dim Z^1_k; for the same reason the stacked rho_d(g_i) - I
     has rank over K at least its rank over k, so dim inv_K <= dim inv_k
     and dim B^1_K >= dim B^1_k.  Hence dim H^1_K <= dim H^1_k, which
@@ -284,7 +288,7 @@ def _h1_exact_degree(group: MatrixGroup, degree: int, ring: str) -> int:
     # B^1 is the image of v -> (rho(g_i) v - v)_i, whose kernel is the
     # (memoised) invariant space, so dim B^1 = N - dim of the invariants
     dim_b1 = size - invariant_basis(group, degree, ring).dimension
-    one = ring_one(ring, group.descriptor)
+    p, one = elimination_field(ring, group.descriptor)
     rho: dict = {}  # element index -> rho_d, as sparse rows
 
     def block_plus(expr_rows, elem_idx: int, gi: int):
@@ -294,7 +298,7 @@ def _h1_exact_degree(group: MatrixGroup, degree: int, ring: str) -> int:
         base = gi * size
         out = [dict(r) for r in expr_rows]
         for row, ent in zip(out, rho[elem_idx]):
-            add_multiple(row, one, {base + c: v for c, v in ent.items()})
+            add_multiple(row, one, {base + c: v for c, v in ent.items()}, p)
         return out
 
     # expression[i]: the N x (s*N) matrix expressing c(element_i) in terms of
@@ -310,7 +314,7 @@ def _h1_exact_degree(group: MatrixGroup, degree: int, ring: str) -> int:
             expression[i] = block_plus(expression[parent], parent, gi)
         return expression[i]
 
-    span = RowEchelon()
+    span = RowEchelon(p=p)
     for idx in range(group.order):
         current = express(idx)
         for gi, target in enumerate(group.products[idx]):
@@ -320,7 +324,7 @@ def _h1_exact_degree(group: MatrixGroup, degree: int, ring: str) -> int:
                 first[target] = (idx, gi)
                 continue  # tree edge: defines rather than constrains
             for row, other in zip(block_plus(current, idx, gi), express(target)):
-                add_multiple(row, -one, other)
+                add_multiple(row, -one, other, p)
                 span.add(row)
     return width - span.rank - dim_b1
 
@@ -341,10 +345,14 @@ def h1_dimension(group: MatrixGroup, degree: int, ring: str) -> int:
     comes first, because it bounds the K piece (see `_h1_exact_degree`):
     a zero k piece makes the K piece 0 with no elimination over K, so K is
     solved only where the k piece is nonzero, and there a K piece above it
-    raises `InternalCheckError`.  Any ring but K or k is refused first.
+    raises `InternalCheckError`.  Any ring but K or k, and a negative
+    degree, as `invariant_basis` does, are refused before any piece is
+    computed.
     """
     if ring not in (RING_K, RING_RESIDUE):
         raise ValueError("H^1 is computed over a field (K or k)")
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
     memo = group.memo
     for e in range(degree + 1):
         if ("h1", e, RING_RESIDUE) not in memo:

@@ -20,13 +20,18 @@ O-matrices.  Every pass over all of G reads them directly:
   injectivity is compared on them, the rank-one test over k, on them
   minus I mod p, and the ratfunc kind's det(I - z g) in the Molien series;
 - the reflection-generation test over K and over k, one closure over O.
-`MatrixGroup.matrix(i, ring)` is the one place where an element becomes an
-`ExactMatrix`: over O, which serves K as well (the int kind's form A / D
-as entries; the ratfunc kind's element is one already), or over k, from
-the residue rows, for both kinds.  Each is built the first time a stage
-reads it: the invariant bases and the invariance checks read the
-generators, H^1 the elements it reaches before it stops, the
-diagonalizing bases the reflections, and Reynolds every element.
+The residue rows also serve every linear system over k: the action
+matrices of the invariant bases and of H^1 are built on them in ints mod
+p.  `MatrixGroup.matrix(i, ring)` is the one place where an element
+becomes an `ExactMatrix`: over O, which serves K as well (the int kind's
+form A / D as entries; the ratfunc kind's element is one already), or
+over k, from the residue rows, for both kinds.  Each is built the first
+time a stage reads it: the invariance checks read the generators, over K
+and over k, the invariant bases over K and H^1 over K the generators and
+the elements H^1 reaches before it stops, the diagonalizing bases the
+reflections, and Reynolds every element.  Whether a ratfunc group lies in
+GL_n(F_p) is decided once, from its generators; its invariant bases over
+K are then those over k (see `polys.invariant_basis`).
 
 A group is its closure: `generate_group` builds every group, the trivial
 one included, and records the index of every product element * generator
@@ -78,7 +83,9 @@ class MatrixGroup:
     over k (see `matrix`), keyed by ("elements", ring), each a dict
     {element index: matrix}; the residue rows (see `residue_rows`), keyed
     by ("residues", "k"); the `ReflectionReport` (see
-    `classify_reflections`), keyed by ("reflections", "K"); per-degree
+    `classify_reflections`), keyed by ("reflections", "K"); whether the
+    group is defined over F_p (see `defined_over_prime_field`), keyed by
+    ("prime field", "K"); per-degree
     results (invariant bases, H^1 contributions), keyed by (quantity,
     degree, ring); and, keyed by ("images", ring, element index), an
     element's images of the monomials of the highest degree its action
@@ -136,6 +143,20 @@ class MatrixGroup:
                 rows = tuple(tuple(tuple(reduce(a).value for a in row) for row in m.entries)
                              for m in self.elements)
             self.memo[key] = rows
+        return self.memo[key]
+
+    def defined_over_prime_field(self) -> bool:
+        """Is the group inside GL_n(F_p), the constant matrices of GL_n(O)?
+        Only a ratfunc group can be: F_p is the field of constants of
+        F_p[t]_(t), and Z_(p) holds no field.  The generators decide it,
+        since products of constant matrices are constant; it is decided
+        once and kept in `memo` under ("prime field", "K")."""
+        key = ("prime field", RING_K)
+        if key not in self.memo:
+            self.memo[key] = self.descriptor.kind != KIND_INT and all(
+                a.num.degree <= 0 and a.den.degree == 0
+                for i in self.generator_indices for row in self.elements[i].entries for a in row
+            )
         return self.memo[key]
 
     def __repr__(self) -> str:

@@ -14,7 +14,13 @@ system is solved by one engine on sparse rows, dicts {column: nonzero
 value}: the incremental reduced row echelon form `RowEchelon`, whose one
 row operation is `add_multiple`.  It gives rank, kernels and inverses
 over the two fields, and takes the rows of the degree-d action matrices,
-the product spans and the H^1 relations directly.
+the product spans and the H^1 relations directly.  Over K its values are
+those of K; over k they are ints in [0, p), with p given to `RowEchelon`
+and `add_multiple`, which reduce every entry they write mod p and
+normalise a pivot by its inverse mod p.  So no elimination runs on
+`ResidueScalar` values: a matrix over k enters as the ints of its
+residues, and a kernel or inverse leaves as residues again
+(`elimination_field` gives the p and the one of either field).
 
 Every determinant is read off one routine, `char_poly`: Berkowitz's
 recursion for det(I - z A), with +, - and * only, so it runs on ints,
@@ -307,9 +313,22 @@ class KernelBasis:
 # -- elimination ---------------------------------------------------------------
 
 
-def add_multiple(row: dict, f, other: dict) -> None:
+def add_multiple(row: dict, f, other: dict, p: int | None = None) -> None:
     """row += f * other for sparse rows over a field, in place; f is nonzero,
-    and the entries that cancel are dropped."""
+    and the entries that cancel are dropped.
+
+    With p given the rows are rows over F_p: their entries are ints in
+    [0, p), f is an int nonzero mod p, and every entry written is reduced
+    mod p, so the row stays one of ints in [0, p).
+    """
+    if p is not None:
+        for c, b in other.items():
+            a = (row.get(c, 0) + f * b) % p
+            if a:
+                row[c] = a
+            else:
+                del row[c]  # f * b is nonzero mod p, so c was in the row
+        return
     for c, b in other.items():
         a = row.get(c)
         if a is None:
@@ -322,6 +341,15 @@ def add_multiple(row: dict, f, other: dict) -> None:
                 del row[c]
 
 
+def elimination_field(ring: str, descriptor: DvrDescriptor) -> tuple:
+    """(p, one) for eliminating over K or k with `RowEchelon` and
+    `add_multiple`: over k the rows hold ints in [0, p) and one is 1; over
+    K p is None and one is K's own."""
+    if ring == RING_RESIDUE:
+        return descriptor.p, 1
+    return None, ring_one(ring, descriptor)
+
+
 class RowEchelon:
     """Incremental reduced row echelon form of a row space over a field.
 
@@ -329,11 +357,14 @@ class RowEchelon:
     column to its row, whose entry there is one and which has no entry in
     the other pivot columns.  A row space has exactly one reduced echelon
     form, so the result does not depend on the order in which rows are
-    added.
+    added.  Over K the values are those of K (`Fraction`, `RatFunc`); with
+    a prime p the field is F_p and the values are ints in [0, p), kept
+    there by `add_multiple` and by normalising with the inverse mod p.
     """
 
-    def __init__(self, rows=()):
+    def __init__(self, rows=(), p: int | None = None):
         self.pivot_rows: dict[int, dict] = {}
+        self.p = p
         for row in rows:
             self.add(row)
 
@@ -344,11 +375,11 @@ class RowEchelon:
     def reduce(self, row: dict) -> dict:
         """A copy of the row minus its components along the pivot rows."""
         row = dict(row)
-        pivots = self.pivot_rows
+        pivots, p = self.pivot_rows, self.p
         # a pivot row has no entry in the other pivot columns, so subtracting
         # it changes none of the row's other pivot-column entries
         for col in [c for c in row if c in pivots]:
-            add_multiple(row, -row[col], pivots[col])
+            add_multiple(row, -row[col], pivots[col], p)
         return row
 
     def add(self, row: dict) -> bool:
@@ -357,37 +388,56 @@ class RowEchelon:
         if not row:
             return False
         lead = min(row)
-        inv = row[lead]
-        if inv != inv / inv:
+        inv, p = row[lead], self.p
+        if p is not None:
+            if inv != 1:
+                inv = pow(inv, -1, p)
+                row = {c: a * inv % p for c, a in row.items()}
+        elif inv != inv / inv:
             row = {c: a / inv for c, a in row.items()}
         for pivot in self.pivot_rows.values():
             f = pivot.get(lead)
             if f is not None:
-                add_multiple(pivot, -f, row)
+                add_multiple(pivot, -f, row, p)
         self.pivot_rows[lead] = row
         return True
 
     def kernel(self, width: int, one) -> list[dict]:
         """Basis of the vectors of length `width` that every row annihilates,
         one per free column f: one at f, minus the pivot rows' entries at f in
-        the pivot columns."""
+        the pivot columns.  `one` is the field's: 1 over F_p."""
+        p = self.p
         vectors = {f: {f: one} for f in range(width) if f not in self.pivot_rows}
         for c, row in self.pivot_rows.items():
             for f, a in row.items():
                 if f != c:
-                    vectors[f][c] = -a
+                    vectors[f][c] = -a if p is None else p - a
         return list(vectors.values())
 
 
-def _field_echelon(m: ExactMatrix) -> RowEchelon:
+def _field_rows(m: ExactMatrix) -> tuple:
+    """(sparse rows, p, one) of a matrix over K or k, as `RowEchelon` takes
+    them (see `elimination_field`): over k the ints in [0, p) of its residues."""
     if m.ring == RING_O:
         raise ValueError("rank/kernel are field operations; retag the matrix with to_field()")
-    return RowEchelon(dict(_nonzero_pairs(row)) for row in m.entries)
+    p, one = elimination_field(m.ring, m.descriptor)
+    if p is not None:
+        return [{c: a.value for c, a in _nonzero_pairs(row)} for row in m.entries], p, one
+    return [dict(_nonzero_pairs(row)) for row in m.entries], p, one
+
+
+def _field_values(m: ExactMatrix, vectors, width: int) -> tuple:
+    """Sparse vectors of the echelon as dense tuples of values of m's ring:
+    over k an int in [0, p) becomes a residue."""
+    zero = ring_zero(m.ring, m.descriptor)
+    value = m.descriptor.residue if m.ring == RING_RESIDUE else (lambda a: a)
+    return tuple(tuple(value(v[c]) if c in v else zero for c in range(width)) for v in vectors)
 
 
 def rank_over_field(m: ExactMatrix) -> int:
     """Rank over K or k."""
-    return _field_echelon(m).rank
+    rows, p, _ = _field_rows(m)
+    return RowEchelon(rows, p).rank
 
 
 def shifted_rows(rows, d) -> list:
@@ -427,11 +477,9 @@ def has_rank_one(rows, p: int | None = None) -> bool:
 
 def kernel_over_field(m: ExactMatrix) -> KernelBasis:
     """Exact nullspace basis over K or k, one vector per free column."""
-    zero = ring_zero(m.ring, m.descriptor)
-    vectors = _field_echelon(m).kernel(m.cols, ring_one(m.ring, m.descriptor))
-    return KernelBasis(
-        tuple(tuple(v.get(c, zero) for c in range(m.cols)) for v in vectors), m.cols
-    )
+    rows, p, one = _field_rows(m)
+    vectors = RowEchelon(rows, p).kernel(m.cols, one)
+    return KernelBasis(_field_values(m, vectors, m.cols), m.cols)
 
 
 def det(m: ExactMatrix):
@@ -507,14 +555,12 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
 
 def _inverse_field(m: ExactMatrix) -> ExactMatrix:
     n = m.rows
-    zero = ring_zero(m.ring, m.descriptor)
-    one = ring_one(m.ring, m.descriptor)
-    pivot_rows = RowEchelon(
-        {**dict(_nonzero_pairs(row)), n + i: one} for i, row in enumerate(m.entries)
-    ).pivot_rows
+    rows, p, one = _field_rows(m)
+    pivot_rows = RowEchelon(({**row, n + i: one} for i, row in enumerate(rows)), p).pivot_rows
     if any(c >= n for c in pivot_rows):
         raise NotInvertibleError("matrix is singular")
-    return m._like([pivot_rows[c].get(n + j, zero) for j in range(n)] for c in range(n))
+    inverse_rows = [{j - n: a for j, a in pivot_rows[c].items() if j >= n} for c in range(n)]
+    return m._like(_field_values(m, inverse_rows, n))
 
 
 def reduce_form(form: IntMatrix, p: int) -> tuple:

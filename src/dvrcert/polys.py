@@ -7,7 +7,15 @@ inverting any matrices.  One recursion, X^e = X^(e - u_j) * X_j, builds
 every monomial image, for `act` and for the degree-by-degree action
 matrices alike.  Monomials are ordered graded-lexicographically
 throughout, which fixes canonical coefficient coordinates for every
-echelon computation downstream.  The Molien series reads each
+echelon computation downstream.  Over k those coordinates are ints in
+[0, p) (`MultiPoly.coordinates`, `from_coordinates`): the action
+matrices over k are built on the residue rows mod p, and a coefficient
+becomes a `ResidueScalar` only when a polynomial is formed.  A ratfunc
+group whose generators are constant matrices lies in GL_n(F_p); each of
+its systems over K = F_p(t) has entries in F_p, so its reduced echelon
+form is the one over F_p, and its invariant bases over K are its bases
+over k with each coefficient lifted to K, with no elimination over
+F_p(t).  The Molien series reads each
 element's det(I - z g) off Berkowitz's characteristic polynomial
 (`linalg.char_poly`) in integers, on the integer forms for the int kind
 and on the residue rows mod p for the ratfunc kind, and inverts it by
@@ -34,6 +42,7 @@ from .linalg import (
     add_multiple,
     char_poly,
     det_of_rows,
+    elimination_field,
     ring_from_int,
     ring_one,
     ring_zero,
@@ -198,6 +207,23 @@ class MultiPoly:
                 terms[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * from_int(e[i])
         return self._like(terms)
 
+    # -- coordinates ----------------------------------------------------------
+
+    def coordinates(self, index: dict) -> dict:
+        """The coefficients as the sparse row {index[e]: c} that `RowEchelon`
+        takes: over k the ints in [0, p) of the residues, a row over F_p."""
+        if self.ring == RING_RESIDUE:
+            return {index[e]: c.value for e, c in self.terms.items()}
+        return {index[e]: c for e, c in self.terms.items()}
+
+    @staticmethod
+    def from_coordinates(ring: str, descriptor: DvrDescriptor, basis, row: dict) -> MultiPoly:
+        """The polynomial sum of row[c] X^basis[c], for a sparse row of
+        values of K, or over k of ints in [0, p), each made a residue."""
+        value = descriptor.residue if ring == RING_RESIDUE else (lambda a: a)
+        return MultiPoly._of(ring, descriptor, len(basis[0]),
+                             {basis[c]: value(a) for c, a in row.items()})
+
     # -- ring moves ------------------------------------------------------------
 
     def reduce(self) -> MultiPoly:
@@ -325,22 +351,24 @@ def _evaluate(f: MultiPoly, powers, lift, zero):
 # -- the group action -------------------------------------------------------------
 
 
-def _linear_forms(g: ExactMatrix) -> list:
-    """The images X_j -> sum_i g[i][j] X_i of the variables, as the
-    (i, g[i][j]) pairs with a nonzero entry, one list per j."""
+def _linear_forms(rows) -> list:
+    """The images X_j -> sum_i g[i][j] X_i of the variables, for the matrix
+    g with these rows, as the (i, g[i][j]) pairs with a nonzero entry, one
+    list per j."""
     return [
-        [(i, row[j]) for i, row in enumerate(g.entries) if row[j]]
-        for j in range(g.cols)
+        [(i, row[j]) for i, row in enumerate(rows) if row[j]]
+        for j in range(len(rows[0]))
     ]
 
 
-def _monomial_image(images: dict, forms: list, e: tuple) -> dict:
+def _monomial_image(images: dict, forms: list, e: tuple, p: int | None = None) -> dict:
     """Terms of the image of X^e, by X^e = X^(e - u_j) * X_j with j the
     first index where e_j > 0.
 
     `images` maps exponent vectors to the terms of their images; it must
     hold X^0 or every monomial of one degree at most that of e, and it
-    keeps each image built on the way down from e.
+    keeps each image built on the way down from e.  With p given the
+    forms' values are ints in [0, p), and so is every coefficient built.
     """
     chain = []
     while e not in images:
@@ -356,6 +384,8 @@ def _monomial_image(images: dict, forms: list, e: tuple) -> dict:
                 v = c * a
                 acc = step.get(y)
                 step[y] = v if acc is None else acc + v
+        if p is not None:
+            step = {y: v % p for y, v in step.items()}
         terms = {y: v for y, v in step.items() if v}
         images[e] = terms
     return terms
@@ -367,7 +397,7 @@ def act(g: ExactMatrix, f: MultiPoly) -> MultiPoly:
         raise ValueError(f"matrix size {g.rows} does not match {f.n} variables")
     if g.ring != f.ring and not (g.ring == RING_O and f.ring == RING_K):
         raise ValueError(f"ring mismatch: matrix over {g.ring}, polynomial over {f.ring}")
-    forms = _linear_forms(g)
+    forms = _linear_forms(g.entries)
     unit = (0,) * f.n
     images = {unit: {unit: ring_one(f.ring, f.descriptor)}}
     terms: dict = {}
@@ -389,23 +419,29 @@ def reynolds(group: MatrixGroup, f: MultiPoly) -> MultiPoly:
     return acc.scale(group.descriptor.reduce(inv_order) if f.ring == RING_RESIDUE else inv_order)
 
 
-def action_matrix(g: ExactMatrix, n: int, d: int, *, images: dict | None = None) -> list[dict]:
+def action_matrix(
+    g, n: int, d: int, *, images: dict | None = None, p: int | None = None
+) -> list[dict]:
     """Matrix of act(g, .) on the degree-d monomial basis (graded-lex
     coordinates), as its rows {column: nonzero entry}.
 
-    Column e holds the coefficients of the image of X^e.  `images` is a
-    store of g's monomial images, all of one degree (or empty), such as
-    `element_action_matrix` keeps: at degree d or below it is stepped up
-    to degree d in place; above d the images are built afresh from degree
-    0 and the store is left as it is.
+    g is an `ExactMatrix`, or, with p given, a matrix over F_p as its rows
+    of ints in [0, p), such as `MatrixGroup.residue_rows` holds; the
+    entries of rho_d are then ints in [0, p) as well, rows over F_p for
+    `RowEchelon` with p.  Column e holds the coefficients of the image of
+    X^e.  `images` is a store of g's monomial images, all of one degree
+    (or empty), such as `element_action_matrix` keeps: at degree d or
+    below it is stepped up to degree d in place; above d the images are
+    built afresh from degree 0 and the store is left as it is.
     """
     basis = monomials(n, d)
+    entries, one = (g, 1) if p is not None else (g.entries, ring_one(g.ring, g.descriptor))
     if images is None or (images and sum(next(iter(images))) > d):
         images = {}
     if not images:
-        images[(0,) * n] = {(0,) * n: ring_one(g.ring, g.descriptor)}
-    forms = _linear_forms(g)
-    columns = [_monomial_image(images, forms, e) for e in basis]
+        images[(0,) * n] = {(0,) * n: one}
+    forms = _linear_forms(entries)
+    columns = [_monomial_image(images, forms, e, p) for e in basis]
     images.clear()
     images.update(zip(basis, columns))
     index = monomial_index(n, d)
@@ -418,9 +454,14 @@ def action_matrix(g: ExactMatrix, n: int, d: int, *, images: dict | None = None)
 
 def element_action_matrix(group: MatrixGroup, ring: str, idx: int, d: int) -> list[dict]:
     """rho_d of element idx over K or k, from the monomial images that
-    `group.memo` keeps for it under ("images", ring, idx).  The element is
-    `group.matrix(idx, ring)`: over K the O-matrix, whose values are K's."""
+    `group.memo` keeps for it under ("images", ring, idx).  Over K the
+    element is the O-matrix `group.matrix(idx, ring)`, whose values are
+    K's; over k it is its residue rows (`MatrixGroup.residue_rows`), and
+    rho_d holds ints in [0, p), ready for `RowEchelon` with p."""
     images = group.memo.setdefault(("images", ring, idx), {})
+    if ring == RING_RESIDUE:
+        return action_matrix(group.residue_rows()[idx], group.n, d, images=images,
+                             p=group.descriptor.p)
     return action_matrix(group.matrix(idx, ring), group.n, d, images=images)
 
 
@@ -441,7 +482,12 @@ def invariant_basis(group: MatrixGroup, d: int, ring: str) -> GradedBasis:
 
     Solves (action(g) - I) v = 0 simultaneously for the generators only;
     invariance under the generators implies invariance under the group.
-    Computed once per (degree, ring) and group, then kept in `group.memo`.
+    Over k the system is one over F_p in ints mod p.  A group defined over
+    F_p (`MatrixGroup.defined_over_prime_field`) solves no system over K:
+    its system there has entries in F_p, so its reduced echelon form over
+    K is the one over F_p, and its basis over K is the basis over k with
+    each coefficient lifted by `descriptor.from_int`.  Computed once per
+    (degree, ring) and group, then kept in `group.memo`.
     """
     if ring not in (RING_K, RING_RESIDUE):
         raise ValueError("invariant bases are computed over a field (K or k)")
@@ -449,25 +495,39 @@ def invariant_basis(group: MatrixGroup, d: int, ring: str) -> GradedBasis:
         raise ValueError("degree must be nonnegative")
     key = ("invariant_basis", d, ring)
     if key not in group.memo:
-        group.memo[key] = _invariant_basis(group, d, ring)
+        if ring == RING_K and group.defined_over_prime_field():
+            group.memo[key] = _lifted_basis(group, d)
+        else:
+            group.memo[key] = _invariant_basis(group, d, ring)
     return group.memo[key]
 
 
 def _invariant_basis(group: MatrixGroup, d: int, ring: str) -> GradedBasis:
     # the rows of rho_d(g) - I for each generator g; the trivial group has
     # none, and its kernel is then every monomial
-    one = ring_one(ring, group.descriptor)
-    span = RowEchelon()
+    p, one = elimination_field(ring, group.descriptor)
+    span = RowEchelon(p=p)
     for idx in group.generator_indices:
         for r, row in enumerate(element_action_matrix(group, ring, idx, d)):
-            add_multiple(row, -one, {r: one})
+            add_multiple(row, -one, {r: one}, p)
             span.add(row)
     basis = monomials(group.n, d)
     polys = tuple(
-        MultiPoly._of(ring, group.descriptor, group.n, {basis[c]: a for c, a in v.items()})
+        MultiPoly.from_coordinates(ring, group.descriptor, basis, v)
         for v in span.kernel(len(basis), one)
     )
     return GradedBasis(d, polys)
+
+
+def _lifted_basis(group: MatrixGroup, d: int) -> GradedBasis:
+    """The degree-d basis over k, each coefficient lifted to K: the basis
+    over K of a group defined over F_p."""
+    from_int = group.descriptor.from_int
+    return GradedBasis(d, tuple(
+        MultiPoly._of(RING_K, group.descriptor, group.n,
+                      {e: from_int(c.value) for e, c in f.terms.items()})
+        for f in invariant_basis(group, d, RING_RESIDUE).polys
+    ))
 
 
 # -- Molien series -----------------------------------------------------------------

@@ -332,6 +332,17 @@ def test_h1_matches_bruteforce_on_invertible_groups(s2_z3, b2_z3, c4_f5t, s3_z5,
                 assert h1_dimension(group, d, ring) == h1_bruteforce(group, d, ring)
 
 
+def test_a_negative_degree_is_refused_before_anything_is_computed(s2_z3):
+    group = generate_group(generators_of(s2_z3))
+    for ring in (RING_K, RING_RESIDUE):
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            invariant_basis(group, -1, ring)
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            h1_dimension(group, -1, ring)
+    assert group.memo == {}
+    assert h1_dimension(group, 0, RING_K) == 0
+
+
 def test_h1_survives_a_deep_breadth_first_tree():
     # C_1200 = <11> in GL_1 over F_1201(t): the tree is a path of 1199 edges
     f1201t = DvrDescriptor("ratfunc-localized", 1201)
@@ -345,7 +356,8 @@ def test_h1_stops_once_the_cocycles_are_coboundaries(z5, monkeypatch):
     built = Counter()
 
     def counted(g, n, d, **kwargs):
-        built[d, g.ring] += 1
+        # over k the element is its residue rows, given with p
+        built[d, RING_RESIDUE if kwargs.get("p") else g.ring] += 1
         return action_matrix(g, n, d, **kwargs)
 
     for name in ("dvrcert.polys", "dvrcert.certify"):

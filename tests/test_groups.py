@@ -340,12 +340,13 @@ def test_the_bases_build_only_the_reflections_as_o_matrices(z5):
 
 
 def test_a_full_certificate_builds_no_k_matrix_it_does_not_read(z5):
-    # the O-matrices serve K, and over k the invariant bases read the
-    # generators and H^1 the elements it reaches before it stops
+    # the O-matrices serve K, and over k the invariant bases and H^1 read
+    # the residue rows, so only the invariance checks over k build
+    # k-matrices, of the generators
     wb3 = _wb3(z5)
     assert certify(wb3, 6).verdict == "certified"
     assert ("elements", RING_K) not in wb3.memo
-    assert 0 < len(wb3.memo["elements", RING_RESIDUE]) < wb3.order
+    assert set(wb3.memo["elements", RING_RESIDUE]) == set(wb3.generator_indices)
 
 
 def test_closure_checks_no_product_for_membership_in_o(z5, monkeypatch):

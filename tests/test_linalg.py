@@ -22,7 +22,7 @@ from dvrcert.linalg import (
     ring_zero,
 )
 from dvrcert.polys import MultiPoly
-from dvrcert.scalars import KIND_INT, KIND_RATFUNC, DvrDescriptor
+from dvrcert.scalars import KIND_INT, KIND_RATFUNC, DvrDescriptor, ResidueScalar
 
 from oracles import (
     DenseRowEchelon,
@@ -183,6 +183,47 @@ def test_sparse_echelon_matches_the_dense_oracle(kind, ring):
                 inverse(sq)
         else:
             assert inverse(sq) == expected
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 2 ** 61 - 1])
+def test_echelon_mod_p_matches_the_dense_oracle_over_residues(p):
+    # RowEchelon with p on ints in [0, p) against DenseRowEchelon on
+    # ResidueScalar values, for seeded sparse int matrices
+    rng = random.Random(f"echelon-mod-{p}")
+    zero, one = ResidueScalar(p, 0), ResidueScalar(p, 1)
+    for trial in range(40):
+        r, c = rng.randint(1, 7), rng.randint(1, 7)
+        rows = [[rng.randrange(-3 * p, 3 * p) if rng.random() < 0.5 else 0 for _ in range(c)]
+                for _ in range(r)]
+        if r > 2:
+            # a row that cancels only mod p: a combination of the first two
+            # plus multiples of p, so independent of them over Z
+            a, b = rng.randrange(1, p), rng.randrange(p)
+            rows[rng.randrange(2, r)] = [a * x + b * y + p * rng.choice((-2, 1, 3))
+                                         for x, y in zip(rows[0], rows[1])]
+        if trial % 4 == 0:
+            rows[-1] = [0] * c  # a zero row
+        elif trial % 4 == 1:
+            rows[-1] = [p * rng.randint(-3, 3) for _ in range(c)]  # zero mod p only
+        dense = DenseRowEchelon([[ResidueScalar(p, a) for a in row] for row in rows])
+        sparse = RowEchelon(({j: a % p for j, a in enumerate(row) if a % p} for row in rows), p)
+        assert sparse.rank == dense.rank
+        assert sparse.pivot_rows == {
+            col: {j: a.value for j, a in enumerate(row) if a}
+            for col, row in dense.pivot_rows.items()
+        }
+        assert all(0 < a < p for row in sparse.pivot_rows.values() for a in row.values())
+        kernel = sparse.kernel(c, 1)
+        assert [tuple(v.get(j, 0) for j in range(c)) for v in kernel] == [
+            tuple(a.value for a in v) for v in dense.kernel(c, zero, one)
+        ]
+        for v in kernel:
+            assert all(0 < a < p for a in v.values())
+            for row in rows:
+                assert sum(row[j] * a for j, a in v.items()) % p == 0
+        # the same rows over Q have rank at least the rank mod p
+        over_q = RowEchelon({j: Fraction(a) for j, a in enumerate(row) if a} for row in rows)
+        assert over_q.rank >= sparse.rank
 
 
 def test_shape_and_ring_mismatches(z3, z5):

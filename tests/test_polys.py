@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from dvrcert.certify import certify
 from dvrcert.errors import HypothesisViolationError, InternalCheckError
 from dvrcert.groups import generate_group
 from dvrcert.linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix, inverse
@@ -18,8 +19,9 @@ from dvrcert.polys import (
     monomials,
     reynolds,
 )
+from dvrcert.scalars import DvrDescriptor
 
-from conftest import random_unimodular
+from conftest import over_1_plus_t, random_unimodular
 from oracles import (
     DenseRowEchelon,
     _char_series_denominator,
@@ -104,10 +106,26 @@ def test_act_and_action_matrix_match_the_power_oracle(s3_z5, b2_f5t_twisted):
             idx = group.order - 1
             g = group.matrix(idx, ring)
             for d in (2, 3, 1, 4, 0, 4):
-                assert square_matrix(element_action_matrix(group, ring, idx, d), g) == (
+                rho = element_action_matrix(group, ring, idx, d)
+                if ring == RING_RESIDUE:
+                    rho = _residues(group, rho)
+                assert square_matrix(rho, g) == action_matrix_bruteforce(g, n, d)
+            assert {sum(e) for e in group.memo["images", ring, idx]} == {4}
+        # over k, rho_d of the residue rows in ints mod p is that of the k-matrix
+        for rows, g in zip(group.residue_rows(), element_matrices(group, RING_RESIDUE)):
+            for d in range(4):
+                assert square_matrix(_residues(
+                    group, action_matrix(rows, n, d, p=group.descriptor.p)), g) == (
                     action_matrix_bruteforce(g, n, d)
                 )
-            assert {sum(e) for e in group.memo["images", ring, idx]} == {4}
+
+
+def _residues(group, rows) -> list[dict]:
+    """Sparse rows over F_p, ints in [0, p), as rows of residues; a
+    stored int outside [1, p) fails."""
+    p = group.descriptor.p
+    assert all(0 < a < p for row in rows for a in row.values())
+    return [{c: group.descriptor.residue(a) for c, a in row.items()} for row in rows]
 
 
 def _random_poly(descriptor, n, rng, max_degree=3, ring=RING_K):
@@ -282,8 +300,6 @@ def test_molien_ratfunc_is_mod_p(c4_f5t):
 
 @pytest.mark.parametrize("kind", ["int-localized", "ratfunc-localized"])
 def test_char_series_denominator_trace_and_det(kind):
-    from dvrcert.scalars import DvrDescriptor
-
     descriptor = DvrDescriptor(kind, 5)
     rng = random.Random(7)
     for _ in range(20):
@@ -312,6 +328,75 @@ def test_reynolds_is_idempotent_projection(s3_z5):
         assert reynolds(s3_z5, rf) == rf
         for g in element_matrices(s3_z5, RING_K):
             assert act(g, rf) == rf
+
+
+def _constant_groups(f5t, c4_f5t):
+    """Ratfunc groups inside GL_n(F_p), with the degree bound each is tested to."""
+    f7t = DvrDescriptor("ratfunc-localized", 7)
+    b2 = [[[0, 1], [1, 0]], [[1, 0], [0, -1]]]
+    g412 = [[[0, 1], [1, 0]], [[1, 0], [0, 2]]]
+    return [
+        (c4_f5t, 8),
+        (generate_group([ExactMatrix.from_ints(RING_O, f5t, g) for g in b2]), 8),
+        (generate_group([ExactMatrix.from_ints(RING_O, f7t, [[1, 0], [0, 3]])]), 8),
+        (generate_group([ExactMatrix.from_ints(RING_O, f5t, g) for g in g412]), 12),
+    ]
+
+
+def test_the_basis_over_K_of_a_group_over_F_p_is_the_lifted_basis_over_k(f5t, c4_f5t):
+    # the lifted basis must be the reduced echelon kernel of the stacked
+    # RatFunc rows rho_d(g) - I over F_p(t), eliminated here by the oracle
+    for group, bound in _constant_groups(f5t, c4_f5t):
+        assert group.defined_over_prime_field()
+        descriptor = group.descriptor
+        zero, one = descriptor.zero(), descriptor.one()
+        gens = [g.to_field() for g in generators_of(group)]
+        for d in range(bound + 1):
+            basis = monomials(group.n, d)
+            stacked = DenseRowEchelon()
+            for g in gens:
+                rho = action_matrix_bruteforce(g, group.n, d).entries
+                for r, row in enumerate(rho):
+                    stacked.add([a - one if c == r else a for c, a in enumerate(row)])
+            lifted = invariant_basis(group, d, RING_K)
+            assert [tuple(f.coefficient(e) for e in basis) for f in lifted.polys] == (
+                stacked.kernel(len(basis), zero, one)
+            )
+            assert all(f.ring == RING_K for f in lifted.polys)
+            # and coefficientwise it is the basis over k
+            assert [{e: descriptor.reduce(c) for e, c in f.terms.items()}
+                    for f in lifted.polys] == [
+                f.terms for f in invariant_basis(group, d, RING_RESIDUE).polys
+            ]
+
+
+def test_a_group_over_F_p_builds_no_action_matrix_over_K(
+    f5t, c4_f5t, b2_f5t_twisted, monkeypatch
+):
+    polys_module = sys.modules["dvrcert.polys"]
+    built = []
+
+    def counted(g, n, d, **kwargs):
+        built.append(RING_RESIDUE if kwargs.get("p") else RING_K)
+        return action_matrix(g, n, d, **kwargs)
+
+    monkeypatch.setattr(polys_module, "action_matrix", counted)
+    c4 = generate_group(generators_of(c4_f5t))
+    assert certify(c4, 8).verdict == "certified"
+    assert c4.defined_over_prime_field()
+    assert built and RING_K not in built
+    # entries that are not constants of F_p: the bases over K are solved over
+    # F_p(t).  A conjugate of C_4 in GL_1 is C_4 itself, so B_2 as given is
+    # conjugated by diag(1 + t, 1) instead
+    b2 = generate_group([ExactMatrix.from_ints(RING_O, f5t, g)
+                         for g in ([[0, 1], [1, 0]], [[1, 0], [0, -1]])])
+    assert b2.defined_over_prime_field()
+    assert over_1_plus_t(c4_f5t).defined_over_prime_field()
+    for group in (over_1_plus_t(b2), generate_group(generators_of(b2_f5t_twisted))):
+        built.clear()
+        assert not group.defined_over_prime_field()
+        assert certify(group, 8).verdict == "certified"
+        assert RING_K in built and RING_RESIDUE in built
 
 
 def test_reynolds_span_equals_invariant_basis_span(s2_z3, b2_z3):
