@@ -7,6 +7,13 @@ ingredients: fundamental invariants over the residue field and the fraction
 field, the degree-by-degree dimension comparison between the two, vanishing
 of first cohomology on low-degree pieces, and Reynolds lifts of the residue
 generators back to the ring.
+
+For the ratfunc kind the invariants, graded and lifts stages read the
+group's constant model Gbar (`MatrixGroup.constant_model`): G = A Gbar A^-1
+for a checked A in GL_n(O), and Gbar lies in GL_n(F_p), so its side over K
+is its side over k lifted.  What those stages print over K and O is carried
+back to G by act(A, .), and no system over F_p(t) is solved.  H^1 stays on
+the group; past the gate its K piece is 0 without one.
 """
 from __future__ import annotations
 
@@ -50,7 +57,7 @@ from .polys import (
     reynolds,
 )
 from .refbasis import diagonalizing_basis
-from .scalars import invert_mod_group_order
+from .scalars import KIND_INT, invert_mod_group_order
 
 H1_DEGREE_CAP = 5
 
@@ -125,6 +132,55 @@ class _SubalgebraTracker:
 def fundamental_invariants(
     group: MatrixGroup, ring: str, degree_bound: int
 ) -> FundamentalInvariants:
+    """n fundamental invariants over K or k, by a greedy degree-ascending
+    search (`_greedy_fundamentals`), verified.
+
+    The search runs once per group, field and bound, its outcome, a
+    failure included, kept under ("fundamental", bound, ring) (see
+    `MatrixGroup.memo_over`).  For the ratfunc kind the one over k is the
+    only search: the generators over K are those of the constant
+    model Gbar (`MatrixGroup.constant_model`) carried to G by act(A, .).
+    Gbar lies in GL_n(F_p), so its search over K would eliminate the lifts
+    of the rows over k and adjoin the lifts of the generators over k, with
+    the same failures; those lifts are checked on Gbar over K
+    (`_check_fundamental_conditions`: invariance, degree identities and
+    Jacobian).  Since g A = A gbar for every g, act(A, .) maps Gbar's
+    invariants onto G's degree by degree, and A is invertible over O, so
+    the carried generators are fundamental invariants of G over K.
+    """
+    invert_mod_group_order(group.order, group.descriptor)
+    if ring == RING_K and group.descriptor.kind != KIND_INT:
+        return _fundamentals_of_the_model(group, degree_bound)
+    memo, key = group.memo_over(ring), ("fundamental", degree_bound, ring)
+    if key not in memo:
+        try:
+            memo[key] = _greedy_fundamentals(group, ring, degree_bound)
+        except DvrcertError as exc:
+            memo[key] = exc
+    if isinstance(memo[key], DvrcertError):
+        raise memo[key]
+    return memo[key]
+
+
+def _fundamentals_of_the_model(group: MatrixGroup, degree_bound: int) -> FundamentalInvariants:
+    """The generators over K of a ratfunc group: those over k lifted, checked
+    on the constant model, then carried to G by act(A, .)."""
+    model, a = group.constant_model()
+    over_k = fundamental_invariants(group, RING_RESIDUE, degree_bound)
+    lifted = FundamentalInvariants(
+        RING_K, tuple(f.lift(RING_K) for f in over_k.generators), over_k.degrees)
+    problems = _check_fundamental_conditions(model, lifted)
+    if problems:
+        raise CertificateConditionError("; ".join(problems))
+    if model is group:
+        return lifted
+    return FundamentalInvariants(
+        RING_K, tuple(act(a, f) for f in lifted.generators), lifted.degrees)
+
+
+def _greedy_fundamentals(
+    group: MatrixGroup, ring: str, degree_bound: int
+) -> FundamentalInvariants:
     """Greedy degree-ascending search for n fundamental invariants.
 
     At each degree the invariant subspace is compared with the span of
@@ -135,7 +191,6 @@ def fundamental_invariants(
     of reflections (`classify_reflections`), nonzero Jacobian, and
     generation of every invariant up to the bound.
     """
-    invert_mod_group_order(group.order, group.descriptor)
     n = group.n
     tracker = _SubalgebraTracker(group, ring)
     mismatches: list[str] = []
@@ -230,11 +285,20 @@ def jacobian_independence(inv: FundamentalInvariants) -> bool:
 
 
 def graded_isomorphism_check(group: MatrixGroup, degree_bound: int):
-    """Rows (d, dim over K, dim over k, equal?) for d up to the bound."""
+    """Rows (d, dim over K, dim over k, equal?) for d up to the bound.
+
+    For the ratfunc kind the dimension over K is the constant model's:
+    act(A, .) maps Gbar's invariants of degree d onto G's, and Gbar's basis
+    over K is its basis over k lifted (`polys.invariant_basis`), so no
+    system over F_p(t) is solved and the two columns agree by that
+    argument; `tests/test_certify.py` keeps an independent check of the K
+    column against an elimination over F_p(t).
+    """
     invert_mod_group_order(group.order, group.descriptor)
+    over_K = group if group.descriptor.kind == KIND_INT else group.constant_model()[0]
     rows = []
     for d in range(degree_bound + 1):
-        dim_k_field = invariant_basis(group, d, RING_K).dimension
+        dim_k_field = invariant_basis(over_K, d, RING_K).dimension
         dim_res = invariant_basis(group, d, RING_RESIDUE).dimension
         rows.append((d, dim_k_field, dim_res, dim_k_field == dim_res))
     return tuple(rows)
@@ -353,18 +417,19 @@ def h1_dimension(group: MatrixGroup, degree: int, ring: str) -> int:
         raise ValueError("H^1 is computed over a field (K or k)")
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    memo = group.memo
+    over_k, over_K = group.memo_over(RING_RESIDUE), group.memo_over(RING_K)
     for e in range(degree + 1):
-        if ("h1", e, RING_RESIDUE) not in memo:
-            memo["h1", e, RING_RESIDUE] = _h1_exact_degree(group, e, RING_RESIDUE)
-        if ring == RING_K and ("h1", e, RING_K) not in memo:
-            bound = memo["h1", e, RING_RESIDUE]
+        if ("h1", e, RING_RESIDUE) not in over_k:
+            over_k["h1", e, RING_RESIDUE] = _h1_exact_degree(group, e, RING_RESIDUE)
+        if ring == RING_K and ("h1", e, RING_K) not in over_K:
+            bound = over_k["h1", e, RING_RESIDUE]
             piece = _h1_exact_degree(group, e, RING_K) if bound else 0
             if piece > bound:
                 raise InternalCheckError(
                     f"H^1 piece of degree {e} is {piece} over K but {bound} over k"
                 )
-            memo["h1", e, RING_K] = piece
+            over_K["h1", e, RING_K] = piece
+    memo = group.memo_over(ring)
     return sum(memo["h1", e, ring] for e in range(degree + 1))
 
 
@@ -376,22 +441,32 @@ def lift_fundamentals(group: MatrixGroup, residue_inv: FundamentalInvariants):
 
     Each generator is lifted coefficientwise, averaged over the group, and
     the reduction of the result is checked against the original generator.
+    For the ratfunc kind the average is taken over the constant model Gbar
+    and carried to G by act(A, .) (see `MatrixGroup.constant_model`): it
+    maps Gbar-invariants over O onto G-invariants, and A = I mod t keeps
+    the reduction.  A lift that Gbar's generators already fix, as the lift
+    of a generator over k does, is its own average and is not averaged.
+    Gbar is constant, so its generators fix the lift exactly when their
+    residues fix the generator over k, which is asked over k.
     Returns (lifted polynomials, verdict, notes).
     """
     if residue_inv.ring != RING_RESIDUE:
         raise ValueError("lift expects fundamental invariants over the residue field")
     invert_mod_group_order(group.order, group.descriptor)
+    if group.descriptor.kind == KIND_INT:
+        model, a, gens = group, None, None
+    else:
+        model, a = group.constant_model()
+        gens = [group.matrix(i, RING_RESIDUE) for i in group.generator_indices]
     lifts = []
     notes = []
     ok = True
     for i, f_bar in enumerate(residue_inv.generators):
-        naive = MultiPoly._of(
-            RING_O,
-            group.descriptor,
-            group.n,
-            {e: group.descriptor.from_int(c.value) for e, c in f_bar.terms.items()},
-        )
-        lifted = reynolds(group, naive)
+        naive = f_bar.lift(RING_O)
+        fixed = gens is not None and all(act(g, f_bar) == f_bar for g in gens)
+        lifted = naive if fixed else reynolds(model, naive)
+        if model is not group:
+            lifted = act(a, lifted)
         if lifted.is_zero():
             ok = False
             notes.append(f"lift of generator {i}: Reynolds average vanished")
@@ -551,7 +626,9 @@ def certify(
     non-reflection groups, about which the theory predicts nothing).  Given
     some PARTIAL_CHECKS, only those run, with the stages they need, and the
     verdict is "complete" unless the hypothesis is refuted.  Sub-check
-    failures are recorded in the certificate, never thrown.
+    failures are recorded in the certificate, never thrown.  The
+    fundamental invariants over k are found first, since for the ratfunc
+    kind those over K are read off them (see `fundamental_invariants`).
     """
     full = checks is None
     wanted = set(STAGES if full else checks)
@@ -626,15 +703,19 @@ def certify(
         base["molien"] = molien_series(group, degree_bound)
 
     if "invariants" in wanted:
-        errors = {}
-        for ring in (RING_K, RING_RESIDUE):  # fields fundamental_K, fundamental_k
+        found, errors = {}, {}
+        # k first: the ratfunc kind reads its generators over K off those over k
+        for ring in (RING_RESIDUE, RING_K):
             try:
-                base[f"fundamental_{ring}"] = fundamental_invariants(group, ring, degree_bound)
+                found[ring] = fundamental_invariants(group, ring, degree_bound)
             except DvrcertError as exc:
-                base[f"fundamental_{ring}"] = None
-                errors[ring] = str(exc)
-                notes.append(f"fundamental invariants over {ring}: {exc}")
-        base["fundamental_errors"] = tuple(errors.items())
+                found[ring], errors[ring] = None, str(exc)
+        for ring in (RING_K, RING_RESIDUE):  # fields fundamental_K, fundamental_k
+            base[f"fundamental_{ring}"] = found[ring]
+            if ring in errors:
+                notes.append(f"fundamental invariants over {ring}: {errors[ring]}")
+        base["fundamental_errors"] = tuple(
+            (ring, errors[ring]) for ring in (RING_K, RING_RESIDUE) if ring in errors)
         fund_K, fund_k = base["fundamental_K"], base["fundamental_k"]
         both = fund_K is not None and fund_k is not None
         base["degrees_match"] = both and fund_K.degrees == fund_k.degrees

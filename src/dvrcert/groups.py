@@ -31,7 +31,10 @@ and over k, the invariant bases over K and H^1 over K the generators and
 the elements H^1 reaches before it stops, the diagonalizing bases the
 reflections, and Reynolds every element.  Whether a ratfunc group lies in
 GL_n(F_p) is decided once, from its generators; its invariant bases over
-K are then those over k (see `polys.invariant_basis`).
+K are then those over k (see `polys.invariant_basis`).  Every ratfunc
+group whose order is a unit is conjugate in GL_n(O) to such a group, its
+constant model (`MatrixGroup.constant_model`), which has its residue rows
+and product table and shares what it keeps over k.
 
 A group is its closure: `generate_group` builds every group, the trivial
 one included, and records the index of every product element * generator
@@ -45,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ClosureCapExceededError, NotInvertibleError
+from .errors import ClosureCapExceededError, InternalCheckError, NotInvertibleError
 from .linalg import (
     RING_K,
     RING_O,
@@ -54,6 +57,7 @@ from .linalg import (
     IntMatrix,
     det,
     has_rank_one,
+    inverse_mod_p,
     reduce_form,
     ring_one,
     set_fields,
@@ -85,18 +89,25 @@ class MatrixGroup:
     by ("residues", "k"); the `ReflectionReport` (see
     `classify_reflections`), keyed by ("reflections", "K"); whether the
     group is defined over F_p (see `defined_over_prime_field`), keyed by
-    ("prime field", "K"); per-degree
+    ("prime field", "K"); the constant model (see `constant_model`),
+    keyed by ("constant model", "K"); per-degree
     results (invariant bases, H^1 contributions), keyed by (quantity,
-    degree, ring); and, keyed by ("images", ring, element index), an
-    element's images of the monomials of the highest degree its action
-    matrices reached (see `polys.element_action_matrix`).
+    degree, ring); the fundamental invariants, keyed by ("fundamental",
+    degree bound, ring); and, keyed by ("images", ring,
+    element index), an element's images of the monomials of the highest
+    degree its action matrices reached (see `polys.element_action_matrix`).
+    What is kept over k lives in `residue_memo` (`memo_over`), which is
+    `memo` itself except for a constant model: that one shares its
+    group's, since the two have the same residue rows and product table.
     """
 
-    __slots__ = ("descriptor", "n", "elements", "order", "products", "memo")
+    __slots__ = ("descriptor", "n", "elements", "order", "products", "memo", "residue_memo")
 
-    def __init__(self, descriptor, n, elements, products):
+    def __init__(self, descriptor, n, elements, products, residue_memo=None):
+        memo: dict = {}
         set_fields(self, descriptor=descriptor, n=n, elements=tuple(elements),
-                   order=len(elements), products=tuple(products), memo={})
+                   order=len(elements), products=tuple(products), memo=memo,
+                   residue_memo=memo if residue_memo is None else residue_memo)
 
     def __setattr__(self, name, value):
         raise AttributeError("groups are immutable once enumerated")
@@ -105,6 +116,11 @@ class MatrixGroup:
     def generator_indices(self) -> tuple:
         """The element index of each closure generator: identity * g = g."""
         return self.products[0]
+
+    def memo_over(self, ring: str) -> dict:
+        """Where what is computed over `ring` is kept: `residue_memo` over k,
+        `memo` over O or K."""
+        return self.residue_memo if ring == RING_RESIDUE else self.memo
 
     def matrix(self, i: int, ring: str) -> ExactMatrix:
         """Element i as an `ExactMatrix` over O, K or k, built the first time
@@ -116,7 +132,7 @@ class MatrixGroup:
             if self.descriptor.kind != KIND_INT:
                 return self.elements[i]
             ring = RING_O
-        built = self.memo.setdefault(("elements", ring), {})
+        built = self.memo_over(ring).setdefault(("elements", ring), {})
         m = built.get(i)
         if m is None:
             if ring == RING_O:
@@ -130,11 +146,11 @@ class MatrixGroup:
 
     def residue_rows(self) -> tuple:
         """The elements reduced to k as rows of ints in [0, p), in the order
-        of `elements`; kept in `memo` under ("residues", "k").  The int
-        kind's forms are reduced by `reduce_form`, the ratfunc kind's
-        entries by `descriptor.reduce`."""
-        key = ("residues", RING_RESIDUE)
-        if key not in self.memo:
+        of `elements`; kept in `residue_memo` under ("residues", "k").
+        The int kind's forms are reduced by `reduce_form`, the ratfunc
+        kind's entries by `descriptor.reduce`."""
+        memo, key = self.residue_memo, ("residues", RING_RESIDUE)
+        if key not in memo:
             if self.descriptor.kind == KIND_INT:
                 p = self.descriptor.p
                 rows = tuple(reduce_form(f, p) for f in self.elements)
@@ -142,8 +158,8 @@ class MatrixGroup:
                 reduce = self.descriptor.reduce
                 rows = tuple(tuple(tuple(reduce(a).value for a in row) for row in m.entries)
                              for m in self.elements)
-            self.memo[key] = rows
-        return self.memo[key]
+            memo[key] = rows
+        return memo[key]
 
     def defined_over_prime_field(self) -> bool:
         """Is the group inside GL_n(F_p), the constant matrices of GL_n(O)?
@@ -159,11 +175,76 @@ class MatrixGroup:
             )
         return self.memo[key]
 
+    def constant_model(self) -> tuple:
+        """(Gbar, A) for a ratfunc group whose order is a unit of O.
+
+        O = F_p[t]_(t) contains its residue field F_p, so each g has a
+        constant twin gbar, its residue rows, in GL_n(F_p), a subgroup of
+        GL_n(O).  Gbar is the group of the twins, on this group's
+        `products`: eta is a homomorphism, and past the gate injective.
+        A = (1/|G|) sum_g g gbar^-1, with gbar^-1 taken mod p from the
+        residue rows, so h A = sum_g hg gbar^-1 = A hbar for every h (put
+        g' = hg), and A = I mod t, so A lies in GL_n(O).  Then G = A Gbar
+        A^-1, and since act(g) act(h) = act(gh), f is Gbar-invariant
+        exactly when act(A, f) is G-invariant.  A is checked exactly (see
+        `_check_constant_model`).  A group already defined over F_p is
+        its own model, with A = I.  Gbar's residue rows are the group's,
+        so it shares `residue_memo` with it: its k side is the group's.
+        Any other model is built once and kept in `memo` under
+        ("constant model", "K"); the int kind has none, since Z_(p) holds
+        no field.
+        """
+        if self.descriptor.kind == KIND_INT:
+            raise ValueError("only a group over F_p[t]_(t) has a constant model")
+        if self.defined_over_prime_field():
+            return self, ExactMatrix.identity(RING_O, self.descriptor, self.n)
+        key = ("constant model", RING_K)
+        if key not in self.memo:
+            self.memo[key] = _constant_model(self)
+        return self.memo[key]
+
     def __repr__(self) -> str:
         return (
             f"MatrixGroup(n={self.n}, order={self.order}, "
             f"p={self.descriptor.p}, kind={self.descriptor.kind})"
         )
+
+
+def _constant_model(group: MatrixGroup) -> tuple:
+    descriptor, n = group.descriptor, group.n
+    inv_order = invert_mod_group_order(group.order, descriptor)  # the gate
+    p, residues = descriptor.p, group.residue_rows()
+    model = MatrixGroup(
+        descriptor, n, [ExactMatrix.from_ints(RING_O, descriptor, rows) for rows in residues],
+        group.products, group.residue_memo)
+    # Gbar = A^-1 G A over K: the same elements are reflections, with the
+    # same eigenvalues, orders and generation, so the report is the group's
+    model.memo["reflections", RING_K] = classify_reflections(group)
+    total = None
+    for g, rows in zip(group.elements, residues):
+        term = g * ExactMatrix.from_ints(RING_O, descriptor, inverse_mod_p(rows, p))
+        total = term if total is None else total + term
+    a = total.scale(inv_order)
+    _check_constant_model(group, model, a)
+    return model, a
+
+
+def _check_constant_model(group: MatrixGroup, model: MatrixGroup, a: ExactMatrix) -> None:
+    """Exact checks that A carries the model onto the group: A has entries
+    in O and a unit determinant, reduces to I, and g A = A gbar for every
+    generator g, hence for all of G.  A failure is `InternalCheckError`."""
+    descriptor = group.descriptor
+    if not all(descriptor.is_integral(x) for row in a.entries for x in row):
+        raise InternalCheckError("the conjugating matrix A has an entry outside O")
+    d = det(a)
+    if not descriptor.is_unit(d):
+        raise InternalCheckError(f"the conjugating matrix A has determinant {d}, not a unit of O")
+    if any(descriptor.reduce(x).value != int(i == j)
+           for i, row in enumerate(a.entries) for j, x in enumerate(row)):
+        raise InternalCheckError("the conjugating matrix A does not reduce to the identity")
+    for i in group.generator_indices:
+        if group.elements[i] * a != a * model.elements[i]:
+            raise InternalCheckError(f"g A differs from A gbar for the generator at element {i}")
 
 
 def generate_group(

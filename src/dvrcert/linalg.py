@@ -554,13 +554,25 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
 
 
 def _inverse_field(m: ExactMatrix) -> ExactMatrix:
-    n = m.rows
     rows, p, one = _field_rows(m)
+    return m._like(_field_values(m, _inverse_rows(rows, m.rows, p, one), m.rows))
+
+
+def inverse_mod_p(rows, p: int) -> tuple:
+    """The inverse over F_p of the square matrix with these rows of ints in
+    [0, p), as rows of ints in [0, p)."""
+    n = len(rows)
+    inv = _inverse_rows([dict(_nonzero_pairs(row)) for row in rows], n, p, 1)
+    return tuple(tuple(row.get(c, 0) for c in range(n)) for row in inv)
+
+
+def _inverse_rows(rows, n: int, p: int | None, one) -> list:
+    """The inverse of the n x n matrix with these sparse rows over K, or over
+    F_p given p, as sparse rows: the right half of the echelon of [M | I]."""
     pivot_rows = RowEchelon(({**row, n + i: one} for i, row in enumerate(rows)), p).pivot_rows
     if any(c >= n for c in pivot_rows):
         raise NotInvertibleError("matrix is singular")
-    inverse_rows = [{j - n: a for j, a in pivot_rows[c].items() if j >= n} for c in range(n)]
-    return m._like(_field_values(m, inverse_rows, n))
+    return [{j - n: a for j, a in pivot_rows[c].items() if j >= n} for c in range(n)]
 
 
 def reduce_form(form: IntMatrix, p: int) -> tuple:

@@ -15,7 +15,9 @@ group whose generators are constant matrices lies in GL_n(F_p); each of
 its systems over K = F_p(t) has entries in F_p, so its reduced echelon
 form is the one over F_p, and its invariant bases over K are its bases
 over k with each coefficient lifted to K, with no elimination over
-F_p(t).  The Molien series reads each
+F_p(t); `certify` reads every other ratfunc group's side over K off its
+constant model (`MatrixGroup.constant_model`), a group of that kind, and
+carries it back with `act`.  The Molien series reads each
 element's det(I - z g) off Berkowitz's characteristic polynomial
 (`linalg.char_poly`) in integers, on the integer forms for the int kind
 and on the residue rows mod p for the ratfunc kind, and inverts it by
@@ -234,6 +236,15 @@ class MultiPoly:
         return MultiPoly._of(
             RING_RESIDUE, self.descriptor, self.n, {e: reduce(c) for e, c in self.terms.items()}
         )
+
+    def lift(self, ring: str) -> MultiPoly:
+        """Coefficientwise lift of a k-polynomial to O or K, each residue
+        to the constant of F_p it names (`descriptor.from_int`)."""
+        if self.ring != RING_RESIDUE:
+            raise ValueError("only k-polynomials lift to O or K")
+        from_int = self.descriptor.from_int
+        return MultiPoly._of(ring, self.descriptor, self.n,
+                             {e: from_int(c.value) for e, c in self.terms.items()})
 
     # -- identity ----------------------------------------------------------------
 
@@ -458,7 +469,7 @@ def element_action_matrix(group: MatrixGroup, ring: str, idx: int, d: int) -> li
     element is the O-matrix `group.matrix(idx, ring)`, whose values are
     K's; over k it is its residue rows (`MatrixGroup.residue_rows`), and
     rho_d holds ints in [0, p), ready for `RowEchelon` with p."""
-    images = group.memo.setdefault(("images", ring, idx), {})
+    images = group.memo_over(ring).setdefault(("images", ring, idx), {})
     if ring == RING_RESIDUE:
         return action_matrix(group.residue_rows()[idx], group.n, d, images=images,
                              p=group.descriptor.p)
@@ -493,13 +504,13 @@ def invariant_basis(group: MatrixGroup, d: int, ring: str) -> GradedBasis:
         raise ValueError("invariant bases are computed over a field (K or k)")
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    key = ("invariant_basis", d, ring)
-    if key not in group.memo:
+    memo, key = group.memo_over(ring), ("invariant_basis", d, ring)
+    if key not in memo:
         if ring == RING_K and group.defined_over_prime_field():
-            group.memo[key] = _lifted_basis(group, d)
+            memo[key] = _lifted_basis(group, d)
         else:
-            group.memo[key] = _invariant_basis(group, d, ring)
-    return group.memo[key]
+            memo[key] = _invariant_basis(group, d, ring)
+    return memo[key]
 
 
 def _invariant_basis(group: MatrixGroup, d: int, ring: str) -> GradedBasis:
@@ -522,12 +533,7 @@ def _invariant_basis(group: MatrixGroup, d: int, ring: str) -> GradedBasis:
 def _lifted_basis(group: MatrixGroup, d: int) -> GradedBasis:
     """The degree-d basis over k, each coefficient lifted to K: the basis
     over K of a group defined over F_p."""
-    from_int = group.descriptor.from_int
-    return GradedBasis(d, tuple(
-        MultiPoly._of(RING_K, group.descriptor, group.n,
-                      {e: from_int(c.value) for e, c in f.terms.items()})
-        for f in invariant_basis(group, d, RING_RESIDUE).polys
-    ))
+    return GradedBasis(d, tuple(f.lift(RING_K) for f in invariant_basis(group, d, RING_RESIDUE).polys))
 
 
 # -- Molien series -----------------------------------------------------------------

@@ -123,3 +123,45 @@ def over_1_plus_t(group):
     return generate_group(
         [stretch * g * inverse(stretch) for g in generators_of(group)], descriptor=descriptor
     )
+
+
+def constant_ratfunc_groups() -> list:
+    """Groups inside GL_2(F_p): B_2 = <swap, diag(1, -1)> and G(4,1,2) =
+    <swap, diag(1, 2)> over F_5(t), and <diag(1, 3)> over F_7(t)."""
+    f5t = DvrDescriptor("ratfunc-localized", 5)
+    f7t = DvrDescriptor("ratfunc-localized", 7)
+    swap = [[0, 1], [1, 0]]
+    return [
+        generate_group([ExactMatrix.from_ints(RING_O, descriptor, g) for g in gens])
+        for descriptor, gens in ((f5t, (swap, [[1, 0], [0, -1]])),
+                                 (f7t, ([[1, 0], [0, 3]],)),
+                                 (f5t, (swap, [[1, 0], [0, 2]])))
+    ]
+
+
+def unimodular_over_t(descriptor: DvrDescriptor, n: int, rng: random.Random) -> ExactMatrix:
+    """A random basis change of O^n = F_p[t]_(t)^n that is not constant:
+    L * U * P, with L and U unit triangular, every entry off their
+    diagonals a + b*t with b nonzero, and P a permutation; det = +-1."""
+    p, t = descriptor.p, descriptor.uniformizer()
+    lower = [[descriptor.from_int(int(i == j)) for j in range(n)] for i in range(n)]
+    upper = [list(row) for row in lower]
+    for i in range(n):
+        for j in range(i):
+            for m, (r, c) in ((lower, (i, j)), (upper, (j, i))):
+                m[r][c] = (descriptor.from_int(rng.randrange(p))
+                           + descriptor.from_int(rng.randrange(1, p)) * t)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    pmat = [[int(perm[i] == j) for j in range(n)] for i in range(n)]
+    return (ExactMatrix(RING_O, descriptor, lower) * ExactMatrix(RING_O, descriptor, upper)
+            * ExactMatrix.from_ints(RING_O, descriptor, pmat))
+
+
+def conjugated_over_t(group, rng: random.Random):
+    """The ratfunc group U^-1 G U for a random `unimodular_over_t` U: the same
+    invariant theory, with entries that are not constants."""
+    u = unimodular_over_t(group.descriptor, group.n, rng)
+    u_inv = inverse(u)
+    return generate_group([u_inv * g * u for g in generators_of(group)],
+                          descriptor=group.descriptor)

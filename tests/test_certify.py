@@ -21,7 +21,7 @@ from dvrcert.certify import (
     jacobian_independence,
     lift_fundamentals,
 )
-from dvrcert.groups import classify_reflections, generate_group
+from dvrcert.groups import _check_constant_model, classify_reflections, generate_group
 from dvrcert.linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix, det_of_rows, inverse
 from dvrcert.polys import (
     MultiPoly,
@@ -29,13 +29,17 @@ from dvrcert.polys import (
     act,
     action_matrix,
     invariant_basis,
+    monomials,
     nonzero_at_a_point,
     polynomial_det_is_nonzero,
 )
 from dvrcert.scalars import DvrDescriptor
 
+from conftest import conjugated_over_t, constant_ratfunc_groups, over_1_plus_t
 from oracles import (
+    DenseRowEchelon,
     _h1_exact_degree_bruteforce,
+    action_matrix_bruteforce,
     element_matrices,
     generators_of,
     h1_bruteforce,
@@ -606,3 +610,118 @@ def test_certificate_serialization_schema(s3_z5):
     assert len(doc["reflections"]) == 3
     assert doc["molien"] == ["1", "1", "2", "3", "4", "5", "7"]
     assert all(entry["verified"] for entry in doc["bases"])
+
+
+# -- the constant model of a ratfunc group ----------------------------------------------------
+
+
+def _conjugated_ratfunc_pairs():
+    """(group as given, conjugate) for B_2/F_5(t), <diag(1, 3)>/F_7(t) and
+    G(4,1,2)/F_5(t), each conjugated by a seeded basis change with entries
+    a + b t, and B_2/F_5(t) conjugated by diag(1 + t, 1), whose entries have
+    1 + t in their denominators."""
+    rng = random.Random(23)
+    pairs = [(group, conjugated_over_t(group, rng)) for group in constant_ratfunc_groups()]
+    b2 = pairs[0][0]
+    return pairs + [(b2, over_1_plus_t(b2))]
+
+
+def test_a_conjugated_ratfunc_job_reports_what_the_group_as_given_does():
+    for given, conjugate in _conjugated_ratfunc_pairs():
+        assert given.defined_over_prime_field() and not conjugate.defined_over_prime_field()
+        expected, cert = certify(given, 8), certify(conjugate, 8)
+        assert cert.verdict == expected.verdict == "certified"
+        for field in ("degrees_match", "graded_table", "molien", "h1_table", "lift_verified"):
+            assert getattr(cert, field) == getattr(expected, field), field
+        assert cert.fundamental_K.degrees == expected.fundamental_K.degrees
+        assert cert.fundamental_k.degrees == expected.fundamental_k.degrees
+
+
+def test_printed_generators_and_lifts_are_invariants_of_the_jobspec_group():
+    for _, conjugate in _conjugated_ratfunc_pairs():
+        cert = certify(conjugate, 8)
+        jobspec = generators_of(conjugate)
+        # carried back: the printed generators over K are not the lifts of
+        # those over k, which the conjugate does not fix
+        lifted = [f.lift(RING_K) for f in cert.fundamental_k.generators]
+        assert list(cert.fundamental_K.generators) != lifted
+        for f in cert.fundamental_K.generators + cert.lifts:
+            for g in jobspec:
+                assert act(g, f) == f
+        assert all(lift.ring == RING_O for lift in cert.lifts)
+        for lift, f_bar in zip(cert.lifts, cert.fundamental_k.generators, strict=True):
+            assert lift.reduce() == f_bar
+
+
+def test_the_constant_model_conjugates_the_group_onto_its_reduction():
+    for given, conjugate in _conjugated_ratfunc_pairs():
+        descriptor, n = conjugate.descriptor, conjugate.n
+        model, a = conjugate.constant_model()
+        assert conjugate.constant_model()[0] is model  # built once
+        assert model.defined_over_prime_field()
+        assert model.products == conjugate.products
+        assert model.elements == tuple(ExactMatrix.from_ints(RING_O, descriptor, rows)
+                                       for rows in conjugate.residue_rows())
+        # A in GL_n(O), A = I mod t, and g A = A gbar for all of G
+        assert all(descriptor.is_integral(x) for row in a.entries for x in row)
+        assert descriptor.is_unit(det_of_rows(a.entries, descriptor.zero(), descriptor.one()))
+        assert [[descriptor.reduce(x).value for x in row] for row in a.entries] == [
+            [int(i == j) for j in range(n)] for i in range(n)]
+        for g, g_bar in zip(conjugate.elements, model.elements, strict=True):
+            assert g * a == a * g_bar
+        # a group inside GL_n(F_p) is its own model
+        assert given.constant_model() == (given, ExactMatrix.identity(RING_O, descriptor, n))
+
+
+def test_a_wrong_conjugating_matrix_is_an_internal_error(s2_z3):
+    conjugate = _conjugated_ratfunc_pairs()[0][1]
+    descriptor, n = conjugate.descriptor, conjugate.n
+    model, a = conjugate.constant_model()
+    t = descriptor.uniformizer()
+    for wrong, message in ((a.scale(t.inverse()), "outside O"),
+                           (a.scale(t), "not a unit"),
+                           (a.scale(descriptor.from_int(2)), "does not reduce"),
+                           (ExactMatrix.identity(RING_O, descriptor, n), "differs from A gbar")):
+        with pytest.raises(InternalCheckError, match=message):
+            _check_constant_model(conjugate, model, wrong)
+    _check_constant_model(conjugate, model, a)
+    with pytest.raises(ValueError, match="constant model"):
+        s2_z3.constant_model()
+
+
+def test_the_K_column_of_a_conjugated_job_matches_elimination_over_F_p_t():
+    # `certify` solves no system over F_p(t) for these groups; the oracle
+    # eliminates the stacked RatFunc rows rho_d(g) - I of the jobspec
+    # generators over F_p(t)
+    for _, conjugate in _conjugated_ratfunc_pairs():
+        descriptor, n = conjugate.descriptor, conjugate.n
+        gens = [g.to_field() for g in generators_of(conjugate)]
+        for d, dim_K, dim_k, _ in graded_isomorphism_check(conjugate, 6):
+            stacked = DenseRowEchelon()
+            for g in gens:
+                for r, row in enumerate(action_matrix_bruteforce(g, n, d).entries):
+                    stacked.add([x - descriptor.one() if c == r else x for c, x in enumerate(row)])
+            assert dim_K == len(monomials(n, d)) - stacked.rank == dim_k, d
+
+
+def test_a_conjugated_ratfunc_group_computes_its_k_side_once(monkeypatch):
+    certify_module = sys.modules["dvrcert.certify"]
+    polys_module = sys.modules["dvrcert.polys"]
+    computed = []
+    for module, name in ((polys_module, "_invariant_basis"),
+                         (certify_module, "_h1_exact_degree"),
+                         (certify_module, "_greedy_fundamentals")):
+        def counted(group, *args, _name=name, _original=getattr(module, name)):
+            computed.append((_name, *args))
+            return _original(group, *args)
+
+        monkeypatch.setattr(module, name, counted)
+    conjugate = _conjugated_ratfunc_pairs()[0][1]
+    assert certify(conjugate, 8).verdict == "certified"
+    # the model reads the group's bases over k; nothing is solved over K
+    assert sorted(computed) == sorted(
+        [("_invariant_basis", d, RING_RESIDUE) for d in range(9)]
+        + [("_h1_exact_degree", d, RING_RESIDUE) for d in range(6)]
+        + [("_greedy_fundamentals", RING_RESIDUE, 8)])
+    model, _ = conjugate.constant_model()
+    assert model.residue_memo is conjugate.memo

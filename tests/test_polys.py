@@ -7,7 +7,7 @@ import pytest
 from dvrcert.certify import certify
 from dvrcert.errors import HypothesisViolationError, InternalCheckError
 from dvrcert.groups import generate_group
-from dvrcert.linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix, inverse
+from dvrcert.linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix, RowEchelon, inverse
 from dvrcert.polys import (
     MultiPoly,
     act,
@@ -21,7 +21,12 @@ from dvrcert.polys import (
 )
 from dvrcert.scalars import DvrDescriptor
 
-from conftest import over_1_plus_t, random_unimodular
+from conftest import (
+    conjugated_over_t,
+    constant_ratfunc_groups,
+    over_1_plus_t,
+    random_unimodular,
+)
 from oracles import (
     DenseRowEchelon,
     _char_series_denominator,
@@ -330,23 +335,16 @@ def test_reynolds_is_idempotent_projection(s3_z5):
             assert act(g, rf) == rf
 
 
-def _constant_groups(f5t, c4_f5t):
-    """Ratfunc groups inside GL_n(F_p), with the degree bound each is tested to."""
-    f7t = DvrDescriptor("ratfunc-localized", 7)
-    b2 = [[[0, 1], [1, 0]], [[1, 0], [0, -1]]]
-    g412 = [[[0, 1], [1, 0]], [[1, 0], [0, 2]]]
-    return [
-        (c4_f5t, 8),
-        (generate_group([ExactMatrix.from_ints(RING_O, f5t, g) for g in b2]), 8),
-        (generate_group([ExactMatrix.from_ints(RING_O, f7t, [[1, 0], [0, 3]])]), 8),
-        (generate_group([ExactMatrix.from_ints(RING_O, f5t, g) for g in g412]), 12),
-    ]
+def _constant_groups(c4_f5t):
+    """Ratfunc groups inside GL_n(F_p), with the degree bound each is tested to:
+    C_4, then B_2, <diag(1, 3)> and G(4,1,2) (`constant_ratfunc_groups`)."""
+    return [(c4_f5t, 8)] + list(zip(constant_ratfunc_groups(), (8, 8, 12)))
 
 
-def test_the_basis_over_K_of_a_group_over_F_p_is_the_lifted_basis_over_k(f5t, c4_f5t):
+def test_the_basis_over_K_of_a_group_over_F_p_is_the_lifted_basis_over_k(c4_f5t):
     # the lifted basis must be the reduced echelon kernel of the stacked
     # RatFunc rows rho_d(g) - I over F_p(t), eliminated here by the oracle
-    for group, bound in _constant_groups(f5t, c4_f5t):
+    for group, bound in _constant_groups(c4_f5t):
         assert group.defined_over_prime_field()
         descriptor = group.descriptor
         zero, one = descriptor.zero(), descriptor.one()
@@ -370,33 +368,38 @@ def test_the_basis_over_K_of_a_group_over_F_p_is_the_lifted_basis_over_k(f5t, c4
             ]
 
 
-def test_a_group_over_F_p_builds_no_action_matrix_over_K(
-    f5t, c4_f5t, b2_f5t_twisted, monkeypatch
-):
+def test_a_group_over_F_p_builds_no_action_matrix_over_K(c4_f5t, b2_f5t_twisted, monkeypatch):
+    # no ratfunc group past the gate, inside GL_n(F_p) or conjugated out of
+    # it, builds an action matrix over K or eliminates rows of RatFunc values
+    # in `certify`: its K side is the k side of its constant model, carried
+    # back by act(A, .)
     polys_module = sys.modules["dvrcert.polys"]
-    built = []
+    built, eliminated = [], set()
 
     def counted(g, n, d, **kwargs):
         built.append(RING_RESIDUE if kwargs.get("p") else RING_K)
         return action_matrix(g, n, d, **kwargs)
 
+    def counted_add(self, row, _original=RowEchelon.add):
+        eliminated.update(type(a) for a in row.values())
+        return _original(self, row)
+
     monkeypatch.setattr(polys_module, "action_matrix", counted)
-    c4 = generate_group(generators_of(c4_f5t))
-    assert certify(c4, 8).verdict == "certified"
-    assert c4.defined_over_prime_field()
-    assert built and RING_K not in built
-    # entries that are not constants of F_p: the bases over K are solved over
-    # F_p(t).  A conjugate of C_4 in GL_1 is C_4 itself, so B_2 as given is
-    # conjugated by diag(1 + t, 1) instead
-    b2 = generate_group([ExactMatrix.from_ints(RING_O, f5t, g)
-                         for g in ([[0, 1], [1, 0]], [[1, 0], [0, -1]])])
-    assert b2.defined_over_prime_field()
-    assert over_1_plus_t(c4_f5t).defined_over_prime_field()
-    for group in (over_1_plus_t(b2), generate_group(generators_of(b2_f5t_twisted))):
+    monkeypatch.setattr(RowEchelon, "add", counted_add)
+    rng = random.Random(21)
+    jobs = [(group, bound, True) for group, bound in _constant_groups(c4_f5t)]
+    # a conjugate in GL_1 is the group itself
+    jobs.append((over_1_plus_t(c4_f5t), 8, True))
+    jobs += [(conjugated_over_t(group, rng), 8, False) for group in constant_ratfunc_groups()]
+    jobs += [(over_1_plus_t(jobs[1][0]), 8, False), (b2_f5t_twisted, 8, False)]
+    for group, bound, is_constant in jobs:
         built.clear()
-        assert not group.defined_over_prime_field()
-        assert certify(group, 8).verdict == "certified"
-        assert RING_K in built and RING_RESIDUE in built
+        eliminated.clear()
+        fresh = generate_group(generators_of(group), descriptor=group.descriptor)
+        assert fresh.defined_over_prime_field() is is_constant
+        assert certify(fresh, bound).verdict == "certified"
+        assert built and RING_K not in built
+        assert eliminated == {int}
 
 
 def test_reynolds_span_equals_invariant_basis_span(s2_z3, b2_z3):
