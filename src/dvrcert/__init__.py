@@ -16,7 +16,6 @@ from .errors import (
 )
 from .scalars import (
     DvrDescriptor,
-    ResidueScalar,
     invert_mod_group_order,
     parse_scalar,
 )

@@ -156,16 +156,18 @@ def fundamental_invariants(
         try:
             memo[key] = _greedy_fundamentals(group, ring, degree_bound)
         except DvrcertError as exc:
-            memo[key] = exc
-    if isinstance(memo[key], DvrcertError):
-        raise memo[key]
-    return memo[key]
+            # a copy with no traceback, whose frames would hold the group
+            memo[key] = type(exc)(*exc.args)
+    found = memo[key]
+    if isinstance(found, DvrcertError):
+        raise type(found)(*found.args)
+    return found
 
 
 def _fundamentals_of_the_model(group: MatrixGroup, degree_bound: int) -> FundamentalInvariants:
     """The generators over K of a ratfunc group: those over k lifted, checked
     on the constant model, then carried to G by act(A, .)."""
-    model, a = group.constant_model()
+    model = group.constant_model()[0]
     over_k = fundamental_invariants(group, RING_RESIDUE, degree_bound)
     lifted = FundamentalInvariants(
         RING_K, tuple(f.lift(RING_K) for f in over_k.generators), over_k.degrees)
@@ -174,8 +176,20 @@ def _fundamentals_of_the_model(group: MatrixGroup, degree_bound: int) -> Fundame
         raise CertificateConditionError("; ".join(problems))
     if model is group:
         return lifted
+    carried = (_carried(group, f.lift(RING_O)) for f in over_k.generators)
     return FundamentalInvariants(
-        RING_K, tuple(act(a, f) for f in lifted.generators), lifted.degrees)
+        RING_K, tuple(MultiPoly(RING_K, f.descriptor, f.n, f.terms) for f in carried),
+        lifted.degrees)
+
+
+def _carried(group: MatrixGroup, f: MultiPoly) -> MultiPoly:
+    """act(A, f) for f over O and a ratfunc group G = A Gbar A^-1 that is not
+    its own model, kept in `memo` under ("carried", f, "O"): the generators
+    over K and the lifts carry the same lifts of the generators over k."""
+    key = ("carried", f, RING_O)
+    if key not in group.memo:
+        group.memo[key] = act(group.constant_model()[1], f)
+    return group.memo[key]
 
 
 def _greedy_fundamentals(
@@ -404,11 +418,12 @@ def h1_dimension(group: MatrixGroup, degree: int, ring: str) -> int:
     a unit of K and of k, and since |G| kills H^1 every piece is 0: there
     the table is an exact cross-check of a theorem, not a proof obligation.
 
-    Each contribution is computed once per group and kept in `group.memo`,
-    so a table over d = 0, 1, ... is a prefix sum.  The k piece of a degree
-    comes first, because it bounds the K piece (see `_h1_exact_degree`):
-    a zero k piece makes the K piece 0 with no elimination over K, so K is
-    solved only where the k piece is nonzero, and there a K piece above it
+    Each contribution is computed once per group and kept in
+    `group.memo_over(ring)`, so a table over d = 0, 1, ... is a prefix
+    sum.  The k piece of a degree comes first, because it bounds the K
+    piece (see `_h1_exact_degree`): a zero k piece makes the K piece 0
+    with no elimination over K, so K is solved only where the k piece is
+    nonzero, and there a K piece above it
     raises `InternalCheckError`.  Any ring but K or k, and a negative
     degree, as `invariant_basis` does, are refused before any piece is
     computed.
@@ -447,16 +462,17 @@ def lift_fundamentals(group: MatrixGroup, residue_inv: FundamentalInvariants):
     the reduction.  A lift that Gbar's generators already fix, as the lift
     of a generator over k does, is its own average and is not averaged.
     Gbar is constant, so its generators fix the lift exactly when their
-    residues fix the generator over k, which is asked over k.
+    residues fix the generator over k, which is asked over k; such a lift
+    is the one the generators over K carry, so A acts on it once.
     Returns (lifted polynomials, verdict, notes).
     """
     if residue_inv.ring != RING_RESIDUE:
         raise ValueError("lift expects fundamental invariants over the residue field")
     invert_mod_group_order(group.order, group.descriptor)
     if group.descriptor.kind == KIND_INT:
-        model, a, gens = group, None, None
+        model, gens = group, None
     else:
-        model, a = group.constant_model()
+        model = group.constant_model()[0]
         gens = [group.matrix(i, RING_RESIDUE) for i in group.generator_indices]
     lifts = []
     notes = []
@@ -466,7 +482,7 @@ def lift_fundamentals(group: MatrixGroup, residue_inv: FundamentalInvariants):
         fixed = gens is not None and all(act(g, f_bar) == f_bar for g in gens)
         lifted = naive if fixed else reynolds(model, naive)
         if model is not group:
-            lifted = act(a, lifted)
+            lifted = _carried(group, lifted)
         if lifted.is_zero():
             ok = False
             notes.append(f"lift of generator {i}: Reynolds average vanished")

@@ -82,32 +82,33 @@ class MatrixGroup:
     and read row-major it first meets each element j >= 1 in a row i < j,
     at the product that reached j: the breadth-first tree.
 
-    `memo` holds what several checks share, and lives and dies with the
-    group: the elements built as matrices over O (the int kind only) and
-    over k (see `matrix`), keyed by ("elements", ring), each a dict
-    {element index: matrix}; the residue rows (see `residue_rows`), keyed
-    by ("residues", "k"); the `ReflectionReport` (see
+    `memo` and `residue_memo` hold what several checks share, over O or K
+    and over k (`memo_over`), and live and die with the group: the
+    elements built as matrices over O (the int kind only) and over k (see
+    `matrix`), keyed by ("elements", ring), each a dict {element index:
+    matrix}; the residue rows (see `residue_rows`), keyed by ("residues",
+    "k"); the `ReflectionReport` (see
     `classify_reflections`), keyed by ("reflections", "K"); whether the
     group is defined over F_p (see `defined_over_prime_field`), keyed by
     ("prime field", "K"); the constant model (see `constant_model`),
-    keyed by ("constant model", "K"); per-degree
+    keyed by ("constant model", "K"), and what it carries to the group
+    (see `certify._carried`), keyed by ("carried", f, "O"); per-degree
     results (invariant bases, H^1 contributions), keyed by (quantity,
     degree, ring); the fundamental invariants, keyed by ("fundamental",
     degree bound, ring); and, keyed by ("images", ring,
     element index), an element's images of the monomials of the highest
     degree its action matrices reached (see `polys.element_action_matrix`).
-    What is kept over k lives in `residue_memo` (`memo_over`), which is
-    `memo` itself except for a constant model: that one shares its
-    group's, since the two have the same residue rows and product table.
+    A constant model shares its group's `residue_memo`, since the two have
+    the same residue rows and product table; the group keeps the model in
+    `memo`, so the two dicts are apart and hold no cycle.
     """
 
     __slots__ = ("descriptor", "n", "elements", "order", "products", "memo", "residue_memo")
 
     def __init__(self, descriptor, n, elements, products, residue_memo=None):
-        memo: dict = {}
         set_fields(self, descriptor=descriptor, n=n, elements=tuple(elements),
-                   order=len(elements), products=tuple(products), memo=memo,
-                   residue_memo=memo if residue_memo is None else residue_memo)
+                   order=len(elements), products=tuple(products), memo={},
+                   residue_memo={} if residue_memo is None else residue_memo)
 
     def __setattr__(self, name, value):
         raise AttributeError("groups are immutable once enumerated")
@@ -126,8 +127,8 @@ class MatrixGroup:
         """Element i as an `ExactMatrix` over O, K or k, built the first time
         a stage reads it.  Over O or K it is the O-matrix, which serves K:
         `act` takes it on a K-polynomial and `action_matrix` reads only its
-        values.  Over k it is built from `residue_rows`.  What is built is
-        kept in `memo` (see the class)."""
+        values.  Over k it wraps its `residue_rows` as they are.  What is
+        built is kept in `memo_over(ring)` (see the class)."""
         if ring != RING_RESIDUE:
             if self.descriptor.kind != KIND_INT:
                 return self.elements[i]
@@ -139,8 +140,7 @@ class MatrixGroup:
                 f = self.elements[i]
                 rows = [[Fraction(a, f.den) for a in row] for row in f.rows]
             else:
-                residue = self.descriptor.residue
-                rows = [[residue(a) for a in row] for row in self.residue_rows()[i]]
+                rows = self.residue_rows()[i]
             m = built[i] = ExactMatrix._of(ring, self.descriptor, rows)
         return m
 
@@ -156,7 +156,7 @@ class MatrixGroup:
                 rows = tuple(reduce_form(f, p) for f in self.elements)
             else:
                 reduce = self.descriptor.reduce
-                rows = tuple(tuple(tuple(reduce(a).value for a in row) for row in m.entries)
+                rows = tuple(tuple(tuple(reduce(a) for a in row) for row in m.entries)
                              for m in self.elements)
             memo[key] = rows
         return memo[key]
@@ -239,7 +239,7 @@ def _check_constant_model(group: MatrixGroup, model: MatrixGroup, a: ExactMatrix
     d = det(a)
     if not descriptor.is_unit(d):
         raise InternalCheckError(f"the conjugating matrix A has determinant {d}, not a unit of O")
-    if any(descriptor.reduce(x).value != int(i == j)
+    if any(descriptor.reduce(x) != int(i == j)
            for i, row in enumerate(a.entries) for j, x in enumerate(row)):
         raise InternalCheckError("the conjugating matrix A does not reduce to the identity")
     for i in group.generator_indices:
@@ -353,21 +353,24 @@ def reflection_eigenvalue(m):
 
     m is an `ExactMatrix` over O, K or k, or an int-kind element given by
     its `IntMatrix` form A / D.  rank(m - I) = 1 over K or k is decided by
-    `has_rank_one`, on the entries of m - I, or on the integer rows of
-    A - D I = D (m - I), which has the same rank.  The eigenvalue is
-    det(m), since the other eigenvalues are all 1; with m - I = u v^T it is
-    1 + v^T u = 1 + trace(m - I), that is 1 + tr(A - D I) / D, so no
-    determinant and no root-finding is needed.
+    `has_rank_one`, on the entries of m - I, over k with its p, or on the
+    integer rows of A - D I = D (m - I), which has the same rank.  The
+    eigenvalue is det(m), since the other eigenvalues are all 1; with
+    m - I = u v^T it is 1 + v^T u = 1 + trace(m - I), that is
+    1 + tr(A - D I) / D, so no determinant and no root-finding is needed.
     """
     if isinstance(m, IntMatrix):
-        den, rows = m.den, m.rows
+        den, rows, p = m.den, m.rows, None
     else:
         den, rows = ring_one(m.ring, m.descriptor), m.entries
+        p = m.descriptor.p if m.ring == RING_RESIDUE else None
     shifted = shifted_rows(rows, den)
-    if not has_rank_one(shifted):
+    if not has_rank_one(shifted, p):
         return None
     lam = sum((row[i] for i, row in enumerate(shifted)), den)
-    return Fraction(lam, den) if isinstance(m, IntMatrix) else lam
+    if isinstance(m, IntMatrix):
+        return Fraction(lam, den)
+    return lam if p is None else lam % p
 
 
 def eigenvalue_order(lam, ring: str, descriptor: DvrDescriptor) -> int | None:
@@ -381,8 +384,8 @@ def eigenvalue_order(lam, ring: str, descriptor: DvrDescriptor) -> int | None:
     never; a lam of F_p(t) that is not a constant is never one, and gets
     None at once.  For lam = 1, g = I + N with N^2 = (tr N) N = 0, so
     g^k = I + kN: the order is p in characteristic p, and over Q there is
-    none.  `lam` is compared with the ring's own one: a `ResidueScalar`
-    never equals a `Fraction`.
+    none.  `lam` is compared with the ring's own one; over k it is an int
+    in [0, p), and its powers are taken mod p.
     """
     over_k = ring == RING_RESIDUE
     over_q = descriptor.kind == KIND_INT and not over_k
@@ -397,6 +400,8 @@ def eigenvalue_order(lam, ring: str, descriptor: DvrDescriptor) -> int | None:
         if k == bound:
             return None
         power, k = power * lam, k + 1
+        if over_k:
+            power %= descriptor.p
     return k
 
 

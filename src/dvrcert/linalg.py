@@ -17,10 +17,11 @@ over the two fields, and takes the rows of the degree-d action matrices,
 the product spans and the H^1 relations directly.  Over K its values are
 those of K; over k they are ints in [0, p), with p given to `RowEchelon`
 and `add_multiple`, which reduce every entry they write mod p and
-normalise a pivot by its inverse mod p.  So no elimination runs on
-`ResidueScalar` values: a matrix over k enters as the ints of its
-residues, and a kernel or inverse leaves as residues again
-(`elimination_field` gives the p and the one of either field).
+normalise a pivot by its inverse mod p (`elimination_field` gives the p
+and the one of either field).  A value of k is an int in [0, p), with p
+read off the matrix's descriptor: a matrix over k is reduced mod p where
+it is built (the public constructor and `_of`, which every result of
+arithmetic passes), and so are `det` and `apply` over k.
 
 Every determinant is read off one routine, `char_poly`: Berkowitz's
 recursion for det(I - z A), with +, - and * only, so it runs on ints,
@@ -30,7 +31,7 @@ Jacobian of polynomials; the Molien series takes det(I - z g) whole.
 
 The passes over every group element use no division and no field
 elimination either: `has_rank_one` decides rank(g - I) = 1 by
-cross-multiplying each row with the first nonzero one, on field values,
+cross-multiplying each row with the first nonzero one, on values of K,
 on ints over Q or on ints mod p.  An `IntMatrix` is a matrix over Q as
 integers, A / D in lowest terms, on which the int kind's group closure
 multiplies, hashes and compares; `reduce_form` takes it to F_p as
@@ -38,6 +39,7 @@ multiplies, hashes and compares; `reduce_form` takes it to F_p as
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import chain
 from math import gcd, lcm
@@ -52,8 +54,8 @@ VALID_RINGS = (RING_O, RING_K, RING_RESIDUE)
 
 
 def ring_from_int(ring: str, descriptor: DvrDescriptor):
-    """The map from the integers to O, K or k."""
-    return descriptor.residue if ring == RING_RESIDUE else descriptor.from_int
+    """The map from the integers to O, K or k: over k, a -> a mod p."""
+    return (lambda a: a % descriptor.p) if ring == RING_RESIDUE else descriptor.from_int
 
 
 def ring_zero(ring: str, descriptor: DvrDescriptor):
@@ -110,11 +112,16 @@ class ExactMatrix:
                 for a in row:
                     if not descriptor.is_integral(a):
                         raise NotInRingError(f"entry {a} is not in the DVR")
+        elif ring == RING_RESIDUE:
+            rows = tuple(tuple(operator.index(a) % descriptor.p for a in row) for row in rows)
         set_fields(self, ring=ring, descriptor=descriptor, entries=rows, _hash=None)
 
     @staticmethod
     def _of(ring: str, descriptor: DvrDescriptor, rows) -> ExactMatrix:
-        """The matrix of rows of values already known to lie in the ring, unchecked."""
+        """The matrix of rows of values of the ring, unchecked; over k the
+        ints are reduced mod p here, for every result of arithmetic."""
+        if ring == RING_RESIDUE:
+            rows = ([a % descriptor.p for a in row] for row in rows)
         return set_fields(object.__new__(ExactMatrix), ring=ring, descriptor=descriptor,
                           entries=tuple(map(tuple, rows)), _hash=None)
 
@@ -202,7 +209,8 @@ class ExactMatrix:
             raise ValueError("vector length mismatch")
         zero = ring_zero(self.ring, self.descriptor)
         pairs = _nonzero_pairs(vector)
-        return tuple(_sparse_dot(row, pairs, zero) for row in self.entries)
+        out = tuple(_sparse_dot(row, pairs, zero) for row in self.entries)
+        return tuple(a % self.descriptor.p for a in out) if self.ring == RING_RESIDUE else out
 
     def minus_identity(self) -> ExactMatrix:
         """The matrix minus the identity: one subtracted on the diagonal only."""
@@ -343,11 +351,8 @@ def add_multiple(row: dict, f, other: dict, p: int | None = None) -> None:
 
 def elimination_field(ring: str, descriptor: DvrDescriptor) -> tuple:
     """(p, one) for eliminating over K or k with `RowEchelon` and
-    `add_multiple`: over k the rows hold ints in [0, p) and one is 1; over
-    K p is None and one is K's own."""
-    if ring == RING_RESIDUE:
-        return descriptor.p, 1
-    return None, ring_one(ring, descriptor)
+    `add_multiple`: p is k's, or None over K, and one is the field's."""
+    return descriptor.p if ring == RING_RESIDUE else None, ring_one(ring, descriptor)
 
 
 class RowEchelon:
@@ -417,21 +422,17 @@ class RowEchelon:
 
 def _field_rows(m: ExactMatrix) -> tuple:
     """(sparse rows, p, one) of a matrix over K or k, as `RowEchelon` takes
-    them (see `elimination_field`): over k the ints in [0, p) of its residues."""
+    them (see `elimination_field`)."""
     if m.ring == RING_O:
         raise ValueError("rank/kernel are field operations; retag the matrix with to_field()")
     p, one = elimination_field(m.ring, m.descriptor)
-    if p is not None:
-        return [{c: a.value for c, a in _nonzero_pairs(row)} for row in m.entries], p, one
     return [dict(_nonzero_pairs(row)) for row in m.entries], p, one
 
 
 def _field_values(m: ExactMatrix, vectors, width: int) -> tuple:
-    """Sparse vectors of the echelon as dense tuples of values of m's ring:
-    over k an int in [0, p) becomes a residue."""
+    """Sparse vectors of the echelon as dense tuples of values of m's ring."""
     zero = ring_zero(m.ring, m.descriptor)
-    value = m.descriptor.residue if m.ring == RING_RESIDUE else (lambda a: a)
-    return tuple(tuple(value(v[c]) if c in v else zero for c in range(width)) for v in vectors)
+    return tuple(tuple(v.get(c, zero) for c in range(width)) for v in vectors)
 
 
 def rank_over_field(m: ExactMatrix) -> int:
@@ -453,8 +454,8 @@ def has_rank_one(rows, p: int | None = None) -> bool:
     """Is the matrix with these rows of rank exactly one?  Decided by
     cross-multiplication, with no division and no echelon.
 
-    The rows hold values of a field, K or k, or ints read over Q.  With p
-    given they hold ints in (-p, p) read mod p, so that an entry is zero
+    The rows hold values of K, or ints read over Q.  With p given they
+    hold ints in (-p, p) read over k = F_p, so that an entry is zero
     exactly when it is 0 mod p, and each cross product is compared mod p.
     With r the first nonzero row and j a column where r_j != 0, the rank is
     one exactly when every later row a is (a_j / r_j) * r, that is when
@@ -487,7 +488,8 @@ def det(m: ExactMatrix):
     division, so the entries of an O-matrix never leave O."""
     if not m.is_square:
         raise ValueError("determinant of a non-square matrix")
-    return det_of_rows(m.entries, ring_zero(m.ring, m.descriptor), ring_one(m.ring, m.descriptor))
+    d = det_of_rows(m.entries, ring_zero(m.ring, m.descriptor), ring_one(m.ring, m.descriptor))
+    return d % m.descriptor.p if m.ring == RING_RESIDUE else d
 
 
 def det_of_rows(rows, zero, one):
@@ -505,9 +507,9 @@ def char_poly(rows, zero, one) -> tuple:
 
     They are the coefficients of the characteristic polynomial det(x I - A)
     from x^n down: c_k is (-1)^k times the sum of the principal k-minors.
-    The routine uses only +, - and *, so it runs on ints, `Fraction`,
-    `RatFunc`, `ResidueScalar` and `MultiPoly` values alike; `zero` and
-    `one` are those of the values' ring.  It grows the leading principal
+    The routine uses only +, - and *, so it runs on ints (over Z, or over
+    F_p read mod p afterwards), `Fraction`, `RatFunc` and `MultiPoly`
+    values alike; `zero` and `one` are those of the values' ring.  It grows the leading principal
     block A_k one row and column at a time: with R = row k and C = column
     k of A, both cut to the block, and a = A[k][k], the coefficients for
     A_{k+1} are those of the product of the polynomials with coefficients

@@ -7,26 +7,28 @@ inverting any matrices.  One recursion, X^e = X^(e - u_j) * X_j, builds
 every monomial image, for `act` and for the degree-by-degree action
 matrices alike.  Monomials are ordered graded-lexicographically
 throughout, which fixes canonical coefficient coordinates for every
-echelon computation downstream.  Over k those coordinates are ints in
-[0, p) (`MultiPoly.coordinates`, `from_coordinates`): the action
-matrices over k are built on the residue rows mod p, and a coefficient
-becomes a `ResidueScalar` only when a polynomial is formed.  A ratfunc
-group whose generators are constant matrices lies in GL_n(F_p); each of
-its systems over K = F_p(t) has entries in F_p, so its reduced echelon
-form is the one over F_p, and its invariant bases over K are its bases
-over k with each coefficient lifted to K, with no elimination over
-F_p(t); `certify` reads every other ratfunc group's side over K off its
-constant model (`MatrixGroup.constant_model`), a group of that kind, and
-carries it back with `act`.  The Molien series reads each
-element's det(I - z g) off Berkowitz's characteristic polynomial
-(`linalg.char_poly`) in integers, on the integer forms for the int kind
-and on the residue rows mod p for the ratfunc kind, and inverts it by
-one division-free recurrence, since its constant term is det(I) = 1.
+echelon computation downstream.  Over k a coefficient is an int in
+[0, p), reduced mod p where a polynomial is built, so over K and k alike
+the coordinates are the coefficients themselves (`MultiPoly.coordinates`,
+`from_coordinates`), and the action matrices over k are built on the
+residue rows mod p.  A ratfunc group whose generators are constant
+matrices lies in GL_n(F_p); each of its systems over K = F_p(t) has
+entries in F_p, so its reduced echelon form is the one over F_p, and its
+invariant bases over K are its bases over k with each coefficient lifted
+to K, with no elimination over F_p(t); `certify` reads every other
+ratfunc group's side over K off its constant model
+(`MatrixGroup.constant_model`), a group of that kind, and carries it
+back with `act`.  The Molien series reads each element's det(I - z g)
+off Berkowitz's characteristic polynomial (`linalg.char_poly`) in
+integers, on the integer forms for the int kind and on the residue rows
+mod p for the ratfunc kind, and inverts it by one division-free
+recurrence, since its constant term is det(I) = 1.
 Whether a matrix of polynomials (a Jacobian) has a nonzero determinant is
 first asked at a few fixed points, where the determinant is a scalar.
 """
 from __future__ import annotations
 
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -86,7 +88,9 @@ class MultiPoly:
 
     Like `ExactMatrix`, it records the ring of its coefficients once; the
     public constructor checks exponents and, over O, the coefficients, and
-    the results of arithmetic are built unchecked.  Zero terms are dropped.
+    the results of arithmetic are built unchecked.  Over k a coefficient
+    is an int, reduced mod p where the polynomial is built.  Zero terms
+    are dropped.
     """
 
     __slots__ = ("ring", "descriptor", "n", "terms")
@@ -100,12 +104,17 @@ class MultiPoly:
                 raise ValueError(f"negative exponent in {exp}")
             if ring == RING_O and not descriptor.is_integral(coeff):
                 raise NotInRingError(f"coefficient {coeff} is not in the DVR")
+        if ring == RING_RESIDUE:
+            terms = {e: operator.index(c) % descriptor.p for e, c in terms.items()}
         set_fields(self, ring=ring, descriptor=descriptor, n=n,
                    terms={e: c for e, c in terms.items() if c})
 
     @staticmethod
     def _of(ring: str, descriptor: DvrDescriptor, n: int, terms: dict) -> MultiPoly:
-        """The polynomial of terms whose coefficients lie in the ring, unchecked."""
+        """The polynomial of terms whose coefficients lie in the ring, unchecked;
+        over k the ints are reduced mod p here, for every result of arithmetic."""
+        if ring == RING_RESIDUE:
+            terms = {e: c % descriptor.p for e, c in terms.items()}
         return set_fields(object.__new__(MultiPoly), ring=ring, descriptor=descriptor, n=n,
                           terms={e: c for e, c in terms.items() if c})
 
@@ -213,18 +222,15 @@ class MultiPoly:
 
     def coordinates(self, index: dict) -> dict:
         """The coefficients as the sparse row {index[e]: c} that `RowEchelon`
-        takes: over k the ints in [0, p) of the residues, a row over F_p."""
-        if self.ring == RING_RESIDUE:
-            return {index[e]: c.value for e, c in self.terms.items()}
+        takes: over k a row over F_p."""
         return {index[e]: c for e, c in self.terms.items()}
 
     @staticmethod
     def from_coordinates(ring: str, descriptor: DvrDescriptor, basis, row: dict) -> MultiPoly:
         """The polynomial sum of row[c] X^basis[c], for a sparse row of
-        values of K, or over k of ints in [0, p), each made a residue."""
-        value = descriptor.residue if ring == RING_RESIDUE else (lambda a: a)
+        values of K or k."""
         return MultiPoly._of(ring, descriptor, len(basis[0]),
-                             {basis[c]: value(a) for c, a in row.items()})
+                             {basis[c]: a for c, a in row.items()})
 
     # -- ring moves ------------------------------------------------------------
 
@@ -238,13 +244,13 @@ class MultiPoly:
         )
 
     def lift(self, ring: str) -> MultiPoly:
-        """Coefficientwise lift of a k-polynomial to O or K, each residue
-        to the constant of F_p it names (`descriptor.from_int`)."""
+        """Coefficientwise lift of a k-polynomial to O or K, each int in
+        [0, p) to the constant it names (`descriptor.from_int`)."""
         if self.ring != RING_RESIDUE:
             raise ValueError("only k-polynomials lift to O or K")
         from_int = self.descriptor.from_int
         return MultiPoly._of(ring, self.descriptor, self.n,
-                             {e: from_int(c.value) for e, c in self.terms.items()})
+                             {e: from_int(c) for e, c in self.terms.items()})
 
     # -- identity ----------------------------------------------------------------
 
@@ -339,7 +345,7 @@ def _evaluation_points(ring: str, descriptor: DvrDescriptor, n: int):
     one = FpPoly.one(p)
     points = [[RatFunc(FpPoly.make(p, [rng.randrange(p) for _ in range(4)]), one)
                for _ in range(n)] for _ in range(_EVALUATION_POINTS)]
-    lift = (lambda c: RatFunc.from_int(p, c.value)) if ring == RING_RESIDUE else (lambda c: c)
+    lift = (lambda c: RatFunc.from_int(p, c)) if ring == RING_RESIDUE else (lambda c: c)
     return lift, points, RatFunc.zero(p), RatFunc.one(p)
 
 
@@ -408,12 +414,15 @@ def act(g: ExactMatrix, f: MultiPoly) -> MultiPoly:
         raise ValueError(f"matrix size {g.rows} does not match {f.n} variables")
     if g.ring != f.ring and not (g.ring == RING_O and f.ring == RING_K):
         raise ValueError(f"ring mismatch: matrix over {g.ring}, polynomial over {f.ring}")
+    if g.descriptor != f.descriptor:
+        raise ValueError("matrix and polynomial over different DVRs")
     forms = _linear_forms(g.entries)
     unit = (0,) * f.n
     images = {unit: {unit: ring_one(f.ring, f.descriptor)}}
+    p = f.descriptor.p if f.ring == RING_RESIDUE else None
     terms: dict = {}
     for e, c in f.terms.items():
-        for y, a in _monomial_image(images, forms, e).items():
+        for y, a in _monomial_image(images, forms, e, p).items():
             v = c * a
             acc = terms.get(y)
             terms[y] = v if acc is None else acc + v
@@ -437,16 +446,19 @@ def action_matrix(
     coordinates), as its rows {column: nonzero entry}.
 
     g is an `ExactMatrix`, or, with p given, a matrix over F_p as its rows
-    of ints in [0, p), such as `MatrixGroup.residue_rows` holds; the
-    entries of rho_d are then ints in [0, p) as well, rows over F_p for
-    `RowEchelon` with p.  Column e holds the coefficients of the image of
-    X^e.  `images` is a store of g's monomial images, all of one degree
-    (or empty), such as `element_action_matrix` keeps: at degree d or
-    below it is stepped up to degree d in place; above d the images are
-    built afresh from degree 0 and the store is left as it is.
+    of ints in [0, p), such as `MatrixGroup.residue_rows` holds; over F_p,
+    given so or as a matrix over k, the entries of rho_d are ints in
+    [0, p) as well, rows over F_p for `RowEchelon` with p.  Column e holds
+    the coefficients of the image of X^e.  `images` is a store of g's
+    monomial images, all of one degree (or empty), such as
+    `element_action_matrix` keeps: at degree d or below it is stepped up
+    to degree d in place; above d the images are built afresh from degree
+    0 and the store is left as it is.
     """
     basis = monomials(n, d)
     entries, one = (g, 1) if p is not None else (g.entries, ring_one(g.ring, g.descriptor))
+    if p is None and g.ring == RING_RESIDUE:
+        p = g.descriptor.p
     if images is None or (images and sum(next(iter(images))) > d):
         images = {}
     if not images:
@@ -465,9 +477,9 @@ def action_matrix(
 
 def element_action_matrix(group: MatrixGroup, ring: str, idx: int, d: int) -> list[dict]:
     """rho_d of element idx over K or k, from the monomial images that
-    `group.memo` keeps for it under ("images", ring, idx).  Over K the
-    element is the O-matrix `group.matrix(idx, ring)`, whose values are
-    K's; over k it is its residue rows (`MatrixGroup.residue_rows`), and
+    `group.memo_over(ring)` keeps for it under ("images", ring, idx).  Over
+    K the element is the O-matrix `group.matrix(idx, ring)`, whose values
+    are K's; over k it is its residue rows (`MatrixGroup.residue_rows`), and
     rho_d holds ints in [0, p), ready for `RowEchelon` with p."""
     images = group.memo_over(ring).setdefault(("images", ring, idx), {})
     if ring == RING_RESIDUE:
@@ -498,7 +510,7 @@ def invariant_basis(group: MatrixGroup, d: int, ring: str) -> GradedBasis:
     its system there has entries in F_p, so its reduced echelon form over
     K is the one over F_p, and its basis over K is the basis over k with
     each coefficient lifted by `descriptor.from_int`.  Computed once per
-    (degree, ring) and group, then kept in `group.memo`.
+    (degree, ring) and group, then kept in `group.memo_over(ring)`.
     """
     if ring not in (RING_K, RING_RESIDUE):
         raise ValueError("invariant bases are computed over a field (K or k)")

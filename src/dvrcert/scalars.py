@@ -9,13 +9,14 @@ Two concrete discrete valuation rings are supported:
 
 An element of the fraction field K is a plain value: a ``fractions.Fraction``
 for the int kind, a ``RatFunc`` for the ratfunc kind.  An element of the
-residue field k is a ``ResidueScalar``.  No value records which DVR it
-belongs to: the matrix or polynomial holding it does, and the questions
-that depend on the DVR (valuation, membership in O, reduction to k) are
-methods of its ``DvrDescriptor``.  Whether a K-element lies in O is a
-property of its value, not of its type: it is checked where values enter
-(the jobspec parser, the public O-tagged constructors, reduction to k).
-All values are immutable, canonical, and compared by representation.
+residue field k = F_p is an int in [0, p).  No value records which DVR it
+belongs to: the matrix or polynomial holding it does, and p is read off
+its ``DvrDescriptor``, whose methods answer the questions that depend on
+the DVR (valuation, membership in O, reduction to k).  Whether a
+K-element lies in O is a property of its value, not of its type: it is
+checked where values enter (the jobspec parser, the public O-tagged
+constructors, reduction to k).  All values are immutable, canonical, and
+compared by representation.
 """
 from __future__ import annotations
 
@@ -96,9 +97,6 @@ class DvrDescriptor:
             return Fraction(self.p)
         return RatFunc.t(self.p)
 
-    def residue(self, a: int) -> ResidueScalar:
-        return ResidueScalar(self.p, a)
-
     def valuation(self, x) -> int:
         """The uniformizer-adic valuation; undefined (raises) on zero."""
         if not x:
@@ -116,13 +114,14 @@ class DvrDescriptor:
     def is_unit(self, x) -> bool:
         return bool(x) and self.valuation(x) == 0
 
-    def reduce(self, x) -> ResidueScalar:
-        """Reduction modulo the maximal ideal; requires membership in the DVR."""
+    def reduce(self, x) -> int:
+        """Reduction modulo the maximal ideal, as an int in [0, p); requires
+        membership in the DVR."""
         if not self.is_integral(x):
             raise NotInRingError(f"{x} is not in the DVR; cannot reduce")
         if self.kind == KIND_INT:
-            return ResidueScalar(self.p, x.numerator * pow(x.denominator, -1, self.p))
-        return ResidueScalar(self.p, x.residue_at_zero())
+            return x.numerator * pow(x.denominator, -1, self.p) % self.p
+        return x.residue_at_zero()
 
 
 def _int_valuation(n: int, p: int) -> int:
@@ -131,63 +130,6 @@ def _int_valuation(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
-
-
-class ResidueScalar:
-    """Element of the residue field F_p: an int in [0, p) with its p.
-
-    Python has no integers mod p, so this is the one value class; its
-    operations refuse a residue modulo another prime.
-    """
-
-    __slots__ = ("p", "value")
-
-    def __init__(self, p: int, value: int):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "value", value % p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("scalars are immutable")
-
-    def _common_p(self, other: ResidueScalar) -> int:
-        if other.p != self.p:
-            raise ValueError("residues modulo different primes cannot be combined")
-        return self.p
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __add__(self, other: ResidueScalar) -> ResidueScalar:
-        return ResidueScalar(self._common_p(other), self.value + other.value)
-
-    def __neg__(self) -> ResidueScalar:
-        return ResidueScalar(self.p, -self.value)
-
-    def __sub__(self, other: ResidueScalar) -> ResidueScalar:
-        return ResidueScalar(self._common_p(other), self.value - other.value)
-
-    def __mul__(self, other: ResidueScalar) -> ResidueScalar:
-        return ResidueScalar(self._common_p(other), self.value * other.value)
-
-    def __truediv__(self, other: ResidueScalar) -> ResidueScalar:
-        if not other.value:
-            raise ZeroDivisionError("residue-field division by zero")
-        p = self._common_p(other)
-        return ResidueScalar(p, self.value * pow(other.value, -1, p))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ResidueScalar):
-            return NotImplemented
-        return self.value == other.value and self.p == other.p
-
-    def __hash__(self) -> int:
-        return hash(self.value)
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-    def __repr__(self) -> str:
-        return f"ResidueScalar(p={self.p}, {self.value})"
 
 
 def invert_mod_group_order(r: int, descriptor: DvrDescriptor):

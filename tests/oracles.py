@@ -25,6 +25,7 @@ of each element over F_p(t) against its residue rows mod p.
 """
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -45,15 +46,63 @@ from dvrcert.refbasis import primitive_vector
 from dvrcert.scalars import invert_mod_group_order
 
 
+class Fp:
+    """A value of F_p for the oracles' own arithmetic, apart from the
+    package's plain ints mod p: an int in [0, p) with its p.  It equals the
+    int it holds, so results compare with the package's directly."""
+
+    __slots__ = ("p", "value")
+
+    def __init__(self, p: int, value):
+        self.p, self.value = p, operator.index(value) % p
+
+    def __index__(self) -> int:
+        return self.value
+
+    def __bool__(self) -> bool:
+        return self.value != 0
+
+    def __add__(self, other):
+        return Fp(self.p, self.value + other.value)
+
+    def __sub__(self, other):
+        return Fp(self.p, self.value - other.value)
+
+    def __mul__(self, other):
+        return Fp(self.p, self.value * other.value)
+
+    def __truediv__(self, other):
+        return Fp(self.p, self.value * pow(other.value, -1, self.p))
+
+    def __neg__(self):
+        return Fp(self.p, -self.value)
+
+    def __eq__(self, other) -> bool:
+        return self.value == (other.value if isinstance(other, Fp) else other)
+
+    def __hash__(self) -> int:
+        return hash(self.value)
+
+    def __repr__(self) -> str:
+        return f"Fp({self.p}, {self.value})"
+
+
+def field_p(ring: str, descriptor):
+    """The p that `DenseRowEchelon` takes for rows over `ring`: k's, else None."""
+    return descriptor.p if ring == RING_RESIDUE else None
+
+
 class DenseRowEchelon:
     """Incremental reduced row echelon form on dense rows (lists) over a field.
 
     Each new row is reduced against every pivot row in turn and the pivot
-    rows are rewritten in full, zeros included.
+    rows are rewritten in full, zeros included.  With p given the rows
+    hold ints read mod p, eliminated as `Fp` values.
     """
 
-    def __init__(self, rows=()):
+    def __init__(self, rows=(), p: int | None = None):
         self.pivot_rows: dict[int, list] = {}
+        self.p = p
         for row in rows:
             self.add(row)
 
@@ -62,7 +111,7 @@ class DenseRowEchelon:
         return len(self.pivot_rows)
 
     def reduce(self, row) -> list:
-        row = list(row)
+        row = list(row) if self.p is None else [Fp(self.p, a) for a in row]
         for col, pivot in self.pivot_rows.items():
             f = row[col]
             if f:
@@ -106,8 +155,9 @@ def inverse_dense(m: ExactMatrix) -> ExactMatrix:
     n = m.rows
     zero, one = ring_zero(m.ring, m.descriptor), ring_one(m.ring, m.descriptor)
     pivot_rows = DenseRowEchelon(
-        list(row) + [one if i == j else zero for j in range(n)]
-        for i, row in enumerate(m.entries)
+        (list(row) + [one if i == j else zero for j in range(n)]
+         for i, row in enumerate(m.entries)),
+        field_p(m.ring, m.descriptor),
     ).pivot_rows
     if any(c >= n for c in pivot_rows):
         return None
@@ -181,7 +231,7 @@ def matmul_dense(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 
 
 def det_cofactor(m: ExactMatrix):
-    """Determinant by the permutation-sum definition."""
+    """Determinant by the permutation-sum definition; over k reduced mod p."""
     n = m.rows
     total = None
     for perm in permutations(range(n)):
@@ -194,7 +244,7 @@ def det_cofactor(m: ExactMatrix):
         if inversions % 2:
             term = -term
         total = term if total is None else total + term
-    return total
+    return total % m.descriptor.p if m.ring == RING_RESIDUE else total
 
 
 def rank_by_minors(m: ExactMatrix) -> int:
@@ -313,7 +363,7 @@ def invariant_dimension_bruteforce(group, degree: int, ring: str) -> int:
     basis = monomials(group.n, degree)
     index = {e: i for i, e in enumerate(basis)}
     zero = ring_zero(ring, group.descriptor)
-    span = DenseRowEchelon()
+    span = DenseRowEchelon(p=field_p(ring, group.descriptor))
     for e in basis:
         mono = MultiPoly.monomial(
             ring, group.descriptor, e, ring_one(ring, group.descriptor)
@@ -412,7 +462,7 @@ def molien_series_ratfunc(group, bound: int) -> MolienSeries:
         sums = [a + b * descriptor.from_int(count) for a, b in zip(sums, inv)]
     total = [invert_mod_group_order(group.order, descriptor) * a for a in sums]
     assert all(c.num.degree <= 0 and c.den.degree == 0 for c in total), total
-    return MolienSeries(bound, tuple(descriptor.reduce(c).value for c in total), True)
+    return MolienSeries(bound, tuple(descriptor.reduce(c) for c in total), True)
 
 
 def _h1_exact_degree_bruteforce(group, degree: int, ring: str) -> int:
@@ -429,7 +479,7 @@ def _h1_exact_degree_bruteforce(group, degree: int, ring: str) -> int:
     zero = ring_zero(ring, group.descriptor)
     elements = element_matrices(group, RING_O)
     index = {m: i for i, m in enumerate(elements)}
-    span = DenseRowEchelon()
+    span = DenseRowEchelon(p=field_p(ring, group.descriptor))
     for a in range(order):
         for b in range(order):
             c = index[elements[a] * elements[b]]
@@ -445,7 +495,7 @@ def _h1_exact_degree_bruteforce(group, degree: int, ring: str) -> int:
                 span.add(row)
     dim_z1 = width - span.rank
 
-    cob = DenseRowEchelon()
+    cob = DenseRowEchelon(p=field_p(ring, group.descriptor))
     for v in range(size):
         col = []
         for a in range(order):

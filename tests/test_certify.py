@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import sys
@@ -21,7 +22,12 @@ from dvrcert.certify import (
     jacobian_independence,
     lift_fundamentals,
 )
-from dvrcert.groups import _check_constant_model, classify_reflections, generate_group
+from dvrcert.groups import (
+    MatrixGroup,
+    _check_constant_model,
+    classify_reflections,
+    generate_group,
+)
 from dvrcert.linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix, det_of_rows, inverse
 from dvrcert.polys import (
     MultiPoly,
@@ -162,9 +168,8 @@ def test_degree_multiset_survives_variable_relabeling(s3_z5):
 
 def _poly_from_ints(descriptor, n, ring, mapping):
     if ring == RING_RESIDUE:
-        terms = {e: descriptor.residue(c) for e, c in mapping.items()}
-    else:
-        terms = {e: descriptor.from_int(c) for e, c in mapping.items()}
+        return MultiPoly(ring, descriptor, n, mapping)
+    terms = {e: descriptor.from_int(c) for e, c in mapping.items()}
     return MultiPoly(ring, descriptor, n, terms)
 
 
@@ -265,7 +270,7 @@ def test_jacobian_over_k_where_it_vanishes_on_k_points(p, n, monkeypatch):
     det = poly_matrix_det(jacobian)
     assert not det.is_zero()
     for point in product(range(p), repeat=n):
-        assert sum(c.value * math.prod(v ** e for v, e in zip(point, exp))
+        assert sum(c * math.prod(v ** e for v, e in zip(point, exp))
                    for exp, c in det.terms.items()) % p == 0
     assert nonzero_at_a_point(jacobian)
     fallbacks = _count_polynomial_dets(monkeypatch)
@@ -665,7 +670,7 @@ def test_the_constant_model_conjugates_the_group_onto_its_reduction():
         # A in GL_n(O), A = I mod t, and g A = A gbar for all of G
         assert all(descriptor.is_integral(x) for row in a.entries for x in row)
         assert descriptor.is_unit(det_of_rows(a.entries, descriptor.zero(), descriptor.one()))
-        assert [[descriptor.reduce(x).value for x in row] for row in a.entries] == [
+        assert [[descriptor.reduce(x) for x in row] for row in a.entries] == [
             [int(i == j) for j in range(n)] for i in range(n)]
         for g, g_bar in zip(conjugate.elements, model.elements, strict=True):
             assert g * a == a * g_bar
@@ -724,4 +729,54 @@ def test_a_conjugated_ratfunc_group_computes_its_k_side_once(monkeypatch):
         + [("_h1_exact_degree", d, RING_RESIDUE) for d in range(6)]
         + [("_greedy_fundamentals", RING_RESIDUE, 8)])
     model, _ = conjugate.constant_model()
-    assert model.residue_memo is conjugate.memo
+    assert model.residue_memo is conjugate.residue_memo is not conjugate.memo
+
+
+def _live_groups() -> int:
+    return sum(isinstance(obj, MatrixGroup) for obj in gc.get_objects())
+
+
+@pytest.mark.parametrize("bound", [8, 2])
+def test_a_conjugated_ratfunc_group_is_freed_without_the_collector(bound):
+    # the group keeps its constant model in `memo`, and the model shares
+    # the group's `residue_memo`, not `memo`; at bound 2 the search over k
+    # fails, and the failure is kept too.  No reference cycle runs through
+    # the group, so `del` frees it and its model with the collector off
+    gc.collect()
+    gc.disable()
+    try:
+        before = _live_groups()
+        group = conjugated_over_t(constant_ratfunc_groups()[0], random.Random(23))
+        cert = certify(group, bound)
+        assert cert.verdict == ("certified" if bound == 8 else "inconclusive")
+        assert ("constant model", RING_K) in group.memo
+        found = group.residue_memo["fundamental", bound, RING_RESIDUE]
+        assert isinstance(found, DegreeBoundExhaustedError) == (bound == 2)
+        del found
+        del group, cert
+        assert _live_groups() == before
+    finally:
+        gc.enable()
+
+
+def test_a_conjugated_ratfunc_job_applies_A_once_per_generator(monkeypatch):
+    # the generators over K and the lifts carry the same lifts of the
+    # generators over k by act(A, .), once each
+    conjugate = _conjugated_ratfunc_pairs()[0][1]
+    a = conjugate.constant_model()[1]
+    certify_module = sys.modules["dvrcert.certify"]
+    carried = []
+
+    def counted(g, f, _original=certify_module.act):
+        if g is a:
+            carried.append(f)
+        return _original(g, f)
+
+    monkeypatch.setattr(certify_module, "act", counted)
+    report = certify(conjugate, 8).to_dict()
+    assert report["verdict"] == "certified"
+    assert len(carried) == conjugate.n
+    # the report is what carrying each field on its own gives
+    over_k = fundamental_invariants(conjugate, RING_RESIDUE, 8).generators
+    assert report["fundamental_generators_K"] == [str(act(a, f.lift(RING_K))) for f in over_k]
+    assert report["lifts"] == [str(act(a, f.lift(RING_O))) for f in over_k]

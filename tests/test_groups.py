@@ -346,7 +346,8 @@ def test_a_full_certificate_builds_no_k_matrix_it_does_not_read(z5):
     wb3 = _wb3(z5)
     assert certify(wb3, 6).verdict == "certified"
     assert ("elements", RING_K) not in wb3.memo
-    assert set(wb3.memo["elements", RING_RESIDUE]) == set(wb3.generator_indices)
+    assert set(wb3.memo_over(RING_RESIDUE)["elements", RING_RESIDUE]) \
+        == set(wb3.generator_indices)
 
 
 def test_closure_checks_no_product_for_membership_in_o(z5, monkeypatch):
@@ -438,7 +439,7 @@ def test_integer_form_passes_match_the_brute_force_oracles(s2_z3, s3_z5, b2_z3,
             reduced.append(reduce_entrywise(m))
             assert group.matrix(i, RING_RESIDUE) == reduced[-1]
         assert group.residue_rows() == tuple(
-            tuple(tuple(a.value for a in row) for row in m.entries) for m in reduced
+            tuple(tuple(row) for row in m.entries) for m in reduced
         )
         if group.order % group.descriptor.p:
             _, injective = reduction_map(group)
@@ -505,7 +506,7 @@ def test_ratfunc_char_polys_are_the_residue_rows_own(c4_f5t, b2_f5t_twisted):
         for m, rows in zip(element_matrices(group, RING_K), group.residue_rows()):
             denom = _char_series_denominator(m)
             assert all(c.num.degree <= 0 and c.den.degree == 0 for c in denom)
-            assert [descriptor.reduce(c).value for c in denom] \
+            assert [descriptor.reduce(c) for c in denom] \
                 == [c % p for c in char_poly(rows, 0, 1)]
             checked += 1
         assert molien_series(group, 12) == molien_series_ratfunc(group, 12)
@@ -528,7 +529,7 @@ def test_a_checks_only_job_builds_no_ring_views(z5):
         report = certify(group, 6, ("reflections", "eta", "molien"))
         assert report.verdict == "complete" and report.eta_injective
         assert ("elements", RING_K) not in group.memo
-        assert ("elements", RING_RESIDUE) not in group.memo
+        assert ("elements", RING_RESIDUE) not in group.memo_over(RING_RESIDUE)
 
 
 def test_reflection_orders_match_the_matrix_power_oracle(
@@ -560,10 +561,11 @@ def test_reflection_orders_match_the_matrix_power_oracle(
     assert all((lam, order) == (f5t.one(), 5) for _, lam, order in report.reflections)
     for i in range(1, 5):
         assert element_order(shear_f5t, i) == 5
-        assert reflection_data(shear_f5t.matrix(i, RING_RESIDUE)) == (f5t.residue(1), 5)
-    # the one of k compares with a residue, not with the integer 1
-    assert eigenvalue_order(f5t.residue(1), RING_RESIDUE, f5t) == 5
-    assert eigenvalue_order(f5t.residue(2), RING_RESIDUE, f5t) == 4
+        assert reflection_data(shear_f5t.matrix(i, RING_RESIDUE)) == (1, 5)
+    # a value of k is an int in [0, p), its powers taken mod p
+    assert eigenvalue_order(1, RING_RESIDUE, f5t) == 5
+    assert eigenvalue_order(2, RING_RESIDUE, f5t) == 4
+    assert eigenvalue_order(4, RING_RESIDUE, f5t) == 2
 
 
 def test_no_finite_order_is_refused_without_matrix_powers(z5, monkeypatch):
@@ -583,8 +585,8 @@ def test_no_finite_order_is_refused_without_matrix_powers(z5, monkeypatch):
         assert is_pseudo_reflection(m.to_field()) is False
     assert products == []
     assert eigenvalue_order(z5.from_int(-1), RING_K, z5) == 2
-    assert eigenvalue_order(z5.residue(2), RING_RESIDUE, z5) == 4
-    assert eigenvalue_order(z5.residue(1), RING_RESIDUE, z5) == 5
+    assert eigenvalue_order(2, RING_RESIDUE, z5) == 4
+    assert eigenvalue_order(1, RING_RESIDUE, z5) == 5
 
 
 def test_a_non_constant_eigenvalue_has_no_finite_order():

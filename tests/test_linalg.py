@@ -22,12 +22,13 @@ from dvrcert.linalg import (
     ring_zero,
 )
 from dvrcert.polys import MultiPoly
-from dvrcert.scalars import KIND_INT, KIND_RATFUNC, DvrDescriptor, ResidueScalar
+from dvrcert.scalars import KIND_INT, KIND_RATFUNC, DvrDescriptor
 
 from oracles import (
     DenseRowEchelon,
     char_series_denominator_cofactor,
     det_cofactor,
+    field_p,
     inverse_dense,
     matmul_dense,
     matrix_order,
@@ -58,7 +59,7 @@ def _random_entry(descriptor, ring, rng, zeros=0.5):
     if rng.random() < zeros:
         return ring_zero(ring, descriptor)
     if ring == RING_RESIDUE:
-        return descriptor.residue(rng.randint(1, descriptor.p - 1))
+        return rng.randint(1, descriptor.p - 1)
     u, from_int = descriptor.uniformizer(), descriptor.from_int
     x = from_int(rng.choice((-3, -1, 1, 2, 4))) + from_int(rng.randint(-2, 2)) * u
     if rng.random() < 0.5:
@@ -161,8 +162,10 @@ def test_sparse_echelon_matches_the_dense_oracle(kind, ring):
         if r > 2:  # a dependent row: the sum of two others
             entries[rng.randrange(r)] = [a + b for a, b in zip(entries[0], entries[1])]
         m = ExactMatrix(field, descriptor, entries)
-        dense = DenseRowEchelon(entries)
-        sparse = RowEchelon(sparse_rows(entries))
+        entries = [list(row) for row in m.entries]  # over k, the sums taken mod p
+        p = field_p(field, descriptor)
+        dense = DenseRowEchelon(entries, p)
+        sparse = RowEchelon(sparse_rows(entries), p)
         assert sparse.rank == rank_over_field(m) == dense.rank
         assert sparse.pivot_rows == {
             col: row for col, row in zip(dense.pivot_rows, sparse_rows(dense.pivot_rows.values()))
@@ -171,7 +174,7 @@ def test_sparse_echelon_matches_the_dense_oracle(kind, ring):
         # the reduced echelon form ignores the order in which rows come
         shuffled = sparse_rows(entries)
         rng.shuffle(shuffled)
-        assert RowEchelon(shuffled).pivot_rows == sparse.pivot_rows
+        assert RowEchelon(shuffled, p).pivot_rows == sparse.pivot_rows
         # inverses, of square matrices without a zero line
         n, zeros = rng.randint(1, 4), 0.5 if trial % 2 else 0.1
         sq = ExactMatrix(field, descriptor, [
@@ -187,10 +190,9 @@ def test_sparse_echelon_matches_the_dense_oracle(kind, ring):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 2 ** 61 - 1])
 def test_echelon_mod_p_matches_the_dense_oracle_over_residues(p):
-    # RowEchelon with p on ints in [0, p) against DenseRowEchelon on
-    # ResidueScalar values, for seeded sparse int matrices
+    # RowEchelon with p on ints in [0, p) against DenseRowEchelon with p,
+    # on the oracle's own values of F_p, for seeded sparse int matrices
     rng = random.Random(f"echelon-mod-{p}")
-    zero, one = ResidueScalar(p, 0), ResidueScalar(p, 1)
     for trial in range(40):
         r, c = rng.randint(1, 7), rng.randint(1, 7)
         rows = [[rng.randrange(-3 * p, 3 * p) if rng.random() < 0.5 else 0 for _ in range(c)]
@@ -205,17 +207,17 @@ def test_echelon_mod_p_matches_the_dense_oracle_over_residues(p):
             rows[-1] = [0] * c  # a zero row
         elif trial % 4 == 1:
             rows[-1] = [p * rng.randint(-3, 3) for _ in range(c)]  # zero mod p only
-        dense = DenseRowEchelon([[ResidueScalar(p, a) for a in row] for row in rows])
+        dense = DenseRowEchelon(rows, p)
         sparse = RowEchelon(({j: a % p for j, a in enumerate(row) if a % p} for row in rows), p)
         assert sparse.rank == dense.rank
         assert sparse.pivot_rows == {
-            col: {j: a.value for j, a in enumerate(row) if a}
+            col: {j: a for j, a in enumerate(row) if a}
             for col, row in dense.pivot_rows.items()
         }
         assert all(0 < a < p for row in sparse.pivot_rows.values() for a in row.values())
         kernel = sparse.kernel(c, 1)
         assert [tuple(v.get(j, 0) for j in range(c)) for v in kernel] == [
-            tuple(a.value for a in v) for v in dense.kernel(c, zero, one)
+            tuple(v) for v in dense.kernel(c, 0, 1)
         ]
         for v in kernel:
             assert all(0 < a < p for a in v.values())
@@ -407,7 +409,7 @@ def _residue_rows(m: ExactMatrix) -> tuple:
     descriptor = m.descriptor
     if descriptor.kind == KIND_INT:
         return reduce_form(IntMatrix.from_matrix(m), descriptor.p)
-    return tuple(tuple(descriptor.reduce(a).value for a in row) for row in m.entries)
+    return tuple(tuple(descriptor.reduce(a) for a in row) for row in m.entries)
 
 
 def _times_mod(a: tuple, b: tuple, p: int) -> tuple:
@@ -475,6 +477,8 @@ def test_char_poly_matches_the_cofactor_oracle(domain):
             expected = char_series_denominator_cofactor(m)
             if domain == "int":
                 assert char_poly(rows, 0, 1) == expected
+            elif domain == "k":  # ints, read mod p
+                assert tuple(c % 5 for c in char_poly(m.entries, zero, one)) == expected
             else:
                 assert char_poly(m.entries, zero, one) == expected
 
@@ -506,14 +510,14 @@ def test_has_rank_one_matches_rank_over_field(ring, kind):
     for m in _rank_one_cases(ring, descriptor, random.Random(131)):
         rank = rank_over_field(m)
         ranks.append(rank)
-        assert has_rank_one(m.entries) == (rank == 1)
         if ring == RING_RESIDUE:
-            # the same rows as ints mod p, in [0, p) and moved into (-p, 0]
-            values = [[a.value for a in row] for row in m.entries]
-            assert has_rank_one(values, 5) == (rank == 1)
-            assert has_rank_one([[a - 5 * (a > 2) for a in row] for row in values], 5) \
+            # the rows as ints mod p, in [0, p) and moved into (-p, 0]
+            assert has_rank_one(m.entries, 5) == (rank == 1)
+            assert has_rank_one([[a - 5 * (a > 2) for a in row] for row in m.entries], 5) \
                 == (rank == 1)
-        elif kind == KIND_INT:
+        else:
+            assert has_rank_one(m.entries) == (rank == 1)
+        if ring == RING_K and kind == KIND_INT:
             form = IntMatrix.from_matrix(m)  # rows of D m, ints over Q
             assert has_rank_one(form.rows) == (rank == 1)
     assert {0, 1, 2, 4} <= set(ranks)

@@ -13,7 +13,9 @@ from dvrcert.linalg import (
     RING_RESIDUE,
     ExactMatrix,
     IntMatrix,
+    det,
     inverse,
+    kernel_over_field,
     reduce_form,
 )
 from dvrcert.polys import MultiPoly, act, invariant_basis, molien_series, reynolds
@@ -67,7 +69,7 @@ def _random_poly(group, rng, ring=RING_K, max_degree=3):
         for _ in range(rng.randint(0, max_degree)):
             exp[rng.randrange(group.n)] += 1
         if ring == RING_RESIDUE:
-            coeff = descriptor.residue(rng.randrange(descriptor.p))
+            coeff = rng.randrange(descriptor.p)
         elif descriptor.kind == "int-localized":
             coeff = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
         else:
@@ -160,7 +162,7 @@ def _residue_rows(m):
     descriptor = m.descriptor
     if descriptor.kind == KIND_INT:
         return reduce_form(IntMatrix.from_matrix(m), descriptor.p)
-    return tuple(tuple(descriptor.reduce(a).value for a in row) for row in m.entries)
+    return tuple(tuple(descriptor.reduce(a) for a in row) for row in m.entries)
 
 
 def test_residue_rows_follow_the_product_table():
@@ -183,6 +185,46 @@ def test_residue_rows_follow_the_product_table():
                                       for col in zip(*g)) for row in rows[i])
                 assert product == rows[j]
                 cases += 1
+    assert cases >= 200
+
+
+def test_values_over_k_stay_ints_in_0_p():
+    # a value of k is a plain int, reduced where its container is built:
+    # after each operation over k every entry is an int in [0, p)
+    rng = random.Random(8128)
+    cases = 0
+    for descriptor in (Z3, Z5, F5T, F7T):
+        p = descriptor.p
+
+        def in_k(values):
+            values = list(values)
+            assert all(type(a) is int and 0 <= a < p for a in values), values
+
+        def entries(m):
+            return (a for row in m.entries for a in row)
+
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            # the public constructors take any ints and reduce them
+            a, b = (ExactMatrix(RING_RESIDUE, descriptor,
+                                [[rng.randint(-3 * p, 3 * p) for _ in range(n)] for _ in range(n)])
+                    for _ in range(2))
+            f, h = (MultiPoly(RING_RESIDUE, descriptor, n, {
+                tuple(rng.randint(0, 2) for _ in range(n)): rng.randint(-3 * p, 3 * p)
+                for _ in range(rng.randint(1, 4))}) for _ in range(2))
+            c = rng.randrange(p)
+            for m in (a, b, a + b, a - b, a * b, a.scale(c), -a):
+                in_k(entries(m))
+            in_k([det(a)])
+            in_k(a.apply([rng.randrange(p) for _ in range(n)]))
+            for v in kernel_over_field(a).vectors:
+                in_k(v)
+            if det(a):
+                in_k(entries(inverse(a)))
+            for g in (f + h, f - h, f * h, f.scale(c), act(a, f),
+                      *(f.partial_derivative(j) for j in range(n))):
+                in_k(g.terms.values())
+            cases += 1
     assert cases >= 200
 
 

@@ -11,11 +11,10 @@ from dvrcert.errors import (
     ValuationUndefinedError,
 )
 from dvrcert.linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix
-from dvrcert.polys import MultiPoly
+from dvrcert.polys import MultiPoly, act
 from dvrcert.ratfunc import MAX_T_DEGREE, FpPoly, RatFunc, parse_fp_poly
 from dvrcert.scalars import (
     DvrDescriptor,
-    ResidueScalar,
     _is_prime,
     invert_mod_group_order,
     parse_scalar,
@@ -56,9 +55,11 @@ def test_valuation_of_zero_raises(z3):
 
 def test_reduce_examples(z3, f5t):
     # 2^{-1} = 2 mod 3, so 7/2 reduces to 7*2 = 14 = 2
-    assert z3.reduce(Fraction(7, 2)) == z3.residue(2)
-    assert z3.reduce(z3.from_int(3)) == z3.residue(0)
-    assert f5t.reduce(parse_scalar(f5t, "2+1*t^1")) == f5t.residue(2)
+    assert z3.reduce(Fraction(7, 2)) == 2
+    assert z3.reduce(z3.from_int(3)) == 0
+    assert z3.reduce(Fraction(-1)) == 2  # an int in [0, p), not -1
+    assert f5t.reduce(parse_scalar(f5t, "2+1*t^1")) == 2
+    assert f5t.reduce(parse_scalar(f5t, "-1+1*t^1")) == 4
 
 
 def test_reduce_rejects_non_integral(z3):
@@ -143,8 +144,9 @@ def test_reduction_is_ring_homomorphism(kind, p):
         if not (descriptor.is_integral(x) and descriptor.is_integral(y)):
             continue
         reduce = descriptor.reduce
-        assert reduce(x + y) == reduce(x) + reduce(y)
-        assert reduce(x * y) == reduce(x) * reduce(y)
+        assert 0 <= reduce(x) < p
+        assert reduce(x + y) == (reduce(x) + reduce(y)) % p
+        assert reduce(x * y) == reduce(x) * reduce(y) % p
         # kernel of reduction is exactly the maximal ideal
         assert (not reduce(x)) == (not x or descriptor.valuation(x) >= 1)
 
@@ -272,14 +274,16 @@ def test_ratfunc_arithmetic_matches_the_textbook_oracle(p):
 
 
 def test_scalars_from_different_dvrs_do_not_mix(z3, z5):
-    # a value records no DVR: its container or its residue class does
+    # a value records no DVR, not even a value of k, a plain int: its
+    # container does, and refuses to combine with one of another prime
     for ring in (RING_O, RING_K, RING_RESIDUE):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ValueError):
+                op(ExactMatrix.identity(ring, z3, 2), ExactMatrix.identity(ring, z5, 2))
+            with pytest.raises(ValueError):
+                op(MultiPoly.variable(ring, z3, 2, 0), MultiPoly.variable(ring, z5, 2, 0))
         with pytest.raises(ValueError):
-            ExactMatrix.identity(ring, z3, 2) * ExactMatrix.identity(ring, z5, 2)
-        with pytest.raises(ValueError):
-            MultiPoly.variable(ring, z3, 2, 0) + MultiPoly.variable(ring, z5, 2, 0)
-    for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
-        with pytest.raises(ValueError):
-            getattr(z3.residue(1), op)(z5.residue(1))
-    assert z3.residue(1) != z5.residue(1)
-    assert ResidueScalar(3, 4) == z3.residue(1)
+            act(ExactMatrix.identity(ring, z3, 2), MultiPoly.variable(ring, z5, 2, 0))
+    # the same ints over k of Z_(3) and of Z_(5) are different matrices
+    assert ExactMatrix(RING_RESIDUE, z3, [[4]]) == ExactMatrix(RING_RESIDUE, z3, [[1]])
+    assert ExactMatrix(RING_RESIDUE, z3, [[1]]) != ExactMatrix(RING_RESIDUE, z5, [[1]])
