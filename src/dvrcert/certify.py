@@ -9,11 +9,13 @@ of first cohomology on low-degree pieces, and Reynolds lifts of the residue
 generators back to the ring.
 
 For the ratfunc kind the invariants, graded and lifts stages read the
-group's constant model Gbar (`MatrixGroup.constant_model`): G = A Gbar A^-1
-for a checked A in GL_n(O), and Gbar lies in GL_n(F_p), so its side over K
-is its side over k lifted.  What those stages print over K and O is carried
-back to G by act(A, .), and no system over F_p(t) is solved.  H^1 stays on
-the group; past the gate its K piece is 0 without one.
+group's side over K off its side over k: G = A Gbar A^-1 for a checked A
+in GL_n(O) (`MatrixGroup.conjugator`), with Gbar the constant twins in
+GL_n(F_p), so what holds over k holds over K for Gbar, read through
+F_p inside F_p(t).  What those stages print over K and O is the k side
+lifted and carried to G by act(A, .), and no system over F_p(t) is
+solved.  H^1 stays on the group; past the gate its K piece is 0 without
+one.
 """
 from __future__ import annotations
 
@@ -136,22 +138,30 @@ def fundamental_invariants(
     search (`_greedy_fundamentals`), verified.
 
     The search runs once per group, field and bound, its outcome, a
-    failure included, kept under ("fundamental", bound, ring) (see
-    `MatrixGroup.memo_over`).  For the ratfunc kind the one over k is the
-    only search: the generators over K are those of the constant
-    model Gbar (`MatrixGroup.constant_model`) carried to G by act(A, .).
-    Gbar lies in GL_n(F_p), so its search over K would eliminate the lifts
-    of the rows over k and adjoin the lifts of the generators over k, with
-    the same failures; those lifts are checked on Gbar over K
-    (`_check_fundamental_conditions`: invariance, degree identities and
-    Jacobian).  Since g A = A gbar for every g, act(A, .) maps Gbar's
-    invariants onto G's degree by degree, and A is invertible over O, so
-    the carried generators are fundamental invariants of G over K.
+    failure included, kept in `group.memo` under ("fundamental", bound,
+    ring).  For the ratfunc kind the one over k is the only search: the
+    generators over K are those over k lifted to constants of F_p and
+    carried to G by act(A, .) (`_carried`, with A from
+    `MatrixGroup.conjugator`; not carried when A is None), and they fail
+    as those over k do.  Gbar, the constant twins, lies in GL_n(F_p), so
+    its search over K would eliminate the lifts of the rows over k and
+    adjoin the lifts of the generators over k.  Each check of
+    `_check_fundamental_conditions` on those lifts over K is the check over
+    k, computed on constants of F_p embedded in F_p(t): the same residue
+    rows, degrees and reflection count, and the same Jacobian evaluation
+    points, so it is not run again.  Since g A = A gbar for every g,
+    act(A, .) maps Gbar's invariants onto G's degree by degree, and A is
+    invertible over O, so the carried generators are fundamental
+    invariants of G over K.
     """
     invert_mod_group_order(group.order, group.descriptor)
     if ring == RING_K and group.descriptor.kind != KIND_INT:
-        return _fundamentals_of_the_model(group, degree_bound)
-    memo, key = group.memo_over(ring), ("fundamental", degree_bound, ring)
+        over_k = fundamental_invariants(group, RING_RESIDUE, degree_bound)
+        carried = (_carried(group, f.lift(RING_O)) for f in over_k.generators)
+        return FundamentalInvariants(
+            RING_K, tuple(MultiPoly(RING_K, f.descriptor, f.n, f.terms) for f in carried),
+            over_k.degrees)
+    memo, key = group.memo, ("fundamental", degree_bound, ring)
     if key not in memo:
         try:
             memo[key] = _greedy_fundamentals(group, ring, degree_bound)
@@ -164,31 +174,17 @@ def fundamental_invariants(
     return found
 
 
-def _fundamentals_of_the_model(group: MatrixGroup, degree_bound: int) -> FundamentalInvariants:
-    """The generators over K of a ratfunc group: those over k lifted, checked
-    on the constant model, then carried to G by act(A, .)."""
-    model = group.constant_model()[0]
-    over_k = fundamental_invariants(group, RING_RESIDUE, degree_bound)
-    lifted = FundamentalInvariants(
-        RING_K, tuple(f.lift(RING_K) for f in over_k.generators), over_k.degrees)
-    problems = _check_fundamental_conditions(model, lifted)
-    if problems:
-        raise CertificateConditionError("; ".join(problems))
-    if model is group:
-        return lifted
-    carried = (_carried(group, f.lift(RING_O)) for f in over_k.generators)
-    return FundamentalInvariants(
-        RING_K, tuple(MultiPoly(RING_K, f.descriptor, f.n, f.terms) for f in carried),
-        lifted.degrees)
-
-
 def _carried(group: MatrixGroup, f: MultiPoly) -> MultiPoly:
-    """act(A, f) for f over O and a ratfunc group G = A Gbar A^-1 that is not
-    its own model, kept in `memo` under ("carried", f, "O"): the generators
-    over K and the lifts carry the same lifts of the generators over k."""
+    """act(A, f) for f over O and a ratfunc group G = A Gbar A^-1
+    (`MatrixGroup.conjugator`), kept in `memo` under ("carried", f, "O"):
+    the generators over K and the lifts carry the same lifts of the
+    generators over k.  f itself when A is None."""
+    a = group.conjugator()
+    if a is None:
+        return f
     key = ("carried", f, RING_O)
     if key not in group.memo:
-        group.memo[key] = act(group.constant_model()[1], f)
+        group.memo[key] = act(a, f)
     return group.memo[key]
 
 
@@ -301,19 +297,20 @@ def jacobian_independence(inv: FundamentalInvariants) -> bool:
 def graded_isomorphism_check(group: MatrixGroup, degree_bound: int):
     """Rows (d, dim over K, dim over k, equal?) for d up to the bound.
 
-    For the ratfunc kind the dimension over K is the constant model's:
-    act(A, .) maps Gbar's invariants of degree d onto G's, and Gbar's basis
-    over K is its basis over k lifted (`polys.invariant_basis`), so no
-    system over F_p(t) is solved and the two columns agree by that
-    argument; `tests/test_certify.py` keeps an independent check of the K
-    column against an elimination over F_p(t).
+    For the ratfunc kind the dimension over K is the dimension over k:
+    act(A, .) maps the invariants of degree d of Gbar, the constant twins
+    (`MatrixGroup.conjugator`), onto G's, and Gbar's system over K has its
+    entries in F_p, so its reduced echelon form over K is the one over
+    F_p.  No system over F_p(t) is solved, and the two columns agree by
+    that argument alone; `tests/test_certify.py` keeps an independent
+    check of the K column against an elimination over F_p(t).
     """
     invert_mod_group_order(group.order, group.descriptor)
-    over_K = group if group.descriptor.kind == KIND_INT else group.constant_model()[0]
+    int_kind = group.descriptor.kind == KIND_INT
     rows = []
     for d in range(degree_bound + 1):
-        dim_k_field = invariant_basis(over_K, d, RING_K).dimension
         dim_res = invariant_basis(group, d, RING_RESIDUE).dimension
+        dim_k_field = invariant_basis(group, d, RING_K).dimension if int_kind else dim_res
         rows.append((d, dim_k_field, dim_res, dim_k_field == dim_res))
     return tuple(rows)
 
@@ -419,7 +416,7 @@ def h1_dimension(group: MatrixGroup, degree: int, ring: str) -> int:
     the table is an exact cross-check of a theorem, not a proof obligation.
 
     Each contribution is computed once per group and kept in
-    `group.memo_over(ring)`, so a table over d = 0, 1, ... is a prefix
+    `group.memo`, so a table over d = 0, 1, ... is a prefix
     sum.  The k piece of a degree comes first, because it bounds the K
     piece (see `_h1_exact_degree`): a zero k piece makes the K piece 0
     with no elimination over K, so K is solved only where the k piece is
@@ -432,19 +429,18 @@ def h1_dimension(group: MatrixGroup, degree: int, ring: str) -> int:
         raise ValueError("H^1 is computed over a field (K or k)")
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    over_k, over_K = group.memo_over(RING_RESIDUE), group.memo_over(RING_K)
+    memo = group.memo
     for e in range(degree + 1):
-        if ("h1", e, RING_RESIDUE) not in over_k:
-            over_k["h1", e, RING_RESIDUE] = _h1_exact_degree(group, e, RING_RESIDUE)
-        if ring == RING_K and ("h1", e, RING_K) not in over_K:
-            bound = over_k["h1", e, RING_RESIDUE]
+        if ("h1", e, RING_RESIDUE) not in memo:
+            memo["h1", e, RING_RESIDUE] = _h1_exact_degree(group, e, RING_RESIDUE)
+        if ring == RING_K and ("h1", e, RING_K) not in memo:
+            bound = memo["h1", e, RING_RESIDUE]
             piece = _h1_exact_degree(group, e, RING_K) if bound else 0
             if piece > bound:
                 raise InternalCheckError(
                     f"H^1 piece of degree {e} is {piece} over K but {bound} over k"
                 )
-            over_K["h1", e, RING_K] = piece
-    memo = group.memo_over(ring)
+            memo["h1", e, RING_K] = piece
     return sum(memo["h1", e, ring] for e in range(degree + 1))
 
 
@@ -454,35 +450,28 @@ def h1_dimension(group: MatrixGroup, degree: int, ring: str) -> int:
 def lift_fundamentals(group: MatrixGroup, residue_inv: FundamentalInvariants):
     """Reynolds lifts of residue-field generators to O-invariants.
 
-    Each generator is lifted coefficientwise, averaged over the group, and
-    the reduction of the result is checked against the original generator.
-    For the ratfunc kind the average is taken over the constant model Gbar
-    and carried to G by act(A, .) (see `MatrixGroup.constant_model`): it
+    Each generator is lifted coefficientwise and, for the int kind,
+    averaged over the group; the reduction of the result is checked against
+    the original generator.  A `FundamentalInvariants` over k is invariant
+    by construction: `fundamental_invariants` returns only generators that
+    passed its invariance check over k.  For the ratfunc kind the lift of
+    such a generator, whose coefficients are constants of F_p, is then
+    fixed by Gbar, the constant twins, and is its own average; it is not
+    averaged, and its invariance is not asked again.  It is carried to G by
+    act(A, .) (`_carried`, with A from `MatrixGroup.conjugator`), which
     maps Gbar-invariants over O onto G-invariants, and A = I mod t keeps
-    the reduction.  A lift that Gbar's generators already fix, as the lift
-    of a generator over k does, is its own average and is not averaged.
-    Gbar is constant, so its generators fix the lift exactly when their
-    residues fix the generator over k, which is asked over k; such a lift
-    is the one the generators over K carry, so A acts on it once.
-    Returns (lifted polynomials, verdict, notes).
+    the reduction.  Such a lift is the one the generators over K carry, so
+    A acts on it once.  Returns (lifted polynomials, verdict, notes).
     """
     if residue_inv.ring != RING_RESIDUE:
         raise ValueError("lift expects fundamental invariants over the residue field")
     invert_mod_group_order(group.order, group.descriptor)
-    if group.descriptor.kind == KIND_INT:
-        model, gens = group, None
-    else:
-        model = group.constant_model()[0]
-        gens = [group.matrix(i, RING_RESIDUE) for i in group.generator_indices]
+    average = reynolds if group.descriptor.kind == KIND_INT else _carried
     lifts = []
     notes = []
     ok = True
     for i, f_bar in enumerate(residue_inv.generators):
-        naive = f_bar.lift(RING_O)
-        fixed = gens is not None and all(act(g, f_bar) == f_bar for g in gens)
-        lifted = naive if fixed else reynolds(model, naive)
-        if model is not group:
-            lifted = _carried(group, lifted)
+        lifted = average(group, f_bar.lift(RING_O))
         if lifted.is_zero():
             ok = False
             notes.append(f"lift of generator {i}: Reynolds average vanished")

@@ -26,15 +26,14 @@ p.  `MatrixGroup.matrix(i, ring)` is the one place where an element
 becomes an `ExactMatrix`: over O, which serves K as well (the int kind's
 form A / D as entries; the ratfunc kind's element is one already), or
 over k, from the residue rows, for both kinds.  Each is built the first
-time a stage reads it: the invariance checks read the generators, over K
-and over k, the invariant bases over K and H^1 over K the generators and
-the elements H^1 reaches before it stops, the diagonalizing bases the
-reflections, and Reynolds every element.  Whether a ratfunc group lies in
-GL_n(F_p) is decided once, from its generators; its invariant bases over
-K are then those over k (see `polys.invariant_basis`).  Every ratfunc
-group whose order is a unit is conjugate in GL_n(O) to such a group, its
-constant model (`MatrixGroup.constant_model`), which has its residue rows
-and product table and shares what it keeps over k.
+time a stage reads it: the invariance checks read the generators, over k
+and, for the int kind, over K, the invariant bases over K and H^1 over K
+the generators and the elements H^1 reaches before it stops, the
+diagonalizing bases the reflections, and Reynolds every element.  Every ratfunc group whose
+order is a unit is conjugate in GL_n(O), by a checked A
+(`MatrixGroup.conjugator`), to the group of its constant twins, its
+residue rows read in GL_n(F_p).  That group is never built: what it
+knows is this group's side over k, read through F_p inside F_p(t).
 
 A group is its closure: `generate_group` builds every group, the trivial
 one included, and records the index of every product element * generator
@@ -82,33 +81,29 @@ class MatrixGroup:
     and read row-major it first meets each element j >= 1 in a row i < j,
     at the product that reached j: the breadth-first tree.
 
-    `memo` and `residue_memo` hold what several checks share, over O or K
-    and over k (`memo_over`), and live and die with the group: the
-    elements built as matrices over O (the int kind only) and over k (see
-    `matrix`), keyed by ("elements", ring), each a dict {element index:
-    matrix}; the residue rows (see `residue_rows`), keyed by ("residues",
-    "k"); the `ReflectionReport` (see
-    `classify_reflections`), keyed by ("reflections", "K"); whether the
-    group is defined over F_p (see `defined_over_prime_field`), keyed by
-    ("prime field", "K"); the constant model (see `constant_model`),
-    keyed by ("constant model", "K"), and what it carries to the group
-    (see `certify._carried`), keyed by ("carried", f, "O"); per-degree
-    results (invariant bases, H^1 contributions), keyed by (quantity,
-    degree, ring); the fundamental invariants, keyed by ("fundamental",
-    degree bound, ring); and, keyed by ("images", ring,
+    `memo` holds what several checks share, over O, K and k, each key
+    naming its ring, and lives and dies with the group: the elements built
+    as matrices over O (the int kind only) and over k (see `matrix`),
+    keyed by ("elements", ring), each a dict {element index: matrix}; the
+    residue rows (see `residue_rows`), keyed by ("residues", "k"); the
+    `ReflectionReport` (see `classify_reflections`), keyed by
+    ("reflections", "K"); the conjugator A of a ratfunc group (see
+    `conjugator`), keyed by ("conjugator", "O"), and what it carries to
+    the group (see `certify._carried`), keyed by ("carried", f, "O");
+    per-degree results (invariant bases, H^1 contributions), keyed by
+    (quantity, degree, ring); the fundamental invariants, keyed by
+    ("fundamental", degree bound, ring); and, keyed by ("images", ring,
     element index), an element's images of the monomials of the highest
     degree its action matrices reached (see `polys.element_action_matrix`).
-    A constant model shares its group's `residue_memo`, since the two have
-    the same residue rows and product table; the group keeps the model in
-    `memo`, so the two dicts are apart and hold no cycle.
+    Nothing in it refers back to the group, so no reference cycle runs
+    through it.
     """
 
-    __slots__ = ("descriptor", "n", "elements", "order", "products", "memo", "residue_memo")
+    __slots__ = ("descriptor", "n", "elements", "order", "products", "memo")
 
-    def __init__(self, descriptor, n, elements, products, residue_memo=None):
+    def __init__(self, descriptor, n, elements, products):
         set_fields(self, descriptor=descriptor, n=n, elements=tuple(elements),
-                   order=len(elements), products=tuple(products), memo={},
-                   residue_memo={} if residue_memo is None else residue_memo)
+                   order=len(elements), products=tuple(products), memo={})
 
     def __setattr__(self, name, value):
         raise AttributeError("groups are immutable once enumerated")
@@ -118,22 +113,17 @@ class MatrixGroup:
         """The element index of each closure generator: identity * g = g."""
         return self.products[0]
 
-    def memo_over(self, ring: str) -> dict:
-        """Where what is computed over `ring` is kept: `residue_memo` over k,
-        `memo` over O or K."""
-        return self.residue_memo if ring == RING_RESIDUE else self.memo
-
     def matrix(self, i: int, ring: str) -> ExactMatrix:
         """Element i as an `ExactMatrix` over O, K or k, built the first time
         a stage reads it.  Over O or K it is the O-matrix, which serves K:
         `act` takes it on a K-polynomial and `action_matrix` reads only its
         values.  Over k it wraps its `residue_rows` as they are.  What is
-        built is kept in `memo_over(ring)` (see the class)."""
+        built is kept in `memo` (see the class)."""
         if ring != RING_RESIDUE:
             if self.descriptor.kind != KIND_INT:
                 return self.elements[i]
             ring = RING_O
-        built = self.memo_over(ring).setdefault(("elements", ring), {})
+        built = self.memo.setdefault(("elements", ring), {})
         m = built.get(i)
         if m is None:
             if ring == RING_O:
@@ -146,10 +136,10 @@ class MatrixGroup:
 
     def residue_rows(self) -> tuple:
         """The elements reduced to k as rows of ints in [0, p), in the order
-        of `elements`; kept in `residue_memo` under ("residues", "k").
+        of `elements`; kept in `memo` under ("residues", "k").
         The int kind's forms are reduced by `reduce_form`, the ratfunc
         kind's entries by `descriptor.reduce`."""
-        memo, key = self.residue_memo, ("residues", RING_RESIDUE)
+        memo, key = self.memo, ("residues", RING_RESIDUE)
         if key not in memo:
             if self.descriptor.kind == KIND_INT:
                 p = self.descriptor.p
@@ -161,46 +151,36 @@ class MatrixGroup:
             memo[key] = rows
         return memo[key]
 
-    def defined_over_prime_field(self) -> bool:
-        """Is the group inside GL_n(F_p), the constant matrices of GL_n(O)?
-        Only a ratfunc group can be: F_p is the field of constants of
-        F_p[t]_(t), and Z_(p) holds no field.  The generators decide it,
-        since products of constant matrices are constant; it is decided
-        once and kept in `memo` under ("prime field", "K")."""
-        key = ("prime field", RING_K)
-        if key not in self.memo:
-            self.memo[key] = self.descriptor.kind != KIND_INT and all(
-                a.num.degree <= 0 and a.den.degree == 0
-                for i in self.generator_indices for row in self.elements[i].entries for a in row
-            )
-        return self.memo[key]
-
-    def constant_model(self) -> tuple:
-        """(Gbar, A) for a ratfunc group whose order is a unit of O.
+    def conjugator(self) -> ExactMatrix | None:
+        """A in GL_n(O) with G = A Gbar A^-1, for a ratfunc group whose order
+        is a unit of O; None when its generators are constant matrices.
 
         O = F_p[t]_(t) contains its residue field F_p, so each g has a
         constant twin gbar, its residue rows, in GL_n(F_p), a subgroup of
-        GL_n(O).  Gbar is the group of the twins, on this group's
-        `products`: eta is a homomorphism, and past the gate injective.
+        GL_n(O); eta is a homomorphism, and past the gate injective, so
+        the twins form a group Gbar with G's product table.
         A = (1/|G|) sum_g g gbar^-1, with gbar^-1 taken mod p from the
         residue rows, so h A = sum_g hg gbar^-1 = A hbar for every h (put
-        g' = hg), and A = I mod t, so A lies in GL_n(O).  Then G = A Gbar
-        A^-1, and since act(g) act(h) = act(gh), f is Gbar-invariant
-        exactly when act(A, f) is G-invariant.  A is checked exactly (see
-        `_check_constant_model`).  A group already defined over F_p is
-        its own model, with A = I.  Gbar's residue rows are the group's,
-        so it shares `residue_memo` with it: its k side is the group's.
-        Any other model is built once and kept in `memo` under
-        ("constant model", "K"); the int kind has none, since Z_(p) holds
-        no field.
+        g' = hg), and A = I mod t, so A lies in GL_n(O).  Since act(g)
+        act(h) = act(gh), f is Gbar-invariant exactly when act(A, f) is
+        G-invariant.  Gbar is never built: its elements are the residue
+        rows, and a polynomial with coefficients in F_p is fixed by Gbar
+        exactly when its reduction is fixed by the images over k.  A is
+        checked exactly (see `_check_constant_model`).  A group whose
+        generators are constant matrices lies in GL_n(F_p), since products
+        of constant matrices are constant: it is its own twin and gets
+        None, so nothing is carried.  The answer is decided once and kept
+        in `memo` under ("conjugator", "O"); the int kind has none, since
+        Z_(p) holds no field.
         """
         if self.descriptor.kind == KIND_INT:
-            raise ValueError("only a group over F_p[t]_(t) has a constant model")
-        if self.defined_over_prime_field():
-            return self, ExactMatrix.identity(RING_O, self.descriptor, self.n)
-        key = ("constant model", RING_K)
+            raise ValueError("only a group over F_p[t]_(t) is conjugate to a constant group")
+        key = ("conjugator", RING_O)
         if key not in self.memo:
-            self.memo[key] = _constant_model(self)
+            constant = all(a.num.degree <= 0 and a.den.degree == 0
+                           for i in self.generator_indices
+                           for row in self.elements[i].entries for a in row)
+            self.memo[key] = None if constant else _conjugator(self)
         return self.memo[key]
 
     def __repr__(self) -> str:
@@ -210,29 +190,23 @@ class MatrixGroup:
         )
 
 
-def _constant_model(group: MatrixGroup) -> tuple:
-    descriptor, n = group.descriptor, group.n
+def _conjugator(group: MatrixGroup) -> ExactMatrix:
+    descriptor = group.descriptor
     inv_order = invert_mod_group_order(group.order, descriptor)  # the gate
-    p, residues = descriptor.p, group.residue_rows()
-    model = MatrixGroup(
-        descriptor, n, [ExactMatrix.from_ints(RING_O, descriptor, rows) for rows in residues],
-        group.products, group.residue_memo)
-    # Gbar = A^-1 G A over K: the same elements are reflections, with the
-    # same eigenvalues, orders and generation, so the report is the group's
-    model.memo["reflections", RING_K] = classify_reflections(group)
-    total = None
-    for g, rows in zip(group.elements, residues):
+    p, total = descriptor.p, None
+    for g, rows in zip(group.elements, group.residue_rows()):
         term = g * ExactMatrix.from_ints(RING_O, descriptor, inverse_mod_p(rows, p))
         total = term if total is None else total + term
     a = total.scale(inv_order)
-    _check_constant_model(group, model, a)
-    return model, a
+    _check_constant_model(group, a)
+    return a
 
 
-def _check_constant_model(group: MatrixGroup, model: MatrixGroup, a: ExactMatrix) -> None:
-    """Exact checks that A carries the model onto the group: A has entries
-    in O and a unit determinant, reduces to I, and g A = A gbar for every
-    generator g, hence for all of G.  A failure is `InternalCheckError`."""
+def _check_constant_model(group: MatrixGroup, a: ExactMatrix) -> None:
+    """Exact checks that A carries the constant twins onto the group: A has
+    entries in O and a unit determinant, reduces to I, and g A = A gbar for
+    every generator g, with gbar its residue rows, hence for all of G.  A
+    failure is `InternalCheckError`."""
     descriptor = group.descriptor
     if not all(descriptor.is_integral(x) for row in a.entries for x in row):
         raise InternalCheckError("the conjugating matrix A has an entry outside O")
@@ -242,8 +216,10 @@ def _check_constant_model(group: MatrixGroup, model: MatrixGroup, a: ExactMatrix
     if any(descriptor.reduce(x) != int(i == j)
            for i, row in enumerate(a.entries) for j, x in enumerate(row)):
         raise InternalCheckError("the conjugating matrix A does not reduce to the identity")
+    residues = group.residue_rows()
     for i in group.generator_indices:
-        if group.elements[i] * a != a * model.elements[i]:
+        g_bar = ExactMatrix.from_ints(RING_O, descriptor, residues[i])
+        if group.elements[i] * a != a * g_bar:
             raise InternalCheckError(f"g A differs from A gbar for the generator at element {i}")
 
 

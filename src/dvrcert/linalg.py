@@ -167,6 +167,9 @@ class ExactMatrix:
         # a tuple compares its items by identity first, so the shared
         # descriptor of one group is not compared field by field
         if (self.ring, self.descriptor) != (other.ring, other.descriptor):
+            if self.descriptor != other.descriptor:
+                raise ValueError(f"matrices over different DVRs: "
+                                 f"{self.descriptor} vs {other.descriptor}")
             raise ValueError(f"ring mismatch: {self.ring} vs {other.ring}")
 
     def _like(self, rows) -> ExactMatrix:

@@ -11,18 +11,14 @@ echelon computation downstream.  Over k a coefficient is an int in
 [0, p), reduced mod p where a polynomial is built, so over K and k alike
 the coordinates are the coefficients themselves (`MultiPoly.coordinates`,
 `from_coordinates`), and the action matrices over k are built on the
-residue rows mod p.  A ratfunc group whose generators are constant
-matrices lies in GL_n(F_p); each of its systems over K = F_p(t) has
-entries in F_p, so its reduced echelon form is the one over F_p, and its
-invariant bases over K are its bases over k with each coefficient lifted
-to K, with no elimination over F_p(t); `certify` reads every other
-ratfunc group's side over K off its constant model
-(`MatrixGroup.constant_model`), a group of that kind, and carries it
-back with `act`.  The Molien series reads each element's det(I - z g)
-off Berkowitz's characteristic polynomial (`linalg.char_poly`) in
-integers, on the integer forms for the int kind and on the residue rows
-mod p for the ratfunc kind, and inverts it by one division-free
-recurrence, since its constant term is det(I) = 1.
+residue rows mod p.  `certify` reads a ratfunc group's side over K off
+its side over k (`MatrixGroup.conjugator`), so it asks for an invariant
+basis over F_p(t) only in H^1, where p divides |G|.  The Molien series
+reads each element's det(I - z g) off Berkowitz's characteristic
+polynomial (`linalg.char_poly`) in integers, on the integer forms for the
+int kind and on the residue rows mod p for the ratfunc kind, and inverts
+it by one division-free recurrence, since its constant term is
+det(I) = 1.
 Whether a matrix of polynomials (a Jacobian) has a nonzero determinant is
 first asked at a few fixed points, where the determinant is a scalar.
 """
@@ -167,6 +163,9 @@ class MultiPoly:
     def _compat(self, other: MultiPoly):
         # compared by identity first, as in ExactMatrix._compat
         if (self.ring, self.descriptor, self.n) != (other.ring, other.descriptor, other.n):
+            if self.descriptor != other.descriptor:
+                raise ValueError(f"polynomials over different DVRs: "
+                                 f"{self.descriptor} vs {other.descriptor}")
             raise ValueError("polynomials from different rings cannot be combined")
 
     def __add__(self, other: MultiPoly) -> MultiPoly:
@@ -477,11 +476,11 @@ def action_matrix(
 
 def element_action_matrix(group: MatrixGroup, ring: str, idx: int, d: int) -> list[dict]:
     """rho_d of element idx over K or k, from the monomial images that
-    `group.memo_over(ring)` keeps for it under ("images", ring, idx).  Over
+    `group.memo` keeps for it under ("images", ring, idx).  Over
     K the element is the O-matrix `group.matrix(idx, ring)`, whose values
     are K's; over k it is its residue rows (`MatrixGroup.residue_rows`), and
     rho_d holds ints in [0, p), ready for `RowEchelon` with p."""
-    images = group.memo_over(ring).setdefault(("images", ring, idx), {})
+    images = group.memo.setdefault(("images", ring, idx), {})
     if ring == RING_RESIDUE:
         return action_matrix(group.residue_rows()[idx], group.n, d, images=images,
                              p=group.descriptor.p)
@@ -505,23 +504,16 @@ def invariant_basis(group: MatrixGroup, d: int, ring: str) -> GradedBasis:
 
     Solves (action(g) - I) v = 0 simultaneously for the generators only;
     invariance under the generators implies invariance under the group.
-    Over k the system is one over F_p in ints mod p.  A group defined over
-    F_p (`MatrixGroup.defined_over_prime_field`) solves no system over K:
-    its system there has entries in F_p, so its reduced echelon form over
-    K is the one over F_p, and its basis over K is the basis over k with
-    each coefficient lifted by `descriptor.from_int`.  Computed once per
-    (degree, ring) and group, then kept in `group.memo_over(ring)`.
+    Over k the system is one over F_p in ints mod p.  Computed once per
+    (degree, ring) and group, then kept in `group.memo`.
     """
     if ring not in (RING_K, RING_RESIDUE):
         raise ValueError("invariant bases are computed over a field (K or k)")
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    memo, key = group.memo_over(ring), ("invariant_basis", d, ring)
+    memo, key = group.memo, ("invariant_basis", d, ring)
     if key not in memo:
-        if ring == RING_K and group.defined_over_prime_field():
-            memo[key] = _lifted_basis(group, d)
-        else:
-            memo[key] = _invariant_basis(group, d, ring)
+        memo[key] = _invariant_basis(group, d, ring)
     return memo[key]
 
 
@@ -540,12 +532,6 @@ def _invariant_basis(group: MatrixGroup, d: int, ring: str) -> GradedBasis:
         for v in span.kernel(len(basis), one)
     )
     return GradedBasis(d, polys)
-
-
-def _lifted_basis(group: MatrixGroup, d: int) -> GradedBasis:
-    """The degree-d basis over k, each coefficient lifted to K: the basis
-    over K of a group defined over F_p."""
-    return GradedBasis(d, tuple(f.lift(RING_K) for f in invariant_basis(group, d, RING_RESIDUE).polys))
 
 
 # -- Molien series -----------------------------------------------------------------

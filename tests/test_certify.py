@@ -15,6 +15,7 @@ from dvrcert.errors import (
 )
 from dvrcert.certify import (
     FundamentalInvariants,
+    _check_fundamental_conditions,
     certify,
     fundamental_invariants,
     graded_isomorphism_check,
@@ -617,7 +618,7 @@ def test_certificate_serialization_schema(s3_z5):
     assert all(entry["verified"] for entry in doc["bases"])
 
 
-# -- the constant model of a ratfunc group ----------------------------------------------------
+# -- the conjugator of a ratfunc group onto its constant twins ----------------------------------
 
 
 def _conjugated_ratfunc_pairs():
@@ -633,7 +634,7 @@ def _conjugated_ratfunc_pairs():
 
 def test_a_conjugated_ratfunc_job_reports_what_the_group_as_given_does():
     for given, conjugate in _conjugated_ratfunc_pairs():
-        assert given.defined_over_prime_field() and not conjugate.defined_over_prime_field()
+        assert given.conjugator() is None and conjugate.conjugator() is not None
         expected, cert = certify(given, 8), certify(conjugate, 8)
         assert cert.verdict == expected.verdict == "certified"
         for field in ("degrees_match", "graded_table", "molien", "h1_table", "lift_verified"):
@@ -658,40 +659,61 @@ def test_printed_generators_and_lifts_are_invariants_of_the_jobspec_group():
             assert lift.reduce() == f_bar
 
 
+def test_the_generators_over_K_pass_every_check_over_K_on_the_jobspec_group():
+    # `certify` checks a ratfunc group's generators over K only over k,
+    # where the search returns them; here the checks run over K on the
+    # group as the jobspec gives it: invariance under its generators, which
+    # are not constant for a conjugate, the degree identities, and a
+    # nonzero Jacobian
+    for given, conjugate in _conjugated_ratfunc_pairs():
+        for group in (given, conjugate):
+            cert = certify(group, 8)
+            assert cert.fundamental_K.ring == RING_K
+            assert _check_fundamental_conditions(group, cert.fundamental_K) == []
+        # the checks see a generator set that is not carried
+        lifted = FundamentalInvariants(
+            RING_K, tuple(f.lift(RING_K) for f in cert.fundamental_k.generators),
+            cert.fundamental_k.degrees)
+        assert any("not invariant" in problem
+                   for problem in _check_fundamental_conditions(conjugate, lifted))
+
+
 def test_the_constant_model_conjugates_the_group_onto_its_reduction():
     for given, conjugate in _conjugated_ratfunc_pairs():
         descriptor, n = conjugate.descriptor, conjugate.n
-        model, a = conjugate.constant_model()
-        assert conjugate.constant_model()[0] is model  # built once
-        assert model.defined_over_prime_field()
-        assert model.products == conjugate.products
-        assert model.elements == tuple(ExactMatrix.from_ints(RING_O, descriptor, rows)
-                                       for rows in conjugate.residue_rows())
+        a = conjugate.conjugator()
+        assert conjugate.conjugator() is a  # built once
+        # the twins, the residue rows, multiply by the group's product table
+        twins = [ExactMatrix.from_ints(RING_RESIDUE, descriptor, rows)
+                 for rows in conjugate.residue_rows()]
+        for i, row in enumerate(conjugate.products):
+            for gi, j in zip(conjugate.generator_indices, row, strict=True):
+                assert twins[i] * twins[gi] == twins[j]
         # A in GL_n(O), A = I mod t, and g A = A gbar for all of G
         assert all(descriptor.is_integral(x) for row in a.entries for x in row)
         assert descriptor.is_unit(det_of_rows(a.entries, descriptor.zero(), descriptor.one()))
         assert [[descriptor.reduce(x) for x in row] for row in a.entries] == [
             [int(i == j) for j in range(n)] for i in range(n)]
-        for g, g_bar in zip(conjugate.elements, model.elements, strict=True):
-            assert g * a == a * g_bar
-        # a group inside GL_n(F_p) is its own model
-        assert given.constant_model() == (given, ExactMatrix.identity(RING_O, descriptor, n))
+        for g, rows in zip(conjugate.elements, conjugate.residue_rows(), strict=True):
+            assert g * a == a * ExactMatrix.from_ints(RING_O, descriptor, rows)
+        # a group inside GL_n(F_p) is its own twin: nothing is carried
+        assert given.conjugator() is None
 
 
 def test_a_wrong_conjugating_matrix_is_an_internal_error(s2_z3):
     conjugate = _conjugated_ratfunc_pairs()[0][1]
     descriptor, n = conjugate.descriptor, conjugate.n
-    model, a = conjugate.constant_model()
+    a = conjugate.conjugator()
     t = descriptor.uniformizer()
     for wrong, message in ((a.scale(t.inverse()), "outside O"),
                            (a.scale(t), "not a unit"),
                            (a.scale(descriptor.from_int(2)), "does not reduce"),
                            (ExactMatrix.identity(RING_O, descriptor, n), "differs from A gbar")):
         with pytest.raises(InternalCheckError, match=message):
-            _check_constant_model(conjugate, model, wrong)
-    _check_constant_model(conjugate, model, a)
-    with pytest.raises(ValueError, match="constant model"):
-        s2_z3.constant_model()
+            _check_constant_model(conjugate, wrong)
+    _check_constant_model(conjugate, a)
+    with pytest.raises(ValueError, match="constant group"):
+        s2_z3.conjugator()
 
 
 def test_the_K_column_of_a_conjugated_job_matches_elimination_over_F_p_t():
@@ -712,7 +734,7 @@ def test_the_K_column_of_a_conjugated_job_matches_elimination_over_F_p_t():
 def test_a_conjugated_ratfunc_group_computes_its_k_side_once(monkeypatch):
     certify_module = sys.modules["dvrcert.certify"]
     polys_module = sys.modules["dvrcert.polys"]
-    computed = []
+    computed, built = [], []
     for module, name in ((polys_module, "_invariant_basis"),
                          (certify_module, "_h1_exact_degree"),
                          (certify_module, "_greedy_fundamentals")):
@@ -721,15 +743,22 @@ def test_a_conjugated_ratfunc_group_computes_its_k_side_once(monkeypatch):
             return _original(group, *args)
 
         monkeypatch.setattr(module, name, counted)
-    conjugate = _conjugated_ratfunc_pairs()[0][1]
+
+    def counted_init(group, *args, _original=MatrixGroup.__init__):
+        built.append(args)
+        _original(group, *args)
+
+    given = constant_ratfunc_groups()[0]
+    monkeypatch.setattr(MatrixGroup, "__init__", counted_init)
+    conjugate = conjugated_over_t(given, random.Random(23))
     assert certify(conjugate, 8).verdict == "certified"
-    # the model reads the group's bases over k; nothing is solved over K
+    # the group is read over k; nothing is solved over K, and no second
+    # group is built for its constant twins
     assert sorted(computed) == sorted(
         [("_invariant_basis", d, RING_RESIDUE) for d in range(9)]
         + [("_h1_exact_degree", d, RING_RESIDUE) for d in range(6)]
         + [("_greedy_fundamentals", RING_RESIDUE, 8)])
-    model, _ = conjugate.constant_model()
-    assert model.residue_memo is conjugate.residue_memo is not conjugate.memo
+    assert len(built) == 1
 
 
 def _live_groups() -> int:
@@ -738,10 +767,10 @@ def _live_groups() -> int:
 
 @pytest.mark.parametrize("bound", [8, 2])
 def test_a_conjugated_ratfunc_group_is_freed_without_the_collector(bound):
-    # the group keeps its constant model in `memo`, and the model shares
-    # the group's `residue_memo`, not `memo`; at bound 2 the search over k
-    # fails, and the failure is kept too.  No reference cycle runs through
-    # the group, so `del` frees it and its model with the collector off
+    # the group keeps its conjugator and every result, over O, K and k, in
+    # its one `memo`; at bound 2 the search over k fails, the failure is
+    # kept, and nothing is carried, so A is not built.  Nothing in the memo
+    # refers back to the group, so `del` frees it with the collector off
     gc.collect()
     gc.disable()
     try:
@@ -749,8 +778,8 @@ def test_a_conjugated_ratfunc_group_is_freed_without_the_collector(bound):
         group = conjugated_over_t(constant_ratfunc_groups()[0], random.Random(23))
         cert = certify(group, bound)
         assert cert.verdict == ("certified" if bound == 8 else "inconclusive")
-        assert ("constant model", RING_K) in group.memo
-        found = group.residue_memo["fundamental", bound, RING_RESIDUE]
+        assert (("conjugator", RING_O) in group.memo) == (bound == 8)
+        found = group.memo["fundamental", bound, RING_RESIDUE]
         assert isinstance(found, DegreeBoundExhaustedError) == (bound == 2)
         del found
         del group, cert
@@ -763,7 +792,7 @@ def test_a_conjugated_ratfunc_job_applies_A_once_per_generator(monkeypatch):
     # the generators over K and the lifts carry the same lifts of the
     # generators over k by act(A, .), once each
     conjugate = _conjugated_ratfunc_pairs()[0][1]
-    a = conjugate.constant_model()[1]
+    a = conjugate.conjugator()
     certify_module = sys.modules["dvrcert.certify"]
     carried = []
 
@@ -780,3 +809,21 @@ def test_a_conjugated_ratfunc_job_applies_A_once_per_generator(monkeypatch):
     over_k = fundamental_invariants(conjugate, RING_RESIDUE, 8).generators
     assert report["fundamental_generators_K"] == [str(act(a, f.lift(RING_K))) for f in over_k]
     assert report["lifts"] == [str(act(a, f.lift(RING_O))) for f in over_k]
+
+
+def test_a_conjugated_ratfunc_job_asks_invariance_once(monkeypatch):
+    # each generator over k is checked for invariance once, under the
+    # generators over k, when the search over k returns it; the generators
+    # over K and the lifts are its lift carried by A, and neither the lifts
+    # nor the constant twins are asked again
+    group = conjugated_over_t(constant_ratfunc_groups()[0], random.Random(23))
+    a = group.conjugator()
+    calls = Counter()
+    for module in (sys.modules["dvrcert.certify"], sys.modules["dvrcert.polys"]):
+        def counted(g, f, _original=module.act):
+            calls["A" if g is a else g.ring] += 1
+            return _original(g, f)
+
+        monkeypatch.setattr(module, "act", counted)
+    assert certify(group, 8).verdict == "certified"
+    assert calls == {RING_RESIDUE: 4, "A": 2}

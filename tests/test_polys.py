@@ -116,7 +116,7 @@ def test_act_and_action_matrix_match_the_power_oracle(s3_z5, b2_f5t_twisted):
                 if ring == RING_RESIDUE:
                     rho = _over_F_p(group, rho)
                 assert square_matrix(rho, g) == action_matrix_bruteforce(g, n, d)
-            assert {sum(e) for e in group.memo_over(ring)["images", ring, idx]} == {4}
+            assert {sum(e) for e in group.memo["images", ring, idx]} == {4}
         # over k, rho_d of the residue rows in ints mod p is that of the k-matrix
         for rows, g in zip(group.residue_rows(), element_matrices(group, RING_RESIDUE)):
             for d in range(4):
@@ -346,7 +346,7 @@ def test_the_basis_over_K_of_a_group_over_F_p_is_the_lifted_basis_over_k(c4_f5t)
     # the lifted basis must be the reduced echelon kernel of the stacked
     # RatFunc rows rho_d(g) - I over F_p(t), eliminated here by the oracle
     for group, bound in _constant_groups(c4_f5t):
-        assert group.defined_over_prime_field()
+        assert group.conjugator() is None
         descriptor = group.descriptor
         zero, one = descriptor.zero(), descriptor.one()
         gens = [g.to_field() for g in generators_of(group)]
@@ -372,8 +372,8 @@ def test_the_basis_over_K_of_a_group_over_F_p_is_the_lifted_basis_over_k(c4_f5t)
 def test_a_group_over_F_p_builds_no_action_matrix_over_K(c4_f5t, b2_f5t_twisted, monkeypatch):
     # no ratfunc group past the gate, inside GL_n(F_p) or conjugated out of
     # it, builds an action matrix over K or eliminates rows of RatFunc values
-    # in `certify`: its K side is the k side of its constant model, carried
-    # back by act(A, .)
+    # in `certify`: its K side is its k side lifted, and carried by act(A, .)
+    # when it is conjugated
     polys_module = sys.modules["dvrcert.polys"]
     built, eliminated = [], set()
 
@@ -397,7 +397,7 @@ def test_a_group_over_F_p_builds_no_action_matrix_over_K(c4_f5t, b2_f5t_twisted,
         built.clear()
         eliminated.clear()
         fresh = generate_group(generators_of(group), descriptor=group.descriptor)
-        assert fresh.defined_over_prime_field() is is_constant
+        assert (fresh.conjugator() is None) is is_constant
         assert certify(fresh, bound).verdict == "certified"
         assert built and RING_K not in built
         assert eliminated == {int}

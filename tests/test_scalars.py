@@ -275,12 +275,14 @@ def test_ratfunc_arithmetic_matches_the_textbook_oracle(p):
 
 def test_scalars_from_different_dvrs_do_not_mix(z3, z5):
     # a value records no DVR, not even a value of k, a plain int: its
-    # container does, and refuses to combine with one of another prime
+    # container does, and refuses to combine with one of another prime,
+    # naming both DVRs, kind and p
+    both = r"int-localized.*p=3.*int-localized.*p=5"
     for ring in (RING_O, RING_K, RING_RESIDUE):
         for op in (operator.add, operator.sub, operator.mul):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=both):
                 op(ExactMatrix.identity(ring, z3, 2), ExactMatrix.identity(ring, z5, 2))
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=both):
                 op(MultiPoly.variable(ring, z3, 2, 0), MultiPoly.variable(ring, z5, 2, 0))
         with pytest.raises(ValueError):
             act(ExactMatrix.identity(ring, z3, 2), MultiPoly.variable(ring, z5, 2, 0))
