@@ -8,6 +8,15 @@ field, the degree-by-degree dimension comparison between the two, vanishing
 of first cohomology on low-degree pieces, and Reynolds lifts of the residue
 generators back to the ring.
 
+For both kinds the invariants stage searches over k alone, and its
+generators over K are the lifts of those over k, which the lifts stage
+prints as well.  For the int kind the lifts are Reynolds averages, taken
+in ints on the closure's integer forms: |G| is a unit of O, so averaging
+commutes with reduction, and by graded Nakayama the lifts generate over O
+and over K (see `fundamental_invariants`).  The graded table's K column
+is the Molien series, exact over Q, and every H^1 piece over Q is 0 by
+theorem, so no int-kind stage solves a system over Q.
+
 For the ratfunc kind the invariants, graded and lifts stages read the
 group's side over K off its side over k: G = A Gbar A^-1 for a checked A
 in GL_n(O) (`MatrixGroup.conjugator`), with Gbar the constant twins in
@@ -50,6 +59,7 @@ from .polys import (
     MultiPoly,
     act,
     element_action_matrix,
+    fixed_by_generators,
     invariant_basis,
     molien_identity_failures,
     molien_series,
@@ -134,37 +144,46 @@ class _SubalgebraTracker:
 def fundamental_invariants(
     group: MatrixGroup, ring: str, degree_bound: int
 ) -> FundamentalInvariants:
-    """n fundamental invariants over K or k, by a greedy degree-ascending
-    search (`_greedy_fundamentals`), verified.
+    """n fundamental invariants over k, by a greedy degree-ascending search
+    (`_greedy_fundamentals`), verified; over K, the lifts of those over k.
 
-    The search runs once per group, field and bound, its outcome, a
-    failure included, kept in `group.memo` under ("fundamental", bound,
-    ring).  For the ratfunc kind the one over k is the only search: the
-    generators over K are those over k lifted to constants of F_p and
-    carried to G by act(A, .) (`_carried`, with A from
-    `MatrixGroup.conjugator`; not carried when A is None), and they fail
-    as those over k do.  Gbar, the constant twins, lies in GL_n(F_p), so
-    its search over K would eliminate the lifts of the rows over k and
-    adjoin the lifts of the generators over k.  Each check of
-    `_check_fundamental_conditions` on those lifts over K is the check over
-    k, computed on constants of F_p embedded in F_p(t): the same residue
-    rows, degrees and reflection count, and the same Jacobian evaluation
-    points, so it is not run again.  Since g A = A gbar for every g,
-    act(A, .) maps Gbar's invariants onto G's degree by degree, and A is
-    invertible over O, so the carried generators are fundamental
-    invariants of G over K.
+    Each is found once per group, field and bound, its outcome, a failure
+    included, kept in `group.memo` under ("fundamental", bound, ring).
+    The one search is over k; the generators over K are those over k
+    lifted to O (`_lifts`), and fail as those over k do.
+
+    For the int kind the lifts are Reynolds averages.  |G| is a unit of O,
+    so the Reynolds operator R commutes with reduction, and O[X]^G_d =
+    R(O[X]_d) is a direct summand of O[X]_d: free, of rank
+    dim_k k[X]^G_d = dim_K K[X]^G_d.  The lift f~_i reduces to the generator
+    f_i over k, since R(f_i) = f_i.  The products of the f~ of degree d
+    reduce to those of the f, which span k[X]^G_d up to the bound, so by
+    graded Nakayama they span O[X]^G_d, and tensoring with K, K[X]^G_d.
+    The Jacobian of the f~ reduces to that of the f, which is nonzero, so
+    it is nonzero over K, and the degrees are those over k.  So no search,
+    no basis and no Jacobian over Q is computed; two exact checks stay on
+    each lift, that it reduces to its generator and is fixed by every
+    generator of G (`polys.fixed_by_generators`, in ints), and a failure
+    is `InternalCheckError`.
+
+    For the ratfunc kind the lifts are carried to G by act(A, .), with A
+    from `MatrixGroup.conjugator` (not carried when A is None).  Gbar, the
+    constant twins, lies in GL_n(F_p), so its search over K would
+    eliminate the lifts of the rows over k and adjoin the lifts of the
+    generators over k.  Each check of `_check_fundamental_conditions` on
+    those lifts over K is the check over k, computed on constants of F_p
+    embedded in F_p(t): the same residue rows, degrees and reflection
+    count, and the same Jacobian evaluation points, so it is not run
+    again.  Since g A = A gbar for every g, act(A, .) maps Gbar's
+    invariants onto G's degree by degree, and A is invertible over O, so
+    the carried generators are fundamental invariants of G over K.
     """
     invert_mod_group_order(group.order, group.descriptor)
-    if ring == RING_K and group.descriptor.kind != KIND_INT:
-        over_k = fundamental_invariants(group, RING_RESIDUE, degree_bound)
-        carried = (_carried(group, f.lift(RING_O)) for f in over_k.generators)
-        return FundamentalInvariants(
-            RING_K, tuple(MultiPoly(RING_K, f.descriptor, f.n, f.terms) for f in carried),
-            over_k.degrees)
     memo, key = group.memo, ("fundamental", degree_bound, ring)
     if key not in memo:
         try:
-            memo[key] = _greedy_fundamentals(group, ring, degree_bound)
+            memo[key] = (_lifted_fundamentals(group, degree_bound) if ring == RING_K
+                         else _greedy_fundamentals(group, ring, degree_bound))
         except DvrcertError as exc:
             # a copy with no traceback, whose frames would hold the group
             memo[key] = type(exc)(*exc.args)
@@ -174,17 +193,42 @@ def fundamental_invariants(
     return found
 
 
-def _carried(group: MatrixGroup, f: MultiPoly) -> MultiPoly:
-    """act(A, f) for f over O and a ratfunc group G = A Gbar A^-1
-    (`MatrixGroup.conjugator`), kept in `memo` under ("carried", f, "O"):
-    the generators over K and the lifts carry the same lifts of the
-    generators over k.  f itself when A is None."""
-    a = group.conjugator()
-    if a is None:
-        return f
-    key = ("carried", f, RING_O)
+def _lifted_fundamentals(group: MatrixGroup, degree_bound: int) -> FundamentalInvariants:
+    """The lifts of the generators over k (`_lifts`) as generators over K;
+    for the int kind each is first checked to reduce to its generator and
+    to be fixed by the generators of G."""
+    over_k = fundamental_invariants(group, RING_RESIDUE, degree_bound)
+    lifts = _lifts(group, over_k.generators)
+    if group.descriptor.kind == KIND_INT:
+        fixed = fixed_by_generators(group, lifts)
+        for i, (lift, f_bar) in enumerate(zip(lifts, over_k.generators)):
+            if lift.reduce() != f_bar:
+                raise InternalCheckError(
+                    f"the Reynolds lift of generator {i} over k does not reduce to it")
+            if not fixed[i]:
+                raise InternalCheckError(
+                    f"the Reynolds lift of generator {i} over k is not invariant")
+    return FundamentalInvariants(
+        RING_K, tuple(MultiPoly(RING_K, f.descriptor, f.n, f.terms) for f in lifts),
+        over_k.degrees)
+
+
+def _lifts(group: MatrixGroup, generators: tuple) -> tuple:
+    """The invariants over O that lift the generators over k, found once
+    and kept in `memo` under ("lifts", generators, "O"): the generators
+    over K and `lift_fundamentals` read the same lifts.  For the int kind
+    the Reynolds averages of their coefficientwise lifts, in one pass over
+    G; for the ratfunc kind their lifts carried by act(A, .) for a group
+    G = A Gbar A^-1 (`MatrixGroup.conjugator`), or the lifts themselves
+    when A is None."""
+    key = ("lifts", generators, RING_O)
     if key not in group.memo:
-        group.memo[key] = act(a, f)
+        lifted = tuple(f.lift(RING_O) for f in generators)
+        if group.descriptor.kind == KIND_INT:
+            group.memo[key] = reynolds(group, lifted)
+        else:
+            a = group.conjugator()
+            group.memo[key] = lifted if a is None else tuple(act(a, f) for f in lifted)
     return group.memo[key]
 
 
@@ -258,14 +302,12 @@ def _check_fundamental_conditions(group: MatrixGroup, inv: FundamentalInvariants
         problems.append(
             f"degree excess {excess} differs from the reflection count {reflection_count}"
         )
-    gens = [group.matrix(i, inv.ring) for i in group.generator_indices]
+    fixed = fixed_by_generators(group, inv.generators)
     for i, f in enumerate(inv.generators):
         if not f.is_homogeneous() or f.is_zero():
             problems.append(f"generator {i} is not homogeneous and nonzero")
-        for g in gens:
-            if act(g, f) != f:
-                problems.append(f"generator {i} is not invariant")
-                break
+        if not fixed[i]:
+            problems.append(f"generator {i} is not invariant")
     if not jacobian_independence(inv):
         problems.append("Jacobian determinant vanishes: generators are dependent")
     return problems
@@ -297,6 +339,13 @@ def jacobian_independence(inv: FundamentalInvariants) -> bool:
 def graded_isomorphism_check(group: MatrixGroup, degree_bound: int):
     """Rows (d, dim over K, dim over k, equal?) for d up to the bound.
 
+    The dimension over k is that of the invariant basis over F_p.  For the
+    int kind the dimension over K is the Molien coefficient
+    (`polys.molien_series`, kept in `group.memo` and shared with the
+    molien stage): K = Q has characteristic 0, so the coefficient of z^d
+    is dim_K K[X]^G_d exactly.  Each row then compares a character sum
+    over Q with an elimination over F_p, and no system over Q is solved.
+
     For the ratfunc kind the dimension over K is the dimension over k:
     act(A, .) maps the invariants of degree d of Gbar, the constant twins
     (`MatrixGroup.conjugator`), onto G's, and Gbar's system over K has its
@@ -306,11 +355,13 @@ def graded_isomorphism_check(group: MatrixGroup, degree_bound: int):
     check of the K column against an elimination over F_p(t).
     """
     invert_mod_group_order(group.order, group.descriptor)
-    int_kind = group.descriptor.kind == KIND_INT
+    over_q = None
+    if group.descriptor.kind == KIND_INT:
+        over_q = molien_series(group, degree_bound).coefficients
     rows = []
     for d in range(degree_bound + 1):
         dim_res = invariant_basis(group, d, RING_RESIDUE).dimension
-        dim_k_field = invariant_basis(group, d, RING_K).dimension if int_kind else dim_res
+        dim_k_field = dim_res if over_q is None else over_q[d]
         rows.append((d, dim_k_field, dim_res, dim_k_field == dim_res))
     return tuple(rows)
 
@@ -415,12 +466,18 @@ def h1_dimension(group: MatrixGroup, degree: int, ring: str) -> int:
     a unit of K and of k, and since |G| kills H^1 every piece is 0: there
     the table is an exact cross-check of a theorem, not a proof obligation.
 
-    Each contribution is computed once per group and kept in
+    For the int kind the K pieces are 0 with or without the gate: K = Q
+    has characteristic 0, so multiplication by |G| is invertible on V
+    and kills H^1(G, V), which is therefore 0.  They are read as 0, and
+    nothing is solved over Q (`tests/test_certify.py` keeps the solve,
+    `_h1_exact_degree` over K, as an oracle).
+
+    Each other contribution is computed once per group and kept in
     `group.memo`, so a table over d = 0, 1, ... is a prefix
     sum.  The k piece of a degree comes first, because it bounds the K
     piece (see `_h1_exact_degree`): a zero k piece makes the K piece 0
-    with no elimination over K, so K is solved only where the k piece is
-    nonzero, and there a K piece above it
+    with no elimination over K, so a ratfunc group's K piece is solved
+    only where the k piece is nonzero, and there a K piece above it
     raises `InternalCheckError`.  Any ring but K or k, and a negative
     degree, as `invariant_basis` does, are refused before any piece is
     computed.
@@ -429,6 +486,8 @@ def h1_dimension(group: MatrixGroup, degree: int, ring: str) -> int:
         raise ValueError("H^1 is computed over a field (K or k)")
     if degree < 0:
         raise ValueError("degree must be nonnegative")
+    if ring == RING_K and group.descriptor.kind == KIND_INT:
+        return 0
     memo = group.memo
     for e in range(degree + 1):
         if ("h1", e, RING_RESIDUE) not in memo:
@@ -448,42 +507,44 @@ def h1_dimension(group: MatrixGroup, degree: int, ring: str) -> int:
 
 
 def lift_fundamentals(group: MatrixGroup, residue_inv: FundamentalInvariants):
-    """Reynolds lifts of residue-field generators to O-invariants.
+    """Lifts of residue-field generators to O-invariants (`_lifts`), each
+    checked to reduce to its generator.  Returns (lifted polynomials,
+    verdict, notes).
 
-    Each generator is lifted coefficientwise and, for the int kind,
-    averaged over the group; the reduction of the result is checked against
-    the original generator.  A `FundamentalInvariants` over k is invariant
-    by construction: `fundamental_invariants` returns only generators that
-    passed its invariance check over k.  For the ratfunc kind the lift of
-    such a generator, whose coefficients are constants of F_p, is then
-    fixed by Gbar, the constant twins, and is its own average; it is not
-    averaged, and its invariance is not asked again.  It is carried to G by
-    act(A, .) (`_carried`, with A from `MatrixGroup.conjugator`), which
-    maps Gbar-invariants over O onto G-invariants, and A = I mod t keeps
-    the reduction.  Such a lift is the one the generators over K carry, so
-    A acts on it once.  Returns (lifted polynomials, verdict, notes).
+    For the int kind a generator is lifted coefficientwise and averaged
+    over G by the Reynolds operator, which commutes with reduction since
+    |G| is a unit of O: the average of the lift of an invariant f over k
+    reduces to the average of f, which is f.  By graded Nakayama the
+    lifts then generate O[X]^G wherever the generators over k generate
+    k[X]^G (see `fundamental_invariants`); they are the generators over K
+    that `fundamental_invariants` returns, found once.
+
+    A `FundamentalInvariants` over k is invariant by construction:
+    `fundamental_invariants` returns only generators that passed its
+    invariance check over k.  For the ratfunc kind the lift of such a
+    generator, whose coefficients are constants of F_p, is then fixed by
+    Gbar, the constant twins, and is its own average; it is not averaged,
+    and its invariance is not asked again.  It is carried to G by act(A, .)
+    (A from `MatrixGroup.conjugator`), which maps Gbar-invariants over O
+    onto G-invariants, and A = I mod t keeps the reduction.  Such a lift is
+    the one the generators over K carry, so A acts on it once.
     """
     if residue_inv.ring != RING_RESIDUE:
         raise ValueError("lift expects fundamental invariants over the residue field")
     invert_mod_group_order(group.order, group.descriptor)
-    average = reynolds if group.descriptor.kind == KIND_INT else _carried
-    lifts = []
+    lifts = _lifts(group, residue_inv.generators)
     notes = []
     ok = True
-    for i, f_bar in enumerate(residue_inv.generators):
-        lifted = average(group, f_bar.lift(RING_O))
+    for i, (lifted, f_bar) in enumerate(zip(lifts, residue_inv.generators)):
         if lifted.is_zero():
             ok = False
             notes.append(f"lift of generator {i}: Reynolds average vanished")
-            lifts.append(lifted)
-            continue
-        if lifted.reduce() != f_bar:
+        elif lifted.reduce() != f_bar:
             ok = False
             notes.append(
                 f"lift of generator {i}: reduction does not reproduce the generator"
             )
-        lifts.append(lifted)
-    return tuple(lifts), ok, notes
+    return lifts, ok, notes
 
 
 # -- the certificate -----------------------------------------------------------------
@@ -741,7 +802,7 @@ def certify(
         molien, fund_K = base["molien"], base["fundamental_K"]
         off_dims, off_hilbert = molien_identity_failures(
             molien.coefficients, molien.mod_p, group.descriptor.p,
-            {d: dim for d, dim, _, _ in base["graded_table"]},
+            {d: dim for d, _, dim, _ in base["graded_table"]},
             None if fund_K is None else fund_K.degrees,
         )
         base["molien_vs_dimensions_ok"] = not off_dims

@@ -276,7 +276,7 @@ def verify_report(report) -> tuple[bool, list[str]]:
             findings.append("Molien constant term is not 1")
         off_dims, off_hilbert = molien_identity_failures(
             molien, bool(report.get("molien_mod_p")), report["dvr"]["p"],
-            {d: dim for d, dim, _ in graded}, degrees_k_field,
+            {d: dim for d, _, dim in graded}, degrees_k_field,
         )
         if off_hilbert:
             findings.append(f"Molien/Hilbert mismatch at degrees {off_hilbert}")

@@ -19,17 +19,20 @@ O-matrices.  Every pass over all of G reads them directly:
   `reduce_form` or `descriptor.reduce` per entry: eta's images, whose
   injectivity is compared on them, the rank-one test over k, on them
   minus I mod p, and the ratfunc kind's det(I - z g) in the Molien series;
-- the reflection-generation test over K and over k, one closure over O.
+- the reflection-generation test over K and over k, one closure over O;
+- for the int kind, the Reynolds average over G and the invariance test
+  of the lifts under the generators, on A in ints, scaled by powers of D
+  (`polys.reynolds`, `polys.fixed_by_generators`).
 The residue rows also serve every linear system over k: the action
 matrices of the invariant bases and of H^1 are built on them in ints mod
 p.  `MatrixGroup.matrix(i, ring)` is the one place where an element
 becomes an `ExactMatrix`: over O, which serves K as well (the int kind's
 form A / D as entries; the ratfunc kind's element is one already), or
 over k, from the residue rows, for both kinds.  Each is built the first
-time a stage reads it: the invariance checks read the generators, over k
-and, for the int kind, over K, the invariant bases over K and H^1 over K
-the generators and the elements H^1 reaches before it stops, the
-diagonalizing bases the reflections, and Reynolds every element.  Every ratfunc group whose
+time a stage reads it: the invariance checks over k read the generators,
+the diagonalizing bases the reflections, and, for a ratfunc group, the
+invariant bases over K and H^1 over K the generators and the elements
+H^1 reaches before it stops.  The int kind solves no system over K.  Every ratfunc group whose
 order is a unit is conjugate in GL_n(O), by a checked A
 (`MatrixGroup.conjugator`), to the group of its constant twins, its
 residue rows read in GL_n(F_p).  That group is never built: what it
@@ -88,10 +91,11 @@ class MatrixGroup:
     residue rows (see `residue_rows`), keyed by ("residues", "k"); the
     `ReflectionReport` (see `classify_reflections`), keyed by
     ("reflections", "K"); the conjugator A of a ratfunc group (see
-    `conjugator`), keyed by ("conjugator", "O"), and what it carries to
-    the group (see `certify._carried`), keyed by ("carried", f, "O");
-    per-degree results (invariant bases, H^1 contributions), keyed by
-    (quantity, degree, ring); the fundamental invariants, keyed by
+    `conjugator`), keyed by ("conjugator", "O"); the lifts to O of the
+    generators over k (see `certify._lifts`), keyed by ("lifts",
+    generators, "O"); per-degree results (invariant bases, H^1
+    contributions), keyed by (quantity, degree, ring); the Molien series,
+    keyed by ("molien", bound, ring); the fundamental invariants, keyed by
     ("fundamental", degree bound, ring); and, keyed by ("images", ring,
     element index), an element's images of the monomials of the highest
     degree its action matrices reached (see `polys.element_action_matrix`).

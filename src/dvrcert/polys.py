@@ -13,7 +13,12 @@ the coordinates are the coefficients themselves (`MultiPoly.coordinates`,
 `from_coordinates`), and the action matrices over k are built on the
 residue rows mod p.  `certify` reads a ratfunc group's side over K off
 its side over k (`MatrixGroup.conjugator`), so it asks for an invariant
-basis over F_p(t) only in H^1, where p divides |G|.  The Molien series
+basis over F_p(t) only in H^1, where p divides |G|.  It reads the int
+kind's side over K off the Reynolds lifts and the Molien series, so it
+asks for none over Q.  The int kind's Reynolds average and invariance
+test run on the closure's integer forms A / D in ints, act(A / D, X^e)
+being D^-|e| act(A, X^e), with one store of monomial images per element
+for all the polynomials acted on.  The Molien series
 reads each element's det(I - z g) off Berkowitz's characteristic
 polynomial (`linalg.char_poly`) in integers, on the integer forms for the
 int kind and on the residue rows mod p for the ratfunc kind, and inverts
@@ -30,6 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import InternalCheckError, NotInRingError
 from .linalg import (
@@ -407,6 +413,18 @@ def _monomial_image(images: dict, forms: list, e: tuple, p: int | None = None) -
     return terms
 
 
+def _add_image(acc: dict, images: dict, forms: list, terms, p: int | None = None) -> dict:
+    """acc plus the image of sum_e c X^e over the (e, c) in terms, under the
+    matrix whose linear forms these are (see `_monomial_image`); acc is
+    updated in place and returned."""
+    for e, c in terms:
+        for y, a in _monomial_image(images, forms, e, p).items():
+            v = c * a
+            old = acc.get(y)
+            acc[y] = v if old is None else old + v
+    return acc
+
+
 def act(g: ExactMatrix, f: MultiPoly) -> MultiPoly:
     """Linear substitution X_j -> sum_i g[i][j] X_i, extended multiplicatively."""
     if g.rows != f.n or g.cols != f.n:
@@ -414,28 +432,128 @@ def act(g: ExactMatrix, f: MultiPoly) -> MultiPoly:
     if g.ring != f.ring and not (g.ring == RING_O and f.ring == RING_K):
         raise ValueError(f"ring mismatch: matrix over {g.ring}, polynomial over {f.ring}")
     if g.descriptor != f.descriptor:
-        raise ValueError("matrix and polynomial over different DVRs")
-    forms = _linear_forms(g.entries)
+        raise ValueError(f"matrix and polynomial over different DVRs: "
+                         f"{g.descriptor} vs {f.descriptor}")
     unit = (0,) * f.n
     images = {unit: {unit: ring_one(f.ring, f.descriptor)}}
     p = f.descriptor.p if f.ring == RING_RESIDUE else None
-    terms: dict = {}
-    for e, c in f.terms.items():
-        for y, a in _monomial_image(images, forms, e, p).items():
-            v = c * a
-            acc = terms.get(y)
-            terms[y] = v if acc is None else acc + v
-    return f._like(terms)
+    return f._like(_add_image({}, images, _linear_forms(g.entries), f.terms.items(), p))
 
 
-def reynolds(group: MatrixGroup, f: MultiPoly) -> MultiPoly:
-    """Average of the orbit of f: the projection onto the invariant ring.
-    It reads every element, as `group.matrix(i, f.ring)`."""
+def _on_integer_forms(group: MatrixGroup, polys: tuple) -> bool:
+    """Check that the group can act on the polynomials together, and say
+    whether it acts through its integer forms: on the int kind's
+    polynomials over O or K."""
+    for f in polys:
+        if f.ring != polys[0].ring:
+            raise ValueError("polynomials from different rings are acted on apart")
+        if (f.descriptor, f.n) != (group.descriptor, group.n):
+            raise ValueError(f"a polynomial over {f.descriptor} in {f.n} variables "
+                             f"for a group over {group.descriptor} of degree {group.n}")
+    return group.descriptor.kind == KIND_INT and polys[0].ring != RING_RESIDUE
+
+
+def _integer_numerators(f: MultiPoly) -> tuple:
+    """(L, terms, top) with f = (1/L) sum_e a_e X^e: L the least common
+    denominator of f's `Fraction` coefficients, terms the (e, a_e) pairs
+    in ints and top the largest degree of a term."""
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    terms = [(e, c.numerator * (den // c.denominator)) for e, c in f.terms.items()]
+    return den, terms, max((sum(e) for e in f.terms), default=0)
+
+
+def _integer_image(acc: dict, form: IntMatrix, images: dict, forms: list, numerators: tuple,
+                   weight: int = 1) -> dict:
+    """acc plus weight * D^top * L * act(A / D, f), in ints, for an
+    element's form A / D and f's `_integer_numerators` (L, terms, top).
+
+    act(A / D, X^e) = D^-|e| act(A, X^e), so this is the sum over f's
+    terms of weight * D^(top - |e|) * a_e * act(A, X^e); for a
+    homogeneous f every term has the one scale weight.  `images` is the
+    store of A's monomial images, shared by every polynomial the element
+    acts on.
+    """
+    _, terms, top = numerators
+    scales = {d: weight * form.den ** (top - d) for d in {sum(e) for e, _ in terms}}
+    return _add_image(acc, images, forms, ((e, a * scales[sum(e)]) for e, a in terms))
+
+
+def reynolds(group: MatrixGroup, polys) -> tuple:
+    """The averages of the polynomials over the group, (1/|G|) sum_g g.f,
+    each the projection of f onto the invariant ring, in one pass over the
+    elements: each element's monomial images are built once, in a store
+    shared by all the polynomials, and dropped before the next element.
+
+    The int kind's polynomials over O or K are averaged on the closure's
+    integer forms A / D, in ints.  With m = lcm of the elements' D, f =
+    (1/L) sum_e a_e X^e and top its largest degree,
+    sum_g g.f = (1/(L m^top)) sum_g (m / D)^top * D^(top - |e|) a_e act(A, X^e)
+    (see `_integer_image`), so the sum is taken in ints over the one
+    denominator L m^top |G| and divided once per coefficient at the end:
+    the same element of O[X] as averaging with `act` on `Fraction`
+    matrices.  Over k the elements are the residue rows, in ints mod p; a
+    ratfunc group's polynomials over O or K are acted on by its
+    O-matrices.
+    """
+    polys = tuple(polys)
     inv_order = invert_mod_group_order(group.order, group.descriptor)
-    acc = MultiPoly.zero(f.ring, f.descriptor, f.n)
-    for i in range(group.order):
-        acc = acc + act(group.matrix(i, f.ring), f)
-    return acc.scale(group.descriptor.reduce(inv_order) if f.ring == RING_RESIDUE else inv_order)
+    if not polys:
+        return ()
+    unit = (0,) * group.n
+    if _on_integer_forms(group, polys):
+        m = lcm(*(form.den for form in group.elements))
+        numerators = [_integer_numerators(f) for f in polys]
+        sums: list = [{} for _ in polys]
+        for form in group.elements:
+            images, forms = {unit: {unit: 1}}, _linear_forms(form.rows)
+            for acc, num in zip(sums, numerators):
+                _integer_image(acc, form, images, forms, num, (m // form.den) ** num[2])
+        return tuple(
+            f._like({y: Fraction(s, den * m ** top * group.order) for y, s in acc.items()})
+            for f, acc, (den, _, top) in zip(polys, sums, numerators))
+    ring, p = polys[0].ring, None
+    if ring == RING_RESIDUE:
+        p, inv_order = group.descriptor.p, group.descriptor.reduce(inv_order)
+        elements = group.residue_rows()
+    else:
+        elements = [g.entries for g in group.elements]
+    one = ring_one(ring, group.descriptor)
+    sums = [{} for _ in polys]
+    for rows in elements:
+        images, forms = {unit: {unit: one}}, _linear_forms(rows)
+        for acc, f in zip(sums, polys):
+            _add_image(acc, images, forms, f.terms.items(), p)
+    return tuple(f._like(acc).scale(inv_order) for f, acc in zip(polys, sums))
+
+
+def fixed_by_generators(group: MatrixGroup, polys) -> tuple:
+    """For each polynomial, is it fixed by every generator of the group?
+
+    The int kind's polynomials over O or K are tested on the generators'
+    integer forms A / D: act(A / D, f) = f exactly when
+    D^top L act(A / D, f), in ints (`_integer_image`), equals D^top times
+    f's numerators.  One store of monomial images per generator serves
+    every polynomial.  Otherwise each generator acts by `act`, as
+    `group.matrix(i, ring)`.
+    """
+    polys = tuple(polys)
+    if not polys:
+        return ()
+    if not _on_integer_forms(group, polys):
+        gens = [group.matrix(i, polys[0].ring) for i in group.generator_indices]
+        return tuple(all(act(g, f) == f for g in gens) for f in polys)
+    unit = (0,) * group.n
+    numerators = [_integer_numerators(f) for f in polys]
+    fixed = [True] * len(polys)
+    for i in group.generator_indices:
+        form = group.elements[i]
+        images, forms = {unit: {unit: 1}}, _linear_forms(form.rows)
+        for k, num in enumerate(numerators):
+            if fixed[k]:
+                image = {y: v for y, v in _integer_image({}, form, images, forms, num).items() if v}
+                scale = form.den ** num[2]
+                fixed[k] = image == {e: a * scale for e, a in num[1]}
+    return tuple(fixed)
 
 
 def action_matrix(
@@ -614,11 +732,22 @@ def molien_series(group: MatrixGroup, bound: int) -> MolienSeries:
     the degree-m coefficient is then s_m / |G|, with s_m the weighted sum,
     and it is accepted only when |G| divides s_m and s_m >= 0: the same
     exact test as "a nonnegative integer in Q".  For the ratfunc kind it
-    is s_m times 1/|G| mod p.
+    is s_m times 1/|G| mod p.  The series is computed once per group and
+    bound and kept in `group.memo` under ("molien", bound, ring), the ring
+    whose dimensions it counts: K for the int kind, whose graded table
+    reads its K column off it, and k for the ratfunc kind.
     """
     descriptor = group.descriptor
-    p = descriptor.p
     invert_mod_group_order(group.order, descriptor)  # the gate: p must not divide |G|
+    key = ("molien", bound, RING_K if descriptor.kind == KIND_INT else RING_RESIDUE)
+    if key not in group.memo:
+        group.memo[key] = _molien_series(group, bound)
+    return group.memo[key]
+
+
+def _molien_series(group: MatrixGroup, bound: int) -> MolienSeries:
+    descriptor = group.descriptor
+    p = descriptor.p
     if descriptor.kind == KIND_INT:
         denominators = map(_integer_char_series_denominator, group.elements)
     else:

@@ -1,11 +1,13 @@
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from dvrcert.cli import parse_jobspec
 from dvrcert.linalg import RING_O, ExactMatrix, inverse
 from dvrcert.groups import generate_group
 from dvrcert.scalars import DvrDescriptor
@@ -47,6 +49,22 @@ def b2_z3(z3):
         ExactMatrix.from_ints(RING_O, z3, [[0, 1], [1, 0]]),
         ExactMatrix.from_ints(RING_O, z3, [[1, 0], [0, -1]]),
     ])
+
+
+def halved_b2_z5():
+    """B_2 = <swap, diag(1, -1)> over Z_(5) conjugated by diag(2, 1): the
+    generators [[0, 1/2], [2, 0]] and [[1, 0], [0, -1]], so the integer
+    forms A / D of half the elements have D = 2."""
+    z5 = DvrDescriptor("int-localized", 5)
+    return generate_group([
+        ExactMatrix(RING_O, z5, [[Fraction(0), Fraction(1, 2)], [Fraction(2), Fraction(0)]]),
+        ExactMatrix.from_ints(RING_O, z5, [[1, 0], [0, -1]]),
+    ])
+
+
+@pytest.fixture(scope="session")
+def b2_z5_halved():
+    return halved_b2_z5()
 
 
 @pytest.fixture(scope="session")
@@ -165,3 +183,30 @@ def conjugated_over_t(group, rng: random.Random):
     u_inv = inverse(u)
     return generate_group([u_inv * g * u for g in generators_of(group)],
                           descriptor=group.descriptor)
+
+
+def benchmark_workloads():
+    """The benchmark's job-document module."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
+    import workloads
+
+    return workloads
+
+
+def group_of(doc: dict):
+    """The group of a job document, built as `dvrcert analyze` builds it."""
+    spec = parse_jobspec(doc)
+    return generate_group(spec.generators, descriptor=spec.dvr)
+
+
+def int_batch_conjugates(rng: random.Random, copies: int = 2) -> list:
+    """Copies of the benchmark batch's int groups past the gate (S_2 over
+    Z_(3), B_2 over Z_(3), S_3 over Z_(5), -I over Z_(23)), each
+    conjugated by the benchmark's `conjugate_generators` with rng."""
+    workloads = benchmark_workloads()
+    return [
+        group_of(workloads._doc(kind, p, workloads.conjugate_generators(kind, p, gens, rng)))
+        for key, kind, p, gens, _, _ in workloads.BATCH_GROUPS
+        if kind == workloads.INT and key != "s2-z2"
+        for _ in range(copies)
+    ]

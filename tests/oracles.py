@@ -330,6 +330,20 @@ def act_bruteforce(g: ExactMatrix, f: MultiPoly) -> MultiPoly:
     return out
 
 
+def reynolds_flat(group, f: MultiPoly) -> MultiPoly:
+    """(1/|G|) sum_g g.f with every element a matrix of `Fraction`s (or of
+    k), `act_bruteforce` on each and the sum formed in the polynomials'
+    own ring: the Reynolds operator with no integer forms, no common
+    denominator and no shared monomial images."""
+    inv_order = invert_mod_group_order(group.order, group.descriptor)
+    if f.ring == RING_RESIDUE:
+        inv_order = group.descriptor.reduce(inv_order)
+    out = MultiPoly.zero(f.ring, f.descriptor, f.n)
+    for g in element_matrices(group, f.ring):
+        out = out + act_bruteforce(g, f)
+    return out.scale(inv_order)
+
+
 def action_matrix_bruteforce(g: ExactMatrix, n: int, d: int) -> ExactMatrix:
     """Column e: the coefficients of act_bruteforce(g, X^e), graded-lex."""
     basis = monomials(n, d)

@@ -3,6 +3,7 @@ import math
 import random
 import sys
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -16,6 +17,8 @@ from dvrcert.errors import (
 from dvrcert.certify import (
     FundamentalInvariants,
     _check_fundamental_conditions,
+    _greedy_fundamentals,
+    _h1_exact_degree,
     certify,
     fundamental_invariants,
     graded_isomorphism_check,
@@ -42,10 +45,19 @@ from dvrcert.polys import (
 )
 from dvrcert.scalars import DvrDescriptor
 
-from conftest import conjugated_over_t, constant_ratfunc_groups, over_1_plus_t
+from conftest import (
+    benchmark_workloads,
+    conjugated_over_t,
+    constant_ratfunc_groups,
+    group_of,
+    halved_b2_z5,
+    int_batch_conjugates,
+    over_1_plus_t,
+)
 from oracles import (
     DenseRowEchelon,
     _h1_exact_degree_bruteforce,
+    act_bruteforce,
     action_matrix_bruteforce,
     element_matrices,
     generators_of,
@@ -421,39 +433,53 @@ def test_h1_over_K_is_read_off_the_residue_piece(
                          (generate_group(generators_of(b2_f5t_twisted)), 4)):
         assert certify(group, bound).verdict == "certified"
     assert solved and RING_K not in solved
-    # (c) a nonzero k piece still solves over K, and exactly
-    for group in (generate_group(generators_of(s2_z2)), _transvection_f3t()):
-        solved.clear()
-        for d in range(4):
-            assert h1_dimension(group, d, RING_K) == h1_bruteforce(group, d, RING_K)
-        assert RING_K in solved
+    # (c) a ratfunc group's nonzero k piece still solves over K, and exactly
+    group = _transvection_f3t()
+    solved.clear()
+    for d in range(4):
+        assert h1_dimension(group, d, RING_K) == h1_bruteforce(group, d, RING_K)
+    assert RING_K in solved
+    # (d) the int kind's K pieces are 0 by theorem, also where p | |G| and
+    # the k piece is not: nothing is solved over Q, and the solve over Q,
+    # kept as an oracle, agrees
+    group = generate_group(generators_of(s2_z2))
+    solved.clear()
+    for d in range(4):
+        assert h1_dimension(group, d, RING_K) == 0 == h1_bruteforce(group, d, RING_K)
+        assert _h1_exact_degree(group, d, RING_K) == 0
+    assert h1_dimension(group, 3, RING_RESIDUE) > 0
+    assert RING_K not in solved
 
 
-def test_h1_over_K_above_the_residue_piece_is_an_internal_error(s3_z5, monkeypatch):
+def test_h1_over_K_above_the_residue_piece_is_an_internal_error(monkeypatch):
+    # only a ratfunc group solves H^1 over K; the int kind reads it as 0
     certify_module = sys.modules["dvrcert.certify"]
     pieces = {RING_K: 2, RING_RESIDUE: 1}
     monkeypatch.setattr(
         certify_module, "_h1_exact_degree", lambda group, degree, ring: pieces[ring]
     )
     with pytest.raises(InternalCheckError, match="degree 0 is 2 over K but 1 over k"):
-        h1_dimension(generate_group(generators_of(s3_z5)), 0, RING_K)
+        h1_dimension(constant_ratfunc_groups()[0], 0, RING_K)
 
 
 def test_h1_note_names_the_failing_degrees(s3_z5, monkeypatch):
     certify_module = sys.modules["dvrcert.certify"]
-    fresh = generate_group(generators_of(s3_z5))
     # each K piece at most its k piece, as `h1_dimension` checks
     nonzero = {(2, RING_RESIDUE): 1, (3, RING_K): 2, (3, RING_RESIDUE): 2}
     monkeypatch.setattr(
         certify_module, "_h1_exact_degree",
         lambda group, degree, ring: nonzero.get((degree, ring), 0),
     )
-    cert = certify(fresh, 4, ["h1"])
+    cert = certify(constant_ratfunc_groups()[0], 4, ["h1"])
     assert cert.h1_table == ((0, 0, 0), (1, 0, 0), (2, 0, 1), (3, 2, 3), (4, 2, 3))
     assert cert.h1_ok is False
     assert cert.notes == (
         "nonzero first cohomology in degree 2 over k, degree 3 over K, degree 3 over k",
     )
+    # the int kind's K pieces are 0 by theorem, whatever the k pieces
+    cert = certify(generate_group(generators_of(s3_z5)), 4, ["h1"])
+    assert cert.h1_table == ((0, 0, 0), (1, 0, 0), (2, 0, 1), (3, 0, 3), (4, 0, 3))
+    assert cert.notes == ("nonzero first cohomology in degree 2 over k, degree 3 over k",)
 
 
 def test_constant_entries_run_no_gcd(f5t, monkeypatch):
@@ -500,14 +526,16 @@ def test_per_degree_quantities_are_computed_once_per_group(z3, monkeypatch):
     ])
     assert certify(b2, 8).verdict == "certified"
     assert len(computed) == len(set(computed))
-    # bases: degrees 0..8 over K and k; H^1: degrees 0..5 over k only, since
-    # a zero k piece bounds the K piece to 0 and |G| = 8 is a unit mod 3
-    assert len(computed) == 2 * 9 + 6
+    # bases: degrees 0..8 over k only, since the generators over K are the
+    # Reynolds lifts and the graded K column is the Molien series; H^1:
+    # degrees 0..5 over k only, since over Q every piece is 0
+    assert len(computed) == 9 + 6
+    assert {ring for _, _, ring in computed} == {RING_RESIDUE}
     # every element is reduced to the residue field once, by all stages together
     form_index = {form: i for i, form in enumerate(b2.elements)}
     assert sorted(map(form_index.get, reduced)) == list(range(b2.order))
     assert certify(b2, 8, ["invariants", "graded", "h1"]).verdict == "complete"
-    assert len(computed) == 2 * 9 + 6
+    assert len(computed) == 9 + 6
     assert len(reduced) == b2.order
 
 
@@ -827,3 +855,127 @@ def test_a_conjugated_ratfunc_job_asks_invariance_once(monkeypatch):
         monkeypatch.setattr(module, "act", counted)
     assert certify(group, 8).verdict == "certified"
     assert calls == {RING_RESIDUE: 4, "A": 2}
+
+
+# -- the int kind's side over K: Reynolds lifts, Molien and a theorem ----------------
+
+
+def _int_groups_past_the_gate() -> list:
+    """Fresh reflection groups over Z_(p) with p not dividing |G|: the
+    benchmark batch's int groups, as given and in seeded
+    `conjugate_generators` copies, and B_2 over Z_(5) conjugated by
+    diag(2, 1), whose forms have D = 2."""
+    workloads = benchmark_workloads()
+    groups = [group_of(workloads._doc(kind, p, gens))
+              for key, kind, p, gens, _, _ in workloads.BATCH_GROUPS
+              if kind == workloads.INT and key != "s2-z2"]
+    groups += int_batch_conjugates(random.Random(26)) + [halved_b2_z5()]
+    return [g for g in groups if classify_reflections(g).generated_by_reflections]
+
+
+def _printed_poly(text: str, descriptor, n: int) -> MultiPoly:
+    """A polynomial as a report prints it, read back with `Fraction`
+    coefficients."""
+    terms = {}
+    for term in text.split(" + "):
+        coeff, _, monomial = term.partition(" * ")
+        exp = [0] * n
+        for factor in filter(None, monomial.split("*")):
+            var, power = factor[1:].split("^")
+            exp[int(var) - 1] = int(power)
+        terms[tuple(exp)] = Fraction(coeff)
+    return MultiPoly(RING_K, descriptor, n, terms)
+
+
+def test_printed_generators_over_K_of_int_jobs_are_invariants_of_the_jobspec_group():
+    # the generators over K that an int job prints are the Reynolds lifts
+    # of those over k; each is read back from the report and acted on by
+    # the jobspec's generators as matrices of `Fraction`s
+    workloads = benchmark_workloads()
+    checked = differ = 0
+    for seed in (1, 2, 3):
+        for _, doc in workloads.small_batch(seed, 0):
+            report, code = run(parse_jobspec(doc))
+            if doc["dvr"]["kind"] != workloads.INT or report["verdict"] != "certified":
+                continue
+            descriptor, n = DvrDescriptor(**doc["dvr"]), doc["n"]
+            jobspec = [ExactMatrix(RING_O, descriptor, [[Fraction(a) for a in row] for row in g])
+                       for g in doc["generators"]]
+            printed_k = report["fundamental_generators_k"]
+            for text, text_k in zip(report["fundamental_generators_K"], printed_k, strict=True):
+                f = _printed_poly(text, descriptor, n)
+                assert all(act_bruteforce(g, f) == f for g in jobspec), (doc, text)
+                differ += text != text_k
+                checked += 1
+            assert report["fundamental_generators_K"] == report["lifts"]
+    assert checked >= 40 and differ > 0
+
+
+def test_the_generators_over_K_of_an_int_group_pass_every_check_over_K():
+    # `certify` checks the lifts only for their reduction and invariance;
+    # here `_check_fundamental_conditions` runs over K on them, and the
+    # greedy search over Q, which `certify` no longer runs, finds the same
+    # degrees
+    for group in _int_groups_past_the_gate():
+        cert = certify(group, 4)
+        assert cert.verdict == "certified"
+        assert cert.fundamental_K.ring == RING_K
+        assert _check_fundamental_conditions(group, cert.fundamental_K) == []
+        assert _greedy_fundamentals(group, RING_K, 4).degrees == cert.fundamental_K.degrees
+        assert [f.reduce() for f in cert.lifts] == list(cert.fundamental_k.generators)
+
+
+def test_an_int_job_solves_nothing_over_Q(monkeypatch):
+    certify_module = sys.modules["dvrcert.certify"]
+    polys_module = sys.modules["dvrcert.polys"]
+    rings = []
+    for module, name in ((polys_module, "_invariant_basis"),
+                         (certify_module, "_h1_exact_degree"),
+                         (certify_module, "_greedy_fundamentals")):
+        def counted(group, *args, _original=getattr(module, name)):
+            rings.append(args[1] if isinstance(args[0], int) else args[0])
+            return _original(group, *args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    def checked(group, inv, _original=certify_module._check_fundamental_conditions):
+        rings.append(inv.ring)
+        return _original(group, inv)
+
+    monkeypatch.setattr(certify_module, "_check_fundamental_conditions", checked)
+    for group in _int_groups_past_the_gate():
+        assert certify(group, 4).verdict == "certified"
+    assert rings and set(rings) == {RING_RESIDUE}
+
+
+def test_the_graded_K_column_of_an_int_group_is_the_molien_series():
+    # K = Q has characteristic 0, so the Molien coefficient is dim_K of the
+    # invariants exactly: it equals the basis over K that `certify` no
+    # longer computes.  It is computed once, and a graded check without
+    # the molien stage computes it without reporting it
+    for group in _int_groups_past_the_gate():
+        report = certify(group, 6, ["graded"]).to_dict()
+        assert "molien" not in report
+        molien = group.memo["molien", 6, RING_K]
+        for d, dim_K, dim_k, equal in graded_isomorphism_check(group, 6):
+            assert dim_K == molien.coefficients[d] == invariant_basis(group, d, RING_K).dimension
+            assert dim_k == dim_K and equal
+        assert certify(group, 6).molien is molien
+
+
+def test_a_lift_that_fails_its_checks_is_an_internal_error(monkeypatch):
+    # the two exact checks on each lift: it reduces to its generator over
+    # k, and it is fixed by every generator of G
+    certify_module = sys.modules["dvrcert.certify"]
+    group = [g for g in _int_groups_past_the_gate() if g.order == 6][-1]  # S_3 conjugated
+    for wrong, message in ((lambda g, polys: tuple(polys), "is not invariant"),
+                           (lambda g, polys, _r=certify_module.reynolds:
+                            tuple(f.scale(Fraction(2)) for f in _r(g, polys)),
+                            "does not reduce to it")):
+        monkeypatch.setattr(certify_module, "reynolds", wrong)
+        fresh = generate_group(generators_of(group))
+        with pytest.raises(InternalCheckError, match=message):
+            fundamental_invariants(fresh, RING_K, 4)
+        cert = certify(fresh, 4)
+        assert cert.verdict == "inconclusive"
+        assert dict(cert.fundamental_errors)[RING_K].endswith(message)

@@ -188,6 +188,21 @@ def test_verify_report_catches_tampering():
     assert verify_report([report]) == (False, ["report is not a JSON object"])
 
 
+def test_verify_report_compares_the_molien_series_with_the_k_column():
+    # the int kind's K column is the Molien series itself, so the Molien
+    # identity is checked against the column over k, an elimination over
+    # F_p: changing that column alone is found twice, as a graded row whose
+    # two dimensions differ and as a Molien coefficient off its dimension
+    report, _ = run(parse_jobspec(EXAMPLES["s3"]))
+    assert [row[1] for row in report["graded_table"]] == [int(c) for c in report["molien"]]
+    tampered = copy.deepcopy(report)
+    tampered["graded_table"][2][2] += 1
+    ok, findings = verify_report(tampered)
+    assert not ok
+    assert "Molien coefficient at degree 2 != graded dimension" in findings
+    assert "graded table row 2: 2 != 3" in findings
+
+
 def test_main_analyze_and_example(tmp_path, capsys):
     job = tmp_path / "job.json"
     job.write_text(json.dumps(EXAMPLES["s2"]))

@@ -1,8 +1,6 @@
 import random
-import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -38,7 +36,7 @@ from dvrcert.linalg import (
 from dvrcert.polys import molien_series
 from dvrcert.scalars import DvrDescriptor
 
-from conftest import over_1_plus_t, random_unimodular
+from conftest import benchmark_workloads, group_of, over_1_plus_t, random_unimodular
 from oracles import (
     _char_series_denominator,
     element_matrices,
@@ -474,23 +472,10 @@ def test_generator_indices_point_at_the_closure_generators(z3, z5, f5t):
     assert 0 in groups[0][0].generator_indices
 
 
-def _workloads():
-    """The benchmark's job-document module."""
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
-    import workloads
-
-    return workloads
-
-
-def _group_of(doc: dict):
-    spec = parse_jobspec(doc)
-    return generate_group(spec.generators, descriptor=spec.dvr)
-
-
 def _batch_groups(seed: int) -> list:
     """The groups of the first batch of the benchmark's seeded
     `small-batch-conjugated` workload, built from its job documents."""
-    return [_group_of(doc) for _, doc in _workloads().small_batch(seed, 0)]
+    return [group_of(doc) for _, doc in benchmark_workloads().small_batch(seed, 0)]
 
 
 def test_ratfunc_char_polys_are_the_residue_rows_own(c4_f5t, b2_f5t_twisted):
@@ -516,7 +501,7 @@ def test_ratfunc_char_polys_are_the_residue_rows_own(c4_f5t, b2_f5t_twisted):
 def test_a_checks_only_job_builds_no_ring_views(z5):
     # reflections, eta and Molien read the closure's own values and the
     # residue rows: no element becomes a matrix over K or k
-    workloads = _workloads()
+    workloads = benchmark_workloads()
     generators = [
         ExactMatrix.from_ints(RING_O, z5, [[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
         ExactMatrix.from_ints(RING_O, z5, [[1, 0, 0], [0, 0, 1], [0, 1, 0]]),
@@ -525,7 +510,7 @@ def test_a_checks_only_job_builds_no_ring_views(z5):
     b2 = workloads.conjugate_generators(workloads.RATFUNC, 5, workloads.hyperoctahedral(2),
                                         random.Random(1))
     for group in (generate_group(generators),
-                  _group_of(workloads._doc(workloads.RATFUNC, 5, b2))):
+                  group_of(workloads._doc(workloads.RATFUNC, 5, b2))):
         report = certify(group, 6, ("reflections", "eta", "molien"))
         assert report.verdict == "complete" and report.eta_injective
         assert ("elements", RING_K) not in group.memo

@@ -13,6 +13,7 @@ from dvrcert.polys import (
     act,
     action_matrix,
     element_action_matrix,
+    fixed_by_generators,
     hilbert_product_truncation,
     invariant_basis,
     molien_series,
@@ -24,6 +25,7 @@ from dvrcert.scalars import DvrDescriptor
 from conftest import (
     conjugated_over_t,
     constant_ratfunc_groups,
+    int_batch_conjugates,
     over_1_plus_t,
     random_unimodular,
 )
@@ -38,6 +40,7 @@ from oracles import (
     invariant_dimension_bruteforce,
     molien_coefficients_bruteforce,
     molien_series_field,
+    reynolds_flat,
     series_inverse_field,
     square_matrix,
 )
@@ -152,15 +155,60 @@ def _random_poly(descriptor, n, rng, max_degree=3, ring=RING_K):
 def test_reynolds_examples(z3, s2_z3):
     x1, x2 = _x(z3, 2, 0), _x(z3, 2, 1)
     half = Fraction(1, 2)
-    assert reynolds(s2_z3, x1) == (x1 + x2).scale(half)
-    assert reynolds(s2_z3, x1 * x2) == x1 * x2
-    assert reynolds(s2_z3, x1 * x1) == (x1 * x1 + x2 * x2).scale(half)
+    assert reynolds(s2_z3, [x1, x1 * x2, x1 * x1]) == (
+        (x1 + x2).scale(half), x1 * x2, (x1 * x1 + x2 * x2).scale(half))
+    assert reynolds(s2_z3, []) == ()
 
 
 def test_reynolds_gate(s2_z2):
     x1 = _x(s2_z2.descriptor, 2, 0)
     with pytest.raises(HypothesisViolationError):
-        reynolds(s2_z2, x1)
+        reynolds(s2_z2, [x1])
+
+
+def test_the_integer_average_and_invariance_test_equal_the_flat_ones(
+    s2_z3, s3_z5, b2_z3, neg_identity_z23, reflection_and_sign_z5, b2_z5_halved,
+    b2_f5t_twisted,
+):
+    # `reynolds` and `fixed_by_generators` run the int kind's polynomials
+    # over O and K on the integer forms A / D, in ints; the oracle averages
+    # and tests them with `Fraction` matrices.  B_2 conjugated by diag(2, 1)
+    # has forms with D = 2, so the scale D^-d is exercised
+    assert {form.den for form in b2_z5_halved.elements} == {1, 2}
+    groups = [s2_z3, s3_z5, b2_z3, neg_identity_z23, reflection_and_sign_z5, b2_z5_halved]
+    groups += int_batch_conjugates(random.Random(26))
+    rng = random.Random(2626)
+    outcomes = set()  # whether each polynomial before averaging was fixed
+    for group in groups + [b2_f5t_twisted]:
+        descriptor, n = group.descriptor, group.n
+        one = descriptor.one()
+        over_k = [_random_poly(descriptor, n, rng, ring=RING_RESIDUE) for _ in range(6)]
+        over = {
+            RING_K: [f.lift(RING_K) for f in over_k[:2]]
+            + [MultiPoly.monomial(RING_K, descriptor, e, one) for e in monomials(n, 2)]
+            + ([_random_poly(descriptor, n, rng) for _ in range(2)]
+               if descriptor.kind == "int-localized" else []),
+            RING_O: [f.lift(RING_O) for f in over_k[2:]],
+            RING_RESIDUE: over_k,
+        }
+        for ring, polys in over.items():
+            averaged = reynolds(group, polys)
+            assert averaged == tuple(reynolds_flat(group, f) for f in polys), (group, ring)
+            candidates = polys + list(averaged)
+            gens = [group.matrix(i, RING_RESIDUE if ring == RING_RESIDUE else RING_O)
+                    for i in group.generator_indices]
+            expected = tuple(all(act_bruteforce(g, f) == f for g in gens) for f in candidates)
+            assert fixed_by_generators(group, candidates) == expected, (group, ring)
+            assert expected[len(polys):] == (True,) * len(polys)
+            outcomes.update(expected[:len(polys)])
+    assert outcomes == {True, False}
+
+
+def test_polynomials_averaged_together_must_share_the_group_s_ring(s2_z3, z3, z5):
+    with pytest.raises(ValueError, match="different rings are acted on apart"):
+        reynolds(s2_z3, [_x(z3, 2, 0), _x(z3, 2, 0, RING_RESIDUE)])
+    with pytest.raises(ValueError, match="for a group over"):
+        fixed_by_generators(s2_z3, [_x(z5, 2, 0)])
 
 
 def test_invariant_basis_examples(s2_z3, z3):
@@ -199,7 +247,11 @@ def test_molien_inverts_each_distinct_denominator_once(s3_z5, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(polys_module, "_series_inverse", counted)
-    assert molien_series(s3_z5, 6).coefficients == (1, 1, 2, 3, 4, 5, 7)
+    fresh = generate_group(generators_of(s3_z5))
+    assert molien_series(fresh, 6).coefficients == (1, 1, 2, 3, 4, 5, 7)
+    assert len(calls) == 3
+    # kept in the group's memo: asked again, for the graded table, it is read
+    assert molien_series(fresh, 6) is fresh.memo["molien", 6, RING_K]
     assert len(calls) == 3
 
 
@@ -330,8 +382,8 @@ def test_reynolds_is_idempotent_projection(s3_z5):
     rng = random.Random(5)
     for _ in range(15):
         f = _random_poly(s3_z5.descriptor, 3, rng)
-        rf = reynolds(s3_z5, f)
-        assert reynolds(s3_z5, rf) == rf
+        (rf,) = reynolds(s3_z5, [f])
+        assert reynolds(s3_z5, [rf]) == (rf,)
         for g in element_matrices(s3_z5, RING_K):
             assert act(g, rf) == rf
 
@@ -418,9 +470,10 @@ def test_reynolds_span_equals_invariant_basis_span(s2_z3, b2_z3):
             return row
 
         averaged = DenseRowEchelon()
-        for e in basis:
-            mono = MultiPoly.monomial(RING_K, group.descriptor, e, group.descriptor.one())
-            averaged.add(coefficient_row(reynolds(group, mono)))
+        for poly in reynolds(group, [
+                MultiPoly.monomial(RING_K, group.descriptor, e, group.descriptor.one())
+                for e in basis]):
+            averaged.add(coefficient_row(poly))
         solved = invariant_basis(group, degree, RING_K)
         assert averaged.rank == solved.dimension
         for poly in solved.polys:

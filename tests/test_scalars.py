@@ -284,7 +284,7 @@ def test_scalars_from_different_dvrs_do_not_mix(z3, z5):
                 op(ExactMatrix.identity(ring, z3, 2), ExactMatrix.identity(ring, z5, 2))
             with pytest.raises(ValueError, match=both):
                 op(MultiPoly.variable(ring, z3, 2, 0), MultiPoly.variable(ring, z5, 2, 0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=both):
             act(ExactMatrix.identity(ring, z3, 2), MultiPoly.variable(ring, z5, 2, 0))
     # the same ints over k of Z_(3) and of Z_(5) are different matrices
     assert ExactMatrix(RING_RESIDUE, z3, [[4]]) == ExactMatrix(RING_RESIDUE, z3, [[1]])
