@@ -431,7 +431,7 @@ def _h1_exact_degree(group: MatrixGroup, degree: int, ring: str) -> int:
     # the generator values, built from first[i] = (parent, gi), the product
     # where the walk first met element i
     expression = {0: [{} for _ in range(size)]}
-    first: dict = {0: None}
+    first = group.tree()
 
     def express(i: int):
         # a parent comes no later than the element the loop is at, so is built
@@ -446,8 +446,7 @@ def _h1_exact_degree(group: MatrixGroup, degree: int, ring: str) -> int:
         for gi, target in enumerate(group.products[idx]):
             if span.rank == width - dim_b1:
                 return 0  # Z^1 = B^1
-            if target not in first:
-                first[target] = (idx, gi)
+            if first[target] == (idx, gi):
                 continue  # tree edge: defines rather than constrains
             for row, other in zip(block_plus(current, idx, gi), express(target)):
                 add_multiple(row, -one, other, p)

@@ -5,21 +5,20 @@ difference from the identity has rank one over K (or k, for a reduced image):
 it fixes a hyperplane pointwise and scales a complementary line by its
 determinant.  The rank is tested by cross-multiplication (`has_rank_one`),
 with no division.  Elements generate G exactly when their closure reaches
-G's own generators; `_generated_by` alone decides this, over O, for the
-reflections over K and over k alike: past the gate the reduction eta is
+G's own generators; `_generated_by` alone decides this, on the table, for
+the reflections over K and over k alike: past the gate the reduction eta is
 injective, so elements generate G exactly when their images generate eta(G).
 
-A group's elements are the values its closure multiplied: for the int kind
+A group's elements are the values its closure built: for the int kind
 the `IntMatrix` forms A / D, in Python ints, and for the ratfunc kind the
-O-matrices.  Every pass over all of G reads them directly:
-- the closure that enumerates G: its products, hashes and membership tests;
-- the rank-one test over K, on the entries of g - I, or for the int kind on
-  the rows of A - D I = D (g - I), with eigenvalue 1 + tr(A - D I) / D;
+O-matrices.  The passes over G read them, or its table alone:
+- the rank-one tests and det(I - z g), class functions, once per
+  conjugacy class (`conjugacy_classes`): over K on the entries of g - I,
+  or for the int kind on the rows of A - D I = D (g - I), with eigenvalue
+  1 + tr(A - D I) / D, and over k on the residue rows minus I mod p;
 - the reduction to k as rows of ints, (A mod p) (D^-1 mod p) by
   `reduce_form` or `descriptor.reduce` per entry: eta's images, whose
-  injectivity is compared on them, the rank-one test over k, on them
-  minus I mod p, and the ratfunc kind's det(I - z g) in the Molien series;
-- the reflection-generation test over K and over k, one closure over O;
+  injectivity is compared on them;
 - for the int kind, the Reynolds average over G and the invariance test
   of the lifts under the generators, on A in ints, scaled by powers of D
   (`polys.reynolds`, `polys.fixed_by_generators`).
@@ -40,15 +39,17 @@ knows is this group's side over k, read through F_p inside F_p(t).
 
 A group is its closure: `generate_group` builds every group, the trivial
 one included, and records the index of every product element * generator
-it forms.  H^1 reads both its tree and its relations off that table, so
-after the closure only `_generated_by`'s own closures multiply group
-elements.  The reflections are classified once per group.  A reflection's
-order is that of its eigenvalue (`eigenvalue_order`), without matrix powers.
+it forms.  H^1, the classes and `_generated_by` read its tree and its
+products off that table, so after the closure no element is multiplied.
+A reflection's order is that of its eigenvalue (`eigenvalue_order`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import chain
+from math import gcd
 
 from .errors import ClosureCapExceededError, InternalCheckError, NotInvertibleError
 from .linalg import (
@@ -77,12 +78,12 @@ class MatrixGroup:
     Elements are listed in breadth-first order starting from the identity,
     applying the distinct generators in `ExactMatrix.sort_key` order, so the
     element numbering is deterministic for a given generating set.
-    `elements` are the values the closure multiplied: `IntMatrix` forms for
+    `elements` are the values the closure built: `IntMatrix` forms for
     the int kind, O-matrices for the ratfunc kind; `matrix(i, ring)` gives
     one as a matrix.  `products[i][gi]` is the index of elements[i] times
     generator gi; its first row names the generators (`generator_indices`),
     and read row-major it first meets each element j >= 1 in a row i < j,
-    at the product that reached j: the breadth-first tree.
+    at the product that reached j: the breadth-first tree (`tree`).
 
     `memo` holds what several checks share, over O, K and k, each key
     naming its ring, and lives and dies with the group: the elements built
@@ -90,7 +91,8 @@ class MatrixGroup:
     keyed by ("elements", ring), each a dict {element index: matrix}; the
     residue rows (see `residue_rows`), keyed by ("residues", "k"); the
     `ReflectionReport` (see `classify_reflections`), keyed by
-    ("reflections", "K"); the conjugator A of a ratfunc group (see
+    ("reflections", "K"); the conjugacy classes (see `conjugacy_classes`),
+    keyed by ("classes", "O"); the conjugator A of a ratfunc group (see
     `conjugator`), keyed by ("conjugator", "O"); the lifts to O of the
     generators over k (see `certify._lifts`), keyed by ("lifts",
     generators, "O"); per-degree results (invariant bases, H^1
@@ -116,6 +118,17 @@ class MatrixGroup:
     def generator_indices(self) -> tuple:
         """The element index of each closure generator: identity * g = g."""
         return self.products[0]
+
+    def tree(self) -> list:
+        """The breadth-first tree: for each element j >= 1 the product
+        (i, gi), elements[i] times generator gi, where the walk first met
+        it; None for the identity."""
+        first = [None] * self.order
+        for i, row in enumerate(self.products):
+            for gi, j in enumerate(row):
+                if j and first[j] is None:
+                    first[j] = (i, gi)
+        return first
 
     def matrix(self, i: int, ring: str) -> ExactMatrix:
         """Element i as an `ExactMatrix` over O, K or k, built the first time
@@ -239,10 +252,11 @@ def generate_group(
     determinant); the closure aborts once more than `cap` elements appear.
     `descriptor` and `n` default to the first generator's; with no
     generators both are required, and the closure is {I}, with `products`
-    ((),).  For the int kind it runs on the `IntMatrix` forms of the
-    generators, so that products, hashing and membership are integer work,
-    and those forms are the group's elements; the ratfunc kind closes the
-    `ExactMatrix` values.  Either way its table of products is `products`.
+    ((),).  It runs on flat keys, for the int kind (D, A row-major) of the
+    form A / D in lowest terms, so that products, hashing and membership
+    are integer work, and for the ratfunc kind the O-matrix's entries; each
+    key becomes an element, an `IntMatrix` or an O-matrix, once.  Its table
+    of products is `products`.
     """
     generators = list(generators)
     if not generators and (descriptor is None or n is None):
@@ -264,65 +278,132 @@ def generate_group(
                 f"generator {i} is not in GL_n(O): determinant {d} is not a unit"
             )
 
-    closure_gens = sorted(set(generators), key=ExactMatrix.sort_key)
-    ident, *gens = _closure_values(
-        descriptor, [ExactMatrix.identity(RING_O, descriptor, n), *closure_gens])
-    products: list = []
-    elements = list(_closure(ident, gens, cap, products))
+    matrices = [ExactMatrix.identity(RING_O, descriptor, n),
+                *sorted(set(generators), key=ExactMatrix.sort_key)]
+    if descriptor.kind == KIND_INT:
+        forms = map(IntMatrix.from_matrix, matrices)
+        ident, *gens = [(f.den, *chain.from_iterable(f.rows)) for f in forms]
+        keys, products = _closure(ident, gens, n, 1, _int_times, cap)
+        elements = [IntMatrix(k[0], [k[i:i + n] for i in range(1, len(k), n)]) for k in keys]
+    else:
+        ident, *gens = [tuple(chain.from_iterable(m.entries)) for m in matrices]
+        times = partial(_ratfunc_times, zero=descriptor.zero())
+        keys, products = _closure(ident, gens, n, 0, times, cap)
+        elements = [ExactMatrix._of(RING_O, descriptor, [k[i:i + n] for i in range(0, len(k), n)])
+                    for k in keys]
     return MatrixGroup(descriptor, n, elements, products)
 
 
-def _closure_values(descriptor: DvrDescriptor, matrices) -> list:
-    """The O-matrices as the values a closure multiplies: their `IntMatrix`
-    forms for the int kind, the matrices themselves for the ratfunc kind."""
-    return list(map(IntMatrix.from_matrix, matrices) if descriptor.kind == KIND_INT else matrices)
-
-
-def _closure(identity, generators, cap: int, products: list | None = None):
-    """Breadth-first closure of the identity under right multiplication by the generators.
-
-    Lazily yields each element as it is first reached, the identity first,
-    so a caller stops the multiplying by stopping the iteration; raises once
-    more than `cap` elements appear.  Given a list `products`, it appends to
-    it, for each element in turn, the indices of element * g over the
-    generators g.
+def _closure(identity: tuple, generators, n: int, offset: int, times, cap: int):
+    """Breadth-first closure of the identity under right multiplication by
+    the generators, on flat keys: n x n entries row-major after `offset`
+    places (the int kind's D).  x g is `times(x, plan)`, the plan of g
+    being the (target, source, coefficient) triples of its nonzero entries
+    g[k][j]: (x g)[i][j] gains x[i][k] g[k][j].  Returns the keys and the
+    table; raises once more than `cap` elements appear.
     """
-    elements = [identity]
-    index = {identity: 0}
-    yield identity
-    for element in elements:  # the list grows while it is walked
+    plans = [[(0, 0, g[0])] * offset  # D_x D_g for the int kind
+             + [(offset + i * n + j, offset + i * n + k, c) for i in range(n)
+                for j in range(n) for k in range(n) if (c := g[offset + k * n + j])]
+             for g in generators]
+    keys, index, products = [identity], {identity: 0}, []
+    for key in keys:  # the list grows while it is walked
         row = []
-        for g in generators:
-            nxt = element * g
-            j = index.setdefault(nxt, len(elements))
-            if j == len(elements):
+        for plan in plans:
+            nxt = times(key, plan)
+            j = index.setdefault(nxt, len(keys))
+            if j == len(keys):
                 if j >= cap:
                     raise ClosureCapExceededError(
                         f"closure exceeded {cap} elements; group too large or infinite"
                     )
-                elements.append(nxt)
-                yield nxt
+                keys.append(nxt)
             row.append(j)
-        if products is not None:
-            products.append(tuple(row))
+        products.append(tuple(row))
+    return keys, products
+
+
+def _int_times(key: tuple, plan) -> tuple:
+    out = [0] * len(key)
+    for t, s, c in plan:
+        out[t] += key[s] * c
+    if out[0] != 1:  # divide out gcd(D, A)
+        g = gcd(*out)
+        out = [a // g for a in out]
+    return tuple(out)
+
+
+def _ratfunc_times(key: tuple, plan, zero) -> tuple:
+    out = [None] * len(key)
+    for t, s, c in plan:
+        if a := key[s]:  # no term for a zero entry
+            out[t] = a * c if out[t] is None else out[t] + a * c
+    return tuple(zero if a is None else a for a in out)
 
 
 def _generated_by(group: MatrixGroup, indices) -> bool:
-    """Do the elements with these indices generate the group?
-
-    The group is generated by the closure generators, so this holds exactly
-    when the closure of those elements reaches all of them; it stops at the
-    last one.  It closes `group.elements`, the values the group closure
-    multiplied (the int kind's integer forms, the ratfunc kind's
-    O-matrices).  A subgroup has at most |G| elements, which caps it.
+    """Do the elements with these indices generate the group, that is, does
+    their closure reach the closure generators?  It multiplies by lookups
+    alone: y x is y carried down x's word in the generators, read off the
+    breadth-first tree, and it stops once every generator is reached.
     """
-    elements = group.elements
-    missing = {elements[i] for i in group.generator_indices}
-    for element in _closure(elements[0], [elements[i] for i in indices], group.order):
-        missing.discard(element)
-        if not missing:
-            return True
+    missing = set(group.generator_indices) - {0}
+    if missing.issubset(indices):
+        return True
+    products, first, words = group.products, group.tree(), []
+    for x in dict.fromkeys(indices):
+        word = []
+        while x:
+            x, gi = first[x]
+            word.insert(0, gi)
+        words.append(word)
+    reached, seen = [0], {0}
+    for y in reached:  # the list grows while it is walked
+        for word in words:
+            z = y
+            for gi in word:
+                z = products[z][gi]
+            if z not in seen:
+                seen.add(z)
+                reached.append(z)
+                missing.discard(z)
+                if not missing:
+                    return True
     return False
+
+
+def conjugacy_classes(group: MatrixGroup) -> tuple:
+    """The conjugacy classes, each a tuple of element indices in increasing
+    order, ordered by their first index, so {e} comes first; kept in
+    `group.memo` under ("classes", "O").
+
+    They are the orbits of x -> g^-1 x g over the closure generators g,
+    read off the table: g^-1 is the last power of g before e, and
+    g^-1 x = (g^-1 y) h for the tree edge x = y h, one lookup per element.
+    """
+    key = ("classes", RING_O)
+    if key not in group.memo:
+        products, first, conjugations = group.products, group.tree(), []
+        for gi in range(len(group.generator_indices)):
+            left = [0]  # g^-1 x, from x = e
+            while products[left[0]][gi]:
+                left[0] = products[left[0]][gi]
+            for y, h in first[1:]:
+                left.append(products[left[y]][h])
+            conjugations.append([products[a][gi] for a in left])
+        seen, classes = set(), []
+        for x in range(group.order):
+            if x not in seen:
+                seen.add(x)
+                orbit = [x]
+                for y in orbit:  # the list grows while it is walked
+                    for conj in conjugations:
+                        if conj[y] not in seen:
+                            seen.add(conj[y])
+                            orbit.append(conj[y])
+                classes.append(tuple(sorted(orbit)))
+        group.memo[key] = tuple(classes)
+    return group.memo[key]
 
 
 # -- pseudo-reflections ---------------------------------------------------------
@@ -410,21 +491,24 @@ class ReflectionReport:
 
 
 def classify_reflections(group: MatrixGroup) -> ReflectionReport:
-    """Rank-test every element over K and check the reflection set generates.
+    """Rank-test G over K and check the reflection set generates.
 
-    Both kinds test `group.elements` as they are (the int kind's integer
-    forms); the order of each reflection found is that of its eigenvalue.
-    The report is kept in `group.memo` under ("reflections", "K"), so every
+    Being a reflection, the eigenvalue and its order are class functions,
+    so each is read once per conjugacy class, on the first element's
+    value as the closure built it (the int kind's integer form).  The
+    report is kept in `group.memo` under ("reflections", "K"), so every
     stage that reads the reflections reads one classification.
     """
     key = ("reflections", RING_K)
     if key in group.memo:
         return group.memo[key]
     found = []
-    for i, m in enumerate(group.elements):
-        lam = reflection_eigenvalue(m)
+    for members in conjugacy_classes(group):
+        lam = reflection_eigenvalue(group.elements[members[0]])
         if lam is not None:
-            found.append((i, lam, eigenvalue_order(lam, RING_O, group.descriptor)))
+            order = eigenvalue_order(lam, RING_O, group.descriptor)
+            found += [(i, lam, order) for i in members]
+    found.sort()
     vacuous = group.order == 1
     generated = vacuous or _generated_by(group, [i for i, _, _ in found])
     group.memo[key] = ReflectionReport(tuple(found), generated, vacuous)
@@ -452,13 +536,14 @@ def reduced_reflection_indices(group: MatrixGroup) -> list:
     """The indices of the elements whose images over k are pseudo-reflections.
 
     The rank test is `has_rank_one` on the residue rows minus the identity,
-    ints in (-p, p), with each cross product compared mod p; the images of
-    a finite group have finite order, so neither their order nor their
-    determinant is needed.
+    ints in (-p, p), with each cross product compared mod p, once per
+    conjugacy class: eta is a homomorphism, so the images of a class are
+    conjugate.  The images of a finite group have finite order, so neither
+    their order nor their determinant is needed.
     """
-    p = group.descriptor.p
-    return [i for i, rows in enumerate(group.residue_rows())
-            if has_rank_one(shifted_rows(rows, 1), p)]
+    p, rows = group.descriptor.p, group.residue_rows()
+    return sorted(i for members in conjugacy_classes(group)
+                  if has_rank_one(shifted_rows(rows[members[0]], 1), p) for i in members)
 
 
 def verify_reduced_reflection_generation(group: MatrixGroup) -> bool:
@@ -466,7 +551,7 @@ def verify_reduced_reflection_generation(group: MatrixGroup) -> bool:
 
     Picks out the elements whose images are pseudo-reflections with
     `reduced_reflection_indices`, then asks `_generated_by` whether those
-    elements generate G, closing the group's own values over O.  eta is a
+    elements generate G, by words on the group's table.  eta is a
     homomorphism, so if they generate G their images generate eta(G): True
     is always sound.  When eta is injective the converse holds as well, a
     subgroup's image being eta(G) only if the subgroup is G.  Past the

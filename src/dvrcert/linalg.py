@@ -29,13 +29,12 @@ on the values of O, K and k and on polynomials alike.  `det_of_rows` is
 its last coefficient up to sign, for matrices (`det`) and for the
 Jacobian of polynomials; the Molien series takes det(I - z g) whole.
 
-The passes over every group element use no division and no field
-elimination either: `has_rank_one` decides rank(g - I) = 1 by
-cross-multiplying each row with the first nonzero one, on values of K,
-on ints over Q or on ints mod p.  An `IntMatrix` is a matrix over Q as
-integers, A / D in lowest terms, on which the int kind's group closure
-multiplies, hashes and compares; `reduce_form` takes it to F_p as
-(A mod p) (D^-1 mod p), rows of ints.
+The passes over the group use no division and no field elimination
+either: `has_rank_one` decides rank(g - I) = 1 by cross-multiplying each
+row with the first nonzero one, on values of K, on ints over Q or on ints
+mod p.  An `IntMatrix` is a matrix over Q as integers, A / D in lowest
+terms, the form of an int-kind group element; `reduce_form` takes it to
+F_p as (A mod p) (D^-1 mod p), rows of ints.
 """
 from __future__ import annotations
 
@@ -259,13 +258,11 @@ class IntMatrix:
     """A square matrix over Q in integers: A / D for a common denominator
     D > 0 and integer numerators A with gcd(D, entries of A) = 1.
 
-    Each matrix over Q has exactly one such form, so equality and hashing
-    compare ints.  A product (A / D)(B / E) = AB / DE is integer work, made
-    canonical by dividing out gcd(DE, entries of AB); when D = E = 1 there
-    is nothing to divide.  The int kind's group closure runs on these.
+    Each matrix over Q has exactly one such form, so equality compares
+    ints.  The int kind's group elements are these forms.
     """
 
-    __slots__ = ("den", "rows", "_hash", "_cols")
+    __slots__ = ("den", "rows")
 
     def __init__(self, den: int, rows):
         if den != 1:
@@ -273,8 +270,7 @@ class IntMatrix:
             if g != 1:
                 den //= g
                 rows = [[a // g for a in row] for row in rows]
-        rows = tuple(map(tuple, rows))
-        set_fields(self, den=den, rows=rows, _hash=hash((den, rows)), _cols=None)
+        set_fields(self, den=den, rows=tuple(map(tuple, rows)))
 
     @staticmethod
     def from_matrix(m: ExactMatrix) -> IntMatrix:
@@ -287,23 +283,13 @@ class IntMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("matrices are immutable")
 
-    def __mul__(self, other: IntMatrix) -> IntMatrix:
-        cols = other._cols  # a closure multiplies by the same generators throughout
-        if cols is None:
-            cols = _columns(other.rows)
-            object.__setattr__(other, "_cols", cols)
-        return IntMatrix(
-            self.den * other.den,
-            [[_sparse_dot(row, col, 0) for col in cols] for row in self.rows],
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntMatrix):
             return NotImplemented
         return self.den == other.den and self.rows == other.rows
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.den, self.rows))
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows} / {self.den})"

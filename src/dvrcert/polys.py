@@ -19,11 +19,11 @@ asks for none over Q.  The int kind's Reynolds average and invariance
 test run on the closure's integer forms A / D in ints, act(A / D, X^e)
 being D^-|e| act(A, X^e), with one store of monomial images per element
 for all the polynomials acted on.  The Molien series
-reads each element's det(I - z g) off Berkowitz's characteristic
-polynomial (`linalg.char_poly`) in integers, on the integer forms for the
-int kind and on the residue rows mod p for the ratfunc kind, and inverts
-it by one division-free recurrence, since its constant term is
-det(I) = 1.
+reads det(I - z g), a class function, once per conjugacy class off
+Berkowitz's characteristic polynomial (`linalg.char_poly`) in integers,
+on the integer forms for the int kind and on the residue rows mod p for
+the ratfunc kind, and inverts it by one division-free recurrence, since
+its constant term is det(I) = 1.
 Whether a matrix of polynomials (a Jacobian) has a nonzero determinant is
 first asked at a few fixed points, where the determinant is a scalar.
 """
@@ -54,7 +54,7 @@ from .linalg import (
     ring_zero,
     set_fields,
 )
-from .groups import MatrixGroup
+from .groups import MatrixGroup, conjugacy_classes
 from .ratfunc import FpPoly, RatFunc
 from .scalars import KIND_INT, DvrDescriptor, invert_mod_group_order
 
@@ -726,9 +726,10 @@ def molien_series(group: MatrixGroup, bound: int) -> MolienSeries:
     Over F_p(t) (the ratfunc kind) it is that of the residue rows, mod p:
     g has finite order, so each coefficient is algebraic over F_p, and the
     only such elements of F_p(t) are the constants of F_p, which the
-    reduction O -> k fixes.  Elements with the same denominator share it,
-    so each distinct one is inverted once, by the division-free
-    `_series_inverse`, and weighted by its multiplicity.  For the int kind
+    reduction O -> k fixes.  It is a class function, so it is computed
+    once per conjugacy class (`groups.conjugacy_classes`) and weighted by
+    the class size; each distinct one is inverted once, by the
+    division-free `_series_inverse`.  For the int kind
     the degree-m coefficient is then s_m / |G|, with s_m the weighted sum,
     and it is accepted only when |G| divides s_m and s_m >= 0: the same
     exact test as "a nonnegative integer in Q".  For the ratfunc kind it
@@ -748,13 +749,15 @@ def molien_series(group: MatrixGroup, bound: int) -> MolienSeries:
 def _molien_series(group: MatrixGroup, bound: int) -> MolienSeries:
     descriptor = group.descriptor
     p = descriptor.p
-    if descriptor.kind == KIND_INT:
-        denominators = map(_integer_char_series_denominator, group.elements)
-    else:
-        denominators = (tuple(c % p for c in char_poly(rows, 0, 1))
-                        for rows in group.residue_rows())
+    counts = Counter()
+    for members in conjugacy_classes(group):
+        if descriptor.kind == KIND_INT:
+            denom = _integer_char_series_denominator(group.elements[members[0]])
+        else:
+            denom = tuple(c % p for c in char_poly(group.residue_rows()[members[0]], 0, 1))
+        counts[denom] += len(members)
     sums = [0] * (bound + 1)
-    for denom, count in Counter(denominators).items():
+    for denom, count in counts.items():
         sums = [a + b * count for a, b in zip(sums, _series_inverse(denom, bound, 0, 1))]
     if descriptor.kind != KIND_INT:
         inv_order = pow(group.order, -1, p)

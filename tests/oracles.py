@@ -20,8 +20,10 @@ lattices against the closed-form diagonalizing basis, cofactor expansion
 of det(I - z g) over polynomial entries against Berkowitz's division-free
 recursion, a field recurrence that divides by the constant term, on
 each element's `Fraction` denominator, against the division-free integer
-Molien sum over the distinct ones, and Berkowitz on the `RatFunc` entries
-of each element over F_p(t) against its residue rows mod p.
+Molien sum over the conjugacy classes, Berkowitz on the `RatFunc` entries
+of each element over F_p(t) against its residue rows mod p, a closure
+that forms every product as a matrix against the one on flat keys, and
+the classes {h x h^-1} by `inverse` against the orbits read off the table.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from dvrcert.errors import ClosureCapExceededError
 from dvrcert.linalg import (
     RING_K,
     RING_O,
@@ -198,6 +201,36 @@ def element_matrices(group, ring: str) -> list:
     """Every element of the group as `group.matrix(i, ring)`, in index
     order: over O or K the O-matrices, over k the k-matrices."""
     return [group.matrix(i, ring) for i in range(group.order)]
+
+
+def closure_bruteforce(generators, descriptor, n: int, cap: int = 20000) -> tuple:
+    """(elements, products) as `generate_group` numbers them, every product
+    formed as an `ExactMatrix`: breadth first from I, multiplying on the
+    right by the distinct generators in `sort_key` order; past `cap`
+    elements, `ClosureCapExceededError`."""
+    gens = sorted(set(generators), key=ExactMatrix.sort_key)
+    elements = [ExactMatrix.identity(RING_O, descriptor, n)]
+    index, products = {elements[0]: 0}, []
+    for m in elements:
+        row = []
+        for g in gens:
+            product = m * g
+            if product not in index:
+                if len(elements) >= cap:
+                    raise ClosureCapExceededError(f"closure exceeded {cap} elements")
+                index[product] = len(elements)
+                elements.append(product)
+            row.append(index[product])
+        products.append(tuple(row))
+    return elements, tuple(products)
+
+
+def conjugacy_classes_bruteforce(group) -> set:
+    """The classes {h x h^-1 : h in G} as frozensets of element indices,
+    with h^-1 from `inverse` and each product an `ExactMatrix`."""
+    elements = element_matrices(group, RING_O)
+    index = {m: i for i, m in enumerate(elements)}
+    return {frozenset(index[h * x * inverse(h)] for h in elements) for x in elements}
 
 
 def generators_of(group) -> list:

@@ -30,6 +30,7 @@ from dvrcert.groups import (
     MatrixGroup,
     _check_constant_model,
     classify_reflections,
+    conjugacy_classes,
     generate_group,
 )
 from dvrcert.linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix, det_of_rows, inverse
@@ -550,10 +551,12 @@ def test_reflections_are_classified_once_per_group(s3_z5, monkeypatch):
     monkeypatch.setattr(groups_module, "reflection_eigenvalue", counted)
     group = generate_group(generators_of(s3_z5))
     report = classify_reflections(group)
-    assert len(classified) == group.order
+    # one test per conjugacy class: the identity, the transpositions, the 3-cycles
+    assert len(classified) == len(conjugacy_classes(group)) == 3
+    assert report.count == 3
     # the fundamental-invariant check reads the report the group keeps
     assert fundamental_invariants(group, RING_K, 6).degrees == (1, 2, 3)
-    assert len(classified) == group.order
+    assert len(classified) == 3
     assert classify_reflections(group) is report
 
 

@@ -12,8 +12,9 @@ from dvrcert.errors import (
     NotInvertibleError,
 )
 from dvrcert.groups import (
-    _closure,
+    _generated_by,
     classify_reflections,
+    conjugacy_classes,
     eigenvalue_order,
     generate_group,
     is_pseudo_reflection,
@@ -28,7 +29,6 @@ from dvrcert.linalg import (
     RING_O,
     RING_RESIDUE,
     ExactMatrix,
-    IntMatrix,
     char_poly,
     det,
     inverse,
@@ -36,9 +36,20 @@ from dvrcert.linalg import (
 from dvrcert.polys import molien_series
 from dvrcert.scalars import DvrDescriptor
 
-from conftest import benchmark_workloads, group_of, over_1_plus_t, random_unimodular
+from conftest import (
+    benchmark_workloads,
+    conjugated_over_t,
+    group_of,
+    halved_b2_z5,
+    int_batch_conjugates,
+    over_1_plus_t,
+    random_unimodular,
+    unimodular_over_t,
+)
 from oracles import (
     _char_series_denominator,
+    closure_bruteforce,
+    conjugacy_classes_bruteforce,
     element_matrices,
     element_order,
     generators_of,
@@ -281,7 +292,8 @@ def test_reflection_classification_is_conjugation_invariant(
 
 
 def test_reflection_generation_stops_at_the_generators(z5, monkeypatch):
-    # W(B_3) given by reflections: the closure reaches them after a few products
+    # W(B_3) given by reflections: the tests over K and k read the classes
+    # and the reflections' words off the table, and multiply no matrix
     wb3 = generate_group([
         ExactMatrix.from_ints(RING_O, z5, [[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
         ExactMatrix.from_ints(RING_O, z5, [[1, 0, 0], [0, 0, 1], [0, 1, 0]]),
@@ -296,13 +308,14 @@ def test_reflection_generation_stops_at_the_generators(z5, monkeypatch):
             return multiply(a, b)
         return product
 
-    # over O the int kind closes its integer forms, over k `ExactMatrix` values
-    for cls in (ExactMatrix, IntMatrix):
-        monkeypatch.setattr(cls, "__mul__", counted(cls.__mul__))
+    monkeypatch.setattr(ExactMatrix, "__mul__", counted(ExactMatrix.__mul__))
     report = classify_reflections(wb3)
     assert report.count == 9 and report.generated_by_reflections
     assert verify_reduced_reflection_generation(wb3)
-    assert len(products) < wb3.order
+    # the six reflections that are not generators reach them by words
+    others = [i for i, _, _ in report.reflections if i not in wb3.generator_indices]
+    assert len(others) == 6 and _generated_by(wb3, others)
+    assert products == []
 
 
 def _wb3(z5):
@@ -393,8 +406,7 @@ def test_integer_closure_matches_the_exact_closure(s2_z3, s3_z5, b2_z3, neg_iden
     assert any(a.denominator != 1 for m in element_matrices(groups[-1], RING_O)
                for row in m.entries for a in row)
     for group in groups:
-        ident = ExactMatrix.identity(RING_O, group.descriptor, group.n)
-        exact = list(_closure(ident, generators_of(group), group.order + 1))
+        exact, _ = closure_bruteforce(generators_of(group), group.descriptor, group.n)
         assert element_matrices(group, RING_O) == exact
         # the elements are the closure's forms, and over O their matrices
         for form, m in zip(group.elements, element_matrices(group, RING_O)):
@@ -643,3 +655,108 @@ def test_the_closure_records_its_products(s2_z3, s3_z5, b2_z3, c4_f5t, b2_f5t_tw
     monkeypatch.setattr(ExactMatrix, "__mul__", counted)
     assert [h1_dimension(wb2_z2, 3, ring) for ring in (RING_RESIDUE, RING_K)] == expected
     assert products == [] and expected[0] > 0
+
+
+def _closure_cases(fixtures, rng) -> list:
+    """(generators, descriptor, n) of every int and ratfunc fixture, of
+    seeded copies of the benchmark batch's groups conjugated by its
+    `conjugate_generators`, of conjugates by diag(2, 1, ...) times a basis
+    change (D = 2) and over t, of the trivial groups, and of a generating
+    set that holds I and a repeated generator."""
+    cases = [(generators_of(g), g.descriptor, g.n) for g in fixtures]
+    for _, doc in benchmark_workloads().small_batch(27, 0):
+        spec = parse_jobspec(doc)
+        cases.append((spec.generators, spec.dvr, spec.n))
+    for gens, descriptor, n in cases[:len(fixtures)]:
+        if descriptor.kind == "int-localized":
+            halve = ExactMatrix.from_ints(RING_O, descriptor,  # D = 1 over Z_(2)
+                                          [[2 if i == j == 0 < descriptor.p - 2 else int(i == j)
+                                            for j in range(n)] for i in range(n)])
+            t = halve * random_unimodular(descriptor, n, rng)
+        else:
+            t = unimodular_over_t(descriptor, n, rng)
+        t_inv = inverse(t)
+        cases.append(([t * g * t_inv for g in gens], descriptor, n))
+    swap = ExactMatrix.from_ints(RING_O, fixtures[0].descriptor, [[0, 1], [1, 0]])
+    cases.append(([ExactMatrix.identity(RING_O, swap.descriptor, 2), swap, swap],
+                  swap.descriptor, 2))
+    cases += [([], fixtures[0].descriptor, 2), ([], fixtures[-1].descriptor, 3)]
+    return cases
+
+
+def test_the_closure_and_its_classes_match_the_brute_force_oracles(
+        s2_z3, s3_z5, b2_z3, neg_identity_z23, reflection_and_sign_z5, s2_z2, b2_z5_halved,
+        c4_f5t, b2_f5t_twisted):
+    fixtures = [s2_z3, s3_z5, b2_z3, neg_identity_z23, reflection_and_sign_z5, s2_z2,
+                b2_z5_halved, c4_f5t, b2_f5t_twisted]
+    cases = _closure_cases(fixtures, random.Random(2727))
+    assert any(f.den == 2 for gens, d, n in cases for f in generate_group(gens, d, n=n).elements
+               if d.kind == "int-localized")
+    sizes = set()
+    for gens, descriptor, n in cases:
+        group = generate_group(gens, descriptor, n=n)
+        elements, products = closure_bruteforce(gens, descriptor, n)
+        assert element_matrices(group, RING_O) == elements
+        assert group.products == products
+        classes = conjugacy_classes(group)
+        assert set(map(frozenset, classes)) == conjugacy_classes_bruteforce(group)
+        assert classes[0] == (0,)
+        assert sum(map(len, classes)) == group.order
+        assert all(group.order % len(c) == 0 and list(c) == sorted(c) for c in classes)
+        assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+        assert conjugacy_classes(group) is classes
+        sizes |= {len(c) for c in classes}
+    assert len(cases) >= 45 and sizes == {1, 2, 3}
+
+
+def test_the_closure_cap_raises_at_the_oracle_s_element_count(z5, f5t):
+    cases = [
+        [ExactMatrix.from_ints(RING_O, z5, g) for g in
+         ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 1], [0, 1, 0]])],
+        [ExactMatrix.from_ints(RING_O, z5, [[1, 1], [0, 1]])],  # infinite over Z_(5)
+        [ExactMatrix(RING_O, z5, [[Fraction(1, 2), 0], [0, 2]])],  # infinite, D = 2
+        [ExactMatrix.from_ints(RING_O, f5t, [[1, 1], [0, 1]])],  # order 5 over F_5(t)
+        [ExactMatrix.from_ints(RING_O, f5t, g) for g in ([[0, 1], [1, 0]], [[1, 0], [0, 2]])],
+    ]
+    for gens in cases:
+        descriptor, n = gens[0].descriptor, gens[0].rows
+        for cap in range(1, 12):
+            raised = []
+            for close in (closure_bruteforce, lambda g, d, n, cap: generate_group(g, d, cap, n)):
+                try:
+                    close(gens, descriptor, n, cap=cap)
+                    raised.append(False)
+                except ClosureCapExceededError:
+                    raised.append(True)
+            assert raised[0] == raised[1], (gens, cap)
+
+
+def test_generation_by_words_matches_the_oracle(s3_z5, b2_z3, reflection_and_sign_z5, c4_f5t,
+                                                b2_f5t_twisted, z3, z5, f5t):
+    rng = random.Random(3131)
+    # W(B_3) and G(4,1,2) given with a generator of order 3 or 4, not by
+    # involutions alone
+    wb3_rotations = generate_group([ExactMatrix.from_ints(RING_O, z5, g) for g in (
+        [[0, 0, 1], [1, 0, 0], [0, 1, 0]], [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+        [[1, 0, 0], [0, 1, 0], [0, 0, -1]])])
+    g412 = generate_group([ExactMatrix.from_ints(RING_O, f5t, g)
+                           for g in ([[0, 1], [1, 0]], [[1, 0], [0, 2]])])
+    groups = [s3_z5, b2_z3, reflection_and_sign_z5, c4_f5t, b2_f5t_twisted, _wb3(z5),
+              halved_b2_z5(), wb3_rotations, conjugated_over_t(g412, rng)]
+    groups += int_batch_conjugates(rng, 1)
+    swap = ExactMatrix.from_ints(RING_O, z3, [[0, 1], [1, 0]])
+    with_identity = generate_group([ExactMatrix.identity(RING_O, z3, 2), swap])
+    assert 0 in with_identity.generator_indices
+    groups += [with_identity, generate_group([], z3, n=2), generate_group([], f5t, n=1)]
+    whole = proper = 0
+    for group in groups:
+        subsets = [[], [0], list(range(group.order))]
+        subsets += [rng.sample(range(group.order), rng.randint(1, min(3, group.order)))
+                    for _ in range(10)]
+        for subset in subsets:
+            chosen = [group.matrix(i, RING_O) for i in subset]
+            order = len(closure_bruteforce(chosen, group.descriptor, group.n)[0])
+            assert _generated_by(group, subset) == (order == group.order), (group, subset)
+            whole += order == group.order
+            proper += order < group.order
+    assert whole >= 100 and proper >= 90  # 111 and 97
