@@ -755,9 +755,9 @@ def certify(
 
     if "basis" in wanted:
         bases = []
-        for idx, lam, order in report.reflections:
+        for idx, *data in report.reflections:  # data: (lambda, order)
             try:
-                bases.append((idx, diagonalizing_basis(group.matrix(idx, RING_O), group), ""))
+                bases.append((idx, diagonalizing_basis(group.element(idx), group, data), ""))
             except DvrcertError as exc:
                 bases.append((idx, None, str(exc)))
                 notes.append(f"diagonalizing basis failed for element {idx}: {exc}")

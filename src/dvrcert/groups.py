@@ -9,16 +9,21 @@ G's own generators; `_generated_by` alone decides this, on the table, for
 the reflections over K and over k alike: past the gate the reduction eta is
 injective, so elements generate G exactly when their images generate eta(G).
 
-A group's elements are the values its closure built: for the int kind
-the `IntMatrix` forms A / D, in Python ints, and for the ratfunc kind the
-O-matrices.  The passes over G read them, or its table alone:
+G acts faithfully on Omega, the orbit of the rows of I under row(x g) =
+row(x) g, and the closure runs on it: a point is (d, a_1, ..., a_n), the
+row a / d in lowest terms, for the int kind and the row's O-entries for
+the ratfunc kind, a generator a permutation of Omega and an element the
+indices of its rows.  An element is built from its rows when a stage
+first reads it (`MatrixGroup.element`): the int kind's `IntMatrix` form
+A / D, in ints, or the ratfunc kind's O-matrix.  The passes over G read
+these, its rows or its table alone:
 - the rank-one tests and det(I - z g), class functions, once per
   conjugacy class (`conjugacy_classes`): over K on the entries of g - I,
   or for the int kind on the rows of A - D I = D (g - I), with eigenvalue
   1 + tr(A - D I) / D, and over k on the residue rows minus I mod p;
-- the reduction to k as rows of ints, (A mod p) (D^-1 mod p) by
-  `reduce_form` or `descriptor.reduce` per entry: eta's images, whose
-  injectivity is compared on them;
+- the reduction to k as rows of ints, each point of Omega reduced once
+  and read by index: eta's images, whose injectivity is compared on the
+  indices of the distinct residue rows;
 - for the int kind, the Reynolds average over G and the invariance test
   of the lifts under the generators, on A in ints, scaled by powers of D
   (`polys.reynolds`, `polys.fixed_by_generators`).
@@ -29,9 +34,9 @@ becomes an `ExactMatrix`: over O, which serves K as well (the int kind's
 form A / D as entries; the ratfunc kind's element is one already), or
 over k, from the residue rows, for both kinds.  Each is built the first
 time a stage reads it: the invariance checks over k read the generators,
-the diagonalizing bases the reflections, and, for a ratfunc group, the
-invariant bases over K and H^1 over K the generators and the elements
-H^1 reaches before it stops.  The int kind solves no system over K.  Every ratfunc group whose
+and, for a ratfunc group, the invariant bases over K and H^1 over K the
+generators and the elements H^1 reaches before it stops.  The int kind
+builds no O-matrix in `certify` and solves no system over K.  Every ratfunc group whose
 order is a unit is conjugate in GL_n(O), by a checked A
 (`MatrixGroup.conjugator`), to the group of its constant twins, its
 residue rows read in GL_n(F_p).  That group is never built: what it
@@ -47,9 +52,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import chain
-from math import gcd
+from math import gcd, lcm
+from operator import itemgetter
 
 from .errors import ClosureCapExceededError, InternalCheckError, NotInvertibleError
 from .linalg import (
@@ -58,6 +62,8 @@ from .linalg import (
     RING_RESIDUE,
     ExactMatrix,
     IntMatrix,
+    _columns,
+    _sparse_dot,
     det,
     has_rank_one,
     inverse_mod_p,
@@ -78,19 +84,20 @@ class MatrixGroup:
     Elements are listed in breadth-first order starting from the identity,
     applying the distinct generators in `ExactMatrix.sort_key` order, so the
     element numbering is deterministic for a given generating set.
-    `elements` are the values the closure built: `IntMatrix` forms for
-    the int kind, O-matrices for the ratfunc kind; `matrix(i, ring)` gives
-    one as a matrix.  `products[i][gi]` is the index of elements[i] times
-    generator gi; its first row names the generators (`generator_indices`),
-    and read row-major it first meets each element j >= 1 in a row i < j,
-    at the product that reached j: the breadth-first tree (`tree`).
+    `orbit` is Omega's points (see the module) and `element_rows[i]` the
+    indices of element i's rows in it; `element(i)` builds element i when
+    first read, and `matrix(i, ring)` as a matrix.  `products[i][gi]` is
+    the index of elements[i] times generator gi; its first row names the
+    generators (`generator_indices`), and read row-major it first meets
+    each element j >= 1 in a row i < j, at the product that reached j:
+    the breadth-first tree (`tree`).
 
     `memo` holds what several checks share, over O, K and k, each key
     naming its ring, and lives and dies with the group: the elements built
     as matrices over O (the int kind only) and over k (see `matrix`),
     keyed by ("elements", ring), each a dict {element index: matrix}; the
-    residue rows (see `residue_rows`), keyed by ("residues", "k"); the
-    `ReflectionReport` (see `classify_reflections`), keyed by
+    residue rows and eta's injectivity (see `residue_rows`), keyed by
+    ("residues", "k"); the `ReflectionReport` (see `classify_reflections`), keyed by
     ("reflections", "K"); the conjugacy classes (see `conjugacy_classes`),
     keyed by ("classes", "O"); the conjugator A of a ratfunc group (see
     `conjugator`), keyed by ("conjugator", "O"); the lifts to O of the
@@ -105,11 +112,12 @@ class MatrixGroup:
     through it.
     """
 
-    __slots__ = ("descriptor", "n", "elements", "order", "products", "memo")
+    __slots__ = ("descriptor", "n", "orbit", "element_rows", "order", "products", "memo", "_built")
 
-    def __init__(self, descriptor, n, elements, products):
-        set_fields(self, descriptor=descriptor, n=n, elements=tuple(elements),
-                   order=len(elements), products=tuple(products), memo={})
+    def __init__(self, descriptor, n, orbit, element_rows, products):
+        set_fields(self, descriptor=descriptor, n=n, orbit=tuple(orbit),
+                   element_rows=tuple(element_rows), order=len(element_rows),
+                   products=tuple(products), memo={}, _built=[None] * len(element_rows))
 
     def __setattr__(self, name, value):
         raise AttributeError("groups are immutable once enumerated")
@@ -130,6 +138,26 @@ class MatrixGroup:
                     first[j] = (i, gi)
         return first
 
+    def element(self, i: int):
+        """Element i, built from its rows the first time a stage reads it
+        and then kept: for the int kind the `IntMatrix` form A / D, D the
+        lcm of its rows' d, for the ratfunc kind the O-matrix."""
+        m = self._built[i]
+        if m is None:
+            rows = [self.orbit[r] for r in self.element_rows[i]]
+            if self.descriptor.kind == KIND_INT:
+                den = lcm(*(row[0] for row in rows))
+                m = IntMatrix(den, [[a * (den // row[0]) for a in row[1:]] for row in rows])
+            else:
+                m = ExactMatrix._of(RING_O, self.descriptor, rows)
+            self._built[i] = m
+        return m
+
+    @property
+    def elements(self) -> tuple:
+        """Every element, built (see `element`), as Reynolds and the conjugator read G."""
+        return tuple(map(self.element, range(self.order)))
+
     def matrix(self, i: int, ring: str) -> ExactMatrix:
         """Element i as an `ExactMatrix` over O, K or k, built the first time
         a stage reads it.  Over O or K it is the O-matrix, which serves K:
@@ -138,13 +166,13 @@ class MatrixGroup:
         built is kept in `memo` (see the class)."""
         if ring != RING_RESIDUE:
             if self.descriptor.kind != KIND_INT:
-                return self.elements[i]
+                return self.element(i)
             ring = RING_O
         built = self.memo.setdefault(("elements", ring), {})
         m = built.get(i)
         if m is None:
             if ring == RING_O:
-                f = self.elements[i]
+                f = self.element(i)
                 rows = [[Fraction(a, f.den) for a in row] for row in f.rows]
             else:
                 rows = self.residue_rows()[i]
@@ -153,20 +181,21 @@ class MatrixGroup:
 
     def residue_rows(self) -> tuple:
         """The elements reduced to k as rows of ints in [0, p), in the order
-        of `elements`; kept in `memo` under ("residues", "k").
-        The int kind's forms are reduced by `reduce_form`, the ratfunc
-        kind's entries by `descriptor.reduce`."""
+        of `elements`, read by index off Omega's points, each reduced once
+        by `reduce_form` or `descriptor.reduce`; kept in `memo` under
+        ("residues", "k") with eta's injectivity (see `reduction_map`)."""
         memo, key = self.memo, ("residues", RING_RESIDUE)
         if key not in memo:
-            if self.descriptor.kind == KIND_INT:
-                p = self.descriptor.p
-                rows = tuple(reduce_form(f, p) for f in self.elements)
-            else:
-                reduce = self.descriptor.reduce
-                rows = tuple(tuple(tuple(reduce(a) for a in row) for row in m.entries)
-                             for m in self.elements)
-            memo[key] = rows
-        return memo[key]
+            p, reduce = self.descriptor.p, self.descriptor.reduce
+            reduced = [reduce_form(IntMatrix(point[0], [point[1:]]), p)[0]
+                       if self.descriptor.kind == KIND_INT else tuple(map(reduce, point))
+                       for point in self.orbit]
+            distinct = {}
+            ids = [distinct.setdefault(row, len(distinct)) for row in reduced]
+            rows = tuple(tuple(map(reduced.__getitem__, e)) for e in self.element_rows)
+            memo[key] = rows, len(distinct) == len(reduced) or self.order == len(
+                {tuple(map(ids.__getitem__, e)) for e in self.element_rows})
+        return memo[key][0]
 
     def conjugator(self) -> ExactMatrix | None:
         """A in GL_n(O) with G = A Gbar A^-1, for a ratfunc group whose order
@@ -196,7 +225,7 @@ class MatrixGroup:
         if key not in self.memo:
             constant = all(a.num.degree <= 0 and a.den.degree == 0
                            for i in self.generator_indices
-                           for row in self.elements[i].entries for a in row)
+                           for row in self.element(i).entries for a in row)
             self.memo[key] = None if constant else _conjugator(self)
         return self.memo[key]
 
@@ -236,7 +265,7 @@ def _check_constant_model(group: MatrixGroup, a: ExactMatrix) -> None:
     residues = group.residue_rows()
     for i in group.generator_indices:
         g_bar = ExactMatrix.from_ints(RING_O, descriptor, residues[i])
-        if group.elements[i] * a != a * g_bar:
+        if group.element(i) * a != a * g_bar:
             raise InternalCheckError(f"g A differs from A gbar for the generator at element {i}")
 
 
@@ -249,14 +278,11 @@ def generate_group(
     """Breadth-first closure of the generators under multiplication.
 
     Every generator must be an n x n matrix invertible over O (unit
-    determinant); the closure aborts once more than `cap` elements appear.
+    determinant); the closure aborts once more than `cap` elements, or
+    more than n * cap points of Omega (|Omega| <= n |G|), appear.
     `descriptor` and `n` default to the first generator's; with no
     generators both are required, and the closure is {I}, with `products`
-    ((),).  It runs on flat keys, for the int kind (D, A row-major) of the
-    form A / D in lowest terms, so that products, hashing and membership
-    are integer work, and for the ratfunc kind the O-matrix's entries; each
-    key becomes an element, an `IntMatrix` or an O-matrix, once.  Its table
-    of products is `products`.
+    ((),).  It runs on Omega (see the module and `_closure`).
     """
     generators = list(generators)
     if not generators and (descriptor is None or n is None):
@@ -281,36 +307,47 @@ def generate_group(
     matrices = [ExactMatrix.identity(RING_O, descriptor, n),
                 *sorted(set(generators), key=ExactMatrix.sort_key)]
     if descriptor.kind == KIND_INT:
-        forms = map(IntMatrix.from_matrix, matrices)
-        ident, *gens = [(f.den, *chain.from_iterable(f.rows)) for f in forms]
-        keys, products = _closure(ident, gens, n, 1, _int_times, cap)
-        elements = [IntMatrix(k[0], [k[i:i + n] for i in range(1, len(k), n)]) for k in keys]
+        forms = [IntMatrix.from_matrix(m) for m in matrices]
+        identity, zero = [(1, *row) for row in forms[0].rows], 0
+        gens = [(f.den, [[(k + 1, c) for k, c in col] for col in _columns(f.rows)])
+                for f in forms[1:]]
     else:
-        ident, *gens = [tuple(chain.from_iterable(m.entries)) for m in matrices]
-        times = partial(_ratfunc_times, zero=descriptor.zero())
-        keys, products = _closure(ident, gens, n, 0, times, cap)
-        elements = [ExactMatrix._of(RING_O, descriptor, [k[i:i + n] for i in range(0, len(k), n)])
-                    for k in keys]
-    return MatrixGroup(descriptor, n, elements, products)
+        identity, zero = matrices[0].entries, descriptor.zero()
+        gens = [(None, _columns(m.entries)) for m in matrices[1:]]
+    return MatrixGroup(descriptor, n, *_closure(identity, gens, n, cap, zero))
 
 
-def _closure(identity: tuple, generators, n: int, offset: int, times, cap: int):
-    """Breadth-first closure of the identity under right multiplication by
-    the generators, on flat keys: n x n entries row-major after `offset`
-    places (the int kind's D).  x g is `times(x, plan)`, the plan of g
-    being the (target, source, coefficient) triples of its nonzero entries
-    g[k][j]: (x g)[i][j] gains x[i][k] g[k][j].  Returns the keys and the
-    table; raises once more than `cap` elements appear.
+def _closure(identity, generators, n: int, cap: int, zero):
+    """Breadth-first closure of the identity, its n rows as points, under
+    right multiplication by the generators, each (D, its columns' nonzero
+    (index, value) pairs), D None for the ratfunc kind.  Each generator
+    becomes a permutation of Omega, one sparse dot per column and point
+    (put over D d in lowest terms for the int kind), then the elements are
+    walked, x g being (perm_g[r] for r in x).  Returns Omega, the elements'
+    rows and the table; raises past n * cap points or `cap` elements.
     """
-    plans = [[(0, 0, g[0])] * offset  # D_x D_g for the int kind
-             + [(offset + i * n + j, offset + i * n + k, c) for i in range(n)
-                for j in range(n) for k in range(n) if (c := g[offset + k * n + j])]
-             for g in generators]
-    keys, index, products = [identity], {identity: 0}, []
+    orbit, where = list(identity), {row: r for r, row in enumerate(identity)}
+    perms = [[] for _ in generators]
+    for point in orbit:  # the list grows while it is walked
+        for perm, (den, cols) in zip(perms, generators):
+            image = [_sparse_dot(point, col, zero) for col in cols]
+            if den is not None:  # the row a / d in lowest terms
+                c = gcd(d := den * point[0], *image)
+                image = (d // c, *(a // c for a in image))
+            image = tuple(image)
+            r = where.setdefault(image, len(orbit))
+            if r == len(orbit):
+                if r >= n * cap:
+                    raise ClosureCapExceededError(
+                        f"closure exceeded {n * cap} row images; group too large or infinite")
+                orbit.append(image)
+            perm.append(r)
+    start = tuple(range(n))
+    keys, index, products = [start], {start: 0}, []
     for key in keys:  # the list grows while it is walked
-        row = []
-        for plan in plans:
-            nxt = times(key, plan)
+        row, get = [], itemgetter(*key)  # a tuple for n > 1, else the one index
+        for perm in perms:
+            nxt = get(perm) if n > 1 else (get(perm),)
             j = index.setdefault(nxt, len(keys))
             if j == len(keys):
                 if j >= cap:
@@ -320,25 +357,7 @@ def _closure(identity: tuple, generators, n: int, offset: int, times, cap: int):
                 keys.append(nxt)
             row.append(j)
         products.append(tuple(row))
-    return keys, products
-
-
-def _int_times(key: tuple, plan) -> tuple:
-    out = [0] * len(key)
-    for t, s, c in plan:
-        out[t] += key[s] * c
-    if out[0] != 1:  # divide out gcd(D, A)
-        g = gcd(*out)
-        out = [a // g for a in out]
-    return tuple(out)
-
-
-def _ratfunc_times(key: tuple, plan, zero) -> tuple:
-    out = [None] * len(key)
-    for t, s, c in plan:
-        if a := key[s]:  # no term for a zero entry
-            out[t] = a * c if out[t] is None else out[t] + a * c
-    return tuple(zero if a is None else a for a in out)
+    return orbit, keys, products
 
 
 def _generated_by(group: MatrixGroup, indices) -> bool:
@@ -434,9 +453,10 @@ def reflection_eigenvalue(m):
     return lam if p is None else lam % p
 
 
-def eigenvalue_order(lam, ring: str, descriptor: DvrDescriptor) -> int | None:
+def eigenvalue_order(lam, ring: str, descriptor: DvrDescriptor, cap=None) -> int | None:
     """The order of a matrix over `ring` with g - I of rank one and
-    eigenvalue lam (see `reflection_eigenvalue`); None when it is infinite.
+    eigenvalue lam (see `reflection_eigenvalue`); None when it is infinite,
+    or, given `cap`, when lam != 1 and none of its first cap powers is 1.
 
     For lam != 1, g - I = u v^T with v^T u = lam - 1 != 0, so g is
     diag(1, ..., 1, lam) in a basis over K or k and its order is that of
@@ -455,7 +475,7 @@ def eigenvalue_order(lam, ring: str, descriptor: DvrDescriptor) -> int | None:
         return None if over_q else descriptor.p
     if not (over_q or over_k) and (lam.num.degree > 0 or lam.den.degree > 0):
         return None
-    bound = 2 if over_q else max(2, descriptor.p - 1)
+    bound = min(2 if over_q else max(2, descriptor.p - 1), cap or descriptor.p)
     power, k = lam, 1
     while power != one:
         if k == bound:
@@ -504,7 +524,7 @@ def classify_reflections(group: MatrixGroup) -> ReflectionReport:
         return group.memo[key]
     found = []
     for members in conjugacy_classes(group):
-        lam = reflection_eigenvalue(group.elements[members[0]])
+        lam = reflection_eigenvalue(group.element(members[0]))
         if lam is not None:
             order = eigenvalue_order(lam, RING_O, group.descriptor)
             found += [(i, lam, order) for i in members]
@@ -525,11 +545,10 @@ def reduction_map(group: MatrixGroup):
     ints in [0, p), not k-matrices.  Requires the group order to be
     invertible in the ring.  Under that hypothesis injectivity always
     holds, but it is measured, not assumed: the residue rows must be
-    pairwise distinct.
+    pairwise distinct, compared as indices of the residue rows of Omega.
     """
     invert_mod_group_order(group.order, group.descriptor)
-    residues = group.residue_rows()
-    return residues, len(set(residues)) == len(residues)
+    return group.residue_rows(), group.memo["residues", RING_RESIDUE][1]
 
 
 def reduced_reflection_indices(group: MatrixGroup) -> list:

@@ -501,10 +501,11 @@ def reynolds(group: MatrixGroup, polys) -> tuple:
         return ()
     unit = (0,) * group.n
     if _on_integer_forms(group, polys):
-        m = lcm(*(form.den for form in group.elements))
+        elements = group.elements
+        m = lcm(*(form.den for form in elements))
         numerators = [_integer_numerators(f) for f in polys]
         sums: list = [{} for _ in polys]
-        for form in group.elements:
+        for form in elements:
             images, forms = {unit: {unit: 1}}, _linear_forms(form.rows)
             for acc, num in zip(sums, numerators):
                 _integer_image(acc, form, images, forms, num, (m // form.den) ** num[2])
@@ -546,7 +547,7 @@ def fixed_by_generators(group: MatrixGroup, polys) -> tuple:
     numerators = [_integer_numerators(f) for f in polys]
     fixed = [True] * len(polys)
     for i in group.generator_indices:
-        form = group.elements[i]
+        form = group.element(i)
         images, forms = {unit: {unit: 1}}, _linear_forms(form.rows)
         for k, num in enumerate(numerators):
             if fixed[k]:
@@ -752,7 +753,7 @@ def _molien_series(group: MatrixGroup, bound: int) -> MolienSeries:
     counts = Counter()
     for members in conjugacy_classes(group):
         if descriptor.kind == KIND_INT:
-            denom = _integer_char_series_denominator(group.elements[members[0]])
+            denom = _integer_char_series_denominator(group.element(members[0]))
         else:
             denom = tuple(c % p for c in char_poly(group.residue_rows()[members[0]], 0, 1))
         counts[denom] += len(members)

@@ -16,15 +16,23 @@ alpha . P e_r = alpha_r != 0, and P e_r - e_r is fixed.  So it is the
 determinant of w_1, ..., w_{n-1}, e_r: +/- the minor of the fixed vectors
 on the removed indices, which is triangular with unit pivots, since each
 w vanishes on the indices removed before it.
+
+One routine builds and checks the basis on sigma's form A / D: ints for
+the int kind, D = 1 and the O-entries for the ratfunc kind.  Each w is
+checked as W = s w, s the lcm of its denominators (1 for the ratfunc
+kind): (A - D I) W = 0, or b A W = a D W for lambda = a / b, and the W
+have a determinant of the valuation of the product of the s.  So the int
+kind's checks run in ints; only its printed vectors are `Fraction`s.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import InternalCheckError
-from .linalg import RING_O, ExactMatrix, det
-from .groups import MatrixGroup, reflection_data
-from .scalars import DvrDescriptor, invert_mod_group_order
+from .linalg import RING_O, IntMatrix, _nonzero_pairs, _sparse_dot, det_of_rows, shifted_rows
+from .groups import MatrixGroup, eigenvalue_order, reflection_eigenvalue
+from .scalars import KIND_INT, DvrDescriptor, invert_mod_group_order
 
 
 def primitive_vector(v, desc: DvrDescriptor) -> tuple:
@@ -61,68 +69,80 @@ class DiagonalizingBasis:
         }
 
 
-def _verify(sigma: ExactMatrix, basis, lam) -> None:
-    """Check the eigen-relations and that the basis is one of O^n.
+def diagonalizing_basis(sigma, group: MatrixGroup, data=None) -> DiagonalizingBasis:
+    """Eigenbasis of O^n for the pseudo-reflection sigma, an O-matrix or an
+    int-kind `IntMatrix` form, with `data` its (lambda, order) if known.
 
-    The order needs no check: once these hold, sigma = T diag(1, ..., 1,
-    lambda) T^-1 for the change of basis T, so the order of sigma is that
-    of lambda, which is how `reflection_data` took it.
+    The group supplies the gate, which makes lambda - 1 a unit when the
+    order of lambda divides |G|; sigma need not be an element (conjugates
+    are fine).  Without `data` the order is sought in |G| powers of
+    lambda, and a sigma whose order does not divide |G| is refused.
     """
-    n = sigma.rows
-    for i, w in enumerate(basis):
-        image = sigma.apply(w)
-        expected = tuple(w) if i < n - 1 else tuple(lam * x for x in w)
-        if image != expected:
-            raise InternalCheckError(
-                f"basis vector {i} fails its eigen-relation: sigma*w = "
-                f"{[str(x) for x in image]}, expected {[str(x) for x in expected]}"
-            )
-    desc = sigma.descriptor
-    t = ExactMatrix(RING_O, desc, [list(row) for row in zip(*basis)])
-    d = det(t)
-    if not desc.is_unit(d):
-        raise InternalCheckError(
-            f"change-of-basis determinant {d} is not a unit: not an O-basis"
-        )
-
-
-def diagonalizing_basis(sigma: ExactMatrix, group: MatrixGroup) -> DiagonalizingBasis:
-    """Eigenbasis of O^n for the pseudo-reflection sigma.
-
-    The group context supplies the invertibility hypothesis (which makes
-    lambda - 1 a unit); sigma itself need not be one of the enumerated
-    elements (conjugates are fine).
-    """
+    desc = getattr(sigma, "descriptor", group.descriptor)
     invert_mod_group_order(group.order, group.descriptor)
-    data = reflection_data(sigma)
+    if desc.kind == KIND_INT and not isinstance(sigma, IntMatrix):
+        sigma = IntMatrix.from_matrix(sigma)
     if data is None:
-        raise ValueError("matrix is not a pseudo-reflection")
-    lam, order = data
-    basis = _diagonalize(sigma, lam)
-    _verify(sigma, basis, lam)
-    return DiagonalizingBasis(tuple(basis), lam, order, sigma.descriptor)
+        lam = reflection_eigenvalue(sigma)
+        if lam is None:
+            raise ValueError("matrix is not a pseudo-reflection")
+        data = lam, eigenvalue_order(lam, RING_O, desc, cap=group.order)
+        if data[1] is None or group.order % data[1]:
+            raise ValueError(f"eigenvalue {lam} has no order dividing |G| = {group.order}")
+    form = (sigma.den, sigma.rows) if desc.kind == KIND_INT else (desc.one(), sigma.entries)
+    basis = _diagonalize(*form, data[0], desc)
+    _verify(*form, basis, data[0], desc)
+    return DiagonalizingBasis(tuple(basis), *data, desc)
 
 
-def _diagonalize(sigma: ExactMatrix, lam) -> list:
-    desc = sigma.descriptor
-    lam_minus_1 = lam - desc.one()
+def _diagonalize(den, rows, lam, desc: DvrDescriptor) -> list:
+    zero, one = desc.zero(), desc.one()
+    lam_minus_1 = lam - one
     if not desc.is_unit(lam_minus_1):
         raise InternalCheckError(
             f"lambda - 1 = {lam_minus_1} is not a unit; the invertibility "
             "hypothesis must have been violated upstream"
         )
-    delta = sigma.minus_identity().entries
+    delta = shifted_rows(rows, den)  # D (sigma - 1)
     alpha = next(row for row in delta if any(row))
     n = len(alpha)
     basis, live = [], list(range(n))
     while len(live) > 1:
         c = next(j for j in live if alpha[j])
         f = next(j for j in live if j != c)
-        w = [desc.zero()] * n
-        w[c], w[f] = -(alpha[f] / alpha[c]), desc.one()
+        w = [zero] * n
+        w[c], w[f] = -(one * alpha[f] / alpha[c]), one  # in K: the int kind's alpha are ints
         w = primitive_vector(w, desc)
         basis.append(w)
         live.remove(next(j for j in live if desc.is_unit(w[j])))
     (r,) = live
-    basis.append(tuple(row[r] / lam_minus_1 for row in delta))  # P e_r
+    scale = den * lam_minus_1
+    basis.append(tuple(row[r] / scale for row in delta))  # P e_r
     return basis
+
+
+def _verify(den, rows, basis, lam, desc: DvrDescriptor) -> None:
+    """Check the eigen-relations and that the basis is one of O^n, on the
+    W = s w (see the module); a failure is `InternalCheckError`.
+
+    The order needs no check: once these hold, sigma = T diag(1, ..., 1,
+    lambda) T^-1 for the change of basis T, so the order of sigma is that
+    of lambda, which is how `eigenvalue_order` took it.
+    """
+    if desc.kind == KIND_INT:
+        zero, one, a, b = 0, 1, lam.numerator, lam.denominator
+        scales = [lcm(*(x.denominator for x in w)) for w in basis]
+        basis = [[x.numerator * (s // x.denominator) for x in w] for s, w in zip(scales, basis)]
+    else:
+        zero, one, a, b, scales = desc.zero(), desc.one(), lam, desc.one(), ()
+    shifted = shifted_rows(rows, den)
+    for i, w in enumerate(basis):
+        pairs, fixed = _nonzero_pairs(w), i < len(basis) - 1
+        image = [_sparse_dot(row, pairs, zero) for row in (shifted if fixed else rows)]
+        if [y if fixed else b * y for y in image] != [zero if fixed else a * den * x for x in w]:
+            raise InternalCheckError(f"basis vector {i} fails its eigen-relation: "
+                                     f"{[str(x) for x in image]} from {[str(x) for x in w]}")
+    d = det_of_rows(basis, zero, one)
+    if not d or desc.valuation(d) != sum(map(desc.valuation, scales)):
+        raise InternalCheckError(f"change-of-basis determinant {d}, over the scalings {scales}, "
+                                 "is not a unit: not an O-basis")

@@ -22,8 +22,11 @@ recursion, a field recurrence that divides by the constant term, on
 each element's `Fraction` denominator, against the division-free integer
 Molien sum over the conjugacy classes, Berkowitz on the `RatFunc` entries
 of each element over F_p(t) against its residue rows mod p, a closure
-that forms every product as a matrix against the one on flat keys, and
-the classes {h x h^-1} by `inverse` against the orbits read off the table.
+that forms every product as a matrix against the one on the orbit of the
+rows, the classes {h x h^-1} by `inverse` against the orbits read off the
+table, each element of that closure reduced entrywise against the points
+of the orbit reduced once, and the diagonalizing basis built and checked
+on `Fraction` or `RatFunc` matrices against the one checked in integers.
 """
 from __future__ import annotations
 
@@ -32,13 +35,14 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from dvrcert.errors import ClosureCapExceededError
+from dvrcert.errors import ClosureCapExceededError, InternalCheckError
 from dvrcert.linalg import (
     RING_K,
     RING_O,
     RING_RESIDUE,
     ExactMatrix,
     char_poly,
+    det,
     inverse,
     kernel_over_field,
     ring_one,
@@ -225,6 +229,49 @@ def closure_bruteforce(generators, descriptor, n: int, cap: int = 20000) -> tupl
     return elements, tuple(products)
 
 
+def residue_rows_bruteforce(group) -> tuple:
+    """(residue rows, eta injective) of a group, from `closure_bruteforce`'s
+    matrices reduced entrywise by `descriptor.reduce`, one element at a
+    time, and compared as whole matrices."""
+    elements, _ = closure_bruteforce(generators_of(group), group.descriptor, group.n)
+    reduce = group.descriptor.reduce
+    rows = tuple(tuple(tuple(reduce(a) for a in row) for row in m.entries) for m in elements)
+    return rows, len(set(rows)) == len(rows)
+
+
+def diagonalizing_basis_exact(sigma: ExactMatrix, lam) -> list:
+    """The closed-form diagonalizing basis of the O-matrix sigma, built and
+    checked on its values of K: sigma w = w for the fixed vectors, sigma w
+    = lambda w for the last, and a unit `det` of the change of basis; a
+    failure is `InternalCheckError`."""
+    desc = sigma.descriptor
+    delta = sigma.minus_identity().entries
+    alpha = next(row for row in delta if any(row))
+    n = len(alpha)
+    basis, live = [], list(range(n))
+    while len(live) > 1:
+        c = next(j for j in live if alpha[j])
+        f = next(j for j in live if j != c)
+        w = [desc.zero()] * n
+        w[c], w[f] = -(alpha[f] / alpha[c]), desc.one()
+        w = primitive_vector(w, desc)
+        basis.append(w)
+        live.remove(next(j for j in live if desc.is_unit(w[j])))
+    (r,) = live
+    basis.append(tuple(row[r] / (lam - desc.one()) for row in delta))
+    for i, w in enumerate(basis):
+        if sigma.apply(w) != (tuple(w) if i < n - 1 else tuple(lam * x for x in w)):
+            raise InternalCheckError(f"basis vector {i} fails its eigen-relation")
+    if not desc.is_unit(det(change_of_basis_of(basis, desc))):
+        raise InternalCheckError("the change of basis is not one of O^n")
+    return basis
+
+
+def change_of_basis_of(vectors, descriptor) -> ExactMatrix:
+    """The O-matrix whose columns are the vectors."""
+    return ExactMatrix(RING_O, descriptor, [list(row) for row in zip(*vectors)])
+
+
 def conjugacy_classes_bruteforce(group) -> set:
     """The classes {h x h^-1 : h in G} as frozensets of element indices,
     with h^-1 from `inverse` and each product an `ExactMatrix`."""
@@ -245,7 +292,7 @@ def element_order(group, i: int) -> int:
 
 def change_of_basis(basis) -> ExactMatrix:
     """The O-matrix whose columns are the vectors of a DiagonalizingBasis."""
-    return ExactMatrix(RING_O, basis.descriptor, [list(row) for row in zip(*basis.basis)])
+    return change_of_basis_of(basis.basis, basis.descriptor)
 
 
 def matmul_dense(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:

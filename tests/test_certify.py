@@ -504,7 +504,7 @@ def test_per_degree_quantities_are_computed_once_per_group(z3, monkeypatch):
     certify_module = sys.modules["dvrcert.certify"]
     polys_module = sys.modules["dvrcert.polys"]
     computed = []
-    reduced = []  # the int kind reduces each element's integer form with `reduce_form`
+    reduced = []  # the int kind reduces each point of the row orbit with `reduce_form`
     for module in (sys.modules["dvrcert.groups"], polys_module, certify_module):
         if hasattr(module, "reduce_form"):
             def counted_reduce(form, p, _original=module.reduce_form):
@@ -532,12 +532,13 @@ def test_per_degree_quantities_are_computed_once_per_group(z3, monkeypatch):
     # degrees 0..5 over k only, since over Q every piece is 0
     assert len(computed) == 9 + 6
     assert {ring for _, _, ring in computed} == {RING_RESIDUE}
-    # every element is reduced to the residue field once, by all stages together
-    form_index = {form: i for i, form in enumerate(b2.elements)}
-    assert sorted(map(form_index.get, reduced)) == list(range(b2.order))
+    # every point of the orbit of the rows, +-e_1 and +-e_2, is reduced to
+    # the residue field once, as a one-row form, by all stages together
+    assert len(b2.orbit) == 4 < b2.order
+    assert sorted((f.den, *f.rows[0]) for f in reduced) == sorted(b2.orbit)
     assert certify(b2, 8, ["invariants", "graded", "h1"]).verdict == "complete"
     assert len(computed) == 9 + 6
-    assert len(reduced) == b2.order
+    assert len(reduced) == len(b2.orbit)
 
 
 def test_reflections_are_classified_once_per_group(s3_z5, monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -60,6 +61,7 @@ from oracles import (
     reduce_entrywise,
     reflection_eigenvalue_bruteforce,
     reflection_generated_bruteforce,
+    residue_rows_bruteforce,
 )
 
 
@@ -329,25 +331,41 @@ def _wb3(z5):
 
 def test_a_checks_only_int_job_builds_no_o_matrices(z5):
     # the int kind's elements are its integer forms: only `matrix(i, "O")`
-    # turns one into an O-matrix, and reflections, eta and Molien never ask
-    wb3 = _wb3(z5)
-    assert wb3.order == 48
-    assert certify(wb3, 6, ("reflections", "eta", "molien")).verdict == "complete"
-    assert ("elements", RING_O) not in wb3.memo
-    # the bases read the reflections as O-matrices, and nothing else
-    wb3 = _wb3(z5)
-    report = certify(wb3, 6, ("reflections", "eta", "basis", "molien"))
-    assert report.verdict == "complete" and report.bases_ok
-    reflections = [i for i, _, _ in report.reflection_report.reflections]
-    assert sorted(wb3.memo["elements", RING_O]) == reflections
+    # turns one into an O-matrix, and no stage of these jobs asks, the
+    # bases included, which run on the reflections' forms in ints
+    for checks in (("reflections", "eta", "molien"), ("reflections", "eta", "basis", "molien")):
+        wb3 = _wb3(z5)
+        assert wb3.order == 48
+        assert certify(wb3, 6, checks).verdict == "complete"
+        assert ("elements", RING_O) not in wb3.memo
 
 
 def test_the_bases_build_only_the_reflections_as_o_matrices(z5):
+    # the bases build no O-matrix at all: they read the reflections' forms,
+    # and only those and the classes' first elements are built
     wb3 = _wb3(z5)
     report = certify(wb3, None, ("reflections", "basis"))
     reflections = [i for i, _, _ in report.reflection_report.reflections]
     assert len(reflections) == 9 and report.bases_ok
-    assert set(wb3.memo["elements", RING_O]) == set(reflections)
+    assert ("elements", RING_O) not in wb3.memo
+    built = {i for i, m in enumerate(wb3._built) if m is not None}
+    assert built == set(reflections) | {c[0] for c in conjugacy_classes(wb3)}
+
+
+def test_the_checks_of_wb4_build_the_classes_and_reflections_alone(z5):
+    # W(B_4), as the benchmark's wb4-int-checks job gives it: 384 elements
+    # on an orbit of 8 rows, +-e_i, and of them only the first element of
+    # each conjugacy class and the reflections are built as forms
+    workloads = benchmark_workloads()
+    _, doc = workloads.FIXED["wb4-int-checks"]
+    spec = parse_jobspec(doc)
+    group = generate_group(spec.generators, spec.dvr, n=spec.n)
+    report = certify(group, 16, tuple(doc["checks"]))
+    assert report.verdict == "complete" and report.bases_ok and report.eta_injective
+    assert (group.order, len(group.orbit), report.reflection_report.count) == (384, 8, 16)
+    built = sum(m is not None for m in group._built)
+    assert built <= len(conjugacy_classes(group)) + report.reflection_report.count == 20 + 16
+    assert ("elements", RING_O) not in group.memo
 
 
 def test_a_full_certificate_builds_no_k_matrix_it_does_not_read(z5):
@@ -729,6 +747,66 @@ def test_the_closure_cap_raises_at_the_oracle_s_element_count(z5, f5t):
                 except ClosureCapExceededError:
                     raised.append(True)
             assert raised[0] == raised[1], (gens, cap)
+
+
+def test_the_row_orbit_stays_within_n_times_the_cap(z5, monkeypatch):
+    # <[[1, 1], [0, 1]]> over Z_(5) has the infinite row orbit (1, k), k >= 0,
+    # and e_2: the closure raises at the oracle's caps, having formed the
+    # images of at most n * cap points, each one sparse dot per column
+    shear = ExactMatrix.from_ints(RING_O, z5, [[1, 1], [0, 1]])
+    groups_module = sys.modules["dvrcert.groups"]
+    dots = []
+
+    def counted(row, pairs, zero, _original=groups_module._sparse_dot):
+        dots.append(1)
+        return _original(row, pairs, zero)
+
+    monkeypatch.setattr(groups_module, "_sparse_dot", counted)
+    for cap in (1, 2, 5, 50, 500):
+        with pytest.raises(ClosureCapExceededError):
+            closure_bruteforce([shear], z5, 2, cap=cap)
+        dots.clear()
+        with pytest.raises(ClosureCapExceededError):
+            generate_group([shear], cap=cap)
+        assert 0 < len(dots) <= 2 * cap * 2  # n * cap points, n columns each
+    # a finite group's orbit has at most n |G| points, at the cap |G|
+    for gens in ([[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, 1], [0, 1, 0]]],
+                 [[[0, -1], [1, 0]]]):
+        group = generate_group([ExactMatrix.from_ints(RING_O, z5, g) for g in gens])
+        again = generate_group(generators_of(group), cap=group.order)
+        assert again.element_rows == group.element_rows
+        assert len(group.orbit) <= group.n * group.order
+
+
+def test_residue_rows_and_eta_match_the_per_element_reduction(
+        s2_z3, s3_z5, b2_z3, neg_identity_z23, reflection_and_sign_z5, s2_z2, b2_z5_halved,
+        c4_f5t, b2_f5t_twisted):
+    # every fixture of both kinds, the batch's int groups conjugated by its
+    # `conjugate_generators`, the fixtures conjugated by diag(2, 1, ...)
+    # times a basis change (D = 2) or over t, and -I over Z_(2), whose eta
+    # is not injective: each element's residue rows read by index off the
+    # orbit's points, reduced once, against each matrix reduced entrywise
+    fixtures = [s2_z3, s3_z5, b2_z3, neg_identity_z23, reflection_and_sign_z5, s2_z2,
+                b2_z5_halved, c4_f5t, b2_f5t_twisted]
+    rng = random.Random(4141)
+    conjugates = [_conjugated_by_a_denominator(g, rng) if g.descriptor.kind == "int-localized"
+                  else conjugated_over_t(g, rng) for g in fixtures if g.descriptor.p != 2]
+    # B_2 conjugated by diag(2, 1) has forms with D = 2, the conjugates larger D
+    assert {f.den for f in b2_z5_halved.elements} == {1, 2}
+    assert any(f.den > 2 for g in conjugates if g.descriptor.kind == "int-localized"
+               for f in g.elements)
+    d2 = DvrDescriptor("int-localized", 2)
+    groups = fixtures + int_batch_conjugates(rng, 1) + conjugates
+    groups.append(generate_group([ExactMatrix.from_ints(RING_O, d2, [[-1, 0], [0, -1]])]))
+    flags = []
+    for group in groups:
+        rows, injective = residue_rows_bruteforce(group)
+        assert group.residue_rows() == rows
+        assert group.memo["residues", RING_RESIDUE][1] == injective
+        if group.order % group.descriptor.p:
+            assert reduction_map(group) == (rows, injective)
+        flags.append(injective)
+    assert flags[-1] is False and all(flags[:-1])
 
 
 def test_generation_by_words_matches_the_oracle(s3_z5, b2_z3, reflection_and_sign_z5, c4_f5t,

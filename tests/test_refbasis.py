@@ -1,15 +1,17 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from dvrcert.groups import generate_group
-from dvrcert.linalg import RING_O, ExactMatrix, det, inverse
-from dvrcert.refbasis import diagonalizing_basis, primitive_vector
+from dvrcert.errors import InternalCheckError
+from dvrcert.groups import classify_reflections, generate_group
+from dvrcert.linalg import RING_O, ExactMatrix, IntMatrix, det, inverse
+from dvrcert.refbasis import _verify, diagonalizing_basis, primitive_vector
 from dvrcert.scalars import DvrDescriptor
 
-from conftest import random_unimodular, random_unit_int
-from oracles import change_of_basis, diagonalizing_basis_recursive
+from conftest import halved_b2_z5, int_batch_conjugates, random_unimodular, random_unit_int
+from oracles import change_of_basis, diagonalizing_basis_exact, diagonalizing_basis_recursive
 
 
 def test_primitive_vector_examples(z3):
@@ -164,3 +166,62 @@ def test_diagonalizing_basis_matches_the_quotient_recursion():
         _branches(sigma, basis.basis, desc, seen)
     assert orders == {2, 4, 6}
     assert seen == {"shifted", "removed c", "removed f"}
+
+
+def test_the_integer_bases_match_the_fraction_path(s2_z3, s3_z5, b2_z3, neg_identity_z23,
+                                                   reflection_and_sign_z5, c4_f5t,
+                                                   b2_f5t_twisted):
+    # every reflection of the int fixtures, of the batch's int groups
+    # conjugated by its `conjugate_generators`, and of B_2 over Z_(5)
+    # conjugated by diag(2, 1), whose forms have D = 2, given to the bases
+    # as its form with the report's (lambda, order), against the basis
+    # built and checked on its `Fraction` O-matrix; the ratfunc fixtures'
+    # against theirs on `RatFunc` values
+    groups = [s2_z3, s3_z5, b2_z3, neg_identity_z23, reflection_and_sign_z5, halved_b2_z5(),
+              c4_f5t, b2_f5t_twisted] + int_batch_conjugates(random.Random(5151), 1)
+    dens = set()
+    for group in groups:
+        for idx, lam, order in classify_reflections(group).reflections:
+            sigma = group.matrix(idx, RING_O)
+            expected = tuple(diagonalizing_basis_exact(sigma, lam))
+            basis = diagonalizing_basis(group.element(idx), group, (lam, order))
+            assert basis.basis == expected and basis.eigenvalue == lam and basis.order == order
+            assert diagonalizing_basis(sigma, group).basis == expected
+            if isinstance(group.element(idx), IntMatrix):
+                dens.add(group.element(idx).den)
+    assert dens == {1, 2}
+
+
+def test_a_wrong_basis_fails_the_integer_checks(b2_z5_halved, b2_f5t_twisted):
+    # a vector scaled by p, or t, is no longer part of an O-basis, and a
+    # fixed vector put last is no lambda-eigenvector
+    for group in (b2_z5_halved, b2_f5t_twisted):
+        desc = group.descriptor
+        pi = desc.uniformizer()
+        for idx, lam, order in classify_reflections(group).reflections:
+            sigma = group.element(idx)
+            form = (sigma.den, sigma.rows) if isinstance(sigma, IntMatrix) \
+                else (desc.one(), sigma.entries)
+            basis = list(diagonalizing_basis(sigma, group, (lam, order)).basis)
+            _verify(*form, basis, lam, desc)
+            scaled = [tuple(x * pi for x in basis[0])] + basis[1:]
+            with pytest.raises(InternalCheckError, match="not a unit"):
+                _verify(*form, scaled, lam, desc)
+            swapped = basis[1:] + basis[:1]
+            with pytest.raises(InternalCheckError, match="eigen-relation"):
+                _verify(*form, swapped, lam, desc)
+
+
+def test_an_eigenvalue_whose_order_does_not_divide_the_group_order_is_refused():
+    # diag(3, 1) over F_1000003(t): 3 has order 333334, which does not divide
+    # |<diag(-1, 1)>| = 2, so it is no conjugate of an element, and its
+    # powers are walked at most |G| times
+    desc = DvrDescriptor("ratfunc-localized", 1000003)
+    group = generate_group([ExactMatrix.from_ints(RING_O, desc, [[-1, 0], [0, 1]])])
+    sigma = ExactMatrix.from_ints(RING_O, desc, [[3, 0], [0, 1]])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="dividing"):
+        diagonalizing_basis(sigma, group)
+    assert time.perf_counter() - start < 0.1
+    # an eigenvalue of order 2 dividing |G| is taken
+    assert diagonalizing_basis(group.element(1), group).order == 2
