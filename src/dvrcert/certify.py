@@ -52,7 +52,6 @@ from .linalg import (
     RowEchelon,
     add_multiple,
     elimination_field,
-    ring_one,
 )
 from .polys import (
     MolienSeries,
@@ -103,11 +102,11 @@ def _weighted_exponents(degrees, total):
 
 
 class _SubalgebraTracker:
-    """Degreewise span of products of the generators chosen so far."""
+    """Degreewise span over k of products of the generators chosen so far."""
 
-    def __init__(self, group: MatrixGroup, ring: str):
+    def __init__(self, group: MatrixGroup):
         self.group = group
-        self.ring = ring
+        self.one = MultiPoly.constant(RING_RESIDUE, group.descriptor, group.n, 1)
         self.generators: list[MultiPoly] = []
         self.degrees: list[int] = []
         self._powers: list[dict[int, MultiPoly]] = []
@@ -115,9 +114,7 @@ class _SubalgebraTracker:
     def add_generator(self, f: MultiPoly, degree: int) -> None:
         self.generators.append(f)
         self.degrees.append(degree)
-        self._powers.append({0: MultiPoly.constant(
-            self.ring, self.group.descriptor, self.group.n,
-            ring_one(self.ring, self.group.descriptor))})
+        self._powers.append({0: self.one})
 
     def _power(self, i: int, k: int) -> MultiPoly:
         cache = self._powers[i]
@@ -126,14 +123,12 @@ class _SubalgebraTracker:
         return cache[k]
 
     def product_span(self, degree: int) -> RowEchelon:
-        """The echelon of the degree-d products' coordinates: over k a
+        """The echelon of the degree-d products' coordinates, a
         `RowEchelon` over F_p in ints mod p."""
         index = monomial_index(self.group.n, degree)
-        span = RowEchelon(p=elimination_field(self.ring, self.group.descriptor)[0])
+        span = RowEchelon(p=self.group.descriptor.p)
         for exps in _weighted_exponents(tuple(self.degrees), degree):
-            prod = MultiPoly.constant(
-                self.ring, self.group.descriptor, self.group.n,
-                ring_one(self.ring, self.group.descriptor))
+            prod = self.one
             for i, k in enumerate(exps):
                 if k:
                     prod = prod * self._power(i, k)
@@ -178,12 +173,14 @@ def fundamental_invariants(
     invariants onto G's degree by degree, and A is invertible over O, so
     the carried generators are fundamental invariants of G over K.
     """
+    if ring not in (RING_K, RING_RESIDUE):
+        raise ValueError("fundamental invariants are found over a field (K or k)")
     invert_mod_group_order(group.order, group.descriptor)
     memo, key = group.memo, ("fundamental", degree_bound, ring)
     if key not in memo:
         try:
             memo[key] = (_lifted_fundamentals(group, degree_bound) if ring == RING_K
-                         else _greedy_fundamentals(group, ring, degree_bound))
+                         else _greedy_fundamentals(group, degree_bound))
         except DvrcertError as exc:
             # a copy with no traceback, whose frames would hold the group
             memo[key] = type(exc)(*exc.args)
@@ -232,10 +229,8 @@ def _lifts(group: MatrixGroup, generators: tuple) -> tuple:
     return group.memo[key]
 
 
-def _greedy_fundamentals(
-    group: MatrixGroup, ring: str, degree_bound: int
-) -> FundamentalInvariants:
-    """Greedy degree-ascending search for n fundamental invariants.
+def _greedy_fundamentals(group: MatrixGroup, degree_bound: int) -> FundamentalInvariants:
+    """Greedy degree-ascending search over k for n fundamental invariants.
 
     At each degree the invariant subspace is compared with the span of
     products of the generators found so far; new generators are adjoined
@@ -246,10 +241,10 @@ def _greedy_fundamentals(
     generation of every invariant up to the bound.
     """
     n = group.n
-    tracker = _SubalgebraTracker(group, ring)
+    tracker = _SubalgebraTracker(group)
     mismatches: list[str] = []
     for d in range(1, degree_bound + 1):
-        inv = invariant_basis(group, d, ring)
+        inv = invariant_basis(group, d, RING_RESIDUE)
         basis, index = monomials(group.n, d), monomial_index(group.n, d)
         span = tracker.product_span(d)
         if span.rank > inv.dimension:
@@ -270,7 +265,7 @@ def _greedy_fundamentals(
                 break
             span.add(reduced)  # stored with a leading one at its least column
             tracker.add_generator(MultiPoly.from_coordinates(
-                ring, group.descriptor, basis, span.pivot_rows[min(reduced)]), d)
+                RING_RESIDUE, group.descriptor, basis, span.pivot_rows[min(reduced)]), d)
         if span.rank != inv.dimension and len(tracker.generators) == n:
             mismatches.append(
                 f"degree {d}: invariant dimension {inv.dimension} but only "
@@ -282,7 +277,7 @@ def _greedy_fundamentals(
             f"up to degree {degree_bound}; inconclusive: raise the degree bound"
         )
     result = FundamentalInvariants(
-        ring, tuple(tracker.generators), tuple(tracker.degrees)
+        RING_RESIDUE, tuple(tracker.generators), tuple(tracker.degrees)
     )
     mismatches.extend(_check_fundamental_conditions(group, result))
     if mismatches:

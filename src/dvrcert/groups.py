@@ -27,20 +27,17 @@ these, its rows or its table alone:
 - for the int kind, the Reynolds average over G and the invariance test
   of the lifts under the generators, on A in ints, scaled by powers of D
   (`polys.reynolds`, `polys.fixed_by_generators`).
-The residue rows also serve every linear system over k: the action
-matrices of the invariant bases and of H^1 are built on them in ints mod
-p.  `MatrixGroup.matrix(i, ring)` is the one place where an element
-becomes an `ExactMatrix`: over O, which serves K as well (the int kind's
-form A / D as entries; the ratfunc kind's element is one already), or
-over k, from the residue rows, for both kinds.  Each is built the first
-time a stage reads it: the invariance checks over k read the generators,
-and, for a ratfunc group, the invariant bases over K and H^1 over K the
-generators and the elements H^1 reaches before it stops.  The int kind
-builds no O-matrix in `certify` and solves no system over K.  Every ratfunc group whose
-order is a unit is conjugate in GL_n(O), by a checked A
-(`MatrixGroup.conjugator`), to the group of its constant twins, its
-residue rows read in GL_n(F_p).  That group is never built: what it
-knows is this group's side over k, read through F_p inside F_p(t).
+The residue rows serve every polynomial over k, in ints mod p: the
+action matrices of the invariant bases and of H^1, the invariance test
+and the Reynolds average.  So an element is read in two ways only, as its
+value (`element`) or its residue rows (`residue_rows`), and no element
+becomes a matrix over k.  A ratfunc group's O-matrices serve K too: the
+invariant bases and H^1 over K read the generators and the elements H^1
+reaches before it stops.  Every ratfunc group whose order is a unit is
+conjugate in GL_n(O), by a checked A (`MatrixGroup.conjugator`), to the
+group of its constant twins, its residue rows read in GL_n(F_p).  That
+group is never built: what it knows is this group's side over k, read
+through F_p inside F_p(t).
 
 A group is its closure: `generate_group` builds every group, the trivial
 one included, and records the index of every product element * generator
@@ -86,17 +83,15 @@ class MatrixGroup:
     element numbering is deterministic for a given generating set.
     `orbit` is Omega's points (see the module) and `element_rows[i]` the
     indices of element i's rows in it; `element(i)` builds element i when
-    first read, and `matrix(i, ring)` as a matrix.  `products[i][gi]` is
+    first read, and `residue_rows()[i]` is its reduction to k.  `products[i][gi]` is
     the index of elements[i] times generator gi; its first row names the
     generators (`generator_indices`), and read row-major it first meets
     each element j >= 1 in a row i < j, at the product that reached j:
     the breadth-first tree (`tree`).
 
     `memo` holds what several checks share, over O, K and k, each key
-    naming its ring, and lives and dies with the group: the elements built
-    as matrices over O (the int kind only) and over k (see `matrix`),
-    keyed by ("elements", ring), each a dict {element index: matrix}; the
-    residue rows and eta's injectivity (see `residue_rows`), keyed by
+    naming its ring, and lives and dies with the group: the residue rows
+    and eta's injectivity (see `residue_rows`), keyed by
     ("residues", "k"); the `ReflectionReport` (see `classify_reflections`), keyed by
     ("reflections", "K"); the conjugacy classes (see `conjugacy_classes`),
     keyed by ("classes", "O"); the conjugator A of a ratfunc group (see
@@ -157,27 +152,6 @@ class MatrixGroup:
     def elements(self) -> tuple:
         """Every element, built (see `element`), as Reynolds and the conjugator read G."""
         return tuple(map(self.element, range(self.order)))
-
-    def matrix(self, i: int, ring: str) -> ExactMatrix:
-        """Element i as an `ExactMatrix` over O, K or k, built the first time
-        a stage reads it.  Over O or K it is the O-matrix, which serves K:
-        `act` takes it on a K-polynomial and `action_matrix` reads only its
-        values.  Over k it wraps its `residue_rows` as they are.  What is
-        built is kept in `memo` (see the class)."""
-        if ring != RING_RESIDUE:
-            if self.descriptor.kind != KIND_INT:
-                return self.element(i)
-            ring = RING_O
-        built = self.memo.setdefault(("elements", ring), {})
-        m = built.get(i)
-        if m is None:
-            if ring == RING_O:
-                f = self.element(i)
-                rows = [[Fraction(a, f.den) for a in row] for row in f.rows]
-            else:
-                rows = self.residue_rows()[i]
-            m = built[i] = ExactMatrix._of(ring, self.descriptor, rows)
-        return m
 
     def residue_rows(self) -> tuple:
         """The elements reduced to k as rows of ints in [0, p), in the order

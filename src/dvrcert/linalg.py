@@ -6,8 +6,8 @@ for all entries: the ring tag "O" (the DVR), "K" (its fraction field) or
 two once per operation.  The public constructor checks that the entries
 of an O-matrix lie in O; the results of arithmetic are built unchecked,
 since O, K and k are each closed under it.  Arithmetic is exact
-throughout.  An `ExactMatrix` (a group element, n x n) is stored dense,
-but products and `apply` walk only the nonzero entries: each column of
+throughout.  An `ExactMatrix` (a ratfunc group's element, n x n) is
+stored dense, but products walk only the nonzero entries: each column of
 the right factor is listed once as its nonzero (index, value) pairs, and
 a term is formed only where both factors are nonzero.  Every linear
 system is solved by one engine on sparse rows, dicts {column: nonzero
@@ -21,7 +21,7 @@ normalise a pivot by its inverse mod p (`elimination_field` gives the p
 and the one of either field).  A value of k is an int in [0, p), with p
 read off the matrix's descriptor: a matrix over k is reduced mod p where
 it is built (the public constructor and `_of`, which every result of
-arithmetic passes), and so are `det` and `apply` over k.
+arithmetic passes), and so is `det` over k.
 
 Every determinant is read off one routine, `char_poly`: Berkowitz's
 recursion for det(I - z A), with +, - and * only, so it runs on ints,
@@ -204,21 +204,6 @@ class ExactMatrix:
 
     def __neg__(self) -> ExactMatrix:
         return self._like([-a for a in row] for row in self.entries)
-
-    def apply(self, vector):
-        """Matrix-vector product (column-vector convention)."""
-        if len(vector) != self.cols:
-            raise ValueError("vector length mismatch")
-        zero = ring_zero(self.ring, self.descriptor)
-        pairs = _nonzero_pairs(vector)
-        out = tuple(_sparse_dot(row, pairs, zero) for row in self.entries)
-        return tuple(a % self.descriptor.p for a in out) if self.ring == RING_RESIDUE else out
-
-    def minus_identity(self) -> ExactMatrix:
-        """The matrix minus the identity: one subtracted on the diagonal only."""
-        if not self.is_square:
-            raise ValueError("square matrix required")
-        return self._like(shifted_rows(self.entries, ring_one(self.ring, self.descriptor)))
 
     def to_field(self) -> ExactMatrix:
         """Retag an O-matrix as a matrix over the fraction field K."""

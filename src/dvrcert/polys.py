@@ -14,18 +14,19 @@ the coordinates are the coefficients themselves (`MultiPoly.coordinates`,
 residue rows mod p.  `certify` reads a ratfunc group's side over K off
 its side over k (`MatrixGroup.conjugator`), so it asks for an invariant
 basis over F_p(t) only in H^1, where p divides |G|.  It reads the int
-kind's side over K off the Reynolds lifts and the Molien series, so it
-asks for none over Q.  The int kind's Reynolds average and invariance
-test run on the closure's integer forms A / D in ints, act(A / D, X^e)
-being D^-|e| act(A, X^e), with one store of monomial images per element
-for all the polynomials acted on.  The Molien series
+kind's side over K off the Reynolds lifts and the Molien series, so no
+basis over Q is solved.  The Reynolds average and invariance test run on
+the residue rows mod p over k and, for the int kind over O or K, on the
+closure's integer forms A / D in ints, act(A / D, X^e) being
+D^-|e| act(A, X^e), with one store of monomial images per element for
+all the polynomials acted on.  The Molien series
 reads det(I - z g), a class function, once per conjugacy class off
 Berkowitz's characteristic polynomial (`linalg.char_poly`) in integers,
 on the integer forms for the int kind and on the residue rows mod p for
 the ratfunc kind, and inverts it by one division-free recurrence, since
 its constant term is det(I) = 1.
-Whether a matrix of polynomials (a Jacobian) has a nonzero determinant is
-first asked at a few fixed points, where the determinant is a scalar.
+Whether a matrix of polynomials over k (a Jacobian) has a nonzero
+determinant is first asked at a few fixed points, where it is a scalar.
 """
 from __future__ import annotations
 
@@ -291,82 +292,75 @@ class MultiPoly:
 _EVALUATION_POINTS = 3
 
 
+def _over_k(rows) -> MultiPoly:
+    """The first entry of a matrix of polynomials, which must be over k."""
+    if rows[0][0].ring != RING_RESIDUE:
+        raise ValueError(f"a polynomial determinant is taken over k, not over {rows[0][0].ring}")
+    return rows[0][0]
+
+
 def polynomial_det_is_nonzero(rows) -> bool:
-    """Is the determinant of the square matrix of `MultiPoly` entries with
-    these rows nonzero?
+    """Is the determinant of the square matrix of `MultiPoly` entries over
+    k with these rows nonzero?
 
     From 3 x 3 on, the fixed points of `nonzero_at_a_point` are tried
     first; only when all of them give zero is `linalg.det_of_rows` taken on
     the polynomials.  Below that Berkowitz forms no more products of
     entries than the cofactor expansion does, fewer than evaluating them.
     """
+    f = _over_k(rows)
     if len(rows) > 2 and nonzero_at_a_point(rows):
         return True
-    f = rows[0][0]
-    zero = MultiPoly.zero(f.ring, f.descriptor, f.n)
-    one = MultiPoly.constant(f.ring, f.descriptor, f.n, ring_one(f.ring, f.descriptor))
+    zero, one = f._like({}), f._like({(0,) * f.n: 1})
     return not det_of_rows(rows, zero, one).is_zero()
 
 
 def nonzero_at_a_point(rows) -> bool:
-    """Is the determinant of the matrix of `MultiPoly` entries with these
-    rows nonzero at one of `_EVALUATION_POINTS` fixed points?
+    """Is the determinant of the matrix of `MultiPoly` entries over k with
+    these rows nonzero at one of `_EVALUATION_POINTS` fixed points?
 
     Evaluation at a point is a ring map, so True proves the determinant
     nonzero; each point's scalar determinant is `linalg.det_of_rows` of the
     entries' values.  False proves nothing.
     """
-    f = rows[0][0]
+    f = _over_k(rows)
     top = max((max(e) for row in rows for a in row for e in a.terms), default=0)
-    lift, points, zero, one = _evaluation_points(f.ring, f.descriptor, f.n)
-    for point in points:
+    p = f.descriptor.p
+    zero, one = RatFunc.zero(p), RatFunc.one(p)
+    for point in _evaluation_points(p, f.n):
         powers = [[one] for _ in point]
         for x, xs in zip(point, powers):
             for _ in range(top):
                 xs.append(xs[-1] * x)
-        if det_of_rows([[_evaluate(a, powers, lift, zero) for a in row] for row in rows],
-                       zero, one):
+        if det_of_rows([[_evaluate(a, powers, p) for a in row] for row in rows], zero, one):
             return True
     return False
 
 
-def _evaluation_points(ring: str, descriptor: DvrDescriptor, n: int):
-    """(coefficient lift, points, zero, one) for evaluating polynomials over
-    O, K or k at fixed points.
-
-    Over Q (the int kind over O or K) the points lie in Z^n.  Otherwise
-    they lie in F_p[t]^n inside F_p(t), with the coefficients lifted there:
-    k^n is not enough, since a nonzero polynomial can vanish on all of it
-    (x^p - x, or x y (x^2 - y^2), the Jacobian of B_2 over F_3).  The
-    coordinates are drawn from a fixed seed, so every run tries the same
-    points.
+def _evaluation_points(p: int, n: int) -> list:
+    """The fixed points of F_p[t]^n inside F_p(t)^n where polynomials over
+    k = F_p, their coefficients lifted, are evaluated.  k^n is not enough,
+    since a nonzero polynomial can vanish on all of it (x^p - x, or
+    x y (x^2 - y^2), the Jacobian of B_2 over F_3).  The coordinates are
+    drawn from a fixed seed, so every run tries the same points.
     """
     rng = random.Random(n)
-    p = descriptor.p
-    if ring != RING_RESIDUE and descriptor.kind == KIND_INT:
-        points = [[Fraction(rng.randint(-1000, 1000)) for _ in range(n)]
-                  for _ in range(_EVALUATION_POINTS)]
-        return (lambda c: c), points, Fraction(0), Fraction(1)
     one = FpPoly.one(p)
-    points = [[RatFunc(FpPoly.make(p, [rng.randrange(p) for _ in range(4)]), one)
-               for _ in range(n)] for _ in range(_EVALUATION_POINTS)]
-    lift = (lambda c: RatFunc.from_int(p, c)) if ring == RING_RESIDUE else (lambda c: c)
-    return lift, points, RatFunc.zero(p), RatFunc.one(p)
+    return [[RatFunc(FpPoly.make(p, [rng.randrange(p) for _ in range(4)]), one)
+             for _ in range(n)] for _ in range(_EVALUATION_POINTS)]
 
 
-def _evaluate(f: MultiPoly, powers, lift, zero):
-    """f at the point whose coordinates' powers are powers[j][e] = x_j^e.
-
-    Each monomial's value, a product of polynomials in F_p[t] (or of ints),
-    is formed before its coefficient, which may have a denominator, joins.
-    """
-    acc = zero
+def _evaluate(f: MultiPoly, powers, p: int):
+    """f at the point whose coordinates' powers are powers[j][e] = x_j^e;
+    each monomial's value is formed before its coefficient joins."""
+    acc = RatFunc.zero(p)
     for e, c in f.terms.items():
         value = None
         for xs, k in zip(powers, e):
             if k:
                 value = xs[k] if value is None else value * xs[k]
-        acc = acc + (lift(c) if value is None else lift(c) * value)
+        c = RatFunc.from_int(p, c)
+        acc = acc + (c if value is None else c * value)
     return acc
 
 
@@ -478,6 +472,24 @@ def _integer_image(acc: dict, form: IntMatrix, images: dict, forms: list, numera
     return _add_image(acc, images, forms, ((e, a * scales[sum(e)]) for e, a in terms))
 
 
+def _add_row_images(group: MatrixGroup, polys: tuple, indices, sums: list) -> list:
+    """sums[k] plus the images of polys[k] under the elements with these
+    indices, in place, one store of monomial images per element: over k
+    on its residue rows mod p, for a ratfunc group over O or K on its
+    O-matrix."""
+    ring, unit = polys[0].ring, (0,) * group.n
+    if ring == RING_RESIDUE:
+        p, rows_of = group.descriptor.p, group.residue_rows().__getitem__
+    else:
+        p, rows_of = None, lambda i: group.element(i).entries
+    one = ring_one(ring, group.descriptor)
+    for i in indices:
+        images, forms = {unit: {unit: one}}, _linear_forms(rows_of(i))
+        for acc, f in zip(sums, polys):
+            _add_image(acc, images, forms, f.terms.items(), p)
+    return sums
+
+
 def reynolds(group: MatrixGroup, polys) -> tuple:
     """The averages of the polynomials over the group, (1/|G|) sum_g g.f,
     each the projection of f onto the invariant ring, in one pass over the
@@ -491,17 +503,14 @@ def reynolds(group: MatrixGroup, polys) -> tuple:
     (see `_integer_image`), so the sum is taken in ints over the one
     denominator L m^top |G| and divided once per coefficient at the end:
     the same element of O[X] as averaging with `act` on `Fraction`
-    matrices.  Over k the elements are the residue rows, in ints mod p; a
-    ratfunc group's polynomials over O or K are acted on by its
-    O-matrices.
+    matrices.  Otherwise the elements' rows are read by `_add_row_images`.
     """
     polys = tuple(polys)
     inv_order = invert_mod_group_order(group.order, group.descriptor)
     if not polys:
         return ()
-    unit = (0,) * group.n
     if _on_integer_forms(group, polys):
-        elements = group.elements
+        unit, elements = (0,) * group.n, group.elements
         m = lcm(*(form.den for form in elements))
         numerators = [_integer_numerators(f) for f in polys]
         sums: list = [{} for _ in polys]
@@ -512,18 +521,9 @@ def reynolds(group: MatrixGroup, polys) -> tuple:
         return tuple(
             f._like({y: Fraction(s, den * m ** top * group.order) for y, s in acc.items()})
             for f, acc, (den, _, top) in zip(polys, sums, numerators))
-    ring, p = polys[0].ring, None
-    if ring == RING_RESIDUE:
-        p, inv_order = group.descriptor.p, group.descriptor.reduce(inv_order)
-        elements = group.residue_rows()
-    else:
-        elements = [g.entries for g in group.elements]
-    one = ring_one(ring, group.descriptor)
-    sums = [{} for _ in polys]
-    for rows in elements:
-        images, forms = {unit: {unit: one}}, _linear_forms(rows)
-        for acc, f in zip(sums, polys):
-            _add_image(acc, images, forms, f.terms.items(), p)
+    if polys[0].ring == RING_RESIDUE:
+        inv_order = group.descriptor.reduce(inv_order)
+    sums = _add_row_images(group, polys, range(group.order), [{} for _ in polys])
     return tuple(f._like(acc).scale(inv_order) for f, acc in zip(polys, sums))
 
 
@@ -533,19 +533,21 @@ def fixed_by_generators(group: MatrixGroup, polys) -> tuple:
     The int kind's polynomials over O or K are tested on the generators'
     integer forms A / D: act(A / D, f) = f exactly when
     D^top L act(A / D, f), in ints (`_integer_image`), equals D^top times
-    f's numerators.  One store of monomial images per generator serves
-    every polynomial.  Otherwise each generator acts by `act`, as
-    `group.matrix(i, ring)`.
+    f's numerators.  Otherwise each generator acts by its rows, in the loop
+    of `reynolds` (`_add_row_images`).  One store of monomial images per
+    generator serves every polynomial.
     """
     polys = tuple(polys)
     if not polys:
         return ()
+    fixed = [True] * len(polys)
     if not _on_integer_forms(group, polys):
-        gens = [group.matrix(i, polys[0].ring) for i in group.generator_indices]
-        return tuple(all(act(g, f) == f for g in gens) for f in polys)
+        for i in group.generator_indices:
+            images = _add_row_images(group, polys, (i,), [{} for _ in polys])
+            fixed = [ok and f._like(acc) == f for ok, f, acc in zip(fixed, polys, images)]
+        return tuple(fixed)
     unit = (0,) * group.n
     numerators = [_integer_numerators(f) for f in polys]
-    fixed = [True] * len(polys)
     for i in group.generator_indices:
         form = group.element(i)
         images, forms = {unit: {unit: 1}}, _linear_forms(form.rows)
@@ -595,15 +597,14 @@ def action_matrix(
 
 def element_action_matrix(group: MatrixGroup, ring: str, idx: int, d: int) -> list[dict]:
     """rho_d of element idx over K or k, from the monomial images that
-    `group.memo` keeps for it under ("images", ring, idx).  Over
-    K the element is the O-matrix `group.matrix(idx, ring)`, whose values
-    are K's; over k it is its residue rows (`MatrixGroup.residue_rows`), and
-    rho_d holds ints in [0, p), ready for `RowEchelon` with p."""
+    `group.memo` keeps for it under ("images", ring, idx).  Over K the
+    element is a ratfunc group's O-matrix `group.element(idx)`; over k it
+    is its residue rows, and rho_d holds ints in [0, p), for `RowEchelon`."""
     images = group.memo.setdefault(("images", ring, idx), {})
     if ring == RING_RESIDUE:
         return action_matrix(group.residue_rows()[idx], group.n, d, images=images,
                              p=group.descriptor.p)
-    return action_matrix(group.matrix(idx, ring), group.n, d, images=images)
+    return action_matrix(group.element(idx), group.n, d, images=images)
 
 
 @dataclass(frozen=True)
@@ -623,13 +624,18 @@ def invariant_basis(group: MatrixGroup, d: int, ring: str) -> GradedBasis:
 
     Solves (action(g) - I) v = 0 simultaneously for the generators only;
     invariance under the generators implies invariance under the group.
-    Over k the system is one over F_p in ints mod p.  Computed once per
-    (degree, ring) and group, then kept in `group.memo`.
+    Over k the system is one over F_p in ints mod p, over K one over
+    F_p(t): an int-kind group's dimensions over Q are its Molien
+    coefficients, so it is refused.  Computed once per (degree, ring) and
+    group, then kept in `group.memo`.
     """
     if ring not in (RING_K, RING_RESIDUE):
         raise ValueError("invariant bases are computed over a field (K or k)")
     if d < 0:
         raise ValueError("degree must be nonnegative")
+    if ring == RING_K and group.descriptor.kind == KIND_INT:
+        raise ValueError("an int-kind group's invariants over K are counted by its "
+                         "Molien series, the graded table's K column; no basis is solved")
     memo, key = group.memo, ("invariant_basis", d, ring)
     if key not in memo:
         memo[key] = _invariant_basis(group, d, ring)

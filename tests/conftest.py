@@ -100,6 +100,33 @@ def reflection_and_sign_z5(z5):
     ])
 
 
+A4_CARTAN = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+
+
+def weyl_a4_generators(p: int) -> list:
+    """The simple reflections of W(A_4) = S_5 on its root lattice over
+    Z_(p): s_i = I - e_i (row i of the A_4 Cartan matrix), which sends the
+    simple root e_i to -e_i.  Their rows are dense where a permutation
+    group's are monomial."""
+    descriptor = DvrDescriptor("int-localized", p)
+    return [ExactMatrix.from_ints(RING_O, descriptor, [
+        [int(r == c) - (A4_CARTAN[i][c] if r == i else 0) for c in range(4)]
+        for r in range(4)]) for i in range(4)]
+
+
+@pytest.fixture(scope="session")
+def wa4_z7():
+    """W(A_4) over Z_(7): order 120, a unit, with 10 reflections and
+    fundamental degrees 2, 3, 4, 5."""
+    return generate_group(weyl_a4_generators(7))
+
+
+@pytest.fixture(scope="session")
+def wa4_z5():
+    """W(A_4) over Z_(5): 5 divides its order 120, so the hypothesis fails."""
+    return generate_group(weyl_a4_generators(5))
+
+
 @pytest.fixture(scope="session")
 def s2_z2():
     d2 = DvrDescriptor("int-localized", 2)

@@ -4,8 +4,8 @@ Each oracle deliberately takes a different route from the implementation it
 checks: a dense echelon that rewrites whole rows, zeros included, against
 the sparse `RowEchelon` on dict rows (it is also the oracles' own
 elimination), the textbook triple loop over every term, zeros included,
-against the matrix product and `apply` that form terms only where both
-factors are nonzero, the permutation sum and cofactor expansion against
+against the matrix product that forms terms only where both factors are
+nonzero, the permutation sum and cofactor expansion against
 the determinants read off Berkowitz's division-free `char_poly`,
 minor enumeration against Gaussian rank and against the cross-multiplied
 rank-one test on integer forms and residues, entrywise reduction against
@@ -47,6 +47,7 @@ from dvrcert.linalg import (
     kernel_over_field,
     ring_one,
     ring_zero,
+    shifted_rows,
 )
 from dvrcert.polys import MolienSeries, MultiPoly, monomials
 from dvrcert.refbasis import primitive_vector
@@ -201,10 +202,22 @@ def matrix_order(m: ExactMatrix, cap: int) -> int | None:
     return None
 
 
+def element_matrix(group, i: int, ring: str = RING_O) -> ExactMatrix:
+    """Element i as an `ExactMatrix`, by the oracles' own route from its
+    value `group.element(i)`: the int kind's form A / D as `Fraction`
+    entries (`matrix_of_form`), a ratfunc group's O-matrix as it is, and
+    over k either reduced entrywise (`reduce_entrywise`).  Over O or K it
+    is the O-matrix."""
+    m = group.element(i)
+    if not isinstance(m, ExactMatrix):
+        m = matrix_of_form(m, group.descriptor)
+    return reduce_entrywise(m) if ring == RING_RESIDUE else m
+
+
 def element_matrices(group, ring: str) -> list:
-    """Every element of the group as `group.matrix(i, ring)`, in index
-    order: over O or K the O-matrices, over k the k-matrices."""
-    return [group.matrix(i, ring) for i in range(group.order)]
+    """Every element of the group as `element_matrix(group, i, ring)`, in
+    index order: over O or K the O-matrices, over k the k-matrices."""
+    return [element_matrix(group, i, ring) for i in range(group.order)]
 
 
 def closure_bruteforce(generators, descriptor, n: int, cap: int = 20000) -> tuple:
@@ -245,7 +258,7 @@ def diagonalizing_basis_exact(sigma: ExactMatrix, lam) -> list:
     = lambda w for the last, and a unit `det` of the change of basis; a
     failure is `InternalCheckError`."""
     desc = sigma.descriptor
-    delta = sigma.minus_identity().entries
+    delta = shifted_rows(sigma.entries, desc.one())
     alpha = next(row for row in delta if any(row))
     n = len(alpha)
     basis, live = [], list(range(n))
@@ -260,7 +273,7 @@ def diagonalizing_basis_exact(sigma: ExactMatrix, lam) -> list:
     (r,) = live
     basis.append(tuple(row[r] / (lam - desc.one()) for row in delta))
     for i, w in enumerate(basis):
-        if sigma.apply(w) != (tuple(w) if i < n - 1 else tuple(lam * x for x in w)):
+        if apply_dense(sigma, w) != (tuple(w) if i < n - 1 else tuple(lam * x for x in w)):
             raise InternalCheckError(f"basis vector {i} fails its eigen-relation")
     if not desc.is_unit(det(change_of_basis_of(basis, desc))):
         raise InternalCheckError("the change of basis is not one of O^n")
@@ -283,16 +296,29 @@ def conjugacy_classes_bruteforce(group) -> set:
 def generators_of(group) -> list:
     """The group's closure generators as O-matrices, in the closure's order:
     the elements its table's first row names."""
-    return [group.matrix(i, RING_O) for i in group.generator_indices]
+    return [element_matrix(group, i) for i in group.generator_indices]
 
 
 def element_order(group, i: int) -> int:
-    return matrix_order(group.matrix(i, RING_O), cap=group.order)
+    return matrix_order(element_matrix(group, i), cap=group.order)
 
 
 def change_of_basis(basis) -> ExactMatrix:
     """The O-matrix whose columns are the vectors of a DiagonalizingBasis."""
     return change_of_basis_of(basis.basis, basis.descriptor)
+
+
+def apply_dense(m: ExactMatrix, vector) -> tuple:
+    """m times the column vector, every term formed, zeros included; over
+    k reduced mod p."""
+    assert len(vector) == m.cols
+    out = []
+    for row in m.entries:
+        acc = ring_zero(m.ring, m.descriptor)
+        for a, x in zip(row, vector):
+            acc = acc + a * x
+        out.append(acc % m.descriptor.p if m.ring == RING_RESIDUE else acc)
+    return tuple(out)
 
 
 def matmul_dense(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -705,7 +731,8 @@ def diagonalizing_basis_recursive(sigma: ExactMatrix, lam) -> list:
     n = sigma.rows
     if n == 1:
         return [(desc.one(),)]
-    fixed = kernel_over_field(sigma.minus_identity().to_field())
+    fixed = kernel_over_field(
+        ExactMatrix(RING_K, desc, shifted_rows(sigma.entries, desc.one())))
     w1 = primitive_vector(fixed.vectors[0], desc)
     t = _unimodular_completion(w1, desc)
     conj = inverse(t) * sigma * t
@@ -713,7 +740,7 @@ def diagonalizing_basis_recursive(sigma: ExactMatrix, lam) -> list:
         RING_O, desc, [[conj.entry(i, j) for j in range(1, n)] for i in range(1, n)]
     )
     sub = diagonalizing_basis_recursive(block, lam)
-    basis = [w1] + [t.apply((desc.zero(),) + tuple(u)) for u in sub]
+    basis = [w1] + [apply_dense(t, (desc.zero(),) + tuple(u)) for u in sub]
     # the coefficient on w1 of sigma applied to the last pullback
     a = sum((conj.entry(0, j) * x for j, x in enumerate(sub[-1], start=1)), desc.zero())
     coeff = a / (lam - desc.one())

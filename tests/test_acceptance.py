@@ -17,7 +17,14 @@ from dvrcert.polys import hilbert_product_truncation
 from dvrcert.refbasis import diagonalizing_basis
 
 from conftest import random_unimodular
-from oracles import change_of_basis, h1_bruteforce, invariant_dimension_bruteforce, matrix_order
+from oracles import (
+    apply_dense,
+    change_of_basis,
+    element_matrix,
+    h1_bruteforce,
+    invariant_dimension_bruteforce,
+    matrix_order,
+)
 
 
 def _scalar_order(lam, descriptor, cap: int):
@@ -101,14 +108,14 @@ def test_criterion_4_diagonalizing_basis_fuzz(s3_z5, b2_z3, c4_f5t):
     for group in (s3_z5, b2_z3, c4_f5t):
         report = classify_reflections(group)
         for idx, lam, order in report.reflections:
-            sigma = group.matrix(idx, RING_O)
+            sigma = element_matrix(group, idx)
             for _ in range(100):
                 t = random_unimodular(group.descriptor, group.n, rng)
                 moved = t * sigma * inverse(t)
                 basis = diagonalizing_basis(moved, group)
                 n = group.n
                 for i, w in enumerate(basis.basis):
-                    image = moved.apply(w)
+                    image = apply_dense(moved, w)
                     expected = (
                         tuple(w) if i < n - 1
                         else tuple(basis.eigenvalue * x for x in w)

@@ -17,9 +17,8 @@ from dvrcert.errors import (
 from dvrcert.certify import (
     FundamentalInvariants,
     _check_fundamental_conditions,
-    _greedy_fundamentals,
-    _h1_exact_degree,
     certify,
+    degree_identity_failures,
     fundamental_invariants,
     graded_isomorphism_check,
     h1_dimension,
@@ -39,11 +38,13 @@ from dvrcert.polys import (
     _evaluation_points,
     act,
     action_matrix,
+    hilbert_product_truncation,
     invariant_basis,
     monomials,
     nonzero_at_a_point,
     polynomial_det_is_nonzero,
 )
+from dvrcert.ratfunc import RatFunc
 from dvrcert.scalars import DvrDescriptor
 
 from conftest import (
@@ -122,6 +123,58 @@ def test_four_variable_reflection_groups_are_certified_over_z5(name):
     assert report["h1"] == [[d, 0, 0] for d in range(6)]
 
 
+def test_weyl_a4_on_its_root_lattice_is_certified_over_z7(wa4_z7, wa4_z5):
+    # W(A_4) = S_5 acting on its root lattice, the first fixture that is not
+    # monomial: S_5 has no subgroup of index 4, so no faithful monomial
+    # representation of degree 4.  From theory: order 5! = 120, 10
+    # reflections (the transpositions, each of eigenvalue -1), fundamental
+    # degrees 2, 3, 4, 5, and the Molien series prod 1 / (1 - z^d).  7 does
+    # not divide 120, so it is certified over Z_(7); 5 does, so over Z_(5)
+    # the hypothesis is refuted
+    degrees = (2, 3, 4, 5)
+    group = generate_group(generators_of(wa4_z7))  # no memo of another test
+    residues = group.residue_rows()
+    assert max(sum(1 for a in row if a) for i in group.generator_indices
+               for row in residues[i]) == 3
+    cert = certify(group, 5)
+    assert cert.verdict == "certified", cert.notes
+    assert group.order == 120 == math.prod(degrees)
+    report = cert.reflection_report
+    assert report.count == 10 == sum(d - 1 for d in degrees)
+    assert {(lam, order) for _, lam, order in report.reflections} == {(-1, 2)}
+    assert cert.fundamental_K.degrees == cert.fundamental_k.degrees == degrees
+    assert cert.molien.coefficients == hilbert_product_truncation(degrees, 5) \
+        == (1, 0, 1, 1, 2, 2)
+    assert [a for _, a, _, _ in cert.graded_table] == list(cert.molien.coefficients)
+    assert cert.h1_ok and cert.lift_verified and cert.bases_ok
+    refuted = certify(wa4_z5, 5)
+    assert (refuted.verdict, refuted.hypothesis_ok) == ("refuted-hypothesis", False)
+    assert wa4_z5.order == 120
+
+
+def test_the_paths_over_q_are_refused(s2_z3, c4_f5t, z5, f5t):
+    # an int-kind group's dimensions over K are its Molien coefficients, and
+    # a polynomial determinant is taken over k alone; a ratfunc group still
+    # solves its invariants over F_p(t), as H^1 over K needs
+    with pytest.raises(ValueError, match="Molien series"):
+        invariant_basis(s2_z3, 2, RING_K)
+    assert invariant_basis(c4_f5t, 4, RING_K).dimension == 1
+    with pytest.raises(ValueError, match="over a field"):
+        fundamental_invariants(s2_z3, RING_O, 2)
+    for descriptor in (z5, f5t):
+        for ring in (RING_O, RING_K, RING_RESIDUE):
+            one = _poly_from_ints(descriptor, 3, ring, {(0, 0, 0): 1})
+            x = _poly_from_ints(descriptor, 3, ring, {(1, 0, 0): 1})
+            rows = [[x if r == c == 0 else one if r == c else one - one for c in range(3)]
+                    for r in range(3)]
+            for check in (nonzero_at_a_point, polynomial_det_is_nonzero):
+                if ring == RING_RESIDUE:
+                    assert check(rows)
+                else:
+                    with pytest.raises(ValueError, match="taken over k"):
+                        check(rows)
+
+
 # -- fundamental invariants -------------------------------------------------------
 
 
@@ -188,13 +241,19 @@ def _poly_from_ints(descriptor, n, ring, mapping):
 
 
 def test_jacobian_examples(z3):
-    e1 = _poly_from_ints(z3, 2, RING_K, {(1, 0): 1, (0, 1): 1})
-    e2 = _poly_from_ints(z3, 2, RING_K, {(1, 1): 1})
-    assert jacobian_independence(FundamentalInvariants(RING_K, (e1, e2), (1, 2)))
-
-    x1 = _poly_from_ints(z3, 2, RING_K, {(1, 0): 1})
-    x1sq = _poly_from_ints(z3, 2, RING_K, {(2, 0): 1})
-    assert not jacobian_independence(FundamentalInvariants(RING_K, (x1, x1sq), (1, 2)))
+    # over k by `jacobian_independence`; over K = Q, where the package takes
+    # no Jacobian, by the cofactor oracle
+    for ring in (RING_K, RING_RESIDUE):
+        e1 = _poly_from_ints(z3, 2, ring, {(1, 0): 1, (0, 1): 1})
+        e2 = _poly_from_ints(z3, 2, ring, {(1, 1): 1})
+        x1 = _poly_from_ints(z3, 2, ring, {(1, 0): 1})
+        x1sq = _poly_from_ints(z3, 2, ring, {(2, 0): 1})
+        for gens, independent in (((e1, e2), True), ((x1, x1sq), False)):
+            jacobian = [[f.partial_derivative(j) for j in range(2)] for f in gens]
+            assert poly_matrix_det(jacobian).is_zero() is not independent
+            if ring == RING_RESIDUE:
+                inv = FundamentalInvariants(ring, gens, (1, 2))
+                assert jacobian_independence(inv) is independent
 
     f5 = DvrDescriptor("int-localized", 5)
     x4 = _poly_from_ints(f5, 1, RING_RESIDUE, {(4,): 1})
@@ -251,6 +310,11 @@ def test_jacobian_determinant_matches_the_cofactor_oracle(kind, ring, monkeypatc
             expected = poly_matrix_det(rows)
             assert det_of_rows(rows, zero, one) == expected
             singular += expected.is_zero()
+            if ring == RING_K:  # the package takes no polynomial determinant over K
+                for refused in (nonzero_at_a_point, polynomial_det_is_nonzero):
+                    with pytest.raises(ValueError, match="taken over k"):
+                        refused(rows)
+                continue
             # every nonsingular one shows it at one of the points
             assert nonzero_at_a_point(rows) is not expected.is_zero()
             assert polynomial_det_is_nonzero(rows) is not expected.is_zero()
@@ -258,14 +322,15 @@ def test_jacobian_determinant_matches_the_cofactor_oracle(kind, ring, monkeypatc
         singular_from_3 += singular if n > 2 else 0
     # 1 x 1 and 2 x 2 go to the polynomial determinant at once, the larger
     # ones only when singular; the test's own `det_of_rows` calls are not counted
-    assert len(fallbacks) == 2 * 8 + singular_from_3
+    assert len(fallbacks) == (0 if ring == RING_K else 2 * 8 + singular_from_3)
     # a Jacobian proper: the generators x + y and x*y, then x and x^2 + y
     x = _poly_from_ints(descriptor, 2, ring, {(1, 0): 1})
     y = _poly_from_ints(descriptor, 2, ring, {(0, 1): 1})
     for gens, independent in (((x + y, x * y), True), ((x, x * x), False)):
         jacobian = [[f.partial_derivative(j) for j in range(2)] for f in gens]
         assert poly_matrix_det(jacobian).is_zero() is not independent
-        assert jacobian_independence(FundamentalInvariants(ring, gens, (1, 2))) is independent
+        if ring == RING_RESIDUE:
+            assert jacobian_independence(FundamentalInvariants(ring, gens, (1, 2))) is independent
 
 
 @pytest.mark.parametrize("p,n", [(3, 2), (5, 3)])
@@ -292,18 +357,39 @@ def test_jacobian_over_k_where_it_vanishes_on_k_points(p, n, monkeypatch):
     assert fallbacks == ([] if n > 2 else [n])
 
 
+def _form_vanishing_at(point, descriptor, n: int) -> MultiPoly:
+    """A nonzero form over k = F_p, of the least degree, that vanishes at a
+    point of F_p[t]^n: a kernel vector of the system whose column for X^e
+    holds the t-coefficients of the point's value of X^e."""
+    p = descriptor.p
+    for d in range(1, 10):
+        basis = monomials(n, d)
+        values = [math.prod((x ** k for x, k in zip(point, e) if k), start=RatFunc.one(p))
+                  for e in basis]
+        assert all(v.den.degree == 0 for v in values)  # the point lies in F_p[t]^n
+        top = max(v.num.degree for v in values)
+        system = DenseRowEchelon(p=p)
+        for k in range(top + 1):
+            system.add([v.num.coeffs[k] if k < len(v.num.coeffs) else 0 for v in values])
+        kernel = system.kernel(len(basis), 0, 1)
+        if kernel:
+            return MultiPoly(RING_RESIDUE, descriptor, n,
+                             {e: int(c) for e, c in zip(basis, kernel[0])})
+    raise AssertionError("no form of degree below 10 vanishes at the point")
+
+
 @pytest.mark.parametrize("kind", ["int-localized", "ratfunc-localized"])
 def test_polynomial_det_zero_at_every_point_reaches_the_fallback(kind, monkeypatch):
-    # prod over the tried points of (x_1 - c): nonzero, but zero at each of them
+    # a product of forms over k, one vanishing at each tried point of
+    # F_p[t]^n: nonzero, but zero at each of them
     descriptor = DvrDescriptor(kind, 5)
     fallbacks = _count_polynomial_dets(monkeypatch)
     for n in (3, 4):
-        _, points, _, _ = _evaluation_points(RING_K, descriptor, n)
-        one = MultiPoly.constant(RING_K, descriptor, n, descriptor.one())
-        x = MultiPoly.variable(RING_K, descriptor, n, 0)
+        one = MultiPoly.constant(RING_RESIDUE, descriptor, n, 1)
         vanishing = one
-        for point in points:
-            vanishing = vanishing * (x - MultiPoly.constant(RING_K, descriptor, n, point[0]))
+        for point in _evaluation_points(descriptor.p, n):
+            vanishing = vanishing * _form_vanishing_at(point, descriptor, n)
+        assert not vanishing.is_zero()
         rows = [[vanishing if r == c == 0 else one if r == c else one - one
                  for c in range(n)] for r in range(n)]
         assert not nonzero_at_a_point(rows)
@@ -442,12 +528,12 @@ def test_h1_over_K_is_read_off_the_residue_piece(
     assert RING_K in solved
     # (d) the int kind's K pieces are 0 by theorem, also where p | |G| and
     # the k piece is not: nothing is solved over Q, and the solve over Q,
-    # kept as an oracle, agrees
+    # in the oracles, agrees
     group = generate_group(generators_of(s2_z2))
     solved.clear()
     for d in range(4):
         assert h1_dimension(group, d, RING_K) == 0 == h1_bruteforce(group, d, RING_K)
-        assert _h1_exact_degree(group, d, RING_K) == 0
+        assert _h1_exact_degree_bruteforce(group, d, RING_K) == 0
     assert h1_dimension(group, 3, RING_RESIDUE) > 0
     assert RING_K not in solved
 
@@ -691,23 +777,48 @@ def test_printed_generators_and_lifts_are_invariants_of_the_jobspec_group():
             assert lift.reduce() == f_bar
 
 
+def _problems_over_K(group, inv: FundamentalInvariants) -> list[str]:
+    """The conditions that `_check_fundamental_conditions` asks of
+    generators over k, asked of generators over K by the oracles: n
+    homogeneous nonzero generators, the degree identities with the
+    group's reflection count, invariance under the jobspec's generators by
+    `act_bruteforce`, and a Jacobian nonzero by cofactor expansion."""
+    problems = []
+    if inv.n != group.n:
+        problems.append(f"{inv.n} generators for {group.n} variables")
+    if degree_identity_failures(inv.degrees, group.order,
+                                classify_reflections(group).count) != (None, None):
+        problems.append(f"the degrees {inv.degrees} fail an identity")
+    gens = generators_of(group)
+    for i, f in enumerate(inv.generators):
+        if not f.is_homogeneous() or f.is_zero():
+            problems.append(f"generator {i} is not homogeneous and nonzero")
+        if any(act_bruteforce(g, f) != f for g in gens):
+            problems.append(f"generator {i} is not invariant")
+    if poly_matrix_det([[f.partial_derivative(j) for j in range(f.n)]
+                        for f in inv.generators]).is_zero():
+        problems.append("Jacobian determinant vanishes")
+    return problems
+
+
 def test_the_generators_over_K_pass_every_check_over_K_on_the_jobspec_group():
     # `certify` checks a ratfunc group's generators over K only over k,
     # where the search returns them; here the checks run over K on the
-    # group as the jobspec gives it: invariance under its generators, which
-    # are not constant for a conjugate, the degree identities, and a
-    # nonzero Jacobian
+    # group as the jobspec gives it, by the oracles: invariance under its
+    # generators, which are not constant for a conjugate, the degree
+    # identities, and a nonzero Jacobian
     for given, conjugate in _conjugated_ratfunc_pairs():
         for group in (given, conjugate):
             cert = certify(group, 8)
             assert cert.fundamental_K.ring == RING_K
-            assert _check_fundamental_conditions(group, cert.fundamental_K) == []
+            assert _check_fundamental_conditions(group, cert.fundamental_k) == []
+            assert _problems_over_K(group, cert.fundamental_K) == []
         # the checks see a generator set that is not carried
         lifted = FundamentalInvariants(
             RING_K, tuple(f.lift(RING_K) for f in cert.fundamental_k.generators),
             cert.fundamental_k.degrees)
         assert any("not invariant" in problem
-                   for problem in _check_fundamental_conditions(conjugate, lifted))
+                   for problem in _problems_over_K(conjugate, lifted))
 
 
 def test_the_constant_model_conjugates_the_group_onto_its_reduction():
@@ -789,7 +900,7 @@ def test_a_conjugated_ratfunc_group_computes_its_k_side_once(monkeypatch):
     assert sorted(computed) == sorted(
         [("_invariant_basis", d, RING_RESIDUE) for d in range(9)]
         + [("_h1_exact_degree", d, RING_RESIDUE) for d in range(6)]
-        + [("_greedy_fundamentals", RING_RESIDUE, 8)])
+        + [("_greedy_fundamentals", 8)])
     assert len(built) == 1
 
 
@@ -844,21 +955,30 @@ def test_a_conjugated_ratfunc_job_applies_A_once_per_generator(monkeypatch):
 
 
 def test_a_conjugated_ratfunc_job_asks_invariance_once(monkeypatch):
-    # each generator over k is checked for invariance once, under the
-    # generators over k, when the search over k returns it; the generators
-    # over K and the lifts are its lift carried by A, and neither the lifts
-    # nor the constant twins are asked again
+    # the generators over k are checked for invariance once, together, on
+    # the residue rows of the group's generators, when the search over k
+    # returns them; the generators over K and the lifts are their lifts
+    # carried by A, and neither the lifts nor the constant twins are asked
+    # again
     group = conjugated_over_t(constant_ratfunc_groups()[0], random.Random(23))
     a = group.conjugator()
-    calls = Counter()
-    for module in (sys.modules["dvrcert.certify"], sys.modules["dvrcert.polys"]):
+    certify_module = sys.modules["dvrcert.certify"]
+    calls, asked = Counter(), []
+    for module in (certify_module, sys.modules["dvrcert.polys"]):
         def counted(g, f, _original=module.act):
             calls["A" if g is a else g.ring] += 1
             return _original(g, f)
 
         monkeypatch.setattr(module, "act", counted)
+
+    def counted_fixed(group, polys, _original=certify_module.fixed_by_generators):
+        asked.append(tuple(f.ring for f in polys))
+        return _original(group, polys)
+
+    monkeypatch.setattr(certify_module, "fixed_by_generators", counted_fixed)
     assert certify(group, 8).verdict == "certified"
-    assert calls == {RING_RESIDUE: 4, "A": 2}
+    assert calls == {"A": 2}
+    assert asked == [(RING_RESIDUE,) * group.n]
 
 
 # -- the int kind's side over K: Reynolds lifts, Molien and a theorem ----------------
@@ -917,15 +1037,19 @@ def test_printed_generators_over_K_of_int_jobs_are_invariants_of_the_jobspec_gro
 
 def test_the_generators_over_K_of_an_int_group_pass_every_check_over_K():
     # `certify` checks the lifts only for their reduction and invariance;
-    # here `_check_fundamental_conditions` runs over K on them, and the
-    # greedy search over Q, which `certify` no longer runs, finds the same
-    # degrees
+    # here the conditions over k are asked over K on them by the oracles,
+    # and they generate K[X]^G up to the bound: their Jacobian is nonzero,
+    # so they are algebraically independent and dim K[f]_d is the
+    # coefficient of prod 1 / (1 - z^{d_i}); K[f]_d lies in K[X]^G_d, and
+    # the averaging oracle counts dim K[X]^G_d the same, so K[f]_d = K[X]^G_d
     for group in _int_groups_past_the_gate():
         cert = certify(group, 4)
         assert cert.verdict == "certified"
         assert cert.fundamental_K.ring == RING_K
-        assert _check_fundamental_conditions(group, cert.fundamental_K) == []
-        assert _greedy_fundamentals(group, RING_K, 4).degrees == cert.fundamental_K.degrees
+        assert _problems_over_K(group, cert.fundamental_K) == []
+        product = hilbert_product_truncation(cert.fundamental_K.degrees, 4)
+        assert [invariant_dimension_bruteforce(group, d, RING_K) for d in range(5)] \
+            == list(product)
         assert [f.reduce() for f in cert.lifts] == list(cert.fundamental_k.generators)
 
 
@@ -933,12 +1057,12 @@ def test_an_int_job_solves_nothing_over_Q(monkeypatch):
     certify_module = sys.modules["dvrcert.certify"]
     polys_module = sys.modules["dvrcert.polys"]
     rings = []
+    # the search, `_greedy_fundamentals`, runs over k alone
     for module, name in ((polys_module, "_invariant_basis"),
-                         (certify_module, "_h1_exact_degree"),
-                         (certify_module, "_greedy_fundamentals")):
-        def counted(group, *args, _original=getattr(module, name)):
-            rings.append(args[1] if isinstance(args[0], int) else args[0])
-            return _original(group, *args)
+                         (certify_module, "_h1_exact_degree")):
+        def counted(group, degree, ring, _original=getattr(module, name)):
+            rings.append(ring)
+            return _original(group, degree, ring)
 
         monkeypatch.setattr(module, name, counted)
 
@@ -954,15 +1078,16 @@ def test_an_int_job_solves_nothing_over_Q(monkeypatch):
 
 def test_the_graded_K_column_of_an_int_group_is_the_molien_series():
     # K = Q has characteristic 0, so the Molien coefficient is dim_K of the
-    # invariants exactly: it equals the basis over K that `certify` no
-    # longer computes.  It is computed once, and a graded check without
-    # the molien stage computes it without reporting it
+    # invariants exactly: it equals the dimension the averaging oracle
+    # counts.  It is computed once, and a graded check without the molien
+    # stage computes it without reporting it
     for group in _int_groups_past_the_gate():
         report = certify(group, 6, ["graded"]).to_dict()
         assert "molien" not in report
         molien = group.memo["molien", 6, RING_K]
         for d, dim_K, dim_k, equal in graded_isomorphism_check(group, 6):
-            assert dim_K == molien.coefficients[d] == invariant_basis(group, d, RING_K).dimension
+            assert dim_K == molien.coefficients[d] \
+                == invariant_dimension_bruteforce(group, d, RING_K)
             assert dim_k == dim_K and equal
         assert certify(group, 6).molien is molien
 

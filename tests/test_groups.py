@@ -52,6 +52,7 @@ from oracles import (
     closure_bruteforce,
     conjugacy_classes_bruteforce,
     element_matrices,
+    element_matrix,
     element_order,
     generators_of,
     h1_bruteforce,
@@ -93,7 +94,7 @@ def test_generate_group_builds_the_trivial_group(z3, f5t):
     for descriptor in (z3, f5t):
         group = generate_group([], descriptor, n=2)
         assert (group.order, group.products, group.generator_indices) == (1, ((),), ())
-        assert group.matrix(0, RING_O) == ExactMatrix.identity(RING_O, descriptor, 2)
+        assert element_matrix(group, 0) == ExactMatrix.identity(RING_O, descriptor, 2)
         cert = certify(group)
         assert cert.verdict == "certified"
         assert cert.fundamental_K.degrees == cert.fundamental_k.degrees == (1, 1)
@@ -153,7 +154,7 @@ def test_reflection_eigenvalue_is_the_determinant(s3_z5, f5t):
         report = classify_reflections(group)
         assert report.count > 0
         for idx, lam, order in report.reflections:
-            assert lam == det(group.matrix(idx, RING_O))
+            assert lam == det(element_matrix(group, idx))
             orders.add(order)
         found_over_k = 0
         for m in element_matrices(group, RING_RESIDUE):
@@ -329,30 +330,52 @@ def _wb3(z5):
     ])
 
 
-def test_a_checks_only_int_job_builds_no_o_matrices(z5):
-    # the int kind's elements are its integer forms: only `matrix(i, "O")`
-    # turns one into an O-matrix, and no stage of these jobs asks, the
-    # bases included, which run on the reflections' forms in ints
+def _matrices_built(monkeypatch) -> list:
+    """The ring of every `ExactMatrix` built from here on, by `_of`, which
+    `from_ints`, `identity` and every result of arithmetic pass, or by the
+    public constructor."""
+    rings, of, init = [], ExactMatrix._of, ExactMatrix.__init__
+
+    def counted_of(ring, descriptor, rows):
+        rings.append(ring)
+        return of(ring, descriptor, rows)
+
+    def counted_init(self, ring, descriptor, entries):
+        rings.append(ring)
+        init(self, ring, descriptor, entries)
+
+    monkeypatch.setattr(ExactMatrix, "_of", staticmethod(counted_of))
+    monkeypatch.setattr(ExactMatrix, "__init__", counted_init)
+    return rings
+
+
+def test_a_checks_only_int_job_builds_no_o_matrices(z5, monkeypatch):
+    # the int kind's elements are its integer forms, and no stage of these
+    # jobs builds a matrix of one, the bases included, which run on the
+    # reflections' forms in ints
+    built = _matrices_built(monkeypatch)
     for checks in (("reflections", "eta", "molien"), ("reflections", "eta", "basis", "molien")):
         wb3 = _wb3(z5)
         assert wb3.order == 48
+        built.clear()
         assert certify(wb3, 6, checks).verdict == "complete"
-        assert ("elements", RING_O) not in wb3.memo
+        assert built == []
 
 
-def test_the_bases_build_only_the_reflections_as_o_matrices(z5):
+def test_the_bases_build_only_the_reflections_as_o_matrices(z5, monkeypatch):
     # the bases build no O-matrix at all: they read the reflections' forms,
     # and only those and the classes' first elements are built
     wb3 = _wb3(z5)
+    built = _matrices_built(monkeypatch)
     report = certify(wb3, None, ("reflections", "basis"))
     reflections = [i for i, _, _ in report.reflection_report.reflections]
     assert len(reflections) == 9 and report.bases_ok
-    assert ("elements", RING_O) not in wb3.memo
+    assert built == []
     built = {i for i, m in enumerate(wb3._built) if m is not None}
     assert built == set(reflections) | {c[0] for c in conjugacy_classes(wb3)}
 
 
-def test_the_checks_of_wb4_build_the_classes_and_reflections_alone(z5):
+def test_the_checks_of_wb4_build_the_classes_and_reflections_alone(z5, monkeypatch):
     # W(B_4), as the benchmark's wb4-int-checks job gives it: 384 elements
     # on an orbit of 8 rows, +-e_i, and of them only the first element of
     # each conjugacy class and the reflections are built as forms
@@ -360,23 +383,49 @@ def test_the_checks_of_wb4_build_the_classes_and_reflections_alone(z5):
     _, doc = workloads.FIXED["wb4-int-checks"]
     spec = parse_jobspec(doc)
     group = generate_group(spec.generators, spec.dvr, n=spec.n)
+    matrices = _matrices_built(monkeypatch)
     report = certify(group, 16, tuple(doc["checks"]))
     assert report.verdict == "complete" and report.bases_ok and report.eta_injective
     assert (group.order, len(group.orbit), report.reflection_report.count) == (384, 8, 16)
     built = sum(m is not None for m in group._built)
     assert built <= len(conjugacy_classes(group)) + report.reflection_report.count == 20 + 16
-    assert ("elements", RING_O) not in group.memo
+    assert matrices == []
 
 
-def test_a_full_certificate_builds_no_k_matrix_it_does_not_read(z5):
-    # the O-matrices serve K, and over k the invariant bases and H^1 read
-    # the residue rows, so only the invariance checks over k build
-    # k-matrices, of the generators
+def test_a_full_certificate_builds_no_k_matrix_it_does_not_read(z5, monkeypatch):
+    # over k the invariant bases, H^1, the invariance checks and the
+    # Reynolds average read the residue rows, so no k-matrix is built; the
+    # int kind's passes read its integer forms, so it builds no matrix at all
     wb3 = _wb3(z5)
+    built = _matrices_built(monkeypatch)
     assert certify(wb3, 6).verdict == "certified"
-    assert ("elements", RING_K) not in wb3.memo
-    assert set(wb3.memo["elements", RING_RESIDUE]) \
-        == set(wb3.generator_indices)
+    assert built == []
+
+
+def test_no_full_certificate_builds_a_matrix_over_k(
+    s2_z3, s3_z5, b2_z3, b2_z5_halved, c4_f5t, b2_f5t_twisted, neg_identity_z23,
+    reflection_and_sign_z5, s2_z2, wa4_z7, wa4_z5, monkeypatch,
+):
+    # each fixture's group built afresh, so that no memo of another test
+    # answers for it, and the first batch of the benchmark's seeded
+    # small-batch-conjugated workload, each job at its own degree bound;
+    # after generate_group an int-kind job builds no `ExactMatrix`, and a
+    # ratfunc job none over k
+    fixtures = (s2_z3, s3_z5, b2_z3, b2_z5_halved, c4_f5t, b2_f5t_twisted, neg_identity_z23,
+                reflection_and_sign_z5, s2_z2, wa4_z7, wa4_z5)
+    jobs = [(generate_group(generators_of(g), g.descriptor, n=g.n), 5 if g.order == 120 else None)
+            for g in fixtures]
+    jobs += [(group_of(doc), doc.get("degree_bound"))
+             for _, doc in benchmark_workloads().small_batch(1, 0)]
+    built, verdicts = _matrices_built(monkeypatch), set()
+    for group, bound in jobs:
+        built.clear()
+        verdicts.add(certify(group, bound).verdict)
+        if group.descriptor.kind == "int-localized":
+            assert built == [], group
+        else:
+            assert RING_RESIDUE not in built, group
+    assert verdicts == {"certified", "inconclusive", "refuted-hypothesis"}
 
 
 def test_closure_checks_no_product_for_membership_in_o(z5, monkeypatch):
@@ -460,12 +509,9 @@ def test_integer_form_passes_match_the_brute_force_oracles(s2_z3, s3_z5, b2_z3,
         # oracles' conversions of the closure's values
         int_kind = group.descriptor.kind == "int-localized"
         reduced = []
-        for i, value in enumerate(group.elements):
-            m = group.matrix(i, RING_O)
-            assert m == (matrix_of_form(value, group.descriptor) if int_kind else value)
-            assert group.matrix(i, RING_K) is m and m.ring == RING_O
+        for value in group.elements:
+            m = matrix_of_form(value, group.descriptor) if int_kind else value
             reduced.append(reduce_entrywise(m))
-            assert group.matrix(i, RING_RESIDUE) == reduced[-1]
         assert group.residue_rows() == tuple(
             tuple(tuple(row) for row in m.entries) for m in reduced
         )
@@ -495,8 +541,7 @@ def test_generator_indices_point_at_the_closure_generators(z3, z5, f5t):
     groups.append((generate_group([], z3, n=2), []))
     for group, gens in groups:
         closure_generators = sorted(set(gens), key=ExactMatrix.sort_key)
-        assert [group.matrix(i, RING_O) for i in group.generator_indices] \
-            == generators_of(group) == closure_generators
+        assert generators_of(group) == closure_generators
         assert list(group.generator_indices) \
             == [element_matrices(group, RING_O).index(g) for g in closure_generators]
     assert 0 in groups[0][0].generator_indices
@@ -528,7 +573,7 @@ def test_ratfunc_char_polys_are_the_residue_rows_own(c4_f5t, b2_f5t_twisted):
     assert checked >= 70  # 78 on seed 1
 
 
-def test_a_checks_only_job_builds_no_ring_views(z5):
+def test_a_checks_only_job_builds_no_ring_views(z5, monkeypatch):
     # reflections, eta and Molien read the closure's own values and the
     # residue rows: no element becomes a matrix over K or k
     workloads = benchmark_workloads()
@@ -539,12 +584,13 @@ def test_a_checks_only_job_builds_no_ring_views(z5):
     ]
     b2 = workloads.conjugate_generators(workloads.RATFUNC, 5, workloads.hyperoctahedral(2),
                                         random.Random(1))
+    built = _matrices_built(monkeypatch)
     for group in (generate_group(generators),
                   group_of(workloads._doc(workloads.RATFUNC, 5, b2))):
+        built.clear()
         report = certify(group, 6, ("reflections", "eta", "molien"))
         assert report.verdict == "complete" and report.eta_injective
-        assert ("elements", RING_K) not in group.memo
-        assert ("elements", RING_RESIDUE) not in group.memo
+        assert RING_K not in built and RING_RESIDUE not in built
 
 
 def test_reflection_orders_match_the_matrix_power_oracle(
@@ -560,7 +606,7 @@ def test_reflection_orders_match_the_matrix_power_oracle(
             assert order == element_order(group, idx)
             over_o += 1
             if invertible:
-                assert diagonalizing_basis(group.matrix(idx, RING_O), group).order == order
+                assert diagonalizing_basis(element_matrix(group, idx), group).order == order
                 bases += 1
         for m in element_matrices(group, RING_RESIDUE):
             data = reflection_data(m)
@@ -576,7 +622,7 @@ def test_reflection_orders_match_the_matrix_power_oracle(
     assert all((lam, order) == (f5t.one(), 5) for _, lam, order in report.reflections)
     for i in range(1, 5):
         assert element_order(shear_f5t, i) == 5
-        assert reflection_data(shear_f5t.matrix(i, RING_RESIDUE)) == (1, 5)
+        assert reflection_data(element_matrix(shear_f5t, i, RING_RESIDUE)) == (1, 5)
     # a value of k is an int in [0, p), its powers taken mod p
     assert eigenvalue_order(1, RING_RESIDUE, f5t) == 5
     assert eigenvalue_order(2, RING_RESIDUE, f5t) == 4
@@ -832,7 +878,7 @@ def test_generation_by_words_matches_the_oracle(s3_z5, b2_z3, reflection_and_sig
         subsets += [rng.sample(range(group.order), rng.randint(1, min(3, group.order)))
                     for _ in range(10)]
         for subset in subsets:
-            chosen = [group.matrix(i, RING_O) for i in subset]
+            chosen = [element_matrix(group, i) for i in subset]
             order = len(closure_bruteforce(chosen, group.descriptor, group.n)[0])
             assert _generated_by(group, subset) == (order == group.order), (group, subset)
             whole += order == group.order

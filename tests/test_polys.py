@@ -36,6 +36,8 @@ from oracles import (
     action_matrix_bruteforce,
     det_cofactor,
     element_matrices,
+    element_matrix,
+    field_p,
     generators_of,
     invariant_dimension_bruteforce,
     molien_coefficients_bruteforce,
@@ -111,9 +113,13 @@ def test_act_and_action_matrix_match_the_power_oracle(s3_z5, b2_f5t_twisted):
                     if ring == RING_RESIDUE:
                         rho = _over_F_p(group, rho)
                     assert square_matrix(rho, g) == action_matrix_bruteforce(g, n, d)
-            # the memoised images step up, and a lower degree is rebuilt
+            # the memoised images step up, and a lower degree is rebuilt; the
+            # int kind's side over K is read off its Molien series and its
+            # lifts, so its elements' action matrices are built over k alone
+            if group.descriptor.kind == "int-localized" and ring != RING_RESIDUE:
+                continue
             idx = group.order - 1
-            g = group.matrix(idx, ring)
+            g = element_matrix(group, idx, ring)
             for d in (2, 3, 1, 4, 0, 4):
                 rho = element_action_matrix(group, ring, idx, d)
                 if ring == RING_RESIDUE:
@@ -195,13 +201,52 @@ def test_the_integer_average_and_invariance_test_equal_the_flat_ones(
             averaged = reynolds(group, polys)
             assert averaged == tuple(reynolds_flat(group, f) for f in polys), (group, ring)
             candidates = polys + list(averaged)
-            gens = [group.matrix(i, RING_RESIDUE if ring == RING_RESIDUE else RING_O)
-                    for i in group.generator_indices]
+            gens = [element_matrix(group, i, ring) for i in group.generator_indices]
             expected = tuple(all(act_bruteforce(g, f) == f for g in gens) for f in candidates)
             assert fixed_by_generators(group, candidates) == expected, (group, ring)
             assert expected[len(polys):] == (True,) * len(polys)
             outcomes.update(expected[:len(polys)])
     assert outcomes == {True, False}
+
+
+def _coefficient(descriptor, ring, rng):
+    """A nonzero coefficient of O, K or k: over K with a pole at pi."""
+    if ring == RING_RESIDUE:
+        return rng.randrange(1, descriptor.p)
+    c = descriptor.from_int(rng.choice((-3, -1, 1, 2, 4)))
+    if descriptor.kind != "int-localized":
+        c = c + descriptor.from_int(rng.randrange(descriptor.p)) * descriptor.uniformizer()
+    return c / descriptor.uniformizer() if ring == RING_K else c
+
+
+def test_the_invariance_test_matches_the_power_oracle_on_every_fixture(
+    s2_z3, s3_z5, b2_z3, b2_z5_halved, c4_f5t, b2_f5t_twisted, neg_identity_z23,
+    reflection_and_sign_z5, s2_z2, wa4_z7, wa4_z5,
+):
+    # `fixed_by_generators` against each generator acting by
+    # `act_bruteforce` on the oracles' own matrices, over O, K and k: X_1,
+    # which every fixture moves, a random polynomial, and the orbit sums
+    # sum_g g.f of both, invariant for every p.  Over k the package reads
+    # the residue rows mod p, and a ratfunc group over O or K its entries
+    groups = [s2_z3, s3_z5, b2_z3, b2_z5_halved, c4_f5t, b2_f5t_twisted, neg_identity_z23,
+              reflection_and_sign_z5, s2_z2, wa4_z7, wa4_z5, over_1_plus_t(b2_f5t_twisted)]
+    rng = random.Random(3131)
+    for group in groups:
+        descriptor, n = group.descriptor, group.n
+        for ring in (RING_O, RING_K, RING_RESIDUE):
+            x1 = MultiPoly.monomial(ring, descriptor, (1,) + (0,) * (n - 1),
+                                    _coefficient(descriptor, ring, rng))
+            mixed = MultiPoly(ring, descriptor, n, {
+                tuple(rng.randint(0, 2) for _ in range(n)): _coefficient(descriptor, ring, rng)
+                for _ in range(3)})
+            elements = element_matrices(group, ring)
+            orbit_sums = [sum((act_bruteforce(g, f) for g in elements),
+                              MultiPoly.zero(ring, descriptor, n)) for f in (x1, mixed)]
+            candidates = [x1, mixed] + orbit_sums
+            gens = [element_matrix(group, i, ring) for i in group.generator_indices]
+            expected = tuple(all(act_bruteforce(g, f) == f for g in gens) for f in candidates)
+            assert expected[0] is False and expected[2:] == (True, True), (group, ring)
+            assert fixed_by_generators(group, candidates) == expected, (group, ring)
 
 
 def test_polynomials_averaged_together_must_share_the_group_s_ring(s2_z3, z3, z5):
@@ -212,22 +257,26 @@ def test_polynomials_averaged_together_must_share_the_group_s_ring(s2_z3, z3, z5
 
 
 def test_invariant_basis_examples(s2_z3, z3):
-    assert invariant_basis(s2_z3, 2, RING_K).dimension == 2
+    # over K = Q by the averaging oracle: the package solves no system there
+    assert invariant_dimension_bruteforce(s2_z3, 2, RING_K) == 2
     assert invariant_basis(s2_z3, 2, RING_RESIDUE).dimension == 2
-    assert invariant_basis(s2_z3, 0, RING_K).dimension == 1
-    for poly in invariant_basis(s2_z3, 2, RING_K).polys:
+    assert invariant_dimension_bruteforce(s2_z3, 0, RING_K) == 1
+    assert invariant_basis(s2_z3, 0, RING_RESIDUE).dimension == 1
+    for poly in invariant_basis(s2_z3, 2, RING_RESIDUE).polys:
         assert poly.is_homogeneous()
         assert {sum(e) for e in poly.terms} == {2}
 
 
 def test_invariant_basis_matches_bruteforce(s2_z3, s3_z5, b2_z3, c4_f5t):
+    # an int-kind group's dimensions over K = Q are its Molien coefficients
     for group in (s2_z3, s3_z5, b2_z3, c4_f5t):
+        int_kind = group.descriptor.kind == "int-localized"
+        molien = molien_series(group, 4).coefficients
         for d in range(5):
             for ring in (RING_K, RING_RESIDUE):
-                assert (
-                    invariant_basis(group, d, ring).dimension
-                    == invariant_dimension_bruteforce(group, d, ring)
-                )
+                dimension = (molien[d] if int_kind and ring == RING_K
+                             else invariant_basis(group, d, ring).dimension)
+                assert dimension == invariant_dimension_bruteforce(group, d, ring)
 
 
 def test_molien_pinned_examples(s2_z3, s3_z5, z3):
@@ -456,33 +505,38 @@ def test_a_group_over_F_p_builds_no_action_matrix_over_K(c4_f5t, b2_f5t_twisted,
 
 
 def test_reynolds_span_equals_invariant_basis_span(s2_z3, b2_z3):
-    from dvrcert.linalg import ring_zero
+    # over K = Q the averages span a space of the dimension the averaging
+    # oracle counts; over k they span the solved invariant basis
+    from dvrcert.linalg import ring_one, ring_zero
 
     for group, degree in ((s2_z3, 3), (b2_z3, 4)):
         basis = monomials(group.n, degree)
         index = {e: i for i, e in enumerate(basis)}
-        zero = ring_zero(RING_K, group.descriptor)
+        for ring in (RING_K, RING_RESIDUE):
+            zero = ring_zero(ring, group.descriptor)
 
-        def coefficient_row(poly):
-            row = [zero] * len(basis)
-            for e, c in poly.terms.items():
-                row[index[e]] = c
-            return row
+            def coefficient_row(poly):
+                row = [zero] * len(basis)
+                for e, c in poly.terms.items():
+                    row[index[e]] = c
+                return row
 
-        averaged = DenseRowEchelon()
-        for poly in reynolds(group, [
-                MultiPoly.monomial(RING_K, group.descriptor, e, group.descriptor.one())
-                for e in basis]):
-            averaged.add(coefficient_row(poly))
-        solved = invariant_basis(group, degree, RING_K)
-        assert averaged.rank == solved.dimension
-        for poly in solved.polys:
-            assert averaged.contains(coefficient_row(poly))
+            averaged = DenseRowEchelon(p=field_p(ring, group.descriptor))
+            for poly in reynolds(group, [
+                    MultiPoly.monomial(ring, group.descriptor, e, ring_one(ring, group.descriptor))
+                    for e in basis]):
+                averaged.add(coefficient_row(poly))
+            assert averaged.rank == invariant_dimension_bruteforce(group, degree, ring)
+            if ring == RING_RESIDUE:
+                solved = invariant_basis(group, degree, ring)
+                assert averaged.rank == solved.dimension
+                for poly in solved.polys:
+                    assert averaged.contains(coefficient_row(poly))
 
 
 def test_action_matrix_respects_composition(s3_z5):
-    a = s3_z5.matrix(1, RING_K)
-    b = s3_z5.matrix(2, RING_K)
+    a = element_matrix(s3_z5, 1)
+    b = element_matrix(s3_z5, 2)
     rho = [square_matrix(action_matrix(g, 3, 2), g) for g in (a * b, a, b)]
     assert rho[0] == rho[1] * rho[2]
 

@@ -6,12 +6,18 @@ import pytest
 
 from dvrcert.errors import InternalCheckError
 from dvrcert.groups import classify_reflections, generate_group
-from dvrcert.linalg import RING_O, ExactMatrix, IntMatrix, det, inverse
+from dvrcert.linalg import RING_O, ExactMatrix, IntMatrix, det, inverse, shifted_rows
 from dvrcert.refbasis import _verify, diagonalizing_basis, primitive_vector
 from dvrcert.scalars import DvrDescriptor
 
 from conftest import halved_b2_z5, int_batch_conjugates, random_unimodular, random_unit_int
-from oracles import change_of_basis, diagonalizing_basis_exact, diagonalizing_basis_recursive
+from oracles import (
+    apply_dense,
+    change_of_basis,
+    diagonalizing_basis_exact,
+    diagonalizing_basis_recursive,
+    element_matrix,
+)
 
 
 def test_primitive_vector_examples(z3):
@@ -41,8 +47,8 @@ def test_diagonalizing_basis_swap(z3, s2_z3):
     basis = diagonalizing_basis(swap, s2_z3)
     assert basis.eigenvalue == z3.from_int(-1)
     w1, w2 = basis.basis
-    assert swap.apply(w1) == w1
-    assert swap.apply(w2) == tuple(basis.eigenvalue * x for x in w2)
+    assert apply_dense(swap, w1) == w1
+    assert apply_dense(swap, w2) == tuple(basis.eigenvalue * x for x in w2)
     # the symmetric/antisymmetric lines, up to unit scaling
     assert w1[0] == w1[1]
     assert w2[0] == -w2[1]
@@ -65,7 +71,7 @@ def test_diagonalizing_basis_rejects_non_reflections(z3, s2_z3):
 def _check_basis(sigma, basis):
     n = sigma.rows
     for i, w in enumerate(basis.basis):
-        image = sigma.apply(w)
+        image = apply_dense(sigma, w)
         if i < n - 1:
             assert image == w
         else:
@@ -80,7 +86,7 @@ def test_diagonalizing_basis_on_all_group_reflections(s3_z5, b2_z3, c4_f5t):
     for group in (s3_z5, b2_z3, c4_f5t):
         report = classify_reflections(group)
         for idx, lam, order in report.reflections:
-            sigma = group.matrix(idx, RING_O)
+            sigma = element_matrix(group, idx)
             basis = diagonalizing_basis(sigma, group)
             assert basis.eigenvalue == lam
             assert basis.order == order
@@ -89,7 +95,7 @@ def test_diagonalizing_basis_on_all_group_reflections(s3_z5, b2_z3, c4_f5t):
 
 def test_diagonalizing_basis_under_conjugation(s3_z5):
     rng = random.Random(2024)
-    sigma = s3_z5.matrix(1, RING_O)
+    sigma = element_matrix(s3_z5, 1)
     for _ in range(10):
         t = random_unimodular(s3_z5.descriptor, 3, rng)
         moved = t * sigma * inverse(t)
@@ -126,7 +132,7 @@ def _random_reflection(desc, lam, n, rng):
 
 def _branches(sigma, basis, desc, seen):
     """Replay the closed form's index choices on the basis it returned."""
-    alpha = next(row for row in sigma.minus_identity().entries if any(row))
+    alpha = next(row for row in shifted_rows(sigma.entries, desc.one()) if any(row))
     live = list(range(sigma.rows))
     for w in basis[:-1]:
         c = next(j for j in live if alpha[j])
@@ -182,7 +188,7 @@ def test_the_integer_bases_match_the_fraction_path(s2_z3, s3_z5, b2_z3, neg_iden
     dens = set()
     for group in groups:
         for idx, lam, order in classify_reflections(group).reflections:
-            sigma = group.matrix(idx, RING_O)
+            sigma = element_matrix(group, idx)
             expected = tuple(diagonalizing_basis_exact(sigma, lam))
             basis = diagonalizing_basis(group.element(idx), group, (lam, order))
             assert basis.basis == expected and basis.eigenvalue == lam and basis.order == order
