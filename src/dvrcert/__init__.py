@@ -26,7 +26,6 @@ from .linalg import (
     ExactMatrix,
     KernelBasis,
     det,
-    inverse,
     kernel_over_field,
     rank_over_field,
 )
@@ -35,9 +34,7 @@ from .groups import (
     ReflectionReport,
     classify_reflections,
     generate_group,
-    is_pseudo_reflection,
     reduction_map,
-    reflection_data,
     verify_reduced_reflection_generation,
 )
 from .refbasis import (

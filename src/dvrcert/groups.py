@@ -28,10 +28,10 @@ these, its rows or its table alone:
   of the lifts under the generators, on A in ints, scaled by powers of D
   (`polys.reynolds`, `polys.fixed_by_generators`).
 The residue rows serve every polynomial over k, in ints mod p: the
-action matrices of the invariant bases and of H^1, the invariance test
-and the Reynolds average.  So an element is read in two ways only, as its
-value (`element`) or its residue rows (`residue_rows`), and no element
-becomes a matrix over k.  A ratfunc group's O-matrices serve K too: the
+action matrices of the invariant bases and of H^1, and the invariance
+test.  So an element is read in two ways only, as its value (`element`)
+or its residue rows (`residue_rows`), and no element becomes a matrix
+over k.  A ratfunc group's O-matrices serve K too: the
 invariant bases and H^1 over K read the generators and the elements H^1
 reaches before it stops.  Every ratfunc group whose order is a unit is
 conjugate in GL_n(O), by a checked A (`MatrixGroup.conjugator`), to the
@@ -43,7 +43,10 @@ A group is its closure: `generate_group` builds every group, the trivial
 one included, and records the index of every product element * generator
 it forms.  H^1, the classes and `_generated_by` read its tree and its
 products off that table, so after the closure no element is multiplied.
-A reflection's order is that of its eigenvalue (`eigenvalue_order`).
+A reflection's eigenvalue and order are read over K, once per conjugacy
+class of G (`classify_reflections`): the order is that of its
+eigenvalue, whose powers reach 1 since G is finite (`eigenvalue_order`).
+Over k only the rank test runs (`reduced_reflection_indices`).
 """
 from __future__ import annotations
 
@@ -65,7 +68,6 @@ from .linalg import (
     has_rank_one,
     inverse_mod_p,
     reduce_form,
-    ring_one,
     set_fields,
     shifted_rows,
 )
@@ -405,70 +407,45 @@ def conjugacy_classes(group: MatrixGroup) -> tuple:
 def reflection_eigenvalue(m):
     """The nontrivial eigenvalue of m when m is a pseudo-reflection, else None.
 
-    m is an `ExactMatrix` over O, K or k, or an int-kind element given by
-    its `IntMatrix` form A / D.  rank(m - I) = 1 over K or k is decided by
-    `has_rank_one`, on the entries of m - I, over k with its p, or on the
-    integer rows of A - D I = D (m - I), which has the same rank.  The
-    eigenvalue is det(m), since the other eigenvalues are all 1; with
-    m - I = u v^T it is 1 + v^T u = 1 + trace(m - I), that is
-    1 + tr(A - D I) / D, so no determinant and no root-finding is needed.
+    m is an int-kind element given by its `IntMatrix` form A / D, or an
+    `ExactMatrix` over O or K.  rank(m - I) = 1 over K is decided by
+    `has_rank_one`, on the entries of m - I, or on the integer rows of
+    A - D I = D (m - I), which has the same rank.  The eigenvalue is
+    det(m), since the other eigenvalues are all 1; with m - I = u v^T it
+    is 1 + v^T u = 1 + trace(m - I), that is 1 + tr(A - D I) / D, so no
+    determinant and no root-finding is needed.
     """
     if isinstance(m, IntMatrix):
-        den, rows, p = m.den, m.rows, None
+        den, rows = m.den, m.rows
+    elif m.ring == RING_RESIDUE:
+        raise ValueError("the eigenvalue of a reflection is read over K, not over k")
     else:
-        den, rows = ring_one(m.ring, m.descriptor), m.entries
-        p = m.descriptor.p if m.ring == RING_RESIDUE else None
+        den, rows = m.descriptor.one(), m.entries
     shifted = shifted_rows(rows, den)
-    if not has_rank_one(shifted, p):
+    if not has_rank_one(shifted):
         return None
     lam = sum((row[i] for i, row in enumerate(shifted)), den)
-    if isinstance(m, IntMatrix):
-        return Fraction(lam, den)
-    return lam if p is None else lam % p
+    return Fraction(lam, den) if isinstance(m, IntMatrix) else lam
 
 
-def eigenvalue_order(lam, ring: str, descriptor: DvrDescriptor, cap=None) -> int | None:
-    """The order of a matrix over `ring` with g - I of rank one and
-    eigenvalue lam (see `reflection_eigenvalue`); None when it is infinite,
-    or, given `cap`, when lam != 1 and none of its first cap powers is 1.
+def eigenvalue_order(lam, descriptor: DvrDescriptor) -> int:
+    """The order of a reflection g of a finite group G with eigenvalue lam
+    (see `reflection_eigenvalue`).
 
     For lam != 1, g - I = u v^T with v^T u = lam - 1 != 0, so g is
-    diag(1, ..., 1, lam) in a basis over K or k and its order is that of
-    lam.  A root of unity of Q is +-1, and one of F_p(t) or F_p lies in
-    F_p^*, so the powers of lam reach 1 within max(2, p - 1) of them or
-    never; a lam of F_p(t) that is not a constant is never one, and gets
-    None at once.  For lam = 1, g = I + N with N^2 = (tr N) N = 0, so
-    g^k = I + kN: the order is p in characteristic p, and over Q there is
-    none.  `lam` is compared with the ring's own one; over k it is an int
-    in [0, p), and its powers are taken mod p.
+    diag(1, ..., 1, lam) in a basis over K and its order is that of lam,
+    the first power of lam that is 1: g has finite order, so its powers
+    reach 1 within |G| steps.  For lam = 1, g = I + N with N^2 = (tr N) N
+    = 0, so g^k = I + kN: the order is p, in characteristic p; over Q no
+    element of a finite group has lam = 1.
     """
-    over_k = ring == RING_RESIDUE
-    over_q = descriptor.kind == KIND_INT and not over_k
-    one = ring_one(ring, descriptor)
+    one = descriptor.one()
     if lam == one:
-        return None if over_q else descriptor.p
-    if not (over_q or over_k) and (lam.num.degree > 0 or lam.den.degree > 0):
-        return None
-    bound = min(2 if over_q else max(2, descriptor.p - 1), cap or descriptor.p)
+        return descriptor.p
     power, k = lam, 1
     while power != one:
-        if k == bound:
-            return None
         power, k = power * lam, k + 1
-        if over_k:
-            power %= descriptor.p
     return k
-
-
-def reflection_data(m: ExactMatrix):
-    """(eigenvalue, order) when m is a pseudo-reflection, else None."""
-    lam = reflection_eigenvalue(m)
-    order = None if lam is None else eigenvalue_order(lam, m.ring, m.descriptor)
-    return None if order is None else (lam, order)
-
-
-def is_pseudo_reflection(m: ExactMatrix) -> bool:
-    return reflection_data(m) is not None
 
 
 @dataclass(frozen=True)
@@ -500,7 +477,7 @@ def classify_reflections(group: MatrixGroup) -> ReflectionReport:
     for members in conjugacy_classes(group):
         lam = reflection_eigenvalue(group.element(members[0]))
         if lam is not None:
-            order = eigenvalue_order(lam, RING_O, group.descriptor)
+            order = eigenvalue_order(lam, group.descriptor)
             found += [(i, lam, order) for i in members]
     found.sort()
     vacuous = group.order == 1

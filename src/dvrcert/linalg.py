@@ -12,16 +12,17 @@ the right factor is listed once as its nonzero (index, value) pairs, and
 a term is formed only where both factors are nonzero.  Every linear
 system is solved by one engine on sparse rows, dicts {column: nonzero
 value}: the incremental reduced row echelon form `RowEchelon`, whose one
-row operation is `add_multiple`.  It gives rank, kernels and inverses
-over the two fields, and takes the rows of the degree-d action matrices,
-the product spans and the H^1 relations directly.  Over K its values are
-those of K; over k they are ints in [0, p), with p given to `RowEchelon`
-and `add_multiple`, which reduce every entry they write mod p and
-normalise a pivot by its inverse mod p (`elimination_field` gives the p
-and the one of either field).  A value of k is an int in [0, p), with p
-read off the matrix's descriptor: a matrix over k is reduced mod p where
-it is built (the public constructor and `_of`, which every result of
-arithmetic passes), and so is `det` over k.
+row operation is `add_multiple`.  It gives rank and kernels over the
+two fields and inverses over k (`inverse_mod_p`), and takes the rows of
+the degree-d action matrices, the product spans and the H^1 relations
+directly.  Over K its values are those of K; over k they are ints in
+[0, p), with p given to `RowEchelon` and `add_multiple`, which reduce
+every entry they write mod p and normalise a pivot by its inverse mod p
+(`elimination_field` gives the p and the one of either field).  A value
+of k is an int in [0, p), with p read off the matrix's descriptor: a
+matrix over k is reduced mod p where it is built (the public constructor
+and `_of`, which every result of arithmetic passes), and so is `det`
+over k.
 
 Every determinant is read off one routine, `char_poly`: Berkowitz's
 recursion for det(I - z A), with +, - and * only, so it runs on ints,
@@ -204,12 +205,6 @@ class ExactMatrix:
 
     def __neg__(self) -> ExactMatrix:
         return self._like([-a for a in row] for row in self.entries)
-
-    def to_field(self) -> ExactMatrix:
-        """Retag an O-matrix as a matrix over the fraction field K."""
-        if self.ring != RING_O:
-            return self
-        return ExactMatrix._of(RING_K, self.descriptor, self.entries)
 
     # -- identity ----------------------------------------------------------------
 
@@ -398,7 +393,7 @@ def _field_rows(m: ExactMatrix) -> tuple:
     """(sparse rows, p, one) of a matrix over K or k, as `RowEchelon` takes
     them (see `elimination_field`)."""
     if m.ring == RING_O:
-        raise ValueError("rank/kernel are field operations; retag the matrix with to_field()")
+        raise ValueError("rank/kernel are field operations; give the matrix over K or k")
     p, one = elimination_field(m.ring, m.descriptor)
     return [dict(_nonzero_pairs(row)) for row in m.entries], p, one
 
@@ -512,43 +507,16 @@ def char_poly(rows, zero, one) -> tuple:
     return tuple(coeffs)
 
 
-def inverse(m: ExactMatrix) -> ExactMatrix:
-    """Exact inverse; over O additionally requires the determinant to be a unit."""
-    if not m.is_square:
-        raise ValueError("inverse of a non-square matrix")
-    if m.ring == RING_O:
-        d = det(m)
-        if not d:
-            raise NotInvertibleError("matrix is singular")
-        if not m.descriptor.is_unit(d):
-            raise NotInvertibleError(
-                f"determinant {d} has positive valuation; not invertible over the DVR"
-            )
-        # the adjugate over a unit determinant: the entries lie in O
-        return ExactMatrix._of(RING_O, m.descriptor, _inverse_field(m.to_field()).entries)
-    return _inverse_field(m)
-
-
-def _inverse_field(m: ExactMatrix) -> ExactMatrix:
-    rows, p, one = _field_rows(m)
-    return m._like(_field_values(m, _inverse_rows(rows, m.rows, p, one), m.rows))
-
-
 def inverse_mod_p(rows, p: int) -> tuple:
     """The inverse over F_p of the square matrix with these rows of ints in
-    [0, p), as rows of ints in [0, p)."""
+    [0, p), as rows of ints in [0, p): the right half of the echelon of
+    [M | I]."""
     n = len(rows)
-    inv = _inverse_rows([dict(_nonzero_pairs(row)) for row in rows], n, p, 1)
-    return tuple(tuple(row.get(c, 0) for c in range(n)) for row in inv)
-
-
-def _inverse_rows(rows, n: int, p: int | None, one) -> list:
-    """The inverse of the n x n matrix with these sparse rows over K, or over
-    F_p given p, as sparse rows: the right half of the echelon of [M | I]."""
-    pivot_rows = RowEchelon(({**row, n + i: one} for i, row in enumerate(rows)), p).pivot_rows
+    pivot_rows = RowEchelon(({**dict(_nonzero_pairs(row)), n + i: 1}
+                             for i, row in enumerate(rows)), p).pivot_rows
     if any(c >= n for c in pivot_rows):
         raise NotInvertibleError("matrix is singular")
-    return [{j - n: a for j, a in pivot_rows[c].items() if j >= n} for c in range(n)]
+    return tuple(tuple(pivot_rows[c].get(n + j, 0) for j in range(n)) for c in range(n))
 
 
 def reduce_form(form: IntMatrix, p: int) -> tuple:

@@ -15,16 +15,15 @@ residue rows mod p.  `certify` reads a ratfunc group's side over K off
 its side over k (`MatrixGroup.conjugator`), so it asks for an invariant
 basis over F_p(t) only in H^1, where p divides |G|.  It reads the int
 kind's side over K off the Reynolds lifts and the Molien series, so no
-basis over Q is solved.  The Reynolds average and invariance test run on
-the residue rows mod p over k and, for the int kind over O or K, on the
-closure's integer forms A / D in ints, act(A / D, X^e) being
-D^-|e| act(A, X^e), with one store of monomial images per element for
-all the polynomials acted on.  The Molien series
-reads det(I - z g), a class function, once per conjugacy class off
-Berkowitz's characteristic polynomial (`linalg.char_poly`) in integers,
-on the integer forms for the int kind and on the residue rows mod p for
-the ratfunc kind, and inverts it by one division-free recurrence, since
-its constant term is det(I) = 1.
+basis over Q is solved.  The Reynolds average, of the int kind over O
+or K only, and the invariance test run on the closure's integer forms
+A / D in ints, act(A / D, X^e) being D^-|e| act(A, X^e), with one store
+of monomial images per element; over k the test reads the residue rows
+mod p.  The Molien series reads det(I - z g), a class function, once
+per conjugacy class off Berkowitz's characteristic polynomial
+(`linalg.char_poly`) in integers, on the integer forms for the int kind
+and on the residue rows mod p for the ratfunc kind, and inverts it by
+one division-free recurrence, since its constant term is det(I) = 1.
 Whether a matrix of polynomials over k (a Jacobian) has a nonzero
 determinant is first asked at a few fixed points, where it is a scalar.
 """
@@ -436,15 +435,22 @@ def act(g: ExactMatrix, f: MultiPoly) -> MultiPoly:
 
 def _on_integer_forms(group: MatrixGroup, polys: tuple) -> bool:
     """Check that the group can act on the polynomials together, and say
-    whether it acts through its integer forms: on the int kind's
-    polynomials over O or K."""
+    whether it acts through its integer forms, on the int kind's
+    polynomials over O or K, or else through its residue rows, on
+    polynomials over k; a ratfunc group acts on polynomials over O or K
+    by `act` alone."""
     for f in polys:
         if f.ring != polys[0].ring:
             raise ValueError("polynomials from different rings are acted on apart")
         if (f.descriptor, f.n) != (group.descriptor, group.n):
             raise ValueError(f"a polynomial over {f.descriptor} in {f.n} variables "
                              f"for a group over {group.descriptor} of degree {group.n}")
-    return group.descriptor.kind == KIND_INT and polys[0].ring != RING_RESIDUE
+    if polys[0].ring == RING_RESIDUE:
+        return False
+    if group.descriptor.kind != KIND_INT:
+        raise ValueError("a ratfunc group acts on polynomials over O or K by act, "
+                         "not through integer forms")
+    return True
 
 
 def _integer_numerators(f: MultiPoly) -> tuple:
@@ -472,59 +478,40 @@ def _integer_image(acc: dict, form: IntMatrix, images: dict, forms: list, numera
     return _add_image(acc, images, forms, ((e, a * scales[sum(e)]) for e, a in terms))
 
 
-def _add_row_images(group: MatrixGroup, polys: tuple, indices, sums: list) -> list:
-    """sums[k] plus the images of polys[k] under the elements with these
-    indices, in place, one store of monomial images per element: over k
-    on its residue rows mod p, for a ratfunc group over O or K on its
-    O-matrix."""
-    ring, unit = polys[0].ring, (0,) * group.n
-    if ring == RING_RESIDUE:
-        p, rows_of = group.descriptor.p, group.residue_rows().__getitem__
-    else:
-        p, rows_of = None, lambda i: group.element(i).entries
-    one = ring_one(ring, group.descriptor)
-    for i in indices:
-        images, forms = {unit: {unit: one}}, _linear_forms(rows_of(i))
-        for acc, f in zip(sums, polys):
-            _add_image(acc, images, forms, f.terms.items(), p)
-    return sums
-
-
 def reynolds(group: MatrixGroup, polys) -> tuple:
-    """The averages of the polynomials over the group, (1/|G|) sum_g g.f,
-    each the projection of f onto the invariant ring, in one pass over the
-    elements: each element's monomial images are built once, in a store
-    shared by all the polynomials, and dropped before the next element.
+    """The averages of the int kind's polynomials over O or K over the
+    group, (1/|G|) sum_g g.f, each the projection of f onto the invariant
+    ring, in one pass over the elements: each element's monomial images
+    are built once, in a store shared by all the polynomials, and dropped
+    before the next element.
 
-    The int kind's polynomials over O or K are averaged on the closure's
-    integer forms A / D, in ints.  With m = lcm of the elements' D, f =
-    (1/L) sum_e a_e X^e and top its largest degree,
+    They are averaged on the closure's integer forms A / D, in ints.  With
+    m = lcm of the elements' D, f = (1/L) sum_e a_e X^e and top its
+    largest degree,
     sum_g g.f = (1/(L m^top)) sum_g (m / D)^top * D^(top - |e|) a_e act(A, X^e)
     (see `_integer_image`), so the sum is taken in ints over the one
     denominator L m^top |G| and divided once per coefficient at the end:
     the same element of O[X] as averaging with `act` on `Fraction`
-    matrices.  Otherwise the elements' rows are read by `_add_row_images`.
+    matrices.  Polynomials over k, and a ratfunc group, are refused with
+    `ValueError`: `certify` averages only the int kind's lifts.
     """
     polys = tuple(polys)
-    inv_order = invert_mod_group_order(group.order, group.descriptor)
+    invert_mod_group_order(group.order, group.descriptor)
     if not polys:
         return ()
-    if _on_integer_forms(group, polys):
-        unit, elements = (0,) * group.n, group.elements
-        m = lcm(*(form.den for form in elements))
-        numerators = [_integer_numerators(f) for f in polys]
-        sums: list = [{} for _ in polys]
-        for form in elements:
-            images, forms = {unit: {unit: 1}}, _linear_forms(form.rows)
-            for acc, num in zip(sums, numerators):
-                _integer_image(acc, form, images, forms, num, (m // form.den) ** num[2])
-        return tuple(
-            f._like({y: Fraction(s, den * m ** top * group.order) for y, s in acc.items()})
-            for f, acc, (den, _, top) in zip(polys, sums, numerators))
-    if polys[0].ring == RING_RESIDUE:
-        inv_order = group.descriptor.reduce(inv_order)
-    sums = _add_row_images(group, polys, range(group.order), [{} for _ in polys])
-    return tuple(f._like(acc).scale(inv_order) for f, acc in zip(polys, sums))
+    if not _on_integer_forms(group, polys):
+        raise ValueError("the Reynolds average is taken over O or K, not over k")
+    unit, elements = (0,) * group.n, group.elements
+    m = lcm(*(form.den for form in elements))
+    numerators = [_integer_numerators(f) for f in polys]
+    sums: list = [{} for _ in polys]
+    for form in elements:
+        images, forms = {unit: {unit: 1}}, _linear_forms(form.rows)
+        for acc, num in zip(sums, numerators):
+            _integer_image(acc, form, images, forms, num, (m // form.den) ** num[2])
+    return tuple(
+        f._like({y: Fraction(s, den * m ** top * group.order) for y, s in acc.items()})
+        for f, acc, (den, _, top) in zip(polys, sums, numerators))
 
 
 def fixed_by_generators(group: MatrixGroup, polys) -> tuple:
@@ -533,20 +520,22 @@ def fixed_by_generators(group: MatrixGroup, polys) -> tuple:
     The int kind's polynomials over O or K are tested on the generators'
     integer forms A / D: act(A / D, f) = f exactly when
     D^top L act(A / D, f), in ints (`_integer_image`), equals D^top times
-    f's numerators.  Otherwise each generator acts by its rows, in the loop
-    of `reynolds` (`_add_row_images`).  One store of monomial images per
-    generator serves every polynomial.
+    f's numerators.  Polynomials over k are tested on the generators'
+    residue rows mod p.  One store of monomial images per generator
+    serves every polynomial.  A ratfunc group's polynomials over O or K
+    are refused with `ValueError`.
     """
     polys = tuple(polys)
     if not polys:
         return ()
-    fixed = [True] * len(polys)
+    fixed, unit = [True] * len(polys), (0,) * group.n
     if not _on_integer_forms(group, polys):
+        p, residues = group.descriptor.p, group.residue_rows()
         for i in group.generator_indices:
-            images = _add_row_images(group, polys, (i,), [{} for _ in polys])
-            fixed = [ok and f._like(acc) == f for ok, f, acc in zip(fixed, polys, images)]
+            images, forms = {unit: {unit: 1}}, _linear_forms(residues[i])
+            fixed = [ok and f._like(_add_image({}, images, forms, f.terms.items(), p)) == f
+                     for ok, f in zip(fixed, polys)]
         return tuple(fixed)
-    unit = (0,) * group.n
     numerators = [_integer_numerators(f) for f in polys]
     for i in group.generator_indices:
         form = group.element(i)

@@ -17,8 +17,11 @@ determinant of w_1, ..., w_{n-1}, e_r: +/- the minor of the fixed vectors
 on the removed indices, which is triangular with unit pivots, since each
 w vanishes on the indices removed before it.
 
-One routine builds and checks the basis on sigma's form A / D: ints for
-the int kind, D = 1 and the O-entries for the ratfunc kind.  Each w is
+The eigenvalue lambda and its order are not sought here: they are
+sigma's (lambda, order) as `groups.classify_reflections` read them, once
+per conjugacy class, and a conjugate of sigma has the same.  One routine
+builds and checks the basis on sigma's form A / D: ints for the int
+kind, D = 1 and the O-entries for the ratfunc kind.  Each w is
 checked as W = s w, s the lcm of its denominators (1 for the ratfunc
 kind): (A - D I) W = 0, or b A W = a D W for lambda = a / b, and the W
 have a determinant of the valuation of the product of the s.  So the int
@@ -30,8 +33,8 @@ from dataclasses import dataclass
 from math import lcm
 
 from .errors import InternalCheckError
-from .linalg import RING_O, IntMatrix, _nonzero_pairs, _sparse_dot, det_of_rows, shifted_rows
-from .groups import MatrixGroup, eigenvalue_order, reflection_eigenvalue
+from .linalg import IntMatrix, _nonzero_pairs, _sparse_dot, det_of_rows, shifted_rows
+from .groups import MatrixGroup
 from .scalars import KIND_INT, DvrDescriptor, invert_mod_group_order
 
 
@@ -69,26 +72,19 @@ class DiagonalizingBasis:
         }
 
 
-def diagonalizing_basis(sigma, group: MatrixGroup, data=None) -> DiagonalizingBasis:
+def diagonalizing_basis(sigma, group: MatrixGroup, data) -> DiagonalizingBasis:
     """Eigenbasis of O^n for the pseudo-reflection sigma, an O-matrix or an
-    int-kind `IntMatrix` form, with `data` its (lambda, order) if known.
+    int-kind `IntMatrix` form, with `data` its (lambda, order), as
+    `classify_reflections` reads them off sigma's conjugacy class.
 
     The group supplies the gate, which makes lambda - 1 a unit when the
     order of lambda divides |G|; sigma need not be an element (conjugates
-    are fine).  Without `data` the order is sought in |G| powers of
-    lambda, and a sigma whose order does not divide |G| is refused.
+    are fine, and have the same data).
     """
     desc = getattr(sigma, "descriptor", group.descriptor)
     invert_mod_group_order(group.order, group.descriptor)
     if desc.kind == KIND_INT and not isinstance(sigma, IntMatrix):
         sigma = IntMatrix.from_matrix(sigma)
-    if data is None:
-        lam = reflection_eigenvalue(sigma)
-        if lam is None:
-            raise ValueError("matrix is not a pseudo-reflection")
-        data = lam, eigenvalue_order(lam, RING_O, desc, cap=group.order)
-        if data[1] is None or group.order % data[1]:
-            raise ValueError(f"eigenvalue {lam} has no order dividing |G| = {group.order}")
     form = (sigma.den, sigma.rows) if desc.kind == KIND_INT else (desc.one(), sigma.entries)
     basis = _diagonalize(*form, data[0], desc)
     _verify(*form, basis, data[0], desc)

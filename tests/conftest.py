@@ -8,11 +8,11 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from dvrcert.cli import parse_jobspec
-from dvrcert.linalg import RING_O, ExactMatrix, inverse
+from dvrcert.linalg import RING_O, ExactMatrix
 from dvrcert.groups import generate_group
 from dvrcert.scalars import DvrDescriptor
 
-from oracles import generators_of
+from oracles import generators_of, inverse_dense
 
 
 @pytest.fixture(scope="session")
@@ -77,7 +77,7 @@ def b2_f5t_twisted(f5t):
     """B_2 = <swap, diag(1, -1)> over F_5(t), conjugated by [[1, t], [t, 1 + t^2]]."""
     t, one = f5t.uniformizer(), f5t.one()
     basis = ExactMatrix(RING_O, f5t, [[one, t], [t, one + t * t]])
-    basis_inv = inverse(basis)
+    basis_inv = inverse_dense(basis)
     return generate_group(
         [basis * ExactMatrix.from_ints(RING_O, f5t, g) * basis_inv
          for g in ([[0, 1], [1, 0]], [[1, 0], [0, -1]])],
@@ -127,6 +127,34 @@ def wa4_z5():
     return generate_group(weyl_a4_generators(5))
 
 
+F4_SIMPLE_ROOTS = [(0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1),
+                   (Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2))]
+
+
+def weyl_f4_generators(p: int) -> list:
+    """The simple reflections of W(F_4) over Z_(p): s_a = I - 2 a a^T / (a . a)
+    for the simple roots e2 - e3, e3 - e4, e4 and (e1 - e2 - e3 - e4) / 2.
+    The last has entries +-1/2, so some elements' integer forms A / D have
+    D = 2."""
+    descriptor = DvrDescriptor("int-localized", p)
+    return [ExactMatrix(RING_O, descriptor, [
+        [int(r == c) - 2 * Fraction(a[r]) * a[c] / sum(x * x for x in a) for c in range(4)]
+        for r in range(4)]) for a in F4_SIMPLE_ROOTS]
+
+
+@pytest.fixture(scope="session")
+def wf4_z5():
+    """W(F_4) over Z_(5): order 1152 = 2^7 3^2, a unit, with 24 reflections
+    and fundamental degrees 2, 6, 8, 12."""
+    return generate_group(weyl_f4_generators(5))
+
+
+@pytest.fixture(scope="session")
+def wf4_z3():
+    """W(F_4) over Z_(3): 3 divides its order 1152, so the hypothesis fails."""
+    return generate_group(weyl_f4_generators(3))
+
+
 @pytest.fixture(scope="session")
 def s2_z2():
     d2 = DvrDescriptor("int-localized", 2)
@@ -166,7 +194,7 @@ def over_1_plus_t(group):
     stretch[0][0] = descriptor.one() + descriptor.uniformizer()
     stretch = ExactMatrix(RING_O, descriptor, stretch)
     return generate_group(
-        [stretch * g * inverse(stretch) for g in generators_of(group)], descriptor=descriptor
+        [stretch * g * inverse_dense(stretch) for g in generators_of(group)], descriptor=descriptor
     )
 
 
@@ -207,7 +235,7 @@ def conjugated_over_t(group, rng: random.Random):
     """The ratfunc group U^-1 G U for a random `unimodular_over_t` U: the same
     invariant theory, with entries that are not constants."""
     u = unimodular_over_t(group.descriptor, group.n, rng)
-    u_inv = inverse(u)
+    u_inv = inverse_dense(u)
     return generate_group([u_inv * g * u for g in generators_of(group)],
                           descriptor=group.descriptor)
 

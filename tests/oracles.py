@@ -23,10 +23,11 @@ each element's `Fraction` denominator, against the division-free integer
 Molien sum over the conjugacy classes, Berkowitz on the `RatFunc` entries
 of each element over F_p(t) against its residue rows mod p, a closure
 that forms every product as a matrix against the one on the orbit of the
-rows, the classes {h x h^-1} by `inverse` against the orbits read off the
-table, each element of that closure reduced entrywise against the points
-of the orbit reduced once, and the diagonalizing basis built and checked
-on `Fraction` or `RatFunc` matrices against the one checked in integers.
+rows, the classes {h x h^-1} by `inverse_dense` against the orbits read
+off the table, each element of that closure reduced entrywise against
+the points of the orbit reduced once, and the diagonalizing basis built
+and checked on `Fraction` or `RatFunc` matrices against the one checked
+in integers.
 """
 from __future__ import annotations
 
@@ -43,7 +44,6 @@ from dvrcert.linalg import (
     ExactMatrix,
     char_poly,
     det,
-    inverse,
     kernel_over_field,
     ring_one,
     ring_zero,
@@ -159,7 +159,9 @@ class DenseRowEchelon:
 
 
 def inverse_dense(m: ExactMatrix) -> ExactMatrix:
-    """Inverse over a field, by the dense echelon of [m | I]; None if singular."""
+    """Inverse by the dense echelon of [m | I], over K or k, or over O on
+    the values of K, where the public constructor refuses an entry outside
+    O; None if singular."""
     n = m.rows
     zero, one = ring_zero(m.ring, m.descriptor), ring_one(m.ring, m.descriptor)
     pivot_rows = DenseRowEchelon(
@@ -170,6 +172,11 @@ def inverse_dense(m: ExactMatrix) -> ExactMatrix:
     if any(c >= n for c in pivot_rows):
         return None
     return ExactMatrix(m.ring, m.descriptor, [pivot_rows[c][n:] for c in range(n)])
+
+
+def to_fraction_field(m: ExactMatrix) -> ExactMatrix:
+    """The O-matrix m retagged as a matrix over K, its entries unchanged."""
+    return ExactMatrix(RING_K, m.descriptor, m.entries)
 
 
 def square_matrix(rows, g: ExactMatrix) -> ExactMatrix:
@@ -287,10 +294,10 @@ def change_of_basis_of(vectors, descriptor) -> ExactMatrix:
 
 def conjugacy_classes_bruteforce(group) -> set:
     """The classes {h x h^-1 : h in G} as frozensets of element indices,
-    with h^-1 from `inverse` and each product an `ExactMatrix`."""
+    with h^-1 from `inverse_dense` and each product an `ExactMatrix`."""
     elements = element_matrices(group, RING_O)
     index = {m: i for i, m in enumerate(elements)}
-    return {frozenset(index[h * x * inverse(h)] for h in elements) for x in elements}
+    return {frozenset(index[h * x * inverse_dense(h)] for h in elements) for x in elements}
 
 
 def generators_of(group) -> list:
@@ -415,7 +422,7 @@ def act_bruteforce(g: ExactMatrix, f: MultiPoly) -> MultiPoly:
     """X_j -> sum_i g[i][j] X_i: each term of f becomes its coefficient times
     a product of powers of the variables' images."""
     if g.ring == RING_O and f.ring == RING_K:
-        g = g.to_field()
+        g = to_fraction_field(g)
     assert g.ring == f.ring and g.rows == g.cols == f.n
     images = [
         MultiPoly(
@@ -464,11 +471,11 @@ def action_matrix_bruteforce(g: ExactMatrix, n: int, d: int) -> ExactMatrix:
 
 def _field_matrices(group, ring):
     """The elements over K or k, converted by the oracles' own route: the
-    O-matrices retagged by `to_field`, as `kernel_over_field` takes them,
-    or reduced entrywise."""
+    O-matrices retagged by `to_fraction_field`, as `kernel_over_field`
+    takes them, or reduced entrywise."""
     if ring == RING_RESIDUE:
         return [reduce_entrywise(m) for m in element_matrices(group, RING_O)]
-    return [m.to_field() for m in element_matrices(group, RING_O)]
+    return [to_fraction_field(m) for m in element_matrices(group, RING_O)]
 
 
 def invariant_dimension_bruteforce(group, degree: int, ring: str) -> int:
@@ -735,7 +742,7 @@ def diagonalizing_basis_recursive(sigma: ExactMatrix, lam) -> list:
         ExactMatrix(RING_K, desc, shifted_rows(sigma.entries, desc.one())))
     w1 = primitive_vector(fixed.vectors[0], desc)
     t = _unimodular_completion(w1, desc)
-    conj = inverse(t) * sigma * t
+    conj = inverse_dense(t) * sigma * t
     block = ExactMatrix(
         RING_O, desc, [[conj.entry(i, j) for j in range(1, n)] for i in range(1, n)]
     )

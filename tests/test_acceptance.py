@@ -12,7 +12,7 @@ from dvrcert.groups import (
     reduction_map,
     verify_reduced_reflection_generation,
 )
-from dvrcert.linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix, det, inverse
+from dvrcert.linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix, det
 from dvrcert.polys import hilbert_product_truncation
 from dvrcert.refbasis import diagonalizing_basis
 
@@ -23,6 +23,7 @@ from oracles import (
     element_matrix,
     h1_bruteforce,
     invariant_dimension_bruteforce,
+    inverse_dense,
     matrix_order,
 )
 
@@ -111,8 +112,9 @@ def test_criterion_4_diagonalizing_basis_fuzz(s3_z5, b2_z3, c4_f5t):
             sigma = element_matrix(group, idx)
             for _ in range(100):
                 t = random_unimodular(group.descriptor, group.n, rng)
-                moved = t * sigma * inverse(t)
-                basis = diagonalizing_basis(moved, group)
+                moved = t * sigma * inverse_dense(t)
+                # conjugation keeps sigma's (lambda, order)
+                basis = diagonalizing_basis(moved, group, (lam, order))
                 n = group.n
                 for i, w in enumerate(basis.basis):
                     image = apply_dense(moved, w)

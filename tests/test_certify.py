@@ -32,7 +32,7 @@ from dvrcert.groups import (
     conjugacy_classes,
     generate_group,
 )
-from dvrcert.linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix, det_of_rows, inverse
+from dvrcert.linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix, det_of_rows
 from dvrcert.polys import (
     MultiPoly,
     _evaluation_points,
@@ -65,7 +65,9 @@ from oracles import (
     generators_of,
     h1_bruteforce,
     invariant_dimension_bruteforce,
+    inverse_dense,
     poly_matrix_det,
+    to_fraction_field,
 )
 
 
@@ -152,6 +154,35 @@ def test_weyl_a4_on_its_root_lattice_is_certified_over_z7(wa4_z7, wa4_z5):
     assert wa4_z5.order == 120
 
 
+def test_weyl_f4_passes_its_checks_over_z5(wf4_z5, wf4_z3):
+    # W(F_4), whose generator (e1 - e2 - e3 - e4) / 2 gives its forms A / D
+    # the denominator 2.  From theory: order 1152 = 2 * 6 * 8 * 12, 24
+    # reflections (the sum of d - 1 over its degrees 2, 6, 8, 12), each of
+    # eigenvalue -1, and the Molien series prod 1 / (1 - z^d); 5 does not
+    # divide 1152, so the checks run and every diagonalizing basis is
+    # verified over Z_(5); 3 does, so over Z_(3) the hypothesis is refuted.
+    # The full certificate is left out: its Reynolds lifts average over all
+    # 1152 elements up to degree 12, far slower than these checks
+    degrees, bound = (2, 6, 8, 12), 12
+    checks = ("reflections", "eta", "basis", "molien")
+    cert = certify(wf4_z5, bound, checks)
+    assert cert.verdict == "complete", cert.notes
+    assert wf4_z5.order == 1152 == math.prod(degrees)
+    report = cert.reflection_report
+    assert report.count == 24 == sum(d - 1 for d in degrees)
+    assert {(lam, order) for _, lam, order in report.reflections} == {(-1, 2)}
+    assert report.generated_by_reflections and cert.reduced_reflection_generated
+    assert cert.eta_injective
+    assert len(cert.bases) == 24 and cert.bases_ok
+    assert {basis.eigenvalue for _, basis, _ in cert.bases} == {-1}
+    assert cert.molien.coefficients == hilbert_product_truncation(degrees, bound) \
+        == (1, 0, 1, 0, 1, 0, 2, 0, 3, 0, 3, 0, 5)
+    assert {f.den for f in wf4_z5.elements} == {1, 2}
+    refuted = certify(wf4_z3, bound, checks)
+    assert (refuted.verdict, refuted.hypothesis_ok) == ("refuted-hypothesis", False)
+    assert wf4_z3.order == 1152
+
+
 def test_the_paths_over_q_are_refused(s2_z3, c4_f5t, z5, f5t):
     # an int-kind group's dimensions over K are its Molien coefficients, and
     # a polynomial determinant is taken over k alone; a ratfunc group still
@@ -223,7 +254,7 @@ def test_degree_multiset_survives_variable_relabeling(s3_z5):
     # permutes the monomial order used for pivoting
     perm = ExactMatrix.from_ints(RING_O, s3_z5.descriptor, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
     moved = generate_group(
-        [perm * g * inverse(perm) for g in generators_of(s3_z5)],
+        [perm * g * inverse_dense(perm) for g in generators_of(s3_z5)],
         descriptor=s3_z5.descriptor,
     )
     inv = fundamental_invariants(moved, RING_K, 6)
@@ -706,6 +737,35 @@ def test_certify_s3(s3_z5):
     assert cert.h1_ok and cert.graded_ok and cert.lift_verified
 
 
+def test_groups_given_by_a_non_reflection_are_certified_through_the_word_walk(
+        s3_z5, z5):
+    # S_3 = <(0 1), (0 1 2)> and W(B_2) = <rotation of order 4, diag(1, -1)>
+    # over Z_(5): a closure generator is no reflection, so whether the
+    # reflections generate G is decided by carrying elements down their
+    # words in the breadth-first tree (`_generated_by`), past its early
+    # return; the tables are those of the reflection presentations
+    def group(*rows):
+        return generate_group([ExactMatrix.from_ints(RING_O, z5, g) for g in rows])
+
+    b2 = group([[0, 1], [1, 0]], [[1, 0], [0, -1]])
+    cases = (
+        (group([[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
+         s3_z5, (1, 2, 3)),
+        (group([[0, -1], [1, 0]], [[1, 0], [0, -1]]), b2, (2, 4)),
+    )
+    for given, reflection_presented, degrees in cases:
+        report = classify_reflections(given)
+        assert not set(given.generator_indices) <= {i for i, _, _ in report.reflections}
+        cert, expected = certify(given, given.order), certify(reflection_presented, given.order)
+        assert cert.verdict == expected.verdict == "certified"
+        assert cert.reflection_report.generated_by_reflections
+        assert cert.reduced_reflection_generated
+        assert cert.fundamental_K.degrees == cert.fundamental_k.degrees == degrees
+        assert cert.molien.coefficients == expected.molien.coefficients
+        assert cert.graded_table == expected.graded_table
+        assert cert.h1_table == expected.h1_table
+
+
 def test_certify_non_reflection_group_is_inconclusive(neg_identity_z23):
     cert = certify(neg_identity_z23, 4)
     assert cert.verdict == "inconclusive"
@@ -865,7 +925,7 @@ def test_the_K_column_of_a_conjugated_job_matches_elimination_over_F_p_t():
     # generators over F_p(t)
     for _, conjugate in _conjugated_ratfunc_pairs():
         descriptor, n = conjugate.descriptor, conjugate.n
-        gens = [g.to_field() for g in generators_of(conjugate)]
+        gens = [to_fraction_field(g) for g in generators_of(conjugate)]
         for d, dim_K, dim_k, _ in graded_isomorphism_check(conjugate, 6):
             stacked = DenseRowEchelon()
             for g in gens:

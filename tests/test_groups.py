@@ -18,10 +18,9 @@ from dvrcert.groups import (
     conjugacy_classes,
     eigenvalue_order,
     generate_group,
-    is_pseudo_reflection,
     reduced_reflection_indices,
     reduction_map,
-    reflection_data,
+    reflection_eigenvalue,
     verify_reduced_reflection_generation,
 )
 from dvrcert.refbasis import diagonalizing_basis
@@ -32,7 +31,6 @@ from dvrcert.linalg import (
     ExactMatrix,
     char_poly,
     det,
-    inverse,
 )
 from dvrcert.polys import molien_series
 from dvrcert.scalars import DvrDescriptor
@@ -56,6 +54,7 @@ from oracles import (
     element_order,
     generators_of,
     h1_bruteforce,
+    inverse_dense,
     matrix_of_form,
     matrix_order,
     molien_series_ratfunc,
@@ -110,7 +109,7 @@ def test_group_contains_inverses_and_identity(s3_z5):
     elements = element_matrices(s3_z5, RING_O)
     assert elements[0] == ExactMatrix.identity(RING_O, s3_z5.descriptor, 3)
     for m in elements:
-        assert inverse(m) in elements
+        assert inverse_dense(m) in elements
 
 
 def test_closure_is_deterministic(z5):
@@ -129,24 +128,27 @@ def test_lagrange_on_test_groups(s2_z3, s3_z5, b2_z3, c4_f5t):
 
 def test_is_pseudo_reflection_examples(z3):
     swap = ExactMatrix.from_ints(RING_O, z3, [[0, 1], [1, 0]])
-    assert is_pseudo_reflection(swap)
-    lam, order = reflection_data(swap)
+    lam = reflection_eigenvalue(swap)
     assert lam == z3.from_int(-1)
-    assert order == 2
-    assert not is_pseudo_reflection(ExactMatrix.identity(RING_O, z3, 2))
-    assert not is_pseudo_reflection(ExactMatrix.from_ints(RING_O, z3, [[-1, 0], [0, -1]]))
+    assert eigenvalue_order(lam, z3) == 2
+    assert reflection_eigenvalue(ExactMatrix.identity(RING_O, z3, 2)) is None
+    assert reflection_eigenvalue(ExactMatrix.from_ints(RING_O, z3, [[-1, 0], [0, -1]])) is None
+    # over k a matrix's rank is read mod p, which this test over K cannot do
+    with pytest.raises(ValueError, match="not over k"):
+        reflection_eigenvalue(reduce_entrywise(swap))
 
 
 def test_reflection_eigenvalue_is_the_determinant(s3_z5, f5t):
     # S_3 over Z_(5) and G(4,1,2) over F_5(t), both conjugated off the
-    # integers: reflections of order 2 and 4, over O and over k
+    # integers: reflections of order 2 and 4 over O, and over k the
+    # elements whose reductions are reflections by the oracle's minors
     rng = random.Random(17)
     t = random_unimodular(s3_z5.descriptor, 3, rng)
-    s3_moved = generate_group([t * g * inverse(t) for g in generators_of(s3_z5)])
+    s3_moved = generate_group([t * g * inverse_dense(t) for g in generators_of(s3_z5)])
     x, one = f5t.uniformizer(), f5t.one()
     twist = ExactMatrix(RING_O, f5t, [[one, x], [x, one + x * x]])
     g412_moved = generate_group([
-        twist * ExactMatrix.from_ints(RING_O, f5t, g) * inverse(twist)
+        twist * ExactMatrix.from_ints(RING_O, f5t, g) * inverse_dense(twist)
         for g in ([[0, 1], [1, 0]], [[1, 0], [0, 2]])
     ])
     orders = set()
@@ -156,13 +158,9 @@ def test_reflection_eigenvalue_is_the_determinant(s3_z5, f5t):
         for idx, lam, order in report.reflections:
             assert lam == det(element_matrix(group, idx))
             orders.add(order)
-        found_over_k = 0
-        for m in element_matrices(group, RING_RESIDUE):
-            data = reflection_data(m)
-            if data is not None:
-                assert data[0] == det(m)
-                found_over_k += 1
-        assert found_over_k == len(reduced_reflection_indices(group)) > 0
+        over_k = [i for i, m in enumerate(element_matrices(group, RING_RESIDUE))
+                  if reflection_eigenvalue_bruteforce(m) is not None]
+        assert over_k == reduced_reflection_indices(group) != []
     assert orders == {2, 4}
 
 
@@ -243,7 +241,7 @@ def test_injectivity_survives_conjugation(s3_z5, b2_z3, c4_f5t, seed):
     rng = random.Random(seed)
     for group in (s3_z5, b2_z3, c4_f5t):
         t = random_unimodular(group.descriptor, group.n, rng)
-        t_inv = inverse(t)
+        t_inv = inverse_dense(t)
         conjugated = generate_group([t * g * t_inv for g in generators_of(group)],
                                     descriptor=group.descriptor)
         assert conjugated.order == group.order
@@ -268,7 +266,7 @@ def test_reflection_classification_is_conjugation_invariant(
     compared = []
     for group in (s3_z5, b2_z3, s3_rotation, b2_rotation, reflection_and_sign_z5):
         t = random_unimodular(group.descriptor, group.n, rng)
-        t_inv = inverse(t)
+        t_inv = inverse_dense(t)
         conjugated = generate_group([t * g * t_inv for g in generators_of(group)],
                                     descriptor=group.descriptor)
         original = classify_reflections(group)
@@ -461,7 +459,7 @@ def _conjugated_by_a_denominator(group, rng):
                                   [[2 if i == j == 0 else int(i == j) for j in range(n)]
                                    for i in range(n)])
     t = halve * random_unimodular(descriptor, n, rng)
-    t_inv = inverse(t)
+    t_inv = inverse_dense(t)
     return generate_group([t * g * t_inv for g in generators_of(group)], descriptor=descriptor)
 
 
@@ -599,21 +597,23 @@ def test_reflection_orders_match_the_matrix_power_oracle(
 ):
     groups = [s2_z3, s3_z5, b2_z3, c4_f5t, b2_f5t_twisted, neg_identity_z23,
               reflection_and_sign_z5, s2_z2] + _batch_groups(41)
+    # over k, where eta is injective, a reflection image has the order of
+    # its element over O
     over_o = over_k = bases = 0
     for group in groups:
         invertible = group.order % group.descriptor.p != 0
-        for idx, _, order in classify_reflections(group).reflections:
+        for idx, lam, order in classify_reflections(group).reflections:
             assert order == element_order(group, idx)
             over_o += 1
             if invertible:
-                assert diagonalizing_basis(element_matrix(group, idx), group).order == order
+                diagonalizing_basis(element_matrix(group, idx), group, (lam, order))
                 bases += 1
-        for m in element_matrices(group, RING_RESIDUE):
-            data = reflection_data(m)
-            if data is not None:
-                assert data[1] == matrix_order(m, cap=group.order)
-                over_k += 1
-    assert min(over_o, over_k, bases) >= 80  # 85, 85 and 80 on seed 41
+        if invertible:
+            for i, m in enumerate(element_matrices(group, RING_RESIDUE)):
+                if reflection_eigenvalue_bruteforce(m) is not None:
+                    assert matrix_order(m, cap=group.order) == element_order(group, i)
+                    over_k += 1
+    assert min(over_o, over_k, bases) >= 80
 
     # transvections over F_5(t): eigenvalue 1, order p
     shear_f5t = generate_group([ExactMatrix.from_ints(RING_O, f5t, [[1, 1], [0, 1]])])
@@ -622,16 +622,14 @@ def test_reflection_orders_match_the_matrix_power_oracle(
     assert all((lam, order) == (f5t.one(), 5) for _, lam, order in report.reflections)
     for i in range(1, 5):
         assert element_order(shear_f5t, i) == 5
-        assert reflection_data(element_matrix(shear_f5t, i, RING_RESIDUE)) == (1, 5)
-    # a value of k is an int in [0, p), its powers taken mod p
-    assert eigenvalue_order(1, RING_RESIDUE, f5t) == 5
-    assert eigenvalue_order(2, RING_RESIDUE, f5t) == 4
-    assert eigenvalue_order(4, RING_RESIDUE, f5t) == 2
 
 
 def test_no_finite_order_is_refused_without_matrix_powers(z5, monkeypatch):
     # over Z_(5) a shear has eigenvalue 1 and diag(2, 1) eigenvalue 2:
-    # neither is a root of unity of Q, so neither has a finite order
+    # neither is a root of unity of Q, so neither generates a finite group,
+    # and the closure refuses both on the points of its row orbit, with no
+    # matrix product; the order of an eigenvalue is taken only in a finite
+    # group, where -1 has order 2
     products = []
     multiply = ExactMatrix.__mul__
 
@@ -642,25 +640,24 @@ def test_no_finite_order_is_refused_without_matrix_powers(z5, monkeypatch):
     monkeypatch.setattr(ExactMatrix, "__mul__", counted)
     for rows in ([[1, 1], [0, 1]], [[2, 0], [0, 1]]):
         m = ExactMatrix.from_ints(RING_O, z5, rows)
-        assert reflection_data(m) is None and not is_pseudo_reflection(m)
-        assert is_pseudo_reflection(m.to_field()) is False
+        assert reflection_eigenvalue(m) == z5.from_int(rows[0][0])
+        with pytest.raises(ClosureCapExceededError):
+            generate_group([m], cap=50)
     assert products == []
-    assert eigenvalue_order(z5.from_int(-1), RING_K, z5) == 2
-    assert eigenvalue_order(2, RING_RESIDUE, z5) == 4
-    assert eigenvalue_order(1, RING_RESIDUE, z5) == 5
+    assert eigenvalue_order(z5.from_int(-1), z5) == 2
 
 
 def test_a_non_constant_eigenvalue_has_no_finite_order():
-    # diag(1 + t, 1) over F_p(t): 1 + t is no root of unity, so its powers
-    # are not taken, even for a prime far past any walk through F_p^*
+    # diag(1 + t, 1) over F_p(t): 1 + t is no root of unity, so the group
+    # is infinite and the closure refuses it at its cap, with no walk
+    # through F_p^*, even for a prime far past any such walk
     descriptor = DvrDescriptor("ratfunc-localized", 2**61 - 1)
     one, zero, t = descriptor.one(), descriptor.zero(), descriptor.uniformizer()
     m = ExactMatrix(RING_O, descriptor, [[one + t, zero], [zero, one]])
     started = time.perf_counter()
-    assert reflection_data(m) is None and not is_pseudo_reflection(m)
-    assert reflection_data(m.to_field()) is None
-    # a numerator of degree 0 over a denominator of positive degree
-    assert eigenvalue_order(one / (one + t), RING_K, descriptor) is None
+    assert reflection_eigenvalue(m) == one + t
+    with pytest.raises(ClosureCapExceededError):
+        generate_group([m], cap=50)
     assert time.perf_counter() - started < 1
 
 
@@ -739,7 +736,7 @@ def _closure_cases(fixtures, rng) -> list:
             t = halve * random_unimodular(descriptor, n, rng)
         else:
             t = unimodular_over_t(descriptor, n, rng)
-        t_inv = inverse(t)
+        t_inv = inverse_dense(t)
         cases.append(([t * g * t_inv for g in gens], descriptor, n))
     swap = ExactMatrix.from_ints(RING_O, fixtures[0].descriptor, [[0, 1], [1, 0]])
     cases.append(([ExactMatrix.identity(RING_O, swap.descriptor, 2), swap, swap],

@@ -14,7 +14,7 @@ from dvrcert.linalg import (
     char_poly,
     det,
     has_rank_one,
-    inverse,
+    inverse_mod_p,
     kernel_over_field,
     rank_over_field,
     reduce_form,
@@ -161,7 +161,7 @@ def test_sparse_echelon_matches_the_dense_oracle(kind, ring):
         r, c = rng.randint(1, 6), rng.randint(1, 6)
         # sparse and dense matrices alike have one zero row and one zero column
         m = _random_sparse_matrix(descriptor, ring, r, c, rng, 0.5 if trial % 2 else 0.0)
-        entries = [list(row) for row in m.to_field().entries]
+        entries = [list(row) for row in m.entries]
         if r > 2:  # a dependent row: the sum of two others
             entries[rng.randrange(r)] = [a + b for a, b in zip(entries[0], entries[1])]
         m = ExactMatrix(field, descriptor, entries)
@@ -178,17 +178,19 @@ def test_sparse_echelon_matches_the_dense_oracle(kind, ring):
         shuffled = sparse_rows(entries)
         rng.shuffle(shuffled)
         assert RowEchelon(shuffled, p).pivot_rows == sparse.pivot_rows
-        # inverses, of square matrices without a zero line
+        # inverses over k (`inverse_mod_p`), of square matrices without a
+        # zero line, drawn for every ring so that each sees one random stream
         n, zeros = rng.randint(1, 4), 0.5 if trial % 2 else 0.1
         sq = ExactMatrix(field, descriptor, [
             [_random_entry(descriptor, ring, rng, zeros) for _ in range(n)] for _ in range(n)
         ])
-        expected = inverse_dense(sq)
-        if expected is None:
-            with pytest.raises(NotInvertibleError):
-                inverse(sq)
-        else:
-            assert inverse(sq) == expected
+        if field == RING_RESIDUE:
+            expected = inverse_dense(sq)
+            if expected is None:
+                with pytest.raises(NotInvertibleError):
+                    inverse_mod_p(sq.entries, p)
+            else:
+                assert inverse_mod_p(sq.entries, p) == expected.entries
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 2 ** 61 - 1])
@@ -312,15 +314,20 @@ def test_det_handles_fractional_entries(z3):
 
 
 def test_inverse_examples(z3):
+    # the package inverts over F_p only (`inverse_mod_p`, for the
+    # conjugator's gbar^-1); the tests conjugate over O with the oracles'
+    # `inverse_dense`, which refuses an inverse with an entry outside O
+    assert inverse_mod_p(((0, 1), (1, 0)), 3) == ((0, 1), (1, 0))
+    assert inverse_mod_p(((2, 1), (0, 1)), 3) == ((2, 1), (0, 1))
+    with pytest.raises(NotInvertibleError):
+        inverse_mod_p(((1, 2), (2, 1)), 3)
     swap = _swap(z3)
-    assert inverse(swap) == swap
-    diag31 = ExactMatrix.from_ints(RING_O, z3, [[3, 0], [0, 1]])
-    with pytest.raises(NotInvertibleError):
-        inverse(diag31)
-    inv_k = inverse(ExactMatrix.from_ints(RING_K, z3, [[3, 0], [0, 1]]))
+    assert inverse_dense(swap) == swap
+    with pytest.raises(NotInRingError):
+        inverse_dense(ExactMatrix.from_ints(RING_O, z3, [[3, 0], [0, 1]]))
+    inv_k = inverse_dense(ExactMatrix.from_ints(RING_K, z3, [[3, 0], [0, 1]]))
     assert inv_k.entry(0, 0) == Fraction(1, 3)
-    with pytest.raises(NotInvertibleError):
-        inverse(ExactMatrix.from_ints(RING_K, z3, [[1, 2], [2, 4]]))
+    assert inverse_dense(ExactMatrix.from_ints(RING_K, z3, [[1, 2], [2, 4]])) is None
 
 
 @pytest.mark.parametrize("kind,p", [("int-localized", 3), ("ratfunc-localized", 5)])
@@ -337,8 +344,11 @@ def test_inverse_roundtrip_random(kind, p):
         if not descriptor.is_unit(d):
             continue
         produced += 1
-        assert inverse(m) * m == ident
-        assert m * inverse(m) == ident
+        assert inverse_dense(m) * m == ident
+        assert m * inverse_dense(m) == ident
+        residues = reduce_entrywise(m)
+        inv = ExactMatrix(RING_RESIDUE, descriptor, inverse_mod_p(residues.entries, p))
+        assert inv * residues == ExactMatrix.identity(RING_RESIDUE, descriptor, 3)
 
 
 def test_rank_and_kernel_examples(z3):

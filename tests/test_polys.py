@@ -7,7 +7,7 @@ import pytest
 from dvrcert.certify import certify
 from dvrcert.errors import HypothesisViolationError, InternalCheckError
 from dvrcert.groups import generate_group
-from dvrcert.linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix, RowEchelon, inverse
+from dvrcert.linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix, RowEchelon
 from dvrcert.polys import (
     MultiPoly,
     act,
@@ -40,11 +40,13 @@ from oracles import (
     field_p,
     generators_of,
     invariant_dimension_bruteforce,
+    inverse_dense,
     molien_coefficients_bruteforce,
     molien_series_field,
     reynolds_flat,
     series_inverse_field,
     square_matrix,
+    to_fraction_field,
 )
 
 
@@ -179,7 +181,9 @@ def test_the_integer_average_and_invariance_test_equal_the_flat_ones(
     # `reynolds` and `fixed_by_generators` run the int kind's polynomials
     # over O and K on the integer forms A / D, in ints; the oracle averages
     # and tests them with `Fraction` matrices.  B_2 conjugated by diag(2, 1)
-    # has forms with D = 2, so the scale D^-d is exercised
+    # has forms with D = 2, so the scale D^-d is exercised.  Over k, and
+    # for the ratfunc group, the oracle's averages are the invariants that
+    # `fixed_by_generators` must find fixed
     assert {form.den for form in b2_z5_halved.elements} == {1, 2}
     groups = [s2_z3, s3_z5, b2_z3, neg_identity_z23, reflection_and_sign_z5, b2_z5_halved]
     groups += int_batch_conjugates(random.Random(26))
@@ -189,17 +193,17 @@ def test_the_integer_average_and_invariance_test_equal_the_flat_ones(
         descriptor, n = group.descriptor, group.n
         one = descriptor.one()
         over_k = [_random_poly(descriptor, n, rng, ring=RING_RESIDUE) for _ in range(6)]
-        over = {
-            RING_K: [f.lift(RING_K) for f in over_k[:2]]
-            + [MultiPoly.monomial(RING_K, descriptor, e, one) for e in monomials(n, 2)]
-            + ([_random_poly(descriptor, n, rng) for _ in range(2)]
-               if descriptor.kind == "int-localized" else []),
-            RING_O: [f.lift(RING_O) for f in over_k[2:]],
-            RING_RESIDUE: over_k,
-        }
+        over = {RING_RESIDUE: over_k}
+        if descriptor.kind == "int-localized":
+            over[RING_K] = ([f.lift(RING_K) for f in over_k[:2]]
+                            + [MultiPoly.monomial(RING_K, descriptor, e, one)
+                               for e in monomials(n, 2)]
+                            + [_random_poly(descriptor, n, rng) for _ in range(2)])
+            over[RING_O] = [f.lift(RING_O) for f in over_k[2:]]
         for ring, polys in over.items():
-            averaged = reynolds(group, polys)
-            assert averaged == tuple(reynolds_flat(group, f) for f in polys), (group, ring)
+            averaged = tuple(reynolds_flat(group, f) for f in polys)
+            if ring != RING_RESIDUE:
+                assert reynolds(group, polys) == averaged, (group, ring)
             candidates = polys + list(averaged)
             gens = [element_matrix(group, i, ring) for i in group.generator_indices]
             expected = tuple(all(act_bruteforce(g, f) == f for g in gens) for f in candidates)
@@ -224,16 +228,18 @@ def test_the_invariance_test_matches_the_power_oracle_on_every_fixture(
     reflection_and_sign_z5, s2_z2, wa4_z7, wa4_z5,
 ):
     # `fixed_by_generators` against each generator acting by
-    # `act_bruteforce` on the oracles' own matrices, over O, K and k: X_1,
-    # which every fixture moves, a random polynomial, and the orbit sums
-    # sum_g g.f of both, invariant for every p.  Over k the package reads
-    # the residue rows mod p, and a ratfunc group over O or K its entries
+    # `act_bruteforce` on the oracles' own matrices, over O, K and k for
+    # the int kind and over k for the ratfunc kind: X_1, which every
+    # fixture moves, a random polynomial, and the orbit sums sum_g g.f of
+    # both, invariant for every p.  Over k the package reads the residue
+    # rows mod p
     groups = [s2_z3, s3_z5, b2_z3, b2_z5_halved, c4_f5t, b2_f5t_twisted, neg_identity_z23,
               reflection_and_sign_z5, s2_z2, wa4_z7, wa4_z5, over_1_plus_t(b2_f5t_twisted)]
     rng = random.Random(3131)
     for group in groups:
         descriptor, n = group.descriptor, group.n
-        for ring in (RING_O, RING_K, RING_RESIDUE):
+        int_kind = descriptor.kind == "int-localized"
+        for ring in (RING_O, RING_K, RING_RESIDUE) if int_kind else (RING_RESIDUE,):
             x1 = MultiPoly.monomial(ring, descriptor, (1,) + (0,) * (n - 1),
                                     _coefficient(descriptor, ring, rng))
             mixed = MultiPoly(ring, descriptor, n, {
@@ -249,11 +255,21 @@ def test_the_invariance_test_matches_the_power_oracle_on_every_fixture(
             assert fixed_by_generators(group, candidates) == expected, (group, ring)
 
 
-def test_polynomials_averaged_together_must_share_the_group_s_ring(s2_z3, z3, z5):
+def test_polynomials_averaged_together_must_share_the_group_s_ring(
+        s2_z3, z3, z5, c4_f5t, f5t):
     with pytest.raises(ValueError, match="different rings are acted on apart"):
         reynolds(s2_z3, [_x(z3, 2, 0), _x(z3, 2, 0, RING_RESIDUE)])
     with pytest.raises(ValueError, match="for a group over"):
         fixed_by_generators(s2_z3, [_x(z5, 2, 0)])
+    # the Reynolds average runs on the int kind's integer forms alone, and
+    # the invariance test reads a ratfunc group's residue rows alone
+    with pytest.raises(ValueError, match="not over k"):
+        reynolds(s2_z3, [_x(z3, 2, 0, RING_RESIDUE)])
+    for ring in (RING_O, RING_K):
+        x = _x(f5t, 1, 0, ring)
+        for average_or_test in (reynolds, fixed_by_generators):
+            with pytest.raises(ValueError, match="ratfunc group"):
+                average_or_test(c4_f5t, [x])
 
 
 def test_invariant_basis_examples(s2_z3, z3):
@@ -331,7 +347,7 @@ def test_integer_molien_of_conjugated_groups_matches_field_recurrence(s3_z5, b2_
     rng = random.Random(300 + seed)
     for group in (s3_z5, b2_z3):
         t = random_unimodular(group.descriptor, group.n, rng)
-        t_inv = inverse(t)
+        t_inv = inverse_dense(t)
         conjugated = generate_group([t * g * t_inv for g in generators_of(group)],
                                     descriptor=group.descriptor)
         # the entries leave Z, but det(I - z g) only depends on g's
@@ -450,7 +466,7 @@ def test_the_basis_over_K_of_a_group_over_F_p_is_the_lifted_basis_over_k(c4_f5t)
         assert group.conjugator() is None
         descriptor = group.descriptor
         zero, one = descriptor.zero(), descriptor.one()
-        gens = [g.to_field() for g in generators_of(group)]
+        gens = [to_fraction_field(g) for g in generators_of(group)]
         for d in range(bound + 1):
             basis = monomials(group.n, d)
             stacked = DenseRowEchelon()
@@ -506,7 +522,8 @@ def test_a_group_over_F_p_builds_no_action_matrix_over_K(c4_f5t, b2_f5t_twisted,
 
 def test_reynolds_span_equals_invariant_basis_span(s2_z3, b2_z3):
     # over K = Q the averages span a space of the dimension the averaging
-    # oracle counts; over k they span the solved invariant basis
+    # oracle counts; over k the oracle's averages span the solved
+    # invariant basis
     from dvrcert.linalg import ring_one, ring_zero
 
     for group, degree in ((s2_z3, 3), (b2_z3, 4)):
@@ -522,9 +539,11 @@ def test_reynolds_span_equals_invariant_basis_span(s2_z3, b2_z3):
                 return row
 
             averaged = DenseRowEchelon(p=field_p(ring, group.descriptor))
-            for poly in reynolds(group, [
-                    MultiPoly.monomial(ring, group.descriptor, e, ring_one(ring, group.descriptor))
-                    for e in basis]):
+            monomial_polys = [
+                MultiPoly.monomial(ring, group.descriptor, e, ring_one(ring, group.descriptor))
+                for e in basis]
+            for poly in (reynolds(group, monomial_polys) if ring == RING_K
+                         else [reynolds_flat(group, f) for f in monomial_polys]):
                 averaged.add(coefficient_row(poly))
             assert averaged.rank == invariant_dimension_bruteforce(group, degree, ring)
             if ring == RING_RESIDUE:

@@ -14,7 +14,7 @@ from dvrcert.linalg import (
     ExactMatrix,
     IntMatrix,
     det,
-    inverse,
+    inverse_mod_p,
     kernel_over_field,
     reduce_form,
 )
@@ -27,6 +27,7 @@ from oracles import (
     element_matrix,
     generators_of,
     invariant_dimension_bruteforce,
+    inverse_dense,
 )
 
 Z3 = DvrDescriptor("int-localized", 3)
@@ -60,7 +61,7 @@ def _conjugated(group, rng):
     if not group.generator_indices:
         return group
     t = random_unimodular(group.descriptor, group.n, rng)
-    t_inv = inverse(t)
+    t_inv = inverse_dense(t)
     return generate_group(
         [t * g * t_inv for g in generators_of(group)], descriptor=group.descriptor
     )
@@ -88,7 +89,9 @@ def test_reynolds_idempotence_and_projection():
     rng = random.Random(101)
     cases = 0
     failures = []
-    invertible = [g for g in GROUPS if g.order % g.descriptor.p != 0]
+    # the Reynolds average runs on the int kind's polynomials alone
+    invertible = [g for g in GROUPS
+                  if g.order % g.descriptor.p != 0 and g.descriptor.kind == KIND_INT]
     while cases < 200:
         group = invertible[cases % len(invertible)]
         f = _random_poly(group, rng)
@@ -227,7 +230,7 @@ def test_values_over_k_stay_ints_in_0_p():
             for v in kernel_over_field(a).vectors:
                 in_k(v)
             if det(a):
-                in_k(entries(inverse(a)))
+                in_k(x for row in inverse_mod_p(a.entries, p) for x in row)
             for g in (f + h, f - h, f * h, f.scale(c), act(a, f),
                       *(f.partial_derivative(j) for j in range(n))):
                 in_k(g.terms.values())
