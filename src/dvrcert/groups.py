@@ -93,8 +93,10 @@ class MatrixGroup:
 
     `memo` holds what several checks share, over O, K and k, each key
     naming its ring, and lives and dies with the group: the residue rows
-    and eta's injectivity (see `residue_rows`), keyed by
-    ("residues", "k"); the `ReflectionReport` (see `classify_reflections`), keyed by
+    and eta's injectivity (see `residue_rows`), keyed by ("residues",
+    "k"); the generators' monomial actions over k, or None (see
+    `polys._monomial_actions`), keyed by ("monomial", "k"); the
+    `ReflectionReport` (see `classify_reflections`), keyed by
     ("reflections", "K"); the conjugacy classes (see `conjugacy_classes`),
     keyed by ("classes", "O"); the conjugator A of a ratfunc group (see
     `conjugator`), keyed by ("conjugator", "O"); the lifts to O of the

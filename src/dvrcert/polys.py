@@ -11,9 +11,11 @@ echelon computation downstream.  Over k a coefficient is an int in
 [0, p), reduced mod p where a polynomial is built, so over K and k alike
 the coordinates are the coefficients themselves (`MultiPoly.coordinates`,
 `from_coordinates`), and the action matrices over k are built on the
-residue rows mod p.  `certify` reads a ratfunc group's side over K off
-its side over k (`MatrixGroup.conjugator`), so it asks for an invariant
-basis over F_p(t) only in H^1, where p divides |G|.  It reads the int
+residue rows mod p.  A basis over k is eliminated from them, or, when
+the generators' residue rows are monomial, read off the orbits of the
+monomials.  `certify` reads a ratfunc group's side over K off its side
+over k (`MatrixGroup.conjugator`), so it asks for an invariant basis
+over F_p(t) only in H^1, where p divides |G|.  It reads the int
 kind's side over K off the Reynolds lifts and the Molien series, so no
 basis over Q is solved.  The Reynolds average, of the int kind over O
 or K only, and the invariance test run on the closure's integer forms
@@ -615,8 +617,12 @@ def invariant_basis(group: MatrixGroup, d: int, ring: str) -> GradedBasis:
     invariance under the generators implies invariance under the group.
     Over k the system is one over F_p in ints mod p, over K one over
     F_p(t): an int-kind group's dimensions over Q are its Molien
-    coefficients, so it is refused.  Computed once per (degree, ring) and
-    group, then kept in `group.memo`.
+    coefficients, so it is refused.  If the generators' residue rows are
+    monomial, g: X^e -> s_g(e) X^(g.e), each orbit of the monomials
+    carries one invariant, v_(g.e) = s_g(e) v_e on every edge, or none if
+    two edges disagree: scaled to 1 at its largest index, the orbit's free
+    column, and listed by it, this is `RowEchelon.kernel`'s reduced basis.
+    Computed once per (degree, ring) and group, then kept in `group.memo`.
     """
     if ring not in (RING_K, RING_RESIDUE):
         raise ValueError("invariant bases are computed over a field (K or k)")
@@ -632,6 +638,59 @@ def invariant_basis(group: MatrixGroup, d: int, ring: str) -> GradedBasis:
 
 
 def _invariant_basis(group: MatrixGroup, d: int, ring: str) -> GradedBasis:
+    actions = _monomial_actions(group) if ring == RING_RESIDUE else None
+    if actions is None:
+        return _eliminated_basis(group, d, ring)
+    return _orbit_basis(group, d, actions)
+
+
+def _monomial_actions(group: MatrixGroup) -> tuple | None:
+    """Each generator's pairs (sigma(j), a_j), X_j -> a_j X_sigma(j), when
+    every generator's residue rows have one nonzero entry per column, else
+    None; kept in `group.memo` under ("monomial", "k")."""
+    memo, key = group.memo, ("monomial", RING_RESIDUE)
+    if key not in memo:
+        residues = group.residue_rows()
+        forms = [_linear_forms(residues[i]) for i in group.generator_indices]
+        memo[key] = (tuple(tuple(f[0] for f in fs) for fs in forms)
+                     if all(len(f) == 1 for fs in forms for f in fs) else None)
+    return memo[key]
+
+
+def _orbit_basis(group: MatrixGroup, d: int, actions: tuple) -> GradedBasis:
+    # every edge of every orbit is read, so nothing assumes p prime to |G|
+    p, basis, index = group.descriptor.p, monomials(group.n, d), monomial_index(group.n, d)
+
+    def edge(action, e):  # (index of g.e, s_g(e))
+        y, s = [0] * group.n, 1
+        for (i, a), k in zip(action, e):
+            y[i], s = k, s * pow(a, k, p) % p
+        return index[tuple(y)], s
+
+    edges = [[edge(action, e) for e in basis] for action in actions]
+    vectors, seen = {}, set()
+    for start in range(len(basis)):
+        if start in seen:
+            continue
+        value, stack, agree = {start: 1}, [start], True
+        while stack:
+            x = stack.pop()
+            for y, s in (step[x] for step in edges):
+                v = value[x] * s % p
+                if y not in value:
+                    value[y] = v
+                    stack.append(y)
+                agree = agree and value[y] == v
+        seen.update(value)
+        if agree:
+            scale = pow(value[max(value)], -1, p)
+            vectors[max(value)] = {c: v * scale % p for c, v in value.items()}
+    return GradedBasis(d, tuple(
+        MultiPoly.from_coordinates(RING_RESIDUE, group.descriptor, basis, vectors[f])
+        for f in sorted(vectors)))
+
+
+def _eliminated_basis(group: MatrixGroup, d: int, ring: str) -> GradedBasis:
     # the rows of rho_d(g) - I for each generator g; the trivial group has
     # none, and its kernel is then every monomial
     p, one = elimination_field(ring, group.descriptor)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .errors import InternalCheckError
-from .linalg import IntMatrix, _nonzero_pairs, _sparse_dot, det_of_rows, shifted_rows
+from .linalg import _nonzero_pairs, _sparse_dot, det_of_rows, shifted_rows
 from .groups import MatrixGroup
 from .scalars import KIND_INT, DvrDescriptor, invert_mod_group_order
 
@@ -73,18 +73,17 @@ class DiagonalizingBasis:
 
 
 def diagonalizing_basis(sigma, group: MatrixGroup, data) -> DiagonalizingBasis:
-    """Eigenbasis of O^n for the pseudo-reflection sigma, an O-matrix or an
-    int-kind `IntMatrix` form, with `data` its (lambda, order), as
-    `classify_reflections` reads them off sigma's conjugacy class.
+    """Eigenbasis of O^n for the pseudo-reflection sigma, a ratfunc group's
+    O-matrix or an int-kind group's `IntMatrix` form, with `data` its
+    (lambda, order), as `classify_reflections` reads them off sigma's
+    conjugacy class.
 
     The group supplies the gate, which makes lambda - 1 a unit when the
     order of lambda divides |G|; sigma need not be an element (conjugates
     are fine, and have the same data).
     """
-    desc = getattr(sigma, "descriptor", group.descriptor)
-    invert_mod_group_order(group.order, group.descriptor)
-    if desc.kind == KIND_INT and not isinstance(sigma, IntMatrix):
-        sigma = IntMatrix.from_matrix(sigma)
+    desc = group.descriptor
+    invert_mod_group_order(group.order, desc)
     form = (sigma.den, sigma.rows) if desc.kind == KIND_INT else (desc.one(), sigma.entries)
     basis = _diagonalize(*form, data[0], desc)
     _verify(*form, basis, data[0], desc)

@@ -42,6 +42,7 @@ from dvrcert.linalg import (
     RING_O,
     RING_RESIDUE,
     ExactMatrix,
+    IntMatrix,
     char_poly,
     det,
     kernel_over_field,
@@ -379,6 +380,12 @@ def rank_by_minors(m: ExactMatrix) -> int:
                 continue
             break
     return best
+
+
+def form_of(m: ExactMatrix):
+    """m as a stage of the package reads an element: an int-kind O-matrix
+    as its `IntMatrix` form A / D, a ratfunc O-matrix as it is."""
+    return IntMatrix.from_matrix(m) if m.descriptor.kind == "int-localized" else m
 
 
 def matrix_of_form(form, descriptor) -> ExactMatrix:

@@ -21,6 +21,7 @@ from oracles import (
     apply_dense,
     change_of_basis,
     element_matrix,
+    form_of,
     h1_bruteforce,
     invariant_dimension_bruteforce,
     inverse_dense,
@@ -114,7 +115,7 @@ def test_criterion_4_diagonalizing_basis_fuzz(s3_z5, b2_z3, c4_f5t):
                 t = random_unimodular(group.descriptor, group.n, rng)
                 moved = t * sigma * inverse_dense(t)
                 # conjugation keeps sigma's (lambda, order)
-                basis = diagonalizing_basis(moved, group, (lam, order))
+                basis = diagonalizing_basis(form_of(moved), group, (lam, order))
                 n = group.n
                 for i, w in enumerate(basis.basis):
                     image = apply_dense(moved, w)

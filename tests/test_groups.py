@@ -606,7 +606,7 @@ def test_reflection_orders_match_the_matrix_power_oracle(
             assert order == element_order(group, idx)
             over_o += 1
             if invertible:
-                diagonalizing_basis(element_matrix(group, idx), group, (lam, order))
+                diagonalizing_basis(group.element(idx), group, (lam, order))
                 bases += 1
         if invertible:
             for i, m in enumerate(element_matrices(group, RING_RESIDUE)):

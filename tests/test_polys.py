@@ -10,6 +10,9 @@ from dvrcert.groups import generate_group
 from dvrcert.linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix, RowEchelon
 from dvrcert.polys import (
     MultiPoly,
+    _eliminated_basis,
+    _monomial_actions,
+    _orbit_basis,
     act,
     action_matrix,
     element_action_matrix,
@@ -283,9 +286,30 @@ def test_invariant_basis_examples(s2_z3, z3):
         assert {sum(e) for e in poly.terms} == {2}
 
 
+def _conjugated_off_the_monomials(rng: random.Random, *groups) -> list:
+    """Each group conjugated by a random basis change: an int group by
+    `random_unimodular`, a ratfunc one by `conjugated_over_t`."""
+    out = []
+    for group in groups:
+        if group.descriptor.kind == "ratfunc-localized":
+            out.append(conjugated_over_t(group, rng))
+            continue
+        t = random_unimodular(group.descriptor, group.n, rng)
+        t_inv = inverse_dense(t)
+        out.append(generate_group([t * g * t_inv for g in generators_of(group)]))
+    return out
+
+
 def test_invariant_basis_matches_bruteforce(s2_z3, s3_z5, b2_z3, c4_f5t):
-    # an int-kind group's dimensions over K = Q are its Molien coefficients
-    for group in (s2_z3, s3_z5, b2_z3, c4_f5t):
+    # an int-kind group's dimensions over K = Q are its Molien coefficients;
+    # the conjugated copies are not monomial over k, so their bases over k
+    # are eliminated, and the elimination keeps its brute-force check
+    given = [s2_z3, s3_z5, b2_z3, c4_f5t]
+    conjugated = _conjugated_off_the_monomials(
+        random.Random(1), s2_z3, s3_z5, b2_z3, constant_ratfunc_groups()[0])
+    assert all(_monomial_actions(group) is not None for group in given)
+    assert all(_monomial_actions(group) is None for group in conjugated)
+    for group in given + conjugated:
         int_kind = group.descriptor.kind == "int-localized"
         molien = molien_series(group, 4).coefficients
         for d in range(5):
@@ -293,6 +317,35 @@ def test_invariant_basis_matches_bruteforce(s2_z3, s3_z5, b2_z3, c4_f5t):
                 dimension = (molien[d] if int_kind and ring == RING_K
                              else invariant_basis(group, d, ring).dimension)
                 assert dimension == invariant_dimension_bruteforce(group, d, ring)
+
+
+def test_the_orbit_basis_is_the_eliminated_basis(s2_z3, s3_z5, b2_z3, c4_f5t, neg_identity_z23,
+                                                 reflection_and_sign_z5, s2_z2):
+    # every monomial fixture, S_2 over Z_(2), where p divides |G|, included:
+    # the same polynomials in the same order, the reduced echelon basis
+    groups = [s2_z3, s3_z5, b2_z3, c4_f5t, neg_identity_z23, reflection_and_sign_z5, s2_z2,
+              *constant_ratfunc_groups()]
+    for group in groups:
+        actions = _monomial_actions(group)
+        assert actions is not None and group.memo[("monomial", RING_RESIDUE)] is actions
+        for d in range(9):
+            assert _orbit_basis(group, d, actions) == _eliminated_basis(group, d, RING_RESIDUE)
+
+
+def test_orbits_whose_scalars_disagree_carry_no_invariant(f5t, monkeypatch):
+    # -I sends X^e to (-1)^|e| X^e, and diag(2, 2) over F_5(t) to 2^|e| X^e,
+    # 2 of order 4 in F_5: every orbit is one monomial, whose one edge
+    # disagrees unless the scalar is 1
+    def refused(group, d, ring):
+        raise AssertionError("a monomial group's basis over k was eliminated")
+
+    monkeypatch.setattr(sys.modules["dvrcert.polys"], "_eliminated_basis", refused)
+    negated = generate_group([ExactMatrix.from_ints(
+        RING_O, DvrDescriptor("int-localized", 23), [[-1, 0], [0, -1]])])
+    scaled = generate_group([ExactMatrix.from_ints(RING_O, f5t, [[2, 0], [0, 2]])])
+    for d in range(9):
+        assert invariant_basis(negated, d, RING_RESIDUE).dimension == (0 if d % 2 else d + 1)
+        assert invariant_basis(scaled, d, RING_RESIDUE).dimension == (0 if d % 4 else d + 1)
 
 
 def test_molien_pinned_examples(s2_z3, s3_z5, z3):

@@ -6,6 +6,7 @@ DVR kinds, several base groups, and random unimodular conjugations.
 import random
 from fractions import Fraction
 
+from dvrcert.errors import ClosureCapExceededError
 from dvrcert.groups import generate_group
 from dvrcert.linalg import (
     RING_K,
@@ -18,7 +19,16 @@ from dvrcert.linalg import (
     kernel_over_field,
     reduce_form,
 )
-from dvrcert.polys import MultiPoly, act, invariant_basis, molien_series, reynolds
+from dvrcert.polys import (
+    MultiPoly,
+    _eliminated_basis,
+    _monomial_actions,
+    _orbit_basis,
+    act,
+    invariant_basis,
+    molien_series,
+    reynolds,
+)
 from dvrcert.scalars import KIND_INT, DvrDescriptor
 
 from conftest import over_1_plus_t, random_unimodular
@@ -250,3 +260,45 @@ def test_closure_idempotence():
         assert regenerated.order == group.order
         cases += 1
     assert cases >= 200
+
+
+def _random_monomial_group(rng, cap: int = 48):
+    """<g_1, ..., g_s> over F_p(t), s <= 2, n <= 3, p in {3, 5, 7}: each g
+    sends X_j to a_j X_sigma(j), sigma a random permutation and the a_j
+    random in F_p^x, constants of F_p(t), so of finite order.  Generators
+    whose closure passes the cap are drawn again, so the averaging oracle
+    stays quick."""
+    while True:
+        descriptor = DvrDescriptor("ratfunc-localized", rng.choice((3, 5, 7)))
+        n = rng.randint(1, 3)
+        generators = []
+        for _ in range(rng.randint(1, 2)):
+            sigma = rng.sample(range(n), n)
+            rows = [[0] * n for _ in range(n)]
+            for j in range(n):
+                rows[sigma[j]][j] = rng.randrange(1, descriptor.p)
+            generators.append(ExactMatrix.from_ints(RING_O, descriptor, rows))
+        try:
+            return generate_group(generators, cap=cap)
+        except ClosureCapExceededError:
+            continue
+
+
+def test_the_orbit_basis_of_a_monomial_group_is_the_eliminated_one():
+    # p divides |G| for some groups (a 3-cycle over F_3): there the two paths
+    # must still agree, and the averaging oracle, which needs |G| a unit,
+    # counts only the others
+    rng = random.Random(606)
+    cases = counted = 0
+    while cases < 200:
+        group = _random_monomial_group(rng)
+        actions = _monomial_actions(group)
+        assert actions is not None
+        for d in range(7):
+            basis = _orbit_basis(group, d, actions)
+            assert basis == _eliminated_basis(group, d, RING_RESIDUE)
+            if group.order % group.descriptor.p:
+                assert basis.dimension == invariant_dimension_bruteforce(group, d, RING_RESIDUE)
+                counted += 1
+        cases += 1
+    assert counted >= 7 * 150

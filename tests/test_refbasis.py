@@ -16,6 +16,7 @@ from oracles import (
     diagonalizing_basis_exact,
     diagonalizing_basis_recursive,
     element_matrix,
+    form_of,
     inverse_dense,
 )
 
@@ -44,7 +45,7 @@ def test_diagonalizing_basis_pinned_example(z3):
     sigma = ExactMatrix.from_ints(RING_O, z3, [[1, 1], [0, -1]])
     group = generate_group([sigma])
     assert element_matrix(group, 1) == sigma
-    basis = diagonalizing_basis(sigma, group, _data(group, 1))
+    basis = diagonalizing_basis(form_of(sigma), group, _data(group, 1))
     assert basis.eigenvalue == z3.from_int(-1)
     assert basis.order == 2
     assert basis.basis[0] == (z3.one(), z3.zero())
@@ -53,7 +54,7 @@ def test_diagonalizing_basis_pinned_example(z3):
 
 def test_diagonalizing_basis_swap(z3, s2_z3):
     swap = ExactMatrix.from_ints(RING_O, z3, [[0, 1], [1, 0]])
-    basis = diagonalizing_basis(swap, s2_z3, _data(s2_z3, 1))
+    basis = diagonalizing_basis(form_of(swap), s2_z3, _data(s2_z3, 1))
     assert basis.eigenvalue == z3.from_int(-1)
     w1, w2 = basis.basis
     assert apply_dense(swap, w1) == w1
@@ -89,7 +90,7 @@ def test_diagonalizing_basis_on_all_group_reflections(s3_z5, b2_z3, c4_f5t):
         report = classify_reflections(group)
         for idx, lam, order in report.reflections:
             sigma = element_matrix(group, idx)
-            basis = diagonalizing_basis(sigma, group, (lam, order))
+            basis = diagonalizing_basis(form_of(sigma), group, (lam, order))
             assert basis.eigenvalue == lam
             assert basis.order == order
             _check_basis(sigma, basis)
@@ -101,7 +102,7 @@ def test_diagonalizing_basis_under_conjugation(s3_z5):
     for _ in range(10):
         t = random_unimodular(s3_z5.descriptor, 3, rng)
         moved = t * sigma * inverse_dense(t)
-        basis = diagonalizing_basis(moved, s3_z5, data)
+        basis = diagonalizing_basis(form_of(moved), s3_z5, data)
         _check_basis(moved, basis)
 
 
@@ -167,7 +168,7 @@ def test_diagonalizing_basis_matches_the_quotient_recursion():
         # the cyclic group of lambda's order supplies the gate, and its
         # reflection [[lambda]], of sigma's eigenvalue, the (lambda, order)
         cyclic = generate_group([ExactMatrix(RING_O, desc, [[lam]])])
-        basis = diagonalizing_basis(sigma, cyclic, _data(cyclic, 1))
+        basis = diagonalizing_basis(form_of(sigma), cyclic, _data(cyclic, 1))
         expected = tuple(diagonalizing_basis_recursive(sigma, lam))
         assert basis.eigenvalue == lam
         assert basis.basis == expected
@@ -196,7 +197,7 @@ def test_the_integer_bases_match_the_fraction_path(s2_z3, s3_z5, b2_z3, neg_iden
             expected = tuple(diagonalizing_basis_exact(sigma, lam))
             basis = diagonalizing_basis(group.element(idx), group, (lam, order))
             assert basis.basis == expected and basis.eigenvalue == lam and basis.order == order
-            assert diagonalizing_basis(sigma, group, (lam, order)).basis == expected
+            assert diagonalizing_basis(form_of(sigma), group, (lam, order)).basis == expected
             if isinstance(group.element(idx), IntMatrix):
                 dens.add(group.element(idx).den)
     assert dens == {1, 2}
