@@ -24,8 +24,8 @@ of monomial images per element; over k the test reads the residue rows
 mod p.  The Molien series reads det(I - z g), a class function, once
 per conjugacy class off Berkowitz's characteristic polynomial
 (`linalg.char_poly`) in integers, on the integer forms for the int kind
-and on the residue rows mod p for the ratfunc kind, and inverts it by
-one division-free recurrence, since its constant term is det(I) = 1.
+and on the residue rows mod p for the ratfunc kind; a division-free
+recurrence divides by their lcm over Q, by each one mod p.
 Whether a matrix of polynomials over k (a Jacobian) has a nonzero
 determinant is first asked at a few fixed points, where it is a scalar.
 """
@@ -37,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .errors import InternalCheckError, NotInRingError
 from .linalg import (
@@ -53,7 +53,6 @@ from .linalg import (
     elimination_field,
     ring_from_int,
     ring_one,
-    ring_zero,
     set_fields,
 )
 from .groups import MatrixGroup, conjugacy_classes
@@ -131,21 +130,8 @@ class MultiPoly:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def zero(ring: str, descriptor: DvrDescriptor, n: int) -> MultiPoly:
-        return MultiPoly(ring, descriptor, n, {})
-
-    @staticmethod
     def constant(ring: str, descriptor: DvrDescriptor, n: int, coeff) -> MultiPoly:
         return MultiPoly(ring, descriptor, n, {(0,) * n: coeff})
-
-    @staticmethod
-    def variable(ring: str, descriptor: DvrDescriptor, n: int, i: int) -> MultiPoly:
-        exp = tuple(1 if j == i else 0 for j in range(n))
-        return MultiPoly(ring, descriptor, n, {exp: ring_one(ring, descriptor)})
-
-    @staticmethod
-    def monomial(ring: str, descriptor: DvrDescriptor, exp: tuple[int, ...], coeff) -> MultiPoly:
-        return MultiPoly(ring, descriptor, len(exp), {tuple(exp): coeff})
 
     # -- structure ----------------------------------------------------------
 
@@ -162,9 +148,6 @@ class MultiPoly:
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: monomial_sort_key(item[0]))
-
-    def coefficient(self, exp: tuple[int, ...]):
-        return self.terms.get(tuple(exp), ring_zero(self.ring, self.descriptor))
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -200,22 +183,6 @@ class MultiPoly:
                 acc = terms.get(e)
                 terms[e] = c if acc is None else acc + c
         return self._like(terms)
-
-    def scale(self, coeff) -> MultiPoly:
-        """The polynomial times a scalar of its own ring."""
-        return self._like({e: coeff * c for e, c in self.terms.items()})
-
-    def __pow__(self, k: int) -> MultiPoly:
-        if k < 0:
-            raise ValueError("negative polynomial power")
-        out = MultiPoly.constant(self.ring, self.descriptor, self.n, ring_one(self.ring, self.descriptor))
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def partial_derivative(self, i: int) -> MultiPoly:
         from_int = ring_from_int(self.ring, self.descriptor)
@@ -732,26 +699,71 @@ def _integer_char_series_denominator(form: IntMatrix) -> tuple:
     return tuple(out)
 
 
-def _series_inverse(denom: tuple, bound: int, zero, one) -> list:
-    """Coefficients of 1/denom to the bound, for a denominator det(I - z g).
-
-    Its constant term is det(I) = 1, so the inverse is b_0 = 1,
-    b_m = -sum_{i=1}^{min(m, n)} c_i b_{m-i}, with no division.
-    `molien_series` runs it in ints for both kinds; over F_p the result
-    is read mod p, reduction being a ring map.
-    """
-    if denom[0] != one:
-        raise InternalCheckError(f"det(I - z g) has constant term {denom[0]}, not one")
-    terms = [(i, c) for i, c in enumerate(denom) if i and c]
-    inv = [one] + [zero] * bound
+def _series_quotient(num, den, bound: int) -> list:
+    """Coefficients of num / den to z^bound in ints, for den[0] = 1, by
+    q_m = a_m - sum_{i >= 1} b_i q_{m-i} with no division: the one quotient
+    of the Molien series (read mod p over F_p, reduction being a ring
+    map), its cyclotomic polynomials and their exact divisions."""
+    if den[0] != 1:
+        raise InternalCheckError(f"a series denominator has constant term {den[0]}, not one")
+    terms = [(i, c) for i, c in enumerate(den) if i and c]
+    q = list(num[:bound + 1]) + [0] * (bound + 1 - len(num))
     for m in range(1, bound + 1):
-        acc = zero
+        acc = q[m]
         for i, c in terms:
             if i > m:
                 break
-            acc = acc + c * inv[m - i]
-        inv[m] = -acc
-    return inv
+            acc -= c * q[m - i]
+        q[m] = acc
+    return q
+
+
+def _exact_quotient(a: tuple, b: tuple) -> tuple | None:
+    """a / b if b divides a in Z[z], else None, for deg b <= deg a: the
+    series to deg a is a polynomial exactly when its deg b coefficients
+    past deg a - deg b vanish."""
+    top = len(a) - len(b)
+    q = _series_quotient(a, b, len(a) - 1)
+    return None if any(q[top + 1:]) else tuple(q[:top + 1])
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(k: int) -> tuple:
+    """Psi_k, with constant term 1: 1 - z for k = 1, else the cyclotomic
+    polynomial Phi_k, as (1 - z^k) / prod_{d | k, d < k} Psi_d."""
+    out = (1,) + (0,) * (k - 1) + (-1,)
+    for d in range(1, k):
+        if k % d == 0:
+            out = _exact_quotient(out, _cyclotomic(d))
+    return out
+
+
+def _common_denominator(denominators, order: int, n: int) -> tuple:
+    """The lcm L of the det(I - z g), each factored into the Psi_k by exact
+    trial division.  g^|G| = I and g is n x n over Q, so each Psi_k has
+    k | |G| and phi(k) <= n, whence k <= 2 n^2; a denominator that these
+    do not factor completely is refused."""
+    phis = {k: phi for k in range(1, 2 * n * n + 1) if order % k == 0
+            and (phi := sum(gcd(j, k) == 1 for j in range(k))) <= n}
+    exponents = dict.fromkeys(phis, 0)
+    for denom in denominators:
+        rest = denom
+        for k, phi in phis.items():
+            e = 0
+            while phi < len(rest) and (q := _exact_quotient(rest, _cyclotomic(k))) is not None:
+                rest, e = q, e + 1
+            exponents[k] = max(exponents[k], e)
+        if rest != (1,):
+            raise InternalCheckError(
+                f"det(I - z g) = {denom} is not a product of cyclotomic polynomials")
+    out = [1]
+    for psi in (_cyclotomic(k) for k, e in exponents.items() for _ in range(e)):
+        product = [0] * (len(out) + len(psi) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(psi):
+                product[i + j] += a * b
+        out = product
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -783,8 +795,12 @@ def molien_series(group: MatrixGroup, bound: int) -> MolienSeries:
     only such elements of F_p(t) are the constants of F_p, which the
     reduction O -> k fixes.  It is a class function, so it is computed
     once per conjugacy class (`groups.conjugacy_classes`) and weighted by
-    the class size; each distinct one is inverted once, by the
-    division-free `_series_inverse`.  For the int kind
+    the class size m_c.  Over Q each is a product of cyclotomic
+    polynomials, so the int kind runs one recurrence (`_series_quotient`)
+    for N / L, L their lcm (`_common_denominator`, for a reflection group
+    prod_i (1 - z^{d_i}) by Springer) and N = sum_c m_c L / det_c; mod p
+    they need not factor, so the ratfunc kind inverts each distinct one.
+    For the int kind
     the degree-m coefficient is then s_m / |G|, with s_m the weighted sum,
     and it is accepted only when |G| divides s_m and s_m >= 0: the same
     exact test as "a nonnegative integer in Q".  For the ratfunc kind it
@@ -811,12 +827,19 @@ def _molien_series(group: MatrixGroup, bound: int) -> MolienSeries:
         else:
             denom = tuple(c % p for c in char_poly(group.residue_rows()[members[0]], 0, 1))
         counts[denom] += len(members)
-    sums = [0] * (bound + 1)
-    for denom, count in counts.items():
-        sums = [a + b * count for a, b in zip(sums, _series_inverse(denom, bound, 0, 1))]
     if descriptor.kind != KIND_INT:
+        # Psi_k need not divide a denominator mod p: one quotient for each
+        sums = [0] * (bound + 1)
+        for denom, count in counts.items():
+            sums = [a + b * count for a, b in zip(sums, _series_quotient((1,), denom, bound))]
         inv_order = pow(group.order, -1, p)
         return MolienSeries(bound, tuple(s * inv_order % p for s in sums), True)
+    common = _common_denominator(counts, group.order, group.n)
+    numerator = [0] * (len(common) - group.n)
+    for denom, count in counts.items():
+        for i, c in enumerate(_series_quotient(common, denom, len(common) - len(denom))):
+            numerator[i] += count * c
+    sums = _series_quotient(numerator, common, bound)
     coefficients = []
     for s in sums:
         c, r = divmod(s, group.order)

@@ -19,8 +19,9 @@ reduced-fraction arithmetic of `RatFunc`, a recursion on quotient
 lattices against the closed-form diagonalizing basis, cofactor expansion
 of det(I - z g) over polynomial entries against Berkowitz's division-free
 recursion, a field recurrence that divides by the constant term, on
-each element's `Fraction` denominator, against the division-free integer
-Molien sum over the conjugacy classes, Berkowitz on the `RatFunc` entries
+each element's `Fraction` denominator, and one inversion per distinct
+class denominator against the integer Molien series summed over the
+lcm of the class denominators, Berkowitz on the `RatFunc` entries
 of each element over F_p(t) against its residue rows mod p, a closure
 that forms every product as a matrix against the one on the orbit of the
 rows, the classes {h x h^-1} by `inverse_dense` against the orbits read
@@ -37,6 +38,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from dvrcert.errors import ClosureCapExceededError, InternalCheckError
+from dvrcert.groups import conjugacy_classes
 from dvrcert.linalg import (
     RING_K,
     RING_O,
@@ -425,6 +427,41 @@ def reflection_generated_bruteforce(matrices) -> bool:
         reached |= products
 
 
+# -- polynomial constructors and arithmetic that only the tests need ---------------
+
+
+def poly_zero(ring: str, descriptor, n: int) -> MultiPoly:
+    return MultiPoly(ring, descriptor, n, {})
+
+
+def poly_variable(ring: str, descriptor, n: int, i: int) -> MultiPoly:
+    """X_{i+1} over the ring."""
+    exp = tuple(1 if j == i else 0 for j in range(n))
+    return MultiPoly(ring, descriptor, n, {exp: ring_one(ring, descriptor)})
+
+
+def poly_monomial(ring: str, descriptor, exp: tuple, coeff) -> MultiPoly:
+    return MultiPoly(ring, descriptor, len(exp), {tuple(exp): coeff})
+
+
+def poly_coefficient(f: MultiPoly, exp: tuple):
+    """The coefficient of X^exp in f, the ring's zero when it has none."""
+    return f.terms.get(tuple(exp), ring_zero(f.ring, f.descriptor))
+
+
+def poly_scale(f: MultiPoly, coeff) -> MultiPoly:
+    """f times a scalar of its own ring."""
+    return MultiPoly._of(f.ring, f.descriptor, f.n, {e: coeff * c for e, c in f.terms.items()})
+
+
+def poly_power(f: MultiPoly, k: int) -> MultiPoly:
+    """f^k for k >= 0, by repeated multiplication."""
+    out = MultiPoly.constant(f.ring, f.descriptor, f.n, ring_one(f.ring, f.descriptor))
+    for _ in range(k):
+        out = out * f
+    return out
+
+
 def act_bruteforce(g: ExactMatrix, f: MultiPoly) -> MultiPoly:
     """X_j -> sum_i g[i][j] X_i: each term of f becomes its coefficient times
     a product of powers of the variables' images."""
@@ -440,12 +477,12 @@ def act_bruteforce(g: ExactMatrix, f: MultiPoly) -> MultiPoly:
         )
         for j in range(f.n)
     ]
-    out = MultiPoly.zero(f.ring, f.descriptor, f.n)
+    out = poly_zero(f.ring, f.descriptor, f.n)
     for e, c in f.terms.items():
         piece = MultiPoly.constant(f.ring, f.descriptor, f.n, c)
         for j, k in enumerate(e):
             if k:
-                piece = piece * images[j] ** k
+                piece = piece * poly_power(images[j], k)
         out = out + piece
     return out
 
@@ -458,10 +495,10 @@ def reynolds_flat(group, f: MultiPoly) -> MultiPoly:
     inv_order = invert_mod_group_order(group.order, group.descriptor)
     if f.ring == RING_RESIDUE:
         inv_order = group.descriptor.reduce(inv_order)
-    out = MultiPoly.zero(f.ring, f.descriptor, f.n)
+    out = poly_zero(f.ring, f.descriptor, f.n)
     for g in element_matrices(group, f.ring):
         out = out + act_bruteforce(g, f)
-    return out.scale(inv_order)
+    return poly_scale(out, inv_order)
 
 
 def action_matrix_bruteforce(g: ExactMatrix, n: int, d: int) -> ExactMatrix:
@@ -470,9 +507,9 @@ def action_matrix_bruteforce(g: ExactMatrix, n: int, d: int) -> ExactMatrix:
     one = ring_one(g.ring, g.descriptor)
     rows = [[ring_zero(g.ring, g.descriptor)] * len(basis) for _ in basis]
     for col, e in enumerate(basis):
-        image = act_bruteforce(g, MultiPoly.monomial(g.ring, g.descriptor, e, one))
+        image = act_bruteforce(g, poly_monomial(g.ring, g.descriptor, e, one))
         for row, e2 in enumerate(basis):
-            rows[row][col] = image.coefficient(e2)
+            rows[row][col] = poly_coefficient(image, e2)
     return ExactMatrix(g.ring, g.descriptor, rows)
 
 
@@ -499,13 +536,11 @@ def invariant_dimension_bruteforce(group, degree: int, ring: str) -> int:
     zero = ring_zero(ring, group.descriptor)
     span = DenseRowEchelon(p=field_p(ring, group.descriptor))
     for e in basis:
-        mono = MultiPoly.monomial(
-            ring, group.descriptor, e, ring_one(ring, group.descriptor)
-        )
-        acc = MultiPoly.zero(ring, group.descriptor, group.n)
+        mono = poly_monomial(ring, group.descriptor, e, ring_one(ring, group.descriptor))
+        acc = poly_zero(ring, group.descriptor, group.n)
         for m in mats:
             acc = acc + act_bruteforce(m, mono)
-        avg = acc.scale(coeff)
+        avg = poly_scale(acc, coeff)
         row = [zero] * len(basis)
         for e2, c in avg.terms.items():
             row[index[e2]] = c
@@ -524,7 +559,7 @@ def poly_matrix_det(rows) -> MultiPoly:
     first = rows[0]
     if len(rows) == 1:
         return first[0]
-    total = MultiPoly.zero(first[0].ring, first[0].descriptor, first[0].n)
+    total = poly_zero(first[0].ring, first[0].descriptor, first[0].n)
     for j, entry in enumerate(first):
         if entry.is_zero():
             continue
@@ -546,7 +581,7 @@ def char_series_denominator_cofactor(g: ExactMatrix) -> tuple:
         for i, row in enumerate(g.entries)
     ]
     denominator = poly_matrix_det(entries)
-    return tuple(denominator.coefficient((k,)) for k in range(g.rows + 1))
+    return tuple(poly_coefficient(denominator, (k,)) for k in range(g.rows + 1))
 
 
 def series_inverse_field(denom: tuple, bound: int, zero, one) -> list:
@@ -574,6 +609,33 @@ def molien_series_field(group, bound: int) -> list:
         inv = series_inverse_field(char_series_denominator_cofactor(m), bound, zero, one)
         total = [a + b for a, b in zip(total, inv)]
     return [a / group.order for a in total]
+
+
+def series_inverse_int(denom: tuple, bound: int) -> list:
+    """Coefficients of 1/denom to the bound in ints, for denom[0] = 1:
+    b_0 = 1, b_m = -sum_{i >= 1} c_i b_{m-i}."""
+    assert denom[0] == 1, denom
+    inv = [1] + [0] * bound
+    for m in range(1, bound + 1):
+        inv[m] = -sum(denom[i] * inv[m - i] for i in range(1, min(m, len(denom) - 1) + 1))
+    return inv
+
+
+def molien_series_per_class(group, bound: int) -> list[int]:
+    """(1/|G|) * sum over the conjugacy classes of m_c / det(I - z g_c) over
+    Q, in ints: each distinct denominator, from a class representative's
+    `Fraction` matrix, inverted on its own to the bound and weighted by
+    the number of elements that share it, with no common denominator."""
+    counts = Counter()
+    for members in conjugacy_classes(group):
+        denom = _char_series_denominator(element_matrix(group, members[0], RING_K))
+        assert all(c.denominator == 1 for c in denom), denom
+        counts[tuple(int(c) for c in denom)] += len(members)
+    sums = [0] * (bound + 1)
+    for denom, count in counts.items():
+        sums = [a + count * b for a, b in zip(sums, series_inverse_int(denom, bound))]
+    assert all(s % group.order == 0 and s >= 0 for s in sums), sums
+    return [s // group.order for s in sums]
 
 
 def _char_series_denominator(g: ExactMatrix) -> tuple:

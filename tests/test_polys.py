@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from fractions import Fraction
@@ -6,13 +7,18 @@ import pytest
 
 from dvrcert.certify import certify
 from dvrcert.errors import HypothesisViolationError, InternalCheckError
-from dvrcert.groups import generate_group
-from dvrcert.linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix, RowEchelon
+from dvrcert.groups import conjugacy_classes, generate_group
+from dvrcert.linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix, RowEchelon, char_poly
 from dvrcert.polys import (
     MultiPoly,
+    _common_denominator,
+    _cyclotomic,
     _eliminated_basis,
+    _exact_quotient,
+    _integer_char_series_denominator,
     _monomial_actions,
     _orbit_basis,
+    _series_quotient,
     act,
     action_matrix,
     element_action_matrix,
@@ -26,6 +32,7 @@ from dvrcert.polys import (
 from dvrcert.scalars import DvrDescriptor
 
 from conftest import (
+    benchmark_workloads,
     conjugated_over_t,
     constant_ratfunc_groups,
     int_batch_conjugates,
@@ -46,6 +53,12 @@ from oracles import (
     inverse_dense,
     molien_coefficients_bruteforce,
     molien_series_field,
+    molien_series_per_class,
+    poly_coefficient,
+    poly_monomial,
+    poly_scale,
+    poly_variable,
+    poly_zero,
     reynolds_flat,
     series_inverse_field,
     square_matrix,
@@ -54,7 +67,7 @@ from oracles import (
 
 
 def _x(descriptor, n, i, ring=RING_K):
-    return MultiPoly.variable(ring, descriptor, n, i)
+    return poly_variable(ring, descriptor, n, i)
 
 
 def test_monomial_enumeration_is_graded_lex():
@@ -107,7 +120,7 @@ def test_act_and_action_matrix_match_the_power_oracle(s3_z5, b2_f5t_twisted):
     for group in (s3_z5, b2_f5t_twisted):
         n = group.n
         for ring in (RING_O, RING_K, RING_RESIDUE):
-            zero = MultiPoly.zero(ring, group.descriptor, n)
+            zero = poly_zero(ring, group.descriptor, n)
             for g in element_matrices(group, ring):
                 f = _mixed_poly(group.descriptor, n, ring, rng)
                 assert not f.is_homogeneous()
@@ -167,7 +180,7 @@ def test_reynolds_examples(z3, s2_z3):
     x1, x2 = _x(z3, 2, 0), _x(z3, 2, 1)
     half = Fraction(1, 2)
     assert reynolds(s2_z3, [x1, x1 * x2, x1 * x1]) == (
-        (x1 + x2).scale(half), x1 * x2, (x1 * x1 + x2 * x2).scale(half))
+        poly_scale(x1 + x2, half), x1 * x2, poly_scale(x1 * x1 + x2 * x2, half))
     assert reynolds(s2_z3, []) == ()
 
 
@@ -199,7 +212,7 @@ def test_the_integer_average_and_invariance_test_equal_the_flat_ones(
         over = {RING_RESIDUE: over_k}
         if descriptor.kind == "int-localized":
             over[RING_K] = ([f.lift(RING_K) for f in over_k[:2]]
-                            + [MultiPoly.monomial(RING_K, descriptor, e, one)
+                            + [poly_monomial(RING_K, descriptor, e, one)
                                for e in monomials(n, 2)]
                             + [_random_poly(descriptor, n, rng) for _ in range(2)])
             over[RING_O] = [f.lift(RING_O) for f in over_k[2:]]
@@ -243,14 +256,14 @@ def test_the_invariance_test_matches_the_power_oracle_on_every_fixture(
         descriptor, n = group.descriptor, group.n
         int_kind = descriptor.kind == "int-localized"
         for ring in (RING_O, RING_K, RING_RESIDUE) if int_kind else (RING_RESIDUE,):
-            x1 = MultiPoly.monomial(ring, descriptor, (1,) + (0,) * (n - 1),
+            x1 = poly_monomial(ring, descriptor, (1,) + (0,) * (n - 1),
                                     _coefficient(descriptor, ring, rng))
             mixed = MultiPoly(ring, descriptor, n, {
                 tuple(rng.randint(0, 2) for _ in range(n)): _coefficient(descriptor, ring, rng)
                 for _ in range(3)})
             elements = element_matrices(group, ring)
             orbit_sums = [sum((act_bruteforce(g, f) for g in elements),
-                              MultiPoly.zero(ring, descriptor, n)) for f in (x1, mixed)]
+                              poly_zero(ring, descriptor, n)) for f in (x1, mixed)]
             candidates = [x1, mixed] + orbit_sums
             gens = [element_matrix(group, i, ring) for i in group.generator_indices]
             expected = tuple(all(act_bruteforce(g, f) == f for g in gens) for f in candidates)
@@ -354,23 +367,117 @@ def test_molien_pinned_examples(s2_z3, s3_z5, z3):
     assert molien_series(s3_z5, 6).coefficients == (1, 1, 2, 3, 4, 5, 7)
 
 
-def test_molien_inverts_each_distinct_denominator_once(s3_z5, monkeypatch):
-    # S_3 has three classes of characteristic polynomial: 1, 3 and 2 elements
+def test_molien_inverts_each_distinct_denominator_once(s3_z5, c4_f5t, monkeypatch):
+    # S_3 has three classes of characteristic polynomial: 1, 3 and 2
+    # elements.  The int kind divides L by each once and runs one
+    # recurrence to the bound; the ratfunc kind inverts each distinct
+    # denominator mod p, C_4 = <2> over F_5(t) four of them
     polys_module = sys.modules["dvrcert.polys"]
-    original = polys_module._series_inverse
+    original = polys_module._series_quotient
     calls = []
 
-    def counted(*args):
-        calls.append(args[0])
-        return original(*args)
+    def counted(num, den, bound):
+        calls.append((num, den, bound))
+        return original(num, den, bound)
 
-    monkeypatch.setattr(polys_module, "_series_inverse", counted)
+    monkeypatch.setattr(polys_module, "_series_quotient", counted)
     fresh = generate_group(generators_of(s3_z5))
-    assert molien_series(fresh, 6).coefficients == (1, 1, 2, 3, 4, 5, 7)
-    assert len(calls) == 3
+    assert molien_series(fresh, 24).coefficients == hilbert_product_truncation((1, 2, 3), 24)
+    # L = (1 - z)(1 - z^2)(1 - z^3), so N = |G|: one recurrence to the bound
+    common = (1, -1, -1, 0, 1, 1, -1)
+    assert [c for c in calls if c[2] == 24] == [([6, 0, 0, 0], common, 24)]
+    assert [c[1] for c in calls if c[0] == common] == list(
+        dict.fromkeys(_class_denominators(fresh)))
     # kept in the group's memo: asked again, for the graded table, it is read
-    assert molien_series(fresh, 6) is fresh.memo["molien", 6, RING_K]
-    assert len(calls) == 3
+    count = len(calls)
+    assert molien_series(fresh, 24) is fresh.memo["molien", 24, RING_K]
+    assert len(calls) == count
+    del calls[:]
+    fresh = generate_group(generators_of(c4_f5t))
+    assert molien_series(fresh, 8).coefficients == (1, 0, 0, 0, 1, 0, 0, 0, 1)
+    assert sorted(c[1] for c in calls) == [(1, 1), (1, 2), (1, 3), (1, 4)]
+    assert all(c[0] == (1,) and c[2] == 8 for c in calls)
+
+
+def _class_denominators(group) -> list:
+    """det(I - z g) of a representative of each conjugacy class, in ints."""
+    return [_integer_char_series_denominator(group.element(members[0]))
+            for members in conjugacy_classes(group)]
+
+
+def _conjugated(group, rng):
+    t = random_unimodular(group.descriptor, group.n, rng)
+    t_inv = inverse_dense(t)
+    return generate_group([t * g * t_inv for g in generators_of(group)],
+                          descriptor=group.descriptor)
+
+
+def test_molien_over_the_common_denominator_equals_the_per_class_sum(
+    s2_z3, s3_z5, b2_z3, b2_z5_halved, neg_identity_z23, reflection_and_sign_z5, wa4_z7, wf4_z5,
+):
+    # one recurrence for N / L against one inversion per distinct class
+    # denominator, at the default bound |G| of each int fixture past the
+    # gate, of seeded conjugates of the small ones and of W(A_4), and of the
+    # benchmark batch's int groups conjugated as the batch conjugates them
+    fixtures = [s2_z3, s3_z5, b2_z3, b2_z5_halved, neg_identity_z23,
+                reflection_and_sign_z5, wa4_z7, wf4_z5]
+    for seed in range(3):
+        rng = random.Random(700 + seed)
+        fixtures += [_conjugated(g, rng) for g in (s3_z5, b2_z3, reflection_and_sign_z5)]
+        fixtures += int_batch_conjugates(rng, copies=1)
+    fixtures.append(_conjugated(wa4_z7, random.Random(703)))
+    for group in fixtures:
+        series = molien_series(group, group.order)
+        assert not series.mod_p
+        assert list(series.coefficients) == molien_series_per_class(group, group.order), group
+
+
+def _product_of_one_minus_z_to_the(degrees) -> tuple:
+    out = [1]
+    for d in degrees:
+        out = [a - (out[i - d] if i >= d else 0) for i, a in enumerate(out + [0] * d)]
+    return tuple(out)
+
+
+def test_common_denominator_is_prod_one_minus_z_to_the_degrees(s3_z5, b2_z3, wa4_z7, wf4_z5, z5):
+    # Springer: for a rational reflection group the lcm of the det(I - z g)
+    # is prod_i (1 - z^{d_i}) over its fundamental degrees
+    wb4 = generate_group([ExactMatrix.from_ints(RING_O, z5, g)
+                          for g in benchmark_workloads().hyperoctahedral(4)])
+    for group, degrees in ((s3_z5, (1, 2, 3)), (b2_z3, (2, 4)), (wb4, (2, 4, 6, 8)),
+                           (wa4_z7, (2, 3, 4, 5)), (wf4_z5, (2, 6, 8, 12))):
+        common = _common_denominator(_class_denominators(group), group.order, group.n)
+        assert common == _product_of_one_minus_z_to_the(degrees), degrees
+    # W(B_4): 14 distinct denominators, over an L with 6 terms past its constant
+    assert len(set(_class_denominators(wb4))) == 14
+    assert _product_of_one_minus_z_to_the((2, 4, 6, 8)) == (
+        1, 0, -1, 0, -1, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, -1, 0, -1, 0, 1)
+
+
+def test_a_denominator_that_is_not_cyclotomic_is_refused():
+    with pytest.raises(InternalCheckError, match="not a product of cyclotomic"):
+        _common_denominator([(1, -1), (1, -2)], 2, 1)
+    # 1 + z is Psi_2, but 2 does not divide the order 3
+    with pytest.raises(InternalCheckError, match="not a product of cyclotomic"):
+        _common_denominator([(1, -1), (1, 1)], 3, 1)
+    assert _common_denominator([(1, -1), (1, 1)], 2, 1) == (1, 0, -1)
+
+
+def test_cyclotomic_polynomials_and_exact_quotients():
+    # prod_{d | k} Psi_d = 1 - z^k, and deg Psi_k = phi(k)
+    for k in range(1, 31):
+        product = (1,)
+        for d in range(1, k + 1):
+            if k % d == 0:
+                psi = _cyclotomic(d)
+                product = tuple(
+                    sum(product[j] * psi[i - j] for j in range(len(product)) if 0 <= i - j < len(psi))
+                    for i in range(len(product) + len(psi) - 1))
+        assert product == (1,) + (0,) * (k - 1) + (-1,), k
+        assert len(_cyclotomic(k)) - 1 == sum(math.gcd(j, k) == 1 for j in range(1, k + 1))
+    assert _cyclotomic(12) == (1, 0, -1, 0, 1)
+    assert _exact_quotient((1, 0, -1), (1, -1)) == (1, 1)
+    assert _exact_quotient((1, 0, 1), (1, -1)) is None
 
 
 def test_molien_matches_bruteforce_dimensions(s2_z3, s3_z5, b2_z3):
@@ -381,15 +488,13 @@ def test_molien_matches_bruteforce_dimensions(s2_z3, s3_z5, b2_z3):
 
 
 def _assert_integer_path_matches_field_path(group, bound):
-    from dvrcert.polys import _integer_char_series_denominator, _series_inverse
-
     pairs = {
         (_integer_char_series_denominator(form), _char_series_denominator(m))
         for form, m in zip(group.elements, element_matrices(group, RING_K))
     }
     for integer_denom, field_denom in pairs:
         assert integer_denom == field_denom
-        inverse = _series_inverse(integer_denom, bound, 0, 1)
+        inverse = _series_quotient((1,), integer_denom, bound)
         assert all(type(b) is int for b in inverse)
         assert inverse == series_inverse_field(field_denom, bound, Fraction(0), Fraction(1))
     assert list(molien_series(group, bound).coefficients) == molien_series_field(group, bound)
@@ -427,35 +532,32 @@ def test_integer_molien_of_wb3_matches_field_recurrence(z5):
 
 
 def test_ratfunc_series_inverse_matches_field_recurrence(b2_f5t_twisted):
-    from dvrcert.polys import _series_inverse
-
-    descriptor = b2_f5t_twisted.descriptor
+    # the ratfunc kind's denominators are those of the residue rows mod p,
+    # inverted in ints and read mod p: the field recurrence on the elements'
+    # own denominators over F_5(t), whose coefficients are constants, reduced
+    group, descriptor = b2_f5t_twisted, b2_f5t_twisted.descriptor
     zero, one = descriptor.zero(), descriptor.one()
-    denominators = {_char_series_denominator(m)
-                    for m in element_matrices(b2_f5t_twisted, RING_K)}
+    pairs = {(tuple(c % 5 for c in char_poly(rows, 0, 1)), _char_series_denominator(m))
+             for rows, m in zip(group.residue_rows(), element_matrices(group, RING_K))}
     # the identity, the four reflections, -I and the two rotations of order 4
-    assert len(denominators) == 4
-    for denom in denominators:
-        assert _series_inverse(denom, 12, zero, one) == series_inverse_field(
-            denom, 12, zero, one
-        )
+    assert len(pairs) == 4
+    for denom, field_denom in pairs:
+        assert denom == tuple(descriptor.reduce(c) for c in field_denom)
+        assert [b % 5 for b in _series_quotient((1,), denom, 12)] == [
+            descriptor.reduce(b) for b in series_inverse_field(field_denom, 12, zero, one)]
 
 
-def test_series_inverse_refuses_a_constant_term_other_than_one(f5t):
-    from dvrcert.polys import _series_inverse
-
-    with pytest.raises(InternalCheckError):
-        _series_inverse((2, -1), 4, 0, 1)
-    assert _series_inverse((1, -1), 4, 0, 1) == [1, 1, 1, 1, 1]
-    zero, one = f5t.zero(), f5t.one()
-    with pytest.raises(InternalCheckError):
-        _series_inverse((f5t.from_int(2), -one), 4, zero, one)
-    assert _series_inverse((one, -one), 4, zero, one) == [one] * 5
+def test_series_inverse_refuses_a_constant_term_other_than_one():
+    with pytest.raises(InternalCheckError, match="constant term 2"):
+        _series_quotient((1,), (2, -1), 4)
+    assert _series_quotient((1,), (1, -1), 4) == [1, 1, 1, 1, 1]
+    # (1 + z) / (1 - z) = 1 + 2z + 2z^2 + ...; a numerator past the bound is cut
+    assert _series_quotient((1, 1), (1, -1), 4) == [1, 2, 2, 2, 2]
+    assert _series_quotient((1, 1, 5), (1,), 1) == [1, 1]
 
 
 def test_integer_denominator_is_read_off_the_integer_form():
     from dvrcert.linalg import IntMatrix
-    from dvrcert.polys import _integer_char_series_denominator
 
     # [[0, 1/2], [2, 0]] = [[0, 1], [4, 0]] / 2: det(I - z g) = 1 - z^2, as ints
     swap = IntMatrix(2, [[0, 1], [4, 0]])
@@ -528,7 +630,7 @@ def test_the_basis_over_K_of_a_group_over_F_p_is_the_lifted_basis_over_k(c4_f5t)
                 for r, row in enumerate(rho):
                     stacked.add([a - one if c == r else a for c, a in enumerate(row)])
             lifted = invariant_basis(group, d, RING_K)
-            assert [tuple(f.coefficient(e) for e in basis) for f in lifted.polys] == (
+            assert [tuple(poly_coefficient(f, e) for e in basis) for f in lifted.polys] == (
                 stacked.kernel(len(basis), zero, one)
             )
             assert all(f.ring == RING_K for f in lifted.polys)
@@ -593,7 +695,7 @@ def test_reynolds_span_equals_invariant_basis_span(s2_z3, b2_z3):
 
             averaged = DenseRowEchelon(p=field_p(ring, group.descriptor))
             monomial_polys = [
-                MultiPoly.monomial(ring, group.descriptor, e, ring_one(ring, group.descriptor))
+                poly_monomial(ring, group.descriptor, e, ring_one(ring, group.descriptor))
                 for e in basis]
             for poly in (reynolds(group, monomial_polys) if ring == RING_K
                          else [reynolds_flat(group, f) for f in monomial_polys]):

@@ -38,6 +38,7 @@ from oracles import (
     generators_of,
     invariant_dimension_bruteforce,
     inverse_dense,
+    poly_scale,
 )
 
 Z3 = DvrDescriptor("int-localized", 3)
@@ -241,7 +242,7 @@ def test_values_over_k_stay_ints_in_0_p():
                 in_k(v)
             if det(a):
                 in_k(x for row in inverse_mod_p(a.entries, p) for x in row)
-            for g in (f + h, f - h, f * h, f.scale(c), act(a, f),
+            for g in (f + h, f - h, f * h, poly_scale(f, c), act(a, f),
                       *(f.partial_derivative(j) for j in range(n))):
                 in_k(g.terms.values())
             cases += 1
