@@ -5,27 +5,17 @@ num/den of polynomials in t with den(0) != 0 for ring elements, arbitrary
 nonzero den for fraction-field elements.  Everything is kept in a canonical
 form (gcd-reduced, monic denominator) so equality is representation equality.
 
-The arithmetic keeps that form without reducing every result from scratch
-(Henrici's reduced-fraction arithmetic; Knuth, TAOCP vol. 2, §4.5.1).  The
-operands are already reduced, so a gcd runs only where it can be
-nontrivial, and never with a constant, whose gcd with anything is 1:
+The arithmetic keeps that form by two rules:
 
 * both denominators 1: the sum, difference or product of the numerators
-  over 1 is canonical;
-* ``+``/``-``: g = gcd(d1, d2).  When g = 1, (n1*d2 + n2*d1)/(d1*d2) is
-  reduced, because an irreducible factor of d1 divides neither n1 nor d2.
-  Otherwise t = n1*(d2/g) + n2*(d1/g) can share factors only with g, so
-  one more gcd(t, g) finishes it;
-* ``*``: only the cross gcds gcd(n1, d2) and gcd(n2, d1) can be
-  nontrivial, and cancelling them leaves a reduced product;
-* ``/``: the inverse of a reduced n/d is d/n made monic, which needs no
-  gcd, and the rest is ``*``;
-* a zero operand or result is returned as 0/1 at once.
+  over 1 is canonical, and no gcd runs;
+* otherwise the sum (n1*d2 + n2*d1)/(d1*d2) and the product
+  (n1*n2)/(d1*d2) go through ``RatFunc.make``, the one normaliser, which
+  divides out one gcd and makes the denominator monic.  It also reads
+  every value the parser takes in.
 
-Denominators stay monic throughout: products and exact quotients of monic
-polynomials are monic, and fp_gcd returns monic gcds.  ``RatFunc.make``
-is the one general normaliser, with a full gcd, for the values that enter
-from outside through the parser.
+``/`` multiplies by the inverse, and the inverse of a reduced n/d is d/n
+made monic, which needs no gcd.
 
 ``FpPoly`` arithmetic reduces mod p and trims trailing zeros once per
 operation.  Over the field F_p a product of nonzero polynomials has a
@@ -145,17 +135,10 @@ class FpPoly:
             return FpPoly(p, ())
         return FpPoly(p, tuple(c * a % p for a in self.coeffs))
 
-    def __divmod__(self, other: FpPoly) -> tuple[FpPoly, FpPoly]:
+    def __floordiv__(self, other: FpPoly) -> FpPoly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        quo, rem = _long_division(self.coeffs, other.coeffs, self.p)
-        return FpPoly(self.p, quo), FpPoly(self.p, rem)
-
-    def __mod__(self, other: FpPoly) -> FpPoly:
-        return divmod(self, other)[1]
-
-    def __floordiv__(self, other: FpPoly) -> FpPoly:
-        return divmod(self, other)[0]
+        return FpPoly(self.p, _long_division(self.coeffs, other.coeffs, self.p)[0])
 
     def monic(self) -> FpPoly:
         if self.is_zero():
@@ -192,17 +175,6 @@ def fp_gcd(a: FpPoly, b: FpPoly) -> FpPoly:
     while y:
         x, y = y, _long_division(x, y, p)[1]
     return FpPoly(p, x).monic()
-
-
-def _gcd_unless_one(a: FpPoly, b: FpPoly) -> FpPoly | None:
-    """gcd(a, b) of two nonzero polynomials, or None when it is 1.
-
-    A constant is a unit, so its gcd with anything is 1 without a Euclid.
-    """
-    if len(a.coeffs) == 1 or len(b.coeffs) == 1:
-        return None
-    g = fp_gcd(a, b)
-    return None if len(g.coeffs) == 1 else g
 
 
 def format_fp_poly(poly: FpPoly) -> str:
@@ -307,21 +279,7 @@ class RatFunc:
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         if len(d1.coeffs) == 1 and len(d2.coeffs) == 1:  # monic: both are 1
             return RatFunc(n1 + n2, d1)
-        if not n1.coeffs:
-            return other
-        if not n2.coeffs:
-            return self
-        g = _gcd_unless_one(d1, d2)
-        if g is None:
-            return RatFunc(n1 * d2 + n2 * d1, d1 * d2)
-        d1, d2_g = d1 // g, d2 // g
-        t = n1 * d2_g + n2 * d1
-        if not t.coeffs:
-            return RatFunc(t, FpPoly.one(t.p))
-        h = _gcd_unless_one(t, g)
-        if h is None:
-            return RatFunc(t, d1 * d2)
-        return RatFunc(t // h, d1 * (d2 // h))
+        return RatFunc.make(n1 * d2 + n2 * d1, d1 * d2)
 
     def __neg__(self) -> RatFunc:
         return RatFunc(-self.num, self.den)
@@ -331,19 +289,9 @@ class RatFunc:
 
     def __mul__(self, other: RatFunc) -> RatFunc:
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        if not n1.coeffs:
-            return self
-        if not n2.coeffs:
-            return other
         if len(d1.coeffs) == 1 and len(d2.coeffs) == 1:
             return RatFunc(n1 * n2, d1)
-        g = _gcd_unless_one(n1, d2)
-        if g is not None:
-            n1, d2 = n1 // g, d2 // g
-        g = _gcd_unless_one(n2, d1)
-        if g is not None:
-            n2, d1 = n2 // g, d1 // g
-        return RatFunc(n1 * n2, d1 * d2)
+        return RatFunc.make(n1 * n2, d1 * d2)
 
     def inverse(self) -> RatFunc:
         """den/num made monic: already reduced, so no gcd runs."""

@@ -572,6 +572,42 @@ def test_h1_over_K_is_read_off_the_residue_piece(
     assert RING_K not in solved
 
 
+def test_h1_of_a_non_constant_shear_is_solved_over_K_through_make(monkeypatch):
+    # <[[1, t], [0, 1]]> over F_3(t), of order 3 = p: its cocycle system
+    # over K has entries outside F_3, so the solve leaves the denominator-1
+    # path of `RatFunc` arithmetic and normalises through `RatFunc.make`;
+    # over K the table stays below the one over k from d = 1 on
+    f3t = DvrDescriptor("ratfunc-localized", 3)
+    one, t = f3t.one(), f3t.uniformizer()
+    group = generate_group([ExactMatrix(RING_O, f3t, [[one, t], [f3t.zero(), one]])])
+    assert group.order == 3
+    certify_module = sys.modules["dvrcert.certify"]
+    made = []
+    solved = {}
+
+    def counted_make(num, den, _original=RatFunc.make):
+        made.append((num, den))
+        return _original(num, den)
+
+    def counted_solve(group, degree, ring, _original=certify_module._h1_exact_degree):
+        before = len(made)
+        piece = _original(group, degree, ring)
+        solved[degree, ring] = len(made) - before
+        return piece
+
+    monkeypatch.setattr(RatFunc, "make", staticmethod(counted_make))
+    monkeypatch.setattr(certify_module, "_h1_exact_degree", counted_solve)
+    table = [(h1_dimension(group, d, RING_K), h1_dimension(group, d, RING_RESIDUE))
+             for d in range(4)]
+    assert table == [(1, 1), (2, 3), (2, 6), (3, 10)]
+    assert table == [(h1_bruteforce(group, d, RING_K), h1_bruteforce(group, d, RING_RESIDUE))
+                     for d in range(4)]
+    # each K piece of positive degree is solved through `make`; over k the
+    # values are ints
+    assert all(solved[d, RING_K] for d in range(1, 4)), solved
+    assert not any(solved[d, RING_RESIDUE] for d in range(4)), solved
+
+
 def test_h1_over_K_above_the_residue_piece_is_an_internal_error(monkeypatch):
     # only a ratfunc group solves H^1 over K; the int kind reads it as 0
     certify_module = sys.modules["dvrcert.certify"]

@@ -211,13 +211,16 @@ def _random_poly(p, rng, max_degree, monic=False):
 def test_ratfunc_arithmetic_matches_the_textbook_oracle(p):
     """Each of + - * / agrees with the oracle in value and is canonical.
 
-    The operands are drawn from classes that reach every branch of the
-    arithmetic: zero, constants, polynomials (denominator 1), fractions over
-    powers of t and over powers of t + 1 (coprime denominators), fractions
-    whose numerator or denominator holds f = t^2 + t + 1 (shared factors,
-    also across numerator and denominator), pairs a, a (whose difference is
-    0 over a shared denominator) and pairs a, s - a whose sum cancels the
-    factor the two denominators share.
+    The operands are drawn from classes that reach both paths of the
+    arithmetic.  A sum, difference or product of two operands with
+    denominator 1 (zero, constants, polynomials) stays on the denominator-1
+    path, with no gcd; any other goes through `RatFunc.make`, and a quotient
+    is the product with the divisor's inverse.  The other classes are
+    fractions over powers of t and over powers of t + 1 (coprime
+    denominators), fractions whose numerator or denominator holds
+    f = t^2 + t + 1 (shared factors, also across numerator and denominator),
+    pairs a, a (whose difference is 0 over a shared denominator) and pairs
+    a, s - a whose sum cancels the factor the two denominators share.
     """
     rng = random.Random(20261018 + p)
     t, t1 = FpPoly.t(p), FpPoly.make(p, [1, 1])
