@@ -37,11 +37,7 @@ from .groups import (
     reduction_map,
     verify_reduced_reflection_generation,
 )
-from .refbasis import (
-    DiagonalizingBasis,
-    diagonalizing_basis,
-    primitive_vector,
-)
+from .refbasis import DiagonalizingBasis, diagonalizing_basis
 from .polys import (
     GradedBasis,
     MolienSeries,

@@ -11,8 +11,8 @@ The arithmetic keeps that form by two rules:
   over 1 is canonical, and no gcd runs;
 * otherwise the sum (n1*d2 + n2*d1)/(d1*d2) and the product
   (n1*n2)/(d1*d2) go through ``RatFunc.make``, the one normaliser, which
-  divides out one gcd and makes the denominator monic.  It also reads
-  every value the parser takes in.
+  divides out one gcd, unless it is 1, and makes the denominator monic.
+  It also reads every value the parser takes in.
 
 ``/`` multiplies by the inverse, and the inverse of a reduced n/d is d/n
 made monic, which needs no gcd.
@@ -249,7 +249,8 @@ class RatFunc:
         if num.is_zero():
             return RatFunc(FpPoly.zero(num.p), FpPoly.one(num.p))
         g = fp_gcd(num, den)
-        num, den = num // g, den // g
+        if g.degree:  # a gcd of 1 divides nothing
+            num, den = num // g, den // g
         inv_lead = pow(den.leading(), -1, den.p)
         return RatFunc(num.scale(inv_lead), den.scale(inv_lead))
 

@@ -53,7 +53,6 @@ from dvrcert.linalg import (
     shifted_rows,
 )
 from dvrcert.polys import MolienSeries, MultiPoly, monomials
-from dvrcert.refbasis import primitive_vector
 from dvrcert.scalars import invert_mod_group_order
 
 
@@ -260,6 +259,19 @@ def residue_rows_bruteforce(group) -> tuple:
     reduce = group.descriptor.reduce
     rows = tuple(tuple(tuple(reduce(a) for a in row) for row in m.entries) for m in elements)
     return rows, len(set(rows)) == len(rows)
+
+
+def primitive_vector(v, desc) -> tuple:
+    """Scale a nonzero K-vector by a power of the uniformizer into O^n \\ pi*O^n."""
+    nonzero = [x for x in v if x]
+    if not nonzero:
+        raise ValueError("cannot primitivize the zero vector")
+    # the least valuation becomes 0, so every coordinate lies in O
+    shift = min(map(desc.valuation, nonzero))
+    if shift == 0:
+        return tuple(v)
+    factor = desc.uniformizer() ** (-shift)
+    return tuple(x * factor for x in v)
 
 
 def diagonalizing_basis_exact(sigma: ExactMatrix, lam) -> list:

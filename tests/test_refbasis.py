@@ -6,7 +6,8 @@ import pytest
 from dvrcert.errors import InternalCheckError
 from dvrcert.groups import classify_reflections, generate_group
 from dvrcert.linalg import RING_O, ExactMatrix, IntMatrix, det, shifted_rows
-from dvrcert.refbasis import _verify, diagonalizing_basis, primitive_vector
+from dvrcert.ratfunc import RatFunc
+from dvrcert.refbasis import _diagonalize, _form, _verify, diagonalizing_basis
 from dvrcert.scalars import DvrDescriptor
 
 from conftest import halved_b2_z5, int_batch_conjugates, random_unimodular, random_unit_int
@@ -18,6 +19,7 @@ from oracles import (
     element_matrix,
     form_of,
     inverse_dense,
+    primitive_vector,
 )
 
 
@@ -204,20 +206,38 @@ def test_the_integer_bases_match_the_fraction_path(s2_z3, s3_z5, b2_z3, neg_iden
 
 
 def test_a_wrong_basis_fails_the_integer_checks(b2_z5_halved, b2_f5t_twisted):
-    # a vector scaled by p, or t, is no longer part of an O-basis, and a
+    # a W scaled by p, or t, or an S scaled by it, leaves a determinant that
+    # is not a unit; a w = W / S with an S of too high a valuation has an
+    # entry outside O, though the determinant of the w is a unit; and a
     # fixed vector put last is no lambda-eigenvector
     for group in (b2_z5_halved, b2_f5t_twisted):
         desc = group.descriptor
         pi = desc.uniformizer()
-        for idx, lam, order in classify_reflections(group).reflections:
-            sigma = group.element(idx)
-            form = (sigma.den, sigma.rows) if isinstance(sigma, IntMatrix) \
-                else (desc.one(), sigma.entries)
-            basis = list(diagonalizing_basis(sigma, group, (lam, order)).basis)
-            _verify(*form, basis, lam, desc)
-            scaled = [tuple(x * pi for x in basis[0])] + basis[1:]
+        for idx, lam, _ in classify_reflections(group).reflections:
+            form = _form(group.element(idx), lam, desc)
+            vectors = _diagonalize(form, lam, desc)
+            _verify(form, vectors, desc)
+            (w0, s0), (w1, s1), *rest = vectors
             with pytest.raises(InternalCheckError, match="not a unit"):
-                _verify(*form, scaled, lam, desc)
-            swapped = basis[1:] + basis[:1]
+                _verify(form, [([x * pi for x in w0], s0), (w1, s1)] + rest, desc)
+            with pytest.raises(InternalCheckError, match="not a unit"):
+                _verify(form, [(w0, s0 * pi), (w1, s1)] + rest, desc)
+            with pytest.raises(InternalCheckError, match="outside O"):
+                _verify(form, [(w0, s0 * pi), ([x * pi for x in w1], s1)] + rest, desc)
             with pytest.raises(InternalCheckError, match="eigen-relation"):
-                _verify(*form, swapped, lam, desc)
+                _verify(form, vectors[1:] + vectors[:1], desc)
+
+
+def test_the_check_of_a_polynomial_basis_runs_no_gcd(b2_f5t_twisted, monkeypatch):
+    # b2_f5t_twisted's entries are polynomials in t, and so are its W: the
+    # check of each reflection's basis forms no fraction
+    desc = b2_f5t_twisted.descriptor
+    calls = []
+    make = RatFunc.make
+    for idx, lam, _ in classify_reflections(b2_f5t_twisted).reflections:
+        form = _form(b2_f5t_twisted.element(idx), lam, desc)
+        vectors = _diagonalize(form, lam, desc)
+        with monkeypatch.context() as m:
+            m.setattr(RatFunc, "make", staticmethod(lambda *a: calls.append(a) or make(*a)))
+            _verify(form, vectors, desc)
+    assert calls == []

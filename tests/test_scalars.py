@@ -12,6 +12,7 @@ from dvrcert.errors import (
 )
 from dvrcert.linalg import RING_K, RING_O, RING_RESIDUE, ExactMatrix
 from dvrcert.polys import act
+from dvrcert import ratfunc
 from dvrcert.ratfunc import MAX_T_DEGREE, FpPoly, RatFunc, parse_fp_poly
 from dvrcert.scalars import (
     DvrDescriptor,
@@ -274,6 +275,20 @@ def test_ratfunc_arithmetic_matches_the_textbook_oracle(p):
         else:
             with pytest.raises(ZeroDivisionError):
                 a / b
+
+
+def test_make_divides_only_by_a_gcd_other_than_1(monkeypatch):
+    # the gcd of 1 + t and 2 + t over F_5 is 1: the pair is already reduced
+    # and `make` runs no division by it; t + t^2 over t is divided by t
+    divisors = []
+    division = ratfunc._long_division
+    monkeypatch.setattr(ratfunc, "_long_division",
+                        lambda a, b, p: divisors.append(b) or division(a, b, p))
+    coprime = RatFunc.make(FpPoly.make(5, [1, 1]), FpPoly.make(5, [2, 1]))
+    assert (coprime.num.coeffs, coprime.den.coeffs) == ((1, 1), (2, 1))
+    assert (1,) not in divisors
+    shared = RatFunc.make(FpPoly.make(5, [0, 1, 1]), FpPoly.t(5))
+    assert (shared.num.coeffs, shared.den.coeffs) == ((1, 1), (1,))
 
 
 def test_scalars_from_different_dvrs_do_not_mix(z3, z5):
