@@ -68,7 +68,7 @@ from .polys import (
     reynolds,
 )
 from .refbasis import diagonalizing_basis
-from .scalars import KIND_INT, invert_mod_group_order
+from .scalars import invert_mod_group_order
 
 H1_DEGREE_CAP = 5
 
@@ -192,11 +192,11 @@ def fundamental_invariants(
 
 def _lifted_fundamentals(group: MatrixGroup, degree_bound: int) -> FundamentalInvariants:
     """The lifts of the generators over k (`_lifts`) as generators over K;
-    for the int kind each is first checked to reduce to its generator and
-    to be fixed by the generators of G."""
+    where char K = 0 each Reynolds lift is first checked to reduce to its
+    generator and to be fixed by the generators of G."""
     over_k = fundamental_invariants(group, RING_RESIDUE, degree_bound)
     lifts = _lifts(group, over_k.generators)
-    if group.descriptor.kind == KIND_INT:
+    if not group.descriptor.equal_characteristic:
         fixed = fixed_by_generators(group, lifts)
         for i, (lift, f_bar) in enumerate(zip(lifts, over_k.generators)):
             if lift.reduce() != f_bar:
@@ -213,19 +213,19 @@ def _lifted_fundamentals(group: MatrixGroup, degree_bound: int) -> FundamentalIn
 def _lifts(group: MatrixGroup, generators: tuple) -> tuple:
     """The invariants over O that lift the generators over k, found once
     and kept in `memo` under ("lifts", generators, "O"): the generators
-    over K and `lift_fundamentals` read the same lifts.  For the int kind
-    the Reynolds averages of their coefficientwise lifts, in one pass over
-    G; for the ratfunc kind their lifts carried by act(A, .) for a group
-    G = A Gbar A^-1 (`MatrixGroup.conjugator`), or the lifts themselves
-    when A is None."""
+    over K and `lift_fundamentals` read the same lifts.  In equal
+    characteristic, where O contains k, their lifts carried by act(A, .)
+    for a group G = A Gbar A^-1 (`MatrixGroup.conjugator`), or the lifts
+    themselves when A is None; where char K = 0 the Reynolds averages of
+    their coefficientwise lifts, in one pass over G."""
     key = ("lifts", generators, RING_O)
     if key not in group.memo:
         lifted = tuple(f.lift(RING_O) for f in generators)
-        if group.descriptor.kind == KIND_INT:
-            group.memo[key] = reynolds(group, lifted)
-        else:
+        if group.descriptor.equal_characteristic:
             a = group.conjugator()
             group.memo[key] = lifted if a is None else tuple(act(a, f) for f in lifted)
+        else:
+            group.memo[key] = reynolds(group, lifted)
     return group.memo[key]
 
 
@@ -334,14 +334,14 @@ def jacobian_independence(inv: FundamentalInvariants) -> bool:
 def graded_isomorphism_check(group: MatrixGroup, degree_bound: int):
     """Rows (d, dim over K, dim over k, equal?) for d up to the bound.
 
-    The dimension over k is that of the invariant basis over F_p.  For the
-    int kind the dimension over K is the Molien coefficient
+    The dimension over k is that of the invariant basis over F_p.  Where
+    char K = 0 the dimension over K is the Molien coefficient
     (`polys.molien_series`, kept in `group.memo` and shared with the
-    molien stage): K = Q has characteristic 0, so the coefficient of z^d
-    is dim_K K[X]^G_d exactly.  Each row then compares a character sum
-    over Q with an elimination over F_p, and no system over Q is solved.
+    molien stage): the coefficient of z^d is dim_K K[X]^G_d exactly over
+    K = Q.  Each row then compares a character sum over Q with an
+    elimination over F_p, and no system over Q is solved.
 
-    For the ratfunc kind the dimension over K is the dimension over k:
+    In equal characteristic the dimension over K is the dimension over k:
     act(A, .) maps the invariants of degree d of Gbar, the constant twins
     (`MatrixGroup.conjugator`), onto G's, and Gbar's system over K has its
     entries in F_p, so its reduced echelon form over K is the one over
@@ -350,9 +350,8 @@ def graded_isomorphism_check(group: MatrixGroup, degree_bound: int):
     check of the K column against an elimination over F_p(t).
     """
     invert_mod_group_order(group.order, group.descriptor)
-    over_q = None
-    if group.descriptor.kind == KIND_INT:
-        over_q = molien_series(group, degree_bound).coefficients
+    over_q = (None if group.descriptor.equal_characteristic
+              else molien_series(group, degree_bound).coefficients)
     rows = []
     for d in range(degree_bound + 1):
         dim_res = invariant_basis(group, d, RING_RESIDUE).dimension
@@ -460,7 +459,7 @@ def h1_dimension(group: MatrixGroup, degree: int, ring: str) -> int:
     a unit of K and of k, and since |G| kills H^1 every piece is 0: there
     the table is an exact cross-check of a theorem, not a proof obligation.
 
-    For the int kind the K pieces are 0 with or without the gate: K = Q
+    Where char K = 0 the K pieces are 0 with or without the gate: K = Q
     has characteristic 0, so multiplication by |G| is invertible on V
     and kills H^1(G, V), which is therefore 0.  They are read as 0, and
     nothing is solved over Q (`tests/test_certify.py` keeps the solve,
@@ -480,7 +479,7 @@ def h1_dimension(group: MatrixGroup, degree: int, ring: str) -> int:
         raise ValueError("H^1 is computed over a field (K or k)")
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    if ring == RING_K and group.descriptor.kind == KIND_INT:
+    if ring == RING_K and not group.descriptor.equal_characteristic:
         return 0
     memo = group.memo
     for e in range(degree + 1):

@@ -71,7 +71,7 @@ from .linalg import (
     set_fields,
     shifted_rows,
 )
-from .scalars import KIND_INT, DvrDescriptor, invert_mod_group_order
+from .scalars import DvrDescriptor, invert_mod_group_order
 
 DEFAULT_CLOSURE_CAP = 20000
 
@@ -139,16 +139,16 @@ class MatrixGroup:
 
     def element(self, i: int):
         """Element i, built from its rows the first time a stage reads it
-        and then kept: for the int kind the `IntMatrix` form A / D, D the
-        lcm of its rows' d, for the ratfunc kind the O-matrix."""
+        and then kept: in equal characteristic the O-matrix, else (K = Q)
+        the `IntMatrix` form A / D, D the lcm of its rows' d."""
         m = self._built[i]
         if m is None:
             rows = [self.orbit[r] for r in self.element_rows[i]]
-            if self.descriptor.kind == KIND_INT:
+            if self.descriptor.equal_characteristic:
+                m = ExactMatrix._of(RING_O, self.descriptor, rows)
+            else:
                 den = lcm(*(row[0] for row in rows))
                 m = IntMatrix(den, [[a * (den // row[0]) for a in row[1:]] for row in rows])
-            else:
-                m = ExactMatrix._of(RING_O, self.descriptor, rows)
             self._built[i] = m
         return m
 
@@ -165,9 +165,10 @@ class MatrixGroup:
         memo, key = self.memo, ("residues", RING_RESIDUE)
         if key not in memo:
             p, reduce = self.descriptor.p, self.descriptor.reduce
-            reduced = [reduce_form(IntMatrix(point[0], [point[1:]]), p)[0]
-                       if self.descriptor.kind == KIND_INT else tuple(map(reduce, point))
-                       for point in self.orbit]
+            if self.descriptor.equal_characteristic:
+                reduced = [tuple(map(reduce, point)) for point in self.orbit]
+            else:  # K = Q: a point (d, *a) of Omega is the integer row a / d
+                reduced = [reduce_form(IntMatrix(r[0], [r[1:]]), p)[0] for r in self.orbit]
             distinct = {}
             ids = [distinct.setdefault(row, len(distinct)) for row in reduced]
             rows = tuple(tuple(map(reduced.__getitem__, e)) for e in self.element_rows)
@@ -176,8 +177,9 @@ class MatrixGroup:
         return memo[key][0]
 
     def conjugator(self) -> ExactMatrix | None:
-        """A in GL_n(O) with G = A Gbar A^-1, for a ratfunc group whose order
-        is a unit of O; None when its generators are constant matrices.
+        """A in GL_n(O) with G = A Gbar A^-1, for a group over an O of equal
+        characteristic whose order is a unit of O; None when its generators
+        are constant matrices.
 
         O = F_p[t]_(t) contains its residue field F_p, so each g has a
         constant twin gbar, its residue rows, in GL_n(F_p), a subgroup of
@@ -194,10 +196,10 @@ class MatrixGroup:
         generators are constant matrices lies in GL_n(F_p), since products
         of constant matrices are constant: it is its own twin and gets
         None, so nothing is carried.  The answer is decided once and kept
-        in `memo` under ("conjugator", "O"); the int kind has none, since
-        Z_(p) holds no field.
+        in `memo` under ("conjugator", "O").  Where char K = 0 there is none:
+        O does not contain its residue field (Z_(p) holds no field).
         """
-        if self.descriptor.kind == KIND_INT:
+        if not self.descriptor.equal_characteristic:
             raise ValueError("only a group over F_p[t]_(t) is conjugate to a constant group")
         key = ("conjugator", RING_O)
         if key not in self.memo:
@@ -284,14 +286,14 @@ def generate_group(
 
     matrices = [ExactMatrix.identity(RING_O, descriptor, n),
                 *sorted(set(generators), key=ExactMatrix.sort_key)]
-    if descriptor.kind == KIND_INT:
+    if descriptor.equal_characteristic:
+        identity, zero = matrices[0].entries, descriptor.zero()
+        gens = [(None, _columns(m.entries)) for m in matrices[1:]]
+    else:  # K = Q: the closure runs on integer rows (d, *a) = a / d
         forms = [IntMatrix.from_matrix(m) for m in matrices]
         identity, zero = [(1, *row) for row in forms[0].rows], 0
         gens = [(f.den, [[(k + 1, c) for k, c in col] for col in _columns(f.rows)])
                 for f in forms[1:]]
-    else:
-        identity, zero = matrices[0].entries, descriptor.zero()
-        gens = [(None, _columns(m.entries)) for m in matrices[1:]]
     return MatrixGroup(descriptor, n, *_closure(identity, gens, n, cap, zero))
 
 

@@ -57,7 +57,7 @@ from .linalg import (
 )
 from .groups import MatrixGroup, conjugacy_classes
 from .ratfunc import FpPoly, RatFunc
-from .scalars import KIND_INT, DvrDescriptor, invert_mod_group_order
+from .scalars import DvrDescriptor, invert_mod_group_order
 
 
 @lru_cache(maxsize=None)
@@ -404,10 +404,10 @@ def act(g: ExactMatrix, f: MultiPoly) -> MultiPoly:
 
 def _on_integer_forms(group: MatrixGroup, polys: tuple) -> bool:
     """Check that the group can act on the polynomials together, and say
-    whether it acts through its integer forms, on the int kind's
-    polynomials over O or K, or else through its residue rows, on
-    polynomials over k; a ratfunc group acts on polynomials over O or K
-    by `act` alone."""
+    whether it acts through its integer forms, on polynomials over O or
+    K = Q, or else through its residue rows, on polynomials over k; in
+    equal characteristic a group acts on polynomials over O or K by `act`
+    alone."""
     for f in polys:
         if f.ring != polys[0].ring:
             raise ValueError("polynomials from different rings are acted on apart")
@@ -416,7 +416,7 @@ def _on_integer_forms(group: MatrixGroup, polys: tuple) -> bool:
                              f"for a group over {group.descriptor} of degree {group.n}")
     if polys[0].ring == RING_RESIDUE:
         return False
-    if group.descriptor.kind != KIND_INT:
+    if group.descriptor.equal_characteristic:
         raise ValueError("a ratfunc group acts on polynomials over O or K by act, "
                          "not through integer forms")
     return True
@@ -583,9 +583,9 @@ def invariant_basis(group: MatrixGroup, d: int, ring: str) -> GradedBasis:
     Solves (action(g) - I) v = 0 simultaneously for the generators only;
     invariance under the generators implies invariance under the group.
     Over k the system is one over F_p in ints mod p, over K one over
-    F_p(t): an int-kind group's dimensions over Q are its Molien
-    coefficients, so it is refused.  If the generators' residue rows are
-    monomial, g: X^e -> s_g(e) X^(g.e), each orbit of the monomials
+    F_p(t): where char K = 0 a group's dimensions over K = Q are its
+    Molien coefficients, so it is refused.  If the generators' residue
+    rows are monomial, g: X^e -> s_g(e) X^(g.e), each orbit of the monomials
     carries one invariant, v_(g.e) = s_g(e) v_e on every edge, or none if
     two edges disagree: scaled to 1 at its largest index, the orbit's free
     column, and listed by it, this is `RowEchelon.kernel`'s reduced basis.
@@ -595,7 +595,7 @@ def invariant_basis(group: MatrixGroup, d: int, ring: str) -> GradedBasis:
         raise ValueError("invariant bases are computed over a field (K or k)")
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    if ring == RING_K and group.descriptor.kind == KIND_INT:
+    if ring == RING_K and not group.descriptor.equal_characteristic:
         raise ValueError("an int-kind group's invariants over K are counted by its "
                          "Molien series, the graded table's K column; no basis is solved")
     memo, key = group.memo, ("invariant_basis", d, ring)
@@ -788,46 +788,44 @@ def molien_series(group: MatrixGroup, bound: int) -> MolienSeries:
     """(1/|G|) * sum over g of 1/det(I - z g), truncated to the given degree.
 
     Each det(I - z g) comes from `linalg.char_poly` (Berkowitz, division
-    free) in Python ints.  Over Q (the int kind) it is read off the
-    elements' integer forms A / D (`_integer_char_series_denominator`).
-    Over F_p(t) (the ratfunc kind) it is that of the residue rows, mod p:
-    g has finite order, so each coefficient is algebraic over F_p, and the
-    only such elements of F_p(t) are the constants of F_p, which the
-    reduction O -> k fixes.  It is a class function, so it is computed
+    free) in Python ints.  Where char K = 0, over K = Q, it is read off
+    the elements' integer forms A / D (`_integer_char_series_denominator`).
+    In equal characteristic, over F_p(t), it is that of the residue rows,
+    mod p: g has finite order, so each coefficient is algebraic over F_p,
+    and the only such elements of F_p(t) are the constants of F_p, which
+    the reduction O -> k fixes.  It is a class function, so it is computed
     once per conjugacy class (`groups.conjugacy_classes`) and weighted by
     the class size m_c.  Over Q each is a product of cyclotomic
-    polynomials, so the int kind runs one recurrence (`_series_quotient`)
-    for N / L, L their lcm (`_common_denominator`, for a reflection group
+    polynomials, so one recurrence (`_series_quotient`) runs for N / L,
+    L their lcm (`_common_denominator`, for a reflection group
     prod_i (1 - z^{d_i}) by Springer) and N = sum_c m_c L / det_c; mod p
-    they need not factor, so the ratfunc kind inverts each distinct one.
-    For the int kind
-    the degree-m coefficient is then s_m / |G|, with s_m the weighted sum,
+    they need not factor, so each distinct one is inverted.  Over Q the
+    degree-m coefficient is then s_m / |G|, with s_m the weighted sum,
     and it is accepted only when |G| divides s_m and s_m >= 0: the same
-    exact test as "a nonnegative integer in Q".  For the ratfunc kind it
-    is s_m times 1/|G| mod p.  The series is computed once per group and
-    bound and kept in `group.memo` under ("molien", bound, ring), the ring
-    whose dimensions it counts: K for the int kind, whose graded table
-    reads its K column off it, and k for the ratfunc kind.
+    exact test as "a nonnegative integer in Q".  Mod p it is s_m times
+    1/|G| mod p.  The series is computed once per group and bound and
+    kept in `group.memo` under ("molien", bound, ring), the ring whose
+    dimensions it counts: K where char K = 0, whose graded table reads
+    its K column off it, and k in equal characteristic.
     """
     descriptor = group.descriptor
     invert_mod_group_order(group.order, descriptor)  # the gate: p must not divide |G|
-    key = ("molien", bound, RING_K if descriptor.kind == KIND_INT else RING_RESIDUE)
+    key = ("molien", bound, RING_RESIDUE if descriptor.equal_characteristic else RING_K)
     if key not in group.memo:
         group.memo[key] = _molien_series(group, bound)
     return group.memo[key]
 
 
 def _molien_series(group: MatrixGroup, bound: int) -> MolienSeries:
-    descriptor = group.descriptor
-    p = descriptor.p
+    p, mod_p = group.descriptor.p, group.descriptor.equal_characteristic
     counts = Counter()
     for members in conjugacy_classes(group):
-        if descriptor.kind == KIND_INT:
-            denom = _integer_char_series_denominator(group.element(members[0]))
-        else:
+        if mod_p:
             denom = tuple(c % p for c in char_poly(group.residue_rows()[members[0]], 0, 1))
+        else:
+            denom = _integer_char_series_denominator(group.element(members[0]))
         counts[denom] += len(members)
-    if descriptor.kind != KIND_INT:
+    if mod_p:
         # Psi_k need not divide a denominator mod p: one quotient for each
         sums = [0] * (bound + 1)
         for denom, count in counts.items():

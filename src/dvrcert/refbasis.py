@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from .errors import InternalCheckError
 from .linalg import _nonzero_pairs, _sparse_dot, det_of_rows, shifted_rows
 from .groups import MatrixGroup
-from .scalars import KIND_INT, DvrDescriptor, invert_mod_group_order
+from .scalars import DvrDescriptor, invert_mod_group_order
 
 
 @dataclass(frozen=True)
@@ -81,11 +81,12 @@ def diagonalizing_basis(sigma, group: MatrixGroup, data) -> DiagonalizingBasis:
 
 def _form(sigma, lam, desc: DvrDescriptor) -> tuple:
     """(D, A, zero, one, a, b) for sigma = A / D and lambda = a / b, over
-    the ring of A's entries."""
-    if desc.kind == KIND_INT:
-        return sigma.den, sigma.rows, 0, 1, lam.numerator, lam.denominator
-    one = desc.one()
-    return one, sigma.entries, desc.zero(), one, lam, one
+    the ring of A's entries: O itself in equal characteristic, else the
+    integers of sigma's integer form over K = Q."""
+    if desc.equal_characteristic:
+        one = desc.one()
+        return one, sigma.entries, desc.zero(), one, lam, one
+    return sigma.den, sigma.rows, 0, 1, lam.numerator, lam.denominator
 
 
 def _diagonalize(form, lam, desc: DvrDescriptor) -> list:

@@ -17,12 +17,32 @@ K-element lies in O is a property of its value, not of its type: it is
 checked where values enter (the jobspec parser, the public O-tagged
 constructors, reduction to k).  All values are immutable, canonical, and
 compared by representation.
+
+This module alone branches on the kind; a report only prints it.  The
+stages ask the descriptor one question about the DVR,
+`DvrDescriptor.equal_characteristic`: does O contain its residue field?
+F_p[t]_(t) does, and char K = p; Z_(p) does not, and K = Q has
+characteristic 0.  What follows from that one fact:
+
+* In equal characteristic each element g has a constant twin, its
+  residue rows read in GL_n(F_p) inside GL_n(O), so the side over K is
+  read off the side over k: the invariants over K are those over k
+  carried by a checked conjugator, and the Molien series is computed
+  from the residue rows, mod p.
+* In characteristic 0 the Molien series is exact, so it gives the
+  dimensions over K; H^1 over K is read as 0, since |G| is invertible on
+  every K-module; and an element is read as its integer form A / D over
+  Q, in ints.
+
+1/|G| is likewise K's own arithmetic, `one() / from_int(|G|)`, for every
+kind.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     HypothesisViolationError,
@@ -114,6 +134,12 @@ class DvrDescriptor:
     def is_unit(self, x) -> bool:
         return bool(x) and self.valuation(x) == 0
 
+    @cached_property
+    def equal_characteristic(self) -> bool:
+        """True when O contains its residue field, that is when char K = p;
+        read off K's own arithmetic, where p is zero or not, once per DVR."""
+        return not self.from_int(self.p)
+
     def reduce(self, x) -> int:
         """Reduction modulo the maximal ideal, as an int in [0, p); requires
         membership in the DVR."""
@@ -145,9 +171,7 @@ def invert_mod_group_order(r: int, descriptor: DvrDescriptor):
             f"group order {r} is divisible by p = {descriptor.p}; "
             "it is not invertible in the ring, so averaging over the group is impossible"
         )
-    if descriptor.kind == KIND_INT:
-        return Fraction(1, r)
-    return RatFunc.from_int(descriptor.p, pow(r, -1, descriptor.p))
+    return descriptor.one() / descriptor.from_int(r)
 
 
 # -- serialization ------------------------------------------------------------

@@ -12,6 +12,7 @@ from dvrcert.cli import (
     EXIT_REFUTED,
     main,
     parse_jobspec,
+    render_text,
     run,
     verify_report,
 )
@@ -126,6 +127,23 @@ def test_exit_codes():
     assert report["eta_injective"] is True
     assert report["reflection_generated"] is False
 
+    # a group that cannot be built, from a generator outside GL_n(O) over
+    # either DVR or a closure over its cap, is an input error in the report,
+    # which has no verdict
+    for doc, error in (
+        ({"dvr": {"kind": "int-localized", "p": 5}, "n": 1, "generators": [[["5"]]]},
+         "generator 0 is not in GL_n(O): determinant 5 is not a unit"),
+        ({"dvr": {"kind": "ratfunc-localized", "p": 5}, "n": 1, "generators": [[["t"]]]},
+         "generator 0 is not in GL_n(O): determinant 1*t^1 is not a unit"),
+        (dict(EXAMPLES["s3"], closure_cap=2),
+         "closure exceeded 2 elements; group too large or infinite"),
+    ):
+        report, code = run(parse_jobspec(doc))
+        assert code == EXIT_INPUT_ERROR
+        assert report["error"] == error
+        assert "verdict" not in report
+        assert render_text(report).endswith(f"\nerror: {error}\n")
+
 
 def test_partial_checks():
     doc = copy.deepcopy(EXAMPLES["b2"])
@@ -185,6 +203,21 @@ def test_verify_report_catches_tampering():
         mutate(tampered)
         ok, findings = verify_report(tampered)
         assert not ok and findings
+    for mutate, finding in (
+        (lambda r: r.update(verdict="proved"), "unknown verdict 'proved'"),
+        (lambda r: r.pop("fundamental_degrees_k"),
+         "certified report is missing fundamental degrees"),
+        (lambda r: r["molien"].__setitem__(0, "2"), "Molien constant term is not 1"),
+        (lambda r: r.update(graded_ok=False),
+         "certified report with failed sub-check graded_ok"),
+    ):
+        tampered = copy.deepcopy(report)
+        mutate(tampered)
+        ok, findings = verify_report(tampered)
+        assert ok is False and finding in findings, (finding, findings)
+    # a report that certifies nothing has no identities to recheck
+    assert verify_report(dict(report, verdict="inconclusive")) == (
+        True, ["verdict inconclusive: no certificate identities to recheck"])
     assert verify_report([report]) == (False, ["report is not a JSON object"])
 
 
@@ -222,6 +255,9 @@ def test_main_analyze_and_example(tmp_path, capsys):
         out.write_text(json.dumps(malformed))
         assert main(["verify-report", "--input", str(out)]) == EXIT_INPUT_ERROR
     assert "report INCONSISTENT" in capsys.readouterr().out
+    out.write_text("{not json")
+    assert main(["verify-report", "--input", str(out)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err.startswith("report is not valid JSON: ")
 
 
 def test_main_rejects_bad_documents(tmp_path, capsys):

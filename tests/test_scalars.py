@@ -81,6 +81,17 @@ def test_invert_mod_group_order(z3, z5):
     d2 = DvrDescriptor("int-localized", 2)
     with pytest.raises(HypothesisViolationError):
         invert_mod_group_order(2, d2)
+    with pytest.raises(ValueError, match="must be positive"):
+        invert_mod_group_order(0, z3)
+
+
+def test_equal_characteristic(z3, z5, f5t):
+    # O contains its residue field exactly when char K = p: F_p[t]_(t)
+    # does, and Z_(p) does not, since K = Q has characteristic 0
+    assert z3.equal_characteristic is False
+    assert z5.equal_characteristic is False
+    assert DvrDescriptor("ratfunc-localized", 3).equal_characteristic is True
+    assert f5t.equal_characteristic is True
 
 
 def test_invert_mod_group_order_ratfunc(f5t):
